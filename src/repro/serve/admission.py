@@ -119,10 +119,13 @@ class AdmissionController:
     def requeue_front(self, requests) -> int:
         """Put a failed batch back at the head, oldest first.
 
-        Returns how many fit; the rest (queue refilled past capacity
-        while the batch was in flight never happens — the batch freed
-        the slots — but guard anyway) are dropped by the caller as
-        shed.  Never raises: failover must not die on backpressure.
+        Returns how many fit; the caller drops the rest as shed.  All
+        of them fit today — a batch executes within one event, so
+        nothing is admitted between taking it off the queue and
+        putting it back, and the slots it freed are still free — but
+        the capacity check stays so that a failed batch can never
+        push a queue past ``queue_depth``.  Never raises: failover
+        must not die on backpressure.
         """
         fitted = 0
         for request in reversed(list(requests)):

@@ -30,13 +30,30 @@ are always submitted in the canonical global arrival order
 (:class:`~repro.serve.client.ArrivalStream`), so per-shard sequence
 numbers — and therefore every tie-break — are identical in every
 execution mode.
+
+Wakes are *level-triggered*, like the pump they drive: a wake carries
+no payload, and :meth:`ShardExecutor._pump` recomputes everything
+(rejoins, promotion, recovery, busy-until, batch readiness) from state,
+so a second wake at an instant that already has one pending could only
+repeat the first.  The wake heap therefore holds **at most one pending
+wake per distinct simulated instant** (exact float equality, no
+epsilon), enforced in :meth:`ShardExecutor._push` — the one place wakes
+are scheduled.  The instant is forgotten when its wake is popped, so a
+pump may re-arm the instant it is running at (a zero-duration batch, a
+power cut during promotion).  *Stale* wakes are kept — a batch deadline
+whose batch already ran full still fires, pumps, and finds nothing to
+do — because every pending instant feeds :meth:`~ShardExecutor.
+next_event_ns`, hence the coordinator's horizons and epoch count;
+*duplicates* are not, because an edge-queued timer (one heap entry per
+caller) makes a saturated shard re-queue a wake per arrival per batch,
+and the event count grows with the square of the time spent saturated.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.common.errors import PowerLossError
 from repro.serve.admission import AdmissionController, RetryableRejection
@@ -100,11 +117,28 @@ class ShardExecutor:
         self.last_completion_ns = 0.0
         self._events: List[tuple] = []
         self._seq = 0
+        # Instants that have a wake pending in ``_events`` (see _push).
+        self._wake_instants: Set[float] = set()
         self._double_kill_armed = False
+        prefix = f"shard{self.shard_id}/"
+        self._queue_depth_metric = prefix + "queue_depth"
+        self._admitted_metric = prefix + "admitted"
+        self._batch_size_metric = prefix + "batch_size"
+        self._replication_lag_metric = prefix + "replication_lag"
+        self._latency_metric = prefix + "request_latency_ns"
 
     # -- event plumbing -------------------------------------------------------
 
     def _push(self, time_ns: float, kind: int) -> None:
+        """Schedule an event; a wake only if its instant has none pending.
+
+        Wakes carry no payload and the pump is a function of state, so
+        one pending wake per instant does everything any number would.
+        """
+        if kind == _WAKE:
+            if time_ns in self._wake_instants:
+                return
+            self._wake_instants.add(time_ns)
         self._seq += 1
         heapq.heappush(self._events, (time_ns, kind, self._seq, None))
 
@@ -141,6 +175,9 @@ class ShardExecutor:
                 self.now_ns = time_ns
             if kind == _ARRIVAL:
                 self._admit(payload)
+            else:
+                # Forgotten before the pump, which may re-arm this instant.
+                self._wake_instants.discard(time_ns)
             self._pump()
 
     def arm_kills(self) -> None:
@@ -218,12 +255,9 @@ class ShardExecutor:
             return
         self.admitted += 1
         self.telemetry.record(
-            f"shard{request.shard}/queue_depth",
-            self.admission.depth(request.shard),
+            self._queue_depth_metric, self.admission.depth(request.shard)
         )
-        self.telemetry.sample(
-            f"shard{request.shard}/admitted", self.now_ns
-        )
+        self.telemetry.sample(self._admitted_metric, self.now_ns)
 
     # -- the shard pump -------------------------------------------------------
 
@@ -233,17 +267,21 @@ class ShardExecutor:
         self._advance_rejoins(group)
         if group.state == GROUP_FAILING_OVER:
             if self.now_ns + 1e-9 < group.promote_at_ns:
-                return  # the promotion wake is already queued
+                # Whoever set promote_at_ns armed a wake at that
+                # instant; nothing to do (or to schedule) before it.
+                return
             self._complete_promotion(group)
             if group.state != GROUP_UP:
                 return
         if group.state == GROUP_RECOVERING:
             if self.now_ns + 1e-9 < group.primary.recover_at_ns:
-                return  # the recovery-completion wake is already queued
+                return  # likewise: the failover armed recover_at_ns
             self._complete_recovery(group)
         primary = group.primary
         if primary.clock_ns > self.now_ns + 1e-9:
-            # Busy until its clock; re-pump then.
+            # Busy until its clock: make sure that instant has a wake.
+            # Every arrival during a busy period lands here; all but
+            # the first find the instant armed and _push drops them.
             self._push(primary.clock_ns, _WAKE)
             return
         queue = self.admission.queues[self.shard_id]
@@ -263,7 +301,7 @@ class ShardExecutor:
         batch = self.batcher.take(self.admission.queues[group.shard_id])
         start = max(self.now_ns, primary.clock_ns)
         system.clocks[0] = start
-        self.telemetry.record(f"shard{group.shard_id}/batch_size", len(batch))
+        self.telemetry.record(self._batch_size_metric, len(batch))
         puts: List[Request] = []
         try:
             for request in batch:
@@ -315,7 +353,7 @@ class ShardExecutor:
             self._backup_failover(group, backup)
         if group.replication_enabled and outcome.tx is not None:
             self.telemetry.sample(
-                f"shard{group.shard_id}/replication_lag",
+                self._replication_lag_metric,
                 self.now_ns,
                 group.replication_lag(),
             )
@@ -332,9 +370,7 @@ class ShardExecutor:
         group.primary.acked += 1
         if request.completion_ns > self.last_completion_ns:
             self.last_completion_ns = request.completion_ns
-        self.telemetry.record(
-            f"shard{group.shard_id}/request_latency_ns", latency
-        )
+        self.telemetry.record(self._latency_metric, latency)
 
     # -- failover -------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.serve import ServeConfig, run_serve
+from repro.serve.cluster import ServeCluster
 from repro.serve.replica import (
     BACKUP,
     LEASED,
@@ -259,6 +260,53 @@ class TestReplicatedEndToEnd:
         assert report.kills == 2
         assert report.promotions == 2
         assert report.rejoins == 2
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_power_cut_during_promotion_retries_at_the_same_instant(
+        self, torn
+    ):
+        # The successor's armed cut lands inside the lease window, where
+        # nothing writes to it: its first timed write is the tail replay
+        # inside group.promote, which raises.  The 256-deep queue holds
+        # a backlog while the lease runs out: with one wake queued per
+        # caller this run pushed 13 499 124 heap events, not 3 991.
+        hub = Telemetry()
+        cluster = ServeCluster(
+            ServeConfig(
+                shards=2, replicas=2, rate_per_s=1.6e6, duration_ms=2.0,
+                queue_depth=256, kill_primary_at_ms=0.6,
+                kill_backup_at_ms=0.7, torn_kill=torn, seed=7,
+            ),
+            telemetry=hub,
+        )
+        cluster.run()
+        marks = [
+            (ts, kind, payload["replica"])
+            for ts, kind, _, payload in hub.events
+            if kind in ("backup_kill", "promotion", "rejoin_complete")
+        ]
+        (promote_at,) = (
+            payload["promote_at_ns"]
+            for _, kind, _, payload in hub.events
+            if kind == "failover_begin"
+        )
+        assert 0.7e6 < promote_at  # the cut was armed before the lease ran out
+        # Replica 1 (freshest, lowest index) is chosen and dies in promote;
+        # the retry promotes replica 2 at that same instant, exactly once.
+        assert marks[:2] == [
+            (promote_at, "backup_kill", 1),
+            (promote_at, "promotion", 2),
+        ]
+        assert sorted(m[1:] for m in marks[2:]) == [
+            ("rejoin_complete", 0),
+            ("rejoin_complete", 1),
+        ]
+        group = cluster.groups[0]
+        assert (group.promotions, group.primary_index) == (1, 2)
+        assert all(replica.live for replica in group.replicas)
+        assert cluster.oracle_failures == []  # acked loss *and* divergence
+        assert cluster.divergence_checks >= 3  # promotion + two rejoins
+        assert cluster.acked_puts + cluster.acked_gets == cluster.admitted
 
     def test_promotion_with_unapplied_tail_end_to_end(self):
         # apply_every huge: the backup promotes with its entire shipped

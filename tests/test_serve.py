@@ -1,12 +1,24 @@
 """The serving layer: routing, admission, batching, failover, oracle."""
 
+import hashlib
 import json
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import rng as rng_util
 from repro.common.errors import ConfigError
-from repro.serve import SERVABLE_SCHEMES, ServeConfig, ServeReport, run_serve
+from repro.serve import (
+    SERVABLE_SCHEMES,
+    EngineConfig,
+    ServeConfig,
+    ServeReport,
+    run_serve,
+)
+from repro.serve.__main__ import main as serve_main
 from repro.serve.admission import (
     AdmissionController,
     FailoverRejection,
@@ -16,7 +28,15 @@ from repro.serve.admission import (
 )
 from repro.serve.batcher import BatchScheduler
 from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
+from repro.serve.cluster import ServeCluster
 from repro.serve.router import ConsistentHashRouter, stable_hash
+from repro.serve.shard import _WAKE, ShardExecutor
+
+# Report hashes recorded at the parent of the level-triggered-wake change
+# (PR 12): a host-only serve change must reproduce every one of them.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "serve_golden.json").read_text()
+)
 
 
 def tiny_cfg(**overrides):
@@ -330,6 +350,66 @@ class TestEndToEnd:
         payload = report.to_dict()
         clone = ServeReport(**payload)
         assert clone.to_dict() == payload
+
+
+class TestEventLoop:
+    def test_heap_events_are_linear_in_work(self):
+        # The benchmark's overloaded step.  An edge-queued timer re-queues
+        # one wake per waiting arrival per batch: 1 238 914 pushes here.
+        cluster = ServeCluster(
+            ServeConfig(
+                shards=1, read_fraction=0.9, rate_per_s=16e6,
+                duration_ms=0.3, seed=7,
+            )
+        )
+        cluster.run()
+        executor = cluster.executors[0]
+        assert cluster.rejections.get("queue_full", 0) > 0  # saturated
+        assert executor._seq <= 2 * (executor.offered + executor.batches) + 16
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rate=st.sampled_from([2e5, 2e6, 8e6, 2e7]),
+        batch_size=st.integers(1, 16),
+        queue_depth=st.integers(1, 64),
+        batch_wait_us=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+        epoch_us=st.sampled_from([0.25, 2.0, 20.0]),
+    )
+    def test_one_pending_wake_per_instant(
+        self, rate, batch_size, queue_depth, batch_wait_us, epoch_us
+    ):
+        advance_to = ShardExecutor.advance_to
+        advances = []
+
+        def checked_advance(executor, horizon_ns):
+            advance_to(executor, horizon_ns)
+            wakes = [e[0] for e in executor._events if e[1] == _WAKE]
+            assert len(wakes) == len(set(wakes))
+            # The armed set mirrors the heap: a leaked instant would
+            # swallow a wake the pump needs, a missing one admits a twin.
+            assert executor._wake_instants == set(wakes)
+            advances.append(horizon_ns)
+
+        cfg = ServeConfig(
+            shards=1, clients=4, keyspace=256, rate_per_s=rate,
+            duration_ms=0.05, batch_size=batch_size,
+            queue_depth=queue_depth, batch_wait_us=batch_wait_us, seed=3,
+        )
+        with mock.patch.object(ShardExecutor, "advance_to", checked_advance):
+            report = run_serve(cfg, engine=EngineConfig(epoch_us=epoch_us))
+        assert advances
+        assert report.clean
+        assert report.acked_puts + report.acked_gets == report.admitted
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize(
+        "case", GOLDEN["reports"], ids=lambda case: case["name"]
+    )
+    def test_report_bytes_match_the_pinned_parent(self, case, tmp_path):
+        out = tmp_path / "report.json"
+        assert serve_main(case["argv"].split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"]
 
 
 class TestRunBatchSurface:
