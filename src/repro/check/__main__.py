@@ -5,7 +5,7 @@ Usage::
     python -m repro.check [--schemes all|NAME,NAME...] [--seed N]
                           [--transactions N] [--slots N]
                           [--crash-sample N] [--fuzz N]
-                          [--mutant] [--out FILE]
+                          [--mutant] [--out FILE] [--profile PATH]
 
 Default run: the differential oracle + persist-ordering sanitizer across
 every scheme (``--schemes all``).  ``--fuzz N`` additionally fuzzes each
@@ -26,6 +26,7 @@ import sys
 from repro.check.fuzz import fuzz_scheme
 from repro.check.mutant import MUTANT_SCHEME
 from repro.check.oracle import ORACLE_SCHEMES, REAL_SCHEMES, run_check_matrix
+from repro.tools.profiling import add_profile_argument, profile_to
 
 # Keep the self-test honest and bounded: the mutant must be caught
 # within this many fuzz iterations, with a reproducer this small.
@@ -106,24 +107,19 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", help="also write the report to this file"
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="cProfile the run; top functions by cumulative time are"
-        " written next to --out (or to check_profile.txt)",
-    )
+    add_profile_argument(parser)
     parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress per-scheme progress lines",
     )
     args = parser.parse_args(argv)
+    with profile_to(args.profile):
+        return _run(args)
+
+
+def _run(args) -> int:
+    """Run the selected checks, print the report; returns the exit status."""
     progress = None if args.quiet else print
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     sections = []
     ok = True
     if args.mutant:
@@ -160,23 +156,6 @@ def main(argv=None) -> int:
         path = pathlib.Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(report + "\n")
-    if profiler is not None:
-        profiler.disable()
-        import io
-        import pstats
-
-        profile_path = (
-            pathlib.Path(args.out).with_suffix(".profile.txt")
-            if args.out
-            else pathlib.Path("check_profile.txt")
-        )
-        profile_path.parent.mkdir(parents=True, exist_ok=True)
-        text = io.StringIO()
-        pstats.Stats(profiler, stream=text).sort_stats(
-            "cumulative"
-        ).print_stats(40)
-        profile_path.write_text(text.getvalue())
-        print(f"[check] profile -> {profile_path}")
     return 0 if ok else 1
 
 

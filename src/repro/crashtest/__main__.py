@@ -7,6 +7,7 @@ Usage::
     python -m repro.crashtest --replay crashtest_artifacts/crash_hoop_w12.json
     python -m repro.crashtest --nested --schemes all            # crash recovery too
     python -m repro.crashtest --nested --resume                 # continue a sweep
+    python -m repro.crashtest --profile sweep_profile.txt       # where the time goes
 
 Exit status is non-zero when any case fails (or a replay diverges from
 its recorded outcome); failing cases are saved under ``--artifact-dir``
@@ -25,22 +26,7 @@ import time
 from repro import crashtest
 from repro.crashtest import nested
 from repro.faults.plan import load_artifact
-
-
-def _dump_profile(profiler, args) -> str:
-    """Write the sweep's cProfile stats under the artifact directory."""
-    import io
-    import pathlib
-    import pstats
-
-    out_dir = pathlib.Path(args.artifact_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "crashtest_profile.txt"
-    text = io.StringIO()
-    stats = pstats.Stats(profiler, stream=text)
-    stats.sort_stats("cumulative").print_stats(40)
-    out.write_text(text.getvalue())
-    return str(out)
+from repro.tools.profiling import add_profile_argument, profile_to
 
 
 def _replay_nested(args, artifact) -> int:
@@ -196,11 +182,7 @@ def main(argv=None) -> int:
         "--replay", metavar="ARTIFACT",
         help="replay one saved artifact instead of sweeping",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="cProfile the sweep; top functions by cumulative time are"
-        " written to <artifact-dir>/crashtest_profile.txt",
-    )
+    add_profile_argument(parser)
     parser.add_argument(
         "--verdicts", metavar="PATH",
         help="write per-boundary verdicts as JSON (for diffing sweep"
@@ -245,7 +227,12 @@ def main(argv=None) -> int:
         " unlimited); pair with --resume to continue",
     )
     args = parser.parse_args(argv)
+    with profile_to(args.profile):
+        return _run(args)
 
+
+def _run(args) -> int:
+    """Replay, nested sweep or forward sweep; returns the exit status."""
     if args.replay:
         artifact = load_artifact(args.replay)
         if artifact.phase != "forward":
@@ -275,12 +262,6 @@ def main(argv=None) -> int:
     any_failures = False
     grand_cases = 0
     verdicts = {}
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     started = time.time()
     for scheme in schemes:
         t0 = time.time()
@@ -312,9 +293,6 @@ def main(argv=None) -> int:
             f"{result.total_writes} writes, {len(failures)} failures "
             f"({time.time() - t0:.1f}s)"
         )
-    if profiler is not None:
-        profiler.disable()
-        print(f"[crashtest] profile -> {_dump_profile(profiler, args)}")
     if args.verdicts:
         import json
         import pathlib

@@ -3,30 +3,28 @@
 Usage::
 
     python -m repro.harness [--scale smoke|default|paper] [--only FIG ...]
-                            [--out DIR] [--jobs N] [--no-cache] [--profile]
-                            [--telemetry DIR] [--faults] [--check]
+                            [--out DIR] [--jobs N] [--no-cache]
+                            [--profile PATH] [--telemetry DIR]
+                            [--faults] [--check]
 
-Writes each figure's text rendering to ``<out>/<figure>.txt``, prints
-them to stdout, and records harness timing in ``<out>/BENCH_harness.json``.
+Writes each figure's text rendering to ``<out>/<figure>.txt`` and prints
+them to stdout, each followed by a ``[<figure> took N s]`` line.
 ``--only fig7a fig8`` restricts the set.  ``--jobs N`` pre-computes the
 workload matrix in N worker processes, then runs the figure generators
 sequentially against the warmed cache — output is identical to a
-sequential run.  ``--profile`` prints a cProfile top-20 per figure.
+sequential run.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
 import os
 import pathlib
-import pstats
 import sys
 import time
 
-from repro import bench
-from repro.harness import diskcache, experiments, parallel
+from repro.harness import experiments, parallel
+from repro.tools.profiling import add_profile_argument, profile_to
 
 RUNNERS = {
     "table1": lambda scale: experiments.run_table1(),
@@ -71,7 +69,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", "1")),
+        default=1,
         help="worker processes to pre-compute the matrix (default 1)",
     )
     parser.add_argument(
@@ -79,11 +77,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="ignore and do not write the on-disk result cache",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a cProfile top-20 (cumulative) per figure",
-    )
+    add_profile_argument(parser)
     parser.add_argument(
         "--telemetry",
         metavar="DIR",
@@ -105,14 +99,26 @@ def main(argv=None) -> int:
 
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
+    with profile_to(args.profile):
+        return _run(args)
 
+
+def _emit(out_dir: pathlib.Path, name: str, produce):
+    """Run one report, print it with its wall time, write ``<name>.txt``."""
+    start = time.perf_counter()
+    report = produce()
+    text = report.render()
+    print(text)
+    print(f"[{name} took {time.perf_counter() - start:.1f}s]\n")
+    (out_dir / f"{name}.txt").write_text(text + "\n")
+    return report
+
+
+def _run(args) -> int:
+    """Everything after argument parsing; returns the exit status."""
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = args.only or list(RUNNERS)
-    started = time.perf_counter()
-    diskcache.stats.reset()
 
-    matrix_report = None
     if args.jobs > 1:
         # Pre-warm the cell memo in parallel; the runners below then hit
         # it cell for cell, producing byte-identical figures.
@@ -126,85 +132,34 @@ def main(argv=None) -> int:
             f" {matrix_report.cache_hits} cached, jobs={matrix_report.jobs}]\n"
         )
 
-    figure_seconds = {}
-    for name in names:
-        start = time.perf_counter()
-        runner = RUNNERS[name]
-        profiler = None
-        if args.profile:
-            profiler = cProfile.Profile()
-            profiler.enable()
-        figure = runner(args.scale) if name != "table1" else runner(None)
-        if profiler is not None:
-            profiler.disable()
-        text = figure.render()
-        print(text)
-        elapsed = time.perf_counter() - start
-        figure_seconds[name] = round(elapsed, 4)
-        print(f"[{name} took {elapsed:.1f}s]\n")
-        if profiler is not None:
-            buf = io.StringIO()
-            stats = pstats.Stats(profiler, stream=buf)
-            stats.sort_stats("cumulative").print_stats(20)
-            print(f"--- cProfile {name} (top 20 cumulative) ---")
-            print(buf.getvalue())
-        (out_dir / f"{name}.txt").write_text(text + "\n")
+    for name in args.only or RUNNERS:
+        _emit(out_dir, name, lambda: RUNNERS[name](args.scale))
 
     if args.faults:
-        start = time.perf_counter()
-        figure = experiments.run_fault_reports(args.scale)
-        text = figure.render()
-        print(text)
-        elapsed = time.perf_counter() - start
-        figure_seconds["faults"] = round(elapsed, 4)
-        print(f"[faults took {elapsed:.1f}s]\n")
-        (out_dir / "faults.txt").write_text(text + "\n")
+        _emit(
+            out_dir,
+            "faults",
+            lambda: experiments.run_fault_reports(args.scale),
+        )
 
     if args.telemetry:
-        start = time.perf_counter()
-        figure = experiments.run_telemetry_matrix(
-            args.scale, out_dir=args.telemetry
+        _emit(
+            out_dir,
+            "telemetry",
+            lambda: experiments.run_telemetry_matrix(
+                args.scale, out_dir=args.telemetry
+            ),
         )
-        text = figure.render()
-        print(text)
-        elapsed = time.perf_counter() - start
-        figure_seconds["telemetry"] = round(elapsed, 4)
-        print(f"[telemetry took {elapsed:.1f}s]\n")
-        (out_dir / "telemetry.txt").write_text(text + "\n")
 
-    check_failed = False
     if args.check:
         from repro.check.oracle import run_check_matrix
 
-        start = time.perf_counter()
-        check_result = run_check_matrix(crash_sample=6)
-        text = check_result.render()
-        print(text)
-        elapsed = time.perf_counter() - start
-        figure_seconds["check"] = round(elapsed, 4)
-        print(f"[check took {elapsed:.1f}s]\n")
-        (out_dir / "check.txt").write_text(text + "\n")
-        check_failed = not check_result.ok
-
-    payload = {
-        "schema": bench.SCHEMA_VERSION,
-        "scale": args.scale,
-        "jobs": args.jobs,
-        "figures": figure_seconds,
-        "total_s": round(time.perf_counter() - started, 4),
-        "code_fingerprint": diskcache.code_fingerprint(),
-        "disk_cache": {
-            "hits": diskcache.stats.hits,
-            "misses": diskcache.stats.misses,
-            "stores": diskcache.stats.stores,
-        },
-    }
-    if matrix_report is not None:
-        payload["matrix_prewarm_s"] = round(matrix_report.total_s, 4)
-        payload["cells_computed"] = matrix_report.computed
-        payload["cells_from_cache"] = matrix_report.cache_hits
-    bench.write_report(payload, out_dir / "BENCH_harness.json")
-    return 1 if check_failed else 0
+        result = _emit(
+            out_dir, "check", lambda: run_check_matrix(crash_sample=6)
+        )
+        if not result.ok:
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

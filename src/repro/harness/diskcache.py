@@ -20,7 +20,7 @@ memo in :mod:`repro.harness.experiments` still applies), and
 temp dir).  All I/O failures degrade to cache misses — a read-only
 checkout must never break a simulation — but abnormal ones (corrupt
 entries, failed stores, failed prunes) are counted in
-``CacheStats.degraded`` and surfaced in ``BENCH_harness.json``.
+``CacheStats.degraded``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _KEEP_FINGERPRINTS = 3  # old code versions pruned beyond this many
 
 @dataclass
 class CacheStats:
-    """Disk-cache traffic for one process (reported in BENCH_harness.json)."""
+    """Disk-cache traffic for one process."""
 
     hits: int = 0
     misses: int = 0
@@ -48,7 +48,7 @@ class CacheStats:
     # I/O or decode failures the cache absorbed (corrupt entry, full or
     # read-only disk, permission error).  Each still degrades to a miss
     # or a skipped store — the simulation is unaffected — but a non-zero
-    # count in BENCH_harness.json says the cache is not actually caching.
+    # count says the cache is not actually caching.
     degraded: int = 0
 
     def reset(self) -> None:

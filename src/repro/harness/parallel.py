@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.rng import BACKOFF_SEED, backoff_s
 from repro.harness import diskcache, experiments
 from repro.workloads.driver import RunResult
 
@@ -128,11 +129,6 @@ def _run_spec(spec: CellSpec) -> dict:
     return dataclasses.asdict(result)
 
 
-def _backoff_s(attempt: int, base_s: float, rng: random.Random) -> float:
-    """Seeded exponential backoff with jitter: attempt 1 ≈ base."""
-    return base_s * (2 ** (attempt - 1)) * (0.5 + rng.random())
-
-
 def run_matrix(
     specs: Sequence[CellSpec],
     jobs: Optional[int] = None,
@@ -141,7 +137,6 @@ def run_matrix(
     timeout_s: Optional[float] = None,
     retries: int = 2,
     backoff_base_s: float = 0.05,
-    backoff_seed: int = 7,
     worker=_run_spec,
 ) -> MatrixReport:
     """Run ``specs``, fanning cache misses out over ``jobs`` processes.
@@ -169,7 +164,7 @@ def run_matrix(
     scale = specs[0].scale if specs else "default"
     report = MatrixReport(scale=scale, jobs=jobs)
     started = time.perf_counter()
-    rng = random.Random(backoff_seed)
+    rng = random.Random(BACKOFF_SEED)
 
     pending: List[CellSpec] = []
     for spec in specs:
@@ -217,7 +212,7 @@ def run_matrix(
             return 0.0
         report.retries_total += 1
         queue.append((spec, attempts))
-        return _backoff_s(attempts, backoff_base_s, rng)
+        return backoff_s(attempts, backoff_base_s, rng)
 
     if pending and jobs > 1:
         _run_parallel_rounds(

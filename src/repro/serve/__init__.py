@@ -186,7 +186,7 @@ class ServeReport:
         return not self.oracle_failures
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (used by the bench and the CLI)."""
+        """JSON-serializable form (what ``--out`` writes)."""
         return asdict(self)
 
 

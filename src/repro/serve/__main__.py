@@ -12,6 +12,7 @@ Usage::
                           [--queue-depth 64] [--read-fraction 0.25]
                           [--value-bytes 64] [--keyspace 4096]
                           [--seed 7] [--out report.json]
+                          [--profile PATH]
 
 The run is entirely simulated time and fully deterministic in its
 arguments.  ``--kill-shard`` injects a power cut on one shard
@@ -48,6 +49,7 @@ from repro.serve import (
     ServeConfig,
     run_serve,
 )
+from repro.tools.profiling import add_profile_argument, profile_to
 
 
 def _parse_kill_worker(text: str):
@@ -59,19 +61,6 @@ def _parse_kill_worker(text: str):
         raise argparse.ArgumentTypeError(
             f"expected WORKER:EPOCH (e.g. 1:3), got {text!r}"
         ) from exc
-
-
-def _dump_profile(profiler, path: str) -> str:
-    """Write the run's cProfile stats (top cumulative) to ``path``."""
-    import io
-    import pstats
-
-    text = io.StringIO()
-    stats = pstats.Stats(profiler, stream=text)
-    stats.sort_stats("cumulative").print_stats(40)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text.getvalue())
-    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,11 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault injection: worker W dies hard at epoch E and must"
         " recover from its checkpoint (needs --workers > W)",
     )
-    parser.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="cProfile the run; top functions by cumulative time are"
-        " written to PATH",
-    )
+    add_profile_argument(parser)
     parser.add_argument(
         "--out", default=None, help="write the full report as JSON"
     )
@@ -208,16 +193,8 @@ def main(argv=None) -> int:
         checkpoint_every=args.checkpoint_every,
         kill_worker_at=args.kill_worker_at,
     )
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    report = run_serve(cfg, engine=engine)
-    if profiler is not None:
-        profiler.disable()
-        print(f"  profile -> {_dump_profile(profiler, args.profile)}")
+    with profile_to(args.profile):
+        report = run_serve(cfg, engine=engine)
     latency = report.latency
     print(
         f"serve[{report.scheme}] shards={report.shards} "

@@ -1,4 +1,4 @@
-"""Admission control: bounded per-shard queues with typed backpressure.
+"""Admission control: one shard's bounded queue with typed backpressure.
 
 An open-loop arrival stream will, at any offered rate above a shard's
 service capacity — or whenever a shard is down recovering — grow an
@@ -71,15 +71,13 @@ class FailoverRejection(RetryableRejection):
 
 
 class AdmissionController:
-    """Bounded per-shard FIFOs and the accept/reject decision."""
+    """One shard's bounded FIFO and the accept/reject decision."""
 
-    def __init__(self, shard_ids, *, queue_depth: int) -> None:
+    def __init__(self, *, queue_depth: int) -> None:
         if queue_depth <= 0:
             raise ValueError("queue depth must be positive")
         self.queue_depth = queue_depth
-        self.queues: Dict[int, Deque[Request]] = {
-            shard: deque() for shard in shard_ids
-        }
+        self.queue: Deque[Request] = deque()
         self.rejections: Dict[str, int] = {}
 
     def admit(
@@ -90,7 +88,7 @@ class AdmissionController:
         retry_after_ns: float,
         failing_over: bool = False,
     ) -> None:
-        """Queue ``request`` on its shard or raise a typed rejection.
+        """Queue ``request`` or raise a typed rejection.
 
         ``recovering`` / ``failing_over`` select the rejection type
         when the queue is full (``failing_over`` wins when both are
@@ -99,7 +97,7 @@ class AdmissionController:
         service time for a healthy shard, recovery ETA for a
         recovering one, promotion ETA mid-failover).
         """
-        queue = self.queues[request.shard]
+        queue = self.queue
         if len(queue) >= self.queue_depth:
             if failing_over:
                 cls, reason = FailoverRejection, "failing over"
@@ -124,12 +122,12 @@ class AdmissionController:
         nothing is admitted between taking it off the queue and
         putting it back, and the slots it freed are still free — but
         the capacity check stays so that a failed batch can never
-        push a queue past ``queue_depth``.  Never raises: failover
+        push the queue past ``queue_depth``.  Never raises: failover
         must not die on backpressure.
         """
+        queue = self.queue
         fitted = 0
         for request in reversed(list(requests)):
-            queue = self.queues[request.shard]
             if len(queue) >= self.queue_depth:
                 break
             request.retries += 1
@@ -137,11 +135,11 @@ class AdmissionController:
             fitted += 1
         return fitted
 
-    def depth(self, shard: int) -> int:
-        """Current queue depth of one shard."""
-        return len(self.queues[shard])
+    def depth(self) -> int:
+        """Current queue depth."""
+        return len(self.queue)
 
 
 # -- snapshot/wire declarations -----------------------------------------------
-# Queues of in-flight requests travel by value with their executor.
+# The queue of in-flight requests travels by value with its executor.
 AdmissionController.__snapshot_state__ = "__all__"

@@ -208,4 +208,4 @@ class ServeCluster:
 
     def queue_depth(self, shard_id: int) -> int:
         """One shard's current admission-queue depth."""
-        return self.executors[shard_id].admission.depth(shard_id)
+        return self.executors[shard_id].admission.depth()

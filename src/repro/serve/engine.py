@@ -38,12 +38,12 @@ differ from sequential in the last bits of their float ``total``; the
 serve report only consumes per-shard sinks.)
 
 Fault tolerance reuses the :mod:`repro.harness.parallel` discipline:
-a worker that dies (or exceeds ``worker_timeout_s``) is killed and
-respawned with seeded exponential backoff, its shards are re-placed
-from the last checkpoint (wire blobs + the worker's metric sinks,
-taken every ``checkpoint_every`` epochs), and the journal of commands
-since that checkpoint is replayed — deterministically reproducing the
-lost state, with replayed replies discarded so nothing double-merges.
+a worker that dies is respawned with seeded exponential backoff, its
+shards are re-placed from the last checkpoint (wire blobs + the
+worker's metric sinks, taken every ``checkpoint_every`` epochs), and
+the journal of commands since that checkpoint is replayed —
+deterministically reproducing the lost state, with replayed replies
+discarded so nothing double-merges.
 A worker that keeps dying past its retry budget fails the run loudly.
 """
 
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, ReproError
+from repro.common.rng import BACKOFF_SEED, backoff_s
 from repro.serve.client import ArrivalStream, make_clients
 from repro.snapshot.wire import from_wire, to_wire
 from repro.telemetry.hub import Telemetry
@@ -88,10 +89,8 @@ class EngineConfig:
     workers: int = 0
     epoch_us: float = 1000.0
     checkpoint_every: int = 8
-    worker_timeout_s: Optional[float] = None
     retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_seed: int = 7
     kill_worker_at: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
@@ -204,7 +203,7 @@ class InProcessBackend:
 
 
 class _WorkerDied(Exception):
-    """Internal: the worker's pipe broke, it exited, or it timed out."""
+    """Internal: the worker's pipe broke or it exited."""
 
 
 class _Worker:
@@ -235,11 +234,6 @@ class _Worker:
         self.kill_at = kill_at
 
 
-def _backoff_s(attempt: int, base_s: float, rng: random.Random) -> float:
-    """Seeded exponential backoff with jitter: attempt 1 ≈ base."""
-    return base_s * (2 ** (attempt - 1)) * (0.5 + rng.random())
-
-
 class WorkerPoolBackend:
     """Persistent forked workers advancing their shards in lock-step."""
 
@@ -251,7 +245,7 @@ class WorkerPoolBackend:
         self.worker_count = workers
         self._context = multiprocessing.get_context("fork")
         self._workers: List[_Worker] = []
-        self._rng = random.Random(engine_cfg.backoff_seed)
+        self._rng = random.Random(BACKOFF_SEED)
         self.progress: Dict[int, dict] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -376,8 +370,8 @@ class WorkerPoolBackend:
         """Send one command to every worker, gather every reply.
 
         Sends are pipelined (all workers compute concurrently); the
-        gather phase recovers any worker that died or hung, replaying
-        it from its checkpoint+journal before re-asking the current
+        gather phase recovers any worker that died, replaying it
+        from its checkpoint+journal before re-asking the current
         command.  Returns ``(worker, command, reply)`` in worker-index
         order — deterministic merge fodder for the callers.
         """
@@ -418,11 +412,7 @@ class WorkerPoolBackend:
             raise _WorkerDied(f"send failed: {exc!r}") from exc
 
     def _recv(self, worker: _Worker):
-        """Receive one reply, policing liveness and the optional timeout."""
-        timeout = self.cfg.worker_timeout_s
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
+        """Receive one reply, polling the worker's liveness meanwhile."""
         conn = worker.conn
         while True:
             try:
@@ -440,13 +430,6 @@ class WorkerPoolBackend:
                 raise _WorkerDied(
                     f"worker {worker.index} exited "
                     f"(code {worker.process.exitcode})"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                worker.process.kill()
-                worker.process.join()
-                raise _WorkerDied(
-                    f"worker {worker.index} timed out after "
-                    f"{timeout:.1f}s (killed)"
                 )
 
     def _recover(self, worker: _Worker, reason: Exception) -> None:
@@ -469,7 +452,7 @@ class WorkerPoolBackend:
                     f"failed {worker.attempts} times; last: {reason}"
                 )
             time.sleep(
-                _backoff_s(
+                backoff_s(
                     worker.attempts, self.cfg.backoff_base_s, self._rng
                 )
             )

@@ -53,30 +53,23 @@ def value_words(addr: int, value: bytes) -> List:
 
 
 class AckOracle:
-    """Per-shard map of every acknowledged word and its verifier."""
+    """One shard's map of every acknowledged word, and its verifier."""
 
-    def __init__(self, shard_ids) -> None:
-        self._acked: Dict[int, Dict[int, bytes]] = {
-            shard: {} for shard in shard_ids
-        }
+    def __init__(self) -> None:
+        self._acked: Dict[int, bytes] = {}
         self.acked_puts = 0
         self.verifications = 0
 
-    def record_ack(self, shard: int, addr: int, value: bytes) -> None:
+    def record_ack(self, addr: int, value: bytes) -> None:
         """One PUT's commit returned: its words are now promises."""
-        words = self._acked[shard]
+        words = self._acked
         for word_addr, word in value_words(addr, value):
             words[word_addr] = word
         self.acked_puts += 1
 
-    def acked_words(self, shard: int) -> Dict[int, bytes]:
-        """The shard's promised words (addr -> last acked 8-byte value)."""
-        return self._acked[shard]
-
     def verify_shard(
         self,
         system,
-        shard: int,
         staged: Optional[Dict[int, bytes]] = None,
     ) -> Optional[str]:
         """Check a recovered shard against its promises.
@@ -88,14 +81,11 @@ class AckOracle:
         message, or None when the promise held.
         """
         self.verifications += 1
-        return verify_atomic_durability(
-            system, self._acked[shard], staged or {}
-        )
+        return verify_atomic_durability(system, self._acked, staged or {})
 
     def verify_replica(
         self,
         projection,
-        shard: int,
         replica_index: int,
         staged: Optional[Dict[int, bytes]] = None,
     ) -> Optional[str]:
@@ -109,13 +99,13 @@ class AckOracle:
         what would catch it lying).  Counts as one verification;
         failure messages are prefixed with the replica index.
         """
-        failure = self.verify_shard(projection, shard, staged)
+        failure = self.verify_shard(projection, staged)
         if failure:
             return f"replica {replica_index}: {failure}"
         return None
 
 
 # -- snapshot/wire declarations -----------------------------------------------
-# The acked-word maps are promises in flight: they travel by value with
-# their shard executor.
+# The acked-word map is promises in flight: it travels by value with
+# its shard executor.
 AckOracle.__snapshot_state__ = "__all__"

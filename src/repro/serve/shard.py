@@ -94,14 +94,12 @@ class ShardExecutor:
         self.shard_id = group.shard_id
         self.group = group
         self.telemetry = telemetry
-        self.admission = AdmissionController(
-            [self.shard_id], queue_depth=cfg.queue_depth
-        )
+        self.admission = AdmissionController(queue_depth=cfg.queue_depth)
         self.batcher = BatchScheduler(
             batch_size=cfg.batch_size,
             batch_wait_ns=cfg.batch_wait_us * 1e3,
         )
-        self.oracle = AckOracle([self.shard_id])
+        self.oracle = AckOracle()
         self.now_ns = 0.0
         self.offered = 0
         self.admitted = 0
@@ -255,7 +253,7 @@ class ShardExecutor:
             return
         self.admitted += 1
         self.telemetry.record(
-            self._queue_depth_metric, self.admission.depth(request.shard)
+            self._queue_depth_metric, self.admission.depth()
         )
         self.telemetry.sample(self._admitted_metric, self.now_ns)
 
@@ -284,7 +282,7 @@ class ShardExecutor:
             # the first find the instant armed and _push drops them.
             self._push(primary.clock_ns, _WAKE)
             return
-        queue = self.admission.queues[self.shard_id]
+        queue = self.admission.queue
         if not queue:
             return
         if self.batcher.ready(queue, self.now_ns):
@@ -298,7 +296,7 @@ class ShardExecutor:
         """One batch: GET loads, then all PUTs committed and shipped."""
         primary = group.primary
         system = primary.system
-        batch = self.batcher.take(self.admission.queues[group.shard_id])
+        batch = self.batcher.take(self.admission.queue)
         start = max(self.now_ns, primary.clock_ns)
         system.clocks[0] = start
         self.telemetry.record(self._batch_size_metric, len(batch))
@@ -344,9 +342,7 @@ class ShardExecutor:
             for request in puts:
                 request.completion_ns = completion
                 self.oracle.record_ack(
-                    group.shard_id,
-                    primary.addr_of(request.key),
-                    request.value,
+                    primary.addr_of(request.key), request.value
                 )
                 self._ack(group, request)
         for backup in outcome.dead_backups:
@@ -400,9 +396,7 @@ class ShardExecutor:
         recover_at = group.begin_replica_recovery(
             primary, self.now_ns, floor_ns=self.cfg.recovery_floor_ns
         )
-        failure = self.oracle.verify_shard(
-            primary.system, group.shard_id, staged
-        )
+        failure = self.oracle.verify_shard(primary.system, staged)
         if failure:
             self.oracle_failures.append(
                 f"shard {group.shard_id} after kill: {failure}"
@@ -515,9 +509,7 @@ class ShardExecutor:
         projections = group.live_projections()
         self._check_divergence(group, projections, "after promotion")
         failure = self.oracle.verify_replica(
-            projections[successor.index],
-            group.shard_id,
-            successor.index,
+            projections[successor.index], successor.index
         )
         if failure:
             self.oracle_failures.append(
@@ -644,7 +636,7 @@ class ShardExecutor:
             shard = group.primary
             shard.system.crash()
             shard.system.recover(threads=self.cfg.recovery_threads)
-            failure = self.oracle.verify_shard(shard.system, shard_id)
+            failure = self.oracle.verify_shard(shard.system)
             if failure:
                 self.oracle_failures.append(
                     f"shard {shard_id} final sweep: {failure}"
@@ -660,7 +652,7 @@ class ShardExecutor:
                 )
                 continue
             failure = self.oracle.verify_replica(
-                projections[replica.index], shard_id, replica.index
+                projections[replica.index], replica.index
             )
             if failure:
                 self.oracle_failures.append(

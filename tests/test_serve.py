@@ -101,7 +101,7 @@ class TestAdmission:
         )
 
     def test_bounded_queue_and_typed_rejections(self):
-        ctl = AdmissionController([0], queue_depth=2)
+        ctl = AdmissionController(queue_depth=2)
         ctl.admit(self._request(0, 0), recovering=False, retry_after_ns=5.0)
         ctl.admit(self._request(0, 1), recovering=False, retry_after_ns=5.0)
         with pytest.raises(QueueFullRejection) as info:
@@ -114,10 +114,10 @@ class TestAdmission:
             ctl.admit(self._request(0, 3), recovering=True,
                       retry_after_ns=9.0)
         assert ctl.rejections == {"queue_full": 1, "shard_recovering": 1}
-        assert ctl.depth(0) == 2
+        assert ctl.depth() == 2
 
     def test_failing_over_rejection_is_typed_and_wins(self):
-        ctl = AdmissionController([0], queue_depth=1)
+        ctl = AdmissionController(queue_depth=1)
         ctl.admit(self._request(0, 0), recovering=False, retry_after_ns=1.0)
         with pytest.raises(FailoverRejection) as info:
             ctl.admit(self._request(0, 1), recovering=True,
@@ -127,25 +127,25 @@ class TestAdmission:
         assert ctl.rejections == {"failing_over": 1}
 
     def test_recovering_shard_still_queues_when_room(self):
-        ctl = AdmissionController([0], queue_depth=4)
+        ctl = AdmissionController(queue_depth=4)
         ctl.admit(self._request(0), recovering=True, retry_after_ns=1.0)
-        assert ctl.depth(0) == 1
+        assert ctl.depth() == 1
 
     def test_requeue_front_restores_fifo_order(self):
-        ctl = AdmissionController([0], queue_depth=8)
+        ctl = AdmissionController(queue_depth=8)
         batch = [self._request(0, i) for i in range(3)]
         ctl.admit(self._request(0, 9), recovering=False, retry_after_ns=0.0)
         fitted = ctl.requeue_front(batch)
         assert fitted == 3
-        assert [r.seq for r in ctl.queues[0]] == [0, 1, 2, 9]
+        assert [r.seq for r in ctl.queue] == [0, 1, 2, 9]
         assert all(r.retries == 1 for r in batch)
 
     def test_requeue_front_never_overflows(self):
-        ctl = AdmissionController([0], queue_depth=2)
+        ctl = AdmissionController(queue_depth=2)
         ctl.admit(self._request(0, 9), recovering=False, retry_after_ns=0.0)
         fitted = ctl.requeue_front([self._request(0, i) for i in range(3)])
         assert fitted == 1
-        assert ctl.depth(0) == 2
+        assert ctl.depth() == 2
 
 
 class TestBatcher:
