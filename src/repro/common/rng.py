@@ -4,8 +4,8 @@ Every stochastic component (workload key choice, value bytes, crash points)
 takes an explicit seed so experiments and failing property tests reproduce
 exactly.  ``derive`` lets one experiment seed fan out into independent
 streams for each thread or component without correlated sequences;
-``backoff_s`` is the seeded retry delay both worker-pool supervisors
-(:mod:`repro.harness.parallel`, :mod:`repro.serve.engine`) sleep on.
+``backoff_s`` is the seeded retry delay the worker-pool supervisor
+(:mod:`repro.harness.parallel`) sleeps on.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def derive(seed: int, *labels) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-# Both supervisors seed their backoff stream with this: the delays are
+# The supervisor seeds its backoff stream with this: the delays are
 # wall-clock only and never reach a simulated output.
 BACKOFF_SEED = 7
 

@@ -22,16 +22,14 @@ storage service needs:
   primary/backup kills, crash/recover/promote failover);
 * :mod:`~repro.serve.cluster` — the coordinator: N shard executors
   advanced in lock-step simulated-time epochs;
-* :mod:`~repro.serve.engine` — the execution engine: the epoch driver
-  plus an optional multi-process worker pool (``--workers W``) that is
-  bit-identical to sequential execution.
+* :mod:`~repro.serve.engine` — the epoch driver: the one loop that
+  routes arrivals and advances the executors.
 
-Run it: ``python -m repro.serve --shards 4 --kill-shard 1``, with
+Run it: ``python -m repro.serve --shards 4 --kill-shard 1``, or with
 replication: ``python -m repro.serve --replicas 1
---kill-primary-at-ms 6``, or in parallel: ``python -m repro.serve
---shards 8 --workers 4``.  Everything is simulated time — a run is a
+--kill-primary-at-ms 6``.  Everything is simulated time — a run is a
 pure function of its :class:`ServeConfig`, bit-identical across
-replays, harness parallelism, and worker counts.
+replays and harness parallelism.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.serve.cluster import ServeCluster
-from repro.serve.engine import EngineConfig
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import Log2Histogram
 
@@ -95,6 +92,12 @@ class ServeConfig:
         """Reject configs that cannot serve honestly."""
         if self.shards <= 0:
             raise ConfigError("need at least one shard")
+        if self.clients <= 0:
+            raise ConfigError("need at least one client")
+        if self.rate_per_s <= 0:
+            raise ConfigError("rate_per_s must be positive")
+        if self.duration_ms <= 0:
+            raise ConfigError("duration_ms must be positive")
         if not 0 <= self.replicas <= 4:
             raise ConfigError(
                 "replicas must be in [0, 4] — every backup is a full "
@@ -139,6 +142,11 @@ class ServeConfig:
             raise ConfigError(
                 f"kill_shard {self.kill_shard} out of range "
                 f"[0, {self.shards})"
+            )
+        if self.kill_at_ms is not None and self.kill_shard is None:
+            raise ConfigError(
+                "kill_at_ms names an instant but no shard to kill "
+                "(--kill-shard)"
             )
 
     def replace(self, **overrides) -> "ServeConfig":
@@ -193,21 +201,16 @@ class ServeReport:
 def run_serve(
     cfg: ServeConfig,
     *,
-    engine: Optional[EngineConfig] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> ServeReport:
     """Build a cluster from ``cfg``, run it to completion, report.
 
-    ``engine`` selects *how* the run executes
-    (:class:`~repro.serve.engine.EngineConfig`; default in-process,
-    ``workers > 0`` fans the shards out over a lock-step worker pool)
-    without changing a byte of the report.  Pass a
-    :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
+    Pass a :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
     Perfetto export of the serve track); otherwise the cluster makes
     its own, and the report carries the latency digests either way.
     """
     cluster = ServeCluster(cfg, telemetry=telemetry)
-    cluster.run(engine)
+    cluster.run()
     hub = cluster.telemetry
     makespan = cluster.last_completion_ns
     acked = cluster.acked_puts + cluster.acked_gets
@@ -217,8 +220,7 @@ def run_serve(
         for replica in group.replicas
     )
     # The report's latency digest merges the per-shard single-writer
-    # histograms in shard order — the same construction under any
-    # worker count, hence bit-identical sequential vs parallel.
+    # histograms in shard order.
     latency = Log2Histogram()
     per_shard = {}
     for shard_id, group in sorted(cluster.groups.items()):
@@ -279,14 +281,8 @@ def run_serve(
     )
 
 
-# -- snapshot/wire declarations -----------------------------------------------
-# Frozen config: every executor's copy is the same immutable object.
-ServeConfig.__snapshot_state__ = "__shared__"
-
-
 __all__ = [
     "SERVABLE_SCHEMES",
-    "EngineConfig",
     "ServeConfig",
     "ServeReport",
     "run_serve",

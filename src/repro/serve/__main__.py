@@ -27,14 +27,6 @@ kills a backup mid-ship (serving never stalls), and
 The exit code is nonzero if any acknowledged write was lost or any two
 live replicas' durable keyspaces diverged — the things a serving layer
 may never do.
-
-``--workers W`` executes the same run on a pool of W worker processes
-advancing the shards in lock-step epochs (see
-:mod:`repro.serve.engine`); the report is bit-identical to
-``--workers 0``, which CI diffs on every push.  ``--kill-worker-at
-W:E`` is the recovery smoke: worker W dies hard at epoch E, is
-respawned, and replays from its last checkpoint — again with an
-identical report.
 """
 
 from __future__ import annotations
@@ -43,24 +35,9 @@ import argparse
 import json
 import sys
 
-from repro.serve import (
-    SERVABLE_SCHEMES,
-    EngineConfig,
-    ServeConfig,
-    run_serve,
-)
+from repro.common.errors import ConfigError
+from repro.serve import SERVABLE_SCHEMES, ServeConfig, run_serve
 from repro.tools.profiling import add_profile_argument, profile_to
-
-
-def _parse_kill_worker(text: str):
-    """Parse ``--kill-worker-at W:E`` into ``(worker, epoch)``."""
-    try:
-        worker, epoch = text.split(":")
-        return (int(worker), int(epoch))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected WORKER:EPOCH (e.g. 1:3), got {text!r}"
-        ) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,26 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-final-verify", action="store_true",
         help="skip the end-of-run crash+recover oracle sweep",
     )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes (0 = in-process; result is bit-identical"
-        " either way)",
-    )
-    parser.add_argument(
-        "--epoch-us", type=float, default=1000.0,
-        help="lock-step epoch quantum past each global horizon,"
-        " simulated us (default 1000)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=8,
-        help="worker checkpoint cadence in epochs (default 8)",
-    )
-    parser.add_argument(
-        "--kill-worker-at", type=_parse_kill_worker, default=None,
-        metavar="W:E",
-        help="fault injection: worker W dies hard at epoch E and must"
-        " recover from its checkpoint (needs --workers > W)",
-    )
     add_profile_argument(parser)
     parser.add_argument(
         "--out", default=None, help="write the full report as JSON"
@@ -160,41 +117,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Entry point: run one serving experiment, print the outcome."""
-    args = build_parser().parse_args(argv)
-    cfg = ServeConfig(
-        shards=args.shards,
-        scheme=args.scheme,
-        clients=args.clients,
-        rate_per_s=args.rate,
-        duration_ms=args.duration_ms,
-        keyspace=args.keyspace,
-        value_bytes=args.value_bytes,
-        read_fraction=args.read_fraction,
-        zipf_theta=args.zipf_theta,
-        batch_size=args.batch_size,
-        batch_wait_us=args.batch_wait_us,
-        queue_depth=args.queue_depth,
-        kill_shard=args.kill_shard,
-        kill_at_ms=args.kill_at_ms,
-        torn_kill=args.torn,
-        recovery_threads=args.recovery_threads,
-        verify_final=not args.no_final_verify,
-        seed=args.seed,
-        replicas=args.replicas,
-        lease_us=args.lease_us,
-        apply_every=args.apply_every,
-        kill_primary_at_ms=args.kill_primary_at_ms,
-        kill_backup_at_ms=args.kill_backup_at_ms,
-        double_kill_at_ms=args.double_kill_at_ms,
-    )
-    engine = EngineConfig(
-        workers=args.workers,
-        epoch_us=args.epoch_us,
-        checkpoint_every=args.checkpoint_every,
-        kill_worker_at=args.kill_worker_at,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = ServeConfig(
+            shards=args.shards,
+            scheme=args.scheme,
+            clients=args.clients,
+            rate_per_s=args.rate,
+            duration_ms=args.duration_ms,
+            keyspace=args.keyspace,
+            value_bytes=args.value_bytes,
+            read_fraction=args.read_fraction,
+            zipf_theta=args.zipf_theta,
+            batch_size=args.batch_size,
+            batch_wait_us=args.batch_wait_us,
+            queue_depth=args.queue_depth,
+            kill_shard=args.kill_shard,
+            kill_at_ms=args.kill_at_ms,
+            torn_kill=args.torn,
+            recovery_threads=args.recovery_threads,
+            verify_final=not args.no_final_verify,
+            seed=args.seed,
+            replicas=args.replicas,
+            lease_us=args.lease_us,
+            apply_every=args.apply_every,
+            kill_primary_at_ms=args.kill_primary_at_ms,
+            kill_backup_at_ms=args.kill_backup_at_ms,
+            double_kill_at_ms=args.double_kill_at_ms,
+        )
+    except ConfigError as exc:
+        parser.error(str(exc))
     with profile_to(args.profile):
-        report = run_serve(cfg, engine=engine)
+        report = run_serve(cfg)
     latency = report.latency
     print(
         f"serve[{report.scheme}] shards={report.shards} "

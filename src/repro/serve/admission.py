@@ -138,8 +138,3 @@ class AdmissionController:
     def depth(self) -> int:
         """Current queue depth."""
         return len(self.queue)
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# The queue of in-flight requests travels by value with its executor.
-AdmissionController.__snapshot_state__ = "__all__"

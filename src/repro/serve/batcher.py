@@ -54,8 +54,3 @@ class BatchScheduler:
         while queue and len(batch) < self.batch_size:
             batch.append(queue.popleft())
         return batch
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# A stateless policy over two scalar knobs.
-BatchScheduler.__snapshot_state__ = "__atoms__"

@@ -157,11 +157,10 @@ class ArrivalStream:
     """Every client's requests merged into one canonical routed timeline.
 
     The stream defines the *global arrival order* — ``(arrival_ns,
-    client_id)`` — and stamps each request's shard as it is popped, so
-    both execution modes consume byte-identical per-shard request
-    sequences: the sequential driver and the parallel engine each pull
-    from one ArrivalStream on the coordinator and hand requests to
-    shard executors in this order.  (Two clients never tie in practice
+    client_id)`` — and stamps each request's shard as it is popped: the
+    driver pulls from one ArrivalStream and hands requests to shard
+    executors in this order, so every per-shard request sequence is
+    fixed by the config alone.  (Two clients never tie in practice
     — arrival instants are continuous exponentials — but the client-id
     tiebreak makes even that case deterministic.)
     """
@@ -225,10 +224,3 @@ def make_clients(
         )
         for client_id in range(count)
     }
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# Requests are scalar-only records (bytes values are immutable), clients
-# are plain attribute bags with RNG streams the engine knows how to fork.
-Request.__snapshot_state__ = "__atoms__"
-OpenLoopClient.__snapshot_state__ = "__all__"

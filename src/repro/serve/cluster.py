@@ -10,18 +10,15 @@ shard's admission queue, batch policy, acked-write oracle slice, and
 failover state machines.  Everything runs in *simulated* time and a
 run is a pure function of the config and seed.
 
-PR 9 split the old single event loop into coordinator + shard-local
-stepping.  The cluster no longer pops individual events; it drives
-lock-step *epochs* (:func:`repro.serve.engine.drive`): each round it
-computes the next global event horizon — the min over every shard's
-next-event clock and the next client arrival — routes the arrivals due
-by that horizon (in the canonical ``(arrival_ns, client_id)`` order of
-:class:`~repro.serve.client.ArrivalStream`), and advances every shard
-executor to the horizon.  Because shards share nothing and each
-shard's internal event order is a total order independent of epoch
-boundaries, the outcome is bit-identical whether the executors advance
-in-process (``workers=0``) or on a pool of worker processes
-(``--workers W`` — see :mod:`repro.serve.engine`).
+The cluster does not pop individual events; it is driven in
+lock-step *epochs* (:func:`repro.serve.engine.drive`): each round the
+driver computes the next global event horizon — the min over every
+shard's next-event clock and the next client arrival — routes the
+arrivals due by that horizon (in the canonical ``(arrival_ns,
+client_id)`` order of :class:`~repro.serve.client.ArrivalStream`), and
+advances every shard executor to the horizon.  Shards share nothing and
+each shard's internal event order is a total order independent of epoch
+boundaries, so the outcome does not depend on where the epochs fall.
 
 Failover semantics (armed deadline power cuts, crash/recover/verify,
 lease-expiry promotion, rejoin catch-up, divergence fingerprints) are
@@ -95,17 +92,11 @@ class ServeCluster:
 
     # -- the run --------------------------------------------------------------
 
-    def run(self, engine=None) -> None:
-        """Drive the whole open-loop run to completion (queues drained).
+    def run(self) -> None:
+        """Drive the whole open-loop run to completion (queues drained)."""
+        from repro.serve.engine import drive
 
-        ``engine`` is an optional
-        :class:`~repro.serve.engine.EngineConfig`; the default runs the
-        executors in-process, ``workers > 0`` fans them out over a
-        lock-step worker pool with a bit-identical result.
-        """
-        from repro.serve.engine import EngineConfig, drive
-
-        drive(self, engine if engine is not None else EngineConfig())
+        drive(self)
 
     # -- aggregates (summed over executors in shard order) ---------------------
 

@@ -103,9 +103,3 @@ class AckOracle:
         if failure:
             return f"replica {replica_index}: {failure}"
         return None
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# The acked-word map is promises in flight: it travels by value with
-# its shard executor.
-AckOracle.__snapshot_state__ = "__all__"

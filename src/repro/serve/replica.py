@@ -900,12 +900,3 @@ class ReplicationGroup:
         itself is broken even if no promise was violated yet.
         """
         return self.divergence_of(self.live_projections())
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# A group (machines, logs, volatile mirrors, fault state) is deep state:
-# everything travels by value when a group is wired between processes or
-# cloned; only the telemetry hub is shared/substituted.
-Replica.__snapshot_state__ = "__all__"
-ReplicationGroup.__snapshot_state__ = "__all__"
-ShipOutcome.__snapshot_state__ = "__all__"

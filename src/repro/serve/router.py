@@ -86,8 +86,3 @@ class ConsistentHashRouter:
         for key in range(keyspace):
             owned[self.shard_for(key)].append(key)
         return owned
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# The ring is immutable after construction (pure function of config).
-ConsistentHashRouter.__snapshot_state__ = "__shared__"

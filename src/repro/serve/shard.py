@@ -1,7 +1,6 @@
 """Shard-local execution: one replication group's event loop slice.
 
-PR 9 split the old monolithic cluster loop in two.  A
-:class:`ShardExecutor` owns everything that is *per-shard* — the
+A :class:`ShardExecutor` owns everything that is *per-shard* — the
 replication group, the shard's bounded admission queue, the batch
 policy, the acked-write oracle slice, the wake heap, and every
 failover/promotion/rejoin state machine — and exposes exactly the
@@ -19,17 +18,16 @@ epoch-bounded stepping API the coordinator drives:
 Shards share nothing (each group's keys, machines, fault seeds, and
 RNG streams are derived per shard), so a cluster run is the same
 computation whether the executors are advanced interleaved on one
-event loop, round-robin in epochs, or on worker processes — which is
-the whole basis of the parallel engine's bit-identical claim
+event loop or round-robin in epochs of any length
 (:mod:`repro.serve.engine`).
 
-Event ordering within a shard is total and mode-independent: the heap
+Event ordering within a shard is total and epoch-independent: the heap
 key is ``(time_ns, kind, seq)`` with arrivals ordered before wakes at
 the same instant, and ``seq`` a per-shard monotone counter.  Arrivals
 are always submitted in the canonical global arrival order
 (:class:`~repro.serve.client.ArrivalStream`), so per-shard sequence
-numbers — and therefore every tie-break — are identical in every
-execution mode.
+numbers — and therefore every tie-break — do not depend on the epoch
+quantum.
 
 Wakes are *level-triggered*, like the pump they drive: a wake carries
 no payload, and :meth:`ShardExecutor._pump` recomputes everything
@@ -210,16 +208,6 @@ class ShardExecutor:
             backup.system.device.injector.arm_power_loss_at(
                 cfg.kill_backup_at_ms * 1e6, torn=cfg.torn_kill
             )
-
-    def progress(self) -> Dict[str, int]:
-        """Cumulative ack/batch counters (the per-epoch worker reply)."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "acked_puts": self.acked_puts,
-            "acked_gets": self.acked_gets,
-            "batches": self.batches,
-        }
 
     # -- admission ------------------------------------------------------------
 
@@ -658,10 +646,3 @@ class ShardExecutor:
                 self.oracle_failures.append(
                     f"shard {shard_id} final sweep {failure}"
                 )
-
-
-# -- snapshot/wire declarations -----------------------------------------------
-# An executor is the unit the parallel engine places on (and migrates
-# between) workers: everything it owns travels by value except the
-# telemetry hub, which the wire layer swaps for the receiver's.
-ShardExecutor.__snapshot_state__ = "__all__"

@@ -75,9 +75,6 @@ __all__ = [
     "checkpoint_cadence",
     "unregistered_classes",
     "reset_unregistered",
-    "to_wire",
-    "from_wire",
-    "WireError",
 ]
 
 # Types shared without memoization: immutable, identity-irrelevant.
@@ -477,7 +474,3 @@ def capture(system: Any, *, txn_index: int = 0) -> Snapshot:
 def restore(snapshot: Snapshot) -> Any:
     """Module-level convenience for ``snapshot.restore()``."""
     return snapshot.restore()
-
-
-# Bottom import: wire.py reuses this module's _UNREGISTERED tripwire.
-from repro.snapshot.wire import WireError, from_wire, to_wire  # noqa: E402

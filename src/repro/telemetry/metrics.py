@@ -54,6 +54,7 @@ class Log2Histogram:
         return (float(2 ** (index - 1)), float(2 ** index))
 
     def record(self, value: float) -> None:
+        """Count one sample (a negative value counts as zero)."""
         if value < 0:
             value = 0.0
         self.buckets[self.bucket_index(value)] += 1
@@ -97,11 +98,9 @@ class Log2Histogram:
 
         Bucket counts, count, and total add; min/max combine.  Merging
         is associative over bucket counts and extrema, so any merge
-        order yields the same percentiles — and merging single-writer
-        histograms in a fixed (shard) order also makes the float
-        ``total``/``mean`` deterministic, which is what lets the serve
-        report stay byte-identical between sequential and parallel
-        execution.
+        order yields the same percentiles; the serve report merges the
+        per-shard single-writer histograms in shard order, which also
+        fixes the float ``total``/``mean``.
         """
         buckets = self.buckets
         for index, n in enumerate(other.buckets):
@@ -164,21 +163,6 @@ class EpochSeries:
             pair = self.values[i : i + 2]
             merged.append(sum(pair))
         self.values = merged
-
-    def merge(self, other: "EpochSeries") -> None:
-        """Fold another series into this one, aligning resolutions.
-
-        This series first coalesces until its ``epoch_ns`` is at least
-        the other's (both only ever double, so they always align);
-        every source epoch then lands wholly inside one destination
-        epoch.  Zero-valued source epochs are folded too, so the merged
-        epoch count matches what direct accumulation would have
-        produced.
-        """
-        while self.epoch_ns < other.epoch_ns:
-            self._coalesce()
-        for index, value in enumerate(other.values):
-            self.add(index * other.epoch_ns, value)
 
     @property
     def total(self) -> float:

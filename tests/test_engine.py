@@ -1,18 +1,15 @@
-"""The parallel execution engine: bit-identity, recovery, the driver.
+"""The epoch driver: the quantum changes no byte, the final sweep is optional.
 
-The engine's whole contract is one sentence — ``--workers W`` produces
-the same report, byte for byte, as ``--workers 0`` — so these tests
-compare full ``ServeReport.to_dict()`` payloads (acks, oracle verdicts,
-latency histograms, per-shard fingerprint-bearing failover state)
-across worker counts, epoch quanta, and a mid-run worker death that
-forces the checkpoint+journal replay path.
+Epoch boundaries partition each shard's event order without reordering
+it, so these tests compare full ``ServeReport.to_dict()`` payloads
+(acks, oracle verdicts, latency histograms, per-shard failover state)
+across epoch quanta.
 """
 
-import pytest
+from unittest import mock
 
-from repro.common.errors import ConfigError
-from repro.serve import EngineConfig, ServeConfig, run_serve
-from repro.serve.engine import EngineError
+from repro.serve import ServeConfig, engine, run_serve
+from repro.serve.cluster import ServeCluster
 
 
 def tiny_cfg(**overrides):
@@ -28,100 +25,23 @@ def tiny_cfg(**overrides):
     return ServeConfig(**base)
 
 
-class TestEngineConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(workers=-1)
-        with pytest.raises(ConfigError):
-            EngineConfig(epoch_us=0)
-        with pytest.raises(ConfigError):
-            EngineConfig(checkpoint_every=0)
-        with pytest.raises(ConfigError):
-            EngineConfig(retries=-1)
-
-    def test_default_is_in_process(self):
-        assert EngineConfig().workers == 0
-
-
 class TestBitIdentity:
-    def test_parallel_clean_run_matches_sequential(self):
-        cfg = tiny_cfg()
-        seq = run_serve(cfg).to_dict()
-        par = run_serve(cfg, engine=EngineConfig(workers=2)).to_dict()
-        assert par == seq
-
-    def test_parallel_failover_matches_sequential(self):
-        cfg = tiny_cfg(kill_shard=1, torn_kill=True, duration_ms=6.0)
-        seq = run_serve(cfg).to_dict()
-        par = run_serve(cfg, engine=EngineConfig(workers=2)).to_dict()
-        assert par == seq
-
-    def test_parallel_replicated_failover_matches_sequential(self):
-        cfg = tiny_cfg(replicas=1, kill_primary_at_ms=2.0, duration_ms=6.0)
-        seq = run_serve(cfg).to_dict()
-        par = run_serve(cfg, engine=EngineConfig(workers=3)).to_dict()
-        assert par == seq
-
     def test_epoch_quantum_does_not_change_the_result(self):
-        # Epoch boundaries partition each shard's event order without
-        # reordering it — any quantum must yield the same bytes.
         cfg = tiny_cfg()
         base = run_serve(cfg).to_dict()
         for epoch_us in (100.0, 5000.0):
-            assert (
-                run_serve(
-                    cfg, engine=EngineConfig(epoch_us=epoch_us)
-                ).to_dict()
-                == base
-            )
-
-    def test_more_workers_than_shards_clamps(self):
-        cfg = tiny_cfg(shards=2)
-        seq = run_serve(cfg).to_dict()
-        par = run_serve(cfg, engine=EngineConfig(workers=8)).to_dict()
-        assert par == seq
+            with mock.patch.object(
+                engine, "EPOCH_QUANTUM_NS", epoch_us * 1e3
+            ):
+                assert run_serve(cfg).to_dict() == base
 
 
-class TestWorkerDeathRecovery:
-    def test_worker_death_mid_run_recovers_bit_identical(self):
-        cfg = tiny_cfg(replicas=1, kill_primary_at_ms=2.0, duration_ms=6.0)
-        seq = run_serve(cfg).to_dict()
-        par = run_serve(
-            cfg,
-            engine=EngineConfig(
-                workers=2,
-                checkpoint_every=3,
-                kill_worker_at=(1, 5),
-                backoff_base_s=0.01,
-            ),
-        ).to_dict()
-        assert par == seq
-
-    def test_death_before_first_checkpoint_replays_from_placement(self):
-        cfg = tiny_cfg()
-        seq = run_serve(cfg).to_dict()
-        par = run_serve(
-            cfg,
-            engine=EngineConfig(
-                workers=2,
-                checkpoint_every=1000,  # never checkpoints mid-run
-                kill_worker_at=(0, 2),
-                backoff_base_s=0.01,
-            ),
-        ).to_dict()
-        assert par == seq
-
-    def test_retry_budget_exhaustion_fails_loudly(self):
-        # retries=0: the first death already exceeds the budget — the
-        # run must raise, never silently drop the worker's shards.
-        cfg = tiny_cfg()
-        with pytest.raises(EngineError):
-            run_serve(
-                cfg,
-                engine=EngineConfig(
-                    workers=2,
-                    kill_worker_at=(0, 2),
-                    retries=0,
-                    backoff_base_s=0.01,
-                ),
-            )
+class TestFinalVerify:
+    def test_verify_final_false_skips_the_end_of_run_oracle_pass(self):
+        skipped = ServeCluster(tiny_cfg(verify_final=False))
+        skipped.run()
+        assert skipped.acked_puts > 0
+        assert skipped.oracle_verifications == 0
+        swept = ServeCluster(tiny_cfg())
+        swept.run()
+        assert swept.oracle_verifications == 4  # one sweep per shard

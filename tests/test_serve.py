@@ -13,9 +13,9 @@ from repro.common import rng as rng_util
 from repro.common.errors import ConfigError
 from repro.serve import (
     SERVABLE_SCHEMES,
-    EngineConfig,
     ServeConfig,
     ServeReport,
+    engine,
     run_serve,
 )
 from repro.serve.__main__ import main as serve_main
@@ -257,6 +257,48 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.replace(shards=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"clients": 0},
+            {"rate_per_s": 0.0},
+            {"duration_ms": 0.0},
+            {"kill_at_ms": 0.5},  # an instant, but no kill_shard
+        ],
+        ids=lambda overrides: next(iter(overrides)),
+    )
+    def test_rejects_a_run_that_cannot_happen(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_cfg(**overrides)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The worker pool's flags are gone, not deprecated.
+            ["--workers", "2"],
+            ["--epoch-us", "500"],
+            ["--checkpoint-every", "4"],
+            ["--kill-worker-at", "1:5"],
+            # A ConfigError is a usage error, not a traceback.
+            ["--rate", "0"],
+            ["--kill-shard", "5", "--shards", "2"],
+            ["--kill-backup-at-ms", "1"],
+            ["--kill-at-ms", "0.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_exit_2_with_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(
+            "python -m repro.serve: error: "
+        )
+
 
 class TestEndToEnd:
     def test_run_is_deterministic(self):
@@ -395,8 +437,10 @@ class TestEventLoop:
             duration_ms=0.05, batch_size=batch_size,
             queue_depth=queue_depth, batch_wait_us=batch_wait_us, seed=3,
         )
-        with mock.patch.object(ShardExecutor, "advance_to", checked_advance):
-            report = run_serve(cfg, engine=EngineConfig(epoch_us=epoch_us))
+        with mock.patch.object(
+            ShardExecutor, "advance_to", checked_advance
+        ), mock.patch.object(engine, "EPOCH_QUANTUM_NS", epoch_us * 1e3):
+            report = run_serve(cfg)
         assert advances
         assert report.clean
         assert report.acked_puts + report.acked_gets == report.admitted

@@ -267,86 +267,3 @@ class TestEnvKnobs:
         for bogus in ("0", "-2", "nope"):
             monkeypatch.setenv("REPRO_SNAPSHOT_CADENCE", bogus)
             assert snapshot.checkpoint_cadence(8) == 8
-
-
-class TestWireRoundTrip:
-    """to_wire/from_wire: a mid-traffic replication group travels whole."""
-
-    def _mid_traffic_group(self):
-        from repro.serve.replica import ReplicationGroup
-        from repro.telemetry.hub import Telemetry
-
-        group = ReplicationGroup(
-            0,
-            scheme="hoop",
-            keys=list(range(16)),
-            value_bytes=64,
-            seed=21,
-            telemetry=Telemetry(),
-            replicas=2,
-            apply_every=4,
-        )
-        # 5 shipped entries with apply_every=4 leaves every backup one
-        # unapplied tail entry past its last applied batch.
-        for i in range(5):
-            addr = group.primary.addr_of(i % 16)
-            group.commit_and_ship([(addr, bytes([i + 1]) * 64)])
-        return group
-
-    def test_mid_traffic_group_round_trips_and_continues(self):
-        from repro.serve.replica import keyspace_fingerprint
-        from repro.snapshot import to_wire, from_wire
-        from repro.telemetry.hub import Telemetry
-
-        group = self._mid_traffic_group()
-        backup = group.backups()[0]
-        assert backup.tail, "setup must leave an unapplied backup tail"
-        # Pending fault arming must survive the wire: a deadline cut on
-        # the primary and a nested recovery budget on one backup (both
-        # far enough out that the continuation below never trips them —
-        # a tripped budget tears the ship mid-batch by design).
-        group.primary.system.device.injector.arm_power_loss_at(1e12)
-        backup.system.device.injector.arm_recovery_fault(after_ops=500)
-
-        clone = from_wire(to_wire(group), telemetry=Telemetry())
-
-        cb = clone.backups()[0]
-        assert cb.shipped_seq == backup.shipped_seq
-        assert cb.applied_seq == backup.applied_seq
-        assert cb.tail == backup.tail
-        assert cb.system.device.injector.pending_nested_fault
-        for mine, theirs in zip(group.replicas, clone.replicas):
-            assert theirs.fingerprint() == mine.fingerprint()
-
-        # Both copies must continue bit-identically.
-        for i in range(3):
-            addr = group.primary.addr_of(i)
-            stores = [(addr, bytes([0x40 + i]) * 64)]
-            ours = group.commit_and_ship(stores)
-            theirs = clone.commit_and_ship(
-                [(clone.primary.addr_of(i), bytes([0x40 + i]) * 64)]
-            )
-            assert theirs.ack_ns == ours.ack_ns
-        assert {
-            i: r.fingerprint() for i, r in enumerate(clone.replicas)
-        } == {i: r.fingerprint() for i, r in enumerate(group.replicas)}
-
-    def test_wire_blobs_are_deterministic_and_checked(self):
-        from repro.snapshot import WireError, to_wire, from_wire
-
-        group = self._mid_traffic_group()
-        assert to_wire(group) == to_wire(group)
-        with pytest.raises(WireError):
-            from_wire(b"NOPE" + to_wire(group)[4:])
-
-    def test_wire_trips_the_unregistered_tripwire(self):
-        from repro.snapshot import (
-            reset_unregistered,
-            to_wire,
-            unregistered_classes,
-        )
-
-        reset_unregistered()
-        self._mid_traffic_group()  # serve classes all declare state
-        to_wire(self._mid_traffic_group())
-        assert unregistered_classes() == frozenset()
