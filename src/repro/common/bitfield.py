@@ -65,10 +65,22 @@ class BitStruct:
 
     def pack(self, values: Dict[str, int]) -> bytes:
         """Pack ``values`` into ``total_bytes`` bytes; unset fields are 0."""
-        acc = 0
         get = values.get
-        for name, offset, mask in self._rows:
-            value = get(name, 0)
+        return self.pack_values([get(name, 0) for name, _, _ in self._rows])
+
+    def pack_values(self, values: Sequence[int]) -> bytes:
+        """Positional :meth:`pack`: one value per field, in layout order.
+
+        Same range checks and bytes as ``pack(dict(zip(names, values)))``
+        without building the dict — the data-slice encoder runs once per
+        flushed slice.
+        """
+        if len(values) != len(self._rows):
+            raise ValueError(
+                f"layout has {len(self._rows)} fields, got {len(values)} values"
+            )
+        acc = 0
+        for (name, offset, mask), value in zip(self._rows, values):
             if value and not 0 <= value <= mask:
                 raise ValueError(
                     f"value {value} does not fit field {name!r}"

@@ -198,17 +198,11 @@ class HoopController:
             report = self.gc.run(now_ns, on_demand=True)
             self.stats.on_demand_gc += 1
             now_ns = max(now_ns, report.completion_ns)
-        # Precomputed word iteration: a step-8 range over validated
-        # addresses (the hierarchy already bounds-checked the access)
-        # instead of the generator + re-validation in iter_words.
-        add_word = self.buffer.add_word
-        seq = self._store_seq
-        for word_addr in range(addr & ~(WORD_BYTES - 1), addr + size, WORD_BYTES):
-            offset = word_addr - line_addr
-            value = line_data[offset : offset + WORD_BYTES]
-            seq += 1
-            add_word(core, word_addr, value, seq, now_ns)
-        self._store_seq = seq
+        # The hierarchy already bounds-checked the access and cut it at
+        # line boundaries: one word-run call per store piece.
+        self._store_seq = self.buffer.add_words(
+            core, addr, size, line_addr, line_data, self._store_seq, now_ns
+        )
         return now_ns
 
     def tx_end(self, core: int, tx_id: int, now_ns: float) -> float:

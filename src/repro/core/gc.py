@@ -241,29 +241,29 @@ class GarbageCollector:
         lines: Dict[int, List[int]] = {}
         for addr in coalesced:
             lines.setdefault(cache_line_base(addr), []).append(addr)
+        remove_migrated = self.mapping.remove_migrated
         for line_addr, word_addrs in lines.items():
             home_line, latest = self.port.read(line_addr, 64, now_ns)
             staged = bytearray(home_line)
             word_writes = []
+            removed = 0
             for addr in sorted(word_addrs):
                 value, src_slice, src_slot = coalesced[addr]
                 offset = addr - line_addr
                 staged[offset : offset + 8] = value
                 word_writes.append((addr, value))
-                entry = self.mapping.lookup_word(addr)
-                if (
-                    entry is not None
-                    and not entry.in_buffer
-                    and entry.slice_index == src_slice
-                    and entry.word_slot == src_slot
-                ):
-                    self.mapping.remove_if_stale(addr, entry.seq)
-                    if telemetry is not None:
-                        telemetry.emit(
-                            now_ns, "mapping_evict", self.track, {"addr": addr}
-                        )
-            # The line's word writes all queue at the same instant; batch
-            # their channel math (the retire step drains the queue later).
+                if remove_migrated(addr, src_slice, src_slot):
+                    removed += 1
+            if removed and telemetry is not None:
+                telemetry.emit(
+                    now_ns,
+                    "mapping_evict",
+                    self.track,
+                    {"addr": line_addr, "words": removed},
+                )
+            # The line's word writes all queue at the same instant and
+            # reach the device as one batch (the retire step drains the
+            # queue later).
             self.port.async_write_words(word_writes, now_ns)
             self.eviction_buffer.insert(line_addr, bytes(staged), now_ns)
         report.words_migrated = len(coalesced) + uncoalesced_writes

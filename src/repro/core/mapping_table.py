@@ -24,7 +24,7 @@ an upper bound.  See DESIGN.md §"Mapping-table lifetime".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
 
@@ -126,23 +126,33 @@ class MappingTable:
         if self.condense:
             self._recheck_condensed(line)
 
-    def relocate_buffered(
-        self, word_addr: int, seq: int, new_location: OOPLocation
+    def relocate_flushed(
+        self,
+        words: Sequence[Tuple[int, int]],
+        slice_index: int,
+        tx_id: int,
     ) -> None:
-        """Repoint a buffered word at its flushed slice location.
+        """Repoint one flushed slice's words at their slots in it.
 
-        Only updates the entry when it still refers to the same store
-        (matched by ``seq``); a newer store supersedes the flush.
+        ``words`` is the slice's ``(word_addr, seq)`` pairs in slot
+        order.  An entry moves only while it still refers to the flushed
+        store (same ``seq``, still in the buffer); a newer store
+        supersedes the flush and keeps its buffer location.
         """
-        line = word_addr & _LINE_MASK
-        words = self._lines.get(line)
-        if words is None:
-            return
-        current = words.get(word_addr)
-        if current is not None and current.seq == seq and current.in_buffer:
-            words[word_addr] = new_location
-            if self.condense:
-                self._recheck_condensed(line)
+        lines = self._lines
+        condense = self.condense
+        for slot, (word_addr, seq) in enumerate(words):
+            line = word_addr & _LINE_MASK
+            entries = lines.get(line)
+            if entries is None:
+                continue
+            current = entries.get(word_addr)
+            if current is not None and current.seq == seq and current.in_buffer:
+                entries[word_addr] = OOPLocation(
+                    False, slice_index, slot, seq, tx_id
+                )
+                if condense:
+                    self._recheck_condensed(line)
 
     # -- load-side lookups --------------------------------------------------------
 
@@ -167,19 +177,28 @@ class MappingTable:
 
     # -- GC-side removal --------------------------------------------------------
 
-    def remove_if_stale(self, word_addr: int, migrated_seq: int) -> bool:
-        """Drop the entry unless a newer store superseded the migration.
+    def remove_migrated(
+        self, word_addr: int, src_slice: int, src_slot: int
+    ) -> bool:
+        """Drop the entry GC just migrated home; True when it was dropped.
 
         Mirrors Algorithm 1 lines 22–23: after GC writes a word home, the
         mapping entry is removed — but only if it still describes the
-        version that was migrated.
+        version that was migrated, i.e. it points at the slice slot the
+        word was read from.  A newer store (buffered, or flushed to a
+        different slot) keeps its entry.
         """
-        line = cache_line_base(word_addr)
+        line = word_addr & _LINE_MASK
         words = self._lines.get(line)
         if words is None:
             return False
         current = words.get(word_addr)
-        if current is None or current.seq > migrated_seq:
+        if (
+            current is None
+            or current.in_buffer
+            or current.slice_index != src_slice
+            or current.word_slot != src_slot
+        ):
             return False
         if line in self._condensed:
             self._condensed.discard(line)

@@ -33,6 +33,7 @@ from repro.core.slices import (
     MAX_PREV_DELTA,
     STATE_LAST,
     STATE_OPEN,
+    WORD_BYTES,
     DataSlice,
     SliceCodec,
 )
@@ -107,42 +108,67 @@ class OOPDataBuffer:
             )
         self._cores[core] = _CoreEntry(tx_id=tx_id)
 
-    def add_word(
-        self, core: int, word_addr: int, value: bytes, seq: int, now_ns: float
-    ) -> None:
-        """Stage one updated word; packs and flushes when a slice fills."""
+    def add_words(
+        self,
+        core: int,
+        addr: int,
+        size: int,
+        line_addr: int,
+        line_data: bytes,
+        seq: int,
+        now_ns: float,
+    ) -> int:
+        """Stage the word run one store piece touches; returns the new seq.
+
+        ``[addr, addr + size)`` lies inside the cache line at
+        ``line_addr`` whose post-store bytes are ``line_data``; every
+        8-byte word it overlaps is staged in address order, each under
+        the next store sequence number after ``seq``.  Dedupe, the
+        capacity check, the mapping update and the overflow flush run
+        word by word, so a slice fills and flushes at exactly the word
+        it would have if the run were fed one word at a time.
+        """
         entry = self._cores[core]
-        if entry.tx_id is None:
+        tx_id = entry.tx_id
+        if tx_id is None:
             raise TransactionError(f"core {core} has no open transaction")
-        pending = entry.pending
-        if word_addr in pending:
-            self.stats.words_deduped += 1
-        else:
-            if len(pending) >= self.capacity_words:
-                raise CapacityError(
-                    f"OOP data buffer overflow on core {core}"
-                )
-            self.stats.words_buffered += 1
-        pending[word_addr] = (value, seq)
+        first = addr & ~(WORD_BYTES - 1)
+        stop = addr + size
         if self.telemetry.enabled:
             self.telemetry.emit(
-                now_ns, "mapping_insert", self.track, {"addr": word_addr}
+                now_ns,
+                "mapping_insert",
+                self.track,
+                {
+                    "addr": first,
+                    "words": (stop - first + WORD_BYTES - 1) // WORD_BYTES,
+                },
             )
-        self.mapping.record(
-            word_addr,
-            OOPLocation(
-                in_buffer=True,
-                slice_index=core,
-                word_slot=0,
-                seq=seq,
-                tx_id=entry.tx_id,
-            ),
-        )
-        # Hold the buffer until it *overflows* a slice: the commit point is
-        # the synchronous persist of a STATE_LAST slice at Tx_end, so every
-        # transaction must end with at least one word still pending.
-        if len(pending) > self._words_per_slice:
-            self._flush_slice(core, now_ns, sync=False, last=False)
+        pending = entry.pending
+        stats = self.stats
+        capacity = self.capacity_words
+        words_per_slice = self._words_per_slice
+        record = self.mapping.record
+        for word_addr in range(first, stop, WORD_BYTES):
+            seq += 1
+            if word_addr in pending:
+                stats.words_deduped += 1
+            else:
+                if len(pending) >= capacity:
+                    raise CapacityError(
+                        f"OOP data buffer overflow on core {core}"
+                    )
+                stats.words_buffered += 1
+            offset = word_addr - line_addr
+            pending[word_addr] = (line_data[offset : offset + WORD_BYTES], seq)
+            record(word_addr, OOPLocation(True, core, 0, seq, tx_id))
+            # Hold the buffer until it *overflows* a slice: the commit
+            # point is the synchronous persist of a STATE_LAST slice at
+            # Tx_end, so every transaction must end with at least one
+            # word still pending.
+            if len(pending) > words_per_slice:
+                self._flush_slice(core, now_ns, sync=False, last=False)
+        return seq
 
     def tx_end(self, core: int, now_ns: float) -> Tuple[List[int], float]:
         """Flush remaining words synchronously; returns (segment tails, t).
@@ -214,19 +240,14 @@ class OOPDataBuffer:
         completion = self.region.write_slice(slice_index, raw, now_ns, sync=sync)
         if self._on_slice_written is not None:
             self._on_slice_written(entry.tx_id, slice_index)
-        for slot, (addr, (_value, seq)) in enumerate(words):
-            self.mapping.relocate_buffered(
-                addr,
-                seq,
-                OOPLocation(
-                    in_buffer=False,
-                    slice_index=slice_index,
-                    word_slot=slot,
-                    seq=seq,
-                    tx_id=entry.tx_id,
-                ),
-            )
-            del entry.pending[addr]
+        self.mapping.relocate_flushed(
+            [(addr, seq) for addr, (_value, seq) in words],
+            slice_index,
+            entry.tx_id,
+        )
+        pending = entry.pending
+        for addr, _pending in words:
+            del pending[addr]
         entry.last_slice = slice_index
         entry.segment_open = True
         entry.words_flushed += len(words)

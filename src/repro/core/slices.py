@@ -33,7 +33,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.bitfield import BitStruct, Field, pack_uint_list, unpack_uint_list
+from repro.common.bitfield import BitStruct, Field, unpack_uint_list
 from repro.common.errors import CorruptionError
 
 SLICE_BYTES = 128
@@ -198,45 +198,73 @@ class SliceCodec:
     # -- data slices -----------------------------------------------------------
 
     def encode_data(self, ds: DataSlice) -> bytes:
-        """Encode a data slice into 128 bytes."""
-        if not 1 <= ds.count <= self.words_per_slice:
+        """Encode a data slice into 128 bytes.
+
+        Also seeds the decode memo with ``ds``: a slice is written once
+        and read back by GC and recovery, and decoding the bytes just
+        produced can only return what went in.  The memo is keyed on all
+        128 raw bytes, so a torn copy of the slice misses it and still
+        has to pass its checksum.  This is the only place the memo is
+        seeded from; ``decode_data`` fills it from real decodes.
+        """
+        words = ds.words
+        count = len(words)
+        if not 1 <= count <= self.words_per_slice:
             raise ValueError(
-                f"slice holds 1..{self.words_per_slice} words, got {ds.count}"
+                f"slice holds 1..{self.words_per_slice} words, got {count}"
             )
-        data = bytearray(self._data_bytes)
-        addrs = []
-        addr_limit = 1 << self.home_addr_bits
-        for i, (addr, value) in enumerate(ds.words):
+        addr_bits = self.home_addr_bits
+        addr_limit = 1 << addr_bits
+        addr_acc = 0
+        shift = 0
+        values = []
+        # ``ds`` is what decoding its own bytes returns only if it is
+        # already in decoded form (tuple of bytes values, 8-bit
+        # generation, ...); anything else is left for a real decode.
+        roundtrips = type(words) is tuple
+        for addr, value in words:
             word_index = addr // WORD_BYTES
-            if word_index >= addr_limit:
+            if not 0 <= word_index < addr_limit:
                 raise ValueError(
-                    f"home address {addr:#x} exceeds {self.home_addr_bits}-bit"
+                    f"home address {addr:#x} exceeds {addr_bits}-bit"
                     " word index"
                 )
-            data[i * 8 : (i + 1) * 8] = value
-            addrs.append(word_index)
-        addrs += [0] * (self.words_per_slice - len(addrs))
-        addr_vec = pack_uint_list(
-            addrs, self.home_addr_bits, self._addr_vec_bytes
-        )
+            addr_acc |= word_index << shift
+            shift += addr_bits
+            values.append(value)
+            if type(value) is not bytes:
+                roundtrips = False
         next_offset = _NO_NEXT if ds.prev_delta is None else ds.prev_delta
         if not 0 <= next_offset <= _NO_NEXT:
             raise ValueError(f"prev delta {ds.prev_delta} exceeds 24 bits")
-        body = {
-            "next_offset": next_offset,
-            "tx_id": ds.tx_id,
-            "start": 1 if ds.is_start else 0,
-            "count": ds.count - 1,
-            "state": ds.state,
-            "generation": ds.generation & 0xFF,
-        }
-        payload = bytes(data) + addr_vec
-        meta = self._meta.pack(body)  # checksum field still zero
+        generation = ds.generation & 0xFF
+        payload = (
+            b"".join(values)
+            + bytes(self._data_bytes - count * WORD_BYTES)
+            + addr_acc.to_bytes(self._addr_vec_bytes, "little")
+        )
+        meta = self._meta.pack_values(
+            (
+                next_offset,
+                ds.tx_id,
+                1 if ds.is_start else 0,
+                count - 1,
+                ds.state,
+                generation,
+                0,  # checksum, spliced in below
+            )
+        )
         meta = self._meta.with_field(
             meta, "checksum", _checksum(payload + meta)
         )
         raw = payload + meta + bytes([KIND_DATA])
         assert len(raw) == SLICE_BYTES
+        if (
+            roundtrips
+            and generation == ds.generation
+            and ds.prev_delta != _NO_NEXT
+        ):
+            self._cache_put(raw, ds)
         return raw
 
     def decode_data(self, raw: bytes) -> DataSlice:

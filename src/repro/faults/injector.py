@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import FaultConfig, NVMConfig, SystemConfig
 from repro.common.errors import (
@@ -248,11 +248,11 @@ class FaultyNVMDevice(NVMDevice):
     """NVM device with deterministic, seedable fault injection.
 
     Content/timing/energy/wear behaviour on fault-free accesses is the
-    base class's own (the overrides delegate), with one exception:
-    ``write_batch`` decomposes into per-write calls so every element
-    crosses the power-loss budget individually — a GC migration burst
-    can be cut mid-burst, which is exactly the crash window §III-E's
-    argument has to survive.
+    base class's own (the overrides delegate).  ``write_batch`` does so
+    only while nothing is armed; otherwise it decomposes into per-write
+    calls so every element crosses the power-loss budget individually —
+    a GC migration burst can be cut mid-burst, which is exactly the
+    crash window §III-E's argument has to survive.
     """
 
     def __init__(
@@ -528,10 +528,40 @@ class FaultyNVMDevice(NVMDevice):
             )
         return result
 
-    def write_batch(self, writes, now_ns: float = 0.0) -> None:
-        # Decomposed so each element crosses the power-loss budget; the
-        # channel sees the same queued bytes, so fault-free timing stays
-        # equivalent in aggregate.
+    def write_batch(
+        self, writes: Sequence[Tuple[int, bytes]], now_ns: float = 0.0
+    ) -> None:
+        """Queue a burst of writes; exactly equal to one ``write`` each.
+
+        While the injector is inert — no write budget, deadline or
+        recovery budget armed, power on, no remapped or stuck block —
+        every element's ``on_timed_write()`` would return OK without
+        touching a counter and translation is the identity, so the
+        base-class batch leaves exactly the state per-element
+        ``write(..., queued=True)`` calls would.  An element outside the
+        visible range sends the whole batch down the per-element path,
+        which raises at that element.
+
+        With anything armed the batch decomposes into one ``write`` per
+        element, so each crosses the power-loss budget on its own and a
+        GC migration burst is cut at the same write it always was.
+        """
+        injector = self.injector
+        if (
+            injector._write_budget is None
+            and injector._deadline_ns is None
+            and injector._recovery_budget is None
+            and not injector._power_lost
+            and not self._remap
+            and not self._stuck
+        ):
+            visible = self._visible_capacity
+            for addr, data in writes:
+                if addr < 0 or addr + len(data) > visible:
+                    break
+            else:
+                NVMDevice.write_batch(self, writes, now_ns)
+                return
         for addr, data in writes:
             if data:
                 self.write(addr, data, now_ns, queued=True)

@@ -74,13 +74,6 @@ class ChannelModel:
         self._busy_integral *= math.exp(-dt / _TAU_NS)
         self._vtime_ns = now_ns
 
-    def _record(self, service_ns: float, wait_ns: float, num_bytes: int) -> None:
-        self.stats.reservations += 1
-        self.stats.bytes_transferred += num_bytes
-        self.stats.busy_ns += service_ns
-        self.stats.queue_ns += wait_ns
-        self._busy_integral += service_ns
-
     def utilization(self) -> float:
         """Recent channel utilization estimate in [0, 1]."""
         return min(_MAX_RHO, self._busy_integral / _TAU_NS)
@@ -91,8 +84,9 @@ class ChannelModel:
         """Priority read; returns channel completion time."""
         if num_bytes <= 0:
             return now_ns
-        # _advance / utilization / _record inlined: this runs once per
-        # simulated NVM read and the helper-call overhead is measurable.
+        # _advance / utilization and the stats update inlined: this runs
+        # once per simulated NVM read and the helper-call overhead is
+        # measurable.
         if now_ns > self._vtime_ns:
             dt = now_ns - self._vtime_ns
             self._backlog_ns = max(0.0, self._backlog_ns - dt)
@@ -130,18 +124,24 @@ class ChannelModel:
     def write_queued_many(self, now_ns: float, sizes) -> None:
         """Batch of posted writes at one instant (drain times unobserved).
 
-        Equivalent to calling :meth:`write_queued` once per size at the
-        same ``now_ns`` — the backlog additions commute and ``_advance``
-        is a no-op after the first call — minus the per-call completion
-        arithmetic nobody reads.
+        Leaves the channel exactly as calling :meth:`write_queued` once
+        per size at the same ``now_ns`` would — time advances on the
+        first call only, and each size adds its service time to the
+        backlog, stats and busy integral in order — minus the per-call
+        completion arithmetic nobody reads.
         """
         self._advance(now_ns)
+        bytes_per_ns = self._bytes_per_ns
+        stats = self.stats
         for num_bytes in sizes:
             if num_bytes <= 0:
                 continue
-            service = self.transfer_time_ns(num_bytes)
+            service = num_bytes / bytes_per_ns
             self._backlog_ns += service
-            self._record(service, 0.0, num_bytes)
+            stats.reservations += 1
+            stats.bytes_transferred += num_bytes
+            stats.busy_ns += service
+            self._busy_integral += service
 
     def write_sync(self, now_ns: float, num_bytes: int) -> float:
         """Persist that waits behind the queue; returns completion time."""

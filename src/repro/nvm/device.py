@@ -164,12 +164,6 @@ class NVMDevice:
 
     # -- timed plane ---------------------------------------------------------
 
-    def _row_hit(self, addr: int) -> bool:
-        row = addr // self._row_bytes
-        hit = row == self._open_row
-        self._open_row = row
-        return hit
-
     def read(self, addr: int, size: int, now_ns: float = 0.0):
         """Timed priority read; returns ``(data, AccessResult)``."""
         # peek()'s single-page fast path inlined (timed reads run per
@@ -260,24 +254,58 @@ class NVMDevice:
     ) -> None:
         """Queue many writes issued at the same instant.
 
-        State evolution (content, stats, energy, wear, row-buffer
-        sequence, channel backlog) is identical to calling
-        ``write(..., queued=True)`` once per element at ``now_ns``; the
-        per-write channel timing math and :class:`AccessResult`
-        construction are batched away for callers — like GC migration —
+        Every piece of state (content, stats, energy, wear, row-buffer
+        sequence, channel backlog and stats) ends exactly equal to
+        calling ``write(..., queued=True)`` once per element at
+        ``now_ns``: the body is ``write``'s, run per element in order,
+        with only the per-write completion arithmetic and
+        :class:`AccessResult` left out for callers — like GC migration —
         that never look at individual completions.
         """
+        pages = self._pages
+        cow_shared = self._cow_shared
+        capacity = self._capacity
+        row_bytes = self._row_bytes
+        wear_block = self._wear_block
+        wear_writes = self._wear_writes
+        stats = self.stats
+        energy = self.energy
         sizes = []
         for addr, data in writes:
             if not data:
                 continue
-            self.poke(addr, data)
-            hit = self._row_hit(addr)
             size = len(data)
-            self.stats.writes += 1
-            self.stats.bytes_written += size
-            self.energy.record_write(size, hit)
-            self.wear.record_write(addr, size)
+            page_base = addr & ~(_PAGE - 1)
+            if (
+                addr >= 0
+                and addr + size <= capacity
+                and (addr + size - 1) & ~(_PAGE - 1) == page_base
+            ):
+                page = pages.get(page_base)
+                if page is None:
+                    page = bytearray(_PAGE)
+                    pages[page_base] = page
+                elif page_base in cow_shared:
+                    page = bytearray(page)
+                    pages[page_base] = page
+                    cow_shared.discard(page_base)
+                offset = addr - page_base
+                page[offset : offset + size] = data
+            else:
+                self.poke(addr, data)
+            row = addr // row_bytes
+            hit = row == self._open_row
+            self._open_row = row
+            stats.writes += 1
+            stats.bytes_written += size
+            energy.write_pj += (size * 8) * (
+                self._wr_hit_pj if hit else self._wr_miss_pj
+            )
+            block = addr // wear_block
+            if (addr + size - 1) // wear_block == block:
+                wear_writes[block] += size
+            else:
+                self.wear.record_write(addr, size)
             sizes.append(size)
         if sizes:
             self.channel.write_queued_many(now_ns, sizes)

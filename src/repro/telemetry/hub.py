@@ -21,8 +21,10 @@ Event taxonomy (``kind`` strings, greppable in the JSONL export):
                      store critical path
 ``oop_evict``        GC parked a migrated line in the eviction buffer
 ``commit_log_append`` address-slice entry recorded (committed flag)
-``mapping_insert``   store-side mapping-table update
-``mapping_evict``    GC pruned a migrated mapping entry
+``mapping_insert``   store-side mapping-table update, one per store
+                     piece: ``addr`` of its first word, ``words`` staged
+``mapping_evict``    GC pruned migrated mapping entries, one per
+                     migrated line: line ``addr``, ``words`` removed
 ``port_stall``       a synchronous NVM write stalled longer than
                      :data:`STALL_EVENT_NS`
 ``power_cut``/``torn_write``/``read_fault``/``block_remap``

@@ -64,8 +64,9 @@ class TestMappingCondensing:
         table = MappingTable(64, condense=True)
         for i in range(8):
             table.record(0x1000 + i * 8, loc(seq=i + 1))
-        assert table.remove_if_stale(0x1000, migrated_seq=1)
-        assert table.entries == 7
+        assert table.entries == 1
+        assert table.remove_migrated(0x1000, 5, 0)
+        assert table.entries == 7  # un-condensed, then one word fewer
 
     def test_disabled_by_default(self):
         table = MappingTable(64)

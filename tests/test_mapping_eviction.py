@@ -48,27 +48,49 @@ class TestMappingTable:
     def test_relocate_buffered_matches_seq(self):
         table = MappingTable(16)
         table.record(0x1000, loc(seq=5, in_buffer=True))
-        table.relocate_buffered(0x1000, 5, loc(seq=5, slice_index=77))
-        entry = table.lookup_word(0x1000)
-        assert not entry.in_buffer and entry.slice_index == 77
+        table.record(0x1008, loc(seq=6, in_buffer=True))
+        table.relocate_flushed([(0x1000, 5), (0x1008, 6)], 77, tx_id=1)
+        assert table.lookup_word(0x1000) == loc(seq=5, slice_index=77, slot=0)
+        assert table.lookup_word(0x1008) == loc(seq=6, slice_index=77, slot=1)
 
     def test_relocate_buffered_skips_superseded(self):
         table = MappingTable(16)
         table.record(0x1000, loc(seq=9, in_buffer=True))
-        table.relocate_buffered(0x1000, 5, loc(seq=5, slice_index=77))
+        table.record(0x1008, loc(seq=6, in_buffer=True))
+        table.relocate_flushed([(0x1000, 5), (0x1008, 6)], 77, tx_id=1)
         assert table.lookup_word(0x1000).in_buffer  # newer store kept
+        # ... and the slot numbering still counts the superseded word.
+        assert table.lookup_word(0x1008).word_slot == 1
+
+    def test_relocate_skips_words_already_flushed_or_gone(self):
+        table = MappingTable(16)
+        table.record(0x1000, loc(seq=5, slice_index=3))  # not in the buffer
+        table.relocate_flushed([(0x1000, 5), (0x2000, 6)], 77, tx_id=1)
+        assert table.lookup_word(0x1000).slice_index == 3
+        assert table.lookup_word(0x2000) is None
+        assert table.entries == 1
 
     def test_remove_if_stale(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=3))
-        assert table.remove_if_stale(0x1000, migrated_seq=3)
+        table.record(0x1000, loc(seq=3, slice_index=4, slot=2))
+        assert table.remove_migrated(0x1000, 4, 2)
         assert table.entries == 0
+        assert table.stats.removes == 1
+        assert not table.remove_migrated(0x1000, 4, 2)  # already gone
 
     def test_remove_if_stale_keeps_newer(self):
-        table = MappingTable(16)
-        table.record(0x1000, loc(seq=10))
-        assert not table.remove_if_stale(0x1000, migrated_seq=3)
-        assert table.entries == 1
+        # GC migrated the copy in slice 4 slot 2; a newer store has since
+        # moved the entry — to another slice, another slot, or the buffer.
+        for newer in (
+            loc(seq=10, slice_index=9, slot=2),
+            loc(seq=10, slice_index=4, slot=5),
+            loc(seq=10, slice_index=4, slot=2, in_buffer=True),
+        ):
+            table = MappingTable(16)
+            table.record(0x1000, newer)
+            assert not table.remove_migrated(0x1000, 4, 2)
+            assert table.entries == 1
+            assert table.stats.removes == 0
 
     def test_remove_words(self):
         table = MappingTable(16)

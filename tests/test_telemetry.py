@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -234,6 +235,64 @@ def test_enabled_run_is_bit_identical_to_disabled():
     assert plain.telemetry is None
     assert observed.telemetry is not None
     assert observed.telemetry["histograms"]["commit_latency_ns"]["count"] > 0
+
+
+# -- per-run mapping events ------------------------------------------------------
+
+
+def _replicated(hub, **overrides):
+    from repro.serve import ServeConfig
+    from repro.serve.cluster import ServeCluster
+
+    cfg = dict(
+        shards=4, replicas=1, read_fraction=0.1, rate_per_s=1.6e6,
+        duration_ms=1.5, lease_us=500.0, queue_depth=256,
+    )
+    cfg.update(overrides)
+    cluster = ServeCluster(ServeConfig(**cfg), telemetry=hub)
+    cluster.run()
+    return cluster
+
+
+def test_failover_timeline_is_not_drowned_by_mapping_events():
+    # Per-word mapping events made this run 153 813 events long: a hub
+    # this size dropped 113 813 of them, the failover marks included.
+    hub = Telemetry(max_events=40_000)
+    _replicated(hub, kill_shard=1, kill_primary_at_ms=0.5, torn_kill=True)
+    assert hub.dropped_events == 0
+    kinds = [kind for _, kind, _, _ in hub.events]
+    for mark in ("shard_kill", "promotion", "rejoin_complete"):
+        assert kinds.count(mark) == 1
+
+
+def test_mapping_events_are_per_run_and_sum_to_the_word_counters():
+    from repro.core.controller import HoopScheme
+
+    hub = Telemetry()
+    with mock.patch.object(
+        HoopScheme, "on_store", autospec=True, side_effect=HoopScheme.on_store
+    ) as on_store:
+        # No final verify: its scratch clones replay stores into this hub
+        # but keep their own counters.
+        cluster = _replicated(hub, duration_ms=1.0, verify_final=False)
+    controllers = [
+        replica.system.scheme.controller
+        for group in cluster.groups.values()
+        for replica in group.replicas
+    ]
+    inserts = [p for _, kind, _, p in hub.events if kind == "mapping_insert"]
+    evicts = [p for _, kind, _, p in hub.events if kind == "mapping_evict"]
+    assert len(inserts) == on_store.call_count > 0
+    assert sum(p["words"] for p in inserts) == sum(
+        c.buffer.stats.words_buffered + c.buffer.stats.words_deduped
+        for c in controllers
+    )
+    assert all(p["addr"] % 8 == 0 and 1 <= p["words"] <= 8 for p in inserts)
+    assert evicts
+    assert sum(p["words"] for p in evicts) == sum(
+        c.mapping.stats.removes for c in controllers
+    )
+    assert all(p["addr"] % 64 == 0 and 1 <= p["words"] <= 8 for p in evicts)
 
 
 # -- CLI -------------------------------------------------------------------------
