@@ -25,7 +25,7 @@ home; a crash at any point leaves the commit log replayable (§III-E,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.addr import cache_line_base
@@ -86,7 +86,6 @@ class GCStats:
     transactions_migrated: int = 0
     words_scanned: int = 0
     words_migrated: int = 0
-    reports: List[GCPassReport] = field(default_factory=list)
 
     def absorb(self, report: GCPassReport) -> None:
         self.passes += 1
@@ -184,7 +183,6 @@ class GarbageCollector:
         report.completion_ns = now_ns
         if not candidates:
             self.stats.absorb(report)
-            self.stats.reports.append(report)
             return report
         telemetry = self.telemetry if self.telemetry.enabled else None
         if telemetry is not None:
@@ -314,7 +312,6 @@ class GarbageCollector:
             )
             telemetry.record("gc_pause_ns", report.completion_ns - now_ns)
         self.stats.absorb(report)
-        self.stats.reports.append(report)
         return report
 
     # -- helpers ------------------------------------------------------------------
@@ -381,5 +378,5 @@ class GarbageCollector:
 
 # -- snapshot declarations ----------------------------------------------------
 GCPassReport.__snapshot_state__ = "__atoms__"
-GCStats.__snapshot_state__ = "__all__"
+GCStats.__snapshot_state__ = "__atoms__"
 GarbageCollector.__snapshot_state__ = "__all__"

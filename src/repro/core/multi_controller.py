@@ -263,19 +263,10 @@ class MultiControllerHoopScheme(PersistenceScheme):
         every poke already landed (the words the rerun no longer
         replays are durable in the home region).
         """
-        # Phase 1: each controller reads its commit log from NVM.
-        local_sets = []
-        for controller in self.controllers:
-            controller.region.rebuild_from_nvm()
-            pages = self._read_pages(controller)
-            controller.commit_log.rebuild(pages)
-            local_sets.append(
-                {
-                    tx.tx_id
-                    for tx in controller.commit_log.committed_transactions()
-                }
-            )
-        agreed = set.union(*local_sets) if local_sets else set()
+        # Phase 1: each controller scans its region once; its vote is the
+        # set of transactions its durable commit log names.
+        scans = [c.recovery.scan() for c in self.controllers]
+        agreed = {tx.tx_id for scan in scans for tx in scan.logged}
         # Phase 2: every controller replays exactly the agreed set.
         merged = RecoveryReport(
             threads=threads,
@@ -283,15 +274,14 @@ class MultiControllerHoopScheme(PersistenceScheme):
                 bandwidth_gb_per_s or self.config.nvm.bandwidth_gb_per_s
             ),
         )
-        replayed = set()
-        for controller in self.controllers:
-            # require_entries=False: the STATE_LAST scan supplies segment
-            # tails for agreed transactions whose local commit entries
-            # were lost; ``only_tx_ids`` keeps it from *deciding* commits.
-            report = controller.recovery.recover(
+        for controller, scan in zip(self.controllers, scans):
+            # The scan's STATE_LAST finds supply segment tails for agreed
+            # transactions whose local commit entries were lost;
+            # ``only_tx_ids`` keeps them from *deciding* commits.
+            report = controller.recovery.replay(
+                scan,
                 threads=threads,
                 bandwidth_gb_per_s=bandwidth_gb_per_s,
-                require_entries=False,
                 only_tx_ids=agreed,
                 clear_region=False,
             )
@@ -311,7 +301,6 @@ class MultiControllerHoopScheme(PersistenceScheme):
             merged.write_time_ns = max(
                 merged.write_time_ns, report.write_time_ns
             )
-            replayed |= agreed
         # Cleanup barrier: only after every controller's redo landed.
         for controller in self.controllers:
             controller.region.clear(0.0)
@@ -319,32 +308,6 @@ class MultiControllerHoopScheme(PersistenceScheme):
         merged.committed_transactions = len(agreed)
         return merged
 
-    def _read_pages(self, controller: HoopController):
-        from repro.common.errors import CorruptionError
-        from repro.core.oop_region import BlockState
-        from repro.core.slices import KIND_ADDR, SLICE_BYTES, SliceCodec
-
-        pages = []
-        region = controller.region
-        for block in range(region.num_blocks):
-            if (
-                region.state_of(block) == BlockState.UNUSED
-                or region.stream_of(block) != "addr"
-            ):
-                continue
-            for slice_index in region.iter_block_slices(block):
-                raw = self.device.peek(
-                    region.slice_addr(slice_index), SLICE_BYTES
-                )
-                if SliceCodec.kind_of(raw) != KIND_ADDR:
-                    continue
-                try:
-                    pages.append(
-                        (slice_index, controller.codec.decode_addr(raw))
-                    )
-                except CorruptionError:
-                    continue
-        return pages
 
 # -- snapshot declarations ----------------------------------------------------
 MultiControllerHoopScheme.__snapshot_state__ = "__all__"

@@ -26,15 +26,21 @@ scaling saturates once ``threads × per-thread rate`` exceeds the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.addr import cache_line_base
 from repro.common.config import SystemConfig
 from repro.common.errors import CorruptionError
 from repro.common.units import bytes_per_ns_from_gbps
 from repro.core.commit_log import CommitLog, CommittedTx
+from repro.core.gc import RETIRE_WATERMARK_ADDR
 from repro.core.oop_region import BlockState, OOPRegion
-from repro.core.slices import SLICE_BYTES, KIND_ADDR, SliceCodec
+from repro.core.slices import (
+    KIND_ADDR,
+    KIND_DATA,
+    SLICE_BYTES,
+    STATE_LAST,
+    SliceCodec,
+)
 from repro.memctrl.port import MemoryPort
 
 
@@ -59,6 +65,69 @@ class RecoveryReport:
         return self.scan_time_ns + self.merge_time_ns + self.write_time_ns
 
 
+# Slot kind per raw tag byte (the low nibble), so a block's slots of one
+# kind are found with ``bytes.find`` instead of a Python loop per slot.
+_KIND_OF_TAG = bytes(tag & 0xF for tag in range(256))
+
+
+class BlockReader:
+    """One ``peek`` per block of an OOP region, cached for one pass.
+
+    A pass only reads the region (recovery writes the *home* region), so
+    the buffers stay valid, and ``peek`` has no timing or stats side
+    effects to distort.
+    """
+
+    def __init__(self, region: OOPRegion) -> None:
+        self.region = region
+        self._blocks: Dict[int, bytes] = {}
+
+    def block_buf(self, block: int) -> bytes:
+        """A whole block's bytes, header slice included."""
+        buf = self._blocks.get(block)
+        if buf is None:
+            region = self.region
+            buf = region.port.device.peek(
+                region.block_base(block), region.block_bytes
+            )
+            self._blocks[block] = buf
+        return buf
+
+    def slice_raw(self, slice_index: int) -> bytes:
+        """A region slice's bytes."""
+        block, slot = divmod(slice_index, self.region.slots_per_block)
+        offset = (slot + 1) * SLICE_BYTES  # slot 0 follows the header slice
+        return self.block_buf(block)[offset : offset + SLICE_BYTES]
+
+    def slices_of_kind(
+        self, block: int, kind: int
+    ) -> Iterator[Tuple[int, bytes]]:
+        """``(slice_index, raw)`` of the block's slots tagged ``kind``.
+
+        The tags (every slot's last byte) come out in one strided slice,
+        so free slots — most of a commit-log block — are never cut out.
+        """
+        buf = self.block_buf(block)
+        kinds = buf[2 * SLICE_BYTES - 1 :: SLICE_BYTES].translate(_KIND_OF_TAG)
+        base_index = block * self.region.slots_per_block
+        wanted = bytes((kind,))
+        slot = kinds.find(wanted)
+        while slot >= 0:
+            offset = (slot + 1) * SLICE_BYTES
+            yield base_index + slot, buf[offset : offset + SLICE_BYTES]
+            slot = kinds.find(wanted, slot + 1)
+
+
+@dataclass
+class RegionScan:
+    """Step 1's findings: what a crashed OOP region says was committed."""
+
+    reader: BlockReader
+    logged: List[CommittedTx]  # durable, unretired commit-log entry
+    unlogged: List[CommittedTx]  # known only by a STATE_LAST data slice
+    bytes_scanned: int
+
+
 class RecoveryManager:
     """Rebuilds a consistent home region from the OOP region."""
 
@@ -80,8 +149,6 @@ class RecoveryManager:
         self.codec = codec
         self.commit_log = commit_log
         self.port = port
-        # Whole-block read cache, alive for one recover() pass only.
-        self._block_cache: Dict[int, bytes] = {}
 
     # -- the functional pass ---------------------------------------------------
 
@@ -91,61 +158,42 @@ class RecoveryManager:
         threads: int = 1,
         bandwidth_gb_per_s: Optional[float] = None,
         clear_region: bool = True,
-        require_entries: bool = False,
-        only_tx_ids: Optional[set] = None,
     ) -> RecoveryReport:
-        """Replay committed transactions onto the home region.
+        """Scan the region and replay what it says was committed."""
+        return self.replay(
+            self.scan(),
+            threads=threads,
+            bandwidth_gb_per_s=bandwidth_gb_per_s,
+            clear_region=clear_region,
+        )
 
-        ``require_entries`` disables the STATE_LAST region scan, trusting
-        only durable commit-log entries — the multi-controller protocol,
-        where a locally-final slice may belong to a globally-unresolved
-        two-phase commit.  ``only_tx_ids`` further restricts replay to a
-        caller-approved set (the coordinator's intersection).
+    def scan(self) -> RegionScan:
+        """Step 1: block headers, commit-log pages, STATE_LAST slices.
+
+        Rebuilds the region's and the commit log's volatile view.
         """
-        if threads < 1:
-            raise ValueError("recovery needs at least one thread")
-        bandwidth = bandwidth_gb_per_s or self.config.nvm.bandwidth_gb_per_s
-        report = RecoveryReport(threads=threads, bandwidth_gb_per_s=bandwidth)
-        device = self.port.device
-        # One whole-block peek per touched block instead of a 128-byte
-        # peek per slice: recovery only reads the region until step 5
-        # writes the *home* region, so a per-pass cache is safe, and
-        # peek() has no timing/stats side effects to distort.
-        self._block_cache = {}
-
-        # Step 1: block headers, then commit-log pages.
-        self.region.rebuild_from_nvm()
+        region = self.region
+        reader = BlockReader(region)
+        region.rebuild_from_nvm()
         busy_blocks = [
             b
-            for b in range(self.region.num_blocks)
-            if self.region.state_of(b) != BlockState.UNUSED
+            for b in range(region.num_blocks)
+            if region.state_of(b) != BlockState.UNUSED
         ]
-        report.bytes_scanned += len(busy_blocks) * SLICE_BYTES  # headers
+        block_payload = region.slots_per_block * SLICE_BYTES
+        bytes_scanned = len(busy_blocks) * SLICE_BYTES  # headers
         pages = []
-        slots_per_block = self.region.slots_per_block
         for block in busy_blocks:
-            if self.region.stream_of(block) != "addr":
+            if region.stream_of(block) != "addr":
                 continue
-            # Whole-block scan on the cached buffer: the per-slot slice
-            # offsets are linear, so no per-slice index math is needed.
-            buf = self._block_buf(block)
-            base_index = block * slots_per_block
-            report.bytes_scanned += slots_per_block * SLICE_BYTES
-            offset = SLICE_BYTES
-            for slot in range(slots_per_block):
-                raw = buf[offset : offset + SLICE_BYTES]
-                offset += SLICE_BYTES
-                # Inline kind_of: block buffers are exact slice multiples.
-                if raw[-1] & 0xF != KIND_ADDR:
-                    continue
+            bytes_scanned += block_payload
+            for slice_index, raw in reader.slices_of_kind(block, KIND_ADDR):
                 try:
-                    pages.append(
-                        (base_index + slot, self.codec.decode_addr(raw))
-                    )
+                    pages.append((slice_index, self.codec.decode_addr(raw)))
                 except CorruptionError:
                     continue  # torn commit-log rewrite: newest entry lost
         self.commit_log.rebuild(pages)
-        committed = list(self.commit_log.committed_transactions())
+        logged = self.commit_log.committed_transactions()
 
         # Commit entries are written lazily (the commit point is the
         # STATE_LAST data slice), so recent transactions may exist only in
@@ -153,13 +201,10 @@ class RecoveryManager:
         # transactions no page knows about, skipping anything at or below
         # the durable retire watermark and anything from a stale block
         # generation.
-        from repro.core.gc import RETIRE_WATERMARK_ADDR
-        from repro.core.slices import KIND_DATA, STATE_LAST
-
         watermark = int.from_bytes(
-            device.peek(RETIRE_WATERMARK_ADDR, 8), "little"
+            self.port.device.peek(RETIRE_WATERMARK_ADDR, 8), "little"
         )
-        finalized = {tx.tx_id for tx in committed}
+        finalized = {tx.tx_id for tx in logged}
         open_segments = self.commit_log.open_segments()
         # Transactions whose every durable commit entry carries the
         # retired bit were already migrated home by GC.  They can sit
@@ -174,20 +219,13 @@ class RecoveryManager:
             - finalized
             - set(open_segments)
         )
-        scan_blocks = [] if require_entries else busy_blocks
-        for block in scan_blocks:
-            if self.region.stream_of(block) != "data":
+        unlogged = []
+        for block in busy_blocks:
+            if region.stream_of(block) != "data":
                 continue
-            generation = self.region.generation_of(block)
-            buf = self._block_buf(block)
-            base_index = block * slots_per_block
-            report.bytes_scanned += slots_per_block * SLICE_BYTES
-            offset = SLICE_BYTES
-            for slot in range(slots_per_block):
-                raw = buf[offset : offset + SLICE_BYTES]
-                offset += SLICE_BYTES
-                if raw[-1] & 0xF != KIND_DATA:
-                    continue
+            generation = region.generation_of(block)
+            bytes_scanned += block_payload
+            for slice_index, raw in reader.slices_of_kind(block, KIND_DATA):
                 try:
                     ds = self.codec.decode_data(raw)
                 except CorruptionError:
@@ -200,16 +238,41 @@ class RecoveryManager:
                     or ds.tx_id in retired_only
                 ):
                     continue
-                slice_index = base_index + slot
                 segments = open_segments.get(ds.tx_id, []) + [slice_index]
-                committed.append(
-                    CommittedTx(ds.tx_id, tuple(segments))
-                )
+                unlogged.append(CommittedTx(ds.tx_id, tuple(segments)))
                 finalized.add(ds.tx_id)
+        return RegionScan(reader, logged, unlogged, bytes_scanned)
+
+    def replay(
+        self,
+        scan: RegionScan,
+        *,
+        threads: int = 1,
+        bandwidth_gb_per_s: Optional[float] = None,
+        clear_region: bool = True,
+        only_tx_ids: Optional[set] = None,
+    ) -> RecoveryReport:
+        """Steps 2-6: replay a scan's transactions onto the home region.
+
+        ``only_tx_ids`` restricts the replay to a caller-approved set:
+        the multi-controller coordinator passes the union of every
+        controller's ``scan().logged``, so a locally-final STATE_LAST
+        slice supplies segment tails but never *decides* a commit.
+        """
+        if threads < 1:
+            raise ValueError("recovery needs at least one thread")
+        bandwidth = bandwidth_gb_per_s or self.config.nvm.bandwidth_gb_per_s
+        report = RecoveryReport(
+            threads=threads,
+            bandwidth_gb_per_s=bandwidth,
+            bytes_scanned=scan.bytes_scanned,
+        )
+        device = self.port.device
 
         # Replay in TxID order — the paper's commit-ID rule (§III-F);
         # conflicting transactions never overlap, so TxID order is commit
         # order.
+        committed = scan.logged + scan.unlogged
         if only_tx_ids is not None:
             committed = [tx for tx in committed if tx.tx_id in only_tx_ids]
         committed.sort(key=lambda tx: tx.tx_id)
@@ -223,7 +286,7 @@ class RecoveryManager:
         for seq, tx in enumerate(committed):
             worker = seq % threads
             report.per_thread_txs[worker] += 1
-            words, scanned = self._walk_tx(tx)
+            words, scanned = self.walk_tx(scan.reader, tx)
             report.slices_walked += scanned
             report.bytes_scanned += scanned * SLICE_BYTES
             local = shards[worker]
@@ -255,38 +318,21 @@ class RecoveryManager:
         if clear_region:
             self.region.clear(0.0)
             self.commit_log.clear()
-        self._block_cache = {}
 
         self._apply_time_model(report, merge_ops)
         return report
 
-    def _block_buf(self, block: int) -> bytes:
-        """A whole block's bytes, via the per-pass cache."""
-        buf = self._block_cache.get(block)
-        if buf is None:
-            region = self.region
-            buf = self.port.device.peek(
-                region.block_base(block), region.block_bytes
-            )
-            self._block_cache[block] = buf
-        return buf
-
-    def _slice_raw(self, slice_index: int) -> bytes:
-        """A region slice's bytes, via the per-pass whole-block cache."""
-        block, slot = divmod(slice_index, self.region.slots_per_block)
-        buf = self._block_buf(block)
-        offset = (slot + 1) * SLICE_BYTES  # slot 0 follows the header slice
-        return buf[offset : offset + SLICE_BYTES]
-
-    def _walk_tx(self, tx: CommittedTx) -> Tuple[List[Tuple[int, bytes]], int]:
-        """All words of a transaction in store order (oldest first)."""
+    def walk_tx(
+        self, reader: BlockReader, tx: CommittedTx
+    ) -> Tuple[List[Tuple[int, bytes]], int]:
+        """A transaction's words in store order, and the slices read."""
         total = self.region.num_blocks * self.region.slots_per_block
         newest_first: List[Tuple[int, bytes]] = []
         slices = 0
         for tail in reversed(tx.segment_tails):
             cursor: Optional[int] = tail
             while cursor is not None:
-                raw = self._slice_raw(cursor)
+                raw = reader.slice_raw(cursor)
                 slices += 1
                 try:
                     ds = self.codec.decode_data(raw)

@@ -60,6 +60,30 @@ def _checksum(payload: bytes) -> int:
     return zlib.crc32(payload) & 0xFFFF
 
 
+def _memo_put(cache: dict, raw: bytes, value) -> None:
+    """Store one decode in a codec memo (keyed on all 128 raw bytes)."""
+    if len(cache) >= 32768:  # bound footprint on long-lived codecs
+        cache.clear()
+    cache[raw] = value
+
+
+def _memoized(cache: dict, raw: bytes, decode):
+    """``decode(raw)`` through a codec memo, failures replayed too."""
+    if type(raw) is not bytes:
+        raw = bytes(raw)
+    cached = cache.get(raw)
+    if cached is None:
+        try:
+            cached = decode(raw)
+        except CorruptionError as exc:
+            _memo_put(cache, raw, str(exc))
+            raise
+        _memo_put(cache, raw, cached)
+    elif type(cached) is str:
+        raise CorruptionError(cached)
+    return cached
+
+
 @dataclass(frozen=True, slots=True)
 class DataSlice:
     """Decoded data memory slice: the words of one packing unit.
@@ -180,11 +204,13 @@ class SliceCodec:
         self._entry_bits = _TXID_BITS + 34 + 2
         payload_bits = (SLICE_BYTES - 1 - 7) * 8
         self.entries_per_addr_slice = payload_bits // self._entry_bits
-        # decode_data memo: the decode is a pure function of the raw
-        # bytes and DataSlice is frozen, so identical slices (recovery
-        # replays of the same region content, GC re-walks) share one
-        # decode.  Corrupt slices cache their message as a str.
+        # Decode memos, one per slice kind: a decode is a pure function
+        # of the raw bytes and its result is immutable, so identical
+        # slices (recovery replays of the same region content, GC
+        # re-walks) share one decode.  Corrupt slices cache their message
+        # as a str.
         self._decode_cache: dict = {}
+        self._addr_cache: dict = {}
 
     @classmethod
     def for_home_bits(cls, home_addr_bits: int) -> "SliceCodec":
@@ -264,31 +290,12 @@ class SliceCodec:
             and generation == ds.generation
             and ds.prev_delta != _NO_NEXT
         ):
-            self._cache_put(raw, ds)
+            _memo_put(self._decode_cache, raw, ds)
         return raw
 
     def decode_data(self, raw: bytes) -> DataSlice:
         """Decode 128 bytes into a data slice; raises on corruption."""
-        if type(raw) is not bytes:
-            raw = bytes(raw)
-        cached = self._decode_cache.get(raw)
-        if cached is not None:
-            if type(cached) is str:
-                raise CorruptionError(cached)
-            return cached
-        try:
-            ds = self._decode_data_uncached(raw)
-        except CorruptionError as exc:
-            self._cache_put(raw, str(exc))
-            raise
-        self._cache_put(raw, ds)
-        return ds
-
-    def _cache_put(self, raw: bytes, value) -> None:
-        cache = self._decode_cache
-        if len(cache) >= 32768:  # bound footprint on long-lived codecs
-            cache.clear()
-        cache[raw] = value
+        return _memoized(self._decode_cache, raw, self._decode_data_uncached)
 
     def _decode_data_uncached(self, raw: bytes) -> DataSlice:
         if len(raw) != SLICE_BYTES:
@@ -352,7 +359,20 @@ class SliceCodec:
         return raw
 
     def decode_addr(self, raw: bytes) -> AddressSlice:
-        """Decode a commit-log page; raises on corruption."""
+        """Decode a commit-log page; raises on corruption.
+
+        The memo holds ``(tuple(entries), sequence)``; every call builds
+        a fresh ``AddressSlice`` with its own ``entries`` list from it,
+        because ``CommitLog.retire`` rewrites entries in place.
+        """
+        entries, sequence = _memoized(
+            self._addr_cache, raw, self._decode_addr_uncached
+        )
+        return AddressSlice(entries=list(entries), sequence=sequence)
+
+    def _decode_addr_uncached(
+        self, raw: bytes
+    ) -> Tuple[Tuple[AddressSliceEntry, ...], int]:
         if len(raw) != SLICE_BYTES:
             raise CorruptionError(f"slice must be {SLICE_BYTES} bytes")
         if raw[-1] & 0xF != KIND_ADDR:
@@ -379,7 +399,7 @@ class SliceCodec:
                     retired=bool(packed >> (_TXID_BITS + 35) & 1),
                 )
             )
-        return AddressSlice(entries=entries, sequence=header["sequence"])
+        return tuple(entries), header["sequence"]
 
     # -- classification -----------------------------------------------------------
 
@@ -392,8 +412,9 @@ class SliceCodec:
 
 
 # -- snapshot declarations ----------------------------------------------------
-# DataSlice / AddressSliceEntry are frozen; the codec is stateless after
-# construction.  AddressSlice owns a mutable entries list.
+# DataSlice / AddressSliceEntry are frozen.  The codec holds only its
+# layout and the two decode memos, both pure functions of the raw bytes,
+# which is why clones share it.  AddressSlice owns a mutable entries list.
 DataSlice.__snapshot_state__ = "__atom__"
 AddressSliceEntry.__snapshot_state__ = "__atom__"
 AddressSlice.__snapshot_state__ = "__all__"

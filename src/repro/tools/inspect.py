@@ -11,18 +11,12 @@ counterexample.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.errors import CorruptionError
 from repro.core import hoop_controllers
 from repro.core.controller import HoopController
 from repro.core.oop_region import BlockState
-from repro.core.slices import (
-    KIND_ADDR,
-    KIND_DATA,
-    SLICE_BYTES,
-    SliceCodec,
-)
+from repro.core.recovery import BlockReader
+from repro.core.slices import KIND_ADDR, KIND_DATA
 from repro.stats.report import format_table
 from repro.txn.system import MemorySystem
 
@@ -30,6 +24,7 @@ from repro.txn.system import MemorySystem
 def dump_region(controller: HoopController, *, max_blocks: int = 32) -> str:
     """Block states, streams, generations, and slice occupancy."""
     region = controller.region
+    reader = BlockReader(region)
     rows = []
     shown = 0
     for block in range(region.num_blocks):
@@ -37,32 +32,27 @@ def dump_region(controller: HoopController, *, max_blocks: int = 32) -> str:
         stream = region.stream_of(block)
         if state == BlockState.UNUSED and stream is None:
             continue
-        data_slices = addr_slices = torn = 0
-        for slice_index in region.iter_block_slices(block):
-            raw = controller.port.device.peek(
-                region.slice_addr(slice_index), SLICE_BYTES
-            )
-            kind = SliceCodec.kind_of(raw)
-            if kind == KIND_DATA:
+        counts = []
+        torn = 0
+        for kind, decode in (
+            (KIND_DATA, controller.codec.decode_data),
+            (KIND_ADDR, controller.codec.decode_addr),
+        ):
+            intact = 0
+            for _, raw in reader.slices_of_kind(block, kind):
                 try:
-                    controller.codec.decode_data(raw)
-                    data_slices += 1
+                    decode(raw)
+                    intact += 1
                 except CorruptionError:
                     torn += 1
-            elif kind == KIND_ADDR:
-                try:
-                    controller.codec.decode_addr(raw)
-                    addr_slices += 1
-                except CorruptionError:
-                    torn += 1
+            counts.append(intact)
         rows.append(
             [
                 block,
                 state.name,
                 stream or "-",
                 region.generation_of(block),
-                data_slices,
-                addr_slices,
+                *counts,
                 torn,
             ]
         )
@@ -77,36 +67,11 @@ def dump_region(controller: HoopController, *, max_blocks: int = 32) -> str:
 
 def dump_commit_log(controller: HoopController, *, max_txs: int = 20) -> str:
     """Live committed transactions and their chain shapes."""
+    reader = BlockReader(controller.region)
     rows = []
     for tx in controller.commit_log.committed_transactions()[:max_txs]:
-        chain_len = 0
-        words = 0
-        for tail in tx.segment_tails:
-            cursor: Optional[int] = tail
-            total = (
-                controller.region.num_blocks
-                * controller.region.slots_per_block
-            )
-            while cursor is not None and chain_len < 10_000:
-                raw = controller.port.device.peek(
-                    controller.region.slice_addr(cursor), SLICE_BYTES
-                )
-                try:
-                    ds = controller.codec.decode_data(raw)
-                except CorruptionError:
-                    break
-                if ds.tx_id != tx.tx_id:
-                    break
-                chain_len += 1
-                words += len(ds.words)
-                cursor = (
-                    None
-                    if ds.prev_delta is None
-                    else (cursor - ds.prev_delta) % total
-                )
-        rows.append(
-            [tx.tx_id, len(tx.segment_tails), chain_len, words]
-        )
+        words, slices = controller.recovery.walk_tx(reader, tx)
+        rows.append([tx.tx_id, len(tx.segment_tails), slices, len(words)])
     return format_table(["tx", "segments", "slices", "words"], rows)
 
 

@@ -164,4 +164,6 @@ class TestLifecycle:
         assert stats.passes == 1
         assert stats.on_demand_passes == 1
         assert stats.words_migrated == 1
-        assert len(stats.reports) == 1
+        controller.gc.run(0.0, on_demand=False)
+        assert stats.passes == 2
+        assert stats.on_demand_passes == 1
