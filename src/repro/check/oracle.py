@@ -33,7 +33,7 @@ from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.crashtest import choose_boundaries, verify_atomic_durability
 from repro.faults import make_device
-from repro.snapshot import capture, checkpoint_cadence, snapshots_enabled
+from repro.snapshot import capture, snapshots_enabled
 from repro.snapshot.replay import Checkpoint, CheckpointChain
 from repro.txn.system import MemorySystem
 
@@ -260,7 +260,7 @@ def check_scheme(
         incremental = snapshots_enabled()
         chain = CheckpointChain()
         if incremental:
-            cadence = checkpoint_cadence(max(1, len(trace.txns) // 8))
+            cadence = max(1, len(trace.txns) // 8)
             probe_outcome, chain = _probe_with_checkpoints(
                 probe, trace, cadence
             )

@@ -36,6 +36,15 @@ class CacheConfig:
                 f"cache {self.name}: {lines} lines not divisible by "
                 f"{self.ways} ways"
             )
+        # The tag stores index a set with one shift and one mask.
+        for what, value in (
+            ("line size", self.line_size),
+            ("set count", lines // self.ways),
+        ):
+            if value < 1 or value & (value - 1):
+                raise ConfigError(
+                    f"cache {self.name}: {what} {value} is not a power of two"
+                )
         if self.latency_ns < 0:
             raise ConfigError(f"cache {self.name}: negative latency")
 

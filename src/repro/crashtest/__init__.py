@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.faults.plan import CrashArtifact, save_artifact
-from repro.snapshot import capture, checkpoint_cadence, snapshots_enabled
+from repro.snapshot import capture, snapshots_enabled
 from repro.snapshot.replay import Checkpoint, CheckpointChain
 from repro.txn.system import MemorySystem
 
@@ -468,18 +468,17 @@ def sweep_scheme(
 
     By default the sweep is *incremental*: the probe run doubles as a
     recorder, laying a snapshot checkpoint every ``cadence``
-    transactions (default ``transactions // 20``, overridable via
-    ``REPRO_SNAPSHOT_CADENCE``), and each boundary replays only from
-    the nearest checkpoint.  ``REPRO_SNAPSHOT_DISABLE=1`` falls back to
-    the original cold rerun per boundary; per-boundary verdicts are
-    bit-identical either way.
+    transactions (default ``transactions // 20``), and each boundary
+    replays only from the nearest checkpoint.
+    ``REPRO_SNAPSHOT_DISABLE=1`` falls back to the original cold rerun
+    per boundary; per-boundary verdicts are bit-identical either way.
     """
     incremental = snapshots_enabled()
     txns: List[TxnRecord] = []
     chain = CheckpointChain()
     if incremental:
         if cadence is None:
-            cadence = checkpoint_cadence(max(1, transactions // 20))
+            cadence = max(1, transactions // 20)
         total, txns, chain = _probe_and_checkpoint(
             scheme,
             seed=seed,

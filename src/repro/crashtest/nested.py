@@ -57,7 +57,7 @@ from repro.crashtest import (
     verify_atomic_durability,
 )
 from repro.faults.plan import CrashArtifact, save_artifact
-from repro.snapshot import capture, checkpoint_cadence, snapshots_enabled
+from repro.snapshot import capture, snapshots_enabled
 from repro.snapshot.replay import CheckpointChain
 from repro.txn.system import MemorySystem
 
@@ -566,7 +566,7 @@ def _nested_sweep_counted(
     chain: Optional[CheckpointChain] = None
     txns = []
     if snapshots_enabled():
-        cadence = checkpoint_cadence(max(1, transactions // 8))
+        cadence = max(1, transactions // 8)
         total, txns, chain = _probe_and_checkpoint(
             scheme,
             seed=seed,

@@ -97,10 +97,19 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # The switch travels by environment so --jobs workers inherit it;
+    # an in-process caller gets its own setting back afterwards.
+    previous = os.environ.get("REPRO_NO_CACHE")
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
-    with profile_to(args.profile):
-        return _run(args)
+    try:
+        with profile_to(args.profile):
+            return _run(args)
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NO_CACHE", None)
+        else:
+            os.environ["REPRO_NO_CACHE"] = previous
 
 
 def _emit(out_dir: pathlib.Path, name: str, produce):

@@ -13,7 +13,7 @@ presence for latency.  That keeps a single authoritative volatile copy per
 line, which is exactly the property crash tests need.
 """
 
-from repro.memhier.cache import CacheLevel, EvictedLine
+from repro.memhier.cache import CacheLevel
 from repro.memhier.hierarchy import AccessOutcome, CacheHierarchy
 
-__all__ = ["CacheLevel", "EvictedLine", "CacheHierarchy", "AccessOutcome"]
+__all__ = ["CacheLevel", "CacheHierarchy", "AccessOutcome"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 from repro.common.config import CacheConfig
 
@@ -24,16 +24,6 @@ class LineFlags:
     tx_id: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class EvictedLine:
-    """A line pushed out of a level by an insertion."""
-
-    line_addr: int
-    dirty: bool
-    persistent: bool
-    tx_id: int
-
-
 # Shared placeholder for tag-only residency tracking (L1/L2): those
 # levels never read their flag bits, so one immutable-by-convention
 # instance serves every line instead of an allocation per insert.
@@ -41,76 +31,32 @@ _TAG = LineFlags()
 
 
 class CacheLevel:
-    """Tag store for one cache level."""
+    """Tag store for one cache level.
+
+    The level itself only probes; lines enter and leave through the
+    hierarchy's miss path (:meth:`CacheHierarchy._miss_resident`), which
+    works on ``_sets`` directly with the shift-and-mask set index below.
+    """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        # num_sets/ways are derived properties (divisions); snapshot them
-        # once — set-index math runs on every cache probe.
-        self._line_size = config.line_size
-        self._num_sets = config.num_sets
         self._ways = config.ways
         # Every set bucket is preallocated so probes index straight into
         # the dict — no .get()/None branch on the hottest lookups.
         self._sets: Dict[int, "OrderedDict[int, LineFlags]"] = {
-            index: OrderedDict() for index in range(self._num_sets)
+            index: OrderedDict() for index in range(config.num_sets)
         }
-        # Power-of-two geometry (every preset) turns the set-index
-        # division/modulo into a shift-and-mask.
-        if (
-            self._line_size & (self._line_size - 1) == 0
-            and self._num_sets & (self._num_sets - 1) == 0
-        ):
-            self._shift = self._line_size.bit_length() - 1
-            self._set_mask = self._num_sets - 1
-        else:
-            self._shift = -1
-            self._set_mask = -1
+        # CacheConfig guarantees power-of-two line size and set count,
+        # so the set index is ``(line_addr >> _shift) & _set_mask``.
+        self._shift = config.line_size.bit_length() - 1
+        self._set_mask = config.num_sets - 1
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Sticky marker: did insert() ever store a real LineFlags (vs
-        # the shared _TAG)?  Tag-only levels (L1/L2) clone by pure
-        # C-level bucket copies with no per-line fixups.
-        self._has_flags = False
-
-    def _set_index(self, line_addr: int) -> int:
-        if self._set_mask >= 0:
-            return (line_addr >> self._shift) & self._set_mask
-        return (line_addr // self._line_size) % self._num_sets
-
-    def _set_for(self, line_addr: int) -> "OrderedDict[int, LineFlags]":
-        return self._sets[self._set_index(line_addr)]
-
-    def lookup(self, line_addr: int, *, touch: bool = True) -> Optional[LineFlags]:
-        """Probe for a line; refresh LRU recency when ``touch``."""
-        mask = self._set_mask
-        if mask >= 0:
-            index = (line_addr >> self._shift) & mask
-        else:
-            index = (line_addr // self._line_size) % self._num_sets
-        bucket = self._sets[index]
-        flags = bucket.get(line_addr)
-        if flags is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if touch:
-            bucket.move_to_end(line_addr)
-        return flags
 
     def probe(self, line_addr: int) -> bool:
-        """Hot-path hit test: like ``lookup`` but returns a plain bool.
-
-        Same stats and LRU-recency side effects; skips returning the flag
-        object (which tag-only levels never read anyway).
-        """
-        mask = self._set_mask
-        if mask >= 0:
-            index = (line_addr >> self._shift) & mask
-        else:
-            index = (line_addr // self._line_size) % self._num_sets
-        bucket = self._sets[index]
+        """Hit test: counts the hit or miss and refreshes LRU recency."""
+        bucket = self._sets[(line_addr >> self._shift) & self._set_mask]
         if line_addr in bucket:
             self.hits += 1
             bucket.move_to_end(line_addr)
@@ -118,86 +64,19 @@ class CacheLevel:
         self.misses += 1
         return False
 
-    def contains(self, line_addr: int) -> bool:
-        """Presence probe with no stats or recency side effects."""
-        return line_addr in self._sets[self._set_index(line_addr)]
-
-    def insert(self, line_addr: int, flags: Optional[LineFlags] = None) -> Optional[EvictedLine]:
-        """Insert (or refresh) a line; returns the LRU victim if one fell out."""
-        mask = self._set_mask
-        if mask >= 0:
-            index = (line_addr >> self._shift) & mask
-        else:
-            index = (line_addr // self._line_size) % self._num_sets
-        self._has_flags = True
-        bucket = self._sets[index]
-        if line_addr in bucket:
-            bucket.move_to_end(line_addr)
-            if flags is not None:
-                bucket[line_addr] = flags
-            return None
-        victim: Optional[EvictedLine] = None
-        if len(bucket) >= self._ways:
-            victim_addr, victim_flags = bucket.popitem(last=False)
-            victim = EvictedLine(
-                line_addr=victim_addr,
-                dirty=victim_flags.dirty,
-                persistent=victim_flags.persistent,
-                tx_id=victim_flags.tx_id,
-            )
-            self.evictions += 1
-        bucket[line_addr] = flags if flags is not None else LineFlags()
-        return victim
-
-    def tag_insert(self, line_addr: int) -> None:
-        """Presence/recency-only insert for tag stores (L1/L2).
-
-        Identical residency behavior to :meth:`insert` with no flags, but
-        never materializes an :class:`EvictedLine` (inclusive hierarchies
-        ignore L1/L2 victims) and shares one flag object across lines.
-        """
-        mask = self._set_mask
-        if mask >= 0:
-            index = (line_addr >> self._shift) & mask
-        else:
-            index = (line_addr // self._line_size) % self._num_sets
-        bucket = self._sets[index]
-        if line_addr in bucket:
-            bucket.move_to_end(line_addr)
-            return
-        if len(bucket) >= self._ways:
-            bucket.popitem(last=False)
-            self.evictions += 1
-        bucket[line_addr] = _TAG
-
-    def invalidate(self, line_addr: int) -> Optional[LineFlags]:
-        """Drop a line (inclusive-hierarchy back-invalidation)."""
-        mask = self._set_mask
-        if mask >= 0:
-            index = (line_addr >> self._shift) & mask
-        else:
-            index = (line_addr // self._line_size) % self._num_sets
-        return self._sets[index].pop(line_addr, None)
-
-    def iter_lines(self) -> Iterator[int]:
-        """All resident line addresses (test/inspection helper)."""
-        for bucket in self._sets.values():
-            yield from bucket.keys()
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._sets.values())
-
     @property
     def miss_ratio(self) -> float:
+        """Misses over probes since the last ``reset_stats`` (0 if none)."""
         total = self.hits + self.misses
         return self.misses / total if total else 0.0
 
     def clear(self) -> None:
+        """Drop every line (power failure); the counters stay."""
         for bucket in self._sets.values():
             bucket.clear()
 
     def reset_stats(self) -> None:
+        """Zero the counters; residency and recency stay."""
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -208,43 +87,25 @@ class CacheLevel:
         """Hand-rolled clone for :mod:`repro.snapshot`.
 
         The tag store is hundreds of small OrderedDict buckets whose
-        values are either the shared ``_TAG`` marker or 3-field
-        LineFlags records; rebuilding them inline (with memo entries so
-        the hierarchy's flag index keeps aliasing the same LineFlags
-        clones) is several times cheaper than generic engine dispatch
-        per bucket and per flags object.
+        values in L1/L2 are all the shared ``_TAG`` marker, so a C-level
+        copy per bucket (shares values, keeps LRU order) is the whole
+        clone — several times cheaper than generic engine dispatch per
+        bucket.  The LLC's buckets hold real LineFlags records; the
+        hierarchy, which owns them, re-points those at its own clones
+        (:meth:`CacheHierarchy.__snapshot_clone__`).
         """
         cls = self.__class__
         out = cls.__new__(cls)
         memo[id(self)] = out
         out.__dict__.update(self.__dict__)
-        # C-level copies (shares values, keeps LRU order); tag-only
-        # levels (never saw a real LineFlags) are done right there.
-        new_sets = {
+        out._sets = {
             index: bucket.copy() for index, bucket in self._sets.items()
         }
-        out._sets = new_sets
-        if self._has_flags:
-            # Swap real flag records for their memoized twins so the
-            # hierarchy's flag index keeps aliasing the same clones.
-            for fresh in new_sets.values():
-                for addr, flags in fresh.items():
-                    if flags is not _TAG:
-                        twin = memo.get(id(flags))
-                        if twin is None:
-                            twin = LineFlags(
-                                flags.dirty, flags.persistent, flags.tx_id
-                            )
-                            memo[id(flags)] = twin
-                        fresh[addr] = twin
         return out
 
 
 # -- snapshot declarations ----------------------------------------------------
-# LineFlags fields are scalars; the memo makes every bucket that shares a
-# flags object (LLC set + hierarchy flag index, or the _TAG presence
-# marker) share the single clone, preserving aliasing.  CacheLevel
-# itself clones through __snapshot_clone__ above.
+# LineFlags fields are scalars.  CacheLevel clones through
+# __snapshot_clone__ above.
 LineFlags.__snapshot_state__ = "__atoms__"
-EvictedLine.__snapshot_state__ = "__shared__"
 CacheLevel.__snapshot_state__ = "__all__"

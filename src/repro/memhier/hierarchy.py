@@ -18,17 +18,21 @@ Design notes
   the scheme's whole point); on a dirty eviction the scheme decides where
   the bytes go.  The hierarchy never touches NVM itself.
 
-* **Hot-path layout.**  ``load``/``store`` are the innermost functions of
-  every simulation, so the common case (an L1 hit) is kept free of LLC
-  probes: per-line flags are mirrored in a flat dict (``_flags``) whose
-  lifetime exactly matches ``_data`` (LLC residency), and the per-level
-  latencies are cached as plain floats at construction.
+* **Hot-path layout.**  Word loads and every store are the innermost
+  operations of every simulation, so ``MemorySystem`` (``txn/system.py``)
+  runs the L1 probe and the line write inline against this class's
+  private state and enters it only on an L1 miss
+  (:meth:`CacheHierarchy._miss_resident`); :meth:`CacheHierarchy.load`
+  serves every other read.  The common case (an L1 hit) is kept free of
+  LLC probes: per-line flags are mirrored in a flat dict (``_flags``)
+  whose lifetime exactly matches ``_data`` (LLC residency), and the
+  per-level latencies are cached as plain floats at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES
 from repro.common.config import SystemConfig
@@ -51,11 +55,14 @@ class AccessOutcome(NamedTuple):
 
     @property
     def llc_miss(self) -> bool:
+        """True when the scheme had to supply the line."""
         return self.hit_level == "MEM"
 
 
 @dataclass
 class HierarchyStats:
+    """Access and LLC counters since the last ``reset_stats``."""
+
     loads: int = 0
     stores: int = 0
     llc_misses: int = 0
@@ -64,6 +71,7 @@ class HierarchyStats:
 
     @property
     def llc_miss_ratio(self) -> float:
+        """LLC misses over LLC accesses (0 before the first)."""
         if not self.llc_accesses:
             return 0.0
         return self.llc_misses / self.llc_accesses
@@ -94,7 +102,7 @@ class CacheHierarchy:
         # between a snapshot capture and the first store to the line.
         self._data_cow: set = set()
         # Flags mirror: same keys as _data, pointing at the LineFlags
-        # objects stored in the LLC tag array.  Lets load/store reach a
+        # objects stored in the LLC tag array.  Lets a store reach a
         # line's flags by one dict probe instead of a set-associative
         # LLC lookup.
         self._flags: Dict[int, LineFlags] = {}
@@ -116,32 +124,16 @@ class CacheHierarchy:
 
     # -- internals -----------------------------------------------------------
 
-    def _check_core(self, core: int) -> None:
-        if not 0 <= core < self.config.num_cores:
-            raise AddressError(f"core {core} out of range")
-
     def _back_invalidate(self, line_addr: int) -> None:
-        # CacheLevel.invalidate inlined (same set-index math, result
-        # unused): this sweep runs per LLC eviction across 2*num_cores
-        # tag stores.
+        # Inclusive LLC: drop the line from all 2*num_cores private tag
+        # stores.  Runs per LLC eviction, so the buckets are reached
+        # directly.
         for level in self._private_levels:
-            mask = level._set_mask
-            if mask >= 0:
-                index = (line_addr >> level._shift) & mask
-            else:
-                index = (line_addr // level._line_size) % level._num_sets
-            level._sets[index].pop(line_addr, None)
+            level._sets[(line_addr >> level._shift) & level._set_mask].pop(
+                line_addr, None
+            )
 
-    def _evict_victim(self, victim, now_ns: float) -> None:
-        self._evict_victim_fields(
-            victim.line_addr,
-            victim.dirty,
-            victim.persistent,
-            victim.tx_id,
-            now_ns,
-        )
-
-    def _evict_victim_fields(
+    def _evict_line(
         self,
         line_addr: int,
         dirty: bool,
@@ -149,8 +141,7 @@ class CacheHierarchy:
         tx_id: int,
         now_ns: float,
     ) -> None:
-        # Same behavior as _evict_victim without requiring an EvictedLine
-        # (the LLC-miss fill path passes the victim's fields directly).
+        """Retire an LLC victim: drop it everywhere, hand it to the scheme."""
         data = self._data.pop(line_addr, None)
         self._flags.pop(line_addr, None)
         self._back_invalidate(line_addr)
@@ -167,126 +158,76 @@ class CacheHierarchy:
             now_ns,
         )
 
-    def _ensure_resident(
-        self, core: int, line_addr: int, now_ns: float
-    ) -> Tuple[str, float]:
-        """Bring a line into L1/L2/LLC; returns (hit level, latency)."""
-        if self._l1[core].probe(line_addr):
-            return "L1", self._l1_latency
-        outcome = self._miss_resident(core, line_addr, now_ns)
-        return outcome.hit_level, outcome.latency_ns
-
     def _miss_resident(
         self, core: int, line_addr: int, now_ns: float
     ) -> AccessOutcome:
         """L1-missed path of residency: probe L2/LLC, fill on LLC miss.
 
-        The L2/LLC probes are inlined from :meth:`CacheLevel.probe`
-        (identical stats/LRU side effects) — this path runs on every L1
-        miss and the probe-call overhead is measurable.
+        The one place lines enter and leave the tag stores.  It works on
+        the levels' buckets directly — an L2/LLC probe is
+        :meth:`CacheLevel.probe` written out; a refill pushes the LRU
+        way out of a full set and inserts, the line being absent from
+        every level it just missed in — because this runs on every L1
+        miss and a call per level is measurable.
         """
         l1 = self._l1[core]
         l2 = self._l2[core]
-        mask = l2._set_mask
-        if mask >= 0:
-            l2_index = (line_addr >> l2._shift) & mask
-        else:
-            l2_index = (line_addr // l2._line_size) % l2._num_sets
-        l2_bucket = l2._sets[l2_index]
+        l1_bucket = l1._sets[(line_addr >> l1._shift) & l1._set_mask]
+        l2_bucket = l2._sets[(line_addr >> l2._shift) & l2._set_mask]
         if line_addr in l2_bucket:
             l2.hits += 1
             l2_bucket.move_to_end(line_addr)
-            # CacheLevel.tag_insert inlined for the L1 refill (and below
-            # for L2): this runs on every L1 miss.
-            mask = l1._set_mask
-            if mask >= 0:
-                index = (line_addr >> l1._shift) & mask
-            else:
-                index = (line_addr // l1._line_size) % l1._num_sets
-            bucket = l1._sets[index]
-            if line_addr in bucket:
-                bucket.move_to_end(line_addr)
-            else:
-                if len(bucket) >= l1._ways:
-                    bucket.popitem(last=False)
-                    l1.evictions += 1
-                bucket[line_addr] = _TAG
-            return self._out_l2
-        l2.misses += 1
-        stats = self.stats
-        stats.llc_accesses += 1
-        llc = self._llc
-        mask = llc._set_mask
-        if mask >= 0:
-            index = (line_addr >> llc._shift) & mask
+            outcome = self._out_l2
         else:
-            index = (line_addr // llc._line_size) % llc._num_sets
-        bucket = llc._sets[index]
-        if line_addr in bucket:
-            llc.hits += 1
-            bucket.move_to_end(line_addr)
+            l2.misses += 1
+            stats = self.stats
+            stats.llc_accesses += 1
+            llc = self._llc
+            bucket = llc._sets[(line_addr >> llc._shift) & llc._set_mask]
+            if line_addr in bucket:
+                llc.hits += 1
+                bucket.move_to_end(line_addr)
+                outcome = self._out_llc
+            else:
+                llc.misses += 1
+                # LLC miss: the scheme supplies the line.
+                stats.llc_misses += 1
+                data, extra = self._fill(line_addr, now_ns)
+                if len(data) != CACHE_LINE_BYTES:
+                    raise AddressError(
+                        f"fill handler returned {len(data)} bytes for a line"
+                    )
+                flags = LineFlags()
+                if len(bucket) >= llc._ways:
+                    victim_addr, victim_flags = bucket.popitem(last=False)
+                    llc.evictions += 1
+                    bucket[line_addr] = flags
+                    self._evict_line(
+                        victim_addr,
+                        victim_flags.dirty,
+                        victim_flags.persistent,
+                        victim_flags.tx_id,
+                        now_ns,
+                    )
+                else:
+                    bucket[line_addr] = flags
+                self._data[line_addr] = bytearray(data)
+                self._flags[line_addr] = flags
+                outcome = AccessOutcome(
+                    "MEM", self._out_llc.latency_ns + extra
+                )
+            # L2 refill.  An eviction above back-invalidates only the
+            # *victim's* line, so this one is still absent here.
             if len(l2_bucket) >= l2._ways:
                 l2_bucket.popitem(last=False)
                 l2.evictions += 1
             l2_bucket[line_addr] = _TAG
-            mask = l1._set_mask
-            if mask >= 0:
-                index = (line_addr >> l1._shift) & mask
-            else:
-                index = (line_addr // l1._line_size) % l1._num_sets
-            bucket = l1._sets[index]
-            if line_addr in bucket:
-                bucket.move_to_end(line_addr)
-            else:
-                if len(bucket) >= l1._ways:
-                    bucket.popitem(last=False)
-                    l1.evictions += 1
-                bucket[line_addr] = _TAG
-            return self._out_llc
-        llc.misses += 1
-        # LLC miss: the scheme supplies the line.
-        stats.llc_misses += 1
-        data, extra = self._fill(line_addr, now_ns)
-        if len(data) != CACHE_LINE_BYTES:
-            raise AddressError(
-                f"fill handler returned {len(data)} bytes for a line"
-            )
-        flags = LineFlags()
-        # CacheLevel.insert inlined: the line just missed the LLC probe
-        # above, so only the victim/insert arm can run.
-        if len(bucket) >= llc._ways:
-            victim_addr, victim_flags = bucket.popitem(last=False)
-            llc.evictions += 1
-            bucket[line_addr] = flags
-            self._evict_victim_fields(
-                victim_addr,
-                victim_flags.dirty,
-                victim_flags.persistent,
-                victim_flags.tx_id,
-                now_ns,
-            )
-        else:
-            bucket[line_addr] = flags
-        self._data[line_addr] = bytearray(data)
-        self._flags[line_addr] = flags
-        # tag_insert inlined for L2/L1 refill; eviction above can only
-        # have removed the *victim's* line from these buckets, so the
-        # missing-line arm still holds for line_addr.
-        if len(l2_bucket) >= l2._ways:
-            l2_bucket.popitem(last=False)
-            l2.evictions += 1
-        l2_bucket[line_addr] = _TAG
-        mask = l1._set_mask
-        if mask >= 0:
-            index = (line_addr >> l1._shift) & mask
-        else:
-            index = (line_addr // l1._line_size) % l1._num_sets
-        l1_bucket = l1._sets[index]
+        # L1 refill: the caller's L1 probe is what missed.
         if len(l1_bucket) >= l1._ways:
             l1_bucket.popitem(last=False)
             l1.evictions += 1
         l1_bucket[line_addr] = _TAG
-        return AccessOutcome("MEM", self._out_llc.latency_ns + extra)
+        return outcome
 
     # -- public API ------------------------------------------------------------
 
@@ -308,123 +249,6 @@ class CacheHierarchy:
         data = bytes(self._data[line][offset : offset + size])
         return data, outcome
 
-    def load_u64(
-        self, core: int, addr: int, now_ns: float = 0.0
-    ) -> Tuple[int, float]:
-        """Aligned 8-byte read; returns ``(value, latency_ns)``.
-
-        Equivalent to :meth:`load` for an 8-aligned address (which can
-        never cross a line) but skips bytes materialization and outcome
-        construction — this is the pointer-chase innermost call of every
-        tree/list workload.
-        """
-        if not 0 <= core < self._num_cores:
-            raise AddressError(f"core {core} out of range")
-        line = addr & _LINE_MASK
-        self.stats.loads += 1
-        if self._l1[core].probe(line):
-            latency = self._l1_latency
-        else:
-            latency = self._miss_resident(core, line, now_ns).latency_ns
-        offset = addr - line
-        data = self._data[line]
-        return int.from_bytes(data[offset : offset + 8], "little"), latency
-
-    def store(
-        self,
-        core: int,
-        addr: int,
-        data: bytes,
-        now_ns: float = 0.0,
-        *,
-        persistent: bool = False,
-        tx_id: int = 0,
-    ) -> AccessOutcome:
-        """Write bytes within one cache line (write-allocate)."""
-        if not 0 <= core < self._num_cores:
-            raise AddressError(f"core {core} out of range")
-        if not data:
-            raise AddressError("empty store")
-        line = addr & _LINE_MASK
-        if (addr + len(data) - 1) & _LINE_MASK != line:
-            raise AddressError("store must not cross a cache-line boundary")
-        self.stats.stores += 1
-        if self._l1[core].probe(line):
-            outcome = self._out_l1
-        else:
-            outcome = self._miss_resident(core, line, now_ns)
-        offset = addr - line
-        cow = self._data_cow
-        if cow and line in cow:
-            # Line buffer is aliased by a snapshot: copy before writing.
-            self._data[line] = bytearray(self._data[line])
-            cow.discard(line)
-        self._data[line][offset : offset + len(data)] = data
-        # The flags mirror shares keys with _data, so the line is always
-        # present after residency is ensured.
-        flags = self._flags[line]
-        flags.dirty = True
-        if persistent:
-            flags.persistent = True
-            flags.tx_id = tx_id
-        return outcome
-
-    def peek_line(self, line_addr: int) -> Optional[bytes]:
-        """Current cached bytes of a line, or None if not resident."""
-        data = self._data.get(line_addr & _LINE_MASK)
-        return bytes(data) if data is not None else None
-
-    def is_resident(self, line_addr: int) -> bool:
-        return line_addr & _LINE_MASK in self._data
-
-    def line_flags(self, line_addr: int) -> Optional[LineFlags]:
-        return self._flags.get(line_addr & _LINE_MASK)
-
-    def writeback_line(self, line_addr: int, now_ns: float = 0.0) -> bool:
-        """clwb-style: push a dirty line to the scheme, keep it cached clean.
-
-        Returns True when a writeback actually happened.
-        """
-        line = line_addr & _LINE_MASK
-        flags = self._flags.get(line)
-        if flags is None or not flags.dirty:
-            return False
-        self._evict(
-            line,
-            bytes(self._data[line]),
-            True,
-            flags.persistent,
-            flags.tx_id,
-            now_ns,
-        )
-        flags.dirty = False
-        return True
-
-    def flush_line(self, line_addr: int, now_ns: float = 0.0) -> bool:
-        """clflush-style: write back if dirty, then invalidate everywhere."""
-        line = line_addr & _LINE_MASK
-        flags = self._llc.invalidate(line)
-        self._flags.pop(line, None)
-        data = self._data.pop(line, None)
-        self._back_invalidate(line)
-        if flags is None or data is None:
-            return False
-        if flags.dirty:
-            self._evict(
-                line, bytes(data), True, flags.persistent, flags.tx_id, now_ns
-            )
-        return flags.dirty
-
-    def dirty_lines(self) -> List[Tuple[int, bytes, LineFlags]]:
-        """All dirty resident lines (inspection / commit-drain helper)."""
-        out = []
-        flags_map = self._flags
-        for line, data in self._data.items():
-            flags = flags_map.get(line)
-            if flags is not None and flags.dirty:
-                out.append((line, bytes(data), flags))
-        return out
-
     def crash(self) -> None:
         """Power failure: every volatile line vanishes."""
         self._data.clear()
@@ -438,9 +262,11 @@ class CacheHierarchy:
 
     @property
     def llc(self) -> CacheLevel:
+        """The shared last-level tag store (its buckets hold the flags)."""
         return self._llc
 
     def reset_stats(self) -> None:
+        """Zero every counter, here and in each level; contents stay."""
         self.stats = HierarchyStats()
         self._llc.reset_stats()
         for level in self._l1:
@@ -451,15 +277,21 @@ class CacheHierarchy:
     # -- snapshots -------------------------------------------------------------
 
     def __snapshot_clone__(self, memo: dict, clone) -> "CacheHierarchy":
-        """Clone with copy-on-write line buffers.
+        """Clone with copy-on-write line buffers and re-aliased flags.
 
         Every other attribute goes through the engine, but ``_data`` —
         one 64-byte bytearray per resident LLC line, the bulk of the
         hierarchy's mutable bytes — is shared: both sides mark every
-        line in their ``_data_cow`` set and :meth:`store` copies a
-        buffer on the first in-place write.  Rebinding sites (LLC fill,
-        invalidation pops) never mutate a shared buffer, so they need
-        no guard.
+        line in their ``_data_cow`` set and the store path
+        (``MemorySystem._store``) copies a buffer on the first in-place
+        write.  Rebinding sites (LLC fill, eviction pops) never mutate a
+        shared buffer, so they need no guard.
+
+        ``_flags`` and the LLC buckets alias one ``LineFlags`` per
+        resident line (a store sets ``dirty`` through the first, an
+        eviction reads it through the second).  The level's own clone is
+        a pure bucket copy that still points at *this* side's records,
+        so each line gets one fresh record here, installed in both.
         """
         cls = self.__class__
         out = cls.__new__(cls)
@@ -470,12 +302,21 @@ class CacheHierarchy:
                 shared = dict(value)
                 memo[id(value)] = shared
                 nd[key] = shared
-            elif key == "_data_cow":
-                continue  # each side gets its own set, below
+            elif key in ("_data_cow", "_flags"):
+                continue  # rebuilt per side, below
             else:
                 nd[key] = clone(value)
         self._data_cow.update(self._data.keys())
         out._data_cow = set(self._data.keys())
+        llc = out._llc
+        sets, shift, mask = llc._sets, llc._shift, llc._set_mask
+        out._flags = fresh = {}
+        memo[id(self._flags)] = fresh
+        for line, flags in self._flags.items():
+            twin = LineFlags(flags.dirty, flags.persistent, flags.tx_id)
+            fresh[line] = twin
+            # Assigning to a present key keeps the bucket's LRU order.
+            sets[(line >> shift) & mask][line] = twin
         return out
 
 

@@ -72,7 +72,6 @@ __all__ = [
     "restore",
     "clone_state",
     "snapshots_enabled",
-    "checkpoint_cadence",
     "unregistered_classes",
     "reset_unregistered",
 ]
@@ -123,19 +122,6 @@ def reset_unregistered() -> None:
 def snapshots_enabled() -> bool:
     """False when ``REPRO_SNAPSHOT_DISABLE=1`` forces cold reruns."""
     return os.environ.get("REPRO_SNAPSHOT_DISABLE", "") not in ("1", "true")
-
-
-def checkpoint_cadence(default: int) -> int:
-    """Checkpoint interval in transactions (``REPRO_SNAPSHOT_CADENCE``)."""
-    raw = os.environ.get("REPRO_SNAPSHOT_CADENCE", "")
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return default
 
 
 class _Plan:

@@ -292,33 +292,40 @@ class MemorySystem:
             self.telemetry.on_commit(core, tx.tx_id, tx.begin_ns, now)
         self.scheme.tick(now)
 
+    # Stores and word loads are the innermost operations of every
+    # simulation, so ``_store`` and ``_load_u64`` run the L1 probe and
+    # the line access inline against ``CacheHierarchy``'s private state
+    # and enter it only on an L1 miss.  Routing them through hierarchy
+    # methods instead — the tidier module boundary — costs one frame and
+    # one tuple per access and lost every ``paper-matrix`` pair, 0.96x
+    # to 0.98x (docs/internals.md, "Hot-path layout").  Each access has
+    # this one body; the layered forms it replaced are the references in
+    # tests/test_hierarchy.py.
+
     def _store(self, tx: Transaction, addr: int, data: bytes) -> None:
         if not data:
             raise TransactionError("empty transactional store")
         core = tx.core
+        tx_id = tx.tx_id
         now = self.clocks[core]
         size = len(data)
         if self._chk_on:
-            self.check.on_store(tx.tx_id, addr, size, now)
+            self.check.on_store(tx_id, addr, size, now)
+        h = self.hierarchy
+        if not 0 <= core < h._num_cores:
+            raise AddressError(f"core {core} out of range")
         line_addr = addr & _LINE_MASK
         if addr >= 0 and (addr + size - 1) & _LINE_MASK == line_addr:
-            # Fast path: the store stays within one cache line (the
-            # dominant case — workloads store word-sized fields).
-            # ``hierarchy.store`` + ``peek_line`` are inlined here: this
-            # is the hottest function of every simulation, and the extra
-            # call layers plus AccessOutcome construction are measurable.
-            # Stats/flag side effects mirror hierarchy.store exactly.
-            h = self.hierarchy
-            if not 0 <= core < h._num_cores:
-                raise AddressError(f"core {core} out of range")
+            # The dominant case (workloads store word-sized fields):
+            # the whole store is one piece.
+            pieces = ((line_addr, addr, size),)
+        else:
+            pieces = split_by_cache_line(addr, size)
+        l1 = h._l1[core]
+        start_ns = now
+        for line_addr, piece_addr, piece_size in pieces:
             h.stats.stores += 1
-            l1 = h._l1[core]
-            mask = l1._set_mask
-            if mask >= 0:
-                index = (line_addr >> l1._shift) & mask
-            else:
-                index = (line_addr // l1._line_size) % l1._num_sets
-            bucket = l1._sets[index]
+            bucket = l1._sets[(line_addr >> l1._shift) & l1._set_mask]
             if line_addr in bucket:
                 l1.hits += 1
                 bucket.move_to_end(line_addr)
@@ -329,61 +336,37 @@ class MemorySystem:
             cow = h._data_cow
             if cow and line_addr in cow:
                 # Buffer aliased by a snapshot: copy before writing.
-                line = bytearray(h._data[line_addr])
-                h._data[line_addr] = line
+                line = h._data[line_addr] = bytearray(h._data[line_addr])
                 cow.discard(line_addr)
             else:
                 line = h._data[line_addr]
-            offset = addr - line_addr
-            line[offset : offset + size] = data
+            offset = piece_addr - line_addr
+            start = piece_addr - addr
+            piece = data[start : start + piece_size]
+            line[offset : offset + piece_size] = piece
             flags = h._flags[line_addr]
             flags.dirty = True
             flags.persistent = True
-            flags.tx_id = tx.tx_id
-            start_ns = now
+            flags.tx_id = tx_id
             now = self.scheme.on_store(
                 core,
-                tx.tx_id,
-                addr,
-                size,
+                tx_id,
+                piece_addr,
+                piece_size,
                 line_addr,
                 bytes(line),
-                # Parenthesized to match the split-loop's `now += lat +
-                # overhead` association bit-for-bit.
+                # Parenthesized: the float the clock has always advanced
+                # by is `latency + overhead`, added to `now` in one step.
                 now + (latency + _OP_OVERHEAD_NS),
-            )
-            self.clocks[core] = now
-            if self._tel_on:
-                self.telemetry.record("store_latency_ns", now - start_ns)
-            return
-        start_ns = now
-        for line_addr, piece_addr, piece_size in split_by_cache_line(
-            addr, len(data)
-        ):
-            offset = piece_addr - addr
-            piece = data[offset : offset + piece_size]
-            outcome = self.hierarchy.store(
-                core,
-                piece_addr,
-                piece,
-                now,
-                persistent=True,
-                tx_id=tx.tx_id,
-            )
-            now += outcome.latency_ns + _OP_OVERHEAD_NS
-            line_data = self.hierarchy.peek_line(line_addr)
-            assert line_data is not None
-            now = self.scheme.on_store(
-                core, tx.tx_id, piece_addr, piece_size, line_addr, line_data, now
             )
         self.clocks[core] = now
         if self._tel_on:
             self.telemetry.record("store_latency_ns", now - start_ns)
 
     def _load_u64(self, core: int, addr: int) -> int:
-        # The pointer-chase primitive of every tree/list workload.
-        # ``hierarchy.load_u64`` (and its L1 probe) are inlined; side
-        # effects mirror the generic path exactly.
+        # The pointer-chase primitive of every tree/list workload: an
+        # aligned word never crosses a line, so this is ``_load`` for
+        # eight bytes without the bytes object or the AccessOutcome.
         if addr < 0 or addr & 7:
             return int.from_bytes(self._load(core, addr, 8), "little")
         h = self.hierarchy
@@ -393,12 +376,7 @@ class MemorySystem:
         h.stats.loads += 1
         now = self.clocks[core]
         l1 = h._l1[core]
-        mask = l1._set_mask
-        if mask >= 0:
-            index = (line_addr >> l1._shift) & mask
-        else:
-            index = (line_addr // l1._line_size) % l1._num_sets
-        bucket = l1._sets[index]
+        bucket = l1._sets[(line_addr >> l1._shift) & l1._set_mask]
         if line_addr in bucket:
             l1.hits += 1
             bucket.move_to_end(line_addr)

@@ -1,132 +1,160 @@
-"""Set-associative cache level: LRU, eviction, invalidation."""
+"""One cache level: what ``CacheLevel`` does itself, and LRU in the miss path.
+
+A level only probes; lines enter and leave its buckets in
+``CacheHierarchy._miss_resident``.  The probe cases use the level alone
+(filled by hand); the replacement cases drive a hierarchy whose levels
+are one or two sets wide.  ``tests/test_hierarchy.py`` checks all three
+levels together against a reference model.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common.config import CacheConfig
-from repro.memhier.cache import CacheLevel, LineFlags
+from repro.common.config import CacheConfig, SystemConfig
+from repro.memhier.cache import _TAG, CacheLevel
+from repro.memhier.hierarchy import CacheHierarchy
+from repro.snapshot import clone_state
 
 
 def tiny_cache(ways=2, sets=2):
     return CacheLevel(CacheConfig("T", sets * ways * 64, ways))
 
 
+def fill(cache, line):
+    cache._sets[line // 64 % len(cache._sets)][line] = _TAG
+
+
+class TinyHierarchy:
+    """Two cores over caches of the given ``(sets, ways)``; logs evictions."""
+
+    def __init__(self, l1=(1, 2), l2=(1, 2), llc=(1, 2)):
+        def level(name, shape):
+            return CacheConfig(name, shape[0] * shape[1] * 64, shape[1])
+
+        config = SystemConfig.small().replace(
+            num_cores=2,
+            l1=level("L1", l1),
+            l2=level("L2", l2),
+            llc=level("LLC", llc),
+        )
+        self.evicted = []
+        self.hierarchy = CacheHierarchy(
+            config, lambda line, now: (bytes(64), 50.0), self._evict
+        )
+
+    def _evict(self, line, data, dirty, persistent, tx_id, now):
+        self.evicted.append((line, dirty, persistent, tx_id))
+
+    def load(self, core, line):
+        return self.hierarchy.load(core, line, 8, 0.0)[1].hit_level
+
+
 def test_miss_then_hit():
     cache = tiny_cache()
-    assert cache.lookup(0) is None
-    cache.insert(0)
-    assert cache.lookup(0) is not None
+    assert not cache.probe(0)
+    fill(cache, 0)
+    assert cache.probe(0)
     assert cache.hits == 1
     assert cache.misses == 1
 
 
 def test_lru_victim_selection():
-    cache = tiny_cache(ways=2, sets=1)
-    cache.insert(0)
-    cache.insert(64)
-    cache.lookup(0)  # refresh 0: now 64 is LRU
-    victim = cache.insert(128)
-    assert victim is not None
-    assert victim.line_addr == 64
+    t = TinyHierarchy()
+    t.load(0, 0)
+    t.load(0, 64)
+    assert t.load(1, 0) == "LLC"  # refreshes 0 in the LLC: now 64 is LRU
+    t.load(0, 128)
+    assert [e[0] for e in t.evicted] == [64]
 
 
 def test_insert_existing_refreshes_without_eviction():
-    cache = tiny_cache(ways=2, sets=1)
-    cache.insert(0)
-    cache.insert(64)
-    assert cache.insert(0) is None
-    victim = cache.insert(128)
-    assert victim.line_addr == 64  # 0 was refreshed by reinsertion
+    """A probe hit refreshes the line; the next refill pushes out the other."""
+    t = TinyHierarchy(l2=(1, 4), llc=(1, 4))
+    t.load(0, 0)
+    t.load(0, 64)
+    assert t.load(0, 0) == "L1"
+    l1 = t.hierarchy._l1[0]
+    assert l1.evictions == 0
+    t.load(0, 128)
+    assert l1.evictions == 1
+    assert t.load(0, 0) == "L1"  # 0 was refreshed by the hit
+    assert t.load(0, 64) == "L2"
+    assert t.evicted == []
 
 
 def test_different_sets_do_not_interfere():
-    cache = tiny_cache(ways=1, sets=2)
-    cache.insert(0)  # set 0
-    assert cache.insert(64) is None  # set 1
-    assert cache.contains(0)
+    t = TinyHierarchy(l1=(2, 1), l2=(2, 1), llc=(2, 1))
+    t.load(0, 0)  # set 0
+    t.load(0, 64)  # set 1
+    assert t.evicted == []
+    assert t.load(0, 0) == "L1"
+    t.load(0, 128)  # set 0 again
+    assert [e[0] for e in t.evicted] == [0]
+    assert t.load(0, 64) == "L1"
 
 
 def test_victim_carries_flags():
-    cache = tiny_cache(ways=1, sets=1)
-    cache.insert(0, LineFlags(dirty=True, persistent=True, tx_id=9))
-    victim = cache.insert(64)
-    assert victim.dirty and victim.persistent and victim.tx_id == 9
+    """An eviction reads the record a store wrote, also in a clone."""
+    t = TinyHierarchy(llc=(1, 1))
+    t.load(0, 0)
+    twin = clone_state(t)
+    for side in (twin, t):
+        flags = side.hierarchy._flags[0]
+        flags.dirty = flags.persistent = True
+        flags.tx_id = 9
+        side.load(0, 64)
+        assert side.evicted == [(0, True, True, 9)]
 
 
 def test_invalidate():
-    cache = tiny_cache()
-    cache.insert(0, LineFlags(dirty=True))
-    flags = cache.invalidate(0)
-    assert flags is not None and flags.dirty
-    assert not cache.contains(0)
-    assert cache.invalidate(0) is None
-
-
-def test_contains_has_no_side_effects():
-    cache = tiny_cache()
-    cache.insert(0)
-    hits, misses = cache.hits, cache.misses
-    assert cache.contains(0)
-    assert not cache.contains(640)
-    assert (cache.hits, cache.misses) == (hits, misses)
-
-
-def test_occupancy_and_iteration():
-    cache = tiny_cache()
-    cache.insert(0)
-    cache.insert(64)
-    assert cache.occupancy == 2
-    assert sorted(cache.iter_lines()) == [0, 64]
+    """An LLC eviction drops the line from L1/L2; that is not *their* eviction."""
+    t = TinyHierarchy(llc=(1, 1))
+    t.load(0, 0)
+    t.load(1, 64)  # core 1 pushes line 0 out of the one-way LLC
+    assert [e[0] for e in t.evicted] == [0]
+    l1, l2 = t.hierarchy._l1[0], t.hierarchy._l2[0]
+    assert not any(l1._sets.values()) and not any(l2._sets.values())
+    assert (l1.evictions, l2.evictions) == (0, 0)
+    assert t.load(0, 0) == "MEM"
 
 
 def test_miss_ratio():
     cache = tiny_cache()
-    cache.lookup(0)
-    cache.insert(0)
-    cache.lookup(0)
+    cache.probe(0)
+    fill(cache, 0)
+    cache.probe(0)
     assert cache.miss_ratio == pytest.approx(0.5)
+    assert tiny_cache().miss_ratio == 0.0
 
 
 def test_clear_and_reset():
     cache = tiny_cache()
-    cache.insert(0)
-    cache.lookup(0)
+    fill(cache, 0)
+    cache.probe(0)
     cache.clear()
-    assert cache.occupancy == 0
+    assert not any(cache._sets.values())
     cache.reset_stats()
     assert cache.hits == 0 and cache.misses == 0
 
 
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=31), min_size=1, max_size=200
-    )
-)
-def test_lru_matches_reference_model(accesses):
-    """The cache must match a straightforward per-set LRU list model."""
-    ways, sets = 2, 2
-    cache = tiny_cache(ways=ways, sets=sets)
-    model = {s: [] for s in range(sets)}
-    for line_no in accesses:
-        line = line_no * 64
-        set_index = line_no % sets
-        lru = model[set_index]
-        if cache.lookup(line) is not None:
-            assert line in lru
-            lru.remove(line)
-            lru.append(line)
-        else:
-            assert line not in lru
-            victim = cache.insert(line)
-            if len(lru) == ways:
-                expected_victim = lru.pop(0)
-                assert victim is not None
-                assert victim.line_addr == expected_victim
-            else:
-                assert victim is None
-            lru.append(line)
-    for s in range(sets):
-        for line in model[s]:
-            assert cache.contains(line)
+def test_probe_refreshes_recency():
+    cache = tiny_cache(ways=2, sets=1)
+    fill(cache, 0)
+    fill(cache, 64)
+    cache.probe(0)
+    assert list(cache._sets[0]) == [64, 0]
+    cache.probe(128)  # a miss moves nothing
+    assert list(cache._sets[0]) == [64, 0]
+
+
+def test_clone_copies_buckets_in_order():
+    cache = tiny_cache(ways=2, sets=1)
+    fill(cache, 0)
+    fill(cache, 64)
+    cache.probe(0)
+    twin = clone_state(cache)
+    assert list(twin._sets[0]) == [64, 0]
+    assert (twin.hits, twin.misses) == (1, 0)
+    twin.probe(64)
+    twin.clear()
+    assert list(cache._sets[0]) == [64, 0]  # the original is its own
+    assert cache.hits == 1

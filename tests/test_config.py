@@ -81,6 +81,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CacheConfig("bad", 1024, 3)  # 16 lines not divisible by 3
 
+    def test_cache_rejects_non_power_of_two(self):
+        """The tag stores index a set with one shift and one mask."""
+        with pytest.raises(ConfigError, match="set count 3"):
+            CacheConfig("bad", 3 * 4 * 64, 4)
+        with pytest.raises(ConfigError, match="line size 96"):
+            CacheConfig("bad", 4 * 4 * 96, 4, line_size=96)
+        with pytest.raises(ConfigError, match="set count 0"):
+            CacheConfig("bad", 32, 4)  # smaller than one line
+        assert CacheConfig("ok", 4 * 4 * 64, 4).num_sets == 4
+
     def test_cache_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             CacheConfig("bad", 0, 4)

@@ -1,5 +1,7 @@
 """The experiment harness: scales, cells, tables, reports."""
 
+import os
+
 import pytest
 
 from repro.harness import SCALES, run_cell, run_table1
@@ -87,3 +89,26 @@ class TestReportRendering:
     def test_empty_table_renders(self):
         fig = FigureData("F", "t", ["k", "v"])
         assert "F" in fig.render()
+
+
+@pytest.mark.parametrize("before", [None, "", "1"])
+def test_no_cache_flag_leaves_environment_as_found(before, tmp_path, monkeypatch):
+    """``--no-cache`` is for that run only, not the rest of the process."""
+    from repro.harness import __main__ as cli
+    from repro.harness import diskcache
+
+    if before is None:
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NO_CACHE", before)
+    seen = []
+    monkeypatch.setitem(
+        cli.RUNNERS,
+        "table1",
+        lambda scale: seen.append(diskcache.enabled()) or run_table1(),
+    )
+    environ = dict(os.environ)
+    argv = ["--scale", "smoke", "--only", "table1", "--out", str(tmp_path)]
+    assert cli.main(argv + ["--no-cache"]) == 0
+    assert seen == [False]  # off while the run was in progress
+    assert dict(os.environ) == environ

@@ -258,12 +258,3 @@ class TestEnvKnobs:
         for value in ("1", "true"):
             monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", value)
             assert not snapshot.snapshots_enabled()
-
-    def test_cadence_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SNAPSHOT_CADENCE", raising=False)
-        assert snapshot.checkpoint_cadence(8) == 8
-        monkeypatch.setenv("REPRO_SNAPSHOT_CADENCE", "3")
-        assert snapshot.checkpoint_cadence(8) == 3
-        for bogus in ("0", "-2", "nope"):
-            monkeypatch.setenv("REPRO_SNAPSHOT_CADENCE", bogus)
-            assert snapshot.checkpoint_cadence(8) == 8
