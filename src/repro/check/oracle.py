@@ -24,7 +24,6 @@ figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.sanitizer import PersistOrderSanitizer
@@ -33,8 +32,8 @@ from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.crashtest import choose_boundaries, verify_atomic_durability
 from repro.faults import make_device
-from repro.snapshot import capture, snapshots_enabled
-from repro.snapshot.replay import Checkpoint, CheckpointChain
+from repro.snapshot import snapshots_enabled
+from repro.snapshot.replay import ForwardCursor
 from repro.txn.system import MemorySystem
 
 # Every registered scheme plus the ideal baseline; crash-recovery
@@ -114,70 +113,31 @@ def run_trace(system: MemorySystem, trace: Trace) -> TraceOutcome:
     return TraceOutcome(slot_addrs, oracle, staged, False, completed)
 
 
-def _probe_with_checkpoints(
-    system: MemorySystem, trace: Trace, cadence: int
-) -> Tuple[TraceOutcome, CheckpointChain]:
-    """Fault-free :func:`run_trace` that doubles as a recorder.
+def _trace_cursor(system: MemorySystem, trace: Trace) -> ForwardCursor:
+    """A forward cursor over ``trace`` on a fresh fault-free ``system``.
 
-    Before every ``cadence``-th transaction a snapshot checkpoint is
-    laid down (with the committed-word oracle as of that point), so each
-    crash boundary can later replay just the trace suffix instead of the
-    whole trace.  The trace itself is pure data — replay consumes no
-    RNG — so a resumed run is bit-identical to a cold one.
+    The trace is pure data — replay consumes no RNG — so binding its
+    slots to this system's addresses gives the cursor everything
+    :func:`run_trace` would execute, and a forked run is bit-identical
+    to a cold one.
     """
-    chain = CheckpointChain()
     slot_addrs = [system.allocate(64) for _ in range(trace.slots)]
-    oracle: Dict[int, bytes] = {}
-    for index, txn in enumerate(trace.txns):
-        if index % cadence == 0:
-            chain.add(
-                Checkpoint(
-                    index,
-                    system.device.stats.writes,
-                    capture(system, txn_index=index),
-                    dict(oracle),
-                )
+    return ForwardCursor(
+        system,
+        [
+            (
+                txn.core,
+                [
+                    (
+                        slot_addrs[store.slot] + 8 * store.offset,
+                        store.value.to_bytes(8, "little"),
+                    )
+                    for store in txn.stores
+                ],
             )
-        staged: Dict[int, bytes] = {}
-        with system.transaction(txn.core) as tx:
-            for store in txn.stores:
-                addr = slot_addrs[store.slot] + 8 * store.offset
-                value = store.value.to_bytes(8, "little")
-                tx.store(addr, value)
-                staged[addr] = value
-        oracle.update(staged)
-    return (
-        TraceOutcome(slot_addrs, oracle, {}, False, len(trace.txns)),
-        chain,
+            for txn in trace.txns
+        ],
     )
-
-
-def _resume_trace(
-    system: MemorySystem,
-    trace: Trace,
-    slot_addrs: List[int],
-    start: int,
-    oracle: Dict[int, bytes],
-) -> TraceOutcome:
-    """Continue a restored replay from transaction ``start``."""
-    oracle = dict(oracle)
-    staged: Dict[int, bytes] = {}
-    completed = start
-    try:
-        for txn in trace.txns[start:]:
-            staged = {}
-            with system.transaction(txn.core) as tx:
-                for store in txn.stores:
-                    addr = slot_addrs[store.slot] + 8 * store.offset
-                    value = store.value.to_bytes(8, "little")
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-            completed += 1
-    except PowerLossError:
-        return TraceOutcome(slot_addrs, oracle, staged, True, completed)
-    return TraceOutcome(slot_addrs, oracle, staged, False, completed)
 
 
 @dataclass
@@ -249,25 +209,22 @@ def check_scheme(
             )
 
     # 3: crash-recovery convergence (real schemes only).  With
-    # snapshots enabled the probe run doubles as a recorder and every
-    # boundary restores the nearest checkpoint at or before its cut,
-    # replaying only the trace suffix; verdicts are bit-identical to
-    # the cold per-boundary rerun (REPRO_SNAPSHOT_DISABLE=1).
+    # snapshots enabled one fault-free machine runs the trace forward
+    # once and is forked at each boundary (ForwardCursor); verdicts
+    # are bit-identical to the cold per-boundary rerun
+    # (REPRO_SNAPSHOT_DISABLE=1).
     if scheme in REAL_SCHEMES and crash_sample:
         probe = build_system(
             scheme, faults=FaultConfig(enabled=True, seed=seed)
         )
-        incremental = snapshots_enabled()
-        chain = CheckpointChain()
-        if incremental:
-            cadence = max(1, len(trace.txns) // 8)
-            probe_outcome, chain = _probe_with_checkpoints(
-                probe, trace, cadence
-            )
+        cursor: Optional[ForwardCursor] = None
+        if snapshots_enabled():
+            cursor = _trace_cursor(probe, trace)
+            total_writes = cursor.total_writes
         else:
             probe_outcome = run_trace(probe, trace)
-        assert not probe_outcome.power_lost
-        total_writes = probe.device.stats.writes
+            assert not probe_outcome.power_lost
+            total_writes = probe.device.stats.writes
         for boundary in choose_boundaries(total_writes, crash_sample, seed):
             faults = FaultConfig(
                 enabled=True,
@@ -275,33 +232,16 @@ def check_scheme(
                 power_loss_after_write=boundary,
                 torn=boundary % 2 == 1,
             )
-            checkpoint = chain.nearest(boundary) if incremental else None
-            if checkpoint is not None:
-                crashed = checkpoint.snapshot.restore()
-                # Rearm with the residual write budget; the fresh
-                # injector PRNG matches the cold one bit-for-bit
-                # because nothing consumes it before the cut.
-                crashed.device.rearm(
-                    _dc_replace(
-                        faults,
-                        power_loss_after_write=boundary - checkpoint.writes,
-                    )
-                )
-                crash_outcome = _resume_trace(
-                    crashed,
-                    trace,
-                    probe_outcome.slot_addrs,
-                    checkpoint.txn_index,
-                    checkpoint.oracle,
-                )
+            forked = cursor.crash_at(faults) if cursor is not None else None
+            if forked is not None:
+                crashed, oracle, staged = forked
             else:
                 crashed = build_system(scheme, faults=faults)
                 crash_outcome = run_trace(crashed, trace)
+                oracle, staged = crash_outcome.oracle, crash_outcome.staged
             crashed.crash()
             crashed.recover(threads=2)
-            failure = verify_atomic_durability(
-                crashed, crash_outcome.oracle, crash_outcome.staged
-            )
+            failure = verify_atomic_durability(crashed, oracle, staged)
             report.crash_cases += 1
             if failure:
                 report.crash_failures.append(

@@ -13,7 +13,9 @@ clears the whole region.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List, Set
+
+_NO_BLOCKS: FrozenSet[int] = frozenset()
 
 
 class BlockRefs:
@@ -21,7 +23,10 @@ class BlockRefs:
 
     def __init__(self) -> None:
         self._block_txs: Dict[int, Set[int]] = defaultdict(set)
-        self._tx_blocks: Dict[int, Set[int]] = defaultdict(set)
+        # Frozen per transaction: a committed transaction's block set
+        # never changes again, so a snapshot clone shares it instead of
+        # copying one small set per unretired transaction.
+        self._tx_blocks: Dict[int, FrozenSet[int]] = {}
         self._open_txs: Set[int] = set()
 
     def on_tx_begin(self, tx_id: int) -> None:
@@ -29,7 +34,9 @@ class BlockRefs:
 
     def on_slice_written(self, tx_id: int, block: int) -> None:
         self._block_txs[block].add(tx_id)
-        self._tx_blocks[tx_id].add(block)
+        blocks = self._tx_blocks.get(tx_id, _NO_BLOCKS)
+        if block not in blocks:
+            self._tx_blocks[tx_id] = blocks | {block}
 
     def on_tx_commit(self, tx_id: int) -> None:
         self._open_txs.discard(tx_id)
@@ -37,15 +44,15 @@ class BlockRefs:
     def on_tx_retired(self, tx_id: int) -> None:
         """Drop a migrated transaction's references."""
         self._open_txs.discard(tx_id)
-        for block in self._tx_blocks.pop(tx_id, set()):
+        for block in self._tx_blocks.pop(tx_id, _NO_BLOCKS):
             txs = self._block_txs.get(block)
             if txs is not None:
                 txs.discard(tx_id)
                 if not txs:
                     del self._block_txs[block]
 
-    def blocks_of(self, tx_id: int) -> Set[int]:
-        return set(self._tx_blocks.get(tx_id, set()))
+    def blocks_of(self, tx_id: int) -> FrozenSet[int]:
+        return self._tx_blocks.get(tx_id, _NO_BLOCKS)
 
     def live_txs_in(self, block: int) -> Set[int]:
         return set(self._block_txs.get(block, set()))

@@ -68,7 +68,6 @@ class CommitLog:
         self.region = region
         self.codec = codec
         self._pages: List[_Page] = []
-        self._tx_pages: Dict[int, List[_Page]] = {}
         self._dirty: set = set()
         self._next_sequence = 0
         self.commits = 0
@@ -99,7 +98,6 @@ class CommitLog:
                 tx_id=tx_id, tail_slice=tail_slice, committed=committed
             )
         )
-        self._tx_pages.setdefault(tx_id, []).append(page)
         self.segments += 1
         if committed:
             self.commits += 1
@@ -199,9 +197,17 @@ class CommitLog:
         leave recovery chasing chains into reused slices.
         """
         ids = set(tx_ids)
+        # tx -> pages holding its entries, in page then entry order (the
+        # order entries were appended in); built per call rather than
+        # kept, so a snapshot clone has no per-transaction list to copy.
+        tx_pages: Dict[int, List[_Page]] = {}
+        for page in self._pages:
+            for entry in page.content.entries:
+                if entry.tx_id in ids:
+                    tx_pages.setdefault(entry.tx_id, []).append(page)
         dirty: List[_Page] = []
         for tx_id in ids:
-            for page in self._tx_pages.get(tx_id, []):
+            for page in tx_pages.get(tx_id, ()):
                 changed = False
                 for i, entry in enumerate(page.content.entries):
                     if entry.tx_id == tx_id and not entry.retired:
@@ -233,15 +239,7 @@ class CommitLog:
     def drop_pages(self, slice_indexes: Iterable[int]) -> None:
         """Forget fully-retired pages (their blocks are being reclaimed)."""
         doomed = set(slice_indexes)
-        dropped = [p for p in self._pages if p.slice_index in doomed]
         self._pages = [p for p in self._pages if p.slice_index not in doomed]
-        for page in dropped:
-            for entry in page.content.entries:
-                pages = self._tx_pages.get(entry.tx_id)
-                if pages is not None:
-                    pages[:] = [p for p in pages if p is not page]
-                    if not pages:
-                        del self._tx_pages[entry.tx_id]
 
     @property
     def live_count(self) -> int:
@@ -252,25 +250,19 @@ class CommitLog:
     def crash(self) -> None:
         """Volatile page cache vanishes (NVM copies remain)."""
         self._pages = []
-        self._tx_pages = {}
         self._dirty = set()
 
     def rebuild(self, pages: List[Tuple[int, AddressSlice]]) -> None:
         """Restore the volatile view from decoded on-NVM pages (recovery)."""
         ordered = sorted(pages, key=lambda p: p[1].sequence)
         self._pages = [_Page(idx, content) for idx, content in ordered]
-        self._tx_pages = {}
         self._dirty = set()
-        for page in self._pages:
-            for entry in page.content.entries:
-                self._tx_pages.setdefault(entry.tx_id, []).append(page)
         if self._pages:
             self._next_sequence = self._pages[-1].content.sequence + 1
 
     def clear(self) -> None:
         """Reset after recovery wiped the OOP region."""
         self._pages = []
-        self._tx_pages = {}
         self._dirty = set()
         self._next_sequence = 0
 

@@ -8,12 +8,15 @@ every baseline, instead of at a handful of hand-picked points:
 1. a **probe run** executes a seeded random transactional workload with
    the fault device armed but no fault scheduled, counting the total
    number of timed NVM writes ``W``;
-2. the sweep replays the identical workload once per chosen boundary
-   ``k`` (all of ``1..W`` in exhaustive mode, a seeded sample in CI
-   mode) with power loss injected after the ``k``-th write — torn or
-   clean cut — then crashes, recovers, and verifies **atomic
-   durability**: every committed transaction fully visible, the
-   in-flight transaction all-or-nothing;
+2. for each chosen boundary ``k`` (all of ``1..W`` in exhaustive
+   mode, a seeded sample in CI mode) the identical workload meets a
+   power loss after its ``k``-th write — torn or clean cut — on a fork
+   of the one machine that runs the workload forward
+   (:class:`~repro.snapshot.replay.ForwardCursor`; a cold rerun per
+   boundary under ``REPRO_SNAPSHOT_DISABLE=1``), then crashes,
+   recovers, and verifies **atomic durability**: every committed
+   transaction fully visible, the in-flight transaction
+   all-or-nothing;
 3. every failing case is written as a minimal repro artifact (scheme +
    workload parameters + fault plan JSON) that ``--replay`` re-runs
    exactly.
@@ -29,20 +32,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.faults.plan import CrashArtifact, save_artifact
-from repro.snapshot import capture, snapshots_enabled
-from repro.snapshot.replay import Checkpoint, CheckpointChain
+# ``capture`` is re-exported, not used here: the benchmark's tracer
+# resolves ``repro.crashtest.capture`` by name.
+from repro.snapshot import capture, snapshots_enabled  # noqa: F401
+from repro.snapshot.replay import ForwardCursor, TxnRecord
 from repro.txn.system import MemorySystem
-
-# One recorded workload transaction: issuing core plus its ordered
-# (addr, value) stores, duplicates preserved — everything a replay needs
-# to re-execute the transaction without consuming workload RNG.
-TxnRecord = Tuple[int, List[Tuple[int, bytes]]]
 
 # The sweep's scheme vocabulary.  Keys are the CLI names (the paper's
 # shorthand); values are registry names in repro.schemes.
@@ -54,6 +53,7 @@ SWEEP_SCHEMES: Dict[str, str] = {
     "lad": "lad",
     "lsm": "lsm",
     "logregion": "logregion",
+    "hoopmc": "hoop-mc",
 }
 
 _ZERO_WORD = bytes(8)
@@ -235,10 +235,10 @@ def _finish_case(
 ) -> CaseResult:
     """Shared verdict tail: crash, recover, verify, fingerprint.
 
-    Both the cold path (:func:`run_case`) and the incremental path
-    (:func:`_run_case_incremental`) end here, so their verdicts are
-    computed by the same code — a bit-identity requirement, not just
-    deduplication.
+    Both the cold path (:func:`run_case`) and the forked path
+    (:func:`sweep_scheme` over a cursor) end here, so their verdicts
+    are computed by the same code — a bit-identity requirement, not
+    just deduplication.
     """
     system.crash()
     report = system.recover(threads=recovery_threads)
@@ -295,133 +295,63 @@ def run_case(
     return _finish_case(system, faults, outcome, recovery_threads)
 
 
-def _probe_and_checkpoint(
-    scheme: str,
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-    cadence: int,
-) -> Tuple[int, List[TxnRecord], CheckpointChain]:
-    """One probe run that also records the workload and lays checkpoints.
+def forward_cursor(
+    scheme: str, *, seed: int, transactions: int, addresses: int
+) -> ForwardCursor:
+    """Record the seeded workload; a cursor poised before its first txn.
 
     Replicates :func:`run_workload`'s RNG call order exactly (same
     ``randrange``/``randint``/``choice``/``getrandbits`` sequence), so
     the recorded transactions are byte-for-byte what an armed rerun
-    would execute, and the unarmed device's write counter matches the
-    armed runs write-for-write.  A checkpoint is captured *before*
-    every ``cadence``-th transaction, carrying the committed-word
-    oracle at that point.
+    would execute.  The machine is built on the *fault device* with
+    nothing armed, so the cursor's write counts match the armed runs
+    write-for-write.
     """
     system = _build_system(scheme, FaultConfig(enabled=True, seed=seed))
     rng = random.Random(seed)
     addrs = [system.allocate(64) for _ in range(addresses)]
     cores = system.config.num_cores
-    chain = CheckpointChain()
-    oracle: Dict[int, bytes] = {}
     txns: List[TxnRecord] = []
-    for index in range(transactions):
-        if index % cadence == 0:
-            chain.add(
-                Checkpoint(
-                    index,
-                    system.device.stats.writes,
-                    capture(system, txn_index=index),
-                    dict(oracle),
-                )
-            )
+    for _ in range(transactions):
         core = rng.randrange(cores)
         stores: List[Tuple[int, bytes]] = []
-        with system.transaction(core) as tx:
-            for _ in range(rng.randint(1, 6)):
-                addr = rng.choice(addrs) + 8 * rng.randrange(8)
-                value = rng.getrandbits(64).to_bytes(8, "little")
-                tx.store(addr, value)
-                stores.append((addr, value))
-        # dict() collapses duplicate addresses last-wins, exactly like
-        # run_workload's staged dict.
-        oracle.update(dict(stores))
+        for _ in range(rng.randint(1, 6)):
+            addr = rng.choice(addrs) + 8 * rng.randrange(8)
+            value = rng.getrandbits(64).to_bytes(8, "little")
+            stores.append((addr, value))
         txns.append((core, stores))
-    return system.device.stats.writes, txns, chain
+    return ForwardCursor(system, txns)
 
 
-def _run_case_incremental(
+def build_crashed(
     scheme: str,
     faults: FaultConfig,
+    cursor: Optional[ForwardCursor],
     *,
-    boundary: int,
-    chain: CheckpointChain,
-    txns: List[TxnRecord],
     seed: int,
     transactions: int,
     addresses: int,
-    recovery_threads: int,
-) -> CaseResult:
-    """One crash case starting from the nearest checkpoint <= boundary.
+) -> Tuple[MemorySystem, RunOutcome]:
+    """Front half of a case: a fork of ``cursor`` run into the cut.
 
-    The restored system gets a fresh injector armed with the *residual*
-    write budget (``boundary - checkpoint.writes``; zero means the very
-    next write dies), then replays the recorded transaction suffix —
-    mirroring :func:`run_workload`'s staged/oracle bookkeeping — and
-    finishes through the shared verdict tail.  Falls back to the cold
-    :func:`run_case` when no checkpoint precedes the boundary.
+    Returns the system before ``crash()`` plus the outcome, exactly as
+    :func:`build_crashed_cold` produces them — which is what runs when
+    there is no cursor (``REPRO_SNAPSHOT_DISABLE=1``) or the boundary
+    precedes the cursor's first transaction.
     """
-    pair = build_crashed_incremental(
-        faults, boundary=boundary, chain=chain, txns=txns
-    )
-    if pair is None:
-        return run_case(
-            scheme,
-            faults,
-            seed=seed,
-            transactions=transactions,
+    forked = cursor.crash_at(faults) if cursor is not None else None
+    if forked is None:
+        return build_crashed_cold(
+            scheme, faults, seed=seed, transactions=transactions,
             addresses=addresses,
-            recovery_threads=recovery_threads,
         )
-    system, outcome = pair
-    return _finish_case(system, faults, outcome, recovery_threads)
-
-
-def build_crashed_incremental(
-    faults: FaultConfig,
-    *,
-    boundary: int,
-    chain: CheckpointChain,
-    txns: List[TxnRecord],
-) -> Optional[Tuple[MemorySystem, RunOutcome]]:
-    """Incremental front half: restore a checkpoint and replay the suffix.
-
-    Returns ``None`` when no checkpoint precedes the boundary (callers
-    fall back to :func:`build_crashed_cold`); otherwise the system
-    before ``crash()`` plus the outcome, exactly as the cold path would
-    have produced them.
-    """
-    checkpoint = chain.nearest(boundary)
-    if checkpoint is None:
-        return None
-    system = checkpoint.snapshot.restore()
-    system.device.rearm(
-        _dc_replace(
-            faults, power_loss_after_write=boundary - checkpoint.writes
-        )
+    system, oracle, staged = forked
+    return system, RunOutcome(
+        oracle,
+        staged,
+        system.device.injector.power_lost,
+        system.device.stats.writes,
     )
-    oracle = dict(checkpoint.oracle)
-    staged: Dict[int, bytes] = {}
-    try:
-        for core, stores in txns[checkpoint.txn_index :]:
-            staged = {}
-            with system.transaction(core) as tx:
-                for addr, value in stores:
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-        outcome = RunOutcome(oracle, {}, False, system.device.stats.writes)
-    except PowerLossError:
-        outcome = RunOutcome(
-            oracle, staged, True, system.device.stats.writes
-        )
-    return system, outcome
 
 
 def choose_boundaries(
@@ -461,31 +391,26 @@ def sweep_scheme(
     torn_mode: str = "alternate",
     recovery_threads: int = 2,
     artifact_dir: Optional[str] = None,
-    cadence: Optional[int] = None,
     progress=None,
 ) -> SweepResult:
     """Sweep one scheme across crash boundaries; returns all cases.
 
-    By default the sweep is *incremental*: the probe run doubles as a
-    recorder, laying a snapshot checkpoint every ``cadence``
-    transactions (default ``transactions // 20``), and each boundary
-    replays only from the nearest checkpoint.
+    By default the sweep does its forward work once: the seeded
+    workload is recorded, a probe counts the timed writes before each
+    transaction, and one live fault-free machine
+    (:class:`~repro.snapshot.replay.ForwardCursor`) advances through
+    the boundaries in ascending order, forked between transactions for
+    each case — a case pays for one fork, the rest of the transaction
+    the cut lands in, and its own recovery.
     ``REPRO_SNAPSHOT_DISABLE=1`` falls back to the original cold rerun
     per boundary; per-boundary verdicts are bit-identical either way.
     """
-    incremental = snapshots_enabled()
-    txns: List[TxnRecord] = []
-    chain = CheckpointChain()
-    if incremental:
-        if cadence is None:
-            cadence = max(1, transactions // 20)
-        total, txns, chain = _probe_and_checkpoint(
-            scheme,
-            seed=seed,
-            transactions=transactions,
-            addresses=addresses,
-            cadence=cadence,
+    cursor: Optional[ForwardCursor] = None
+    if snapshots_enabled():
+        cursor = forward_cursor(
+            scheme, seed=seed, transactions=transactions, addresses=addresses
         )
+        total = cursor.total_writes
     else:
         total = count_write_boundaries(
             scheme, seed=seed, transactions=transactions, addresses=addresses
@@ -501,27 +426,11 @@ def sweep_scheme(
             power_loss_after_write=boundary,
             torn=_torn_for(boundary, torn_mode),
         )
-        if incremental:
-            case = _run_case_incremental(
-                scheme,
-                faults,
-                boundary=boundary,
-                chain=chain,
-                txns=txns,
-                seed=seed,
-                transactions=transactions,
-                addresses=addresses,
-                recovery_threads=recovery_threads,
-            )
-        else:
-            case = run_case(
-                scheme,
-                faults,
-                seed=seed,
-                transactions=transactions,
-                addresses=addresses,
-                recovery_threads=recovery_threads,
-            )
+        system, outcome = build_crashed(
+            scheme, faults, cursor, seed=seed, transactions=transactions,
+            addresses=addresses,
+        )
+        case = _finish_case(system, faults, outcome, recovery_threads)
         result.cases.append(case)
         if case.failure and artifact_dir:
             artifact = CrashArtifact(

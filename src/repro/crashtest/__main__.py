@@ -56,7 +56,7 @@ def _main_nested(args) -> int:
     import json
     import pathlib
 
-    schemes = nested.resolve_nested_schemes(args.schemes)
+    schemes = crashtest.resolve_schemes(args.schemes)
     state_path = args.state or str(
         pathlib.Path(args.artifact_dir) / "nested_state.json"
     )

@@ -46,26 +46,19 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.config import FaultConfig
 from repro.common.errors import MediaError, PowerLossError
 from repro.crashtest import (
-    SWEEP_SCHEMES,
     RunOutcome,
-    _probe_and_checkpoint,
     _torn_for,
+    build_crashed,
     build_crashed_cold,
-    build_crashed_incremental,
     choose_boundaries,
     count_write_boundaries,
+    forward_cursor,
     verify_atomic_durability,
 )
 from repro.faults.plan import CrashArtifact, save_artifact
 from repro.snapshot import capture, snapshots_enabled
-from repro.snapshot.replay import CheckpointChain
+from repro.snapshot.replay import ForwardCursor
 from repro.txn.system import MemorySystem
-
-# The nested sweep covers every registered persistence scheme — the
-# forward vocabulary plus the multi-controller build (native has no
-# recovery protocol to crash).
-NESTED_SCHEMES: Dict[str, str] = dict(SWEEP_SCHEMES)
-NESTED_SCHEMES["hoopmc"] = "hoop-mc"
 
 # A recovery that needs more attempts than this never converges under a
 # single armed nested fault (one interrupted attempt + one clean rerun
@@ -80,21 +73,6 @@ _MEDIA_RATE = 0.2
 _MEDIA_RETRIES = 8
 
 STATE_VERSION = 1
-
-
-def resolve_nested_schemes(spec: str) -> List[str]:
-    """Expand a ``--schemes`` argument against the nested vocabulary."""
-    if spec == "all":
-        return list(NESTED_SCHEMES.values())
-    names = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        names.append(NESTED_SCHEMES.get(token, token))
-    if not names:
-        raise ValueError("no schemes selected")
-    return names
 
 
 @dataclass
@@ -343,16 +321,14 @@ class _CrashedFactory:
         seed: int,
         transactions: int,
         addresses: int,
-        chain: Optional[CheckpointChain],
-        txns,
+        cursor: Optional[ForwardCursor],
     ) -> None:
         self.scheme = scheme
         self.faults = faults
         self.seed = seed
         self.transactions = transactions
         self.addresses = addresses
-        self._chain = chain
-        self._txns = txns
+        self._cursor = cursor
         self._snapshot = None
         self.outcome: Optional[RunOutcome] = None
         if snapshots_enabled():
@@ -361,19 +337,10 @@ class _CrashedFactory:
             self._snapshot = capture(system)
 
     def _build(self) -> Tuple[MemorySystem, RunOutcome]:
-        boundary = self.faults.power_loss_after_write
-        if self._chain is not None and boundary is not None:
-            pair = build_crashed_incremental(
-                self.faults,
-                boundary=boundary,
-                chain=self._chain,
-                txns=self._txns,
-            )
-            if pair is not None:
-                return pair
-        return build_crashed_cold(
+        return build_crashed(
             self.scheme,
             self.faults,
+            self._cursor,
             seed=self.seed,
             transactions=self.transactions,
             addresses=self.addresses,
@@ -562,18 +529,14 @@ def _nested_sweep_counted(
         )
         return case, False
 
-    # Probe the forward run (and lay checkpoints when snapshots are on).
-    chain: Optional[CheckpointChain] = None
-    txns = []
+    # Probe the forward run (on the forward sweep's cursor when
+    # snapshots are on: phase 1's boundaries ascend).
+    cursor: Optional[ForwardCursor] = None
     if snapshots_enabled():
-        cadence = max(1, transactions // 8)
-        total, txns, chain = _probe_and_checkpoint(
-            scheme,
-            seed=seed,
-            transactions=transactions,
-            addresses=addresses,
-            cadence=cadence,
+        cursor = forward_cursor(
+            scheme, seed=seed, transactions=transactions, addresses=addresses
         )
+        total = cursor.total_writes
     else:
         total = count_write_boundaries(
             scheme, seed=seed, transactions=transactions, addresses=addresses
@@ -598,8 +561,7 @@ def _nested_sweep_counted(
                 seed=seed,
                 transactions=transactions,
                 addresses=addresses,
-                chain=chain,
-                txns=txns,
+                cursor=cursor,
             )
             # Probe: ops one clean recovery performs from this state.
             probe_sys, probe_outcome = factory.make()

@@ -597,9 +597,9 @@ class FaultyNVMDevice(NVMDevice):
     def rearm(self, faults: FaultConfig) -> None:
         """Install a fresh fault plan on a restored snapshot.
 
-        The incremental crash sweep restores a checkpoint taken with an
-        *unarmed* injector and then arms the residual write budget for
-        one boundary.  A fresh :class:`FaultInjector` (fresh PRNG seeded
+        The crash sweep forks a machine running with an *unarmed*
+        injector and then arms the residual write budget for one
+        boundary on the fork.  A fresh :class:`FaultInjector` (fresh PRNG seeded
         from ``faults.seed``) makes the replay bit-identical to a cold
         run with that config, because the cold injector's PRNG is
         untouched until the cut.  Device geometry (spare layout, fault

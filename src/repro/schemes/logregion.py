@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
 from repro.common.errors import CapacityError, CorruptionError
@@ -48,8 +47,7 @@ _LOG_HEADER = struct.Struct("<QQI")  # logical start, reserved, crc
 _LOG_HEADER_BYTES = 64
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     kind: int
     tx_id: int
     addr: int

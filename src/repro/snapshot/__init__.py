@@ -4,11 +4,11 @@ The crash-point sweep and the differential oracle replay long, mostly
 identical workload prefixes once per crash boundary.  A snapshot freezes
 the *entire* simulator state — sparse NVM pages, cache hierarchy, scheme
 and controller structures, transaction system, fault injector, RNG
-streams — so a boundary replay can start from the nearest checkpoint and
-execute only the residual suffix.  The hard contract (enforced by the
-round-trip tests) is that restore-then-run is **bit-identical** to a
-cold rerun: same content fingerprint, same stats, same sanitizer
-verdicts.
+streams — so a boundary replay can start from a fork of the one machine
+that already ran the prefix and execute only the transaction the cut
+lands in.  The hard contract (enforced by the round-trip tests) is that
+restore-then-run is **bit-identical** to a cold rerun: same content
+fingerprint, same stats, same sanitizer verdicts.
 
 Design: a typed deep-clone engine, much faster than :func:`copy.deepcopy`
 because every class declares its snapshot behaviour up front:

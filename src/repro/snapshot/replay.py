@@ -1,94 +1,132 @@
-"""Checkpoint chains and prefix-replay caches built on snapshots.
+"""Incremental replay built on snapshot forks.
 
-Two consumers turn :mod:`repro.snapshot` captures into incremental
+Two consumers turn :mod:`repro.snapshot` clones into incremental
 replay:
 
-* the **crash-point sweep** (:mod:`repro.crashtest`) and the oracle's
-  crash-convergence phase (:mod:`repro.check.oracle`) lay periodic
-  :class:`Checkpoint` objects during a single probe run and start each
-  boundary replay from :meth:`CheckpointChain.nearest` — the latest
-  checkpoint at or below the boundary's write count — instead of
-  re-executing the whole workload prefix;
+* the **crash-point sweeps** (:mod:`repro.crashtest`, its nested sweep,
+  and the oracle's crash-convergence phase in :mod:`repro.check.oracle`)
+  share one :class:`ForwardCursor`: a single live, fault-free machine
+  that runs the recorded workload forward exactly once and is *forked*
+  at every crash boundary, so no case re-executes the prefix another
+  case already paid for;
 * the fuzzer's delta-debugging shrinker (:mod:`repro.check.fuzz`)
   replays hundreds of near-identical transaction lists; a
   :class:`TraceReplayCache` memoizes a snapshot per replayed prefix so
   each ddmin candidate only executes the transactions after its longest
   already-seen prefix.
 
-Checkpoints are keyed by the device's cumulative *timed-write* count,
-which is the same clock crash boundaries are expressed in: a boundary
-``b`` means the ``b``-th successful write is the last one, so a replay
-from a checkpoint taken after ``w <= b`` writes arms a residual budget
-of ``b - w`` (zero residual = the very next write dies, the
-boundary-exactly-at-a-checkpoint case).
+Crash boundaries are expressed in the device's cumulative *timed-write*
+count: boundary ``b`` means the ``b``-th successful write is the last
+one.  A fork can only be taken between transactions, so the cursor
+stops the live machine before the latest transaction ``t`` that starts
+at or below the boundary (``writes_before[t] <= b``) and arms the fork
+with the residual budget ``b - writes_before[t]`` — zero residual means
+the very next write dies, the boundary-equals-a-transaction's-starting-
+count case.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
+from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.common.config import FaultConfig
+from repro.common.errors import PowerLossError
 from repro.snapshot import Snapshot, clone_state
 
+# One recorded workload transaction: issuing core plus its ordered
+# (addr, value) stores, duplicates preserved — everything a replay needs
+# to re-execute the transaction without consuming workload RNG.
+TxnRecord = Tuple[int, List[Tuple[int, bytes]]]
 
-class Checkpoint:
-    """One mid-workload snapshot plus its replay bookkeeping.
 
-    ``txn_index`` is the workload transaction the checkpoint *precedes*;
-    ``writes`` the device's timed-write count at capture; ``oracle`` the
-    committed word->value model at that point (copied, so later workload
-    progress cannot mutate it).
+def _run_txn(system: Any, txn: TxnRecord) -> None:
+    core, stores = txn
+    with system.transaction(core) as tx:
+        for addr, value in stores:
+            tx.store(addr, value)
+
+
+class ForwardCursor:
+    """One fault-free machine run forward once, forked at each boundary.
+
+    ``system`` must sit *before* ``txns[0]`` (built, heap allocated, no
+    fault armed) on a fault-injecting device.  Construction forks it and
+    runs the whole list on the fork — the probe — recording only
+    ``writes_before[t]``, the timed-write count before transaction
+    ``t``, and ``total_writes``.  :meth:`crash_at` then advances the
+    live machine monotonically; boundaries must be asked for in
+    ascending order.
     """
 
-    __slots__ = ("txn_index", "writes", "snapshot", "oracle")
+    def __init__(self, system: Any, txns: List[TxnRecord]) -> None:
+        self._system = system
+        self._txns = txns
+        self._next = 0  # the transaction the live machine runs next
+        self._oracle: Dict[int, bytes] = {}  # committed word -> value
+        self._last_boundary = 0
+        probe = Snapshot(system).restore()
+        stats = probe.device.stats
+        self.writes_before: List[int] = []
+        for txn in txns:
+            self.writes_before.append(stats.writes)
+            _run_txn(probe, txn)
+        self.total_writes: int = stats.writes
 
-    def __init__(
-        self,
-        txn_index: int,
-        writes: int,
-        snapshot: Snapshot,
-        oracle: Dict[int, bytes],
-    ) -> None:
-        self.txn_index = txn_index
-        self.writes = writes
-        self.snapshot = snapshot
-        self.oracle = oracle
+    def crash_at(
+        self, faults: FaultConfig
+    ) -> Optional[Tuple[Any, Dict[int, bytes], Dict[int, bytes]]]:
+        """Fork the machine and run it into ``faults``' power cut.
 
-
-class CheckpointChain:
-    """Checkpoints in capture order, searchable by write count."""
-
-    __slots__ = ("_checkpoints", "_writes")
-
-    def __init__(self) -> None:
-        self._checkpoints: List[Checkpoint] = []
-        self._writes: List[int] = []
-
-    def add(self, checkpoint: Checkpoint) -> None:
-        """Append a checkpoint (write counts must be nondecreasing)."""
-        if self._writes and checkpoint.writes < self._writes[-1]:
-            raise ValueError(
-                "checkpoints must be added in write order: "
-                f"{checkpoint.writes} < {self._writes[-1]}"
-            )
-        self._checkpoints.append(checkpoint)
-        self._writes.append(checkpoint.writes)
-
-    def nearest(self, boundary_writes: int) -> Optional[Checkpoint]:
-        """Latest checkpoint with ``writes <= boundary_writes``.
-
-        Returns ``None`` when even the first checkpoint is past the
-        boundary (possible only if system construction itself issued
-        timed writes); callers fall back to a cold run.
+        Returns ``(system, oracle, staged)`` exactly as a cold run under
+        ``faults`` leaves them before ``crash()``: ``oracle`` holds the
+        words of transactions whose commit returned, ``staged`` those of
+        the one that was open when the power failed (empty when the
+        workload outran the budget).  ``None`` when the boundary lies
+        below the first transaction's starting count (possible only if
+        system construction itself issued timed writes); callers fall
+        back to a cold run.
         """
-        index = bisect_right(self._writes, boundary_writes) - 1
-        if index < 0:
+        boundary = faults.power_loss_after_write
+        if boundary < self._last_boundary:
+            raise ValueError(
+                "crash boundaries must ascend: "
+                f"{boundary} < {self._last_boundary}"
+            )
+        self._last_boundary = boundary
+        start = bisect_right(self.writes_before, boundary) - 1
+        if start < 0:
             return None
-        return self._checkpoints[index]
-
-    def __len__(self) -> int:
-        return len(self._checkpoints)
+        live = self._system
+        for txn in self._txns[self._next : start]:
+            _run_txn(live, txn)
+            self._oracle.update(txn[1])  # duplicates collapse last-wins
+        self._next = start  # never moves back: boundaries ascend
+        fork = Snapshot(live).restore()
+        # A fresh injector armed with the residual budget: its PRNG
+        # matches the cold one bit-for-bit because nothing consumes it
+        # before the cut.
+        fork.device.rearm(
+            _dc_replace(
+                faults,
+                power_loss_after_write=boundary - self.writes_before[start],
+            )
+        )
+        oracle = dict(self._oracle)
+        staged: Dict[int, bytes] = {}
+        try:
+            for core, stores in self._txns[start:]:
+                with fork.transaction(core) as tx:
+                    for addr, value in stores:
+                        tx.store(addr, value)
+                        staged[addr] = value
+                oracle.update(staged)
+                staged = {}
+        except PowerLossError:
+            pass
+        return fork, oracle, staged
 
 
 class TraceReplayCache:

@@ -167,7 +167,8 @@ class TestSweep:
         assert crashtest.resolve_schemes("hoop,undo") == [
             "hoop", "opt-undo",
         ]
-        assert len(crashtest.resolve_schemes("all")) == 7
+        assert crashtest.resolve_schemes("hoopmc") == ["hoop-mc"]
+        assert len(crashtest.resolve_schemes("all")) == 8
         with pytest.raises(ValueError):
             crashtest.resolve_schemes(",")
 

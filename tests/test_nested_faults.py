@@ -18,9 +18,12 @@ import pytest
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
-from repro.crashtest import build_crashed_cold, verify_atomic_durability
+from repro.crashtest import (
+    SWEEP_SCHEMES,
+    build_crashed_cold,
+    verify_atomic_durability,
+)
 from repro.crashtest.nested import (
-    NESTED_SCHEMES,
     SweepState,
     check_idempotence,
     converge_recovery,
@@ -30,7 +33,7 @@ from repro.crashtest.nested import (
     sweep_params,
 )
 
-ALL_SCHEMES = sorted(NESTED_SCHEMES.values())
+ALL_SCHEMES = sorted(SWEEP_SCHEMES.values())
 
 # Small but non-trivial workloads: enough transactions that every
 # scheme's log/region structures are exercised, small enough to keep the

@@ -6,9 +6,11 @@ NVM content fingerprint, same device counters, same sanitizer verdicts.
 These tests pin that gate for every registry scheme, exercise the
 fault-injector countdown (a snapshot captured mid-fault must replay the
 same remaining-writes budget, torn-word RNG included), cover the
-boundary-exactly-at-a-checkpoint edge (zero residual budget), and check
-that the incremental crash sweep, the oracle's crash phase, and the
-fuzzer's prefix-replay cache all match their cold-rerun counterparts.
+boundary-equals-a-transaction's-starting-write-count edge (zero
+residual budget), and check that the forked crash sweep, the oracle's
+crash phase, and the fuzzer's prefix-replay cache all match their
+cold-rerun counterparts (``tests/test_forward_cursor.py`` holds the
+cursor's own properties).
 """
 
 import dataclasses
@@ -149,9 +151,9 @@ class TestMidFaultCountdown:
         assert not twin.injector.power_lost
 
     def test_rearm_zero_residual_kills_next_write(self):
-        # The boundary-exactly-at-a-checkpoint case: the sweep restores
-        # the checkpoint and rearms with residual 0 — the very next
-        # timed write must be the fatal one.
+        # The boundary-equals-a-transaction's-starting-count case: the
+        # sweep forks the machine and rearms with residual 0 — the very
+        # next timed write must be the fatal one.
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True, seed=5))
         for index in range(5):
             device.write(64 * index, b"\x01" * 64)
@@ -168,7 +170,7 @@ class TestMidFaultCountdown:
 
 
 class TestIncrementalSweepEquivalence:
-    """The checkpointed sweep's verdicts are bit-identical to cold."""
+    """The forked sweep's verdicts are bit-identical to cold."""
 
     KWARGS = dict(seed=11, transactions=12, addresses=6, sample=0)
 
@@ -186,30 +188,28 @@ class TestIncrementalSweepEquivalence:
         monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", "1")
         cold = crashtest.sweep_scheme("hoop", **self.KWARGS)
         monkeypatch.delenv("REPRO_SNAPSHOT_DISABLE")
-        incremental = crashtest.sweep_scheme(
-            "hoop", cadence=2, **self.KWARGS
-        )
+        incremental = crashtest.sweep_scheme("hoop", **self.KWARGS)
         assert self._verdicts(incremental) == self._verdicts(cold)
         assert not incremental.failures
 
-    def test_exhaustive_sweep_covers_checkpoint_boundaries(self):
+    def test_some_boundary_equals_a_tx_start_count(self):
         # The exhaustive sweep above includes every write boundary, so
-        # proving some boundary coincides with a checkpoint's write
-        # count shows the zero-residual edge was exercised end to end.
-        total, _txns, chain = crashtest._probe_and_checkpoint(
+        # proving some boundary coincides with a transaction's starting
+        # write count shows the zero-residual edge (fork, then the very
+        # next write dies) was exercised end to end.
+        cursor = crashtest.forward_cursor(
             "hoop",
             seed=self.KWARGS["seed"],
             transactions=self.KWARGS["transactions"],
             addresses=self.KWARGS["addresses"],
-            cadence=2,
         )
-        assert len(chain) > 1
+        assert len(cursor.writes_before) == self.KWARGS["transactions"]
         exact = [
-            boundary
-            for boundary in range(1, total + 1)
-            if (cp := chain.nearest(boundary)) and cp.writes == boundary
+            writes
+            for writes in cursor.writes_before
+            if 1 <= writes <= cursor.total_writes
         ]
-        assert exact, "no boundary landed exactly on a checkpoint"
+        assert exact, "no boundary equals a transaction's starting count"
 
     def test_oracle_matrix_matches_cold(self, monkeypatch):
         kwargs = dict(seed=7, transactions=10, slots=6, crash_sample=5)
