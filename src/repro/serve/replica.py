@@ -14,10 +14,10 @@ write set of one batch transaction (see
 ``redo_words``).  A batch commit on the primary synchronously ships
 that record to every live backup *before* the acknowledgement:
 
-* the **primary** folds the encoded record into the batch transaction
-  itself (data stores + log entry + log header, one failure-atomic
-  commit — the redo stream is materialized atomically with the data,
-  exactly the paper's out-of-place commit unit);
+* the **primary** commits the data stores plus its log header in one
+  failure-atomic transaction and logs no entry of its own — the
+  scheme's commit (HOOP's out-of-place slices) already is the
+  primary's durable redo copy, and nothing reads a second one;
 * each **backup** appends the record to its own durable *replication
   log* as one failure-atomic transaction on its own machine, and
   applies the logged values to its home-region slots lazily (every
@@ -61,7 +61,7 @@ from repro.telemetry.hub import Telemetry
 from repro.txn.system import MemorySystem
 
 _WORD = 8
-# Log header: one cache line of five u64 words
+# Log header: five u64 words at the head of a reserved cache line
 # [magic, epoch, shipped_seq, applied_seq, write_off].
 _HEADER_BYTES = 64
 _MAGIC = 0x52504C4F47763101  # "RPLOGv1" + 0x01
@@ -231,10 +231,13 @@ class Replica:
         self.shipped_seq = 0
         self.applied_seq = 0
         self.write_off = self.entries_base
-        # Shipped-but-unapplied records, and the full in-log history
-        # since the last compaction (the delta catch-up source).
+        # Shipped-but-unapplied records, and the full history since the
+        # last compaction (the delta catch-up source) with its encoded
+        # size: a primary logs no entry, so that size, held to the
+        # entry area's capacity, is what bounds its volatile list.
         self.tail: List[Tuple[int, List[Tuple[int, bytes]]]] = []
         self.entries: List[Tuple[int, int, List[Tuple[int, bytes]]]] = []
+        self.history_bytes = 0
         self.recover_at_ns = 0.0
         self.kills = 0
         self.recoveries = 0
@@ -271,48 +274,42 @@ class Replica:
             self.applied_seq if applied is None else applied,
             self.write_off if write_off is None else write_off,
         )
-        raw = b"".join(w.to_bytes(_WORD, "little") for w in words)
-        return raw + bytes(_HEADER_BYTES - len(raw))
+        return b"".join(w.to_bytes(_WORD, "little") for w in words)
 
-    def _needs_compaction(self, entry_len: int) -> bool:
-        return self.write_off + entry_len > self.log_limit
-
-    def stage_local_entry(
+    def stage_primary_commit(
         self, seq: int, epoch: int, stores: Sequence[Tuple[int, bytes]]
-    ) -> Tuple[List[Tuple[int, bytes]], Callable[[], None]]:
-        """Primary-side append: extra stores to fold into the data batch.
+    ) -> Tuple[Tuple[int, bytes], Callable[[], None]]:
+        """Primary-side commit: the header store to fold into the data batch.
 
-        Returns ``(log_stores, commit)``: the encoded entry + header
-        writes to run *inside* the same batch transaction as the data
-        (redo materialized atomically with commit), and a ``commit``
-        callback the caller invokes only after that transaction
-        returns — a power cut mid-batch leaves the volatile mirrors
-        untouched, matching whatever the durable log resolved to.
-        The primary applies data directly, so its ``applied_seq``
-        always equals its ``shipped_seq``.
+        Returns ``(header_store, commit)``: the header write to run
+        *inside* the same batch transaction as the data, and a
+        ``commit`` callback the caller invokes only after that
+        transaction returns — a power cut mid-batch leaves the volatile
+        mirrors untouched, matching whatever the durable header
+        resolved to.  The primary applies data directly (``applied_seq
+        == shipped_seq``) and every log reader acts only on records
+        above the applied horizon, so it writes **no entry** and
+        ``write_off`` stays put: the record is durable in the scheme's
+        own commit and in every live backup's log.  It still joins the
+        volatile ``entries`` history, emptied when its encoded size
+        would outgrow the entry area (what the log wrap used to do).
         """
-        entry = encode_entry(seq, epoch, stores)
-        at = self.write_off
-        if self._needs_compaction(len(entry)):
-            # The primary's tail is always empty; compaction is just a
-            # wrap of the write offset, folded into this same commit.
-            at = self.entries_base
-        header = self._header_bytes(
-            epoch=epoch, shipped=seq, applied=seq, write_off=at + len(entry)
-        )
-        log_stores = [(at, entry), (self.log_base, header)]
+        header = self._header_bytes(epoch=epoch, shipped=seq, applied=seq)
         record = (seq, epoch, [(a, bytes(v)) for a, v in stores])
+        # What encode_entry would produce, without encoding it.
+        size = _ENTRY_FIXED + sum(_STORE_FIXED + len(v) for _, v in stores)
 
         def commit() -> None:
-            if at == self.entries_base and self.write_off != self.entries_base:
-                self.entries = []  # compacted: prior history is gone
+            if self.history_bytes + size > self.log_limit - self.entries_base:
+                self.entries = []  # over budget: prior history is gone
+                self.history_bytes = 0
             self.epoch = epoch
             self.shipped_seq = seq
             self.applied_seq = seq
-            self.write_off = at + len(entry)
             self.entries.append(record)
+            self.history_bytes += size
 
-        return log_stores, commit
+        return (self.log_base, header), commit
 
     def receive_ship(
         self,
@@ -338,13 +335,10 @@ class Replica:
                 f"replica {self.shard_id}/{self.index} at epoch "
                 f"{self.epoch} refused ship from epoch {epoch}"
             )
-        if self._needs_compaction(
-            _ENTRY_FIXED
-            + sum(_STORE_FIXED + len(v) for _, v in stores)
-        ):
+        entry = encode_entry(seq, epoch, stores)
+        if self.write_off + len(entry) > self.log_limit:
             self.apply_tail(start_ns, reset=True)
             start_ns = max(start_ns, self.clock_ns)
-        entry = encode_entry(seq, epoch, stores)
         at = self.write_off
         header = self._header_bytes(
             epoch=epoch, shipped=seq, write_off=at + len(entry)
@@ -357,6 +351,7 @@ class Replica:
         record = [(a, bytes(v)) for a, v in stores]
         self.tail.append((seq, record))
         self.entries.append((seq, epoch, record))
+        self.history_bytes += len(entry)
         return self.clock_ns
 
     def apply_tail(
@@ -397,6 +392,7 @@ class Replica:
         if reset:
             self.write_off = self.entries_base
             self.entries = []
+            self.history_bytes = 0
         return self.clock_ns
 
     def entries_since(
@@ -431,6 +427,7 @@ class Replica:
         self.write_off = self.entries_base
         self.tail = []
         self.entries = []
+        self.history_bytes = 0
         header = self._header_bytes()
         self.system.clocks[0] = max(start_ns, self.clock_ns)
         self.system.run_batch([(self.log_base, header)], core=0)
@@ -458,6 +455,7 @@ class Replica:
             self.write_off = self.entries_base
             self.tail = []
             self.entries = []
+            self.history_bytes = 0
             return
         self.epoch = int.from_bytes(raw[_WORD : 2 * _WORD], "little")
         self.shipped_seq = int.from_bytes(raw[2 * _WORD : 3 * _WORD], "little")
@@ -469,6 +467,7 @@ class Replica:
             else b""
         )
         self.entries = decode_entries(span)
+        self.history_bytes = len(span)
         self.tail = [
             (seq, record)
             for seq, _, record in self.entries
@@ -647,8 +646,8 @@ class ReplicationGroup:
     ) -> ShipOutcome:
         """Commit one batch on the primary and ship its redo records.
 
-        The primary's transaction carries the data stores plus the
-        encoded redo entry and header (one atomic commit); each live
+        The primary's transaction carries the data stores plus its log
+        header (one atomic commit, no entry of its own); each live
         backup then appends the record starting at the primary's commit
         instant (ships run in parallel across backups in simulated
         time).  The primary's clock is advanced to the ack instant —
@@ -668,8 +667,8 @@ class ReplicationGroup:
             self.lease_expiry_ns = tx.end_ns + self.lease_ns
             return ShipOutcome(tx, tx.end_ns, [])
         seq = self.next_seq
-        log_stores, commit = primary.stage_local_entry(seq, self.epoch, stores)
-        tx = system.run_batch(list(stores) + log_stores, core=core)
+        header, commit = primary.stage_primary_commit(seq, self.epoch, stores)
+        tx = system.run_batch([*stores, header], core=core)
         commit()
         self.next_seq = seq + 1
         commit_end = tx.end_ns

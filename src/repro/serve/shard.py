@@ -309,11 +309,11 @@ class ShardExecutor:
         except PowerLossError as exc:
             issued = getattr(exc, "issued_stores", [])
             if primary.log_base is not None:
-                # The batch tx also carries the replication-log entry +
-                # header.  All-or-nothing is judged over the *data*
-                # words only: log words are rewritten every batch, so
-                # their pre-crash baseline is the previous log state —
-                # which the word-granular verifier (baselining against
+                # The batch tx also carries the replication-log header.
+                # All-or-nothing is judged over the *data* words only:
+                # header words are rewritten every batch, so their
+                # pre-crash baseline is the previous log state — which
+                # the word-granular verifier (baselining against
                 # acked-or-zero) cannot know.  Log integrity is proven
                 # separately, by tail replay + divergence fingerprints.
                 issued = [
@@ -368,8 +368,8 @@ class ShardExecutor:
 
         The dead machine is crashed+recovered immediately and verified
         against every acked word (plus all-or-nothing for the in-flight
-        batch — its words, including the folded-in redo log entry, are
-        ``staged``).  With a live backup the group enters FAILING_OVER
+        batch — its data words are ``staged``; the folded-in log header
+        is not).  With a live backup the group enters FAILING_OVER
         until the lease expires; without one it holds RECOVERING until
         the same machine's recovery horizon, exactly the PR 7 path.
         """

@@ -1,9 +1,11 @@
 """Replication groups: redo shipping, promotion, rejoin, divergence."""
 
+from unittest import mock
+
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.serve import ServeConfig, run_serve
+from repro.serve import SERVABLE_SCHEMES, ServeConfig, run_serve
 from repro.serve.cluster import ServeCluster
 from repro.serve.replica import (
     BACKUP,
@@ -183,6 +185,85 @@ class TestReplicationGroup:
         assert victim.fingerprint() == never_crashed.fingerprint()
         assert group.divergence() is None
 
+    def test_primary_logs_no_entry_and_refreshes_to_its_header(self):
+        # A log this small wrapped several times when the primary still
+        # wrote its own entries; now its entry area is never written.
+        group = make_group(replicas=1, log_bytes=4096)
+        primary = group.primary
+        for i in range(24):
+            addr = primary.addr_of(i % 16)
+            group.commit_and_ship([(addr, bytes([i + 1]) * 64)])
+        before = (primary.epoch, primary.shipped_seq, primary.applied_seq)
+        assert before == (1, 24, 24)
+        primary.system.crash()
+        primary.system.recover(threads=primary.recovery_threads)
+        primary.refresh_from_durable_log()
+        assert (
+            primary.epoch, primary.shipped_seq, primary.applied_seq
+        ) == before
+        assert primary.tail == [] and primary.entries == []
+        assert primary.write_off == primary.entries_base
+        area = primary.log_limit - primary.entries_base
+        assert primary.system.device.peek(primary.entries_base, area) == bytes(
+            area
+        )
+
+    def test_promoted_backup_refreshes_without_replaying_twice(self):
+        # Backup-era and primary-era batches write the same keys, so a
+        # backup-era record replayed after the crash would show up as a
+        # stale value in the fingerprint.
+        group = make_group(replicas=2, apply_every=3)
+        for i in range(7):
+            addr = group.primary.addr_of(i % 4)
+            group.commit_and_ship([(addr, bytes([i + 1]) * 64)])
+        group.begin_replica_recovery(
+            group.primary, group.primary.clock_ns, floor_ns=0.0
+        )
+        promoted = group.promote(group.replicas[1].clock_ns)
+        survivor = group.replicas[2]
+        backup_era_end = promoted.write_off
+        assert promoted.index == 1 and backup_era_end > promoted.entries_base
+        for i in range(7, 12):
+            addr = promoted.addr_of(i % 4)
+            group.commit_and_ship([(addr, bytes([i + 1]) * 64)])
+        assert promoted.write_off == backup_era_end  # no primary-era entry
+        promoted.system.crash()
+        promoted.system.recover(threads=promoted.recovery_threads)
+        promoted.refresh_from_durable_log()
+        assert (promoted.epoch, promoted.shipped_seq) == (2, 12)
+        assert promoted.applied_seq == 12
+        assert [seq for seq, _, _ in promoted.entries] == list(range(1, 8))
+        assert promoted.tail == []
+        assert promoted.write_off == backup_era_end
+        assert promoted.fingerprint() == survivor.fingerprint()
+
+    def test_primary_history_is_bounded_and_a_gap_forces_an_image_copy(self):
+        # 4096-byte log: 4032 bytes of entry area, 104 per one-store
+        # record, so the volatile history restarts every 38 batches —
+        # the batch counts at which the primary's on-NVM log wrapped.
+        group = make_group(replicas=1, log_bytes=4096)
+        primary, victim = group.replicas
+        group.commit_and_ship([(primary.addr_of(0), b"\x01" * 64)])
+        group.begin_replica_recovery(victim, primary.clock_ns, floor_ns=0.0)
+        longest = 0
+        for i in range(1, 100):
+            addr = primary.addr_of(i % 16)
+            group.commit_and_ship([(addr, bytes([i + 1]) * 64)])
+            longest = max(longest, len(primary.entries))
+            assert primary.history_bytes == 104 * len(primary.entries)
+        assert longest == 38
+        assert [seq for seq, _, _ in primary.entries][0] == 77
+        assert primary.entries_since(victim.shipped_seq) is None
+        with mock.patch.object(
+            group, "catch_up", wraps=group.catch_up
+        ) as catch_up:
+            retry = group.try_go_live(victim, max(victim.clock_ns, 1e12))
+            assert catch_up.call_count == 1
+            assert retry == victim.clock_ns  # image copied; go live next
+            assert group.try_go_live(victim, victim.clock_ns) is None
+        assert victim.state == BACKUP
+        assert group.divergence() is None
+
 
 class TestReplicatedServeConfig:
     def test_backup_kill_requires_replicas(self):
@@ -220,7 +301,7 @@ class TestReplicatedEndToEnd:
         assert report.divergence_checks == 2
         assert report.oracle_verifications == 4
 
-    @pytest.mark.parametrize("scheme", ["hoop", "logregion"])
+    @pytest.mark.parametrize("scheme", SERVABLE_SCHEMES)
     @pytest.mark.parametrize("torn", [False, True])
     def test_kill_primary_promotes_and_loses_nothing(self, scheme, torn):
         report = run_serve(
@@ -331,6 +412,76 @@ class TestReplicatedEndToEnd:
         assert replicated.acked_puts + replicated.acked_gets == acked
         assert replicated.makespan_ns >= base.makespan_ns
         assert replicated.latency["max"] >= base.latency["max"]
+
+    @pytest.mark.parametrize("torn", [False, True])
+    @pytest.mark.parametrize(
+        "primary_after_ms, first", [(0.002, "shard_kill"), (0.02, "backup_kill")]
+    )
+    def test_both_replicas_cut_resumes_solo_and_loses_nothing(
+        self, primary_after_ms, first, torn
+    ):
+        # +2 us: the primary's cut fires first and the backup dies as
+        # it promotes; +20 us: the backup dies mid-ship, then the
+        # primary with no successor.  Either way the shard waits for
+        # its own primary (resume_solo) and the backup rejoins by image.
+        hub = Telemetry()
+        cluster = ServeCluster(
+            ServeConfig(
+                shards=2, replicas=1, rate_per_s=1.6e6, duration_ms=2.0,
+                queue_depth=256, kill_backup_at_ms=0.6,
+                kill_primary_at_ms=0.6 + primary_after_ms, torn_kill=torn,
+                seed=7,
+            ),
+            telemetry=hub,
+        )
+        cluster.run()
+        kinds = [
+            kind
+            for _, kind, _, _ in hub.events
+            if kind in (
+                "shard_kill", "backup_kill", "promotion",
+                "shard_recovered", "rejoin_complete",
+            )
+        ]
+        second = "backup_kill" if first == "shard_kill" else "shard_kill"
+        assert kinds == [first, second, "shard_recovered", "rejoin_complete"]
+        group = cluster.groups[0]
+        assert (group.promotions, group.primary_index) == (0, 0)
+        assert all(replica.live for replica in group.replicas)
+        assert cluster.oracle_failures == []
+        assert cluster.divergence_checks >= 3
+        assert cluster.acked_puts + cluster.acked_gets == cluster.admitted
+
+    def test_primary_commit_is_data_plus_header_and_half_a_backup(self):
+        # A dimensional guard on the write volume, not a timing one: the
+        # primary's batch transaction is its stores plus one header
+        # store, so its device writes well under half of what its
+        # backup (log, then apply) does.
+        seen = []
+        commit_and_ship = ReplicationGroup.commit_and_ship
+
+        def spy(group, stores, core=0):
+            outcome = commit_and_ship(group, stores, core)
+            seen.append((len(stores), outcome.tx))
+            return outcome
+
+        cluster = ServeCluster(
+            ServeConfig(
+                shards=2, replicas=1, rate_per_s=1.6e6, duration_ms=1.0,
+                read_fraction=0.1, seed=7,
+            ),
+            telemetry=Telemetry(),
+        )
+        with mock.patch.object(ReplicationGroup, "commit_and_ship", spy):
+            cluster.run()
+        committed = [(n, tx) for n, tx in seen if tx is not None]
+        assert committed
+        assert all(len(tx.write_set) == n + 1 for n, tx in committed)
+        primary, backup = cluster.groups[0].replicas
+        written = [
+            r.system.device.stats.bytes_written for r in (primary, backup)
+        ]
+        assert 0 < written[0] < written[1] / 2
 
 
 class TestKeyspaceFingerprint:
