@@ -83,7 +83,6 @@ class ServeConfig:
     # Replication (0 = the PR 7 single-machine shard, bit-identical).
     replicas: int = 0
     lease_us: float = 250.0
-    apply_every: int = 4
     kill_primary_at_ms: Optional[float] = None
     kill_backup_at_ms: Optional[float] = None
     double_kill_at_ms: Optional[float] = None
@@ -119,8 +118,6 @@ class ServeConfig:
             )
         if self.lease_us < 0:
             raise ConfigError("lease_us must be nonnegative")
-        if self.apply_every < 1:
-            raise ConfigError("apply_every must be at least 1")
         if self.scheme not in SERVABLE_SCHEMES:
             raise ConfigError(
                 f"scheme {self.scheme!r} cannot back a serving layer "

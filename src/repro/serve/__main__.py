@@ -87,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="primary lease; promotion fires at its expiry (default 250)",
     )
     parser.add_argument(
-        "--apply-every", type=int, default=4,
-        help="backup applies its shipped tail every N batches (default 4)",
-    )
-    parser.add_argument(
         "--kill-primary-at-ms", type=float, default=None,
         help="destroy the primary (of --kill-shard or shard 0) and promote",
     )
@@ -141,7 +137,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             replicas=args.replicas,
             lease_us=args.lease_us,
-            apply_every=args.apply_every,
             kill_primary_at_ms=args.kill_primary_at_ms,
             kill_backup_at_ms=args.kill_backup_at_ms,
             double_kill_at_ms=args.double_kill_at_ms,

@@ -68,7 +68,6 @@ class ServeCluster:
                     replicas=cfg.replicas,
                     recovery_threads=cfg.recovery_threads,
                     lease_ns=cfg.lease_us * 1e3,
-                    apply_every=cfg.apply_every,
                 ),
                 telemetry=self.telemetry,
             )

@@ -18,10 +18,10 @@ asserting it:
   for the one batch that was mid-transaction when power died;
 * with replication enabled, *every replica* is held to the same
   promise: :meth:`AckOracle.verify_replica` checks a replica's durable
-  projection (crash + recover + shipped-tail replay, computed on a
-  clone — see :meth:`repro.serve.replica.Replica.durable_projection`)
-  against the full ack history, so an acked write must survive even
-  the destruction of the machine that acknowledged it.
+  projection (crash + recover, computed on a clone — see
+  :meth:`repro.serve.replica.Replica.durable_projection`) against the
+  full ack history, so an acked write must survive even the
+  destruction of the machine that acknowledged it.
 
 Word granularity matches the verifier's: PUT values are multiples of 8
 bytes at 8-byte-aligned slots (enforced by the serve config), so one
@@ -91,7 +91,7 @@ class AckOracle:
     ) -> Optional[str]:
         """Check one replica's durable projection against the shard's acks.
 
-        ``projection`` is the crash+recover+tail-replay clone from
+        ``projection`` is the crash+recover clone from
         :meth:`repro.serve.replica.Replica.durable_projection` — what
         this replica would serve if promoted right now.  Every word the
         *group* ever acknowledged must be present (synchronous shipping

@@ -14,16 +14,15 @@ write set of one batch transaction (see
 ``redo_words``).  A batch commit on the primary synchronously ships
 that record to every live backup *before* the acknowledgement:
 
-* the **primary** commits the data stores plus its log header in one
-  failure-atomic transaction and logs no entry of its own — the
-  scheme's commit (HOOP's out-of-place slices) already is the
-  primary's durable redo copy, and nothing reads a second one;
-* each **backup** appends the record to its own durable *replication
-  log* as one failure-atomic transaction on its own machine, and
-  applies the logged values to its home-region slots lazily (every
-  ``apply_every`` batches) — the acked-visible state (the log) is
-  decoupled from the in-place home region, the same split the
-  out-of-place schemes make at machine scope;
+* the **primary** commits the data stores plus its log header (three
+  words: magic, epoch, sequence) in one failure-atomic transaction —
+  the scheme's commit (HOOP's out-of-place slices) already is the
+  durable redo copy, and nothing would read a second one;
+* each **backup** commits what it is shipped the same way — the
+  record's data stores plus its own log header, one failure-atomic
+  transaction on its own machine — so there is no replication log to
+  append to and nothing to apply later or replay at promotion: every
+  live backup's scheme holds the committed prefix the primary's does;
 * the acknowledgement instant is the **max** over the primary commit
   and every live backup's ship commit — synchronous replication by
   construction.
@@ -31,11 +30,11 @@ that record to every live backup *before* the acknowledgement:
 Failover is lease/epoch based and entirely deterministic in simulated
 time: a primary kill starts a promotion at the old primary's lease
 expiry; the freshest live backup (highest durably shipped sequence,
-ties to the lowest replica index) replays its shipped-but-unapplied
-tail, bumps the group epoch durably in its log header, reconciles any
-backup that missed the final records, and serves.  The old primary
-rejoins by catch-up: a full image copy from the new primary's durable
-projection, then delta re-ships until its clock rejoins the present.
+ties to the lowest replica index) bumps the group epoch durably in
+its log header, reconciles any backup that missed the final records,
+and serves.  The old primary rejoins by catch-up: a full image copy
+from the new primary's durable projection, then delta re-ships until
+its clock rejoins the present.
 The replica lifecycle (``LEASED`` → ``PROMOTING`` → ``SERVING``-as-
 ``LEASED`` → ``REJOINING``) is documented for operators in
 ``docs/serving.md``.
@@ -61,11 +60,12 @@ from repro.telemetry.hub import Telemetry
 from repro.txn.system import MemorySystem
 
 _WORD = 8
-# Log header: five u64 words at the head of a reserved cache line
-# [magic, epoch, shipped_seq, applied_seq, write_off].
+# Log header: three u64 words at the head of a reserved cache line
+# [magic, epoch, shipped_seq].  It is the whole durable "log".
 _HEADER_BYTES = 64
 _MAGIC = 0x52504C4F47763101  # "RPLOGv1" + 0x01
-# Entry framing: [seq, epoch, nstores] then per store [addr, nbytes].
+# What one record charges the volatile history budget: [seq, epoch,
+# nstores] then per store [addr, nbytes] and the value bytes.
 _ENTRY_FIXED = 3 * _WORD
 _STORE_FIXED = 2 * _WORD
 
@@ -73,7 +73,7 @@ _STORE_FIXED = 2 * _WORD
 # docs/serving.md; SERVING is the steady half of LEASED).
 LEASED = "leased"          # primary: holds the serving lease
 BACKUP = "backup"          # live backup: receives synchronous ships
-PROMOTING = "promoting"    # chosen backup replaying its shipped tail
+PROMOTING = "promoting"    # chosen backup bumping the epoch durably
 REJOINING = "rejoining"    # recovered machine catching up
 DEAD = "dead"              # killed; recovery hold not yet elapsed
 
@@ -98,60 +98,6 @@ class StaleEpochError(ReproError):
     """
 
 
-def encode_entry(seq: int, epoch: int, stores: Sequence[Tuple[int, bytes]]) -> bytes:
-    """Serialize one redo record as a word-aligned log entry.
-
-    Layout: ``[seq, epoch, nstores]`` then per store ``[addr, nbytes]``
-    followed by the value bytes.  Every field is a little-endian u64
-    and every value a multiple of 8 bytes (the serve config enforces
-    word-aligned slots), so an entry always lands on word boundaries —
-    which is what lets the acked-write oracle treat a torn ship as
-    ordinary word-granular staged state.  Pure function; no clocks.
-    """
-    parts = [
-        seq.to_bytes(_WORD, "little"),
-        epoch.to_bytes(_WORD, "little"),
-        len(stores).to_bytes(_WORD, "little"),
-    ]
-    for addr, value in stores:
-        if addr % _WORD or len(value) % _WORD:
-            raise ValueError("redo records must be word-aligned")
-        parts.append(addr.to_bytes(_WORD, "little"))
-        parts.append(len(value).to_bytes(_WORD, "little"))
-        parts.append(value)
-    return b"".join(parts)
-
-
-def decode_entries(buf: bytes) -> List[Tuple[int, int, List[Tuple[int, bytes]]]]:
-    """Walk a byte range of consecutive entries back into redo records.
-
-    Inverse of :func:`encode_entry` over a concatenation; returns
-    ``[(seq, epoch, [(addr, value), ...]), ...]`` in log order.  The
-    caller passes exactly ``entries_base .. write_off`` from a durable
-    header, so framing is trusted (every entry was written by one
-    failure-atomic transaction).  Pure function; no clocks.
-    """
-    out: List[Tuple[int, int, List[Tuple[int, bytes]]]] = []
-    off = 0
-    end = len(buf)
-    while off + _ENTRY_FIXED <= end:
-        seq = int.from_bytes(buf[off : off + _WORD], "little")
-        epoch = int.from_bytes(buf[off + _WORD : off + 2 * _WORD], "little")
-        nstores = int.from_bytes(
-            buf[off + 2 * _WORD : off + 3 * _WORD], "little"
-        )
-        off += _ENTRY_FIXED
-        stores: List[Tuple[int, bytes]] = []
-        for _ in range(nstores):
-            addr = int.from_bytes(buf[off : off + _WORD], "little")
-            nbytes = int.from_bytes(buf[off + _WORD : off + 2 * _WORD], "little")
-            off += _STORE_FIXED
-            stores.append((addr, buf[off : off + nbytes]))
-            off += nbytes
-        out.append((seq, epoch, stores))
-    return out
-
-
 def keyspace_fingerprint(system, slot_addrs: Sequence[int], value_bytes: int) -> str:
     """SHA-256 over the durable bytes of every key slot, in key order.
 
@@ -170,16 +116,18 @@ def keyspace_fingerprint(system, slot_addrs: Sequence[int], value_bytes: int) ->
 
 
 class Replica:
-    """One member of a replication group: a machine plus its redo log.
+    """One member of a replication group: a machine plus its log header.
 
     Replica 0 of a group boots as the primary (state :data:`LEASED`);
     the rest boot as :data:`BACKUP`.  With ``log_bytes == 0`` (an
-    unreplicated R=0 group) no log region is allocated and the replica
+    unreplicated R=0 group) no header line is allocated and the replica
     is bit-identical to the PR 7 single-machine shard, fault seed
-    included.  All mutating methods advance only this machine's core-0
-    clock; the volatile sequence mirrors (``shipped_seq`` etc.) are
-    updated strictly *after* the backing transaction commits, so a
-    power cut mid-commit leaves them truthful.
+    included.  Otherwise ``log_bytes`` less the header line is the
+    budget of the volatile record history (the delta catch-up source).
+    All mutating methods advance only this machine's core-0 clock; the
+    volatile mirrors (``epoch``, ``shipped_seq``) are updated strictly
+    *after* the backing transaction commits, so a power cut mid-commit
+    leaves them truthful.
     """
 
     def __init__(
@@ -217,25 +165,18 @@ class Replica:
             self.base + i * value_bytes for i in range(len(self._slot))
         ]
         if log_bytes:
-            self.log_base: Optional[int] = self.system.allocate(log_bytes)
-            self.entries_base = self.log_base + _HEADER_BYTES
-            self.log_limit = self.log_base + log_bytes
+            self.log_base: Optional[int] = self.system.allocate(_HEADER_BYTES)
+            self.history_limit = log_bytes - _HEADER_BYTES
         else:
             self.log_base = None
-            self.entries_base = 0
-            self.log_limit = 0
+            self.history_limit = 0
         self.state = LEASED if index == 0 else BACKUP
         # Volatile mirrors of the durable log header (authoritative
         # copy lives in NVM; these track it transaction by transaction).
         self.epoch = 1
         self.shipped_seq = 0
-        self.applied_seq = 0
-        self.write_off = self.entries_base
-        # Shipped-but-unapplied records, and the full history since the
-        # last compaction (the delta catch-up source) with its encoded
-        # size: a primary logs no entry, so that size, held to the
-        # entry area's capacity, is what bounds its volatile list.
-        self.tail: List[Tuple[int, List[Tuple[int, bytes]]]] = []
+        # Records committed here since the history last restarted (the
+        # delta catch-up source), with the bytes they charge its budget.
         self.entries: List[Tuple[int, int, List[Tuple[int, bytes]]]] = []
         self.history_bytes = 0
         self.recover_at_ns = 0.0
@@ -259,57 +200,61 @@ class Replica:
 
     # -- log plumbing ----------------------------------------------------------
 
-    def _header_bytes(
-        self,
-        *,
-        epoch: Optional[int] = None,
-        shipped: Optional[int] = None,
-        applied: Optional[int] = None,
-        write_off: Optional[int] = None,
-    ) -> bytes:
-        words = (
-            _MAGIC,
-            self.epoch if epoch is None else epoch,
-            self.shipped_seq if shipped is None else shipped,
-            self.applied_seq if applied is None else applied,
-            self.write_off if write_off is None else write_off,
+    def _header_store(self, epoch: int, seq: int) -> Tuple[int, bytes]:
+        return self.log_base, b"".join(
+            w.to_bytes(_WORD, "little") for w in (_MAGIC, epoch, seq)
         )
-        return b"".join(w.to_bytes(_WORD, "little") for w in words)
 
-    def stage_primary_commit(
+    def _run(
+        self, stores: Sequence[Tuple[int, bytes]], start_ns: float
+    ) -> float:
+        """One transaction no earlier than ``start_ns``; the clock after."""
+        self.system.clocks[0] = max(start_ns, self.clock_ns)
+        self.system.run_batch(stores, core=0)
+        return self.clock_ns
+
+    def _set_horizon(self, epoch: int, seq: int) -> None:
+        """Point the volatile mirrors at a horizon with no history."""
+        self.epoch = epoch
+        self.shipped_seq = seq
+        self.entries = []
+        self.history_bytes = 0
+
+    def stage_commit(
         self, seq: int, epoch: int, stores: Sequence[Tuple[int, bytes]]
     ) -> Tuple[Tuple[int, bytes], Callable[[], None]]:
-        """Primary-side commit: the header store to fold into the data batch.
+        """One record's commit on this replica, primary or backup alike.
 
         Returns ``(header_store, commit)``: the header write to run
-        *inside* the same batch transaction as the data, and a
-        ``commit`` callback the caller invokes only after that
-        transaction returns — a power cut mid-batch leaves the volatile
-        mirrors untouched, matching whatever the durable header
-        resolved to.  The primary applies data directly (``applied_seq
-        == shipped_seq``) and every log reader acts only on records
-        above the applied horizon, so it writes **no entry** and
-        ``write_off`` stays put: the record is durable in the scheme's
-        own commit and in every live backup's log.  It still joins the
-        volatile ``entries`` history, emptied when its encoded size
-        would outgrow the entry area (what the log wrap used to do).
+        *inside* the same batch transaction as the record's data
+        stores, and a ``commit`` callback the caller invokes only after
+        that transaction returns — a power cut mid-batch leaves the
+        volatile mirrors untouched, matching whatever the durable
+        header resolved to.  The record is durable in the scheme's own
+        commit, so no entry is written anywhere; it joins the volatile
+        ``entries`` history, which restarts when the record's framed
+        size (what a log entry would take) would outgrow the budget.
+        This is the one place a record enters a replica, so it is where
+        a store that is not word-aligned is rejected (``ValueError``):
+        the acked-write oracle judges a torn commit word by word.
         """
-        header = self._header_bytes(epoch=epoch, shipped=seq, applied=seq)
+        size = _ENTRY_FIXED
+        for addr, value in stores:
+            if addr % _WORD or len(value) % _WORD:
+                raise ValueError("redo records must be word-aligned")
+            size += _STORE_FIXED + len(value)
         record = (seq, epoch, [(a, bytes(v)) for a, v in stores])
-        # What encode_entry would produce, without encoding it.
-        size = _ENTRY_FIXED + sum(_STORE_FIXED + len(v) for _, v in stores)
 
         def commit() -> None:
-            if self.history_bytes + size > self.log_limit - self.entries_base:
+            if self.history_bytes + size > self.history_limit:
                 self.entries = []  # over budget: prior history is gone
                 self.history_bytes = 0
             self.epoch = epoch
             self.shipped_seq = seq
-            self.applied_seq = seq
             self.entries.append(record)
             self.history_bytes += size
 
-        return (self.log_base, header), commit
+        return self._header_store(epoch, seq), commit
 
     def receive_ship(
         self,
@@ -318,91 +263,53 @@ class Replica:
         stores: Sequence[Tuple[int, bytes]],
         start_ns: float,
     ) -> float:
-        """Backup-side append: durably log one shipped redo record.
+        """Backup-side commit of one shipped redo record.
 
-        Runs one failure-atomic transaction (entry + header) on this
-        machine starting no earlier than ``start_ns`` (the primary's
-        commit instant — redo exists only after commit) and returns the
-        ship's commit time, which joins the ack max.  The record lands
-        in the volatile ``tail`` for a later :meth:`apply_tail`.
-        Raises :class:`StaleEpochError` for a fenced-out epoch and
-        propagates :class:`~repro.common.errors.PowerLossError` if this
-        backup dies mid-ship (the entry is then all-or-nothing, like
-        any transaction).
+        Runs one failure-atomic transaction (the record's data stores
+        plus the header) on this machine starting no earlier than
+        ``start_ns`` (the primary's commit instant — redo exists only
+        after commit) and returns the ship's commit time, which joins
+        the ack max.  Raises :class:`StaleEpochError` for a fenced-out
+        epoch and propagates
+        :class:`~repro.common.errors.PowerLossError` if this backup
+        dies mid-ship (the record is then all-or-nothing, like any
+        transaction).
         """
         if epoch < self.epoch:
             raise StaleEpochError(
                 f"replica {self.shard_id}/{self.index} at epoch "
                 f"{self.epoch} refused ship from epoch {epoch}"
             )
-        entry = encode_entry(seq, epoch, stores)
-        if self.write_off + len(entry) > self.log_limit:
-            self.apply_tail(start_ns, reset=True)
-            start_ns = max(start_ns, self.clock_ns)
-        at = self.write_off
-        header = self._header_bytes(
-            epoch=epoch, shipped=seq, write_off=at + len(entry)
-        )
-        self.system.clocks[0] = max(start_ns, self.clock_ns)
-        self.system.run_batch([(at, entry), (self.log_base, header)], core=0)
-        self.epoch = epoch
-        self.shipped_seq = seq
-        self.write_off = at + len(entry)
-        record = [(a, bytes(v)) for a, v in stores]
-        self.tail.append((seq, record))
-        self.entries.append((seq, epoch, record))
-        self.history_bytes += len(entry)
-        return self.clock_ns
+        header, commit = self.stage_commit(seq, epoch, stores)
+        end_ns = self._run([*stores, header], start_ns)
+        commit()
+        return end_ns
 
-    def apply_tail(
-        self,
-        start_ns: float,
-        *,
-        epoch: Optional[int] = None,
-        reset: bool = False,
-    ) -> float:
-        """Replay shipped-but-unapplied records into the home region.
+    def apply_tail(self, start_ns: float, *, epoch: int) -> float:
+        """Durably bump this replica's epoch (promotion, solo resume).
 
-        One failure-atomic transaction writes every tail record's words
-        to their home slots and advances ``applied_seq`` to
-        ``shipped_seq`` in the header — so a crash mid-apply leaves
-        either the old tail (to be replayed again, idempotently) or the
-        new applied horizon, never a half-applied mix.  ``epoch`` bumps
-        the durable epoch in the same commit (promotion), ``reset``
-        additionally wraps the write offset (compaction, discarding the
-        volatile entry history).  Returns this machine's clock after
-        the commit; a no-op tail without an epoch bump costs nothing.
+        One header-only transaction.  The name outlived the tail it
+        used to replay in the same commit — a backup now commits every
+        record as it is shipped, so there is nothing left to apply —
+        because ``perf/trace.py`` wraps it by name and a change that
+        claims a gain may not edit the benchmark; the rename rides with
+        ROADMAP item 2.  Returns this machine's clock after the commit.
         """
-        if epoch is None and not self.tail and not reset:
-            return self.clock_ns
-        stores: List[Tuple[int, bytes]] = []
-        for _, record in self.tail:
-            stores.extend(record)
-        write_off = self.entries_base if reset else None
-        header = self._header_bytes(
-            epoch=epoch, applied=self.shipped_seq, write_off=write_off
+        end_ns = self._run(
+            [self._header_store(epoch, self.shipped_seq)], start_ns
         )
-        stores.append((self.log_base, header))
-        self.system.clocks[0] = max(start_ns, self.clock_ns)
-        self.system.run_batch(stores, core=0)
-        if epoch is not None:
-            self.epoch = epoch
-        self.applied_seq = self.shipped_seq
-        self.tail = []
-        if reset:
-            self.write_off = self.entries_base
-            self.entries = []
-            self.history_bytes = 0
-        return self.clock_ns
+        self.epoch = epoch
+        return end_ns
 
     def entries_since(
         self, seq: int
     ) -> Optional[List[Tuple[int, int, List[Tuple[int, bytes]]]]]:
         """Redo records with sequence above ``seq``, or None on a gap.
 
-        The delta catch-up source: ``None`` means compaction discarded
-        a needed record and the caller must fall back to a full image
-        copy.  Pure accessor; no clocks.
+        The delta catch-up source: ``None`` means the bounded history
+        no longer holds a needed record (it restarted, or a crash
+        emptied it) and the caller must fall back to a full image copy.
+        Pure accessor; no clocks.
         """
         if seq >= self.shipped_seq:
             return []
@@ -413,103 +320,50 @@ class Replica:
         return delta
 
     def reset_log(self, *, epoch: int, seq: int, start_ns: float) -> float:
-        """Durably restamp the log after a full-image catch-up.
+        """Durably restamp the header after a full-image catch-up.
 
         One header transaction records the caught-up horizon: new
-        epoch, ``shipped == applied == seq`` (the image already
-        contains everything up to ``seq``), empty entry area.  Clears
-        the volatile tail/history mirrors to match.  Returns the clock
-        after the commit.
+        epoch, ``shipped_seq = seq`` (the image already contains
+        everything up to ``seq``); the volatile history starts empty.
+        Returns the clock after the commit.
         """
-        self.epoch = epoch
-        self.shipped_seq = seq
-        self.applied_seq = seq
-        self.write_off = self.entries_base
-        self.tail = []
-        self.entries = []
-        self.history_bytes = 0
-        header = self._header_bytes()
-        self.system.clocks[0] = max(start_ns, self.clock_ns)
-        self.system.run_batch([(self.log_base, header)], core=0)
-        return self.clock_ns
+        self._set_horizon(epoch, seq)
+        return self._run([self._header_store(epoch, seq)], start_ns)
 
     def refresh_from_durable_log(self) -> None:
-        """Rebuild the volatile mirrors from the durable log after a crash.
+        """Rebuild the volatile mirrors from the durable header after a crash.
 
-        Reads the recovered header and entry area via raw peeks (the
-        recovery hold already charges the simulated cost of a log scan)
-        and reconstructs ``tail`` as every logged record above the
-        durable applied horizon — exactly what a promoted or resuming
-        replica must replay.  A virgin header (no magic) resets to the
-        empty-log state.  No-op for unreplicated replicas.
+        Restores ``(epoch, shipped_seq)`` from the recovered header via
+        a raw peek and nothing else: every record at or below that
+        sequence is already in the scheme's recovered state, and the
+        volatile history died with the machine (``entries_since``
+        reports a gap for anything older).  A virgin header (no magic)
+        resets to the empty-log state.  No-op for unreplicated
+        replicas.
         """
         if self.log_base is None:
             return
-        peek = self.system.device.peek
-        raw = peek(self.log_base, _HEADER_BYTES)
-        magic = int.from_bytes(raw[:_WORD], "little")
-        if magic != _MAGIC:
-            self.epoch = max(self.epoch, 1)
-            self.shipped_seq = 0
-            self.applied_seq = 0
-            self.write_off = self.entries_base
-            self.tail = []
-            self.entries = []
-            self.history_bytes = 0
+        raw = self.system.device.peek(self.log_base, 3 * _WORD)
+        if int.from_bytes(raw[:_WORD], "little") != _MAGIC:
+            self._set_horizon(max(self.epoch, 1), 0)
             return
-        self.epoch = int.from_bytes(raw[_WORD : 2 * _WORD], "little")
-        self.shipped_seq = int.from_bytes(raw[2 * _WORD : 3 * _WORD], "little")
-        self.applied_seq = int.from_bytes(raw[3 * _WORD : 4 * _WORD], "little")
-        self.write_off = int.from_bytes(raw[4 * _WORD : 5 * _WORD], "little")
-        span = (
-            peek(self.entries_base, self.write_off - self.entries_base)
-            if self.write_off > self.entries_base
-            else b""
+        self._set_horizon(
+            int.from_bytes(raw[_WORD : 2 * _WORD], "little"),
+            int.from_bytes(raw[2 * _WORD :], "little"),
         )
-        self.entries = decode_entries(span)
-        self.history_bytes = len(span)
-        self.tail = [
-            (seq, record)
-            for seq, _, record in self.entries
-            if seq > self.applied_seq
-        ]
 
     def durable_projection(self):
         """What this replica would serve after a crash, non-destructively.
 
-        Clones the whole machine (copy-on-write snapshot engine),
-        crashes and recovers the *clone*, replays the clone's durable
-        shipped-but-unapplied tail through a real transaction, then
-        crashes and recovers once more so the replayed words are
-        in-place durable — a simulated promotion on a throwaway copy.
-        The live machine is untouched: clocks, caches, and fault state
-        all stay exactly as they were, preserving bit-identical
-        replays.  Returns the projected clone for peeking.
+        Clones the whole machine (copy-on-write snapshot engine), then
+        crashes and recovers the *clone*.  The live machine is
+        untouched: clocks, caches, and fault state all stay exactly as
+        they were, preserving bit-identical replays.  Returns the
+        projected clone for peeking.
         """
         clone = clone_state(self.system)
         clone.crash()
         clone.recover(threads=self.recovery_threads)
-        if self.log_base is not None:
-            peek = clone.device.peek
-            raw = peek(self.log_base, _HEADER_BYTES)
-            if int.from_bytes(raw[:_WORD], "little") == _MAGIC:
-                applied = int.from_bytes(raw[3 * _WORD : 4 * _WORD], "little")
-                write_off = int.from_bytes(
-                    raw[4 * _WORD : 5 * _WORD], "little"
-                )
-                span = (
-                    peek(self.entries_base, write_off - self.entries_base)
-                    if write_off > self.entries_base
-                    else b""
-                )
-                stores: List[Tuple[int, bytes]] = []
-                for seq, _, record in decode_entries(span):
-                    if seq > applied:
-                        stores.extend(record)
-                if stores:
-                    clone.run_batch(stores, core=0)
-                    clone.crash()
-                    clone.recover(threads=self.recovery_threads)
         return clone
 
     def fingerprint(self) -> str:
@@ -562,11 +416,9 @@ class ReplicationGroup:
         log_bytes: int = 1 << 20,
         recovery_threads: int = 2,
         lease_ns: float = 250_000.0,
-        apply_every: int = 4,
     ) -> None:
         self.shard_id = shard_id
         self.telemetry = telemetry
-        self.apply_every = apply_every
         self.lease_ns = lease_ns
         log = log_bytes if replicas > 0 else 0
         self.replicas: List[Replica] = [
@@ -630,15 +482,6 @@ class ReplicationGroup:
         """Requests acknowledged by this group (any primary)."""
         return sum(r.acked for r in self.replicas)
 
-    def replication_lag(self) -> int:
-        """Records shipped but not yet applied by the laggiest live backup."""
-        live = self.live_backups()
-        if not live:
-            return 0
-        return max(
-            self.primary.shipped_seq - r.applied_seq for r in live
-        )
-
     # -- the replicated commit path --------------------------------------------
 
     def commit_and_ship(
@@ -647,16 +490,16 @@ class ReplicationGroup:
         """Commit one batch on the primary and ship its redo records.
 
         The primary's transaction carries the data stores plus its log
-        header (one atomic commit, no entry of its own); each live
-        backup then appends the record starting at the primary's commit
-        instant (ships run in parallel across backups in simulated
-        time).  The primary's clock is advanced to the ack instant —
-        synchronous replication stalls the next batch until every live
-        backup is durable.  A backup that dies mid-ship is returned in
-        ``dead_backups`` (its entry all-or-nothing); a primary power
-        cut propagates as :class:`~repro.common.errors.PowerLossError`
-        with ``issued_stores`` annotated by ``run_batch``.  Backups
-        whose tail reached ``apply_every`` apply it off the ack path.
+        header (one atomic commit); each live backup then commits the
+        same stores plus its own header starting at the primary's
+        commit instant (ships run in parallel across backups in
+        simulated time).  The primary's clock is advanced to the ack
+        instant — synchronous replication stalls the next batch until
+        every live backup is durable.  A backup that dies mid-ship is
+        returned in ``dead_backups`` (its record all-or-nothing); a
+        primary power cut propagates as
+        :class:`~repro.common.errors.PowerLossError` with
+        ``issued_stores`` annotated by ``run_batch``.
         """
         primary = self.primary
         system = primary.system
@@ -667,7 +510,7 @@ class ReplicationGroup:
             self.lease_expiry_ns = tx.end_ns + self.lease_ns
             return ShipOutcome(tx, tx.end_ns, [])
         seq = self.next_seq
-        header, commit = primary.stage_primary_commit(seq, self.epoch, stores)
+        header, commit = primary.stage_commit(seq, self.epoch, stores)
         tx = system.run_batch([*stores, header], core=core)
         commit()
         self.next_seq = seq + 1
@@ -678,8 +521,6 @@ class ReplicationGroup:
             try:
                 end = replica.receive_ship(seq, self.epoch, stores, commit_end)
                 ack_ns = max(ack_ns, end)
-                if len(replica.tail) >= self.apply_every:
-                    replica.apply_tail(replica.clock_ns)
             except PowerLossError:
                 dead.append(replica)
         system.clocks[core] = ack_ns
@@ -723,11 +564,12 @@ class ReplicationGroup:
     def promote(self, now_ns: float) -> Replica:
         """Promote the freshest live backup to primary at a new epoch.
 
-        The successor replays its shipped-but-unapplied tail and bumps
-        the epoch durably in the same commit (:data:`PROMOTING`), then
-        every other live backup is reconciled — records the successor
-        holds that they missed are re-shipped from its log (delta), or
-        by a full image copy if compaction discarded them.  The group
+        The successor bumps the epoch durably in one header-only commit
+        (:data:`PROMOTING`; it has already committed every record it
+        was shipped, so nothing is replayed), then every other live
+        backup is reconciled — records the successor holds that they
+        missed are re-shipped from its history (delta), or by a full
+        image copy if the history no longer reaches back.  The group
         resumes :data:`GROUP_UP` with the successor :data:`LEASED`.
         Raises if no live backup exists; the caller checks
         :meth:`choose_successor` first.
@@ -772,7 +614,7 @@ class ReplicationGroup:
         The unreplicated path (and the degraded replicated path when
         every backup is dead too): the machine that crashed serves
         again itself at a bumped epoch, its volatile log mirrors
-        refreshed from the durable log it just recovered.
+        refreshed from the durable header it just recovered.
         """
         replica.refresh_from_durable_log()
         if self.replication_enabled:
@@ -850,7 +692,7 @@ class ReplicationGroup:
     def live_projections(self) -> Dict[int, object]:
         """One durable projection per live replica, by index.
 
-        The projection (clone + crash + recover + tail replay, see
+        The projection (clone + crash + recover, see
         :meth:`Replica.durable_projection`) is the expensive step of
         every verification pass, so callers compute this map *once*
         per pass and feed it to both :meth:`divergence_of` and the

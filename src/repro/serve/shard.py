@@ -120,7 +120,6 @@ class ShardExecutor:
         self._queue_depth_metric = prefix + "queue_depth"
         self._admitted_metric = prefix + "admitted"
         self._batch_size_metric = prefix + "batch_size"
-        self._replication_lag_metric = prefix + "replication_lag"
         self._latency_metric = prefix + "request_latency_ns"
 
     # -- event plumbing -------------------------------------------------------
@@ -312,15 +311,11 @@ class ShardExecutor:
                 # The batch tx also carries the replication-log header.
                 # All-or-nothing is judged over the *data* words only:
                 # header words are rewritten every batch, so their
-                # pre-crash baseline is the previous log state — which
+                # pre-crash baseline is the previous header — which
                 # the word-granular verifier (baselining against
-                # acked-or-zero) cannot know.  Log integrity is proven
-                # separately, by tail replay + divergence fingerprints.
-                issued = [
-                    s
-                    for s in issued
-                    if not primary.log_base <= s[0] < primary.log_limit
-                ]
+                # acked-or-zero) cannot know.  The header is proven
+                # separately, by the divergence fingerprints.
+                issued = [s for s in issued if s[0] != primary.log_base]
             staged = dict(MemorySystem.redo_words(issued))
             unacked = [r for r in batch if r.completion_ns <= 0.0]
             self._primary_failover(group, staged, unacked)
@@ -335,12 +330,6 @@ class ShardExecutor:
                 self._ack(group, request)
         for backup in outcome.dead_backups:
             self._backup_failover(group, backup)
-        if group.replication_enabled and outcome.tx is not None:
-            self.telemetry.sample(
-                self._replication_lag_metric,
-                self.now_ns,
-                group.replication_lag(),
-            )
         self.batches += 1
         self._push(primary.clock_ns, _WAKE)
 
@@ -423,7 +412,7 @@ class ShardExecutor:
     def _backup_failover(
         self, group: ReplicationGroup, replica: Replica
     ) -> None:
-        """A backup died (mid-ship or mid-apply): recover it off-path.
+        """A backup died (mid-ship or mid-rejoin): recover it off-path.
 
         Serving never stalls — the ack already proceeded with the
         remaining live set.  The dead backup is crashed+recovered and
@@ -460,7 +449,6 @@ class ShardExecutor:
             group.state = GROUP_RECOVERING
             self._push(old_primary.recover_at_ns, _WAKE)
             return
-        replayed = len(successor.tail)
         try:
             group.promote(self.now_ns)
         except PowerLossError:
@@ -478,7 +466,6 @@ class ShardExecutor:
                 "shard": group.shard_id,
                 "replica": successor.index,
                 "epoch": group.epoch,
-                "replayed": replayed,
             },
         )
         # A reconcile ship may have tripped an armed cut on another
@@ -491,7 +478,7 @@ class ShardExecutor:
                 self._backup_failover(group, replica)
         # One durable projection per live replica serves both the
         # divergence fingerprints and the successor's oracle check —
-        # the projection (clone + crash + recover + tail replay) is by
+        # the projection (clone + crash + recover) is by
         # far the most expensive verification step, so it is never
         # recomputed within one pass.
         projections = group.live_projections()

@@ -323,8 +323,11 @@ def test_fault_free_replicated_run_call_counts():
     ) as base_batch:
         hub = Telemetry()
         cluster = ServeCluster(
+            # One group takes the whole 3.2 M req/s: two shards at half
+            # that each no longer fill a region fast enough to need
+            # on-demand GC now that a backup commits each record once.
             ServeConfig(
-                shards=2, replicas=1, read_fraction=0.1, rate_per_s=1.6e6,
+                shards=1, replicas=1, read_fraction=0.1, rate_per_s=3.2e6,
                 duration_ms=1.0, queue_depth=256, seed=5,
                 verify_final=False,
             ),
