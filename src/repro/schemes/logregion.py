@@ -193,9 +193,10 @@ class AppendLog:
     def rebuild_and_scan(self) -> Iterator[LogEntry]:
         """Post-crash: read the header, then yield live entries in order.
 
-        Stops at the first entry whose magic or CRC fails — everything at
-        and beyond it was mid-write (or from a previous lap) when power
-        failed.
+        Stops at the first entry whose magic, geometry (a payload that
+        outgrows its stride, a stride past the wrap point) or CRC fails
+        — everything at and beyond it was mid-write (or from a previous
+        lap) when power failed.
         """
         device = self.port.device
         header = device.peek(self.base, _LOG_HEADER.size)
@@ -220,11 +221,7 @@ class AppendLog:
             nonlocal chunk_base, chunk
             offset = phys - chunk_base
             if chunk_base < 0 or offset < 0 or offset + size > len(chunk):
-                span = max(size, 4096)
-                span = min(span, data_end - phys)
-                if span < size:  # corrupt size field past the wrap point
-                    return device.peek(phys, size)
-                chunk = device.peek(phys, span)
+                chunk = device.peek(phys, min(max(size, 4096), data_end - phys))
                 chunk_base = phys
                 offset = 0
             return chunk[offset : offset + size]
@@ -251,8 +248,11 @@ class AppendLog:
             if stride_units == 0:
                 break
             stride = stride_units * 8
-            if stride > tail_room and kind != KIND_WRAP:
-                break  # an entry never straddles the wrap point
+            if stride > tail_room or header_size + size > stride:
+                # _pack never wrote this: an entry fits its own stride
+                # and never straddles the wrap point.  Stale payload
+                # bytes past the tail can pass the one-byte magic.
+                break
             if size:
                 payload = _fetch(phys + header_size, size)
             else:

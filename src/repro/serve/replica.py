@@ -32,9 +32,9 @@ time: a primary kill starts a promotion at the old primary's lease
 expiry; the freshest live backup (highest durably shipped sequence,
 ties to the lowest replica index) bumps the group epoch durably in
 its log header, reconciles any backup that missed the final records,
-and serves.  The old primary rejoins by catch-up: a full image copy
-from the new primary's durable projection, then delta re-ships until
-its clock rejoins the present.
+and serves.  A recovered replica rejoins from its own durable prefix:
+the records it missed are re-shipped (delta), and only one that is off
+the primary's lineage or behind its bounded history takes a full image.
 The replica lifecycle (``LEASED`` → ``PROMOTING`` → ``SERVING``-as-
 ``LEASED`` → ``REJOINING``) is documented for operators in
 ``docs/serving.md``.
@@ -68,6 +68,7 @@ _MAGIC = 0x52504C4F47763101  # "RPLOGv1" + 0x01
 # nstores] then per store [addr, nbytes] and the value bytes.
 _ENTRY_FIXED = 3 * _WORD
 _STORE_FIXED = 2 * _WORD
+Record = Tuple[int, int, List[Tuple[int, bytes]]]  # (seq, epoch, stores)
 
 # Replica lifecycle states (the failover state machine of
 # docs/serving.md; SERVING is the steady half of LEASED).
@@ -126,8 +127,8 @@ class Replica:
     budget of the volatile record history (the delta catch-up source).
     All mutating methods advance only this machine's core-0 clock; the
     volatile mirrors (``epoch``, ``shipped_seq``) are updated strictly
-    *after* the backing transaction commits, so a power cut mid-commit
-    leaves them truthful.
+    *after* the backing transaction commits and reloaded from the
+    durable header when the machine recovers from a power cut.
     """
 
     def __init__(
@@ -177,7 +178,7 @@ class Replica:
         self.shipped_seq = 0
         # Records committed here since the history last restarted (the
         # delta catch-up source), with the bytes they charge its budget.
-        self.entries: List[Tuple[int, int, List[Tuple[int, bytes]]]] = []
+        self.entries: List[Record] = []
         self.history_bytes = 0
         self.recover_at_ns = 0.0
         self.kills = 0
@@ -301,9 +302,7 @@ class Replica:
         self.epoch = epoch
         return end_ns
 
-    def entries_since(
-        self, seq: int
-    ) -> Optional[List[Tuple[int, int, List[Tuple[int, bytes]]]]]:
+    def entries_since(self, seq: int) -> Optional[List[Record]]:
         """Redo records with sequence above ``seq``, or None on a gap.
 
         The delta catch-up source: ``None`` means the bounded history
@@ -444,6 +443,9 @@ class ReplicationGroup:
         self.promotions = 0
         self.rejoins = 0
         self.reconciled_records = 0
+        # The primary's lineage: (epoch, seq it began at) per promotion
+        # or solo resume, which `on_lineage` judges a rejoiner by.
+        self._epoch_starts: List[Tuple[int, int]] = []
 
     # -- accessors -------------------------------------------------------------
 
@@ -535,16 +537,18 @@ class ReplicationGroup:
         """Crash+recover a killed replica; start its recovery hold.
 
         Runs the machine's real crash/recovery path immediately (the
-        scheme replays its own logs), marks the replica :data:`DEAD`,
-        and returns the simulated instant its hold expires — the
-        recovery report's elapsed time floored at ``floor_ns``, after
-        which the cluster drives the rejoin (or, for an unreplicated
-        group, resumes serving).
+        scheme replays its own logs), reloads the volatile mirrors from
+        the recovered header (whatever its role: they died with the
+        machine), marks the replica :data:`DEAD`, and returns the
+        simulated instant its hold expires — the recovery report's
+        elapsed time floored at ``floor_ns``, after which the cluster
+        drives the rejoin (or, for an unreplicated group, resumes).
         """
         replica.kills += 1
         system = replica.system
         system.crash()
         report = system.recover(threads=replica.recovery_threads)
+        replica.refresh_from_durable_log()
         elapsed = getattr(report, "elapsed_ns", 0.0) or 0.0
         replica.state = DEAD
         replica.recover_at_ns = now_ns + max(elapsed, floor_ns)
@@ -582,23 +586,15 @@ class ReplicationGroup:
         self.epoch += 1
         successor.state = PROMOTING
         successor.apply_tail(max(now_ns, successor.clock_ns), epoch=self.epoch)
-        for other in self.live_backups():
-            delta = successor.entries_since(other.shipped_seq)
-            if delta is None:
-                self.catch_up(other, now_ns, source=successor)
-                continue
-            for seq, _, record in delta:
-                try:
-                    other.receive_ship(
-                        seq, self.epoch, record, max(now_ns, other.clock_ns)
-                    )
-                    self.reconciled_records += 1
-                except PowerLossError:
-                    # An armed cut on this backup fires during the
-                    # reconcile ship; the cluster sweeps dead backups
-                    # right after promotion.
-                    break
+        self._epoch_starts.append((self.epoch, successor.shipped_seq))
         self.primary_index = successor.index
+        for other in self.live_backups():
+            try:
+                self.reconciled_records += self.resync(other, now_ns)
+            except PowerLossError:
+                # An armed cut on this backup fired during the reconcile;
+                # the cluster sweeps dead backups right after promotion.
+                continue
         successor.state = LEASED
         self.state = GROUP_UP
         self.promotions += 1
@@ -613,13 +609,13 @@ class ReplicationGroup:
 
         The unreplicated path (and the degraded replicated path when
         every backup is dead too): the machine that crashed serves
-        again itself at a bumped epoch, its volatile log mirrors
-        refreshed from the durable header it just recovered.
+        again itself at a bumped epoch, from the horizon its recovery
+        read back out of the durable header.
         """
-        replica.refresh_from_durable_log()
         if self.replication_enabled:
             self.epoch += 1
             replica.apply_tail(now_ns, epoch=self.epoch)
+            self._epoch_starts.append((self.epoch, replica.shipped_seq))
             self.next_seq = replica.shipped_seq + 1
         replica.state = LEASED
         self.primary_index = replica.index
@@ -628,26 +624,69 @@ class ReplicationGroup:
 
     # -- rejoin ----------------------------------------------------------------
 
-    def catch_up(
-        self,
-        replica: Replica,
-        now_ns: float,
-        *,
-        source: Optional[Replica] = None,
-    ) -> float:
-        """Full-image catch-up of a rejoining replica from the primary.
+    def on_lineage(self, replica: Replica) -> bool:
+        """Is what this replica durably holds a prefix of the primary's?
 
-        Copies the primary's durable projection of every key slot into
-        the rejoiner in chunked failure-atomic transactions (the
+        Its header ``(epoch e, seq s)`` names records ``1..s``.  One
+        primary per epoch ships in order and backups hold prefixes, so
+        they are a prefix of today's history iff no later epoch exists
+        or ``s`` is at most the sequence the first epoch after ``e``
+        began at (start sequences never decrease).  It fails for a
+        deposed primary whose last batch turned durable although its
+        commit raised and was never shipped (``lad``'s battery-backed
+        drain): ``s`` is one past where its successor took over.
+        """
+        later = [s for e, s in self._epoch_starts if e > replica.epoch]
+        return not later or replica.shipped_seq <= later[0]
+
+    def delta_for(self, replica: Replica) -> Optional[List[Record]]:
+        """The records ``replica`` has missed, or None: it needs the image.
+
+        The one place "delta, else image" is decided — for a reconcile
+        at promotion, a rejoin step and its announcement alike.  None
+        when the replica is off the lineage (:meth:`on_lineage`) or the
+        primary's bounded history no longer reaches back to its horizon.
+        """
+        if not self.on_lineage(replica):
+            return None
+        return self.primary.entries_since(replica.shipped_seq)
+
+    def resync(self, replica: Replica, now_ns: float) -> int:
+        """Bring ``replica`` to the primary's horizon; the records re-shipped.
+
+        Delta first: each missed record is one :meth:`Replica.receive_ship`
+        transaction, O(records missed).  Otherwise the O(keyspace) image
+        copy (:meth:`catch_up`; 0 records).  A replica that dies on
+        either path needs no extra state: its header still names its old
+        horizon, image chunks are atomic full-value overwrites and the
+        delta re-applies every later record in order, so its next rejoin
+        either finds it still off the lineage (image again) or converges.
+        """
+        delta = self.delta_for(replica)
+        if delta is None:
+            self.telemetry.count("serve.rejoin_images")
+            self.catch_up(replica, now_ns)
+            return 0
+        for seq, _, record in delta:
+            replica.receive_ship(
+                seq, self.epoch, record, max(now_ns, replica.clock_ns)
+            )
+        return len(delta)
+
+    def catch_up(self, replica: Replica, now_ns: float) -> float:
+        """Full-image catch-up of a rejoining replica: the fallback.
+
+        :meth:`resync` takes it only when no delta can serve.  Copies
+        the primary's durable projection of every key slot into the
+        rejoiner in chunked failure-atomic transactions (the
         fuzzy-snapshot transfer runs off the primary's critical path —
         only the rejoiner's clock advances), then durably restamps the
         rejoiner's log at the image horizon.  Returns the rejoiner's
         clock after the copy; :meth:`try_go_live` then closes the gap
         for records shipped since the image was taken.
         """
-        src = source if source is not None else self.primary
-        image_seq = src.shipped_seq
-        projection = src.durable_projection()
+        image_seq = self.primary.shipped_seq
+        projection = self.primary.durable_projection()
         peek = projection.device.peek
         replica.system.clocks[0] = max(now_ns, replica.clock_ns)
         chunk: List[Tuple[int, bytes]] = []
@@ -663,23 +702,16 @@ class ReplicationGroup:
         )
 
     def try_go_live(self, replica: Replica, now_ns: float) -> Optional[float]:
-        """Finish a rejoin: delta re-ship, then join the live set.
+        """One rejoin step: :meth:`resync`, then join the live set.
 
-        Re-ships any records the primary accepted since the replica's
-        horizon (``None`` gap falls back to another image copy).  When
-        the replica is fully caught up *and* its clock has rejoined the
-        present it becomes a live :data:`BACKUP` and the method returns
-        None; otherwise it returns the simulated instant to try again
-        (the replica's clock) — the cluster schedules a wake there.
+        Re-ships what the primary accepted since the replica's horizon
+        (or copies the image when no delta can serve).  When the
+        replica's clock has then rejoined the present it becomes a live
+        :data:`BACKUP` and the method returns None; otherwise it
+        returns the simulated instant to try again (the replica's
+        clock) — the cluster schedules a wake there.
         """
-        delta = self.primary.entries_since(replica.shipped_seq)
-        if delta is None:
-            self.catch_up(replica, now_ns)
-            return replica.clock_ns
-        for seq, _, record in delta:
-            replica.receive_ship(
-                seq, self.epoch, record, max(now_ns, replica.clock_ns)
-            )
+        self.resync(replica, now_ns)
         if replica.clock_ns > now_ns + 1e-9:
             return replica.clock_ns
         replica.state = BACKUP

@@ -416,9 +416,9 @@ class ShardExecutor:
 
         Serving never stalls — the ack already proceeded with the
         remaining live set.  The dead backup is crashed+recovered and
-        held until its recovery horizon, after which it rejoins via
-        catch-up; its durable state is verified at rejoin (divergence
-        fingerprint) and again in the final sweep.
+        held until its recovery horizon, after which it rejoins from
+        its own durable prefix; its durable state is verified at rejoin
+        (divergence fingerprint) and again in the final sweep.
         """
         self.backup_kills += 1
         self.telemetry.emit(
@@ -524,7 +524,8 @@ class ShardExecutor:
         replica's recovery horizon makes progress.  A rejoin needs a
         live primary as its catch-up source: while the group is itself
         failing over or recovering, the step is deferred to the group's
-        own resume instant.
+        own resume instant.  ``rejoin_begin`` says which way the rejoin
+        starts (:meth:`~repro.serve.replica.ReplicationGroup.delta_for`).
         """
         for replica in group.replicas:
             if replica.index == group.primary_index:
@@ -541,17 +542,18 @@ class ShardExecutor:
                     self._push(max(resume, replica.recover_at_ns), _WAKE)
                     continue
                 replica.state = REJOINING
+                delta = group.delta_for(replica)
                 self.telemetry.emit(
                     self.now_ns,
                     "rejoin_begin",
                     "serve",
-                    {"shard": group.shard_id, "replica": replica.index},
+                    {
+                        "shard": group.shard_id,
+                        "replica": replica.index,
+                        "mode": "image" if delta is None else "delta",
+                        "records": len(delta or ()),
+                    },
                 )
-                try:
-                    group.catch_up(replica, self.now_ns)
-                except PowerLossError:
-                    self._backup_failover(group, replica)
-                    continue
                 self._try_go_live(group, replica)
             elif replica.state == REJOINING and group.state == GROUP_UP:
                 self._try_go_live(group, replica)
@@ -559,7 +561,7 @@ class ShardExecutor:
     def _try_go_live(
         self, group: ReplicationGroup, replica: Replica
     ) -> None:
-        """One rejoin step: delta re-ship, then live — or a later retry."""
+        """One rejoin step: resync, then live — or a later retry."""
         try:
             retry_at = group.try_go_live(replica, self.now_ns)
         except PowerLossError:

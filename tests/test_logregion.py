@@ -8,8 +8,10 @@ from repro.common.units import KB, MB
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.schemes.logregion import (
+    _ENTRY_HEADER,
     KIND_COMMIT,
     KIND_DATA,
+    KIND_WRAP,
     AppendLog,
 )
 
@@ -146,3 +148,50 @@ def test_fill_fraction():
     assert log.fill_fraction == 0.0
     log.append(KIND_DATA, 1, 0, b"x" * 100, 0.0, sync=False)
     assert 0 < log.fill_fraction < 1
+
+
+@pytest.mark.parametrize(
+    "kind, stride_units, size",
+    [
+        # What the lsm serve run hit: stale payload bytes that pass the
+        # one-byte salted magic by chance, a plausible stride, and a
+        # size field reaching 4 GB past a 64 MB device.
+        (KIND_DATA, 4883, 4_142_309_978),
+        (KIND_DATA, 4, 9),  # one byte more than its own stride holds
+        (KIND_WRAP, 0xFFFF, 4_142_309_978),  # a filler past the wrap point
+    ],
+)
+def test_scan_stops_at_a_header_no_append_could_have_written(
+    kind, stride_units, size
+):
+    log = make_log(capacity=64 * KB)
+    log.append(KIND_DATA, 1, 0x100, b"live", 0.0, sync=False)
+    log.append(KIND_COMMIT, 1, 0, b"", 0.0, sync=True)
+    tail = log._physical(log._cursor)
+    log.port.device.poke(
+        tail,
+        _ENTRY_HEADER.pack(
+            log._magic_for(log._cursor), kind, stride_units, 7, 0, size, 0
+        ),
+    )
+    entries = list(log.rebuild_and_scan())
+    assert [(e.kind, e.tx_id) for e in entries] == [
+        (KIND_DATA, 1), (KIND_COMMIT, 1)
+    ]
+    # The append cursor is the valid tail, not past the planted header.
+    assert log._physical(log._cursor) == tail
+
+
+def test_lsm_replicated_run_survives_a_recovery_scan_over_stale_bytes():
+    # After the first lap the bytes past lsm's live tail are old
+    # payload; this config's second recovery scan met a chance magic
+    # there and died with AddressError instead of stopping at the tail.
+    from repro.serve.__main__ import main as serve_main
+
+    argv = (
+        "--shards 2 --clients 3 --rate 400000 --duration-ms 3 --keyspace 512"
+        " --seed 13 --scheme lsm --replicas 1 --kill-shard 0"
+        " --kill-primary-at-ms 1.7 --kill-backup-at-ms 2.6"
+    )
+    for torn in ([], ["--torn"]):
+        assert serve_main(argv.split() + torn) == 0  # 0 = oracle CLEAN

@@ -1,5 +1,7 @@
 """Replication groups: redo shipping, promotion, rejoin, divergence."""
 
+import functools
+import json
 import random
 from unittest import mock
 
@@ -7,8 +9,10 @@ import pytest
 
 from repro.common.errors import ConfigError, PowerLossError
 from repro.serve import SERVABLE_SCHEMES, ServeConfig, run_serve
+from repro.serve import cluster as cluster_module
 from repro.serve.__main__ import build_parser
 from repro.serve.cluster import ServeCluster
+from repro.serve.oracle import AckOracle
 from repro.serve.replica import (
     BACKUP,
     LEASED,
@@ -33,6 +37,25 @@ def tiny_cfg(**overrides):
     return ServeConfig(**base)
 
 
+# The r1-write-heavy-failover golden shape, with the deposed primary held
+# down 0.7 ms: it comes back after the promotion, 29 records behind.
+WRITE_HEAVY_LATE_REJOIN = ServeConfig(
+    shards=4, replicas=1, read_fraction=0.1, rate_per_s=1.6e6,
+    duration_ms=1.5, lease_us=500.0, queue_depth=256, kill_shard=1,
+    kill_primary_at_ms=0.5, torn_kill=True, recovery_floor_ns=700_000.0,
+)
+
+
+def late_rejoin_cluster(hub, log_bytes):
+    """That shape on groups whose record history is ``log_bytes`` deep."""
+    with mock.patch.object(
+        cluster_module,
+        "ReplicationGroup",
+        functools.partial(ReplicationGroup, log_bytes=log_bytes),
+    ):
+        return ServeCluster(WRITE_HEAVY_LATE_REJOIN, telemetry=hub)
+
+
 def make_group(replicas=1, **overrides):
     kwargs = dict(
         scheme="hoop",
@@ -46,6 +69,31 @@ def make_group(replicas=1, **overrides):
     return ReplicationGroup(0, **kwargs)
 
 
+def rejoin(group, replica):
+    """Drive one recovered replica back to BACKUP; which way it started."""
+    mode = "image" if group.delta_for(replica) is None else "delta"
+    now = max(r.clock_ns for r in group.replicas)
+    while (retry := group.try_go_live(replica, now)) is not None:
+        now = retry
+    assert replica.state == BACKUP
+    return mode
+
+
+def header_of(replica):
+    """(epoch, seq) as the durable header reads after a crash + recovery.
+
+    A machine that has just recovered is peeked as it is; a running one
+    (hoop keeps its latest commits out of place) through its projection.
+    """
+    machine = replica.durable_projection() if replica.live else replica.system
+    raw = machine.device.peek(replica.log_base, 24)
+    magic, epoch, seq = (
+        int.from_bytes(raw[i : i + 8], "little") for i in (0, 8, 16)
+    )
+    assert magic == 0x52504C4F47763101
+    return epoch, seq
+
+
 def assert_projections_equal(group, model):
     """Every slot of every live replica's projection equals the model."""
     live = [r for r in group.replicas if r.live]
@@ -57,6 +105,47 @@ def assert_projections_equal(group, model):
             assert peek(addr, size) == model.get(addr, bytes(size)), (
                 replica.index, addr
             )
+
+
+class Driver:
+    """Random batches through a group, folded into a model and an oracle.
+
+    The model is ``{addr: value}`` over every record ``commit_and_ship``
+    *returned* — stricter than the acked-write oracle, because
+    :func:`assert_projections_equal` holds every slot of every live
+    replica to it, acked or never written.
+    """
+
+    def __init__(self, group, seed=5):
+        self.group = group
+        self.rng = random.Random(seed)
+        self.model = {}
+        self.oracle = AckOracle()
+        self.keys = len(group.primary.slot_addrs)
+
+    def drive(self, batches):
+        rng = self.rng
+        for _ in range(batches):
+            primary = self.group.primary
+            keys = rng.sample(range(self.keys), rng.randint(1, 8))
+            stores = [
+                (primary.addr_of(key), bytes([rng.randrange(1, 256)]) * 64)
+                for key in keys
+            ]
+            self.group.commit_and_ship(stores)
+            self.model.update(stores)
+            for addr, value in stores:
+                self.oracle.record_ack(addr, value)
+
+    def failures(self):
+        """Divergence plus acked-write failures over the live replicas."""
+        group = self.group
+        projections = group.live_projections()
+        found = [group.divergence_of(projections)] + [
+            self.oracle.verify_replica(projection, index)
+            for index, projection in projections.items()
+        ]
+        return [failure for failure in found if failure]
 
 
 class TestLogCodec:
@@ -286,6 +375,8 @@ class TestReplicationGroup:
         assert longest == 38
         assert [seq for seq, _, _ in primary.entries][0] == 77
         assert primary.entries_since(victim.shipped_seq) is None
+        # On the lineage, but the history no longer reaches back: image.
+        assert group.on_lineage(victim) and group.delta_for(victim) is None
         with mock.patch.object(
             group, "catch_up", wraps=group.catch_up
         ) as catch_up:
@@ -318,6 +409,7 @@ class TestReplicationGroup:
         )
         assert group.promote(successor.clock_ns) is successor
         assert successor.entries_since(victim.shipped_seq) is None
+        assert group.on_lineage(victim) and group.delta_for(victim) is None
         with mock.patch.object(
             group, "catch_up", wraps=group.catch_up
         ) as catch_up:
@@ -347,15 +439,14 @@ class TestReplicationGroup:
         assert outcome.ack_ns == outcome.tx.end_ns  # nobody left to wait for
         assert backup.shipped_seq == 1  # mirrors untouched by the cut
         group.begin_replica_recovery(backup, primary.clock_ns, floor_ns=0.0)
-        backup.refresh_from_durable_log()
         peek = backup.system.device.peek
         seen = {peek(addr, 64) for addr in addrs}
         assert seen in ({b"\x01" * 64}, {b"\x02" * 64})
         assert backup.shipped_seq == (2 if seen == {b"\x02" * 64} else 1)
         group.commit_and_ship([(addrs[0], b"\x03" * 64)])
-        group.catch_up(backup, backup.recover_at_ns)
-        assert group.try_go_live(backup, max(backup.clock_ns, 1e12)) is None
-        assert backup.state == BACKUP
+        # It keeps its own prefix and is re-shipped only what it missed.
+        assert len(group.delta_for(backup)) == 3 - backup.shipped_seq
+        assert rejoin(group, backup) == "delta"
         assert group.divergence() is None
 
     def test_every_slot_equals_the_model_across_two_failovers(self):
@@ -363,19 +454,8 @@ class TestReplicationGroup:
         # record commit_and_ship returned, and the whole keyspace of
         # every live replica has to equal it, acked or never written.
         group = make_group(replicas=2)
-        rng = random.Random(1234)
-        model = {}
-
-        def drive(batches):
-            primary = group.primary
-            for _ in range(batches):
-                keys = rng.sample(range(16), rng.randint(1, 8))
-                stores = [
-                    (primary.addr_of(key), bytes([rng.randrange(1, 256)]) * 64)
-                    for key in keys
-                ]
-                group.commit_and_ship(stores)
-                model.update(stores)
+        driver = Driver(group, seed=1234)
+        drive, model = driver.drive, driver.model
 
         def cut_primary_mid_batch():
             primary = group.primary
@@ -398,8 +478,7 @@ class TestReplicationGroup:
         assert promoted.index == 1
         assert_projections_equal(group, model)
         drive(10)
-        group.catch_up(deposed, deposed.recover_at_ns)
-        assert group.try_go_live(deposed, max(deposed.clock_ns, 1e12)) is None
+        assert rejoin(group, deposed) == "delta"
         assert [r.live for r in group.replicas] == [True, True, True]
         assert_projections_equal(group, model)
         drive(10)
@@ -410,6 +489,294 @@ class TestReplicationGroup:
         drive(10)
         assert_projections_equal(group, model)
         assert group.divergence() is None
+
+
+def cut_primary_at_every_boundary(scheme, torn):
+    """Kill the primary at each timed write of one replicated batch.
+
+    Yields ``(driver, deposed, durable)`` per boundary, after the
+    promotion and a few batches the deposed primary then misses;
+    ``durable`` says whether the cut batch — which raised, so it was
+    never shipped nor acked — reached the deposed primary's header.
+    Stops at the first budget the batch survives.
+    """
+    boundary = 0
+    while True:
+        group = make_group(replicas=1, scheme=scheme)
+        driver = Driver(group)
+        driver.drive(6)
+        deposed = group.primary
+        deposed.system.device.injector.arm_power_loss(
+            after_writes=boundary, torn=torn
+        )
+        try:
+            group.commit_and_ship(
+                [(deposed.addr_of(key), b"\xee" * 64) for key in range(6)]
+            )
+        except PowerLossError:
+            pass
+        else:
+            return
+        group.begin_replica_recovery(deposed, deposed.clock_ns, floor_ns=0.0)
+        assert (deposed.epoch, deposed.shipped_seq) == header_of(deposed)
+        durable = deposed.shipped_seq == 7
+        assert durable or deposed.shipped_seq == 6
+        group.promote(deposed.clock_ns)
+        driver.drive(3)
+        yield driver, deposed, durable
+        boundary += 1
+
+
+class TestRejoinPaths:
+    """Delta first; the image only off the lineage or behind the history."""
+
+    @pytest.mark.parametrize("scheme", ["hoop", "lad"])
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_mirrors_follow_the_durable_header_from_recovery(
+        self, scheme, torn
+    ):
+        # A backup cut at every timed write of one ship: what it
+        # recovers is what its header names, and its volatile history
+        # died with it — whatever the mirrors said when the ship raised.
+        turned_durable = 0
+        for boundary in range(64):
+            group = make_group(replicas=1, scheme=scheme)
+            primary, backup = group.replicas
+            addrs = [primary.addr_of(key) for key in range(4)]
+            group.commit_and_ship([(addr, b"\x01" * 64) for addr in addrs])
+            backup.system.device.injector.arm_power_loss(
+                after_writes=boundary, torn=torn
+            )
+            outcome = group.commit_and_ship(
+                [(addr, b"\x02" * 64) for addr in addrs]
+            )
+            if not outcome.dead_backups:
+                break
+            assert (backup.shipped_seq, len(backup.entries)) == (1, 1)
+            group.begin_replica_recovery(
+                backup, primary.clock_ns, floor_ns=0.0
+            )
+            assert (backup.epoch, backup.shipped_seq) == header_of(backup)
+            assert backup.entries == [] and backup.history_bytes == 0
+            turned_durable += backup.shipped_seq == 2
+            assert rejoin(group, backup) == "delta"
+            assert group.divergence() is None
+        assert boundary > 0
+        if scheme == "lad":
+            # The battery drains the ship although it raised: the
+            # header reads seq 2 under a mirror that said 1.
+            assert turned_durable
+
+    @pytest.mark.parametrize("scheme", ["hoop", "lad", "opt-redo"])
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_primary_cut_at_every_boundary_of_a_batch(self, scheme, torn):
+        modes = set()
+        for driver, deposed, durable in cut_primary_at_every_boundary(
+            scheme, torn
+        ):
+            group = driver.group
+            # Off the lineage exactly when the unshipped batch is durable.
+            assert group.on_lineage(deposed) == (not durable)
+            mode = rejoin(group, deposed)
+            assert mode == ("image" if durable else "delta")
+            modes.add(mode)
+            assert driver.failures() == []
+            assert_projections_equal(group, driver.model)
+            driver.drive(2)
+            assert_projections_equal(group, driver.model)
+        # Both paths are taken: lad's battery-backed drain makes the cut
+        # batch durable, the others lose it at (nearly) every boundary.
+        assert ("image" if scheme == "lad" else "delta") in modes
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_always_on_lineage_mutant_is_caught(self, torn):
+        # The seeded mutant (cf. repro.check.mutant): skip the image
+        # whenever the history reaches back.  The deposed lad primary
+        # then keeps a batch no other replica ever saw, and both the
+        # divergence fingerprints and the acked-write oracle say so.
+        caught = 0
+        with mock.patch.object(
+            ReplicationGroup, "on_lineage", lambda self, replica: True
+        ):
+            for driver, deposed, durable in cut_primary_at_every_boundary(
+                "lad", torn
+            ):
+                assert rejoin(driver.group, deposed) == "delta"
+                failures = driver.failures()
+                assert bool(failures) == durable
+                caught += any("diverged" in f for f in failures)
+        assert caught
+
+    @pytest.mark.parametrize("mode", ["delta", "image"])
+    def test_rejoiner_killed_at_every_boundary_of_its_rejoin(self, mode):
+        # 160 slots: an image is three chunked transactions and the
+        # restamp, so a cut can leave part of it behind.  A 4 KB budget
+        # restarts the history while the victim is down (image); the
+        # default one keeps all 12 missed records (delta).
+        second_modes = set()
+        for boundary in range(0, 400, 3):
+            group = make_group(
+                replicas=1,
+                keys=list(range(160)),
+                log_bytes=4096 if mode == "image" else 1 << 20,
+            )
+            driver = Driver(group)
+            driver.drive(10)
+            victim = group.backups()[0]
+            group.begin_replica_recovery(
+                victim, group.primary.clock_ns, floor_ns=0.0
+            )
+            driver.drive(12)
+            before = header_of(victim)
+            victim.system.device.injector.arm_power_loss(
+                after_writes=boundary, torn=bool(boundary % 2)
+            )
+            try:
+                assert rejoin(group, victim) == mode
+            except PowerLossError:
+                pass
+            else:
+                break
+            group.begin_replica_recovery(
+                victim, group.primary.clock_ns, floor_ns=0.0
+            )
+            # No extra state: the header names the old horizon, a
+            # horizon part of the way through the delta, or the image's.
+            assert before[1] <= victim.shipped_seq <= 22
+            driver.drive(2)
+            second_modes.add(rejoin(group, victim))
+            assert driver.failures() == []
+            assert_projections_equal(group, driver.model)
+        assert boundary > 0
+        # A delta killed part-way resumes as a delta; an image killed
+        # anywhere before its restamp commits is taken again.
+        assert second_modes == {mode}
+
+    def test_backup_down_across_two_promotions_rejoins_by_delta(self):
+        group = make_group(replicas=2)
+        driver = Driver(group)
+        driver.drive(5)
+        first, second, sleeper = group.replicas
+        group.begin_replica_recovery(sleeper, first.clock_ns, floor_ns=0.0)
+        driver.drive(4)
+        group.begin_replica_recovery(first, first.clock_ns, floor_ns=0.0)
+        assert group.promote(first.clock_ns) is second
+        driver.drive(3)
+        # The sleeper's header still reads epoch 1; epoch 2 began at 9.
+        assert header_of(sleeper) == (1, 5)
+        assert group._epoch_starts == [(2, 9)]
+        assert len(group.delta_for(sleeper)) == 7
+        assert rejoin(group, sleeper) == "delta"
+        assert header_of(sleeper) == (2, 12)
+        driver.drive(2)
+        group.begin_replica_recovery(second, second.clock_ns, floor_ns=0.0)
+        assert group.promote(second.clock_ns) is sleeper
+        assert group._epoch_starts == [(2, 9), (3, 14)]
+        driver.drive(3)
+        # Two epochs behind, both deposed primaries are still prefixes.
+        assert header_of(first) == (1, 9) and header_of(second) == (2, 14)
+        for deposed in (first, second):
+            assert rejoin(group, deposed) == "delta"
+        assert driver.failures() == []
+        assert_projections_equal(group, driver.model)
+
+    def test_off_lineage_survives_a_later_promotion(self):
+        # Judged against the first epoch after its own, not the latest:
+        # a lad primary deposed at epoch 1 with an unshipped batch is
+        # still off the lineage after epoch 3 has begun well past it.
+        driver, deposed, durable = next(
+            cut_primary_at_every_boundary("lad", False)
+        )
+        assert durable
+        group = driver.group
+        promoted = group.primary
+        group.begin_replica_recovery(promoted, promoted.clock_ns, floor_ns=0.0)
+        group.resume_solo(promoted, promoted.clock_ns)
+        assert group._epoch_starts == [(2, 6), (3, 9)]
+        assert deposed.shipped_seq == 7 and not group.on_lineage(deposed)
+        assert rejoin(group, deposed) == "image"
+        assert driver.failures() == []
+        assert_projections_equal(group, driver.model)
+
+    @pytest.mark.parametrize("mode", ["delta", "image"])
+    def test_shard_recovers_a_rejoiner_cut_mid_rejoin(self, mode):
+        # The serving loop's side of the same schedule: the deposed
+        # primary comes back 0.7 ms later, 29 records behind, and is cut
+        # ten timed writes into its rejoin.
+        class CutOnFirstRejoin(Telemetry):
+            cluster = None
+
+            def emit(self, ts_ns, kind, track="sim", payload=None):
+                super().emit(ts_ns, kind, track, payload)
+                if kind == "rejoin_begin" and self.cluster is not None:
+                    group = self.cluster.groups[payload["shard"]]
+                    rejoiner = group.replicas[payload["replica"]]
+                    rejoiner.system.device.injector.arm_power_loss(
+                        after_writes=10, torn=True
+                    )
+                    self.cluster = None
+
+        hub = CutOnFirstRejoin()
+        cluster = late_rejoin_cluster(
+            hub, 4096 if mode == "image" else 1 << 20
+        )
+        hub.cluster = cluster
+        cluster.run()
+        marks = [
+            (kind, payload.get("mode"))
+            for _, kind, _, payload in hub.events
+            if kind in ("rejoin_begin", "backup_kill", "rejoin_complete")
+        ]
+        assert marks[0] == ("rejoin_begin", mode)
+        assert marks[1] == ("backup_kill", None)
+        assert [kind for kind, _ in marks[2:]] == [
+            "rejoin_begin", "rejoin_complete"
+        ]
+        assert cluster.oracle_failures == []
+        assert all(r.live for g in cluster.groups.values() for r in g.replicas)
+
+    def test_image_fallback_keeps_on_demand_gc_covered(self):
+        # The image copy was the only thing that fired on-demand GC in a
+        # replicated run, and a failover no longer takes it.  Force it —
+        # a 4 KB history behind a 0.7 ms outage — on the write-heavy
+        # golden shape, and pin the simulated counts of the path: GC
+        # migration, slice flush and the batched home writes.
+        hub = Telemetry()
+        cluster = late_rejoin_cluster(hub, 4096)
+        cluster.run()
+        assert cluster.oracle_failures == []
+        (begin,) = (
+            payload for _, kind, _, payload in hub.events
+            if kind == "rejoin_begin"
+        )
+        assert (begin["mode"], begin["records"]) == ("image", 0)
+        assert hub.counters["serve.rejoin_images"] == 1
+        rejoiner = cluster.groups[1].replicas[0]
+        assert rejoiner.live and cluster.groups[1].primary_index == 1
+        gc = rejoiner.system.scheme.controller.gc.stats
+        assert (gc.on_demand_passes, gc.words_migrated) == (2, 7168)
+        assert rejoiner.system.device.stats.bytes_written == 212_368
+        assert sum(
+            r.system.scheme.controller.gc.stats.on_demand_passes
+            for g in cluster.groups.values() for r in g.replicas
+        ) == 2
+        assert cluster.acked_puts == 2164
+
+    def test_benchmark_config_repeats_byte_for_byte(self):
+        # perf/workloads.py::ServeReplicated, seed 7.
+        cfg = ServeConfig(
+            shards=4, replicas=1, read_fraction=0.1, rate_per_s=1.6e6,
+            duration_ms=3.0, lease_us=500.0, queue_depth=256, kill_shard=1,
+            kill_primary_at_ms=1.2, torn_kill=True, seed=7,
+        )
+        first, second = (
+            json.dumps(run_serve(cfg).to_dict(), sort_keys=True)
+            for _ in range(2)
+        )
+        assert first == second
+        report = json.loads(first)
+        assert report["oracle_failures"] == []
+        assert (report["promotions"], report["rejoins"]) == (1, 1)
 
 
 class TestReplicatedServeConfig:
@@ -567,7 +934,10 @@ class TestReplicatedEndToEnd:
         # +2 us: the primary's cut fires first and the backup dies as
         # it promotes; +20 us: the backup dies mid-ship, then the
         # primary with no successor.  Either way the shard waits for
-        # its own primary (resume_solo) and the backup rejoins by image.
+        # its own primary (resume_solo).  The backup that died promoting
+        # holds everything the old epoch shipped and is re-shipped what
+        # the resumed primary accepted since; the one that died mid-ship
+        # is behind a history that died with the primary: image.
         hub = Telemetry()
         cluster = ServeCluster(
             ServeConfig(
@@ -589,6 +959,12 @@ class TestReplicatedEndToEnd:
         ]
         second = "backup_kill" if first == "shard_kill" else "shard_kill"
         assert kinds == [first, second, "shard_recovered", "rejoin_complete"]
+        (mode,) = (
+            payload["mode"]
+            for _, kind, _, payload in hub.events
+            if kind == "rejoin_begin"
+        )
+        assert mode == ("delta" if first == "shard_kill" else "image")
         group = cluster.groups[0]
         assert (group.promotions, group.primary_index) == (0, 0)
         assert all(replica.live for replica in group.replicas)
