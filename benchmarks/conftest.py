@@ -2,19 +2,10 @@
 
 Each benchmark regenerates one paper figure/table at the scale named by
 ``REPRO_SCALE`` (default ``smoke`` so ``pytest benchmarks/`` finishes in
-minutes).  The rendered tables are printed and written to ``results/`` so
-a benchmark run leaves the reproduced evaluation behind as text.
-
-Two more environment knobs ride the harness's caching layers:
-
-``REPRO_JOBS``
-    >1 pre-computes the workload matrix across that many worker
-    processes before any benchmark runs; the benchmarks then hit the
-    warmed cell cache and produce identical figures.
-
-``REPRO_NO_CACHE``
-    Set non-empty to bypass the on-disk ``.bench_cache/`` (cells are
-    still memoized in-process for the session).
+minutes).  The rendered tables are printed and written where the harness
+CLI would put them — ``results/`` at smoke scale, ``results_<scale>/``
+otherwise — so a benchmark run leaves the reproduced evaluation behind
+as text without overwriting another scale's.
 """
 
 from __future__ import annotations
@@ -24,29 +15,18 @@ import pathlib
 
 import pytest
 
+from repro.harness.experiments import get_scale
+
 
 @pytest.fixture(scope="session")
 def scale() -> str:
     return os.environ.get("REPRO_SCALE", "smoke")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _prewarm_matrix(scale):
-    """Fan the matrix out over REPRO_JOBS workers before benchmarks run."""
-    jobs = int(os.environ.get("REPRO_JOBS", "1"))
-    if jobs > 1:
-        from repro.harness import parallel
-
-        parallel.run_matrix(
-            parallel.matrix_specs(scale),
-            jobs=jobs,
-            use_cache=not os.environ.get("REPRO_NO_CACHE"),
-        )
-
-
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    out = pathlib.Path(__file__).resolve().parent.parent / "results"
+def results_dir(scale) -> pathlib.Path:
+    root = pathlib.Path(__file__).resolve().parent.parent
+    out = root / get_scale(scale).results_dir
     out.mkdir(exist_ok=True)
     return out
 

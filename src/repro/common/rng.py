@@ -3,9 +3,7 @@
 Every stochastic component (workload key choice, value bytes, crash points)
 takes an explicit seed so experiments and failing property tests reproduce
 exactly.  ``derive`` lets one experiment seed fan out into independent
-streams for each thread or component without correlated sequences;
-``backoff_s`` is the seeded retry delay the worker-pool supervisor
-(:mod:`repro.harness.parallel`) sleeps on.
+streams for each thread or component without correlated sequences.
 """
 
 from __future__ import annotations
@@ -32,16 +30,6 @@ def derive(seed: int, *labels) -> int:
         h.update(b"/")
         h.update(str(label).encode())
     return int.from_bytes(h.digest()[:8], "little")
-
-
-# The supervisor seeds its backoff stream with this: the delays are
-# wall-clock only and never reach a simulated output.
-BACKOFF_SEED = 7
-
-
-def backoff_s(attempt: int, base_s: float, rng: random.Random) -> float:
-    """Seeded exponential backoff with jitter: attempt 1 ≈ base."""
-    return base_s * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
 
 def random_bytes(rng: random.Random, n: int) -> bytes:

@@ -3,27 +3,24 @@
 Usage::
 
     python -m repro.harness [--scale smoke|default|paper] [--only FIG ...]
-                            [--out DIR] [--jobs N] [--no-cache]
-                            [--profile PATH] [--telemetry DIR]
-                            [--faults] [--check]
+                            [--out DIR] [--profile PATH]
+                            [--telemetry DIR] [--faults] [--check]
 
 Writes each figure's text rendering to ``<out>/<figure>.txt`` and prints
 them to stdout, each followed by a ``[<figure> took N s]`` line.
-``--only fig7a fig8`` restricts the set.  ``--jobs N`` pre-computes the
-workload matrix in N worker processes, then runs the figure generators
-sequentially against the warmed cache — output is identical to a
-sequential run.
+``--only fig7a fig8`` restricts the set.  Without ``--out`` the tables
+go to ``results/`` at smoke scale (the goldens CI diffs) and to
+``results_<scale>/`` otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 import time
 
-from repro.harness import experiments, parallel
+from repro.harness import experiments
 from repro.tools.profiling import add_profile_argument, profile_to
 
 RUNNERS = {
@@ -63,19 +60,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="results",
-        help="directory for the rendered text tables",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to pre-compute the matrix (default 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the on-disk result cache",
+        help="directory for the rendered text tables (default: results"
+        " at smoke scale, results_<scale> otherwise)",
     )
     add_profile_argument(parser)
     parser.add_argument(
@@ -96,20 +82,8 @@ def main(argv=None) -> int:
         " sanitizer + differential oracle) on a smoke trace",
     )
     args = parser.parse_args(argv)
-
-    # The switch travels by environment so --jobs workers inherit it;
-    # an in-process caller gets its own setting back afterwards.
-    previous = os.environ.get("REPRO_NO_CACHE")
-    if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
-    try:
-        with profile_to(args.profile):
-            return _run(args)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_CACHE", None)
-        else:
-            os.environ["REPRO_NO_CACHE"] = previous
+    with profile_to(args.profile):
+        return _run(args)
 
 
 def _emit(out_dir: pathlib.Path, name: str, produce):
@@ -125,21 +99,10 @@ def _emit(out_dir: pathlib.Path, name: str, produce):
 
 def _run(args) -> int:
     """Everything after argument parsing; returns the exit status."""
-    out_dir = pathlib.Path(args.out)
+    out_dir = pathlib.Path(
+        args.out or experiments.get_scale(args.scale).results_dir
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.jobs > 1:
-        # Pre-warm the cell memo in parallel; the runners below then hit
-        # it cell for cell, producing byte-identical figures.
-        specs = parallel.matrix_specs(args.scale)
-        matrix_report = parallel.run_matrix(
-            specs, jobs=args.jobs, use_cache=not args.no_cache
-        )
-        print(
-            f"[matrix pre-warm took {matrix_report.total_s:.1f}s:"
-            f" {matrix_report.computed} computed,"
-            f" {matrix_report.cache_hits} cached, jobs={matrix_report.jobs}]\n"
-        )
 
     for name in args.only or RUNNERS:
         _emit(out_dir, name, lambda: RUNNERS[name](args.scale))

@@ -38,7 +38,6 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.units import KB, MB, MS, US
-from repro.harness import diskcache
 from repro.schemes import ALL_SCHEME_NAMES, scheme_class
 from repro.stats.report import FigureData, fault_tolerance_figure
 from repro.telemetry import Telemetry
@@ -84,6 +83,15 @@ class Scale:
             if name == workload:
                 return dict(pairs)
         return {}
+
+    @property
+    def results_dir(self) -> str:
+        """Where this scale's tables go unless the caller names a place.
+
+        ``results/`` holds the smoke-scale goldens CI diffs byte for
+        byte, so every other scale writes beside it, not over it.
+        """
+        return "results" if self.name == "smoke" else f"results_{self.name}"
 
 
 def _scale(
@@ -149,7 +157,7 @@ def get_scale(scale: str) -> Scale:
 
 # -- one measured cell -------------------------------------------------------------
 
-# In-process memo, LRU-bounded.  The full smoke matrix is 56 cells; the
+# In-process memo, LRU-bounded.  The full smoke matrix is 49 cells; the
 # bound only matters for open-ended ablation sweeps that vary configs.
 _CELL_CACHE: "OrderedDict[tuple, RunResult]" = OrderedDict()
 _CELL_CACHE_MAX = 512
@@ -194,6 +202,35 @@ def cell_key(
     )
 
 
+def _build(
+    preset: Scale,
+    scheme: str,
+    workload: str,
+    seed: int,
+    config: Optional[SystemConfig] = None,
+    *,
+    threads: Optional[int] = None,
+    telemetry: Optional[Telemetry] = None,
+    **workload_kwargs: int,
+) -> Tuple[MemorySystem, object, WorkloadDriver]:
+    """Config → system → workload → driver, the one way a cell is set up.
+
+    ``config`` defaults to the scale's own, ``threads`` to the scale's;
+    ``workload_kwargs`` (``item_bytes`` included) override the scale's
+    dataset sizes.  The caller runs the driver and reads the stats.
+    """
+    system = MemorySystem(
+        config or preset.system_config(), scheme=scheme, telemetry=telemetry
+    )
+    kwargs = preset.kwargs_for(workload)
+    kwargs.update(workload_kwargs)
+    wl = make_workload(workload, system, seed=seed, **kwargs)
+    driver = WorkloadDriver(
+        system, threads=threads or preset.threads, seed=seed
+    )
+    return system, wl, driver
+
+
 def run_cell(
     scheme: str,
     workload: str,
@@ -205,7 +242,12 @@ def run_cell(
     extra_kwargs: Optional[Dict[str, int]] = None,
     use_cache: bool = True,
 ) -> RunResult:
-    """Run one (scheme, workload) cell and return its metrics."""
+    """Run one (scheme, workload) cell and return its metrics.
+
+    ``use_cache`` reads and fills the in-process memo; a result is a
+    pure function of its :func:`cell_key`, so the memo changes which
+    object comes back, never its values.
+    """
     preset = get_scale(scale)
     key = cell_key(
         scheme, workload, scale, seed, item_bytes, config, extra_kwargs
@@ -213,20 +255,10 @@ def run_cell(
     if use_cache and key in _CELL_CACHE:
         _CELL_CACHE.move_to_end(key)
         return _CELL_CACHE[key]
-    if use_cache:
-        cached = diskcache.load(key)
-        if cached is not None:
-            result = RunResult(**cached)
-            seed_cache(key, result)
-            return result
-    system_config = config or preset.system_config()
-    system = MemorySystem(system_config, scheme=scheme)
-    kwargs = preset.kwargs_for(workload)
-    kwargs.update(extra_kwargs or {})
-    wl = make_workload(
-        workload, system, item_bytes=item_bytes, seed=seed, **kwargs
+    system, wl, driver = _build(
+        preset, scheme, workload, seed, config,
+        item_bytes=item_bytes, **(extra_kwargs or {}),
     )
-    driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
     result = driver.run(
         wl, preset.transactions, warmup=preset.warmup
     )
@@ -246,21 +278,10 @@ def run_cell(
             }
         )
     if use_cache:
-        seed_cache(key, result)
-        diskcache.store(key, result)
+        _CELL_CACHE[key] = result
+        while len(_CELL_CACHE) > _CELL_CACHE_MAX:
+            _CELL_CACHE.popitem(last=False)
     return result
-
-
-def seed_cache(key: tuple, result: RunResult) -> None:
-    """Install a finished cell in the in-process memo (LRU-bounded).
-
-    Used by :mod:`repro.harness.parallel` to pre-warm the memo with
-    results computed in worker processes, so the figure runners that
-    follow hit the cache exactly as in a sequential run.
-    """
-    _CELL_CACHE[key] = result
-    while len(_CELL_CACHE) > _CELL_CACHE_MAX:
-        _CELL_CACHE.popitem(last=False)
 
 
 def clear_cache() -> None:
@@ -462,22 +483,13 @@ def run_table4(scale: str = "default", seed: int = 7) -> FigureData:
             # the collection window is exactly `count` transactions; the
             # forced pass at the end measures the coalescing opportunity
             # that accumulated across the whole window.
-            from repro.common.units import MB as _MB
-
             hoop = dataclasses.replace(
                 config.hoop,
                 gc=GCConfig(period_ns=1e15),
-                mapping_table_bytes=64 * _MB,
+                mapping_table_bytes=64 * MB,
             )
             config = config.replace(hoop=hoop)
-            system = MemorySystem(config, scheme="hoop")
-            wl = make_workload(
-                workload,
-                system,
-                seed=seed,
-                **preset.kwargs_for(workload),
-            )
-            driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
+            system, wl, driver = _build(preset, "hoop", workload, seed, config)
             gc = system.scheme.controller.gc
             # Drain the load phase so the window holds only measured txns.
             wl.setup(core=0)
@@ -545,11 +557,7 @@ def run_figure10(scale: str = "default", seed: int = 7) -> FigureData:
                 oop_region_fraction=fraction,
             )
             config = config.replace(hoop=hoop_cfg)
-            system = MemorySystem(config, scheme="hoop")
-            wl = make_workload(
-                workload, system, seed=seed, **preset.kwargs_for(workload)
-            )
-            driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
+            system, wl, driver = _build(preset, "hoop", workload, seed, config)
             result = driver.run(
                 wl, transactions, warmup=preset.warmup, quiesce=False
             )
@@ -584,9 +592,7 @@ def run_figure11(scale: str = "default", seed: int = 7) -> FigureData:
         config.hoop, gc=GCConfig(period_ns=1e15)
     )
     config = config.replace(hoop=hoop_cfg)
-    system = MemorySystem(config, scheme="hoop")
-    wl = make_workload("ycsb", system, seed=seed, **preset.kwargs_for("ycsb"))
-    driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
+    system, wl, driver = _build(preset, "hoop", "ycsb", seed, config)
     driver.run(wl, populate_txs, warmup=0, quiesce=False)
 
     fig = FigureData(
@@ -687,15 +693,9 @@ def run_figure13(scale: str = "default", seed: int = 7) -> FigureData:
             config.hoop, mapping_table_bytes=size
         )
         config = config.replace(hoop=hoop_cfg)
-        system = MemorySystem(config, scheme="hoop")
-        wl = make_workload(
-            "ycsb",
-            system,
-            item_bytes=1024,
-            seed=seed,
-            **preset.kwargs_for("ycsb"),
+        system, wl, driver = _build(
+            preset, "hoop", "ycsb", seed, config, item_bytes=1024
         )
-        driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
         result = driver.run(
             wl, preset.transactions, warmup=preset.warmup, quiesce=False
         )
@@ -733,12 +733,9 @@ def run_thread_scaling(scale: str = "default", seed: int = 7) -> FigureData:
     for threads in thread_counts:
         row = [threads]
         for scheme in schemes:
-            config = preset.system_config()
-            system = MemorySystem(config, scheme=scheme)
-            wl = make_workload(
-                "hashmap", system, seed=seed, **preset.kwargs_for("hashmap")
+            _, wl, driver = _build(
+                preset, scheme, "hashmap", seed, threads=threads
             )
-            driver = WorkloadDriver(system, threads=threads, seed=seed)
             result = driver.run(
                 wl, preset.transactions, warmup=preset.warmup
             )
@@ -782,14 +779,7 @@ def run_region_fraction_sweep(
             gc=GCConfig(period_ns=1e15),
         )
         config = config.replace(hoop=hoop_cfg)
-        try:
-            system = MemorySystem(config, scheme="hoop")
-        except Exception:
-            continue  # fraction too small to carve two blocks
-        wl = make_workload(
-            "hashmap", system, seed=seed, **preset.kwargs_for("hashmap")
-        )
-        driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
+        system, wl, driver = _build(preset, "hoop", "hashmap", seed, config)
         result = driver.run(
             wl, transactions, warmup=preset.warmup, quiesce=False
         )
@@ -931,14 +921,8 @@ def run_telemetry_matrix(
     for scheme in ("native",) + PERSISTENCE_SCHEMES:
         for workload in MATRIX_WORKLOADS:
             telemetry = Telemetry()
-            system = MemorySystem(
-                preset.system_config(), scheme=scheme, telemetry=telemetry
-            )
-            wl = make_workload(
-                workload, system, seed=seed, **preset.kwargs_for(workload)
-            )
-            driver = WorkloadDriver(
-                system, threads=preset.threads, seed=seed
+            _, wl, driver = _build(
+                preset, scheme, workload, seed, telemetry=telemetry
             )
             driver.run(wl, preset.transactions, warmup=preset.warmup)
             summary = telemetry.summary()
@@ -991,11 +975,7 @@ def run_fault_reports(scale: str = "default", seed: int = 7) -> FigureData:
                 enabled=True, read_error_rate=5e-4, seed=seed
             )
         )
-        system = MemorySystem(config, scheme=scheme)
-        wl = make_workload(
-            "hashmap", system, seed=seed, **preset.kwargs_for("hashmap")
-        )
-        driver = WorkloadDriver(system, threads=preset.threads, seed=seed)
+        system, wl, driver = _build(preset, scheme, "hashmap", seed, config)
         driver.run(wl, preset.transactions, warmup=preset.warmup)
         for counter, value in fault_tolerance_figure(system).rows:
             fig.add_row(scheme, counter, value)

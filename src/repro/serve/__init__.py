@@ -29,7 +29,7 @@ Run it: ``python -m repro.serve --shards 4 --kill-shard 1``, or with
 replication: ``python -m repro.serve --replicas 1
 --kill-primary-at-ms 6``.  Everything is simulated time — a run is a
 pure function of its :class:`ServeConfig`, bit-identical across
-replays and harness parallelism.
+replays.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ relies on:
   (BLAKE2b), never Python's per-process-salted ``hash()``, so the same
   ``(shards, seed)`` pair routes every key identically in every
   process.  This is what lets the durability oracle recompute a key's
-  owner after the fact, and what makes serve runs replay bit-identically
-  under harness parallelism.
+  owner after the fact, and what makes serve runs replay
+  bit-identically.
 * **minimal movement** — growing the cluster from N to N+1 shards
   remaps only ~1/(N+1) of the keyspace (tested), the classic
   consistent-hashing contract that makes resharding a migration of one

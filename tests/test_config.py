@@ -1,5 +1,8 @@
 """Configuration defaults (Table II / §III-H) and validation."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.common.config import (
@@ -137,3 +140,28 @@ def test_small_config_is_consistent():
     assert cfg.oop_region_bytes % cfg.hoop.oop_block_bytes == 0
     assert cfg.home_region_bytes > 0
     assert cfg.cycle_ns == pytest.approx(0.4)
+
+
+def test_environment_knobs_and_process_supervisors_are_pinned():
+    """``src/`` reads two environment variables and forks nothing.
+
+    Each ``REPRO_*`` read is a configuration axis no report records, and
+    a process pool is a subsystem of its own (the last one was deleted
+    at 1.09x on two cores): adding either means editing this list and
+    saying why.
+    """
+    env_read = re.compile(
+        r"""(?:environ(?:\.get)?|getenv)\s*[\[(]\s*["'](REPRO_\w+)"""
+    )
+    pool_import = re.compile(
+        r"^\s*(?:import|from)\s+(multiprocessing|concurrent\.futures)\b",
+        re.MULTILINE,
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    knobs, pools = set(), []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        knobs.update(env_read.findall(text))
+        pools += [(path.name, m) for m in pool_import.findall(text)]
+    assert knobs == {"REPRO_CHECK_INVARIANTS", "REPRO_SNAPSHOT_DISABLE"}
+    assert pools == []

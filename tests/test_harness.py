@@ -1,11 +1,12 @@
 """The experiment harness: scales, cells, tables, reports."""
 
-import os
+import dataclasses
 
 import pytest
 
-from repro.harness import SCALES, run_cell, run_table1
-from repro.harness.experiments import get_scale
+from repro.common.config import SystemConfig
+from repro.harness import SCALES, experiments, run_cell, run_table1
+from repro.harness.experiments import cell_key, get_scale
 from repro.stats.report import FigureData, format_table
 
 
@@ -30,6 +31,12 @@ class TestScales:
 
 
 class TestRunCell:
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        experiments.clear_cache()
+        yield
+        experiments.clear_cache()
+
     def test_cell_runs_and_caches(self):
         first = run_cell("native", "queue", "smoke", seed=3)
         second = run_cell("native", "queue", "smoke", seed=3)
@@ -40,6 +47,51 @@ class TestRunCell:
         result = run_cell("hoop", "queue", "smoke", seed=3)
         assert "gc_passes" in result.extras
         assert "parallel_reads" in result.extras
+
+    def test_cell_is_a_pure_function_of_its_key(self):
+        """What lets the memo stand in for a run: same key, same values."""
+        first = run_cell("hoop", "vector", "smoke", use_cache=False)
+        second = run_cell("hoop", "vector", "smoke", use_cache=False)
+        assert first is not second
+        assert dataclasses.asdict(first) == dataclasses.asdict(second)
+        # use_cache=False neither reads nor fills the memo.
+        assert not experiments._CELL_CACHE
+
+    def test_memo_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CELL_CACHE_MAX", 2)
+        oldest = run_cell("native", "queue", "smoke", seed=1)
+        run_cell("native", "queue", "smoke", seed=2)
+        # A hit refreshes seed 1, so seed 2 is now the least recently used.
+        assert run_cell("native", "queue", "smoke", seed=1) is oldest
+        run_cell("native", "queue", "smoke", seed=3)
+        assert len(experiments._CELL_CACHE) == 2
+        # Seed 2 fell out; seed 1, though older, survived.
+        assert run_cell("native", "queue", "smoke", seed=1) is oldest
+        key_2 = cell_key("native", "queue", "smoke", 2, 64, None, None)
+        assert key_2 not in experiments._CELL_CACHE
+
+
+class TestCellKey:
+    def test_explicit_config_keys_by_field_values(self):
+        cfg_a = SystemConfig.small()
+        cfg_b = SystemConfig.small()
+        key_a = cell_key("hoop", "vector", "smoke", 7, 64, cfg_a, None)
+        key_b = cell_key("hoop", "vector", "smoke", 7, 64, cfg_b, None)
+        assert cfg_a is not cfg_b
+        assert key_a == key_b
+
+        nvm = dataclasses.replace(cfg_b.nvm, read_latency_ns=999.0)
+        key_c = cell_key(
+            "hoop", "vector", "smoke", 7, 64, cfg_b.replace(nvm=nvm), None
+        )
+        assert key_c != key_a
+
+    def test_no_extra_kwargs_is_one_key_and_seeds_differ(self):
+        key_1 = cell_key("hoop", "vector", "smoke", 7, 64, None, None)
+        key_2 = cell_key("hoop", "vector", "smoke", 7, 64, None, {})
+        key_3 = cell_key("hoop", "vector", "smoke", 8, 64, None, None)
+        assert key_1 == key_2
+        assert key_1 != key_3
 
 
 class TestTable1:
@@ -91,24 +143,26 @@ class TestReportRendering:
         assert "F" in fig.render()
 
 
-@pytest.mark.parametrize("before", [None, "", "1"])
-def test_no_cache_flag_leaves_environment_as_found(before, tmp_path, monkeypatch):
-    """``--no-cache`` is for that run only, not the rest of the process."""
+@pytest.mark.parametrize(
+    "scale, expected", [("smoke", "results"), ("default", "results_default")]
+)
+def test_out_defaults_to_the_scales_own_directory(
+    scale, expected, tmp_path, monkeypatch
+):
+    """Only a smoke run may land in ``results/``, which CI diffs."""
     from repro.harness import __main__ as cli
-    from repro.harness import diskcache
 
-    if before is None:
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_CACHE", before)
-    seen = []
-    monkeypatch.setitem(
-        cli.RUNNERS,
-        "table1",
-        lambda scale: seen.append(diskcache.enabled()) or run_table1(),
-    )
-    environ = dict(os.environ)
-    argv = ["--scale", "smoke", "--only", "table1", "--out", str(tmp_path)]
-    assert cli.main(argv + ["--no-cache"]) == 0
-    assert seen == [False]  # off while the run was in progress
-    assert dict(os.environ) == environ
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--scale", scale, "--only", "table1"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [expected]
+    assert (tmp_path / expected / "table1.txt").exists()
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-cache"]])
+def test_removed_flags_are_rejected(flag, tmp_path, capsys):
+    from repro.harness import __main__ as cli
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--only", "table1", "--out", str(tmp_path)] + flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
