@@ -51,8 +51,8 @@ class BitStruct:
             cursor += field.bits
         self.used_bits = cursor
         # Flattened (name, offset, mask) rows so pack/unpack — called per
-        # slice encode/decode — skip the per-field dict probes and mask
-        # reconstruction.
+        # block header and commit-log page — skip the per-field dict
+        # probes and mask reconstruction.
         self._rows: Tuple[Tuple[str, int, int], ...] = tuple(
             (f.name, self._offsets[f.name][0], (1 << f.bits) - 1)
             for f in self.fields
@@ -65,22 +65,9 @@ class BitStruct:
 
     def pack(self, values: Dict[str, int]) -> bytes:
         """Pack ``values`` into ``total_bytes`` bytes; unset fields are 0."""
-        get = values.get
-        return self.pack_values([get(name, 0) for name, _, _ in self._rows])
-
-    def pack_values(self, values: Sequence[int]) -> bytes:
-        """Positional :meth:`pack`: one value per field, in layout order.
-
-        Same range checks and bytes as ``pack(dict(zip(names, values)))``
-        without building the dict — the data-slice encoder runs once per
-        flushed slice.
-        """
-        if len(values) != len(self._rows):
-            raise ValueError(
-                f"layout has {len(self._rows)} fields, got {len(values)} values"
-            )
         acc = 0
-        for (name, offset, mask), value in zip(self._rows, values):
+        for name, offset, mask in self._rows:
+            value = values.get(name, 0)
             if value and not 0 <= value <= mask:
                 raise ValueError(
                     f"value {value} does not fit field {name!r}"
@@ -127,21 +114,9 @@ Field.__snapshot_state__ = "__shared__"
 BitStruct.__snapshot_state__ = "__shared__"
 
 
-def pack_uint_list(values: Sequence[int], bits_each: int, total_bytes: int) -> bytes:
-    """Pack a homogeneous list of unsigned ints (e.g. eight 40-bit addrs)."""
-    if len(values) * bits_each > total_bytes * 8:
-        raise ValueError("values do not fit the allotted bytes")
-    acc = 0
-    limit = (1 << bits_each) - 1
-    for i, value in enumerate(values):
-        if not 0 <= value <= limit:
-            raise ValueError(f"value {value} does not fit {bits_each} bits")
-        acc |= value << (i * bits_each)
-    return acc.to_bytes(total_bytes, "little")
-
-
 def unpack_uint_list(raw: bytes, bits_each: int, count: int) -> List[int]:
-    """Inverse of :func:`pack_uint_list`."""
+    """The first ``count`` ``bits_each``-bit unsigned ints packed LSB-first
+    in ``raw`` (e.g. a data slice's home-address vector)."""
     if count * bits_each > len(raw) * 8:
         raise ValueError("requested more bits than the buffer holds")
     acc = int.from_bytes(raw, "little")

@@ -116,7 +116,7 @@ class HoopController:
             self.region,
             self.codec,
             self.mapping,
-            on_slice_written=self._record_slice,
+            on_slice_written=self.refs.on_slice_written,
         )
         self.gc = GarbageCollector(
             config,
@@ -132,7 +132,6 @@ class HoopController:
             config, self.region, self.codec, self.commit_log, self.port
         )
         self.stats = HoopStats()
-        self._store_seq = 0
         self.telemetry = NULL_TELEMETRY
         self._track = "ctrl0"
 
@@ -160,10 +159,6 @@ class HoopController:
         """Install a persist-ordering sanitizer on the controller tree."""
         self.port.check = checker
         self.buffer.check = checker
-
-    def _record_slice(self, tx_id: int, slice_index: int) -> None:
-        block, _ = self.region.slice_location(slice_index)
-        self.refs.on_slice_written(tx_id, block)
 
     # -- transaction flow -------------------------------------------------------
 
@@ -200,9 +195,7 @@ class HoopController:
             now_ns = max(now_ns, report.completion_ns)
         # The hierarchy already bounds-checked the access and cut it at
         # line boundaries: one word-run call per store piece.
-        self._store_seq = self.buffer.add_words(
-            core, addr, size, line_addr, line_data, self._store_seq, now_ns
-        )
+        self.buffer.add_words(core, addr, size, line_addr, line_data, now_ns)
         return now_ns
 
     def tx_end(self, core: int, tx_id: int, now_ns: float) -> float:

@@ -34,17 +34,15 @@ _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 class OOPLocation(NamedTuple):
     """Where a word's newest durable (or buffered) value lives.
 
-    A NamedTuple rather than a frozen dataclass: one is allocated per
-    transactional store (and again per slice flush), and tuple
-    construction is several times cheaper than ``object.__setattr__``
-    per field.
+    A word still in a core's OOP data buffer maps to that core's one
+    shared marker ``(True, core, 0)`` — the buffer itself knows the
+    value — so staging a word allocates no location at all; a flushed
+    word maps to its slot in a region slice.
     """
 
     in_buffer: bool  # True: core's OOP data buffer; False: OOP region slice
     slice_index: int  # region slice index (or buffer core id when in_buffer)
-    word_slot: int  # word position within the slice / buffer entry
-    seq: int  # global store sequence, for GC version comparison
-    tx_id: int
+    word_slot: int  # word position within the slice (0 in the buffer)
 
 
 @dataclass
@@ -128,28 +126,28 @@ class MappingTable:
 
     def relocate_flushed(
         self,
-        words: Sequence[Tuple[int, int]],
+        words: Sequence[Tuple[int, bytes]],
         slice_index: int,
-        tx_id: int,
+        marker: OOPLocation,
     ) -> None:
         """Repoint one flushed slice's words at their slots in it.
 
-        ``words`` is the slice's ``(word_addr, seq)`` pairs in slot
-        order.  An entry moves only while it still refers to the flushed
-        store (same ``seq``, still in the buffer); a newer store
-        supersedes the flush and keeps its buffer location.
+        ``words`` is the slice's ``(word_addr, value)`` pairs in slot
+        order and ``marker`` the flushing core's buffer entry.  An entry
+        moves only while it is still that marker: a store from another
+        core since then carries that core's marker (or already points at
+        its slice) and keeps it, while a re-store from the same core
+        overwrote the pending word in place, so it *is* the word flushed.
         """
         lines = self._lines
         condense = self.condense
-        for slot, (word_addr, seq) in enumerate(words):
+        new = tuple.__new__  # skips OOPLocation.__new__'s Python frame
+        for slot, (word_addr, _value) in enumerate(words):
             line = word_addr & _LINE_MASK
             entries = lines.get(line)
-            if entries is None:
-                continue
-            current = entries.get(word_addr)
-            if current is not None and current.seq == seq and current.in_buffer:
-                entries[word_addr] = OOPLocation(
-                    False, slice_index, slot, seq, tx_id
+            if entries is not None and entries.get(word_addr) == marker:
+                entries[word_addr] = new(
+                    OOPLocation, (False, slice_index, slot)
                 )
                 if condense:
                     self._recheck_condensed(line)
@@ -261,7 +259,7 @@ class MappingTable:
 
 # -- snapshot declarations ----------------------------------------------------
 # OOPLocation is a NamedTuple of scalars: atom-shared (one lives per
-# mapped word, so skipping the per-object engine call matters).
+# flushed word, so skipping the per-object engine call matters).
 OOPLocation.__snapshot_state__ = "__atom__"
 MappingStats.__snapshot_state__ = "__atoms__"
 MappingTable.__snapshot_state__ = "__all__"

@@ -31,6 +31,7 @@ from repro.core.mapping_table import MappingTable, OOPLocation
 from repro.core.oop_region import OOPRegion
 from repro.core.slices import (
     MAX_PREV_DELTA,
+    SLICE_BYTES,
     STATE_LAST,
     STATE_OPEN,
     WORD_BYTES,
@@ -41,21 +42,17 @@ from repro.check.sanitizer import NULL_CHECKER
 from repro.telemetry.hub import NULL_TELEMETRY
 
 
-# A pending word is a plain ``(value, seq)`` tuple: these are created on
-# every transactional store, so they must cost one tuple allocation and
-# nothing more.
-
-
 @dataclass(slots=True)
 class _CoreEntry:
     """Volatile per-core buffer state for the transaction in flight."""
 
     tx_id: Optional[int] = None
-    pending: Dict[int, Tuple[bytes, int]] = field(default_factory=dict)
+    # word address -> 8-byte value, in first-store order: a re-store
+    # overwrites the value in place, so it keeps its slice.
+    pending: Dict[int, bytes] = field(default_factory=dict)
     last_slice: Optional[int] = None  # tail of the current chain segment
     segment_open: bool = False  # a slice has been written in this segment
     segments: List[int] = field(default_factory=list)  # closed segment tails
-    words_flushed: int = 0
 
 
 @dataclass
@@ -84,6 +81,10 @@ class OOPDataBuffer:
         self.mapping = mapping
         self._on_slice_written = on_slice_written
         self._cores = [_CoreEntry() for _ in range(config.num_cores)]
+        # Every word a core has buffered maps to this one entry.
+        self._markers = tuple(
+            OOPLocation(True, core, 0) for core in range(config.num_cores)
+        )
         # 16 bytes of SRAM per pending word: 8 B data + 8 B home address.
         self.capacity_words = config.hoop.oop_buffer_bytes_per_core // 16
         self._words_per_slice = codec.words_per_slice
@@ -115,22 +116,20 @@ class OOPDataBuffer:
         size: int,
         line_addr: int,
         line_data: bytes,
-        seq: int,
         now_ns: float,
-    ) -> int:
-        """Stage the word run one store piece touches; returns the new seq.
+    ) -> None:
+        """Stage the word run one store piece touches.
 
         ``[addr, addr + size)`` lies inside the cache line at
         ``line_addr`` whose post-store bytes are ``line_data``; every
-        8-byte word it overlaps is staged in address order, each under
-        the next store sequence number after ``seq``.  Dedupe, the
-        capacity check, the mapping update and the overflow flush run
-        word by word, so a slice fills and flushes at exactly the word
-        it would have if the run were fed one word at a time.
+        8-byte word it overlaps is staged in address order and mapped to
+        the core's marker.  Dedupe, the capacity check, the mapping
+        update and the overflow flush run word by word, so a slice fills
+        and flushes at exactly the word it would have if the run were fed
+        one word at a time.
         """
         entry = self._cores[core]
-        tx_id = entry.tx_id
-        if tx_id is None:
+        if entry.tx_id is None:
             raise TransactionError(f"core {core} has no open transaction")
         first = addr & ~(WORD_BYTES - 1)
         stop = addr + size
@@ -149,8 +148,8 @@ class OOPDataBuffer:
         capacity = self.capacity_words
         words_per_slice = self._words_per_slice
         record = self.mapping.record
+        marker = self._markers[core]
         for word_addr in range(first, stop, WORD_BYTES):
-            seq += 1
             if word_addr in pending:
                 stats.words_deduped += 1
             else:
@@ -160,15 +159,14 @@ class OOPDataBuffer:
                     )
                 stats.words_buffered += 1
             offset = word_addr - line_addr
-            pending[word_addr] = (line_data[offset : offset + WORD_BYTES], seq)
-            record(word_addr, OOPLocation(True, core, 0, seq, tx_id))
+            pending[word_addr] = line_data[offset : offset + WORD_BYTES]
+            record(word_addr, marker)
             # Hold the buffer until it *overflows* a slice: the commit
             # point is the synchronous persist of a STATE_LAST slice at
             # Tx_end, so every transaction must end with at least one
             # word still pending.
             if len(pending) > words_per_slice:
                 self._flush_slice(core, now_ns, sync=False, last=False)
-        return seq
 
     def tx_end(self, core: int, now_ns: float) -> Tuple[List[int], float]:
         """Flush remaining words synchronously; returns (segment tails, t).
@@ -194,8 +192,7 @@ class OOPDataBuffer:
 
     def buffered_word(self, core: int, word_addr: int) -> Optional[bytes]:
         """Value of a word still sitting in a core's buffer, if any."""
-        pending = self._cores[core].pending.get(word_addr)
-        return pending[0] if pending is not None else None
+        return self._cores[core].pending.get(word_addr)
 
     def open_tx(self, core: int) -> Optional[int]:
         return self._cores[core].tx_id
@@ -209,11 +206,14 @@ class OOPDataBuffer:
         self, core: int, now_ns: float, *, sync: bool, last: bool
     ) -> float:
         entry = self._cores[core]
-        assert entry.tx_id is not None and entry.pending
-        # islice avoids copying the whole pending dict when it holds more
-        # than one slice's worth of words.
-        words = list(islice(entry.pending.items(), self._words_per_slice))
-        slice_index = self.region.allocate_slice(now_ns, stream="data")
+        tx_id = entry.tx_id
+        pending = entry.pending
+        assert tx_id is not None and pending
+        # Already the DataSlice.words shape; islice avoids copying the
+        # whole pending dict when it holds more than one slice's worth.
+        words = tuple(islice(pending.items(), self._words_per_slice))
+        region = self.region
+        slice_index = region.allocate_slice(now_ns, stream="data")
         prev_delta: Optional[int] = None
         if entry.segment_open:
             assert entry.last_slice is not None
@@ -225,47 +225,37 @@ class OOPDataBuffer:
                 # and start a fresh one (recorded separately at commit).
                 entry.segments.append(entry.last_slice)
                 self.stats.segment_splits += 1
-        block, _ = self.region.slice_location(slice_index)
-        ds = DataSlice(
-            tx_id=entry.tx_id,
-            words=tuple(
-                (addr, value) for addr, (value, _seq) in words
-            ),
-            is_start=prev_delta is None,
-            prev_delta=prev_delta,
-            state=STATE_LAST if last else STATE_OPEN,
-            generation=self.region.generation_of(block),
+        block, slot = divmod(slice_index, region.slots_per_block)
+        ds = DataSlice.of_aligned_words(
+            tx_id, words, prev_delta is None, prev_delta,
+            STATE_LAST if last else STATE_OPEN, region.generation_of(block),
         )
         raw = self.codec.encode_data(ds)
-        completion = self.region.write_slice(slice_index, raw, now_ns, sync=sync)
+        # OOPRegion.slice_addr, from the (block, slot) already in hand.
+        addr = region.base + block * region.block_bytes + (slot + 1) * SLICE_BYTES
+        port = region.port
+        if sync:
+            completion = port.sync_write(addr, raw, now_ns)
+            self.stats.sync_slices += 1
+        else:
+            completion = port.async_write(addr, raw, now_ns)
         if self._on_slice_written is not None:
-            self._on_slice_written(entry.tx_id, slice_index)
-        self.mapping.relocate_flushed(
-            [(addr, seq) for addr, (_value, seq) in words],
-            slice_index,
-            entry.tx_id,
-        )
-        pending = entry.pending
-        for addr, _pending in words:
-            del pending[addr]
+            self._on_slice_written(tx_id, block)
+        self.mapping.relocate_flushed(words, slice_index, self._markers[core])
+        for word_addr, _value in words:
+            del pending[word_addr]
         entry.last_slice = slice_index
         entry.segment_open = True
-        entry.words_flushed += len(words)
         self.stats.slices_written += 1
-        if sync:
-            self.stats.sync_slices += 1
         check = self.check
         if check.active:
-            port = self.region.port
-            for addr, _pending in words:
+            for word_addr, _value in words:
                 check.note_persist(
-                    entry.tx_id, "oop", addr, 8, now_ns, sync=sync,
-                    port=port,
+                    tx_id, "oop", word_addr, 8, now_ns, sync=sync, port=port
                 )
             if last and self.check_commit_on_last:
                 check.note_persist(
-                    entry.tx_id, "commit", -1, 0, completion, sync=sync,
-                    port=port,
+                    tx_id, "commit", -1, 0, completion, sync=sync, port=port
                 )
         return completion
 
@@ -278,7 +268,7 @@ class OOPDataBuffer:
 
 # -- snapshot declarations ----------------------------------------------------
 # _CoreEntry's pending dict / segments list are deep-cloned; the buffer's
-# _on_slice_written bound method is re-bound to the cloned controller by
+# _on_slice_written bound method is re-bound to the cloned BlockRefs by
 # the engine's method handler.
 _CoreEntry.__snapshot_state__ = "__all__"
 BufferStats.__snapshot_state__ = "__atoms__"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.bitfield import BitStruct, Field, unpack_uint_list
 from repro.common.errors import CorruptionError
@@ -53,7 +53,18 @@ _NO_NEXT = (1 << _NEXT_OFFSET_BITS) - 1  # sentinel: end of chain segment
 MAX_PREV_DELTA = _NO_NEXT - 1  # largest chain hop the 24-bit field encodes
 
 _TXID_BITS = 32
-_CHECKSUM_BITS = 16
+_TXID_MAX = (1 << _TXID_BITS) - 1
+
+# A data slice's meta fields, LSB first after the address vector: 24-bit
+# next offset, 32-bit TxID, start bit, 3-bit word count - 1, 4-bit
+# state, 8-bit generation, 16-bit checksum.  Their bit offsets:
+_TXID_SHIFT = 24
+_START_SHIFT = 56
+_COUNT_SHIFT = 57
+_STATE_SHIFT = 60
+_GENERATION_SHIFT = 64
+_CHECKSUM_SHIFT = 72
+_DATA_TAG = bytes([KIND_DATA])
 
 
 def _checksum(payload: bytes) -> int:
@@ -114,6 +125,26 @@ class DataSlice:
             if len(value) != WORD_BYTES:
                 raise ValueError("each packed word must be exactly 8 bytes")
 
+    @classmethod
+    def of_aligned_words(
+        cls, tx_id: int, words: Tuple[Tuple[int, bytes], ...], is_start: bool,
+        prev_delta: Optional[int], state: int, generation: int,
+    ) -> "DataSlice":
+        """A slice whose producer holds only whole aligned 8-byte words.
+
+        The OOP data buffer's flush and the decoder: skips the frozen
+        ``__init__`` and ``__post_init__``'s per-word re-check.
+        """
+        ds = object.__new__(cls)
+        put = object.__setattr__
+        put(ds, "tx_id", tx_id)
+        put(ds, "words", words)
+        put(ds, "is_start", is_start)
+        put(ds, "prev_delta", prev_delta)
+        put(ds, "state", state)
+        put(ds, "generation", generation)
+        return ds
+
     @property
     def count(self) -> int:
         return len(self.words)
@@ -155,9 +186,10 @@ class SliceCodec:
 
     The metadata half of a data slice has ``SLICE_BYTES - words*8`` bytes.
     Fixed fields cost 24 (next) + 32 (TxID) + 1 (start) + 3 (count) +
-    4 (state) + 16 (checksum) = 80 bits plus the 8-bit kind tag; the
-    remaining bits hold ``words`` home addresses of ``home_addr_bits``
-    each.  ``for_home_bits`` picks the largest ``words <= 8`` that fits.
+    4 (state) + 8 (generation) + 16 (checksum) = 88 bits plus the 8-bit
+    kind tag; the remaining bits hold ``words`` home addresses of
+    ``home_addr_bits`` each.  ``for_home_bits`` picks the largest
+    ``words <= 8`` that fits.
     """
 
     _FIXED_META_BITS = 88
@@ -183,17 +215,8 @@ class SliceCodec:
         self.words_per_slice = words_per_slice
         self._data_bytes = words_per_slice * 8
         self._addr_vec_bytes = (words_per_slice * home_addr_bits + 7) // 8
-        meta_fields = [
-            Field("next_offset", _NEXT_OFFSET_BITS),
-            Field("tx_id", _TXID_BITS),
-            Field("start", 1),
-            Field("count", 3),
-            Field("state", 4),
-            Field("generation", 8),
-            Field("checksum", _CHECKSUM_BITS),
-        ]
-        meta_bytes = SLICE_BYTES - self._data_bytes - self._addr_vec_bytes - 1
-        self._meta = BitStruct(meta_fields, total_bytes=meta_bytes)
+        self._meta_start = self._data_bytes + self._addr_vec_bytes
+        self._meta_bytes = SLICE_BYTES - self._meta_start - 1
         # Address-slice layout: header (sequence 32b, count 8b,
         # checksum 16b) then entries of (tx_id 32b, tail 34b, committed 1b,
         # retired 1b).
@@ -260,36 +283,47 @@ class SliceCodec:
             values.append(value)
             if type(value) is not bytes:
                 roundtrips = False
-        next_offset = _NO_NEXT if ds.prev_delta is None else ds.prev_delta
-        if not 0 <= next_offset <= _NO_NEXT:
-            raise ValueError(f"prev delta {ds.prev_delta} exceeds 24 bits")
+        prev_delta = ds.prev_delta
+        if prev_delta is None:
+            next_offset = _NO_NEXT
+        elif 0 <= prev_delta <= MAX_PREV_DELTA:
+            next_offset = prev_delta
+        else:
+            # _NO_NEXT itself is the end-of-chain sentinel: storing it
+            # would decode as "no predecessor", a silent chain break.
+            raise ValueError(f"prev delta {prev_delta} exceeds {MAX_PREV_DELTA}")
+        tx_id = ds.tx_id
+        if not 0 <= tx_id <= _TXID_MAX:
+            raise ValueError(f"tx id {tx_id} exceeds {_TXID_BITS} bits")
+        state = ds.state
+        if not 0 <= state <= 0xF:
+            raise ValueError(f"state {state} exceeds 4 bits")
         generation = ds.generation & 0xFF
         payload = (
             b"".join(values)
             + bytes(self._data_bytes - count * WORD_BYTES)
             + addr_acc.to_bytes(self._addr_vec_bytes, "little")
         )
-        meta = self._meta.pack_values(
-            (
-                next_offset,
-                ds.tx_id,
-                1 if ds.is_start else 0,
-                count - 1,
-                ds.state,
-                generation,
-                0,  # checksum, spliced in below
-            )
+        meta = (
+            next_offset
+            | tx_id << _TXID_SHIFT
+            | (1 if ds.is_start else 0) << _START_SHIFT
+            | (count - 1) << _COUNT_SHIFT
+            | state << _STATE_SHIFT
+            | generation << _GENERATION_SHIFT
         )
-        meta = self._meta.with_field(
-            meta, "checksum", _checksum(payload + meta)
+        meta_bytes = self._meta_bytes
+        # The checksum covers payload + meta with a zero checksum field.
+        checksum = zlib.crc32(
+            meta.to_bytes(meta_bytes, "little"), zlib.crc32(payload)
+        ) & 0xFFFF
+        raw = (
+            payload
+            + (meta | checksum << _CHECKSUM_SHIFT).to_bytes(meta_bytes, "little")
+            + _DATA_TAG
         )
-        raw = payload + meta + bytes([KIND_DATA])
         assert len(raw) == SLICE_BYTES
-        if (
-            roundtrips
-            and generation == ds.generation
-            and ds.prev_delta != _NO_NEXT
-        ):
+        if roundtrips and generation == ds.generation:
             _memo_put(self._decode_cache, raw, ds)
         return raw
 
@@ -302,29 +336,33 @@ class SliceCodec:
             raise CorruptionError(f"slice must be {SLICE_BYTES} bytes")
         if raw[-1] & 0xF != KIND_DATA:
             raise CorruptionError("not a data memory slice")
-        data = bytes(raw[: self._data_bytes])
-        addr_vec = raw[self._data_bytes : self._data_bytes + self._addr_vec_bytes]
-        meta_raw = raw[self._data_bytes + self._addr_vec_bytes : -1]
-        meta = self._meta.unpack(meta_raw)
-        expected = _checksum(
-            data + addr_vec + self._meta.clear_field(meta_raw, "checksum")
-        )
-        if meta["checksum"] != expected:
+        data_bytes = self._data_bytes
+        meta_start = self._meta_start
+        meta = int.from_bytes(raw[meta_start:-1], "little")
+        checksum = meta >> _CHECKSUM_SHIFT & 0xFFFF
+        meta ^= checksum << _CHECKSUM_SHIFT  # as it was when summed
+        expected = zlib.crc32(
+            meta.to_bytes(self._meta_bytes, "little"),
+            zlib.crc32(raw[:meta_start]),
+        ) & 0xFFFF
+        if checksum != expected:
             raise CorruptionError("data slice checksum mismatch (torn write)")
-        count = meta["count"] + 1
-        word_indexes = unpack_uint_list(addr_vec, self.home_addr_bits, count)
+        count = (meta >> _COUNT_SHIFT & 0x7) + 1
+        word_indexes = unpack_uint_list(
+            raw[data_bytes:meta_start], self.home_addr_bits, count
+        )
         words = tuple(
-            (word_indexes[i] * WORD_BYTES, data[i * 8 : (i + 1) * 8])
+            (word_indexes[i] * WORD_BYTES, raw[i * 8 : (i + 1) * 8])
             for i in range(count)
         )
-        next_offset = meta["next_offset"]
-        return DataSlice(
-            tx_id=meta["tx_id"],
-            words=words,
-            is_start=bool(meta["start"]),
-            prev_delta=None if next_offset == _NO_NEXT else next_offset,
-            state=meta["state"],
-            generation=meta["generation"],
+        next_offset = meta & _NO_NEXT
+        return DataSlice.of_aligned_words(
+            meta >> _TXID_SHIFT & _TXID_MAX,
+            words,
+            bool(meta >> _START_SHIFT & 1),
+            None if next_offset == _NO_NEXT else next_offset,
+            meta >> _STATE_SHIFT & 0xF,
+            meta >> _GENERATION_SHIFT & 0xFF,
         )
 
     # -- address slices -----------------------------------------------------------
@@ -340,6 +378,8 @@ class SliceCodec:
         for i, entry in enumerate(a.entries):
             if entry.tail_slice >= (1 << 34):
                 raise ValueError("tail slice index exceeds 34 bits")
+            if not 0 <= entry.tx_id <= _TXID_MAX:
+                raise ValueError(f"tx id {entry.tx_id} exceeds {_TXID_BITS} bits")
             packed = (
                 entry.tx_id
                 | (entry.tail_slice << _TXID_BITS)

@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bitfield import (
-    BitStruct,
-    Field,
-    pack_uint_list,
-    unpack_uint_list,
-)
+from repro.common.bitfield import BitStruct, Field, unpack_uint_list
+
+
+def pack_uint_list(values, bits_each, total_bytes):
+    """Reference packer: what ``unpack_uint_list`` inverts."""
+    if len(values) * bits_each > total_bytes * 8:
+        raise ValueError("values do not fit the allotted bytes")
+    acc = 0
+    for i, value in enumerate(values):
+        if not 0 <= value < 1 << bits_each:
+            raise ValueError(f"value {value} does not fit {bits_each} bits")
+        acc |= value << (i * bits_each)
+    return acc.to_bytes(total_bytes, "little")
 
 
 def test_simple_round_trip():

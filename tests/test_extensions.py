@@ -11,13 +11,9 @@ from repro.common.errors import ConfigError
 from repro.core.mapping_table import MappingTable, OOPLocation
 
 
-def loc(seq, slice_index=5, slot=0, in_buffer=False):
+def loc(slice_index=5, slot=0, in_buffer=False):
     return OOPLocation(
-        in_buffer=in_buffer,
-        slice_index=slice_index,
-        word_slot=slot,
-        seq=seq,
-        tx_id=1,
+        in_buffer=in_buffer, slice_index=slice_index, word_slot=slot
     )
 
 
@@ -25,7 +21,7 @@ class TestMappingCondensing:
     def test_full_same_slice_line_condenses(self):
         table = MappingTable(64, condense=True)
         for i in range(8):
-            table.record(0x1000 + i * 8, loc(seq=i + 1, slot=i))
+            table.record(0x1000 + i * 8, loc(slot=i))
         assert table.entries == 1  # eight words, one entry
         assert table.stats.condensed_lines == 1
         # Lookups unchanged.
@@ -34,36 +30,34 @@ class TestMappingCondensing:
     def test_mixed_slice_line_does_not_condense(self):
         table = MappingTable(64, condense=True)
         for i in range(8):
-            table.record(
-                0x1000 + i * 8, loc(seq=i + 1, slice_index=5 + (i % 2))
-            )
+            table.record(0x1000 + i * 8, loc(slice_index=5 + (i % 2)))
         assert table.entries == 8
 
     def test_partial_line_does_not_condense(self):
         table = MappingTable(64, condense=True)
         for i in range(7):
-            table.record(0x1000 + i * 8, loc(seq=i + 1))
+            table.record(0x1000 + i * 8, loc())
         assert table.entries == 7
 
     def test_update_to_other_slice_uncondenses(self):
         table = MappingTable(64, condense=True)
         for i in range(8):
-            table.record(0x1000 + i * 8, loc(seq=i + 1))
+            table.record(0x1000 + i * 8, loc())
         assert table.entries == 1
-        table.record(0x1000, loc(seq=99, slice_index=77))
+        table.record(0x1000, loc(slice_index=77))
         assert table.entries == 8
 
     def test_removal_restores_accounting(self):
         table = MappingTable(64, condense=True)
         for i in range(8):
-            table.record(0x1000 + i * 8, loc(seq=i + 1))
+            table.record(0x1000 + i * 8, loc())
         table.remove_words([0x1000 + i * 8 for i in range(8)])
         assert table.entries == 0
 
     def test_remove_if_stale_on_condensed_line(self):
         table = MappingTable(64, condense=True)
         for i in range(8):
-            table.record(0x1000 + i * 8, loc(seq=i + 1))
+            table.record(0x1000 + i * 8, loc())
         assert table.entries == 1
         assert table.remove_migrated(0x1000, 5, 0)
         assert table.entries == 7  # un-condensed, then one word fewer
@@ -71,7 +65,7 @@ class TestMappingCondensing:
     def test_disabled_by_default(self):
         table = MappingTable(64)
         for i in range(8):
-            table.record(0x1000 + i * 8, loc(seq=i + 1))
+            table.record(0x1000 + i * 8, loc())
         assert table.entries == 8
 
     def test_condensed_system_still_crash_consistent(self):

@@ -7,28 +7,35 @@ from repro.core.eviction_buffer import EvictionBuffer
 from repro.core.mapping_table import MappingTable, OOPLocation
 
 
-def loc(seq=1, slice_index=0, slot=0, in_buffer=False, tx_id=1):
+def loc(slice_index=0, slot=0, in_buffer=False):
     return OOPLocation(
-        in_buffer=in_buffer,
-        slice_index=slice_index,
-        word_slot=slot,
-        seq=seq,
-        tx_id=tx_id,
+        in_buffer=in_buffer, slice_index=slice_index, word_slot=slot
     )
+
+
+# The buffer markers of cores 0 and 1: every word a core has buffered
+# maps to its marker.
+CORE0 = loc(slice_index=0, in_buffer=True)
+CORE1 = loc(slice_index=1, in_buffer=True)
+
+
+def flushed(*word_addrs):
+    """A flushed slice's ``(word_addr, value)`` pairs in slot order."""
+    return [(addr, bytes(8)) for addr in word_addrs]
 
 
 class TestMappingTable:
     def test_record_and_lookup(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=1))
-        assert table.lookup_word(0x1000) == loc(seq=1)
+        table.record(0x1000, loc(slice_index=3))
+        assert table.lookup_word(0x1000) == loc(slice_index=3)
         assert table.entries == 1
 
     def test_line_grouping(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=1))
-        table.record(0x1008, loc(seq=2))
-        table.record(0x2000, loc(seq=3))
+        table.record(0x1000, loc(slot=1))
+        table.record(0x1008, loc(slot=2))
+        table.record(0x2000, loc(slot=3))
         line = table.lookup_line(0x1000)
         assert set(line) == {0x1000, 0x1008}
 
@@ -39,40 +46,42 @@ class TestMappingTable:
 
     def test_update_replaces_in_place(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=1))
-        table.record(0x1000, loc(seq=2))
+        table.record(0x1000, loc(slice_index=1))
+        table.record(0x1000, loc(slice_index=2))
         assert table.entries == 1
-        assert table.lookup_word(0x1000).seq == 2
+        assert table.lookup_word(0x1000).slice_index == 2
         assert table.stats.updates == 1
 
-    def test_relocate_buffered_matches_seq(self):
+    def test_relocate_buffered_matches_marker(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=5, in_buffer=True))
-        table.record(0x1008, loc(seq=6, in_buffer=True))
-        table.relocate_flushed([(0x1000, 5), (0x1008, 6)], 77, tx_id=1)
-        assert table.lookup_word(0x1000) == loc(seq=5, slice_index=77, slot=0)
-        assert table.lookup_word(0x1008) == loc(seq=6, slice_index=77, slot=1)
+        table.record(0x1000, CORE0)
+        table.record(0x1008, CORE0)
+        table.relocate_flushed(flushed(0x1000, 0x1008), 77, CORE0)
+        assert table.lookup_word(0x1000) == loc(slice_index=77, slot=0)
+        assert table.lookup_word(0x1008) == loc(slice_index=77, slot=1)
 
     def test_relocate_buffered_skips_superseded(self):
+        # Core 1 stored 0x1000 after core 0 did: core 0's flush of its
+        # older value leaves core 1's marker alone.
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=9, in_buffer=True))
-        table.record(0x1008, loc(seq=6, in_buffer=True))
-        table.relocate_flushed([(0x1000, 5), (0x1008, 6)], 77, tx_id=1)
-        assert table.lookup_word(0x1000).in_buffer  # newer store kept
+        table.record(0x1000, CORE1)
+        table.record(0x1008, CORE0)
+        table.relocate_flushed(flushed(0x1000, 0x1008), 77, CORE0)
+        assert table.lookup_word(0x1000) == CORE1  # newer store kept
         # ... and the slot numbering still counts the superseded word.
         assert table.lookup_word(0x1008).word_slot == 1
 
     def test_relocate_skips_words_already_flushed_or_gone(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=5, slice_index=3))  # not in the buffer
-        table.relocate_flushed([(0x1000, 5), (0x2000, 6)], 77, tx_id=1)
+        table.record(0x1000, loc(slice_index=3))  # not in the buffer
+        table.relocate_flushed(flushed(0x1000, 0x2000), 77, CORE0)
         assert table.lookup_word(0x1000).slice_index == 3
         assert table.lookup_word(0x2000) is None
         assert table.entries == 1
 
     def test_remove_if_stale(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=3, slice_index=4, slot=2))
+        table.record(0x1000, loc(slice_index=4, slot=2))
         assert table.remove_migrated(0x1000, 4, 2)
         assert table.entries == 0
         assert table.stats.removes == 1
@@ -82,9 +91,9 @@ class TestMappingTable:
         # GC migrated the copy in slice 4 slot 2; a newer store has since
         # moved the entry — to another slice, another slot, or the buffer.
         for newer in (
-            loc(seq=10, slice_index=9, slot=2),
-            loc(seq=10, slice_index=4, slot=5),
-            loc(seq=10, slice_index=4, slot=2, in_buffer=True),
+            loc(slice_index=9, slot=2),
+            loc(slice_index=4, slot=5),
+            loc(slice_index=4, slot=2, in_buffer=True),
         ):
             table = MappingTable(16)
             table.record(0x1000, newer)
@@ -102,15 +111,15 @@ class TestMappingTable:
     def test_overflow_counted_not_fatal(self):
         table = MappingTable(2)
         for i in range(4):
-            table.record(i * 8, loc(seq=i))
+            table.record(i * 8, loc(slot=i))
         assert table.entries == 4
         assert table.stats.overflow_events == 2
         assert table.fill_fraction == 2.0
 
     def test_peak_entries(self):
         table = MappingTable(16)
-        table.record(0x0, loc(seq=1))
-        table.record(0x8, loc(seq=2))
+        table.record(0x0, loc(slot=1))
+        table.record(0x8, loc(slot=2))
         table.remove_words([0x0, 0x8])
         assert table.stats.peak_entries == 2
 
@@ -123,8 +132,8 @@ class TestMappingTable:
 
     def test_iteration(self):
         table = MappingTable(16)
-        table.record(0x1000, loc(seq=1))
-        table.record(0x2000, loc(seq=2))
+        table.record(0x1000, loc(slot=1))
+        table.record(0x2000, loc(slot=2))
         assert sorted(a for a, _ in table.iter_words()) == [0x1000, 0x2000]
         assert sorted(table.tracked_lines()) == [0x1000, 0x2000]
 

@@ -31,11 +31,9 @@ def word(i):
     return i.to_bytes(8, "little")
 
 
-def add_one(buffer, core, word_addr, value, seq):
-    """Stage one word as a run of one; ``seq`` is the number it gets."""
-    assert buffer.add_words(
-        core, word_addr, 8, word_addr, value, seq - 1, 0.0
-    ) == seq
+def add_one(buffer, core, word_addr, value):
+    """Stage one word as a run of one."""
+    buffer.add_words(core, word_addr, 8, word_addr, value, 0.0)
 
 
 class TestOOPDataBuffer:
@@ -43,7 +41,7 @@ class TestOOPDataBuffer:
         _, region, codec, mapping, buffer, _ = rig
         buffer.begin(0, tx_id=1)
         for i in range(codec.words_per_slice):
-            add_one(buffer, 0, i * 8, word(i), seq=i + 1)
+            add_one(buffer, 0, i * 8, word(i))
         assert buffer.stats.slices_written == 0
         assert buffer.pending_count(0) == codec.words_per_slice
 
@@ -51,24 +49,24 @@ class TestOOPDataBuffer:
         _, region, codec, _, buffer, _ = rig
         buffer.begin(0, tx_id=1)
         for i in range(codec.words_per_slice + 1):
-            add_one(buffer, 0, i * 8, word(i), seq=i + 1)
+            add_one(buffer, 0, i * 8, word(i))
         assert buffer.stats.slices_written == 1
         assert buffer.pending_count(0) == 1
 
     def test_same_word_dedupes(self, rig):
         _, _, _, mapping, buffer, _ = rig
         buffer.begin(0, tx_id=1)
-        add_one(buffer, 0, 0, word(1), seq=1)
-        add_one(buffer, 0, 0, word(2), seq=2)
+        add_one(buffer, 0, 0, word(1))
+        add_one(buffer, 0, 0, word(2))
         assert buffer.pending_count(0) == 1
         assert buffer.stats.words_deduped == 1
         assert buffer.buffered_word(0, 0) == word(2)
-        assert mapping.lookup_word(0).seq == 2
+        assert mapping.lookup_word(0) == (True, 0, 0)  # core 0's marker
 
     def test_mapping_points_into_buffer_then_slice(self, rig):
         _, region, codec, mapping, buffer, _ = rig
         buffer.begin(0, tx_id=1)
-        add_one(buffer, 0, 0, word(7), seq=1)
+        add_one(buffer, 0, 0, word(7))
         assert mapping.lookup_word(0).in_buffer
         tails, _ = buffer.tx_end(0, 0.0)
         entry = mapping.lookup_word(0)
@@ -79,7 +77,7 @@ class TestOOPDataBuffer:
         _, region, codec, _, buffer, _ = rig
         buffer.begin(0, tx_id=5)
         for i in range(3):
-            add_one(buffer, 0, i * 8, word(i), seq=i + 1)
+            add_one(buffer, 0, i * 8, word(i))
         tails, completion = buffer.tx_end(0, 10.0)
         assert len(tails) == 1
         assert completion > 10.0
@@ -93,7 +91,7 @@ class TestOOPDataBuffer:
         _, region, codec, _, buffer, _ = rig
         buffer.begin(0, tx_id=2)
         for i in range(codec.words_per_slice + 2):
-            add_one(buffer, 0, i * 8, word(i), seq=i + 1)
+            add_one(buffer, 0, i * 8, word(i))
         tails, _ = buffer.tx_end(0, 0.0)
         raw, _ = region.read_slice(tails[-1], 0.0)
         last = codec.decode_data(raw)
@@ -119,14 +117,14 @@ class TestOOPDataBuffer:
     def test_store_without_tx_rejected(self, rig):
         _, _, _, _, buffer, _ = rig
         with pytest.raises(TransactionError):
-            add_one(buffer, 0, 0, word(0), seq=1)
+            add_one(buffer, 0, 0, word(0))
 
     def test_per_core_isolation(self, rig):
         _, _, _, _, buffer, _ = rig
         buffer.begin(0, tx_id=1)
         buffer.begin(1, tx_id=2)
-        add_one(buffer, 0, 0, word(1), seq=1)
-        add_one(buffer, 1, 8, word(2), seq=2)
+        add_one(buffer, 0, 0, word(1))
+        add_one(buffer, 1, 8, word(2))
         assert buffer.buffered_word(0, 0) == word(1)
         assert buffer.buffered_word(1, 0) is None
         assert buffer.open_tx(0) == 1
@@ -135,7 +133,7 @@ class TestOOPDataBuffer:
     def test_crash_drops_pending(self, rig):
         _, _, _, _, buffer, _ = rig
         buffer.begin(0, tx_id=1)
-        add_one(buffer, 0, 0, word(1), seq=1)
+        add_one(buffer, 0, 0, word(1))
         buffer.crash()
         assert buffer.open_tx(0) is None
         assert buffer.buffered_word(0, 0) is None

@@ -1,14 +1,18 @@
 """Memory-slice codecs: bit-exact round trips and corruption detection."""
 
+import zlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.bitfield import BitStruct, Field
 from repro.common.errors import CorruptionError
 from repro.core.slices import (
     KIND_ADDR,
     KIND_DATA,
     KIND_FREE,
+    MAX_PREV_DELTA,
     SLICE_BYTES,
     STATE_LAST,
     STATE_OPEN,
@@ -126,6 +130,110 @@ class TestDataSlices:
         assert codec.decode_data(codec.encode_data(ds)) == ds
 
 
+def generic_encode(codec, ds):
+    """``encode_data`` as the declarative layout builds it (Fig. 5b)."""
+    n, bits = codec.words_per_slice, codec.home_addr_bits
+    addr_bytes = (n * bits + 7) // 8
+    meta = BitStruct(
+        [
+            Field("next_offset", 24),
+            Field("tx_id", 32),
+            Field("start", 1),
+            Field("count", 3),
+            Field("state", 4),
+            Field("generation", 8),
+            Field("checksum", 16),
+        ],
+        total_bytes=SLICE_BYTES - n * 8 - addr_bytes - 1,
+    )
+    payload = b"".join(value for _, value in ds.words).ljust(n * 8, b"\0")
+    payload += sum(
+        addr // 8 << i * bits for i, (addr, _) in enumerate(ds.words)
+    ).to_bytes(addr_bytes, "little")
+    packed = meta.pack(
+        {
+            "next_offset": (
+                2**24 - 1 if ds.prev_delta is None else ds.prev_delta
+            ),
+            "tx_id": ds.tx_id,
+            "start": int(ds.is_start),
+            "count": len(ds.words) - 1,
+            "state": ds.state,
+            "generation": ds.generation & 0xFF,
+        }
+    )
+    packed = meta.with_field(
+        packed, "checksum", zlib.crc32(payload + packed) & 0xFFFF
+    )
+    return payload + packed + bytes([KIND_DATA])
+
+
+_CODECS = [SliceCodec(40), SliceCodec.for_home_bits(64), SliceCodec(40, 3)]
+
+
+@st.composite
+def _slice_for(draw, codec):
+    n = draw(
+        st.sampled_from([1, codec.words_per_slice])
+        | st.integers(1, codec.words_per_slice)
+    )
+    addrs = draw(
+        st.lists(
+            st.integers(0, 2**codec.home_addr_bits - 1),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    return DataSlice(
+        tx_id=draw(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+        words=tuple(
+            (index * 8, draw(st.binary(min_size=8, max_size=8)))
+            for index in addrs
+        ),
+        is_start=draw(st.booleans()),
+        prev_delta=draw(
+            st.sampled_from([None, 0, 1, MAX_PREV_DELTA])
+            | st.integers(0, MAX_PREV_DELTA)
+        ),
+        state=draw(st.sampled_from([STATE_OPEN, STATE_LAST]) | st.integers(0, 15)),
+        generation=draw(st.sampled_from([0, 255, 256]) | st.integers(0, 511)),
+    )
+
+
+class TestDataSliceEncoder:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(range(len(_CODECS))))
+    def test_equals_the_generic_bitstruct_construction(self, data, which):
+        codec = _CODECS[which]
+        ds = data.draw(_slice_for(codec))
+        raw = codec.encode_data(ds)
+        assert raw == generic_encode(codec, ds)
+        back = SliceCodec(
+            codec.home_addr_bits, codec.words_per_slice
+        )._decode_data_uncached(raw)
+        assert back.words == ds.words
+        assert back.generation == ds.generation & 0xFF
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tx_id": 2**32},
+            {"tx_id": -1},
+            # 2**24 - 1 marks "no predecessor": accepted as a hop, it
+            # decoded as prev_delta=None, a silent chain break.
+            {"prev_delta": MAX_PREV_DELTA + 1},
+            {"prev_delta": 2**24},
+            {"prev_delta": -1},
+            {"state": 16},
+            {"state": -1},
+            {"words": ()},
+        ],
+    )
+    def test_rejects_values_its_fields_cannot_hold(self, codec, bad):
+        ds = DataSlice(**{"tx_id": 1, "words": ((8, b"x" * 8),), **bad})
+        with pytest.raises(ValueError):
+            codec.encode_data(ds)
+
+
 class TestAddressSlices:
     def test_round_trip(self, codec):
         page = AddressSlice(
@@ -174,6 +282,20 @@ class TestAddressSlices:
         raw[10] ^= 0x55
         with pytest.raises(CorruptionError):
             codec.decode_addr(bytes(raw))
+
+    def test_tx_id_beyond_32_bits_rejected(self, codec):
+        # It used to be ORed into the tail bits: 2**32 + 5 decoded as 5.
+        for tx_id in (2**32 + 5, -1):
+            with pytest.raises(ValueError):
+                codec.encode_addr(
+                    AddressSlice(
+                        entries=[AddressSliceEntry(tx_id=tx_id, tail_slice=1)]
+                    )
+                )
+        page = AddressSlice(
+            entries=[AddressSliceEntry(tx_id=2**32 - 1, tail_slice=2**34 - 1)]
+        )
+        assert codec.decode_addr(codec.encode_addr(page)).entries == page.entries
 
     def test_huge_tail_rejected(self, codec):
         with pytest.raises(ValueError):

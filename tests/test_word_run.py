@@ -1,15 +1,18 @@
 """The word-run write path against its one-word-at-a-time reference.
 
-``tx_store`` hands the OOP data buffer one run per store piece, the slice
-codec seeds its decode memo from what it encodes, and GC's home writes
-reach the device as one batch per line.  Each shortcut is checked here
-against the same entry point fed the slow way — a run of one word, a real
-decode, one ``write`` per element — and must leave *equal* state, not
-approximately equal state.
+``tx_store`` hands the OOP data buffer one run per store piece, a
+buffered word maps to its core's one marker, the slice codec seeds its
+decode memo from what it encodes, and GC's home writes reach the device
+as one batch per line.  Each shortcut is checked here against the same
+entry point fed the slow way — a run of one word, the deleted per-store
+sequence numbers, a real decode, one ``write`` per element — and must
+leave *equal* state, not approximately equal state.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -17,8 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import FaultConfig, NVMConfig, SystemConfig
-from repro.common.errors import AddressError, CorruptionError, PowerLossError
+from repro.common.errors import (
+    AddressError,
+    CorruptionError,
+    PowerLossError,
+    TransactionError,
+)
 from repro.common.units import MB
+from repro.core.block_refs import BlockRefs
 from repro.core.gc import RETIRE_WATERMARK_ADDR
 from repro.core.mapping_table import MappingTable
 from repro.core.oop_buffer import OOPDataBuffer
@@ -36,6 +45,7 @@ from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.serve import ServeConfig
 from repro.serve.cluster import ServeCluster
+from repro.snapshot import clone_state
 from repro.telemetry.hub import Telemetry
 
 LINE = 64
@@ -55,9 +65,8 @@ def _buffer_rig(words_per_slice: int, condense: bool):
     return device, mapping, OOPDataBuffer(config, region, codec, mapping)
 
 
-def _buffer_state(device, mapping, buffer, seq):
+def _buffer_state(device, mapping, buffer):
     return (
-        seq,
         buffer._cores[0].pending,
         buffer._cores[0].segments,
         buffer._cores[0].last_slice,
@@ -75,16 +84,13 @@ def _buffer_state(device, mapping, buffer, seq):
 # Four lines only, so pieces repeat words (dedupe) and fill lines
 # (condensing); up to 64 bytes, so one piece can overflow a slice once at
 # eight words per slice and twice at three.
-_pieces = st.lists(
-    st.tuples(
-        st.integers(0, 3),
-        st.integers(0, LINE - 1),
-        st.integers(1, LINE),
-        st.binary(min_size=LINE, max_size=LINE),
-    ).map(lambda p: (p[0], p[1], min(p[2], LINE - p[1]), p[3])),
-    min_size=1,
-    max_size=12,
-)
+_piece = st.tuples(
+    st.integers(0, 3),
+    st.integers(0, LINE - 1),
+    st.integers(1, LINE),
+    st.binary(min_size=LINE, max_size=LINE),
+).map(lambda p: (p[0], p[1], min(p[2], LINE - p[1]), p[3]))
+_pieces = st.lists(_piece, min_size=1, max_size=12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,20 +104,218 @@ def test_add_words_equals_runs_of_one(pieces, words_per_slice, condense):
     ref = _buffer_rig(words_per_slice, condense)
     run[2].begin(0, tx_id=9)
     ref[2].begin(0, tx_id=9)
-    run_seq = ref_seq = 0
     for line, offset, length, data in pieces:
         line_addr = 0x4000 + line * LINE
         addr = line_addr + offset
-        run_seq = run[2].add_words(
-            0, addr, length, line_addr, data, run_seq, 5.0
-        )
+        run[2].add_words(0, addr, length, line_addr, data, 5.0)
         for word_addr in range(addr & ~7, addr + length, 8):
-            ref_seq = ref[2].add_words(
-                0, word_addr, 8, line_addr, data, ref_seq, 5.0
-            )
-        assert _buffer_state(*run, run_seq) == _buffer_state(*ref, ref_seq)
+            ref[2].add_words(0, word_addr, 8, line_addr, data, 5.0)
+        assert _buffer_state(*run) == _buffer_state(*ref)
     assert run[2].tx_end(0, 9.0) == ref[2].tx_end(0, 9.0)
-    assert _buffer_state(*run, run_seq) == _buffer_state(*ref, ref_seq)
+    assert _buffer_state(*run) == _buffer_state(*ref)
+
+
+# -- (a') the core marker == the deleted per-store seq --------------------------
+#
+# A buffered word used to map to its own five-field entry carrying a
+# global store number, and a flush repointed an entry only while it still
+# carried the flushed store's number.  Now every word a core buffers maps
+# to the core's one marker and a flush repoints an entry while it is still
+# the flushing core's marker.  The classes below are the deleted rule,
+# kept as the reference.
+
+
+class _SeqLocation(NamedTuple):
+    """The deleted mapping entry."""
+
+    in_buffer: bool
+    slice_index: int
+    word_slot: int
+    seq: int
+    tx_id: int
+
+
+_SeqLocation.__snapshot_state__ = "__atom__"
+
+
+class _SeqMapping(MappingTable):
+    def relocate_flushed(self, words, slice_index, tx_id):
+        """``words`` is ``(word_addr, seq)`` pairs in slot order."""
+        for slot, (word_addr, seq) in enumerate(words):
+            line = word_addr & ~(LINE - 1)
+            entries = self._lines.get(line)
+            if entries is None:
+                continue
+            current = entries.get(word_addr)
+            if current is not None and current.seq == seq and current.in_buffer:
+                entries[word_addr] = _SeqLocation(
+                    False, slice_index, slot, seq, tx_id
+                )
+                if self.condense:
+                    self._recheck_condensed(line)
+
+
+class _SeqBuffer(OOPDataBuffer):
+    """A pending word is ``(value, seq)``; every store takes the next seq."""
+
+    seq = 0
+
+    def add_words(self, core, addr, size, line_addr, line_data, now_ns):
+        entry = self._cores[core]
+        if entry.tx_id is None:
+            raise TransactionError(f"core {core} has no open transaction")
+        pending = entry.pending
+        for word_addr in range(addr & ~7, addr + size, 8):
+            self.seq += 1
+            if word_addr in pending:
+                self.stats.words_deduped += 1
+            else:
+                self.stats.words_buffered += 1
+            offset = word_addr - line_addr
+            pending[word_addr] = (line_data[offset : offset + 8], self.seq)
+            self.mapping.record(
+                word_addr, _SeqLocation(True, core, 0, self.seq, entry.tx_id)
+            )
+            if len(pending) > self._words_per_slice:
+                self._flush_slice(core, now_ns, sync=False, last=False)
+
+    def _flush_slice(self, core, now_ns, *, sync, last):
+        entry = self._cores[core]
+        words = list(islice(entry.pending.items(), self._words_per_slice))
+        slice_index = self.region.allocate_slice(now_ns, stream="data")
+        prev_delta = None
+        if entry.segment_open:
+            delta = (slice_index - entry.last_slice) % self._total_slices
+            if 0 < delta <= MAX_PREV_DELTA:
+                prev_delta = delta
+            else:
+                entry.segments.append(entry.last_slice)
+                self.stats.segment_splits += 1
+        block, _ = self.region.slice_location(slice_index)
+        ds = DataSlice(
+            tx_id=entry.tx_id,
+            words=tuple((addr, value) for addr, (value, _seq) in words),
+            is_start=prev_delta is None,
+            prev_delta=prev_delta,
+            state=STATE_LAST if last else STATE_OPEN,
+            generation=self.region.generation_of(block),
+        )
+        raw = self.codec.encode_data(ds)
+        completion = self.region.write_slice(slice_index, raw, now_ns, sync=sync)
+        self._on_slice_written(entry.tx_id, block)
+        self.mapping.relocate_flushed(
+            [(addr, seq) for addr, (_value, seq) in words],
+            slice_index,
+            entry.tx_id,
+        )
+        for addr, _pending in words:
+            del entry.pending[addr]
+        entry.last_slice = slice_index
+        entry.segment_open = True
+        self.stats.slices_written += 1
+        if sync:
+            self.stats.sync_slices += 1
+        return completion
+
+
+def _marker_rig(words_per_slice, condense, seq_rule):
+    config = SystemConfig.small(nvm_capacity=16 * MB)
+    device = NVMDevice(config.nvm)
+    region = OOPRegion(config, MemoryPort(device))
+    codec = SliceCodec(config.hoop.home_addr_bits, words_per_slice)
+    table, buffer = (
+        (_SeqMapping, _SeqBuffer) if seq_rule else (MappingTable, OOPDataBuffer)
+    )
+    mapping = table(config.hoop.mapping_table_entries, condense=condense)
+    refs = BlockRefs()
+    return device, mapping, buffer(
+        config, region, codec, mapping,
+        on_slice_written=refs.on_slice_written,
+    ), refs
+
+
+def _marker_state(device, mapping, buffer, refs):
+    return (
+        # (in_buffer, slice_index, word_slot) of every mapped word.
+        {
+            line: {addr: tuple(loc[:3]) for addr, loc in words.items()}
+            for line, words in mapping._lines.items()
+        },
+        mapping.entries,
+        mapping._condensed,
+        mapping.stats,
+        [
+            (
+                entry.tx_id,
+                {a: v if type(v) is bytes else v[0] for a, v in entry.pending.items()},
+                entry.last_slice,
+                entry.segments,
+            )
+            for entry in buffer._cores
+        ],
+        buffer.stats,
+        dict(refs._block_txs),
+        refs._tx_blocks,
+        device.content_fingerprint(),
+        device.stats,
+    )
+
+
+# ("store", core, piece) | ("end", core) | ("clone",): three cores over
+# the same four lines, so cores store to each other's buffered words.
+_CORES = st.integers(0, 2)
+_marker_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), _CORES, _piece),
+        st.tuples(st.just("store"), _CORES, _piece),
+        st.tuples(st.just("end"), _CORES),
+        st.just(("clone",)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=_marker_ops,
+    words_per_slice=st.sampled_from([8, 3]),
+    condense=st.booleans(),
+)
+def test_core_markers_relocate_exactly_like_store_seqs(
+    ops, words_per_slice, condense
+):
+    run = _marker_rig(words_per_slice, condense, seq_rule=False)
+    ref = _marker_rig(words_per_slice, condense, seq_rule=True)
+    tx_ids = iter(range(1, len(ops) + 1))
+    for step, op in enumerate(ops):
+        now = 5.0 * step
+        if op[0] == "clone":
+            run, ref = clone_state(run), clone_state(ref)
+            continue
+        core = op[1]
+        if op[0] == "store":
+            if run[2].open_tx(core) is None:
+                tx_id = next(tx_ids)
+                for rig in (run, ref):
+                    rig[3].on_tx_begin(tx_id)
+                    rig[2].begin(core, tx_id)
+            line, offset, length, data = op[2]
+            line_addr = 0x4000 + line * LINE
+            for rig in (run, ref):
+                rig[2].add_words(
+                    core, line_addr + offset, length, line_addr, data, now
+                )
+        elif run[2].open_tx(core) is not None:
+            tx_id = run[2].open_tx(core)
+            assert run[2].tx_end(core, now) == ref[2].tx_end(core, now)
+            run[3].on_tx_commit(tx_id)
+            ref[3].on_tx_commit(tx_id)
+        assert _marker_state(*run) == _marker_state(*ref)
+    # Every buffered word maps to its core's one marker.
+    markers = run[2]._markers
+    for _addr, loc in run[1].iter_words():
+        assert not loc.in_buffer or loc is markers[loc.slice_index]
 
 
 # -- (b) the decode memo is seeded by encode_data, and only for intact bytes --
@@ -320,7 +524,10 @@ def test_fault_free_replicated_run_call_counts():
     ) as faulty_batch, mock.patch.object(
         NVMDevice, "write_batch", autospec=True,
         side_effect=NVMDevice.write_batch,
-    ) as base_batch:
+    ) as base_batch, mock.patch.object(
+        MappingTable, "record", autospec=True,
+        side_effect=MappingTable.record,
+    ) as record:
         hub = Telemetry()
         cluster = ServeCluster(
             # One group takes the whole 3.2 M req/s: two shards at half
@@ -341,6 +548,15 @@ def test_fault_free_replicated_run_call_counts():
     ]
 
     assert cluster.oracle_failures == []
+    # Staging a word allocates no mapping entry: every buffered location
+    # the tables were handed is one of the num_cores markers.
+    markers = {id(m) for c in controllers for m in c.buffer._markers}
+    assert len(markers) == len(controllers) * controllers[0].config.num_cores
+    buffered = {
+        id(call.args[2]) for call in record.call_args_list
+        if call.args[2].in_buffer
+    }
+    assert buffered and buffered <= markers
     gc_stats = [c.gc.stats for c in controllers]
     assert sum(s.on_demand_passes for s in gc_stats) > 0
     migrated = sum(s.words_migrated for s in gc_stats)
