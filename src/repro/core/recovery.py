@@ -26,7 +26,7 @@ scaling saturates once ``threads × per-thread rate`` exceeds the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import CorruptionError
@@ -39,6 +39,7 @@ from repro.core.slices import (
     KIND_DATA,
     SLICE_BYTES,
     STATE_LAST,
+    DataSlice,
     SliceCodec,
 )
 from repro.memctrl.port import MemoryPort
@@ -75,12 +76,16 @@ class BlockReader:
 
     A pass only reads the region (recovery writes the *home* region), so
     the buffers stay valid, and ``peek`` has no timing or stats side
-    effects to distort.
+    effects to distort.  ``decoded`` holds the data slices
+    :meth:`RecoveryManager.scan` decoded from these buffers whose
+    generation matches their block's, by slice index, so the chain walk
+    reads them without decoding them again.
     """
 
     def __init__(self, region: OOPRegion) -> None:
         self.region = region
         self._blocks: Dict[int, bytes] = {}
+        self.decoded: Dict[int, DataSlice] = {}
 
     def block_buf(self, block: int) -> bytes:
         """A whole block's bytes, header slice included."""
@@ -220,6 +225,7 @@ class RecoveryManager:
             - set(open_segments)
         )
         unlogged = []
+        decoded = reader.decoded
         for block in busy_blocks:
             if region.stream_of(block) != "data":
                 continue
@@ -230,9 +236,11 @@ class RecoveryManager:
                     ds = self.codec.decode_data(raw)
                 except CorruptionError:
                     continue
+                if ds.generation != generation:
+                    continue
+                decoded[slice_index] = ds
                 if (
                     ds.state != STATE_LAST
-                    or ds.generation != generation
                     or ds.tx_id <= watermark
                     or ds.tx_id in finalized
                     or ds.tx_id in retired_only
@@ -278,39 +286,32 @@ class RecoveryManager:
         committed.sort(key=lambda tx: tx.tx_id)
         report.committed_transactions = len(committed)
 
-        # Steps 2-3: deal transactions round-robin; per-thread local sets.
-        shards: List[Dict[int, Tuple[int, bytes]]] = [
-            {} for _ in range(threads)
-        ]
-        report.per_thread_txs = [0] * threads
+        # Steps 2-4: deal transactions round-robin to per-thread local
+        # sets and fold them into the master set, newest commit winning.
+        # Transactions arrive in commit order and each one's words in
+        # store order, so ``dict.update`` is that rule: a later write to
+        # a word, by a later transaction or the same one, replaces it.
+        shards: List[Dict[int, bytes]] = [{} for _ in range(threads)]
+        merged: Dict[int, bytes] = {}
+        per_thread_txs = [0] * threads
+        walk_tx = self.walk_tx
+        reader = scan.reader
+        slices_walked = 0
         for seq, tx in enumerate(committed):
             worker = seq % threads
-            report.per_thread_txs[worker] += 1
-            words, scanned = self.walk_tx(scan.reader, tx)
-            report.slices_walked += scanned
-            report.bytes_scanned += scanned * SLICE_BYTES
-            local = shards[worker]
-            for addr, value in words:
-                current = local.get(addr)
-                # <= so a transaction's own later write to the same word
-                # supersedes its earlier one (words arrive oldest-first).
-                if current is None or current[0] <= seq:
-                    local[addr] = (seq, value)
-
-        # Step 4: master merge, newest commit sequence wins.
-        merged: Dict[int, Tuple[int, bytes]] = {}
-        merge_ops = 0
-        for local in shards:
-            for addr, (seq, value) in local.items():
-                merge_ops += 1
-                current = merged.get(addr)
-                if current is None or current[0] < seq:
-                    merged[addr] = (seq, value)
+            per_thread_txs[worker] += 1
+            words, scanned = walk_tx(reader, tx)
+            slices_walked += scanned
+            shards[worker].update(words)
+            merged.update(words)
+        report.per_thread_txs = per_thread_txs
+        report.slices_walked = slices_walked
+        report.bytes_scanned += slices_walked * SLICE_BYTES
+        # The master fold takes one step per local entry.
+        merge_ops = sum(len(local) for local in shards)
 
         # Step 5: split the merged set and write home.
-        for addr in sorted(merged):
-            _, value = merged[addr]
-            device.poke(addr, value)
+        device.poke_batch(sorted(merged.items()))
         report.words_recovered = len(merged)
         report.bytes_written = len(merged) * 8
 
@@ -324,35 +325,52 @@ class RecoveryManager:
 
     def walk_tx(
         self, reader: BlockReader, tx: CommittedTx
-    ) -> Tuple[List[Tuple[int, bytes]], int]:
-        """A transaction's words in store order, and the slices read."""
+    ) -> Tuple[Sequence[Tuple[int, bytes]], int]:
+        """A transaction's words in store order, and the slices read.
+
+        Slices come from ``reader.decoded`` when the scan kept them, and
+        are decoded from the raw block otherwise.  A chain of one slice
+        returns that slice's ``words`` tuple as it is.
+        """
+        decoded = reader.decoded
+        tx_id = tx.tx_id
         total = self.region.num_blocks * self.region.slots_per_block
-        newest_first: List[Tuple[int, bytes]] = []
+        chain: List[DataSlice] = []  # newest first
         slices = 0
         for tail in reversed(tx.segment_tails):
             cursor: Optional[int] = tail
             while cursor is not None:
-                raw = reader.slice_raw(cursor)
                 slices += 1
-                try:
-                    ds = self.codec.decode_data(raw)
-                except CorruptionError:
+                ds = decoded.get(cursor)
+                if ds is None:
+                    ds = self._decode_live(reader, cursor)
+                if ds is None or ds.tx_id != tx_id:
                     break
-                block, _ = self.region.slice_location(cursor)
-                if (
-                    ds.tx_id != tx.tx_id
-                    or ds.generation != self.region.generation_of(block)
-                ):
-                    break
-                for slot in range(len(ds.words) - 1, -1, -1):
-                    newest_first.append(ds.words[slot])
+                chain.append(ds)
                 cursor = (
                     None
                     if ds.prev_delta is None
                     else (cursor - ds.prev_delta) % total
                 )
-        newest_first.reverse()
-        return newest_first, slices
+        if len(chain) == 1:
+            return chain[0].words, slices
+        return [word for ds in reversed(chain) for word in ds.words], slices
+
+    def _decode_live(
+        self, reader: BlockReader, slice_index: int
+    ) -> Optional[DataSlice]:
+        """Decode a slice the scan did not keep.
+
+        ``None`` unless it is intact and of its block's generation.
+        """
+        try:
+            ds = self.codec.decode_data(reader.slice_raw(slice_index))
+        except CorruptionError:
+            return None
+        block, _ = self.region.slice_location(slice_index)
+        if ds.generation != self.region.generation_of(block):
+            return None
+        return ds
 
     # -- the timing model ---------------------------------------------------------
 

@@ -248,10 +248,11 @@ class FaultyNVMDevice(NVMDevice):
     """NVM device with deterministic, seedable fault injection.
 
     Content/timing/energy/wear behaviour on fault-free accesses is the
-    base class's own (the overrides delegate).  ``write_batch`` does so
-    only while nothing is armed; otherwise it decomposes into per-write
-    calls so every element crosses the power-loss budget individually —
-    a GC migration burst can be cut mid-burst, which is exactly the
+    base class's own (the overrides delegate).  ``write_batch`` and
+    ``poke_batch`` do so only while nothing is armed; otherwise they
+    decompose into per-element calls so every element crosses the
+    power-loss budget individually — a GC migration burst or a
+    recovery's home writes can be cut mid-burst, which is exactly the
     crash window §III-E's argument has to survive.
     """
 
@@ -423,6 +424,37 @@ class FaultyNVMDevice(NVMDevice):
             raise PowerLossError("power lost during poke")
         for target, offset, chunk in segments:
             super().poke(target, data[offset : offset + chunk])
+
+    def poke_batch(self, pokes: Sequence[Tuple[int, bytes]]) -> None:
+        """Poke many elements in order; exactly equal to one ``poke`` each.
+
+        While no poke or recovery budget is armed, power is on and no
+        block is remapped or stuck, every element would take ``poke``'s
+        healthy path, so the base-class batch leaves the same state.  An
+        element outside the visible range sends the whole batch down the
+        per-element path, which raises at that element.
+
+        With anything armed the batch makes one ``poke`` per element, so
+        a nested fault crosses the recovery budget, draws its torn words
+        and raises at the same element it always did.
+        """
+        injector = self.injector
+        if (
+            injector._poke_budget is None
+            and injector._recovery_budget is None
+            and not injector._power_lost
+            and not self._remap
+            and not self._stuck
+        ):
+            visible = self._visible_capacity
+            for addr, data in pokes:
+                if addr < 0 or addr + max(1, len(data)) > visible:
+                    break
+            else:
+                NVMDevice.poke_batch(self, pokes)
+                return
+        for addr, data in pokes:
+            self.poke(addr, data)
 
     # -- timed plane --------------------------------------------------------------
 

@@ -162,6 +162,45 @@ class NVMDevice:
             cursor += chunk
             consumed += chunk
 
+    def poke_batch(self, pokes: Iterable[Tuple[int, bytes]]) -> None:
+        """Many pokes in order; exactly equal to one ``poke`` each.
+
+        Recovery writes home one word or line per poke.  Each element
+        runs ``poke``'s single-page body here, keeping the last page it
+        wrote (already private to this device) for the next element; a
+        page-crossing, empty or out-of-range element takes the full
+        ``poke``, which raises at that element with every earlier one
+        applied.
+        """
+        pages = self._pages
+        cow_shared = self._cow_shared
+        capacity = self._capacity
+        last_base = -1
+        page = None
+        for addr, data in pokes:
+            size = len(data)
+            page_base = addr & ~(_PAGE - 1)
+            if (
+                size
+                and addr >= 0
+                and addr + size <= capacity
+                and (addr + size - 1) & ~(_PAGE - 1) == page_base
+            ):
+                if page_base != last_base:
+                    page = pages.get(page_base)
+                    if page is None:
+                        page = bytearray(_PAGE)
+                        pages[page_base] = page
+                    elif page_base in cow_shared:
+                        page = bytearray(page)
+                        pages[page_base] = page
+                        cow_shared.discard(page_base)
+                    last_base = page_base
+                offset = addr - page_base
+                page[offset : offset + size] = data
+            else:
+                NVMDevice.poke(self, addr, data)
+
     # -- timed plane ---------------------------------------------------------
 
     def read(self, addr: int, size: int, now_ns: float = 0.0):

@@ -56,12 +56,36 @@ class LogEntry(NamedTuple):
 
     @property
     def total_bytes(self) -> int:
-        # Equals the append stride: header plus 8-padded payload.
+        # What a recovery scan charges as bytes_scanned: the header plus
+        # the 8-padded payload it reads.  Not the append stride, which
+        # min_entry_bytes can pad further (opt-redo's data entries count
+        # 88 of their 128 bytes, its commit entries 24 of 64).
         return _ENTRY_HEADER.size + _pad8(len(self.payload))
 
 
 def _pad8(n: int) -> int:
     return (n + 7) & ~7
+
+
+class _ScanMemo:
+    """The last valid prefix ``AppendLog.rebuild_and_scan`` parsed.
+
+    ``raw`` is the content of the logical span ``[start, cursor)`` as
+    that scan read it, and ``entries`` is what it yielded from it.  The
+    scan is a pure function of the header's start and those bytes, so a
+    later scan that finds the same start and a byte-equal span yields
+    the same entries and reaches the same cursor without parsing them.
+    Snapshot forks of one machine share the memo (``__shared__``); a
+    freshly built log starts with an empty one.
+    """
+
+    __snapshot_state__ = "__shared__"
+
+    def __init__(self) -> None:
+        self.start = 0
+        self.cursor = 0
+        self.raw = b""
+        self.entries: Tuple[LogEntry, ...] = ()
 
 
 class AppendLog:
@@ -79,6 +103,7 @@ class AppendLog:
         self._cursor = 0  # logical append offset
         self.appends = 0
         self.truncations = 0
+        self._scan_memo = _ScanMemo()
 
     # -- geometry -----------------------------------------------------------------
 
@@ -190,6 +215,17 @@ class AppendLog:
     def crash(self) -> None:
         """Nothing volatile to lose: state is re-derived by scanning."""
 
+    def _peek_span(self, device, start: int, end: int) -> bytes:
+        """The content of the logical span ``[start, end)``, wrap included."""
+        parts = []
+        data_bytes = self._data_bytes
+        while start < end:
+            logical = start % data_bytes
+            size = min(end - start, data_bytes - logical)
+            parts.append(device.peek(self._data_base + logical, size))
+            start += size
+        return b"".join(parts)
+
     def rebuild_and_scan(self) -> Iterator[LogEntry]:
         """Post-crash: read the header, then yield live entries in order.
 
@@ -197,6 +233,12 @@ class AppendLog:
         outgrows its stride, a stride past the wrap point) or CRC fails
         — everything at and beyond it was mid-write (or from a previous
         lap) when power failed.
+
+        When the header names the start the previous scan of this log
+        (or of a snapshot fork of it) began at, and one ``peek`` finds
+        that scan's valid prefix byte-equal, the prefix's entries come
+        from the memo and parsing resumes at the first byte after it.
+        The memo moves on only when a scan runs to its end.
         """
         device = self.port.device
         header = device.peek(self.base, _LOG_HEADER.size)
@@ -207,8 +249,21 @@ class AppendLog:
         body = _LOG_HEADER.pack(start, 0, 0)
         if crc != zlib.crc32(body[:-4]) & 0xFFFFFFFF:
             start = 0  # never persisted: log was empty at crash time
-        cursor = start
-        scanned = 0
+        memo = self._scan_memo
+        if (
+            memo.start == start
+            and memo.cursor > start
+            and self._peek_span(device, start, memo.cursor) == memo.raw
+        ):
+            known_raw, known = memo.raw, memo.entries
+            yield from known
+            cursor = memo.cursor
+        else:
+            known_raw, known = b"", ()
+            cursor = start
+        resumed = cursor
+        fresh: List[LogEntry] = []
+        scanned = cursor - start
         # Chunked reads: the scan walks the data area sequentially, so
         # per-entry peeks are batched into page-sized ones.  peek() has no
         # timing/stats/fault side effects, so over-reading past the live
@@ -233,14 +288,19 @@ class AppendLog:
         header_size = _ENTRY_HEADER.size
         unpack = _ENTRY_HEADER.unpack
         crc32 = zlib.crc32
+        # What the parse read, stride by stride: the memo's bytes are the
+        # ones its entries came from, whatever the caller does between
+        # yields.
+        seen: List[bytes] = []
         while scanned < data_bytes:
             logical = cursor % data_bytes
             tail_room = data_bytes - logical
+            phys = data_base + logical
             if tail_room < header_size:
+                seen.append(_fetch(phys, tail_room))
                 cursor += tail_room
                 scanned += tail_room
                 continue
-            phys = data_base + logical
             raw = _fetch(phys, header_size)
             magic, kind, stride_units, tx_id, addr, size, crc = unpack(raw)
             if magic != _MAGIC ^ ((cursor // data_bytes) & 0x0F):
@@ -253,21 +313,27 @@ class AppendLog:
                 # and never straddles the wrap point.  Stale payload
                 # bytes past the tail can pass the one-byte magic.
                 break
-            if size:
-                payload = _fetch(phys + header_size, size)
-            else:
-                payload = b""
+            span = _fetch(phys, stride)
+            payload = span[header_size : header_size + size]
             # The crc occupies the header's last 4 bytes, so the
             # zero-crc header _pack() checksummed is just raw[:-4] —
             # no per-entry repack needed.
             if crc != crc32(raw[:-4] + payload) & 0xFFFFFFFF:
                 break
+            seen.append(span)
             if kind != KIND_WRAP:
-                yield LogEntry(kind, tx_id, addr, payload, cursor)
+                entry = LogEntry(kind, tx_id, addr, payload, cursor)
+                fresh.append(entry)
+                yield entry
             cursor += stride
             scanned += stride
         self._start = start
         self._cursor = cursor
+        if cursor != resumed:
+            memo.raw = known_raw + b"".join(seen)
+            memo.entries = known + tuple(fresh)
+            memo.start = start
+            memo.cursor = cursor
 
     def reset(self, now_ns: float = 0.0) -> None:
         """Post-recovery: restart the log empty (fresh lap).
@@ -285,6 +351,40 @@ class AppendLog:
         lap = self._cursor // self._data_bytes + 1
         self._start = self._cursor = lap * self._data_bytes
         self._persist_header(now_ns)
+
+
+def replay_committed(log: AppendLog, device, outcome: RecoveryOutcome) -> None:
+    """Redo recovery over a crashed log: the body opt-redo and logregion share.
+
+    Writes home the data entries of every transaction whose commit
+    record the scan found, in commit order, as one ``poke_batch``;
+    counts the rest as rolled back, fills ``outcome``'s byte and
+    transaction counts (``elapsed_ns`` is the caller's) and resets the
+    log.
+    """
+    pending: Dict[int, List[Tuple[int, bytes]]] = {}
+    committed: List[int] = []
+    scanned = 0
+    header_size = _ENTRY_HEADER.size
+    for kind, tx_id, addr, payload, _ in log.rebuild_and_scan():
+        scanned += header_size + ((len(payload) + 7) & ~7)  # total_bytes
+        if kind == KIND_DATA:
+            writes = pending.get(tx_id)
+            if writes is None:
+                pending[tx_id] = [(addr, payload)]
+            else:
+                writes.append((addr, payload))
+        elif kind == KIND_COMMIT:
+            committed.append(tx_id)
+    pokes: List[Tuple[int, bytes]] = []
+    for tx_id in committed:
+        pokes.extend(pending.pop(tx_id, ()))
+    device.poke_batch(pokes)
+    outcome.bytes_scanned += scanned
+    outcome.bytes_written += sum(len(payload) for _, payload in pokes)
+    outcome.committed_transactions += len(committed)
+    outcome.rolled_back_transactions = len(pending)
+    log.reset()
 
 
 # -- the log-region scheme ---------------------------------------------------------
@@ -472,21 +572,7 @@ class LogRegionScheme(PersistenceScheme):
 
     def recover(self, *, threads: int = 1, bandwidth_gb_per_s=None):
         outcome = RecoveryOutcome(scheme=self.name)
-        pending: Dict[int, List[LogEntry]] = {}
-        committed: List[int] = []
-        for entry in self.log.rebuild_and_scan():
-            outcome.bytes_scanned += entry.total_bytes
-            if entry.kind == KIND_DATA:
-                pending.setdefault(entry.tx_id, []).append(entry)
-            elif entry.kind == KIND_COMMIT:
-                committed.append(entry.tx_id)
-        for tx_id in committed:
-            for entry in pending.pop(tx_id, []):
-                self.device.poke(entry.addr, entry.payload)
-                outcome.bytes_written += len(entry.payload)
-            outcome.committed_transactions += 1
-        outcome.rolled_back_transactions = len(pending)
-        self.log.reset()
+        replay_committed(self.log, self.device, outcome)
         nvm = self.config.nvm
         bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
         bytes_per_ns = bandwidth * (1024**3) / 1e9

@@ -26,14 +26,19 @@ enforces exactly that edge on every committed transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
 from repro.common.config import SystemConfig
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
+from repro.schemes.logregion import (
+    KIND_COMMIT,
+    KIND_DATA,
+    AppendLog,
+    replay_committed,
+)
 
 # Each logged line occupies two cache lines on NVM (data + metadata).
 _LOG_ENTRY_BYTES = 2 * CACHE_LINE_BYTES
@@ -197,21 +202,7 @@ class OptRedoScheme(PersistenceScheme):
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None
     ) -> RecoveryOutcome:
         outcome = RecoveryOutcome(scheme=self.name)
-        pending: Dict[int, List] = {}
-        committed: List[int] = []
-        for entry in self.log.rebuild_and_scan():
-            outcome.bytes_scanned += entry.total_bytes
-            if entry.kind == KIND_DATA:
-                pending.setdefault(entry.tx_id, []).append(entry)
-            elif entry.kind == KIND_COMMIT:
-                committed.append(entry.tx_id)
-        for tx_id in committed:
-            for entry in pending.pop(tx_id, []):
-                self.device.poke(entry.addr, entry.payload)
-                outcome.bytes_written += len(entry.payload)
-            outcome.committed_transactions += 1
-        outcome.rolled_back_transactions = len(pending)
-        self.log.reset()
+        replay_committed(self.log, self.device, outcome)
         nvm = self.config.nvm
         bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
         bytes_per_ns = bandwidth * (1024**3) / 1e9

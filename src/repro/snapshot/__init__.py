@@ -14,7 +14,14 @@ Design: a typed deep-clone engine, much faster than :func:`copy.deepcopy`
 because every class declares its snapshot behaviour up front:
 
 ``__snapshot_state__ = "__shared__"``
-    The instance is immutable (frozen config dataclass, codec); share it.
+    Share the instance between the source and every clone.  For
+    immutable values (frozen config dataclasses), and for memos of pure
+    functions of durable bytes: the slice codec's decode memos (keyed
+    on all of a slice's raw bytes) and the append log's scan memo
+    (reused only after a ``peek`` finds its span byte-equal).  A fork
+    may add to such a memo, but every answer it gives is checked
+    against, or keyed on, the bytes the asking fork holds, so no fork
+    can see another's state through it.
 
 ``__snapshot_state__ = "__atom__"``
     Like ``__shared__`` but for high-volume frozen records (log entries,

@@ -1,11 +1,12 @@
 """The shared region scan against its one-slice-at-a-time reference.
 
 Recovery reads every busy OOP block with one ``peek``, finds the slots of
-a kind from the strided tag bytes, and decodes each distinct commit-log
-page once through the codec's address memo.  Each shortcut is checked
-here against the slow way — a 128-byte ``peek`` per slot, ``kind_of``,
-an unmemoized decode — and must return *equal* results, not approximately
-equal ones.  The reference lives here, not in ``src/``.
+a kind from the strided tag bytes, decodes each distinct commit-log page
+once through the codec's address memo, and walks chains through the data
+slices the scan already decoded.  Each shortcut is checked here against
+the slow way — a 128-byte ``peek`` per slot, ``kind_of``, an unmemoized
+decode — and must return *equal* results, not approximately equal ones.
+The reference lives here, not in ``src/``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MemorySystem, SystemConfig
-from repro.common.errors import CorruptionError
+from repro.common.config import FaultConfig
+from repro.common.errors import CorruptionError, PowerLossError
 from repro.common.units import MB
+from repro.core import hoop_controllers
 from repro.core.commit_log import CommitLog, CommittedTx
 from repro.core.controller import HoopController
 from repro.core.gc import RETIRE_WATERMARK_ADDR
 from repro.core.oop_region import BlockState, _encode_header
+from repro.core.recovery import BlockReader
 from repro.core.slices import (
     KIND_ADDR,
     KIND_DATA,
@@ -367,3 +371,134 @@ def test_hoop_mc_crash_case_call_counts():
         assert uncached.call_count == uncached_expected
         for addr, value in oracle.items():
             assert case.durable_state(addr, 8) == value
+
+
+# -- (d) walk_tx through the scan's decodes == the per-slice walk ---------------
+
+
+def _reference_walk(controller, tx):
+    """A chain walk the slow way: a peek and an unmemoized decode per slice."""
+    region = controller.region
+    device = controller.port.device
+    codec = SliceCodec(
+        controller.codec.home_addr_bits, controller.codec.words_per_slice
+    )
+    total = region.num_blocks * region.slots_per_block
+    newest_first = []
+    slices = 0
+    for tail in reversed(tx.segment_tails):
+        cursor = tail
+        while cursor is not None:
+            raw = device.peek(region.slice_addr(cursor), SLICE_BYTES)
+            slices += 1
+            try:
+                ds = codec._decode_data_uncached(raw)
+            except CorruptionError:
+                break
+            block, _ = region.slice_location(cursor)
+            if (
+                ds.tx_id != tx.tx_id
+                or ds.generation != region.generation_of(block)
+            ):
+                break
+            newest_first.extend(reversed(ds.words))
+            cursor = (
+                None if ds.prev_delta is None
+                else (cursor - ds.prev_delta) % total
+            )
+    newest_first.reverse()
+    return newest_first, slices
+
+
+def _walks_agree(controller, scan, tx):
+    """``walk_tx`` three ways; returns the agreed ``(words, slices)``."""
+    recovery = controller.recovery
+    words, slices = recovery.walk_tx(scan.reader, tx)
+    fresh_words, fresh_slices = recovery.walk_tx(
+        BlockReader(controller.region), tx
+    )
+    reference = _reference_walk(controller, tx)
+    assert (list(words), slices) == (list(fresh_words), fresh_slices)
+    assert (list(words), slices) == reference
+    return reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(_block, min_size=1, max_size=_BLOCKS),
+    watermark=st.integers(0, 6),
+    extra=st.lists(
+        st.builds(
+            CommittedTx,
+            tx_id=_tx_ids,
+            segment_tails=st.lists(
+                st.integers(0, _BLOCKS * _SLOTS - 1), min_size=1, max_size=3
+            ).map(tuple),
+        ),
+        max_size=6,
+    ),
+)
+def test_walk_through_the_scan_equals_the_per_slice_walk(
+    blocks, watermark, extra
+):
+    # Chains hop across torn, free, stale-generation and other-tx slots.
+    controller = _controller_with_image(blocks, watermark)
+    scan = controller.recovery.scan()
+    region = controller.region
+    for index, ds in scan.reader.decoded.items():
+        block, _ = region.slice_location(index)
+        assert ds.generation == region.generation_of(block)
+    for tx in scan.logged + scan.unlogged + extra:
+        _walks_agree(controller, scan, tx)
+
+
+def _crashed(scheme, boundary, torn):
+    """A machine cut at its ``boundary``-th write (if it gets that far).
+
+    Transactions of up to twenty words span several slices, and a GC
+    pass every twenty transactions reclaims blocks, so later slices land
+    in blocks whose older slots are of a stale generation.
+    """
+    faults = FaultConfig(
+        enabled=True, seed=7, power_loss_after_write=boundary, torn=torn
+    )
+    system = MemorySystem(SystemConfig.small().replace(faults=faults), scheme)
+    rng = random.Random(21)
+    addrs = [system.allocate(64) for _ in range(24)]
+    try:
+        for index in range(160):
+            with system.transaction(rng.randrange(4)) as tx:
+                for _ in range(rng.randint(1, 20)):
+                    addr = rng.choice(addrs) + 8 * rng.randrange(8)
+                    tx.store(addr, rng.getrandbits(64).to_bytes(8, "little"))
+            if index % 20 == 19:
+                for controller in hoop_controllers(system):
+                    controller.gc.run(system.now_ns, on_demand=True)
+    except PowerLossError:
+        assert system.device.injector.power_lost
+    return system
+
+
+@pytest.mark.parametrize("scheme", ["hoop", "hoop-mc"])
+@pytest.mark.parametrize("torn", [False, True])
+def test_walk_on_crashed_images_equals_the_per_slice_walk(scheme, torn):
+    total = _crashed(scheme, None, torn).device.stats.writes
+    shapes = {"multi-slice": 0, "placeholder": 0, "stale": 0}
+    for boundary in (total // 5, total // 2, total * 4 // 5, total * 9 // 10):
+        system = _crashed(scheme, boundary, torn)
+        system.crash()
+        for controller in hoop_controllers(system):
+            scan = controller.recovery.scan()
+            region = controller.region
+            shapes["stale"] += sum(
+                1 for block in range(region.num_blocks)
+                if region.generation_of(block)
+            )
+            for tx in scan.logged + scan.unlogged:
+                words, slices = _walks_agree(controller, scan, tx)
+                shapes["multi-slice"] += slices > 1
+                # A hoop-mc controller the transaction never touched
+                # logs it with a placeholder tail: a chain of no words.
+                shapes["placeholder"] += not words
+    assert shapes["multi-slice"] > 0 and shapes["stale"] > 0
+    assert (shapes["placeholder"] > 0) == (scheme == "hoop-mc")
