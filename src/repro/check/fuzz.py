@@ -22,8 +22,7 @@ from typing import Callable, List, Optional, TypeVar
 from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer, Violation
 from repro.check.trace import Trace, TraceTxn, generate_trace
-from repro.snapshot import snapshots_enabled
-from repro.snapshot.replay import TraceReplayCache
+from repro.snapshot.replay import TraceReplayCache, run_txns
 
 T = TypeVar("T")
 
@@ -45,14 +44,7 @@ def make_replay_cache(scheme: str, slots: int) -> TraceReplayCache:
         return {"system": system, "addrs": addrs}
 
     def apply(state, txn: TraceTxn) -> None:
-        system = state["system"]
-        addrs = state["addrs"]
-        with system.transaction(txn.core) as tx:
-            for store in txn.stores:
-                tx.store(
-                    addrs[store.slot] + 8 * store.offset,
-                    store.value.to_bytes(8, "little"),
-                )
+        run_txns(state["system"], [txn.record(state["addrs"])])
 
     return TraceReplayCache(build, apply)
 
@@ -66,14 +58,15 @@ def trace_violations(
 ) -> List[Violation]:
     """Replay ``trace`` on ``scheme`` under a fresh sanitizer.
 
-    With a ``cache`` (and snapshots enabled) the replay restores the
-    longest already-seen transaction prefix instead of starting cold;
-    the returned violations are identical either way because the trace
-    is pure data and the sanitizer state is part of each snapshot.
+    With a ``cache`` the replay restores the longest already-seen
+    transaction prefix instead of starting cold; without one it runs on
+    a fresh system — the reference the cached replay is tested against.
+    The violations are identical either way because the trace is pure
+    data and the sanitizer state is part of each snapshot.
     ``record=False`` skips caching the prefixes this replay creates
     (for one-off scoring of traces no later replay will share).
     """
-    if cache is None or not snapshots_enabled():
+    if cache is None:
         sanitizer = PersistOrderSanitizer()
         system = build_system(scheme, checker=sanitizer)
         run_trace(system, trace)
@@ -114,7 +107,7 @@ def shrink_trace(
     cache: Optional[TraceReplayCache] = None,
 ) -> Trace:
     """Delta-debug ``trace`` down to a minimal still-violating trace."""
-    if cache is None and snapshots_enabled():
+    if cache is None:
         cache = make_replay_cache(scheme, trace.slots)
 
     def failing_txns(txns: List[TraceTxn]) -> bool:
@@ -188,9 +181,7 @@ def fuzz_scheme(
     # One replay cache for the whole campaign: every iteration's trace
     # shares the empty-prefix snapshot (no per-iteration system build),
     # and the shrink phase reuses prefixes across ddmin variants.
-    cache = (
-        make_replay_cache(scheme, slots) if snapshots_enabled() else None
-    )
+    cache = make_replay_cache(scheme, slots)
     for i in range(iterations):
         trace = generate_trace(
             seed + i,

@@ -27,13 +27,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.sanitizer import PersistOrderSanitizer
-from repro.check.trace import Trace, expected_state, generate_trace
+from repro.check.trace import (
+    SLOT_BYTES,
+    Trace,
+    expected_state,
+    generate_trace,
+)
 from repro.common.config import FaultConfig, SystemConfig
-from repro.common.errors import PowerLossError
-from repro.crashtest import choose_boundaries, verify_atomic_durability
+from repro.crashtest import choose_boundaries, forward_cursor, sweep_cases
 from repro.faults import make_device
-from repro.snapshot import snapshots_enabled
-from repro.snapshot.replay import ForwardCursor
+from repro.snapshot.replay import TxnRecord, run_txns
 from repro.txn.system import MemorySystem
 
 # Every registered scheme plus the ideal baseline; crash-recovery
@@ -87,57 +90,20 @@ class TraceOutcome:
     oracle: Dict[int, bytes]  # committed word -> value
     staged: Dict[int, bytes]  # in-flight words at power loss (may be {})
     power_lost: bool
-    completed_txns: int
+
+
+def bind_trace(
+    system: MemorySystem, trace: Trace
+) -> Tuple[List[int], List[TxnRecord]]:
+    """Allocate ``trace``'s slots on ``system``; slots and bound records."""
+    slot_addrs = [system.allocate(SLOT_BYTES) for _ in range(trace.slots)]
+    return slot_addrs, trace.records(slot_addrs)
 
 
 def run_trace(system: MemorySystem, trace: Trace) -> TraceOutcome:
     """Replay ``trace`` until done or power loss (crashtest-compatible)."""
-    slot_addrs = [system.allocate(64) for _ in range(trace.slots)]
-    oracle: Dict[int, bytes] = {}
-    staged: Dict[int, bytes] = {}
-    completed = 0
-    try:
-        for txn in trace.txns:
-            staged = {}
-            with system.transaction(txn.core) as tx:
-                for store in txn.stores:
-                    addr = slot_addrs[store.slot] + 8 * store.offset
-                    value = store.value.to_bytes(8, "little")
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-            completed += 1
-    except PowerLossError:
-        return TraceOutcome(slot_addrs, oracle, staged, True, completed)
-    return TraceOutcome(slot_addrs, oracle, staged, False, completed)
-
-
-def _trace_cursor(system: MemorySystem, trace: Trace) -> ForwardCursor:
-    """A forward cursor over ``trace`` on a fresh fault-free ``system``.
-
-    The trace is pure data — replay consumes no RNG — so binding its
-    slots to this system's addresses gives the cursor everything
-    :func:`run_trace` would execute, and a forked run is bit-identical
-    to a cold one.
-    """
-    slot_addrs = [system.allocate(64) for _ in range(trace.slots)]
-    return ForwardCursor(
-        system,
-        [
-            (
-                txn.core,
-                [
-                    (
-                        slot_addrs[store.slot] + 8 * store.offset,
-                        store.value.to_bytes(8, "little"),
-                    )
-                    for store in txn.stores
-                ],
-            )
-            for txn in trace.txns
-        ],
-    )
+    slot_addrs, txns = bind_trace(system, trace)
+    return TraceOutcome(slot_addrs, *run_txns(system, txns))
 
 
 @dataclass
@@ -208,45 +174,25 @@ def check_scheme(
                 f" {expected[addr].hex()}"
             )
 
-    # 3: crash-recovery convergence (real schemes only).  With
-    # snapshots enabled one fault-free machine runs the trace forward
-    # once and is forked at each boundary (ForwardCursor); verdicts
-    # are bit-identical to the cold per-boundary rerun
-    # (REPRO_SNAPSHOT_DISABLE=1).
+    # 3: crash-recovery convergence (real schemes only), through the
+    # crash sweep's own boundary loop over the trace's records.
     if scheme in REAL_SCHEMES and crash_sample:
-        probe = build_system(
-            scheme, faults=FaultConfig(enabled=True, seed=seed)
-        )
-        cursor: Optional[ForwardCursor] = None
-        if snapshots_enabled():
-            cursor = _trace_cursor(probe, trace)
-            total_writes = cursor.total_writes
-        else:
-            probe_outcome = run_trace(probe, trace)
-            assert not probe_outcome.power_lost
-            total_writes = probe.device.stats.writes
-        for boundary in choose_boundaries(total_writes, crash_sample, seed):
-            faults = FaultConfig(
-                enabled=True,
-                seed=seed ^ (boundary << 8),
-                power_loss_after_write=boundary,
-                torn=boundary % 2 == 1,
-            )
-            forked = cursor.crash_at(faults) if cursor is not None else None
-            if forked is not None:
-                crashed, oracle, staged = forked
-            else:
-                crashed = build_system(scheme, faults=faults)
-                crash_outcome = run_trace(crashed, trace)
-                oracle, staged = crash_outcome.oracle, crash_outcome.staged
-            crashed.crash()
-            crashed.recover(threads=2)
-            failure = verify_atomic_durability(crashed, oracle, staged)
+
+        def build(faults: FaultConfig):
+            machine = build_system(scheme, faults=faults)
+            return machine, bind_trace(machine, trace)[1]
+
+        cursor = forward_cursor(build, seed)
+        boundaries = choose_boundaries(cursor.total_writes, crash_sample, seed)
+        for _, case in sweep_cases(
+            build, cursor, boundaries, seed=seed, torn_mode="alternate",
+            recovery_threads=2,
+        ):
             report.crash_cases += 1
-            if failure:
+            if case.failure:
                 report.crash_failures.append(
-                    f"@write {boundary}"
-                    f"{' torn' if faults.torn else ''}: {failure}"
+                    f"@write {case.boundary}"
+                    f"{' torn' if case.torn else ''}: {case.failure}"
                 )
     if progress:
         progress(report.render())

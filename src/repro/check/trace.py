@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.snapshot.replay import TxnRecord
+
 SLOT_BYTES = 64
 WORDS_PER_SLOT = SLOT_BYTES // 8
 
@@ -44,6 +46,19 @@ class TraceTxn:
     core: int
     stores: Tuple[TraceStore, ...]
 
+    def record(self, slot_addrs: Sequence[int]) -> TxnRecord:
+        """This transaction with its slots bound to heap addresses."""
+        return (
+            self.core,
+            [
+                (
+                    slot_addrs[store.slot] + 8 * store.offset,
+                    store.value.to_bytes(8, "little"),
+                )
+                for store in self.stores
+            ],
+        )
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -58,6 +73,10 @@ class Trace:
     def num_events(self) -> int:
         """Trace size as the shrinker reports it: begins + stores."""
         return len(self.txns) + sum(len(t.stores) for t in self.txns)
+
+    def records(self, slot_addrs: Sequence[int]) -> List[TxnRecord]:
+        """The whole trace bound to heap addresses, ready to run."""
+        return [txn.record(slot_addrs) for txn in self.txns]
 
     def with_txns(self, txns: Sequence[TraceTxn]) -> "Trace":
         """A copy with a different transaction list (shrinker primitive)."""
@@ -112,9 +131,7 @@ def expected_state(
     limit = len(trace.txns) if upto_txns is None else upto_txns
     state: Dict[int, bytes] = {}
     for txn in trace.txns[:limit]:
-        for store in txn.stores:
-            addr = slot_addrs[store.slot] + 8 * store.offset
-            state[addr] = store.value.to_bytes(8, "little")
+        state.update(txn.record(slot_addrs)[1])
     return state
 
 

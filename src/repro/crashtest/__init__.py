@@ -5,21 +5,22 @@ survives a power failure at *any* instant — including mid-GC and
 mid-recovery.  This module tests the claim mechanically, for HOOP *and*
 every baseline, instead of at a handful of hand-picked points:
 
-1. a **probe run** executes a seeded random transactional workload with
-   the fault device armed but no fault scheduled, counting the total
-   number of timed NVM writes ``W``;
+1. a seeded random transactional workload is recorded once, as data,
+   against a machine built on the fault device with no fault
+   scheduled; a **probe run** of it counts the total number of timed
+   NVM writes ``W``;
 2. for each chosen boundary ``k`` (all of ``1..W`` in exhaustive
    mode, a seeded sample in CI mode) the identical workload meets a
    power loss after its ``k``-th write — torn or clean cut — on a fork
    of the one machine that runs the workload forward
-   (:class:`~repro.snapshot.replay.ForwardCursor`; a cold rerun per
-   boundary under ``REPRO_SNAPSHOT_DISABLE=1``), then crashes,
+   (:class:`~repro.snapshot.replay.ForwardCursor`), then crashes,
    recovers, and verifies **atomic durability**: every committed
    transaction fully visible, the in-flight transaction
    all-or-nothing;
 3. every failing case is written as a minimal repro artifact (scheme +
    workload parameters + fault plan JSON) that ``--replay`` re-runs
-   exactly.
+   exactly, cold, on a fresh machine — the reference every forked
+   verdict is tested against.
 
 Determinism: workload generation, fault plans, and boundary sampling
 all derive from explicit seeds, so a sweep is byte-reproducible and an
@@ -32,15 +33,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.config import FaultConfig, SystemConfig
-from repro.common.errors import PowerLossError
 from repro.faults.plan import CrashArtifact, save_artifact
 # ``capture`` is re-exported, not used here: the benchmark's tracer
 # resolves ``repro.crashtest.capture`` by name.
-from repro.snapshot import capture, snapshots_enabled  # noqa: F401
-from repro.snapshot.replay import ForwardCursor, TxnRecord
+from repro.snapshot import capture  # noqa: F401
+from repro.snapshot.replay import ForwardCursor, TxnRecord, run_txns
 from repro.txn.system import MemorySystem
 
 # The sweep's scheme vocabulary.  Keys are the CLI names (the paper's
@@ -77,12 +78,16 @@ def resolve_schemes(spec: str) -> List[str]:
 
 @dataclass
 class RunOutcome:
-    """One workload execution under one fault plan."""
+    """One workload execution under one fault plan (see ``run_txns``)."""
 
     oracle: Dict[int, bytes]  # committed word -> value
     staged: Dict[int, bytes]  # in-flight transaction's words (may be {})
     power_lost: bool
-    writes_at_cut: int
+
+
+# A crash workload: a fresh machine under the given fault plan, heap
+# allocated, plus the transactions recorded against that heap.
+Build = Callable[[FaultConfig], Tuple[MemorySystem, List[TxnRecord]]]
 
 
 @dataclass
@@ -113,60 +118,36 @@ def _build_system(scheme: str, faults: FaultConfig) -> MemorySystem:
     return MemorySystem(config, scheme=scheme)
 
 
-def run_workload(
-    system: MemorySystem,
+def build_workload(
+    scheme: str,
+    faults: FaultConfig,
     *,
     seed: int,
     transactions: int,
     addresses: int,
-) -> RunOutcome:
-    """Drive the seeded random workload until done or power loss.
+) -> Tuple[MemorySystem, List[TxnRecord]]:
+    """A fresh ``scheme`` machine under ``faults`` and its seeded workload.
 
-    The oracle tracks words of transactions whose ``with`` block exited
-    (commit returned); ``staged`` holds the one transaction that was
-    open — or mid-commit, or whose post-commit GC tick died — when the
-    power failed.  The verifier decides which side of the commit point
-    that transaction landed on.
+    The one home of the workload's RNG call order (``randrange`` core,
+    ``randint`` store count, then ``choice``/``randrange`` address and
+    ``getrandbits`` value per store).  The workload RNG is private, so
+    recording every transaction before running any is byte-for-byte
+    what a run interleaving the two would execute.
     """
+    system = _build_system(scheme, faults)
     rng = random.Random(seed)
     addrs = [system.allocate(64) for _ in range(addresses)]
-    oracle: Dict[int, bytes] = {}
-    staged: Dict[int, bytes] = {}
     cores = system.config.num_cores
-    try:
-        for _ in range(transactions):
-            staged = {}
-            core = rng.randrange(cores)
-            with system.transaction(core) as tx:
-                for _ in range(rng.randint(1, 6)):
-                    addr = rng.choice(addrs) + 8 * rng.randrange(8)
-                    value = rng.getrandbits(64).to_bytes(8, "little")
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-    except PowerLossError:
-        return RunOutcome(
-            oracle, staged, True, system.device.stats.writes
-        )
-    return RunOutcome(oracle, {}, False, system.device.stats.writes)
-
-
-def count_write_boundaries(
-    scheme: str, *, seed: int, transactions: int, addresses: int
-) -> int:
-    """Probe run: total timed writes of the fault-free workload.
-
-    Runs on the *fault device* with nothing armed so write counting
-    (e.g. batched GC writes, decomposed per element) matches the armed
-    runs write-for-write.
-    """
-    system = _build_system(scheme, FaultConfig(enabled=True, seed=seed))
-    outcome = run_workload(
-        system, seed=seed, transactions=transactions, addresses=addresses
-    )
-    assert not outcome.power_lost
-    return system.device.stats.writes
+    txns: List[TxnRecord] = []
+    for _ in range(transactions):
+        core = rng.randrange(cores)
+        stores: List[Tuple[int, bytes]] = []
+        for _ in range(rng.randint(1, 6)):
+            addr = rng.choice(addrs) + 8 * rng.randrange(8)
+            value = rng.getrandbits(64).to_bytes(8, "little")
+            stores.append((addr, value))
+        txns.append((core, stores))
+    return system, txns
 
 
 def verify_atomic_durability(
@@ -235,10 +216,10 @@ def _finish_case(
 ) -> CaseResult:
     """Shared verdict tail: crash, recover, verify, fingerprint.
 
-    Both the cold path (:func:`run_case`) and the forked path
-    (:func:`sweep_scheme` over a cursor) end here, so their verdicts
-    are computed by the same code — a bit-identity requirement, not
-    just deduplication.
+    Both the cold replay (:func:`run_case`) and the forked sweep
+    (:func:`sweep_cases`) end here, so their verdicts are computed by
+    the same code — a bit-identity requirement, not just
+    deduplication.
     """
     system.crash()
     report = system.recover(threads=recovery_threads)
@@ -268,14 +249,14 @@ def build_crashed_cold(
     """Cold front half of a case: run the workload under ``faults``.
 
     Returns the system *before* ``crash()`` plus the observed outcome;
-    shared by :func:`run_case` and the nested sweep (which crashes,
-    snapshots, and re-crashes recovery itself).
+    what artifact replay (:func:`run_case` and the nested replay)
+    starts from.
     """
-    system = _build_system(scheme, faults)
-    outcome = run_workload(
-        system, seed=seed, transactions=transactions, addresses=addresses
+    system, txns = build_workload(
+        scheme, faults, seed=seed, transactions=transactions,
+        addresses=addresses,
     )
-    return system, outcome
+    return system, RunOutcome(*run_txns(system, txns))
 
 
 def run_case(
@@ -295,63 +276,31 @@ def run_case(
     return _finish_case(system, faults, outcome, recovery_threads)
 
 
-def forward_cursor(
-    scheme: str, *, seed: int, transactions: int, addresses: int
-) -> ForwardCursor:
-    """Record the seeded workload; a cursor poised before its first txn.
+def forward_cursor(build: Build, seed: int) -> ForwardCursor:
+    """A cursor over ``build``'s workload, poised before its first txn.
 
-    Replicates :func:`run_workload`'s RNG call order exactly (same
-    ``randrange``/``randint``/``choice``/``getrandbits`` sequence), so
-    the recorded transactions are byte-for-byte what an armed rerun
-    would execute.  The machine is built on the *fault device* with
-    nothing armed, so the cursor's write counts match the armed runs
-    write-for-write.
+    The machine is built on the *fault device* with nothing armed, so
+    the cursor's write counts match the armed runs write-for-write.
     """
-    system = _build_system(scheme, FaultConfig(enabled=True, seed=seed))
-    rng = random.Random(seed)
-    addrs = [system.allocate(64) for _ in range(addresses)]
-    cores = system.config.num_cores
-    txns: List[TxnRecord] = []
-    for _ in range(transactions):
-        core = rng.randrange(cores)
-        stores: List[Tuple[int, bytes]] = []
-        for _ in range(rng.randint(1, 6)):
-            addr = rng.choice(addrs) + 8 * rng.randrange(8)
-            value = rng.getrandbits(64).to_bytes(8, "little")
-            stores.append((addr, value))
-        txns.append((core, stores))
-    return ForwardCursor(system, txns)
+    return ForwardCursor(*build(FaultConfig(enabled=True, seed=seed)))
 
 
 def build_crashed(
-    scheme: str,
-    faults: FaultConfig,
-    cursor: Optional[ForwardCursor],
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
+    build: Build, cursor: ForwardCursor, faults: FaultConfig
 ) -> Tuple[MemorySystem, RunOutcome]:
     """Front half of a case: a fork of ``cursor`` run into the cut.
 
     Returns the system before ``crash()`` plus the outcome, exactly as
-    :func:`build_crashed_cold` produces them — which is what runs when
-    there is no cursor (``REPRO_SNAPSHOT_DISABLE=1``) or the boundary
-    precedes the cursor's first transaction.
+    running ``build(faults)``'s workload on its fresh machine produces
+    them — which is what runs when the boundary precedes the cursor's
+    first transaction.
     """
-    forked = cursor.crash_at(faults) if cursor is not None else None
+    forked = cursor.crash_at(faults)
     if forked is None:
-        return build_crashed_cold(
-            scheme, faults, seed=seed, transactions=transactions,
-            addresses=addresses,
-        )
-    system, oracle, staged = forked
-    return system, RunOutcome(
-        oracle,
-        staged,
-        system.device.injector.power_lost,
-        system.device.stats.writes,
-    )
+        system, txns = build(faults)
+        return system, RunOutcome(*run_txns(system, txns))
+    system, *outcome = forked
+    return system, RunOutcome(*outcome)
 
 
 def choose_boundaries(
@@ -381,6 +330,38 @@ def _torn_for(boundary: int, mode: str) -> bool:
     return boundary % 2 == 1  # alternate
 
 
+def boundary_faults(seed: int, boundary: int, torn: bool) -> FaultConfig:
+    """The fault plan of one forward crash boundary."""
+    return FaultConfig(
+        enabled=True,
+        seed=seed ^ (boundary << 8),
+        power_loss_after_write=boundary,
+        torn=torn,
+    )
+
+
+def sweep_cases(
+    build: Build,
+    cursor: ForwardCursor,
+    boundaries: List[int],
+    *,
+    seed: int,
+    torn_mode: str,
+    recovery_threads: int,
+) -> Iterator[Tuple[FaultConfig, CaseResult]]:
+    """The one boundary loop: each boundary's fault plan and verdict.
+
+    ``boundaries`` must ascend; each case is a fork of ``cursor`` run
+    into the cut, then crashed, recovered and verified.
+    """
+    for boundary in boundaries:
+        faults = boundary_faults(
+            seed, boundary, _torn_for(boundary, torn_mode)
+        )
+        system, outcome = build_crashed(build, cursor, faults)
+        yield faults, _finish_case(system, faults, outcome, recovery_threads)
+
+
 def sweep_scheme(
     scheme: str,
     *,
@@ -395,42 +376,31 @@ def sweep_scheme(
 ) -> SweepResult:
     """Sweep one scheme across crash boundaries; returns all cases.
 
-    By default the sweep does its forward work once: the seeded
-    workload is recorded, a probe counts the timed writes before each
-    transaction, and one live fault-free machine
+    The sweep does its forward work once: the seeded workload is
+    recorded, a probe counts the timed writes before each transaction,
+    and one live fault-free machine
     (:class:`~repro.snapshot.replay.ForwardCursor`) advances through
     the boundaries in ascending order, forked between transactions for
     each case — a case pays for one fork, the rest of the transaction
-    the cut lands in, and its own recovery.
-    ``REPRO_SNAPSHOT_DISABLE=1`` falls back to the original cold rerun
-    per boundary; per-boundary verdicts are bit-identical either way.
+    the cut lands in, and its own recovery.  Every case equals
+    :func:`run_case` under its own fault plan, the cold replay of its
+    artifact.
     """
-    cursor: Optional[ForwardCursor] = None
-    if snapshots_enabled():
-        cursor = forward_cursor(
-            scheme, seed=seed, transactions=transactions, addresses=addresses
-        )
-        total = cursor.total_writes
-    else:
-        total = count_write_boundaries(
-            scheme, seed=seed, transactions=transactions, addresses=addresses
-        )
-    boundaries = choose_boundaries(total, sample, seed)
-    result = SweepResult(
-        scheme=scheme, total_writes=total, boundaries=boundaries
+    build = partial(
+        build_workload, scheme, seed=seed, transactions=transactions,
+        addresses=addresses,
     )
-    for boundary in boundaries:
-        faults = FaultConfig(
-            enabled=True,
-            seed=seed ^ (boundary << 8),
-            power_loss_after_write=boundary,
-            torn=_torn_for(boundary, torn_mode),
-        )
-        system, outcome = build_crashed(
-            scheme, faults, cursor, seed=seed, transactions=transactions,
-            addresses=addresses,
-        )
-        case = _finish_case(system, faults, outcome, recovery_threads)
+    cursor = forward_cursor(build, seed)
+    total = cursor.total_writes
+    result = SweepResult(
+        scheme=scheme,
+        total_writes=total,
+        boundaries=choose_boundaries(total, sample, seed),
+    )
+    for faults, case in sweep_cases(
+        build, cursor, result.boundaries, seed=seed, torn_mode=torn_mode,
+        recovery_threads=recovery_threads,
+    ):
         result.cases.append(case)
         if case.failure and artifact_dir:
             artifact = CrashArtifact(
@@ -445,14 +415,14 @@ def sweep_scheme(
             )
             path = save_artifact(
                 artifact,
-                f"{artifact_dir}/crash_{scheme}_w{boundary}"
+                f"{artifact_dir}/crash_{scheme}_w{case.boundary}"
                 f"{'_torn' if faults.torn else ''}.json",
             )
             if progress:
                 progress(f"  artifact written: {path}")
         if progress and case.failure:
             progress(
-                f"  FAIL {scheme} @write {boundary}"
+                f"  FAIL {scheme} @write {case.boundary}"
                 f"{' torn' if case.torn else ''}: {case.failure}"
             )
     return result

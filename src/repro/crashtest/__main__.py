@@ -29,19 +29,33 @@ from repro.faults.plan import load_artifact
 from repro.tools.profiling import add_profile_argument, profile_to
 
 
-def _replay_nested(args, artifact) -> int:
-    """Replay one nested artifact; mirror the forward replay contract."""
-    case = nested.replay_nested_artifact(artifact)
+def _replay(path: str) -> int:
+    """Replay one saved artifact cold and compare it with its record.
+
+    Exit 1 when the replay diverges from the recorded outcome, 2 when
+    it reproduces a recorded failure, 0 when it reproduces a pass.
+    """
+    artifact = load_artifact(path)
+    if artifact.phase == "forward":
+        case = crashtest.replay_artifact(artifact)
+        header = (
+            f"[crashtest] replay {path}: scheme={artifact.scheme}"
+            f" boundary={artifact.faults.power_loss_after_write}"
+            f" torn={artifact.faults.torn}"
+        )
+    else:
+        case = nested.replay_nested_artifact(artifact)
+        header = (
+            f"[crashtest] nested replay {path}:"
+            f" scheme={artifact.scheme} phase={artifact.phase}"
+            f" fwd={artifact.faults.power_loss_after_write}"
+            f" nested={artifact.nested_after_ops}"
+        )
     same = case.failure == artifact.failure and (
         not artifact.fingerprint
         or case.fingerprint == artifact.fingerprint
     )
-    print(
-        f"[crashtest] nested replay {args.replay}:"
-        f" scheme={artifact.scheme} phase={artifact.phase}"
-        f" fwd={artifact.faults.power_loss_after_write}"
-        f" nested={artifact.nested_after_ops}"
-    )
+    print(header)
     print(f"[crashtest]   recorded: {artifact.failure or 'pass'}")
     print(f"[crashtest]   replayed: {case.failure or 'pass'}")
     if not same:
@@ -72,15 +86,14 @@ def _main_nested(args) -> int:
         idempotence_k=args.idempotence_k,
     )
     state = nested.SweepState.open(state_path, params, resume=args.resume)
-    budget = [args.max_cases] if args.max_cases > 0 else None
+    remaining = args.max_cases if args.max_cases > 0 else None
     any_failures = False
-    exhausted = False
     grand_cases = 0
     verdicts = {}
     started = time.time()
     for scheme in schemes:
         t0 = time.time()
-        result, ran_dry = nested._nested_sweep_counted(
+        result = nested.nested_sweep_scheme(
             scheme,
             seed=args.seed,
             transactions=args.transactions,
@@ -93,10 +106,11 @@ def _main_nested(args) -> int:
             idempotence_k=args.idempotence_k,
             artifact_dir=args.artifact_dir,
             state=state,
-            budget=budget,
+            max_new_cases=remaining,
             progress=print,
         )
-        exhausted = exhausted or ran_dry
+        if remaining is not None:
+            remaining -= len(result.cases) - result.skipped
         grand_cases += len(result.cases)
         failures = result.failures
         any_failures = any_failures or bool(failures)
@@ -115,7 +129,7 @@ def _main_nested(args) -> int:
             f" {result.recovery_ops_probed}, {len(failures)} failures"
             f" ({time.time() - t0:.1f}s)"
         )
-        if ran_dry:
+        if result.exhausted:
             break
     if args.verdicts:
         path = pathlib.Path(args.verdicts)
@@ -133,7 +147,7 @@ def _main_nested(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if exhausted:
+    if result.exhausted:
         print(
             f"[crashtest] stopped after --max-cases={args.max_cases} new"
             " verdicts; rerun with --resume to continue"
@@ -185,8 +199,8 @@ def main(argv=None) -> int:
     add_profile_argument(parser)
     parser.add_argument(
         "--verdicts", metavar="PATH",
-        help="write per-boundary verdicts as JSON (for diffing sweep"
-        " modes, e.g. snapshot-incremental vs cold)",
+        help="write per-boundary verdicts as JSON (for diffing two"
+        " revisions' sweeps)",
     )
     parser.add_argument(
         "--nested", action="store_true",
@@ -234,26 +248,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Replay, nested sweep or forward sweep; returns the exit status."""
     if args.replay:
-        artifact = load_artifact(args.replay)
-        if artifact.phase != "forward":
-            return _replay_nested(args, artifact)
-        case = crashtest.replay_artifact(artifact)
-        same = case.failure == artifact.failure and (
-            not artifact.fingerprint
-            or case.fingerprint == artifact.fingerprint
-        )
-        print(
-            f"[crashtest] replay {args.replay}: scheme={artifact.scheme}"
-            f" boundary={artifact.faults.power_loss_after_write}"
-            f" torn={artifact.faults.torn}"
-        )
-        print(f"[crashtest]   recorded: {artifact.failure or 'pass'}")
-        print(f"[crashtest]   replayed: {case.failure or 'pass'}")
-        if not same:
-            print("[crashtest] REPLAY DIVERGED", file=sys.stderr)
-            return 1
-        print("[crashtest] replay reproduced the recorded outcome")
-        return 2 if case.failure else 0
+        return _replay(args.replay)
 
     if args.nested:
         return _main_nested(args)

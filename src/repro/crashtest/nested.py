@@ -7,8 +7,9 @@ idempotent on re-execution — the property NVTraverse demands of its
 post-crash fix-up traversals and optimistic persistent buffer managers
 require of their redo passes.  This module sweeps exactly that:
 
-* **recovery phase** — for sampled forward boundaries, crash the run,
-  snapshot the crashed machine (``repro.snapshot``), probe how many
+* **recovery phase** — for sampled forward boundaries, crash the run
+  (a fork of the forward sweep's cursor), snapshot the crashed machine
+  (``repro.snapshot``), probe how many
   mutation ops (home-region pokes *and* timed metadata writes — log
   headers, slot rewrites, region clears) one recovery pass performs,
   then re-crash recovery at sampled op boundaries (clean or torn) and
@@ -41,6 +42,7 @@ import os
 import pathlib
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import FaultConfig
@@ -48,16 +50,16 @@ from repro.common.errors import MediaError, PowerLossError
 from repro.crashtest import (
     RunOutcome,
     _torn_for,
+    boundary_faults,
     build_crashed,
     build_crashed_cold,
+    build_workload,
     choose_boundaries,
-    count_write_boundaries,
     forward_cursor,
     verify_atomic_durability,
 )
 from repro.faults.plan import CrashArtifact, save_artifact
-from repro.snapshot import capture, snapshots_enabled
-from repro.snapshot.replay import ForwardCursor
+from repro.snapshot import capture
 from repro.txn.system import MemorySystem
 
 # A recovery that needs more attempts than this never converges under a
@@ -115,6 +117,7 @@ class NestedSweepResult:
     recovery_ops_probed: int = 0
     cases: List[NestedCaseResult] = field(default_factory=list)
     skipped: int = 0  # cases satisfied from resumed state
+    exhausted: bool = False  # stopped by ``max_new_cases``
 
     @property
     def failures(self) -> List[NestedCaseResult]:
@@ -192,7 +195,7 @@ class SweepState:
 
 
 class SweepBudgetExhausted(Exception):
-    """Raised internally when ``--max-cases`` new verdicts were computed."""
+    """Raised internally when ``max_new_cases`` verdicts were computed."""
 
 
 # -- the per-case machinery ---------------------------------------------------
@@ -303,102 +306,6 @@ def run_nested_recovery_case(
     )
 
 
-class _CrashedFactory:
-    """Reproduces the crashed machine of one forward boundary on demand.
-
-    With snapshots enabled the crashed state is captured once and every
-    nested case restores a bit-identical clone; with
-    ``REPRO_SNAPSHOT_DISABLE=1`` each case re-runs the workload cold —
-    verdicts are identical either way (the same equivalence the forward
-    sweep's CI smoke checks).
-    """
-
-    def __init__(
-        self,
-        scheme: str,
-        faults: FaultConfig,
-        *,
-        seed: int,
-        transactions: int,
-        addresses: int,
-        cursor: Optional[ForwardCursor],
-    ) -> None:
-        self.scheme = scheme
-        self.faults = faults
-        self.seed = seed
-        self.transactions = transactions
-        self.addresses = addresses
-        self._cursor = cursor
-        self._snapshot = None
-        self.outcome: Optional[RunOutcome] = None
-        if snapshots_enabled():
-            system, self.outcome = self._build()
-            system.crash()
-            self._snapshot = capture(system)
-
-    def _build(self) -> Tuple[MemorySystem, RunOutcome]:
-        return build_crashed(
-            self.scheme,
-            self.faults,
-            self._cursor,
-            seed=self.seed,
-            transactions=self.transactions,
-            addresses=self.addresses,
-        )
-
-    def make(self) -> Tuple[MemorySystem, RunOutcome]:
-        """A fresh crashed system (plus outcome) for one nested case."""
-        if self._snapshot is not None:
-            return self._snapshot.restore(), self.outcome
-        system, outcome = self._build()
-        system.crash()
-        return system, outcome
-
-
-class _QuiescedFactory:
-    """Reproduces the completed-workload machine for the GC phases."""
-
-    def __init__(
-        self,
-        scheme: str,
-        faults: FaultConfig,
-        *,
-        seed: int,
-        transactions: int,
-        addresses: int,
-    ) -> None:
-        self.scheme = scheme
-        self.faults = faults
-        self.seed = seed
-        self.transactions = transactions
-        self.addresses = addresses
-        self._snapshot = None
-        self.outcome: Optional[RunOutcome] = None
-        self.base_writes = 0
-        system, outcome = self._build()
-        self.outcome = outcome
-        self.base_writes = system.device.stats.writes
-        if snapshots_enabled():
-            self._snapshot = capture(system)
-
-    def _build(self) -> Tuple[MemorySystem, RunOutcome]:
-        system, outcome = build_crashed_cold(
-            self.scheme,
-            self.faults,
-            seed=self.seed,
-            transactions=self.transactions,
-            addresses=self.addresses,
-        )
-        assert not outcome.power_lost
-        return system, outcome
-
-    def make(self) -> Tuple[MemorySystem, RunOutcome]:
-        """A fresh completed-workload system, GC not yet run."""
-        if self._snapshot is not None:
-            return self._snapshot.restore(), self.outcome
-        return self._build()
-
-
 # -- the sweep ----------------------------------------------------------------
 
 
@@ -442,7 +349,7 @@ def nested_sweep_scheme(
     idempotence_k: int = 2,
     artifact_dir: Optional[str] = None,
     state: Optional[SweepState] = None,
-    max_new_cases: int = 0,
+    max_new_cases: Optional[int] = None,
     progress=None,
 ) -> NestedSweepResult:
     """Run the nested-fault sweep for one scheme.
@@ -455,65 +362,26 @@ def nested_sweep_scheme(
     burst.  Every case checks atomic durability plus ``idempotence_k``
     extra crash+recover cycles for bit-identical durable state.
 
-    ``state`` (a :class:`SweepState`) makes the sweep resumable;
-    ``max_new_cases`` (>0) stops after that many fresh verdicts by
-    raising through — callers treat it as a clean early exit.
+    ``state`` (a :class:`SweepState`) makes the sweep resumable.
+    ``max_new_cases`` (``None`` = unlimited) stops the sweep before its
+    first fresh verdict beyond that many and sets ``exhausted`` on the
+    result — the CLI's ``--max-cases`` smoke/resume hook.
     """
-    result, _ = _nested_sweep_counted(
-        scheme,
-        seed=seed,
-        transactions=transactions,
-        addresses=addresses,
-        forward_sample=forward_sample,
-        nested_sample=nested_sample,
-        gc_sample=gc_sample,
-        torn_mode=torn_mode,
-        recovery_threads=recovery_threads,
-        idempotence_k=idempotence_k,
-        artifact_dir=artifact_dir,
-        state=state,
-        budget=[max_new_cases] if max_new_cases > 0 else None,
-        progress=progress,
-    )
-    return result
-
-
-def _nested_sweep_counted(
-    scheme: str,
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-    forward_sample: int,
-    nested_sample: int,
-    gc_sample: int,
-    torn_mode: str,
-    recovery_threads: int,
-    idempotence_k: int,
-    artifact_dir: Optional[str],
-    state: Optional[SweepState],
-    budget: Optional[List[int]],
-    progress=None,
-) -> Tuple[NestedSweepResult, bool]:
-    """Sweep body; returns ``(result, exhausted)``.
-
-    ``budget`` is a shared one-element countdown of new verdicts across
-    schemes (``None`` = unlimited); ``exhausted`` reports whether it ran
-    out mid-sweep (the CLI's ``--max-cases`` smoke/resume hook).
-    """
+    remaining = max_new_cases
 
     def _settle(case_key: str, compute) -> Tuple[NestedCaseResult, bool]:
         """Resume-aware case execution: journal hit, or compute+record."""
+        nonlocal remaining
         if state is not None:
             cached = state.lookup(scheme, case_key)
             if cached is not None:
                 return cached, True
-        if budget is not None and budget[0] <= 0:
-            raise SweepBudgetExhausted()
+        if remaining is not None:
+            if remaining <= 0:
+                raise SweepBudgetExhausted()
+            remaining -= 1
         case = compute()
         assert case.key() == case_key, (case.key(), case_key)
-        if budget is not None:
-            budget[0] -= 1
         if state is not None:
             state.record(scheme, case)
         _report_case(
@@ -529,43 +397,28 @@ def _nested_sweep_counted(
         )
         return case, False
 
-    # Probe the forward run (on the forward sweep's cursor when
-    # snapshots are on: phase 1's boundaries ascend).
-    cursor: Optional[ForwardCursor] = None
-    if snapshots_enabled():
-        cursor = forward_cursor(
-            scheme, seed=seed, transactions=transactions, addresses=addresses
-        )
-        total = cursor.total_writes
-    else:
-        total = count_write_boundaries(
-            scheme, seed=seed, transactions=transactions, addresses=addresses
-        )
+    # Phase 1's boundaries ascend, so it runs on the forward sweep's
+    # cursor.
+    build = partial(
+        build_workload, scheme, seed=seed, transactions=transactions,
+        addresses=addresses,
+    )
+    cursor = forward_cursor(build, seed)
+    total = cursor.total_writes
     result = NestedSweepResult(scheme=scheme, total_writes=total)
-    exhausted = False
 
     try:
         # -- phase 1: crash during recovery ---------------------------------
         forward_boundaries = choose_boundaries(total, forward_sample, seed)
         for boundary in forward_boundaries:
             torn = _torn_for(boundary, torn_mode)
-            faults = FaultConfig(
-                enabled=True,
-                seed=seed ^ (boundary << 8),
-                power_loss_after_write=boundary,
-                torn=torn,
+            system, outcome = build_crashed(
+                build, cursor, boundary_faults(seed, boundary, torn)
             )
-            factory = _CrashedFactory(
-                scheme,
-                faults,
-                seed=seed,
-                transactions=transactions,
-                addresses=addresses,
-                cursor=cursor,
-            )
+            system.crash()
+            crashed = capture(system)
             # Probe: ops one clean recovery performs from this state.
-            probe_sys, probe_outcome = factory.make()
-            ops = probe_recovery_ops(probe_sys, threads=recovery_threads)
+            ops = probe_recovery_ops(system, threads=recovery_threads)
             result.recovery_ops_probed = max(result.recovery_ops_probed, ops)
             nested_boundaries: List[Optional[int]]
             if ops > 0:
@@ -597,11 +450,11 @@ def _nested_sweep_counted(
                     nested_torn=nested_torn,
                     boundary=boundary,
                     torn=torn,
-                    factory=factory,
+                    crashed=crashed,
+                    outcome=outcome,
                 ):
-                    system, outcome = factory.make()
                     return run_nested_recovery_case(
-                        system,
+                        crashed.restore(),
                         outcome,
                         phase="recovery",
                         forward_boundary=boundary,
@@ -618,16 +471,16 @@ def _nested_sweep_counted(
 
         # -- phase 2: crash during GC / coalescing --------------------------
         clean = FaultConfig(enabled=True, seed=seed)
-        quiesced = _QuiescedFactory(
-            scheme,
-            clean,
-            seed=seed,
-            transactions=transactions,
+        system, outcome = build_crashed_cold(
+            scheme, clean, seed=seed, transactions=transactions,
             addresses=addresses,
         )
-        gc_probe, _ = quiesced.make()
-        gc_probe.scheme.quiesce(gc_probe.now_ns)
-        gc_writes = gc_probe.device.stats.writes - quiesced.base_writes
+        assert not outcome.power_lost
+        base_writes = system.device.stats.writes
+        quiesced = capture(system)
+        # Probe: writes one GC pass issues from the completed workload.
+        system.scheme.quiesce(system.now_ns)
+        gc_writes = system.device.stats.writes - base_writes
         if gc_writes > 0:
             for boundary in choose_boundaries(
                 gc_writes, gc_sample, seed ^ 0x6C
@@ -638,7 +491,7 @@ def _nested_sweep_counted(
                 ).key()
 
                 def _compute_gc(boundary=boundary, torn=torn):
-                    system, outcome = quiesced.make()
+                    system = quiesced.restore()
                     system.device.injector.arm_power_loss(
                         after_writes=boundary - 1, torn=torn
                     )
@@ -669,7 +522,7 @@ def _nested_sweep_counted(
         ).key()
 
         def _compute_media():
-            system, outcome = quiesced.make()
+            system = quiesced.restore()
             system.device.rearm(
                 _dc_replace(
                     clean,
@@ -702,9 +555,9 @@ def _nested_sweep_counted(
         result.cases.append(case)
         result.skipped += int(from_state)
     except SweepBudgetExhausted:
-        exhausted = True
+        result.exhausted = True
 
-    return result, exhausted
+    return result
 
 
 def _report_case(
@@ -767,12 +620,7 @@ def nested_case_artifact(
     elif case.phase == "gc":
         faults = FaultConfig(enabled=True, seed=seed, torn=case.torn)
     else:
-        faults = FaultConfig(
-            enabled=True,
-            seed=seed ^ (case.forward_boundary << 8),
-            power_loss_after_write=case.forward_boundary,
-            torn=case.torn,
-        )
+        faults = boundary_faults(seed, case.forward_boundary, case.torn)
     return CrashArtifact(
         scheme=scheme,
         faults=faults,

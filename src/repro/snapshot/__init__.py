@@ -66,7 +66,6 @@ which is how new simulator state is forced to declare itself.
 from __future__ import annotations
 
 import enum
-import os
 import random
 import sys
 import types
@@ -78,7 +77,6 @@ __all__ = [
     "capture",
     "restore",
     "clone_state",
-    "snapshots_enabled",
     "unregistered_classes",
     "reset_unregistered",
 ]
@@ -124,11 +122,6 @@ def unregistered_classes() -> frozenset:
 def reset_unregistered() -> None:
     """Clear the unregistered-class record (test isolation)."""
     _UNREGISTERED.clear()
-
-
-def snapshots_enabled() -> bool:
-    """False when ``REPRO_SNAPSHOT_DISABLE=1`` forces cold reruns."""
-    return os.environ.get("REPRO_SNAPSHOT_DISABLE", "") not in ("1", "true")
 
 
 class _Plan:

@@ -1,5 +1,10 @@
 """Incremental replay built on snapshot forks.
 
+A workload is data: a list of :data:`TxnRecord` bound to heap addresses
+once, and :func:`run_txns` is the one loop that executes it until done
+or power loss — on a fresh machine (artifact ``--replay``), on the
+cursor's live machine, on its forks, and in the fuzzer's prefix cache.
+
 Two consumers turn :mod:`repro.snapshot` clones into incremental
 replay:
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import replace as _dc_replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
@@ -42,11 +47,31 @@ from repro.snapshot import Snapshot, clone_state
 TxnRecord = Tuple[int, List[Tuple[int, bytes]]]
 
 
-def _run_txn(system: Any, txn: TxnRecord) -> None:
-    core, stores = txn
-    with system.transaction(core) as tx:
-        for addr, value in stores:
-            tx.store(addr, value)
+def run_txns(
+    system: Any, txns: Iterable[TxnRecord]
+) -> Tuple[Dict[int, bytes], Dict[int, bytes], bool]:
+    """Run ``txns`` on ``system`` until done or power loss.
+
+    Returns ``(oracle, staged, power_lost)``: ``oracle`` holds the words
+    of transactions whose ``with`` block exited (commit returned),
+    duplicates collapsed last-wins; ``staged`` those of the one that was
+    open — or mid-commit, or whose post-commit GC tick died — when the
+    power failed (empty when every transaction ran).  The verifier
+    decides which side of the commit point that transaction landed on.
+    """
+    oracle: Dict[int, bytes] = {}
+    staged: Dict[int, bytes] = {}
+    try:
+        for core, stores in txns:
+            with system.transaction(core) as tx:
+                for addr, value in stores:
+                    tx.store(addr, value)
+                    staged[addr] = value
+            oracle.update(staged)
+            staged = {}
+    except PowerLossError:
+        return oracle, staged, True
+    return oracle, staged, False
 
 
 class ForwardCursor:
@@ -72,22 +97,20 @@ class ForwardCursor:
         self.writes_before: List[int] = []
         for txn in txns:
             self.writes_before.append(stats.writes)
-            _run_txn(probe, txn)
+            run_txns(probe, (txn,))
         self.total_writes: int = stats.writes
 
     def crash_at(
         self, faults: FaultConfig
-    ) -> Optional[Tuple[Any, Dict[int, bytes], Dict[int, bytes]]]:
+    ) -> Optional[Tuple[Any, Dict[int, bytes], Dict[int, bytes], bool]]:
         """Fork the machine and run it into ``faults``' power cut.
 
-        Returns ``(system, oracle, staged)`` exactly as a cold run under
-        ``faults`` leaves them before ``crash()``: ``oracle`` holds the
-        words of transactions whose commit returned, ``staged`` those of
-        the one that was open when the power failed (empty when the
-        workload outran the budget).  ``None`` when the boundary lies
-        below the first transaction's starting count (possible only if
-        system construction itself issued timed writes); callers fall
-        back to a cold run.
+        Returns ``(system, oracle, staged, power_lost)`` exactly as
+        :func:`run_txns` under ``faults`` on a fresh machine leaves them
+        before ``crash()``.  ``None`` when the boundary lies below the
+        first transaction's starting count (possible only if system
+        construction itself issued timed writes); callers fall back to
+        a fresh machine.
         """
         boundary = faults.power_loss_after_write
         if boundary < self._last_boundary:
@@ -100,9 +123,8 @@ class ForwardCursor:
         if start < 0:
             return None
         live = self._system
-        for txn in self._txns[self._next : start]:
-            _run_txn(live, txn)
-            self._oracle.update(txn[1])  # duplicates collapse last-wins
+        committed, _, _ = run_txns(live, self._txns[self._next : start])
+        self._oracle.update(committed)
         self._next = start  # never moves back: boundaries ascend
         fork = Snapshot(live).restore()
         # A fresh injector armed with the residual budget: its PRNG
@@ -114,19 +136,8 @@ class ForwardCursor:
                 power_loss_after_write=boundary - self.writes_before[start],
             )
         )
-        oracle = dict(self._oracle)
-        staged: Dict[int, bytes] = {}
-        try:
-            for core, stores in self._txns[start:]:
-                with fork.transaction(core) as tx:
-                    for addr, value in stores:
-                        tx.store(addr, value)
-                        staged[addr] = value
-                oracle.update(staged)
-                staged = {}
-        except PowerLossError:
-            pass
-        return fork, oracle, staged
+        oracle, staged, power_lost = run_txns(fork, self._txns[start:])
+        return fork, {**self._oracle, **oracle}, staged, power_lost
 
 
 class TraceReplayCache:

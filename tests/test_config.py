@@ -143,7 +143,7 @@ def test_small_config_is_consistent():
 
 
 def test_environment_knobs_and_process_supervisors_are_pinned():
-    """``src/`` reads two environment variables and forks nothing.
+    """``src/`` reads one environment variable and forks nothing.
 
     Each ``REPRO_*`` read is a configuration axis no report records, and
     a process pool is a subsystem of its own (the last one was deleted
@@ -163,5 +163,5 @@ def test_environment_knobs_and_process_supervisors_are_pinned():
         text = path.read_text()
         knobs.update(env_read.findall(text))
         pools += [(path.name, m) for m in pool_import.findall(text)]
-    assert knobs == {"REPRO_CHECK_INVARIANTS", "REPRO_SNAPSHOT_DISABLE"}
+    assert knobs == {"REPRO_CHECK_INVARIANTS"}
     assert pools == []

@@ -11,6 +11,8 @@ that tear the commit-log tail.
 import pytest
 
 from repro import FaultConfig, crashtest
+from repro.crashtest import nested
+from repro.crashtest.__main__ import main
 from repro.faults.plan import (
     CrashArtifact,
     load_artifact,
@@ -18,6 +20,7 @@ from repro.faults.plan import (
     plan_to_dict,
     save_artifact,
 )
+from repro.snapshot.replay import run_txns
 
 
 def _plan(boundary, *, seed=7, torn=False):
@@ -27,6 +30,17 @@ def _plan(boundary, *, seed=7, torn=False):
         power_loss_after_write=boundary,
         torn=torn,
     )
+
+
+def _total_writes(scheme, *, seed, transactions, addresses):
+    """Timed writes of the fault-free workload on a fresh armed system."""
+    system, txns = crashtest.build_workload(
+        scheme, FaultConfig(enabled=True, seed=seed), seed=seed,
+        transactions=transactions, addresses=addresses,
+    )
+    _, _, power_lost = run_txns(system, txns)
+    assert not power_lost
+    return system.device.stats.writes
 
 
 class TestBoundaries:
@@ -43,12 +57,8 @@ class TestBoundaries:
         assert len(a) <= 22
 
     def test_probe_counts_are_stable(self):
-        w1 = crashtest.count_write_boundaries(
-            "hoop", seed=7, transactions=20, addresses=8
-        )
-        w2 = crashtest.count_write_boundaries(
-            "hoop", seed=7, transactions=20, addresses=8
-        )
+        w1 = _total_writes("hoop", seed=7, transactions=20, addresses=8)
+        w2 = _total_writes("hoop", seed=7, transactions=20, addresses=8)
         assert w1 == w2 > 0
 
 
@@ -71,24 +81,17 @@ class TestCaseDeterminism:
 class TestVerifier:
     def test_detects_lost_committed_word(self):
         kwargs = dict(seed=7, transactions=30, addresses=8)
-        faults = _plan(20)
-        system = crashtest._build_system("hoop", faults)
-        outcome = crashtest.run_workload(system, **kwargs)
+        system, txns = crashtest.build_workload("hoop", _plan(20), **kwargs)
+        oracle, staged, _ = run_txns(system, txns)
         system.crash()
         system.recover(threads=2)
-        assert (
-            crashtest.verify_atomic_durability(
-                system, outcome.oracle, outcome.staged
-            )
-            is None
-        )
+        verify = crashtest.verify_atomic_durability
+        assert verify(system, oracle, staged) is None
         # Corrupt one committed word behind recovery's back: the
         # verifier must notice.
-        victim = next(iter(outcome.oracle))
+        victim = next(iter(oracle))
         system.device.poke(victim, b"\xff" * 8)
-        failure = crashtest.verify_atomic_durability(
-            system, outcome.oracle, outcome.staged
-        )
+        failure = verify(system, oracle, staged)
         assert failure and "committed words lost" in failure
 
 
@@ -100,7 +103,7 @@ class TestParallelRecovery:
         commit-log tail mid-flush (torn=True sweeps every boundary, so
         commit-log writes are among the fatal ones)."""
         kwargs = dict(seed=7, transactions=30, addresses=8)
-        total = crashtest.count_write_boundaries("hoop", **kwargs)
+        total = _total_writes("hoop", **kwargs)
         boundaries = crashtest.choose_boundaries(total, 12, seed=3)
         for boundary in boundaries:
             plan = _plan(boundary, torn=torn)
@@ -152,6 +155,33 @@ class TestArtifacts:
         replayed = crashtest.replay_artifact(loaded)
         assert replayed.failure == case.failure
         assert replayed.fingerprint == case.fingerprint
+
+    @pytest.mark.parametrize("phase", ["forward", "gc"])
+    def test_cli_replay_reports_and_exit_status(self, phase, tmp_path, capsys):
+        kwargs = dict(seed=7, transactions=12, addresses=6)
+        if phase == "forward":
+            plan = _plan(9, torn=True)
+            case = crashtest.run_case("hoop", plan, **kwargs)
+            artifact = CrashArtifact(
+                scheme="hoop", faults=plan, workload_seed=7,
+                transactions=12, addresses=6, failure=case.failure,
+                fingerprint=case.fingerprint,
+            )
+        else:
+            case = nested.NestedCaseResult(
+                "gc", 2, None, True, False, 0, None, ""
+            )
+            artifact = nested.nested_case_artifact("hoop", case, **kwargs)
+        path = save_artifact(artifact, tmp_path / "case.json")
+        assert main(["--replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[crashtest]   recorded: pass" in out
+        assert "[crashtest]   replayed: pass" in out
+        assert "replay reproduced the recorded outcome" in out
+        artifact.fingerprint = "tampered"
+        save_artifact(artifact, path)
+        assert main(["--replay", str(path)]) == 1
+        assert "REPLAY DIVERGED" in capsys.readouterr().err
 
     def test_newer_artifact_version_is_refused(self):
         payload = CrashArtifact(

@@ -19,6 +19,7 @@ this file:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -35,9 +36,27 @@ from repro.core.slices import AddressSlice, AddressSliceEntry, SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.snapshot import Snapshot, clone_state
-from repro.snapshot.replay import ForwardCursor
+from repro.snapshot.replay import ForwardCursor, run_txns
 
 ALL_SCHEMES = sorted(crashtest.SWEEP_SCHEMES.values())
+
+
+def _machine(scheme, transactions, seed=7, addresses=12):
+    """A fault-free machine after ``transactions`` committed transactions.
+
+    Built on the fault device with nothing armed, like a cursor's.
+    """
+    system, txns = crashtest.build_workload(
+        scheme, FaultConfig(enabled=True, seed=seed), seed=seed,
+        transactions=transactions, addresses=addresses,
+    )
+    _, _, power_lost = run_txns(system, txns)
+    assert not power_lost
+    return system
+
+
+def _no_fallback(faults):
+    raise AssertionError("cursor fell back to cold")
 
 
 def _plan(seed, boundary, torn):
@@ -65,9 +84,11 @@ class TestCursorMatchesCold:
         self, scheme, seed, transactions, torn_mode, data
     ):
         kwargs = dict(seed=seed, transactions=transactions, addresses=6)
-        cursor = crashtest.forward_cursor(scheme, **kwargs)
+        cursor = crashtest.forward_cursor(
+            partial(crashtest.build_workload, scheme, **kwargs), seed
+        )
         total = cursor.total_writes
-        assert total == crashtest.count_write_boundaries(scheme, **kwargs)
+        assert total == _machine(scheme, **kwargs).device.stats.writes
         # A boundary equal to a transaction's starting count forks with
         # zero residual: the very next write dies.
         starts = sorted({w for w in cursor.writes_before if w >= 1})
@@ -78,21 +99,20 @@ class TestCursorMatchesCold:
             faults = _plan(
                 seed, boundary, crashtest._torn_for(boundary, torn_mode)
             )
-            with mock.patch.object(
-                crashtest,
-                "build_crashed_cold",
-                side_effect=AssertionError("cursor fell back to cold"),
-            ):
-                system, outcome = crashtest.build_crashed(
-                    scheme, faults, cursor, **kwargs
-                )
+            system, outcome = crashtest.build_crashed(
+                _no_fallback, cursor, faults
+            )
             got = crashtest._finish_case(system, faults, outcome, 2)
             want = crashtest.run_case(scheme, faults, **kwargs)
             assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
     def test_descending_boundary_raises(self):
         cursor = crashtest.forward_cursor(
-            "hoop", seed=3, transactions=6, addresses=4
+            partial(
+                crashtest.build_workload, "hoop", seed=3, transactions=6,
+                addresses=4,
+            ),
+            3,
         )
         assert cursor.crash_at(_plan(3, 9, False)) is not None
         assert cursor.crash_at(_plan(3, 9, True)) is not None  # equal is fine
@@ -116,7 +136,7 @@ class TestCursorMatchesCold:
         faults = _plan(3, 1, True)
         assert cursor.crash_at(faults) is None
         got, outcome = crashtest.build_crashed(
-            "hoop", faults, cursor, **kwargs
+            partial(crashtest.build_workload, "hoop", **kwargs), cursor, faults
         )
         assert got is not system
         case = crashtest._finish_case(got, faults, outcome, 2)
@@ -127,18 +147,6 @@ class TestCursorMatchesCold:
 
 
 # -- (b) what a fork copies -----------------------------------------------------
-
-
-def _machine(scheme, transactions, seed=7):
-    """A fault-free machine after ``transactions`` committed transactions."""
-    system = crashtest._build_system(
-        scheme, FaultConfig(enabled=True, seed=seed)
-    )
-    outcome = crashtest.run_workload(
-        system, seed=seed, transactions=transactions, addresses=12
-    )
-    assert not outcome.power_lost
-    return system
 
 
 def _objects_cloned(system) -> int:

@@ -172,10 +172,12 @@ class TestNestedSweep:
             "osp", state=state, max_new_cases=3, **kwargs
         )
         assert len(partial.cases) == 3
+        assert partial.exhausted
         # ...then resume from the journal on disk.
         state = SweepState.open(state_path, params, resume=True)
         resumed = nested_sweep_scheme("osp", state=state, **kwargs)
         assert resumed.skipped == 3
+        assert not resumed.exhausted
         assert [c.to_dict() for c in resumed.cases] == [
             c.to_dict() for c in cold.cases
         ]

@@ -26,6 +26,7 @@ from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
 from repro.snapshot import capture, clone_state
+from repro.snapshot.replay import run_txns
 from repro.txn.system import MemorySystem
 
 # -- (a) poke_batch == one poke per element ------------------------------------
@@ -284,8 +285,10 @@ def test_a_rescan_parses_only_the_suffix():
 
 def test_snapshot_forks_share_one_memo_and_a_fresh_build_starts_empty():
     faults = FaultConfig(enabled=True, seed=1)
-    system = crashtest._build_system("opt-redo", faults)
-    crashtest.run_workload(system, seed=1, transactions=10, addresses=4)
+    system, txns = crashtest.build_workload(
+        "opt-redo", faults, seed=1, transactions=10, addresses=4
+    )
+    run_txns(system, txns)
     memo = system.scheme.log._scan_memo
     snapshot = capture(system)
     forks = [snapshot.restore() for _ in range(2)]

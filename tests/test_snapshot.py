@@ -7,23 +7,29 @@ These tests pin that gate for every registry scheme, exercise the
 fault-injector countdown (a snapshot captured mid-fault must replay the
 same remaining-writes budget, torn-word RNG included), cover the
 boundary-equals-a-transaction's-starting-write-count edge (zero
-residual budget), and check that the forked crash sweep, the oracle's
-crash phase, and the fuzzer's prefix-replay cache all match their
-cold-rerun counterparts (``tests/test_forward_cursor.py`` holds the
+residual budget), and check that the forked crash sweep, the nested
+sweep, the oracle's crash phase, and the fuzzer's prefix-replay cache
+all match their cold counterparts — the artifact replay each forked
+verdict must reproduce (``tests/test_forward_cursor.py`` holds the
 cursor's own properties).
 """
 
 import dataclasses
+from functools import partial
+from unittest import mock
 
 import pytest
 
 from repro import FaultConfig, crashtest, snapshot
-from repro.check import fuzz
-from repro.check.oracle import build_system, run_check_matrix
+from repro.check import fuzz, oracle
+from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import generate_trace
+from repro.common.config import SystemConfig
 from repro.common.errors import PowerLossError
+from repro.crashtest import nested
 from repro.faults.injector import FaultyNVMDevice
+from repro.faults.plan import CrashArtifact
 from repro.schemes import ALL_SCHEME_NAMES
 from repro.snapshot import capture, clone_state
 
@@ -169,28 +175,59 @@ class TestMidFaultCountdown:
         device.write(0, b"\x03" * 64)
 
 
+def _assert_cases_equal_run_case(scheme, sample, **kwargs):
+    """Every forked sweep case equals the cold replay of its own plan."""
+    result = crashtest.sweep_scheme(scheme, sample=sample, **kwargs)
+    assert result.cases
+    for case in result.cases:
+        faults = crashtest.boundary_faults(
+            kwargs["seed"], case.boundary, case.torn
+        )
+        assert crashtest.run_case(scheme, faults, **kwargs) == case
+    return result
+
+
 class TestIncrementalSweepEquivalence:
-    """The forked sweep's verdicts are bit-identical to cold."""
+    """Forked verdicts are bit-identical to the cold artifact replay."""
 
-    KWARGS = dict(seed=11, transactions=12, addresses=6, sample=0)
+    KWARGS = dict(seed=11, transactions=12, addresses=6)
 
-    @staticmethod
-    def _verdicts(result):
-        return (
-            result.total_writes,
-            [
-                (c.boundary, c.torn, c.failure, c.fingerprint, c.committed)
-                for c in result.cases
-            ],
+    def test_exhaustive_sweep_matches_cold(self):
+        result = _assert_cases_equal_run_case("hoop", 0, **self.KWARGS)
+        assert len(result.cases) == result.total_writes
+        assert not result.failures
+
+    @pytest.mark.parametrize(
+        "scheme", sorted(crashtest.SWEEP_SCHEMES.values())
+    )
+    def test_sampled_sweep_matches_cold_on_every_scheme(self, scheme):
+        _assert_cases_equal_run_case(
+            scheme, 40, seed=11, transactions=24, addresses=12
         )
 
-    def test_exhaustive_sweep_matches_cold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", "1")
-        cold = crashtest.sweep_scheme("hoop", **self.KWARGS)
-        monkeypatch.delenv("REPRO_SNAPSHOT_DISABLE")
-        incremental = crashtest.sweep_scheme("hoop", **self.KWARGS)
-        assert self._verdicts(incremental) == self._verdicts(cold)
-        assert not incremental.failures
+    @pytest.mark.parametrize("scheme", ["hoop", "hoop-mc", "osp"])
+    def test_nested_cases_replay_from_their_artifacts(self, scheme):
+        # Every phase's artifact — the gc boundary travels in a note —
+        # must survive the JSON form and replay cold to the same case.
+        kwargs = dict(
+            seed=11,
+            transactions=24,
+            addresses=12,
+            recovery_threads=2,
+            idempotence_k=2,
+        )
+        result = nested.nested_sweep_scheme(
+            scheme, forward_sample=3, nested_sample=3, gc_sample=3,
+            **kwargs,
+        )
+        assert {c.phase for c in result.cases} == {
+            "recovery", "gc", "gc-media",
+        }
+        for case in result.cases:
+            artifact = CrashArtifact.from_dict(
+                nested.nested_case_artifact(scheme, case, **kwargs).to_dict()
+            )
+            assert nested.replay_nested_artifact(artifact) == case
 
     def test_some_boundary_equals_a_tx_start_count(self):
         # The exhaustive sweep above includes every write boundary, so
@@ -198,10 +235,8 @@ class TestIncrementalSweepEquivalence:
         # write count shows the zero-residual edge (fork, then the very
         # next write dies) was exercised end to end.
         cursor = crashtest.forward_cursor(
-            "hoop",
-            seed=self.KWARGS["seed"],
-            transactions=self.KWARGS["transactions"],
-            addresses=self.KWARGS["addresses"],
+            partial(crashtest.build_workload, "hoop", **self.KWARGS),
+            self.KWARGS["seed"],
         )
         assert len(cursor.writes_before) == self.KWARGS["transactions"]
         exact = [
@@ -211,14 +246,35 @@ class TestIncrementalSweepEquivalence:
         ]
         assert exact, "no boundary equals a transaction's starting count"
 
-    def test_oracle_matrix_matches_cold(self, monkeypatch):
-        kwargs = dict(seed=7, transactions=10, slots=6, crash_sample=5)
-        monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", "1")
-        cold = run_check_matrix(["hoop", "opt-undo"], **kwargs)
-        monkeypatch.delenv("REPRO_SNAPSHOT_DISABLE")
-        incremental = run_check_matrix(["hoop", "opt-undo"], **kwargs)
-        assert incremental.render() == cold.render()
-        assert cold.ok and incremental.ok
+    def test_oracle_matrix_matches_cold(self):
+        # Each forked crash case of the oracle equals the trace rerun
+        # cold on a fresh machine under the same plan.
+        trace = generate_trace(
+            7, transactions=10, slots=6, cores=SystemConfig.small().num_cores
+        )
+        for scheme in ("hoop", "opt-undo"):
+            forked = []
+
+            def spy(*args, **kwargs):
+                for faults, case in crashtest.sweep_cases(*args, **kwargs):
+                    forked.append(case)
+                    yield faults, case
+
+            with mock.patch.object(oracle, "sweep_cases", spy):
+                report = oracle.check_scheme(
+                    scheme, trace, crash_sample=5, seed=7
+                )
+            assert report.ok
+            assert report.crash_cases == len(forked) > 0
+            for case in forked:
+                faults = crashtest.boundary_faults(7, case.boundary, case.torn)
+                system = build_system(scheme, faults=faults)
+                cold = run_trace(system, trace)
+                outcome = crashtest.RunOutcome(
+                    cold.oracle, cold.staged, cold.power_lost
+                )
+                got = crashtest._finish_case(system, faults, outcome, 2)
+                assert got == case
 
 
 class TestTraceReplayCache:
@@ -249,12 +305,3 @@ class TestTraceReplayCache:
         # and only executes the 3 transactions after the cut.
         cache.replay(trace.txns[:4] + trace.txns[5:])
         assert cache.replayed_txns == replayed + 3
-
-
-class TestEnvKnobs:
-    def test_snapshot_disable_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SNAPSHOT_DISABLE", raising=False)
-        assert snapshot.snapshots_enabled()
-        for value in ("1", "true"):
-            monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", value)
-            assert not snapshot.snapshots_enabled()
