@@ -19,7 +19,7 @@ references become reclaimable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.core.oop_region import OOPRegion
 from repro.core.slices import AddressSlice, AddressSliceEntry, SliceCodec
@@ -40,12 +40,68 @@ class _Page:
         return sum(1 for e in self.content.entries if not e.retired)
 
 
-@dataclass(frozen=True)
-class CommittedTx:
+class CommittedTx(NamedTuple):
     """A replayable transaction: its id and segment tails, oldest first."""
 
     tx_id: int
     segment_tails: Tuple[int, ...]
+
+
+class LogAnalysis:
+    """What commit-log pages say, folded one page at a time in log order.
+
+    Recovery keeps the analysis of a run of pages and folds only the
+    pages after it, into a ``copy``: a kept analysis is never folded into.
+    """
+
+    __slots__ = ("_txs", "_committed_ids", "open_segments", "known")
+
+    def __init__(self) -> None:
+        self._txs: Dict[int, CommittedTx] = {}  # unretired tails per tx
+        self._committed_ids: List[int] = []  # of committed entries, in order
+        # Uncommitted, unretired tails per tx: recovery adds a scanned
+        # STATE_LAST slice when the committed entry never reached a page.
+        self.open_segments: Dict[int, Tuple[int, ...]] = {}
+        self.known: Set[int] = set()  # every tx id in any page
+
+    def copy(self) -> "LogAnalysis":
+        """An analysis to fold more pages into; ``self`` stays as is."""
+        out = LogAnalysis.__new__(LogAnalysis)
+        out._txs = dict(self._txs)
+        out._committed_ids = list(self._committed_ids)
+        out.open_segments = dict(self.open_segments)
+        out.known = set(self.known)
+        return out
+
+    def fold(self, entries: Iterable[AddressSliceEntry]) -> None:
+        """Extend the analysis by one page's entries."""
+        txs = self._txs
+        open_segments = self.open_segments
+        known = self.known
+        for entry in entries:
+            tx_id = entry.tx_id
+            known.add(tx_id)
+            if entry.retired:
+                txs.pop(tx_id, None)
+                continue
+            tail = entry.tail_slice
+            tx = txs.get(tx_id)
+            txs[tx_id] = CommittedTx(
+                tx_id, (tail,) if tx is None else tx.segment_tails + (tail,)
+            )
+            if entry.committed:
+                self._committed_ids.append(tx_id)
+            else:
+                open_segments[tx_id] = open_segments.get(tx_id, ()) + (tail,)
+
+    def logged(self) -> List[CommittedTx]:
+        """Live (committed, unretired) transactions in commit order.
+
+        A transaction is included iff its final entry carries the
+        ``committed`` bit and is not retired; its tails oldest first.
+        """
+        txs = self._txs
+        return [txs[tx_id] for tx_id in self._committed_ids if tx_id in txs]
 
 
 class CommitLog:
@@ -145,49 +201,12 @@ class CommitLog:
 
     # -- consumers (GC, recovery) ------------------------------------------------
 
-    def committed_transactions(self) -> List[CommittedTx]:
-        """Live (committed, unretired) transactions in commit order.
-
-        A transaction is included iff its final entry carries the
-        ``committed`` bit and is not retired; its segment tails are
-        returned in append (oldest-first) order.
-        """
-        segments: Dict[int, List[int]] = {}
-        committed_ids: List[int] = []
+    def analyse(self) -> LogAnalysis:
+        """The volatile pages' committed, open and known transactions."""
+        analysis = LogAnalysis()
         for page in self._pages:
-            for entry in page.content.entries:
-                if entry.retired:
-                    segments.pop(entry.tx_id, None)
-                    continue
-                segments.setdefault(entry.tx_id, []).append(entry.tail_slice)
-                if entry.committed:
-                    committed_ids.append(entry.tx_id)
-        return [
-            CommittedTx(tx_id, tuple(segments[tx_id]))
-            for tx_id in committed_ids
-            if tx_id in segments
-        ]
-
-    def known_tx_ids(self) -> set:
-        """Every transaction id appearing in any page (recovery dedupe)."""
-        out = set()
-        for page in self._pages:
-            for entry in page.content.entries:
-                out.add(entry.tx_id)
-        return out
-
-    def open_segments(self) -> Dict[int, List[int]]:
-        """Uncommitted, unretired segment tails per transaction.
-
-        Recovery combines these with a transaction's scanned STATE_LAST
-        slice when the final (committed) entry never reached a page.
-        """
-        out: Dict[int, List[int]] = {}
-        for page in self._pages:
-            for entry in page.content.entries:
-                if not entry.committed and not entry.retired:
-                    out.setdefault(entry.tx_id, []).append(entry.tail_slice)
-        return out
+            analysis.fold(page.content.entries)
+        return analysis
 
     def retire(self, tx_ids: Iterable[int], now_ns: float) -> float:
         """Mark transactions migrated; rewrites each affected page durably.
@@ -267,6 +286,6 @@ class CommitLog:
         self._next_sequence = 0
 
 # -- snapshot declarations ----------------------------------------------------
-# CommittedTx is a frozen record built on demand; _Page and CommitLog
+# CommittedTx is an immutable record built on demand; _Page and CommitLog
 # declare theirs in the class body (CommitLog also needs a fixup).
 CommittedTx.__snapshot_state__ = "__atom__"

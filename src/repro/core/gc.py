@@ -208,7 +208,7 @@ class GarbageCollector:
         # interleaved multi-core chains straddle block boundaries, so the
         # first non-collectable transaction ends this round's window.
         prefix: List[CommittedTx] = []
-        for tx in self.commit_log.committed_transactions():
+        for tx in self.commit_log.analyse().logged():
             blocks = self.refs.blocks_of(tx.tx_id)
             if not blocks.issubset(collectable):
                 break

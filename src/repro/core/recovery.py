@@ -26,12 +26,13 @@ scaling saturates once ``threads × per-thread rate`` exceeds the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import CorruptionError
 from repro.common.units import bytes_per_ns_from_gbps
-from repro.core.commit_log import CommitLog, CommittedTx
+from repro.core.commit_log import CommitLog, CommittedTx, LogAnalysis
 from repro.core.gc import RETIRE_WATERMARK_ADDR
 from repro.core.oop_region import BlockState, OOPRegion
 from repro.core.slices import (
@@ -39,6 +40,7 @@ from repro.core.slices import (
     KIND_DATA,
     SLICE_BYTES,
     STATE_LAST,
+    AddressSlice,
     DataSlice,
     SliceCodec,
 )
@@ -79,13 +81,15 @@ class BlockReader:
     effects to distort.  ``decoded`` holds the data slices
     :meth:`RecoveryManager.scan` decoded from these buffers whose
     generation matches their block's, by slice index, so the chain walk
-    reads them without decoding them again.
+    reads them without decoding them again.  ``walked`` maps each block
+    a chain walk read to one past the last slot it read there.
     """
 
     def __init__(self, region: OOPRegion) -> None:
         self.region = region
         self._blocks: Dict[int, bytes] = {}
         self.decoded: Dict[int, DataSlice] = {}
+        self.walked: Dict[int, int] = {}
 
     def block_buf(self, block: int) -> bytes:
         """A whole block's bytes, header slice included."""
@@ -105,9 +109,9 @@ class BlockReader:
         return self.block_buf(block)[offset : offset + SLICE_BYTES]
 
     def slices_of_kind(
-        self, block: int, kind: int
+        self, block: int, kind: int, first_slot: int = 0
     ) -> Iterator[Tuple[int, bytes]]:
-        """``(slice_index, raw)`` of the block's slots tagged ``kind``.
+        """``(slice_index, raw)`` of the slots from ``first_slot`` tagged ``kind``.
 
         The tags (every slot's last byte) come out in one strided slice,
         so free slots — most of a commit-log block — are never cut out.
@@ -116,7 +120,7 @@ class BlockReader:
         kinds = buf[2 * SLICE_BYTES - 1 :: SLICE_BYTES].translate(_KIND_OF_TAG)
         base_index = block * self.region.slots_per_block
         wanted = bytes((kind,))
-        slot = kinds.find(wanted)
+        slot = kinds.find(wanted, first_slot)
         while slot >= 0:
             offset = (slot + 1) * SLICE_BYTES
             yield base_index + slot, buf[offset : offset + SLICE_BYTES]
@@ -131,6 +135,74 @@ class RegionScan:
     logged: List[CommittedTx]  # durable, unretired commit-log entry
     unlogged: List[CommittedTx]  # known only by a STATE_LAST data slice
     bytes_scanned: int
+
+
+def _equal_slots(buf: bytes, old: bytes, slots: int) -> int:
+    """How many of the first ``slots`` slots two block buffers share.
+
+    One compare when all of them match (a block that only grew), a
+    binary search for the longest equal run otherwise.
+    """
+    view = memoryview(old)
+    low, high, mid = 0, slots, slots
+    while low < high:
+        if buf.startswith(view[SLICE_BYTES : (mid + 1) * SLICE_BYTES], SLICE_BYTES):
+            low = mid
+        else:
+            high = mid - 1
+        mid = (low + high + 1) // 2
+    return low
+
+
+class _BlockScan(NamedTuple):
+    """What a scan read of one block, and what it found there."""
+
+    generation: int
+    stream: str
+    buf: bytes  # the whole block, as that scan peeked it
+    end: int  # the scan read slots [0, end)
+    # In slot order: ``(slice_index, ds)`` per data slice of the block's
+    # generation, ``(slice_index, raw, entries, sequence)`` per page.
+    found: list
+
+
+class _Fold(NamedTuple):
+    """Steps 2-4's state after dealing ``committed``; never changed.
+
+    ``walked`` maps every block a chain walk read to its generation, its
+    bytes and one past the last slot walked there: the walks, and so
+    the fold, are a pure function of those slots.
+    """
+
+    threads: int
+    committed: List[CommittedTx]
+    merged: Dict[int, bytes]
+    shards: List[Dict[int, bytes]]
+    per_thread_txs: List[int]
+    slices_walked: int
+    walked: Dict[int, Tuple[int, bytes, int]]
+
+
+class _RecoveryMemo:
+    """Per block the last scan's finds, a page run's analysis, the fold.
+
+    Each keeps the bytes it was derived from and is reused only over the
+    longest prefix of them still equal in the buffers a pass peeked; the
+    rest is derived as without the memo.  Snapshot forks of one machine
+    share it (``__shared__``); a freshly built manager starts empty.
+    """
+
+    __snapshot_state__ = "__shared__"
+
+    def __init__(self) -> None:
+        self.blocks: Dict[int, _BlockScan] = {}
+        self.pages: List[bytes] = []  # raw pages ``analysis`` folded, in order
+        self.analysis = LogAnalysis()
+        self.fold: Optional[_Fold] = None
+
+
+_SEQUENCE = itemgetter(3)  # of a found page
+_TX_ID = itemgetter(0)  # CommittedTx.tx_id
 
 
 class RecoveryManager:
@@ -154,6 +226,7 @@ class RecoveryManager:
         self.codec = codec
         self.commit_log = commit_log
         self.port = port
+        self._memo = _RecoveryMemo()
 
     # -- the functional pass ---------------------------------------------------
 
@@ -189,16 +262,15 @@ class RecoveryManager:
         bytes_scanned = len(busy_blocks) * SLICE_BYTES  # headers
         pages = []
         for block in busy_blocks:
-            if region.stream_of(block) != "addr":
-                continue
-            bytes_scanned += block_payload
-            for slice_index, raw in reader.slices_of_kind(block, KIND_ADDR):
-                try:
-                    pages.append((slice_index, self.codec.decode_addr(raw)))
-                except CorruptionError:
-                    continue  # torn commit-log rewrite: newest entry lost
-        self.commit_log.rebuild(pages)
-        logged = self.commit_log.committed_transactions()
+            if region.stream_of(block) == "addr":
+                bytes_scanned += block_payload
+                pages += self._scan_block(reader, block, "addr")
+        pages.sort(key=_SEQUENCE)  # log order (stable, as rebuild sorts)
+        self.commit_log.rebuild(
+            [(i, AddressSlice(list(entries), seq)) for i, _, entries, seq in pages]
+        )
+        analysis = self._analyse(pages)
+        logged = analysis.logged()
 
         # Commit entries are written lazily (the commit point is the
         # STATE_LAST data slice), so recent transactions may exist only in
@@ -209,8 +281,8 @@ class RecoveryManager:
         watermark = int.from_bytes(
             self.port.device.peek(RETIRE_WATERMARK_ADDR, 8), "little"
         )
-        finalized = {tx.tx_id for tx in logged}
-        open_segments = self.commit_log.open_segments()
+        finalized = set(map(_TX_ID, logged))
+        open_segments = analysis.open_segments
         # Transactions whose every durable commit entry carries the
         # retired bit were already migrated home by GC.  They can sit
         # *above* the durable watermark when a crash lands between the
@@ -219,26 +291,16 @@ class RecoveryManager:
         # scan would resurrect and re-replay them, and a second nested
         # crash during that replay could tear state GC had finished
         # with.  (Their data is durable: GC drains before it retires.)
-        retired_only = (
-            self.commit_log.known_tx_ids()
-            - finalized
-            - set(open_segments)
-        )
+        retired_only = analysis.known.difference(finalized, open_segments)
         unlogged = []
         decoded = reader.decoded
         for block in busy_blocks:
             if region.stream_of(block) != "data":
                 continue
-            generation = region.generation_of(block)
             bytes_scanned += block_payload
-            for slice_index, raw in reader.slices_of_kind(block, KIND_DATA):
-                try:
-                    ds = self.codec.decode_data(raw)
-                except CorruptionError:
-                    continue
-                if ds.generation != generation:
-                    continue
-                decoded[slice_index] = ds
+            found = self._scan_block(reader, block, "data")
+            decoded.update(found)
+            for slice_index, ds in found:
                 if (
                     ds.state != STATE_LAST
                     or ds.tx_id <= watermark
@@ -246,10 +308,72 @@ class RecoveryManager:
                     or ds.tx_id in retired_only
                 ):
                     continue
-                segments = open_segments.get(ds.tx_id, []) + [slice_index]
-                unlogged.append(CommittedTx(ds.tx_id, tuple(segments)))
+                tails = open_segments.get(ds.tx_id, ()) + (slice_index,)
+                unlogged.append(CommittedTx(ds.tx_id, tails))
                 finalized.add(ds.tx_id)
         return RegionScan(reader, logged, unlogged, bytes_scanned)
+
+    def _scan_block(self, reader: BlockReader, block: int, stream: str) -> list:
+        """A busy block's finds (see :class:`_BlockScan`), in slot order.
+
+        The memo's finds for the block, if of this generation and
+        stream, are kept over the longest run of leading slots whose
+        bytes are unchanged; only the slots after it are decoded.  The
+        list returned is the memo's, not the caller's to change.
+        """
+        generation = self.region.generation_of(block)
+        buf = reader.block_buf(block)
+        base = block * self.region.slots_per_block
+        first, found = 0, []
+        prior = self._memo.blocks.get(block)
+        if prior is not None and prior[:2] == (generation, stream):
+            first = _equal_slots(buf, prior.buf, prior.end)
+            found = list(prior.found)
+            while found and found[-1][0] >= base + first:
+                found.pop()
+        end = first
+        kind = KIND_ADDR if stream == "addr" else KIND_DATA
+        for slice_index, raw in reader.slices_of_kind(block, kind, first):
+            end = slice_index - base + 1
+            try:
+                if kind == KIND_DATA:
+                    ds = self.codec.decode_data(raw)
+                    if ds.generation == generation:
+                        found.append((slice_index, ds))
+                else:
+                    page = self.codec.decode_addr(raw)
+                    found.append(
+                        (slice_index, raw, tuple(page.entries), page.sequence)
+                    )
+            except CorruptionError:
+                continue  # a torn slot (a page: its newest entry is lost)
+        self._memo.blocks[block] = _BlockScan(generation, stream, buf, end, found)
+        return found
+
+    def _analyse(self, pages: list) -> LogAnalysis:
+        """The analysis of ``pages`` (found pages, in log order).
+
+        Resumes from the memo's when the pages it folded are a byte-equal
+        prefix, and keeps that of all but the last page: the one the next
+        crash case most often finds rewritten.
+        """
+        memo = self._memo
+        raws = [page[1] for page in pages]
+        done = len(memo.pages)
+        if raws[:done] == memo.pages:
+            analysis = memo.analysis
+        else:
+            analysis, done = LogAnalysis(), 0
+        keep = len(pages) - 1
+        if done < keep:
+            analysis = analysis.copy()
+            for page in pages[done:keep]:
+                analysis.fold(page[2])
+            memo.pages, memo.analysis, done = raws[:keep], analysis, keep
+        analysis = analysis.copy()
+        for page in pages[done:]:
+            analysis.fold(page[2])
+        return analysis
 
     def replay(
         self,
@@ -283,7 +407,7 @@ class RecoveryManager:
         committed = scan.logged + scan.unlogged
         if only_tx_ids is not None:
             committed = [tx for tx in committed if tx.tx_id in only_tx_ids]
-        committed.sort(key=lambda tx: tx.tx_id)
+        committed.sort(key=_TX_ID)
         report.committed_transactions = len(committed)
 
         # Steps 2-4: deal transactions round-robin to per-thread local
@@ -291,20 +415,33 @@ class RecoveryManager:
         # Transactions arrive in commit order and each one's words in
         # store order, so ``dict.update`` is that rule: a later write to
         # a word, by a later transaction or the same one, replaces it.
-        shards: List[Dict[int, bytes]] = [{} for _ in range(threads)]
-        merged: Dict[int, bytes] = {}
-        per_thread_txs = [0] * threads
+        # Dealing resumes after the transactions of the memo's fold, when
+        # that fold still holds (see _kept_fold).
+        reader, region = scan.reader, self.region
+        fold = self._kept_fold(reader, committed, threads)
+        shards = [dict(shard) for shard in fold.shards]
+        merged = dict(fold.merged)
+        per_thread_txs = list(fold.per_thread_txs)
         walk_tx = self.walk_tx
-        reader = scan.reader
-        slices_walked = 0
-        for seq, tx in enumerate(committed):
+        slices_walked = fold.slices_walked
+        start = len(fold.committed)
+        for seq, tx in enumerate(committed[start:], start):
             worker = seq % threads
             per_thread_txs[worker] += 1
             words, scanned = walk_tx(reader, tx)
             slices_walked += scanned
             shards[worker].update(words)
             merged.update(words)
-        report.per_thread_txs = per_thread_txs
+        if committed:  # a rerun over a cleared region keeps the last fold
+            walked = {
+                block: (region.generation_of(block), reader.block_buf(block), end)
+                for block, end in reader.walked.items()
+            }
+            self._memo.fold = _Fold(
+                threads, committed, merged, shards, per_thread_txs,
+                slices_walked, walked,
+            )
+        report.per_thread_txs = list(per_thread_txs)
         report.slices_walked = slices_walked
         report.bytes_scanned += slices_walked * SLICE_BYTES
         # The master fold takes one step per local entry.
@@ -317,11 +454,37 @@ class RecoveryManager:
 
         # Step 6: volatile structures and the OOP region are cleared.
         if clear_region:
-            self.region.clear(0.0)
+            region.clear(0.0)
             self.commit_log.clear()
 
         self._apply_time_model(report, merge_ops)
         return report
+
+    def _kept_fold(
+        self, reader: BlockReader, committed: List[CommittedTx], threads: int
+    ) -> _Fold:
+        """The memo's fold if it still holds, else an empty one.
+
+        It holds when ``committed`` extends the list it dealt, on as many
+        threads, and each block its walks read has their generation and
+        bytes still; its walks are then noted in ``reader.walked``.
+        """
+        kept = self._memo.fold
+        generation_of = self.region.generation_of
+        if (
+            kept is None
+            or kept.threads != threads
+            or committed[: len(kept.committed)] != kept.committed
+            or not all(
+                generation_of(block) == generation
+                and _equal_slots(reader.block_buf(block), buf, end) == end
+                for block, (generation, buf, end) in kept.walked.items()
+            )
+        ):
+            return _Fold(threads, [], {}, [{}] * threads, [0] * threads, 0, {})
+        for block, (_, _, end) in kept.walked.items():
+            reader.walked[block] = max(end, reader.walked.get(block, 0))
+        return kept
 
     def walk_tx(
         self, reader: BlockReader, tx: CommittedTx
@@ -330,17 +493,23 @@ class RecoveryManager:
 
         Slices come from ``reader.decoded`` when the scan kept them, and
         are decoded from the raw block otherwise.  A chain of one slice
-        returns that slice's ``words`` tuple as it is.
+        returns that slice's ``words`` tuple as it is.  Every slot read
+        is noted in ``reader.walked``.
         """
         decoded = reader.decoded
+        walked = reader.walked
         tx_id = tx.tx_id
-        total = self.region.num_blocks * self.region.slots_per_block
+        slots_per_block = self.region.slots_per_block
+        total = self.region.num_blocks * slots_per_block
         chain: List[DataSlice] = []  # newest first
         slices = 0
         for tail in reversed(tx.segment_tails):
             cursor: Optional[int] = tail
             while cursor is not None:
                 slices += 1
+                block, slot = divmod(cursor, slots_per_block)
+                if walked.get(block, 0) <= slot:
+                    walked[block] = slot + 1
                 ds = decoded.get(cursor)
                 if ds is None:
                     ds = self._decode_live(reader, cursor)

@@ -67,6 +67,15 @@ def _pad8(n: int) -> int:
     return (n + 7) & ~7
 
 
+class _Replayed(NamedTuple):
+    """:func:`replay_committed`'s fold after ``entries``, never changed."""
+
+    entries: Tuple[LogEntry, ...]
+    scanned: int
+    pending: Dict[int, Tuple[Tuple[int, bytes], ...]]  # data entries per tx
+    committed: List[int]  # commit records' tx ids, in log order
+
+
 class _ScanMemo:
     """The last valid prefix ``AppendLog.rebuild_and_scan`` parsed.
 
@@ -75,8 +84,9 @@ class _ScanMemo:
     scan is a pure function of the header's start and those bytes, so a
     later scan that finds the same start and a byte-equal span yields
     the same entries and reaches the same cursor without parsing them.
-    Snapshot forks of one machine share the memo (``__shared__``); a
-    freshly built log starts with an empty one.
+    ``replayed`` is :func:`replay_committed`'s fold of the entries of
+    its last scan.  Snapshot forks of one machine share the memo
+    (``__shared__``); a freshly built log starts with an empty one.
     """
 
     __snapshot_state__ = "__shared__"
@@ -86,6 +96,7 @@ class _ScanMemo:
         self.cursor = 0
         self.raw = b""
         self.entries: Tuple[LogEntry, ...] = ()
+        self.replayed = _Replayed((), 0, {}, [])
 
 
 class AppendLog:
@@ -360,22 +371,23 @@ def replay_committed(log: AppendLog, device, outcome: RecoveryOutcome) -> None:
     record the scan found, in commit order, as one ``poke_batch``;
     counts the rest as rolled back, fills ``outcome``'s byte and
     transaction counts (``elapsed_ns`` is the caller's) and resets the
-    log.
+    log.  The fold of the entries resumes from the scan memo's
+    ``replayed`` when the entries it folded are a prefix of this scan's.
     """
-    pending: Dict[int, List[Tuple[int, bytes]]] = {}
-    committed: List[int] = []
-    scanned = 0
+    entries = tuple(log.rebuild_and_scan())
+    done = log._scan_memo.replayed
+    if entries[: len(done.entries)] != done.entries:
+        done = _Replayed((), 0, {}, [])
+    scanned, pending = done.scanned, dict(done.pending)
+    committed = list(done.committed)
     header_size = _ENTRY_HEADER.size
-    for kind, tx_id, addr, payload, _ in log.rebuild_and_scan():
+    for kind, tx_id, addr, payload, _ in entries[len(done.entries) :]:
         scanned += header_size + ((len(payload) + 7) & ~7)  # total_bytes
         if kind == KIND_DATA:
-            writes = pending.get(tx_id)
-            if writes is None:
-                pending[tx_id] = [(addr, payload)]
-            else:
-                writes.append((addr, payload))
+            pending[tx_id] = pending.get(tx_id, ()) + ((addr, payload),)
         elif kind == KIND_COMMIT:
             committed.append(tx_id)
+    log._scan_memo.replayed = _Replayed(entries, scanned, dict(pending), committed)
     pokes: List[Tuple[int, bytes]] = []
     for tx_id in committed:
         pokes.extend(pending.pop(tx_id, ()))

@@ -82,9 +82,9 @@ __all__ = [
 ]
 
 # Types shared without memoization: immutable, identity-irrelevant.
-# Mutable set: classes declaring ``__snapshot_state__ = "__atom__"`` join
-# on first encounter (hot-path loops alias this set, and see additions
-# because it is mutated in place, never rebound).
+# Mutable set: classes declaring ``__snapshot_state__ = "__atom__"``, and
+# enum classes, join on first encounter (hot-path loops alias this set,
+# and see additions because it is mutated in place, never rebound).
 _ATOMS = {
     int,
     float,
@@ -157,11 +157,10 @@ def _build_plan(cls: type) -> _Plan:
     slots = _collect_slots(cls)
     if getattr(cls, "__snapshot_clone__", None) is not None:
         mode, deep = _CUSTOM, None
-    elif spec == "__atom__":
+    elif spec == "__atom__" or issubclass(cls, enum.Enum):
         # Joins the atom set: future instances never reach the engine.
+        # (An enum's members are singletons, so sharing them is exact.)
         _ATOMS.add(cls)
-        mode, deep = _SHARE, None
-    elif issubclass(cls, enum.Enum):
         mode, deep = _SHARE, None
     elif issubclass(cls, tuple):
         mode, deep = _NAMEDTUPLE, None

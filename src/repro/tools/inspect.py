@@ -69,7 +69,7 @@ def dump_commit_log(controller: HoopController, *, max_txs: int = 20) -> str:
     """Live committed transactions and their chain shapes."""
     reader = BlockReader(controller.region)
     rows = []
-    for tx in controller.commit_log.committed_transactions()[:max_txs]:
+    for tx in controller.commit_log.analyse().logged()[:max_txs]:
         words, slices = controller.recovery.walk_tx(reader, tx)
         rows.append([tx.tx_id, len(tx.segment_tails), slices, len(words)])
     return format_table(["tx", "segments", "slices", "words"], rows)

@@ -165,7 +165,7 @@ class TestCommitLog:
         log.append_entry(1, 10, committed=False, now_ns=0.0)
         log.append_entry(1, 20, committed=True, now_ns=0.0)
         log.append_entry(2, 30, committed=True, now_ns=0.0)
-        txs = {tx.tx_id: tx for tx in log.committed_transactions()}
+        txs = {tx.tx_id: tx for tx in log.analyse().logged()}
         assert txs[1].segment_tails == (10, 20)
         assert txs[2].segment_tails == (30,)
 
@@ -174,7 +174,7 @@ class TestCommitLog:
         log.append_entry(1, 10, committed=True, now_ns=0.0)
         log.append_entry(2, 20, committed=True, now_ns=0.0)
         log.retire([1], now_ns=0.0)
-        remaining = [tx.tx_id for tx in log.committed_transactions()]
+        remaining = [tx.tx_id for tx in log.analyse().logged()]
         assert remaining == [2]
         assert log.retired == 1
 
@@ -199,8 +199,10 @@ class TestCommitLog:
     def test_known_and_open_segments(self, rig):
         _, _, _, _, _, log = rig
         log.append_entry(5, 100, committed=False, now_ns=0.0)
-        assert 5 in log.known_tx_ids()
-        assert log.open_segments() == {5: [100]}
+        analysis = log.analyse()
+        assert 5 in analysis.known
+        assert analysis.open_segments == {5: (100,)}
+        assert analysis.logged() == []
 
     def test_crash_and_rebuild_via_flush(self, rig):
         _, region, codec, _, _, log = rig
@@ -208,9 +210,9 @@ class TestCommitLog:
         log.flush_dirty(0.0)
         pages = [(p.slice_index, p.content) for p in log._pages]
         log.crash()
-        assert log.committed_transactions() == []
+        assert log.analyse().logged() == []
         log.rebuild(pages)
-        assert [tx.tx_id for tx in log.committed_transactions()] == [1]
+        assert [tx.tx_id for tx in log.analyse().logged()] == [1]
 
     def test_live_count(self, rig):
         _, _, _, _, _, log = rig

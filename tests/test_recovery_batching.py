@@ -327,8 +327,11 @@ def test_sweeps_poke_home_in_batches_and_walk_what_the_scan_decoded():
     real_decode = SliceCodec.decode_data
     real_recover = MemorySystem.recover
     real_poke = FaultyNVMDevice.poke
+    real_kept = RecoveryManager._kept_fold
+    real_replay = RecoveryManager.replay
     kept_raws = []  # per open walk_tx: the raw bytes of the kept slices
     counts = {"walks": 0, "kept": 0, "recovering": 0, "pokes": 0}
+    replays = []  # per replay: [committed, resumed past, walks]
 
     def recover(self, *args, **kwargs):
         counts["recovering"] += 1
@@ -345,6 +348,7 @@ def test_sweeps_poke_home_in_batches_and_walk_what_the_scan_decoded():
     def walk_tx(self, reader, tx):
         kept = {reader.slice_raw(index) for index in reader.decoded}
         counts["walks"] += 1
+        replays[-1][2] += 1
         counts["kept"] += len(kept)
         kept_raws.append(kept)
         try:
@@ -357,6 +361,17 @@ def test_sweeps_poke_home_in_batches_and_walk_what_the_scan_decoded():
         assert not kept_raws or raw not in kept_raws[-1]
         return real_decode(self, raw)
 
+    def replay(self, scan, **kwargs):
+        replays.append([0, 0, 0])
+        report = real_replay(self, scan, **kwargs)
+        replays[-1][0] = report.committed_transactions
+        return report
+
+    def kept_fold(self, reader, committed, threads):
+        fold = real_kept(self, reader, committed, threads)
+        replays[-1][1] = len(fold.committed)
+        return fold
+
     for scheme in ("opt-redo", "hoop"):
         with mock.patch.object(
             MemorySystem, "recover", recover
@@ -368,7 +383,11 @@ def test_sweeps_poke_home_in_batches_and_walk_what_the_scan_decoded():
             side_effect=NVMDevice.poke_batch,
         ) as base_batch, mock.patch.object(
             RecoveryManager, "walk_tx", walk_tx
-        ), mock.patch.object(SliceCodec, "decode_data", decode_data):
+        ), mock.patch.object(
+            SliceCodec, "decode_data", decode_data
+        ), mock.patch.object(
+            RecoveryManager, "replay", replay
+        ), mock.patch.object(RecoveryManager, "_kept_fold", kept_fold):
             sweep = crashtest.sweep_scheme(scheme, seed=5, transactions=40)
         assert sweep.cases and not sweep.failures
         # One batch per recovery, every one on the inert fast path, and
@@ -377,3 +396,9 @@ def test_sweeps_poke_home_in_batches_and_walk_what_the_scan_decoded():
         assert base_batch.call_count == len(sweep.cases)
         assert counts["pokes"] == 0
     assert counts["walks"] > 0 and counts["kept"] > 0
+    # hoop walks only the transactions past each fold checkpoint, and
+    # most crash cases resume from the one the case before them kept.
+    assert len(replays) == len(sweep.cases)
+    assert all(walks == committed - resumed for committed, resumed, walks in replays)
+    assert sum(resumed > 0 for _, resumed, _ in replays) > len(replays) // 2
+    assert counts["walks"] < sum(committed for committed, _, _ in replays) // 4

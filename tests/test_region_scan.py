@@ -145,6 +145,30 @@ def _controller_with_image(blocks, watermark):
     return controller
 
 
+def _reference_analysis(log):
+    """The commit log's logged, open and known transactions, pass by pass."""
+    entries = [entry for page in log._pages for entry in page.content.entries]
+    segments = {}
+    committed_ids = []
+    for entry in entries:
+        if entry.retired:
+            segments.pop(entry.tx_id, None)
+            continue
+        segments.setdefault(entry.tx_id, []).append(entry.tail_slice)
+        if entry.committed:
+            committed_ids.append(entry.tx_id)
+    logged = [
+        CommittedTx(tx_id, tuple(segments[tx_id]))
+        for tx_id in committed_ids
+        if tx_id in segments
+    ]
+    open_segments = {}
+    for entry in entries:
+        if not entry.committed and not entry.retired:
+            open_segments.setdefault(entry.tx_id, []).append(entry.tail_slice)
+    return logged, open_segments, {entry.tx_id for entry in entries}
+
+
 def _reference_scan(controller):
     """Recovery step 1 the slow way; returns what ``scan()`` must."""
     region = controller.region
@@ -175,11 +199,10 @@ def _reference_scan(controller):
                 continue
             pages.append((slice_index, AddressSlice(list(entries), sequence)))
     log.rebuild(pages)
-    logged = log.committed_transactions()
+    logged, open_segments, known = _reference_analysis(log)
     watermark = int.from_bytes(device.peek(RETIRE_WATERMARK_ADDR, 8), "little")
     finalized = {tx.tx_id for tx in logged}
-    open_segments = log.open_segments()
-    retired_only = log.known_tx_ids() - finalized - set(open_segments)
+    retired_only = known - finalized - set(open_segments)
     unlogged = []
     for block in busy:
         if region.stream_of(block) != "data":
@@ -230,11 +253,16 @@ def test_scan_equals_the_per_slice_reference(blocks, watermark):
             region.slice_addr(slice_index), SLICE_BYTES
         )
 
-    # A second pass over the same image hits both memos and agrees.
-    again = controller.recovery.scan()
+    # A second pass over the same image hits the codec's memos and the
+    # recovery memo, decodes nothing, and agrees.
+    with mock.patch.object(
+        SliceCodec, "decode_data", side_effect=AssertionError
+    ), mock.patch.object(SliceCodec, "decode_addr", side_effect=AssertionError):
+        again = controller.recovery.scan()
     assert (again.logged, again.unlogged, again.bytes_scanned) == (
         logged, unlogged, scanned
     )
+    assert again.reader.decoded == scan.reader.decoded
 
 
 # -- (b) the address memo ------------------------------------------------------
@@ -355,10 +383,13 @@ def test_hoop_mc_crash_case_call_counts():
             owner, name, autospec=True, side_effect=getattr(owner, name)
         )
 
-    for uncached_expected in (len(set(page_raws)), 0):
+    for decoded_expected, uncached_expected in (
+        (len(page_raws), len(set(page_raws))), (0, 0)
+    ):
         # The first recovery decodes each distinct page once; a second
-        # crash case over the same image (a restored snapshot shares
-        # the codecs) decodes none.
+        # crash case over the same image (a restored snapshot shares the
+        # codecs and each controller's recovery memo) reuses every page
+        # the first one found and asks the codec for none.
         case = crashed.restore()
         with counted(NVMDevice, "peek") as peek, counted(
             SliceCodec, "decode_addr"
@@ -367,7 +398,7 @@ def test_hoop_mc_crash_case_call_counts():
         ) as uncached:
             case.recover(threads=2)
         assert peek.call_count <= peek_budget
-        assert decode_addr.call_count == len(page_raws)
+        assert decode_addr.call_count == decoded_expected
         assert uncached.call_count == uncached_expected
         for addr, value in oracle.items():
             assert case.durable_state(addr, 8) == value

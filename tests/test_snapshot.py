@@ -27,6 +27,7 @@ from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import generate_trace
 from repro.common.config import SystemConfig
 from repro.common.errors import PowerLossError
+from repro.core.oop_region import BlockState
 from repro.crashtest import nested
 from repro.faults.injector import FaultyNVMDevice
 from repro.faults.plan import CrashArtifact
@@ -105,6 +106,18 @@ class TestCaptureRestoreProperty:
             _apply(system, addrs, trace.txns)
             capture(system)
         assert snapshot.unregistered_classes() == frozenset()
+
+    def test_enum_members_are_shared_without_an_engine_call(self):
+        states = [BlockState.UNUSED, BlockState.FULL] * 50
+        clone_state(states)  # first encounter: the class joins the atoms
+        with mock.patch.object(
+            snapshot, "_clone", wraps=snapshot._clone
+        ) as engine:
+            cloned = clone_state(states)
+        assert cloned == states and cloned is not states
+        assert all(a is b for a, b in zip(cloned, states))
+        # One call for the list itself, none for its hundred members.
+        assert [call.args[0] for call in engine.call_args_list] == [states]
 
 
 class TestMidFaultCountdown:
