@@ -18,9 +18,7 @@ def _run(scale, **hoop_overrides):
     config = preset.system_config()
     hoop = dataclasses.replace(config.hoop, **hoop_overrides)
     config = config.replace(hoop=hoop)
-    return run_cell(
-        "hoop", "ycsb", scale, seed=7, config=config, use_cache=False
-    )
+    return run_cell("hoop", "ycsb", scale, seed=7, config=config)
 
 
 def test_ablation_data_packing(benchmark, record_figure, scale):

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 _WORD = 8
 _WORD_MASK = ~(_WORD - 1)
@@ -233,7 +233,6 @@ class PersistOrderSanitizer(NullChecker):
         self.rules = DISCIPLINES["none"]
         self.events: List[CheckEvent] = []
         self.max_events = max_events
-        self.dropped_events = 0
         self.violations: List[Violation] = []
         self.transactions_checked = 0
         self._seq = 0
@@ -254,10 +253,8 @@ class PersistOrderSanitizer(NullChecker):
         self.rules = rules_for(discipline)
 
     def _record(self, event: CheckEvent) -> None:
-        if len(self.events) >= self.max_events:
-            self.dropped_events += 1
-            return
-        self.events.append(event)
+        if len(self.events) < self.max_events:
+            self.events.append(event)
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -485,41 +482,6 @@ class PersistOrderSanitizer(NullChecker):
     def ok(self) -> bool:
         """True when no committed transaction broke its discipline."""
         return not self.violations
-
-    def summary(self) -> dict:
-        """JSON-serializable aggregate for reports and artifacts."""
-        return {
-            "scheme": self.scheme,
-            "discipline": self.discipline,
-            "transactions_checked": self.transactions_checked,
-            "events": len(self.events),
-            "dropped_events": self.dropped_events,
-            "violations": [
-                {
-                    "rule": v.rule,
-                    "tx": v.tx_id,
-                    "addr": v.addr,
-                    "message": v.message,
-                    "window": v.window,
-                }
-                for v in self.violations
-            ],
-        }
-
-    def render(self) -> str:
-        """Human report: one line when clean, full windows when not."""
-        if self.ok:
-            return (
-                f"sanitizer[{self.scheme}/{self.discipline}]: "
-                f"{self.transactions_checked} transactions checked, clean"
-            )
-        parts = [
-            f"sanitizer[{self.scheme}/{self.discipline}]: "
-            f"{len(self.violations)} violation(s) in "
-            f"{self.transactions_checked} transactions"
-        ]
-        parts.extend(v.render() for v in self.violations)
-        return "\n".join(parts)
 
 # -- snapshot declarations ----------------------------------------------------
 # CheckEvent/DisciplineRules are frozen records; Violation's window list is

@@ -11,8 +11,6 @@ from repro.common.addr import (
     WORD_BYTES,
     cache_line_base,
     cache_line_index,
-    cache_line_offset,
-    is_word_aligned,
     iter_cache_lines,
     iter_words,
     word_base,
@@ -55,8 +53,6 @@ __all__ = [
     "WORD_BYTES",
     "cache_line_base",
     "cache_line_index",
-    "cache_line_offset",
-    "is_word_aligned",
     "iter_cache_lines",
     "iter_words",
     "word_base",

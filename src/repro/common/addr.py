@@ -23,11 +23,6 @@ def cache_line_base(addr: int) -> int:
     return addr & ~(CACHE_LINE_BYTES - 1)
 
 
-def cache_line_offset(addr: int) -> int:
-    """Byte offset of ``addr`` within its cache line."""
-    return addr & (CACHE_LINE_BYTES - 1)
-
-
 def cache_line_index(addr: int) -> int:
     """Cache-line number of ``addr`` (address divided by line size)."""
     return addr >> 6
@@ -41,21 +36,6 @@ def word_base(addr: int) -> int:
 def word_index(addr: int) -> int:
     """Word number of ``addr`` (address divided by word size)."""
     return addr >> 3
-
-
-def word_offset_in_line(addr: int) -> int:
-    """Index (0..7) of the word containing ``addr`` within its line."""
-    return (addr & (CACHE_LINE_BYTES - 1)) >> 3
-
-
-def is_word_aligned(addr: int) -> bool:
-    """True when ``addr`` is 8-byte aligned."""
-    return (addr & (WORD_BYTES - 1)) == 0
-
-
-def is_line_aligned(addr: int) -> bool:
-    """True when ``addr`` is 64-byte aligned."""
-    return (addr & (CACHE_LINE_BYTES - 1)) == 0
 
 
 def check_range(addr: int, size: int) -> None:

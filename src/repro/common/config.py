@@ -114,16 +114,13 @@ class FaultConfig:
     * **transient media read errors** — each timed read independently
       fails with ``read_error_rate`` probability; the memory port
       retries with exponential backoff in simulated time, bounded by
-      ``max_read_retries``;
-    * **stuck blocks** — writes to the listed fault blocks
-      (``fault_block_bytes`` granularity) never stick; the device
-      transparently remaps the block to hidden spare capacity
-      (``spare_blocks``), charging ``remap_penalty_ns`` and the copy
-      energy at remap time.
+      ``max_read_retries``.
 
-    The dataclass is a pure value object (ints/floats/tuples), so
-    ``dataclasses.asdict`` of it *is* the serializable fault plan the
-    crash-sweep artifacts store and replay.
+    Nested faults (a crash during recovery) and deadline cuts are armed
+    on the live injector, not here.  The dataclass is a pure value
+    object (bools, ints, floats), so ``dataclasses.asdict`` of it *is*
+    the serializable fault plan the crash-sweep artifacts store and
+    replay.
     """
 
     enabled: bool = False
@@ -133,10 +130,6 @@ class FaultConfig:
     read_error_rate: float = 0.0
     max_read_retries: int = 3
     retry_backoff_ns: float = 200.0
-    stuck_blocks: tuple = ()
-    spare_blocks: int = 4
-    fault_block_bytes: int = 2 * MB
-    remap_penalty_ns: float = 10_000.0
 
     def __post_init__(self) -> None:
         if self.power_loss_after_write is not None and (
@@ -147,14 +140,8 @@ class FaultConfig:
             raise ConfigError("read_error_rate must be in [0, 1)")
         if self.max_read_retries < 0:
             raise ConfigError("max_read_retries must be >= 0")
-        if self.retry_backoff_ns < 0 or self.remap_penalty_ns < 0:
+        if self.retry_backoff_ns < 0:
             raise ConfigError("fault latencies must be non-negative")
-        if self.spare_blocks < 0:
-            raise ConfigError("spare_blocks must be >= 0")
-        if self.fault_block_bytes <= 0:
-            raise ConfigError("fault_block_bytes must be positive")
-        if any(b < 0 for b in self.stuck_blocks):
-            raise ConfigError("stuck block indices must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class TransientReadError(ReproError):
 
 
 class MediaError(ReproError):
-    """Unrecoverable media failure (retries exhausted or spares gone)."""
+    """Unrecoverable media failure (read retries exhausted)."""
 
 
 class ReadRetryExhaustedError(MediaError):

@@ -57,9 +57,6 @@ class BlockRefs:
     def live_txs_in(self, block: int) -> Set[int]:
         return set(self._block_txs.get(block, set()))
 
-    def has_open_tx(self, block: int) -> bool:
-        return any(tx in self._open_txs for tx in self._block_txs.get(block, ()))
-
     def is_reclaimable(self, block: int) -> bool:
         """True when no live transaction references the block."""
         return not self._block_txs.get(block)

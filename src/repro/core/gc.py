@@ -26,7 +26,7 @@ home; a crash at any point leaves the commit log replayable (§III-E,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.addr import cache_line_base
 from repro.common.config import SystemConfig
@@ -167,10 +167,6 @@ class GarbageCollector:
             self.mapping.entries >= self._mapping_pressure_entries
             or self.region.busy_blocks >= self._region_pressure_blocks
         )
-
-    def set_period(self, period_ns: float, now_ns: float) -> None:
-        """Retune the cadence (Fig. 10's sweep)."""
-        self.trigger.reschedule(period_ns, now_ns)
 
     # -- one pass -----------------------------------------------------------------
 

@@ -193,9 +193,6 @@ class OOPRegion:
             and (stream is None or self._block_stream.get(b) == stream)
         ]
 
-    def blocks_in_state(self, state: BlockState) -> List[int]:
-        return [b for b, s in enumerate(self._state) if s == state]
-
     @property
     def fill_fraction(self) -> float:
         """Fraction of blocks not currently reusable (for GC triggering)."""

@@ -145,14 +145,6 @@ class DataSlice:
         put(ds, "generation", generation)
         return ds
 
-    @property
-    def count(self) -> int:
-        return len(self.words)
-
-    @property
-    def home_addresses(self) -> List[int]:
-        return [addr for addr, _ in self.words]
-
 
 @dataclass(frozen=True)
 class AddressSliceEntry:

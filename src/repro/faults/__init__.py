@@ -6,15 +6,15 @@ This package is the first-class replacement for the ad-hoc
 selects, at :class:`~repro.txn.system.MemorySystem` construction time,
 between the plain :class:`~repro.nvm.device.NVMDevice` (faults disabled
 — bit-identical to a build without this package) and
-:class:`FaultyNVMDevice`, which layers four seeded fault models over the
+:class:`FaultyNVMDevice`, which layers three seeded fault models over the
 same byte/timing planes:
 
-* power loss after the Nth timed write (:class:`PowerLossError`),
-* torn writes at 8-byte word granularity inside the fatal write,
+* power loss (:class:`PowerLossError`) after the Nth timed write, at a
+  simulated-time deadline, or — for a crash *during recovery* — after
+  the Nth mutation of either plane;
+* torn writes at 8-byte word granularity inside the fatal write;
 * transient media read errors, retried with bounded exponential
-  backoff in *simulated* time by :class:`~repro.memctrl.port.MemoryPort`,
-* permanently stuck blocks, transparently remapped to hidden spare
-  capacity with the copy charged to energy and latency.
+  backoff in *simulated* time by :class:`~repro.memctrl.port.MemoryPort`.
 
 Everything is driven by ``random.Random(config.seed)`` so a fault plan
 replays exactly; :mod:`repro.faults.plan` serializes plans and the

@@ -3,41 +3,32 @@
 :class:`FaultyNVMDevice` extends :class:`~repro.nvm.device.NVMDevice`
 without touching its hot paths: the plain device class is still what
 every fault-free simulation runs, so disabling injection perturbs
-nothing.  The subclass intercepts the four access entry points
-(``read``/``write``/``peek``/``poke``) and routes each through the
-:class:`FaultInjector`, which owns all mutable fault state:
+nothing.  The subclass intercepts the mutating and timed entry points
+(``read``/``write``/``poke`` and the two batches; ``peek`` is the base
+class's) and routes each through the :class:`FaultInjector`, which owns
+all mutable fault state:
 
-* an armed **power-loss budget** over timed writes (and, separately,
-  over untimed pokes), plus a unified **recovery budget** counting both
-  mutation planes in program order — how a *nested* crash during
-  recovery is injected, since recovery interleaves home-region pokes
-  with timed metadata writes (log headers, slot rewrites, region
-  clears);
+* an armed **power-loss budget** over timed writes or a simulated-time
+  deadline, plus a unified **recovery budget** counting both mutation
+  planes in program order — how a *nested* crash during recovery is
+  injected, since recovery interleaves home-region pokes with timed
+  metadata writes (log headers, slot rewrites, region clears);
 * the seeded PRNG behind **torn-write** word selection and **transient
-  read** faults;
-* the **bad-block remap table** — the one piece of injector state that
-  survives ``restore_power()``, like a real DIMM's firmware remap table.
+  read** faults.
 
 Timing/energy honesty: a faulted read attempt still charges its channel
-occupancy and energy (the bits moved, they were just wrong); a remap
-charges the block copy's energy and a fixed penalty on the triggering
-write's completion; the fatal (power-cut) write charges nothing — the
-machine is dead.
+occupancy and energy (the bits moved, they were just wrong); the fatal
+(power-cut) write charges nothing — the machine is dead.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.common.config import FaultConfig, NVMConfig, SystemConfig
-from repro.common.errors import (
-    AddressError,
-    MediaError,
-    PowerLossError,
-    TransientReadError,
-)
+from repro.common.errors import PowerLossError, TransientReadError
 from repro.nvm.device import AccessResult, NVMDevice
 from repro.telemetry.hub import NULL_TELEMETRY
 
@@ -65,10 +56,6 @@ class FaultStats:
     # budget — the nested-fault sweep's boundary population for
     # crash-during-recovery injection.
     recovery_ops: int = 0
-    stuck_block_writes: int = 0
-    remapped_blocks: int = 0
-    remap_copy_bytes: int = 0
-    remapped_accesses: int = 0
 
 
 class FaultInjector:
@@ -84,7 +71,6 @@ class FaultInjector:
         self.stats = FaultStats()
         self._rng = random.Random(config.seed)
         self._write_budget: Optional[int] = config.power_loss_after_write
-        self._poke_budget: Optional[int] = None
         # The *nested* fault budget: one counter over both mutation
         # planes (timed writes AND pokes) in program order.  Recovery
         # paths interleave pokes (home-region restore) with timed writes
@@ -105,19 +91,15 @@ class FaultInjector:
         self,
         *,
         after_writes: Optional[int] = None,
-        after_pokes: Optional[int] = None,
         torn: Optional[bool] = None,
     ) -> None:
-        """(Re-)arm a power-loss budget mid-run.
+        """(Re-)arm a power-loss budget of ``after_writes`` timed writes.
 
-        ``after_writes`` counts timed device writes, ``after_pokes``
-        counts functional pokes — the latter is how recovery itself is
-        crashed, since recovery restores the home region with pokes.
+        Recovery itself is crashed with :meth:`arm_recovery_fault`,
+        which counts its home-region pokes too.
         """
         if after_writes is not None:
             self._write_budget = after_writes
-        if after_pokes is not None:
-            self._poke_budget = after_pokes
         if torn is not None:
             self._torn = torn
 
@@ -158,22 +140,17 @@ class FaultInjector:
 
     @property
     def pending_nested_fault(self) -> bool:
-        """True when an armed poke/recovery budget has not fired yet."""
-        return not self._power_lost and (
-            self._poke_budget is not None
-            or self._recovery_budget is not None
-        )
+        """True when an armed recovery budget has not fired yet."""
+        return not self._power_lost and self._recovery_budget is not None
 
     def restore_power(self) -> None:
         """Reboot: budgets disarm, the machine accepts writes again.
 
-        The remap table (held by the device) and the PRNG stream
-        survive — bad blocks are physical, and determinism requires the
-        stream to continue rather than restart.
+        The PRNG stream survives: determinism requires it to continue
+        rather than restart.
         """
         self._power_lost = False
         self._write_budget = None
-        self._poke_budget = None
         self._recovery_budget = None
         self._deadline_ns = None
 
@@ -208,14 +185,7 @@ class FaultInjector:
             return _WRITE_DEAD
         if self._recovery_budget is not None:
             return self._on_recovery_op()
-        if self._poke_budget is None:
-            return _WRITE_OK
-        if self._poke_budget > 0:
-            self._poke_budget -= 1
-            return _WRITE_OK
-        self._power_lost = True
-        self.stats.power_cuts += 1
-        return _WRITE_FATAL
+        return _WRITE_OK
 
     def _on_recovery_op(self) -> int:
         """One mutation crossed the armed recovery budget (either plane)."""
@@ -266,235 +236,60 @@ class FaultyNVMDevice(NVMDevice):
         super().__init__(config, wear_block_bytes=wear_block_bytes)
         self.faults = faults or FaultConfig(enabled=True)
         self.injector = FaultInjector(self.faults)
-        self._fault_block = self.faults.fault_block_bytes
-        self._visible_capacity = self._capacity
-        # Spare capacity is hidden above the visible address space; the
-        # base class's bounds checks are widened so translated accesses
-        # land, while the overrides enforce the visible bound first.
-        spare_bytes = self.faults.spare_blocks * self._fault_block
-        self._spare_base = (
-            (self._visible_capacity + self._fault_block - 1)
-            // self._fault_block
-            * self._fault_block
-        )
-        self._capacity = self._spare_base + spare_bytes
-        self._stuck = set(self.faults.stuck_blocks)
-        self._remap: Dict[int, int] = {}  # fault block -> spare index
-        self._spares_used = 0
         # Fault instants land on the shared "faults" track when a hub is
         # attached (MemorySystem wires it).  Poke-plane power cuts are
         # not emitted: pokes carry no simulated timestamp.
         self.telemetry = NULL_TELEMETRY
 
-    # -- address translation ------------------------------------------------------
-
-    def _check_visible(self, addr: int, size: int) -> None:
-        if addr < 0 or size <= 0 or addr + size > self._visible_capacity:
-            raise AddressError(
-                f"access [{addr:#x}, +{size}) outside device of "
-                f"{self._visible_capacity} bytes"
-            )
-
-    def _translate(
-        self, addr: int, size: int
-    ) -> List[Tuple[int, int, int]]:
-        """Split ``[addr, addr+size)`` into translated segments.
-
-        Returns ``[(translated_addr, data_offset, chunk_size), ...]``;
-        a single identity segment in the common unremapped case.
-        """
-        if not self._remap:
-            return [(addr, 0, size)]
-        block = addr // self._fault_block
-        if (addr + size - 1) // self._fault_block == block:
-            spare = self._remap.get(block)
-            if spare is None:
-                return [(addr, 0, size)]
-            base = self._spare_base + spare * self._fault_block
-            return [(base + addr % self._fault_block, 0, size)]
-        segments: List[Tuple[int, int, int]] = []
-        cursor, offset, remaining = addr, 0, size
-        while remaining:
-            block = cursor // self._fault_block
-            room = (block + 1) * self._fault_block - cursor
-            chunk = min(room, remaining)
-            spare = self._remap.get(block)
-            if spare is None:
-                target = cursor
-            else:
-                target = (
-                    self._spare_base
-                    + spare * self._fault_block
-                    + cursor % self._fault_block
-                )
-            segments.append((target, offset, chunk))
-            cursor += chunk
-            offset += chunk
-            remaining -= chunk
-        return segments
-
-    def _remap_block(self, block: int) -> None:
-        """Retire a stuck block onto a spare, copying live content."""
-        if self._spares_used >= self.faults.spare_blocks:
-            raise MediaError(
-                f"block {block} is stuck and all "
-                f"{self.faults.spare_blocks} spare blocks are in use"
-            )
-        spare = self._spares_used
-        self._spares_used += 1
-        self._remap[block] = spare
-        stats = self.injector.stats
-        stats.remapped_blocks += 1
-        src_base = block * self._fault_block
-        dst_base = self._spare_base + spare * self._fault_block
-        # Copy only materialized pages (sparse device); the media-side
-        # copy charges write energy but no channel time — it never
-        # crosses the external bus.
-        page = 4096
-        for page_base in list(self._pages):
-            if src_base <= page_base < src_base + self._fault_block:
-                data = bytes(self._pages[page_base])
-                super().poke(dst_base + (page_base - src_base), data)
-                stats.remap_copy_bytes += len(data)
-                self.energy.record_write(len(data), False)
-
-    def _prepare_write_target(
-        self, addr: int, size: int, now_ns: float = 0.0
-    ) -> None:
-        """Trigger remap for any stuck, not-yet-remapped target block."""
-        if not self._stuck:
-            return
-        first = addr // self._fault_block
-        last = (addr + size - 1) // self._fault_block
-        for block in range(first, last + 1):
-            if block in self._stuck and block not in self._remap:
-                self.injector.stats.stuck_block_writes += 1
-                self._remap_block(block)
-                if self.telemetry.enabled:
-                    self.telemetry.emit(
-                        now_ns, "block_remap", "faults", {"block": block}
-                    )
-
     # -- functional plane ---------------------------------------------------------
-
-    def peek(self, addr: int, size: int) -> bytes:
-        if not self._remap:
-            # No remapped blocks: translation is the identity and the
-            # slow path has no other side effects — delegate directly.
-            # (Recovery issues hundreds of small peeks per crash case;
-            # this wrapper is measurable.)
-            if addr < 0 or size <= 0 or addr + size > self._visible_capacity:
-                self._check_visible(addr, size)
-            return NVMDevice.peek(self, addr, size)
-        self._check_visible(addr, size)
-        segments = self._translate(addr, size)
-        if len(segments) == 1:
-            return super().peek(segments[0][0], size)
-        return b"".join(
-            super().peek(target, chunk) for target, _, chunk in segments
-        )
 
     def poke(self, addr: int, data: bytes) -> None:
         injector = self.injector
-        if (
-            injector._poke_budget is None
-            and injector._recovery_budget is None
-            and not injector._power_lost
-            and not self._remap
-            and not self._stuck
-        ):
-            # Healthy device, no poke budget armed: on_poke() would
-            # return OK without touching stats, translation is the
-            # identity, and no stuck block can trigger — bit-identical
-            # to the slow path, minus its call overhead.
-            size = max(1, len(data))
-            if addr < 0 or addr + size > self._visible_capacity:
-                self._check_visible(addr, size)
+        if injector._recovery_budget is None and not injector._power_lost:
+            # on_poke() would return OK without touching a counter.
             NVMDevice.poke(self, addr, data)
             return
-        self._check_visible(addr, max(1, len(data)))
-        verdict = self.injector.on_poke()
+        self._check(addr, max(1, len(data)))
+        verdict = injector.on_poke()
         if verdict == _WRITE_DEAD:
             raise PowerLossError("poke after power loss")
-        size = len(data)
-        self._prepare_write_target(addr, max(1, size))
-        segments = self._translate(addr, max(1, size))
         if verdict == _WRITE_FATAL:
-            self._apply_torn(segments, data)
+            self._apply_torn(addr, data)
             raise PowerLossError("power lost during poke")
-        for target, offset, chunk in segments:
-            super().poke(target, data[offset : offset + chunk])
+        NVMDevice.poke(self, addr, data)
 
     def poke_batch(self, pokes: Sequence[Tuple[int, bytes]]) -> None:
         """Poke many elements in order; exactly equal to one ``poke`` each.
 
-        While no poke or recovery budget is armed, power is on and no
-        block is remapped or stuck, every element would take ``poke``'s
-        healthy path, so the base-class batch leaves the same state.  An
-        element outside the visible range sends the whole batch down the
-        per-element path, which raises at that element.
+        While no recovery budget is armed and power is on, every element
+        would take ``poke``'s healthy path, so the base-class batch
+        leaves the same state (it raises at an out-of-range element with
+        every earlier one applied, as the per-element pokes would).
 
         With anything armed the batch makes one ``poke`` per element, so
         a nested fault crosses the recovery budget, draws its torn words
         and raises at the same element it always did.
         """
         injector = self.injector
-        if (
-            injector._poke_budget is None
-            and injector._recovery_budget is None
-            and not injector._power_lost
-            and not self._remap
-            and not self._stuck
-        ):
-            visible = self._visible_capacity
-            for addr, data in pokes:
-                if addr < 0 or addr + max(1, len(data)) > visible:
-                    break
-            else:
-                NVMDevice.poke_batch(self, pokes)
-                return
+        if injector._recovery_budget is None and not injector._power_lost:
+            NVMDevice.poke_batch(self, pokes)
+            return
         for addr, data in pokes:
             self.poke(addr, data)
 
     # -- timed plane --------------------------------------------------------------
 
     def read(self, addr: int, size: int, now_ns: float = 0.0):
-        if not self._remap and self.faults.read_error_rate == 0.0:
-            # Identity translation and read_faults() short-circuits at
-            # rate 0.0 without consuming the PRNG — delegating straight
-            # to the base class is bit-identical.
-            if addr < 0 or size <= 0 or addr + size > self._visible_capacity:
-                self._check_visible(addr, size)
-            return NVMDevice.read(self, addr, size, now_ns)
-        self._check_visible(addr, size)
-        segments = self._translate(addr, size)
-        if len(segments) == 1:
-            data, result = super().read(segments[0][0], size, now_ns)
-            if segments[0][0] != addr:
-                self.injector.stats.remapped_accesses += 1
-        else:
-            self.injector.stats.remapped_accesses += 1
-            parts = []
-            completion = now_ns
-            hit = False
-            for target, _, chunk in segments:
-                part, seg_result = super().read(target, chunk, now_ns)
-                parts.append(part)
-                completion = max(completion, seg_result.completion_ns)
-                hit = seg_result.row_buffer_hit
-            data = b"".join(parts)
-            result = AccessResult(now_ns, completion, hit)
-        if self.injector.read_faults():
-            self.injector.stats.transient_read_faults += 1
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    result.completion_ns,
-                    "read_fault",
-                    "faults",
-                    {"addr": addr},
-                )
-            raise TransientReadError(addr, result.completion_ns)
-        return data, result
+        data, result = NVMDevice.read(self, addr, size, now_ns)
+        injector = self.injector
+        if self.faults.read_error_rate == 0.0 or not injector.read_faults():
+            return data, result
+        injector.stats.transient_read_faults += 1
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                result.completion_ns, "read_fault", "faults", {"addr": addr}
+            )
+        raise TransientReadError(addr, result.completion_ns)
 
     def write(
         self,
@@ -507,72 +302,36 @@ class FaultyNVMDevice(NVMDevice):
         if not data:
             return AccessResult(now_ns, now_ns, True)
         size = len(data)
-        if addr < 0 or addr + size > self._visible_capacity:
-            self._check_visible(addr, size)
+        if addr < 0 or addr + size > self._capacity:
+            self._check(addr, size)
         verdict = self.injector.on_timed_write(now_ns)
-        if verdict == _WRITE_OK and not self._stuck and not self._remap:
-            # Healthy path: no stuck block to remap, identity translation
-            # and no remap penalty — the base-class write is equivalent.
+        if verdict == _WRITE_OK:
             return NVMDevice.write(self, addr, data, now_ns, queued=queued)
         if verdict == _WRITE_DEAD:
             raise PowerLossError("write after power loss")
-        remapped_before = len(self._remap)
-        self._prepare_write_target(addr, size, now_ns)
-        penalty = (
-            (len(self._remap) - remapped_before)
-            * self.faults.remap_penalty_ns
-        )
-        segments = self._translate(addr, size)
-        if verdict == _WRITE_FATAL:
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    now_ns,
-                    "power_cut",
-                    "faults",
-                    {"addr": addr, "torn": self.injector._torn},
-                )
-            self._apply_torn(segments, data)
-            raise PowerLossError(
-                f"power lost during write at {addr:#x}"
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                now_ns,
+                "power_cut",
+                "faults",
+                {"addr": addr, "torn": self.injector._torn},
             )
-        if len(segments) == 1:
-            target = segments[0][0]
-            if target != addr:
-                self.injector.stats.remapped_accesses += 1
-            result = super().write(target, data, now_ns, queued=queued)
-        else:
-            self.injector.stats.remapped_accesses += 1
-            completion = now_ns
-            hit = False
-            for target, offset, chunk in segments:
-                seg = super().write(
-                    target, data[offset : offset + chunk], now_ns,
-                    queued=queued,
-                )
-                completion = max(completion, seg.completion_ns)
-                hit = seg.row_buffer_hit
-            result = AccessResult(now_ns, completion, hit)
-        if penalty:
-            result = AccessResult(
-                result.start_ns,
-                result.completion_ns + penalty,
-                result.row_buffer_hit,
-            )
-        return result
+        self._apply_torn(addr, data)
+        raise PowerLossError(f"power lost during write at {addr:#x}")
 
     def write_batch(
         self, writes: Sequence[Tuple[int, bytes]], now_ns: float = 0.0
     ) -> None:
         """Queue a burst of writes; exactly equal to one ``write`` each.
 
-        While the injector is inert — no write budget, deadline or
-        recovery budget armed, power on, no remapped or stuck block —
+        While no write budget, deadline or recovery budget is armed,
         every element's ``on_timed_write()`` would return OK without
-        touching a counter and translation is the identity, so the
-        base-class batch leaves exactly the state per-element
-        ``write(..., queued=True)`` calls would.  An element outside the
-        visible range sends the whole batch down the per-element path,
-        which raises at that element.
+        touching a counter (power is only ever lost through one of those
+        three, so it is on), and the base-class batch leaves exactly the
+        state per-element ``write(..., queued=True)`` calls would.  An
+        element outside the device sends the whole batch down the
+        per-element path, which raises at that element with the channel
+        charged for every earlier one.
 
         With anything armed the batch decomposes into one ``write`` per
         element, so each crosses the power-loss budget on its own and a
@@ -583,13 +342,10 @@ class FaultyNVMDevice(NVMDevice):
             injector._write_budget is None
             and injector._deadline_ns is None
             and injector._recovery_budget is None
-            and not injector._power_lost
-            and not self._remap
-            and not self._stuck
         ):
-            visible = self._visible_capacity
+            capacity = self._capacity
             for addr, data in writes:
-                if addr < 0 or addr + len(data) > visible:
+                if addr < 0 or addr + len(data) > capacity:
                     break
             else:
                 NVMDevice.write_batch(self, writes, now_ns)
@@ -598,28 +354,16 @@ class FaultyNVMDevice(NVMDevice):
             if data:
                 self.write(addr, data, now_ns, queued=True)
 
-    def _apply_torn(
-        self, segments: List[Tuple[int, int, int]], data: bytes
-    ) -> None:
+    def _apply_torn(self, addr: int, data: bytes) -> None:
         """Persist a seeded word subset of the fatal write, drop the rest."""
-        size = len(data)
-        num_words = (size + _WORD - 1) // _WORD
+        num_words = (len(data) + _WORD - 1) // _WORD
         kept = self.injector.torn_words_kept(num_words)
         stats = self.injector.stats
         stats.torn_words_applied += len(kept)
         stats.torn_words_dropped += num_words - len(kept)
-        if not kept:
-            return
         for index in sorted(kept):
             lo = index * _WORD
-            hi = min(lo + _WORD, size)
-            for target, offset, chunk in segments:
-                seg_lo = max(lo, offset)
-                seg_hi = min(hi, offset + chunk)
-                if seg_lo < seg_hi:
-                    super().poke(
-                        target + (seg_lo - offset), data[seg_lo:seg_hi]
-                    )
+            NVMDevice.poke(self, addr + lo, data[lo : lo + _WORD])
 
     # -- power state --------------------------------------------------------------
 
@@ -634,25 +378,22 @@ class FaultyNVMDevice(NVMDevice):
         boundary on the fork.  A fresh :class:`FaultInjector` (fresh PRNG seeded
         from ``faults.seed``) makes the replay bit-identical to a cold
         run with that config, because the cold injector's PRNG is
-        untouched until the cut.  Device geometry (spare layout, fault
-        block size) is fixed at construction and must match; the remap
-        table is physical state and survives, like ``restore_power``.
+        untouched until the cut.
 
-        Tripwire: replacing the injector while a nested fault (poke or
-        recovery budget) is armed but has not fired would silently
-        disarm it — the sweep would then count a vacuous pass.  That
-        holds regardless of the residual budget in ``faults`` (zero
-        residual budgets are legal and arm the very next write).
+        Tripwire: replacing the injector while a nested fault (recovery
+        budget) is armed but has not fired would silently disarm it —
+        the sweep would then count a vacuous pass.  That holds
+        regardless of the residual budget in ``faults`` (zero residual
+        budgets are legal and arm the very next write).
         """
         if self.injector.pending_nested_fault:
             raise AssertionError(
                 "rearm would silently disarm a pending nested fault "
-                "(poke/recovery budget armed but unfired); let it fire "
+                "(recovery budget armed but unfired); let it fire "
                 "or restore_power() first"
             )
         self.faults = faults
         self.injector = FaultInjector(faults)
-        self._stuck = set(faults.stuck_blocks)
 
     @property
     def fault_stats(self) -> FaultStats:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.config import FaultConfig
+from repro.common.units import MB
 
 # Version 2 added the nested-fault fields (phase / nested_after_ops /
 # nested_torn / idempotence_k); version-1 artifacts still load, with the
@@ -26,19 +27,35 @@ ARTIFACT_VERSION = 2
 
 
 def plan_to_dict(plan: FaultConfig) -> dict:
-    """JSON-safe dict of a fault plan (tuples become lists)."""
+    """JSON-safe dict of a fault plan."""
     return dataclasses.asdict(plan)
+
+
+# Bad-block remap fields that plans written before the remap model was
+# retired still carry, each with the only value a loadable plan may have:
+# the old default, under which the model never ran.
+_RETIRED_FIELDS = {
+    "stuck_blocks": [],
+    "spare_blocks": 4,
+    "fault_block_bytes": 2 * MB,
+    "remap_penalty_ns": 10_000.0,
+}
 
 
 def plan_from_dict(payload: dict) -> FaultConfig:
     """Rebuild a :class:`FaultConfig` from :func:`plan_to_dict` output."""
+    kwargs = dict(payload)
+    for name, default in _RETIRED_FIELDS.items():
+        if kwargs.pop(name, default) != default:
+            raise ValueError(
+                f"fault-plan field {name!r} is retired (bad-block remap is"
+                f" no longer modelled); only its old default {default!r}"
+                " loads"
+            )
     known = {f.name for f in dataclasses.fields(FaultConfig)}
-    unknown = set(payload) - known
+    unknown = set(kwargs) - known
     if unknown:
         raise ValueError(f"unknown fault-plan fields: {sorted(unknown)}")
-    kwargs = dict(payload)
-    if "stuck_blocks" in kwargs:
-        kwargs["stuck_blocks"] = tuple(kwargs["stuck_blocks"])
     return FaultConfig(**kwargs)
 
 

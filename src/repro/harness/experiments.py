@@ -240,19 +240,18 @@ def run_cell(
     item_bytes: int = 64,
     config: Optional[SystemConfig] = None,
     extra_kwargs: Optional[Dict[str, int]] = None,
-    use_cache: bool = True,
 ) -> RunResult:
     """Run one (scheme, workload) cell and return its metrics.
 
-    ``use_cache`` reads and fills the in-process memo; a result is a
-    pure function of its :func:`cell_key`, so the memo changes which
-    object comes back, never its values.
+    Results are memoised in-process; a result is a pure function of its
+    :func:`cell_key`, so the memo changes which object comes back,
+    never its values.
     """
     preset = get_scale(scale)
     key = cell_key(
         scheme, workload, scale, seed, item_bytes, config, extra_kwargs
     )
-    if use_cache and key in _CELL_CACHE:
+    if key in _CELL_CACHE:
         _CELL_CACHE.move_to_end(key)
         return _CELL_CACHE[key]
     system, wl, driver = _build(
@@ -277,15 +276,10 @@ def run_cell(
                 "llc_misses": system.hierarchy.stats.llc_misses,
             }
         )
-    if use_cache:
-        _CELL_CACHE[key] = result
-        while len(_CELL_CACHE) > _CELL_CACHE_MAX:
-            _CELL_CACHE.popitem(last=False)
+    _CELL_CACHE[key] = result
+    while len(_CELL_CACHE) > _CELL_CACHE_MAX:
+        _CELL_CACHE.popitem(last=False)
     return result
-
-
-def clear_cache() -> None:
-    _CELL_CACHE.clear()
 
 
 # -- Table I --------------------------------------------------------------------

@@ -199,10 +199,6 @@ class MemoryPort:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    @property
-    def bytes_written(self) -> int:
-        return self.stats.sync_bytes + self.stats.async_bytes
-
     def reset_stats(self) -> None:
         self.stats = PortStats()
 

@@ -50,15 +50,10 @@ class ChannelModel:
 
     def __init__(self, bandwidth_gb_per_s: float) -> None:
         self._bytes_per_ns = bytes_per_ns_from_gbps(bandwidth_gb_per_s)
-        self._bandwidth_gb_per_s = bandwidth_gb_per_s
         self._vtime_ns = 0.0  # furthest simulated time observed
         self._backlog_ns = 0.0  # undrained queued-write service time
         self._busy_integral = 0.0  # decayed busy time (utilization)
         self.stats = ChannelStats()
-
-    @property
-    def bandwidth_gb_per_s(self) -> float:
-        return self._bandwidth_gb_per_s
 
     def transfer_time_ns(self, num_bytes: int) -> float:
         """Pure service time of ``num_bytes`` at peak bandwidth."""

@@ -192,14 +192,6 @@ class PersistenceScheme(abc.ABC):
 
     # -- accounting ------------------------------------------------------------------
 
-    @property
-    def nvm_bytes_written(self) -> int:
-        return self.device.stats.bytes_written
-
-    @property
-    def nvm_bytes_read(self) -> int:
-        return self.device.stats.bytes_read
-
     def reset_measurement(self) -> None:
         """Zero traffic/energy counters (e.g. after warm-up)."""
         self.device.reset_stats()

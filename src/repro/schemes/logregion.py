@@ -223,9 +223,6 @@ class AppendLog:
 
     # -- crash scanning ---------------------------------------------------------
 
-    def crash(self) -> None:
-        """Nothing volatile to lose: state is re-derived by scanning."""
-
     def _peek_span(self, device, start: int, end: int) -> bytes:
         """The content of the logical span ``[start, end)``, wrap included."""
         parts = []

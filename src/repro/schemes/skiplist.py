@@ -99,18 +99,6 @@ class SkipList(Generic[V]):
             return candidate.value, self.hops - before
         return None, self.hops - before
 
-    def floor(self, key: int) -> Tuple[Optional[int], Optional[V], int]:
-        """Largest key <= ``key``; returns ``(key, value, hops)``."""
-        before = self.hops
-        update = self._find_path(key)
-        candidate = update[0].forward[0]
-        if candidate is not None and candidate.key == key:
-            return candidate.key, candidate.value, self.hops - before
-        pred = update[0]
-        if pred is self._head:
-            return None, None, self.hops - before
-        return pred.key, pred.value, self.hops - before
-
     def remove(self, key: int) -> Tuple[bool, int]:
         """Delete; returns ``(found, hops spent)``."""
         before = self.hops
@@ -155,10 +143,6 @@ class SkipList(Generic[V]):
         while node is not None:
             yield node.key, node.value
             node = node.forward[0]
-
-    def keys(self) -> Iterator[int]:
-        for key, _ in self:
-            yield key
 
     def clear(self) -> None:
         self._head = _Node(-1, None, _MAX_LEVEL)

@@ -29,7 +29,7 @@ and report vocabulary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.serve.replica import (
     GROUP_RECOVERING,
@@ -139,11 +139,6 @@ class ServeCluster:
     def batches(self) -> int:
         """Batches executed across all shards."""
         return self._sum("batches")
-
-    @property
-    def primary_kills(self) -> int:
-        """Primary power cuts across all shards."""
-        return self._sum("primary_kills")
 
     @property
     def backup_kills(self) -> int:

@@ -106,7 +106,6 @@ class ShardExecutor:
         self.retried = 0
         self.shed_on_failover = 0
         self.batches = 0
-        self.primary_kills = 0
         self.backup_kills = 0
         self.divergence_checks = 0
         self.oracle_failures: List[str] = []
@@ -363,7 +362,6 @@ class ShardExecutor:
         the same machine's recovery horizon, exactly the PR 7 path.
         """
         primary = group.primary
-        self.primary_kills += 1
         self.telemetry.emit(
             self.now_ns,
             "shard_kill",

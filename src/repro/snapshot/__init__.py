@@ -75,7 +75,6 @@ from typing import Any, Dict, List
 __all__ = [
     "Snapshot",
     "capture",
-    "restore",
     "clone_state",
     "unregistered_classes",
     "reset_unregistered",
@@ -426,36 +425,16 @@ class Snapshot:
     first touch (see ``NVMDevice.__snapshot_clone__``).
     """
 
-    __slots__ = ("_system", "writes", "txn_index")
+    __slots__ = ("_system",)
 
-    def __init__(self, system: Any, *, writes: int = 0, txn_index: int = 0):
+    def __init__(self, system: Any):
         self._system = system
-        self.writes = writes
-        self.txn_index = txn_index
 
     def restore(self) -> Any:
         """Materialize a fresh, runnable system from this snapshot."""
         return clone_state(self._system)
 
 
-def capture(system: Any, *, txn_index: int = 0) -> Snapshot:
-    """Snapshot a memory system (between transactions).
-
-    ``txn_index`` tags which workload transaction the snapshot precedes;
-    ``writes`` records the device write count at capture, which is what
-    the incremental sweep compares against crash boundaries.
-    """
-    writes = 0
-    device = getattr(system, "device", None)
-    if device is not None:
-        stats = getattr(device, "stats", None)
-        if stats is not None:
-            writes = stats.writes
-    return Snapshot(
-        clone_state(system), writes=writes, txn_index=txn_index
-    )
-
-
-def restore(snapshot: Snapshot) -> Any:
-    """Module-level convenience for ``snapshot.restore()``."""
-    return snapshot.restore()
+def capture(system: Any) -> Snapshot:
+    """Snapshot a memory system (between transactions)."""
+    return Snapshot(clone_state(system))

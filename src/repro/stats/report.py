@@ -76,15 +76,12 @@ class FigureData:
         notes = "\n".join(f"  note: {n}" for n in self.notes)
         return "\n".join(part for part in (header, body, notes) if part)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
-
 
 def fault_tolerance_figure(system) -> FigureData:
     """Fault-tolerance counters of one system as a renderable table.
 
     Combines the device injector's :class:`~repro.faults.FaultStats`
-    (power cuts, torn writes, remaps) with the memory port's retry
+    (power cuts, torn writes, read faults) with the memory port's retry
     accounting — the observable cost of every fault the run absorbed.
     On a plain (fault-free) device only the port rows appear.
     """
@@ -103,9 +100,6 @@ def fault_tolerance_figure(system) -> FigureData:
         fig.add_row(
             "transient read faults", fault_stats.transient_read_faults
         )
-        fig.add_row("blocks remapped", fault_stats.remapped_blocks)
-        fig.add_row("remap copy bytes", fault_stats.remap_copy_bytes)
-        fig.add_row("remapped accesses", fault_stats.remapped_accesses)
     else:
         fig.add_note("fault injection disabled (plain device)")
     port = system.scheme.port.stats

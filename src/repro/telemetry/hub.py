@@ -27,7 +27,7 @@ Event taxonomy (``kind`` strings, greppable in the JSONL export):
                      migrated line: line ``addr``, ``words`` removed
 ``port_stall``       a synchronous NVM write stalled longer than
                      :data:`STALL_EVENT_NS`
-``power_cut``/``torn_write``/``read_fault``/``block_remap``
+``power_cut``/``read_fault``
                      fault-injection instants (``faults`` track)
 ``crash``            power failure instant (global)
 ===================  ==============================================

@@ -109,10 +109,6 @@ class Trace:
     def stores(self) -> int:
         return sum(1 for op in self.ops if op.kind == STORE)
 
-    @property
-    def loads(self) -> int:
-        return sum(1 for op in self.ops if op.kind == LOAD)
-
     def cores(self) -> List[int]:
         return sorted({op.core for op in self.ops})
 

@@ -51,10 +51,6 @@ class Transaction:
 
     # -- data plane -----------------------------------------------------------
 
-    def _check_active(self) -> None:
-        if not self._active or self.tx_id is None:
-            raise TransactionError("transaction is not active")
-
     def store(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr`` (any size; split across lines)."""
         if not self._active or self.tx_id is None:

@@ -8,14 +8,12 @@ atomic transactions.  ``Table`` provides exactly that.
 
 The primary-key index is DRAM-resident (a Python dict), mirroring how
 N-Store and LSNVMM keep indexes in volatile memory and rebuild them on
-recovery; index maintenance therefore costs no NVM traffic, and
-``rebuild_index`` reconstructs it from a persistent catalog row scan
-after a crash.
+recovery; index maintenance therefore costs no NVM traffic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 from repro.common.errors import AllocationError
 from repro.txn.system import MemorySystem
@@ -57,13 +55,6 @@ class Table:
         self.inserts += 1
         return addr
 
-    def update(self, tx: Transaction, key: int, payload: bytes) -> None:
-        """Overwrite a whole tuple."""
-        if len(payload) != self.tuple_bytes:
-            raise ValueError(f"payload must be {self.tuple_bytes} bytes")
-        store_item(tx, self._addr(key), payload)
-        self.updates += 1
-
     def update_slice(
         self, tx: Transaction, key: int, offset: int, data: bytes
     ) -> None:
@@ -100,27 +91,3 @@ class Table:
         if addr is None:
             raise KeyError(f"key {key} not in table {self.name!r}")
         return addr
-
-    def contains(self, key: int) -> bool:
-        return key in self._index
-
-    def address_of(self, key: int) -> int:
-        return self._addr(key)
-
-    def keys(self) -> Iterator[int]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def crash(self) -> None:
-        """The DRAM index dies with the power."""
-        self._index.clear()
-
-    def rebuild_index(self, mapping: Dict[int, int]) -> None:
-        """Restore the index (from a catalog scan the harness performs)."""
-        self._index = dict(mapping)
-
-    def snapshot_index(self) -> Dict[int, int]:
-        """Catalog view for crash tests: key -> tuple address."""
-        return dict(self._index)

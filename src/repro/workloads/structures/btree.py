@@ -17,11 +17,10 @@ bounds, and uniform leaf depth for the test suite.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.txn.system import MemorySystem
 from repro.txn.transaction import Transaction
-from repro.workloads.structures.util import NULL
 
 _HDR = 0
 
@@ -228,19 +227,3 @@ class PersistentBTree:
                 depth = child_depth
             assert depth == child_depth, "leaves at different depths"
         return total, (depth or 0) + 1
-
-    def keys_in_order(self) -> List[int]:
-        out: List[int] = []
-        with self.system.transaction() as tx:
-            self._collect(tx, tx.load_u64(self.base), out)
-        return out
-
-    def _collect(self, tx: Transaction, node: int, out: List[int]) -> None:
-        nkeys, leaf = self._header(tx, node)
-        if leaf:
-            out.extend(self._key(tx, node, i) for i in range(nkeys))
-            return
-        for i in range(nkeys):
-            self._collect(tx, self._kid(tx, node, i), out)
-            out.append(self._key(tx, node, i))
-        self._collect(tx, self._kid(tx, node, nkeys), out)

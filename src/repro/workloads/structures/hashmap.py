@@ -4,8 +4,8 @@ Layout: a bucket array of head pointers, nodes of
 ``[key | next | value…]``.  ``insert`` allocates a node, fills it, and
 splices it at the bucket head (the bucket-pointer store is last, so a
 torn transaction never exposes a half-written node — though with any of
-the real schemes the whole transaction is atomic anyway).  ``update``
-walks the chain and overwrites the value words in place.
+the real schemes the whole transaction is atomic anyway); inserting an
+existing key overwrites its value words in place.
 """
 
 from __future__ import annotations
@@ -72,36 +72,8 @@ class PersistentHashMap:
         store_item(tx, node + _VALUE, value)
         tx.store_u64(bucket, node)
 
-    def update(self, tx: Transaction, key: int, value: bytes) -> bool:
-        """Overwrite ``key``'s value; returns False when absent."""
-        if len(value) != self.value_bytes:
-            raise ValueError(f"value must be {self.value_bytes} bytes")
-        node = self._find_node(tx, key)
-        if node is None:
-            return False
-        store_item(tx, node + _VALUE, value)
-        return True
-
     def get(self, tx: Transaction, key: int) -> Optional[bytes]:
         node = self._find_node(tx, key)
         if node is None:
             return None
         return load_item(tx, node + _VALUE, self.value_bytes)
-
-    def remove(self, tx: Transaction, key: int) -> bool:
-        """Unlink ``key``'s node; returns False when absent."""
-        bucket = self._bucket_addr(key)
-        prev = NULL
-        node = tx.load_u64(bucket)
-        while node != NULL:
-            nxt = tx.load_u64(node + _NEXT)
-            if tx.load_u64(node + _KEY) == key:
-                if prev == NULL:
-                    tx.store_u64(bucket, nxt)
-                else:
-                    tx.store_u64(prev + _NEXT, nxt)
-                self.system.free(node, self.node_bytes)
-                return True
-            prev = node
-            node = nxt
-        return False

@@ -75,9 +75,3 @@ class PersistentQueue:
 
     def length(self, tx: Transaction) -> int:
         return tx.load_u64(self.base + _COUNT)
-
-    def peek(self, tx: Transaction) -> Optional[bytes]:
-        head = tx.load_u64(self.base + _HEAD)
-        if head == NULL:
-            return None
-        return load_item(tx, head + _VALUE, self.value_bytes)

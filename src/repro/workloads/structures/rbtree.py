@@ -7,15 +7,13 @@ so an insert's store count varies with the fixup work — from 2 (leaf
 recolor-free insert: child link + parent backlink) up to ~10 when
 rotations cascade, exactly the paper's range.
 
-Deletion (CLRS transplant + delete-fixup) is included beyond the paper's
-microbenchmark scope so the structure is complete for downstream use;
 :meth:`check_invariants` walks the tree read-only and verifies the
 red-black properties for the test suite.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.txn.system import MemorySystem
 from repro.txn.transaction import Transaction
@@ -153,164 +151,6 @@ class PersistentRBTree:
         if root != NULL and self._get(tx, root, _COLOR) != _BLACK:
             self._set(tx, root, _COLOR, _BLACK)
 
-    # -- deletion --------------------------------------------------------------------
-
-    def delete(self, tx: Transaction, key: int) -> bool:
-        """Remove ``key``; returns False when absent.
-
-        Classic CLRS: transplant the node (or its in-order successor),
-        then restore the red-black properties when a black node left the
-        tree.  The freed node returns to the persistent heap.
-        """
-        node = self._root(tx)
-        while node != NULL:
-            node_key = self._get(tx, node, _KEY)
-            if key == node_key:
-                break
-            node = self._get(tx, node, _LEFT if key < node_key else _RIGHT)
-        if node == NULL:
-            return False
-
-        # y is the node physically removed; x takes its place.
-        removed_color = self._get(tx, node, _COLOR)
-        left = self._get(tx, node, _LEFT)
-        right = self._get(tx, node, _RIGHT)
-        if left == NULL:
-            fix_at, fix_parent = right, self._get(tx, node, _PARENT)
-            self._transplant(tx, node, right)
-        elif right == NULL:
-            fix_at, fix_parent = left, self._get(tx, node, _PARENT)
-            self._transplant(tx, node, left)
-        else:
-            successor = right
-            while self._get(tx, successor, _LEFT) != NULL:
-                successor = self._get(tx, successor, _LEFT)
-            removed_color = self._get(tx, successor, _COLOR)
-            fix_at = self._get(tx, successor, _RIGHT)
-            if self._get(tx, successor, _PARENT) == node:
-                fix_parent = successor
-                if fix_at != NULL:
-                    self._set(tx, fix_at, _PARENT, successor)
-            else:
-                fix_parent = self._get(tx, successor, _PARENT)
-                self._transplant(tx, successor, fix_at)
-                self._set(tx, successor, _RIGHT, right)
-                self._set(tx, right, _PARENT, successor)
-            self._transplant(tx, node, successor)
-            self._set(tx, successor, _LEFT, left)
-            self._set(tx, left, _PARENT, successor)
-            self._set(
-                tx, successor, _COLOR, self._get(tx, node, _COLOR)
-            )
-        if removed_color == _BLACK:
-            self._delete_fixup(tx, fix_at, fix_parent)
-        self.system.free(node, _NODE_BYTES)
-        return True
-
-    def _transplant(self, tx: Transaction, old: int, new: int) -> None:
-        parent = self._get(tx, old, _PARENT)
-        if parent == NULL:
-            self._set_root(tx, new)
-        elif old == self._get(tx, parent, _LEFT):
-            self._set(tx, parent, _LEFT, new)
-        else:
-            self._set(tx, parent, _RIGHT, new)
-        if new != NULL:
-            self._set(tx, new, _PARENT, parent)
-
-    def _delete_fixup(self, tx: Transaction, node: int, parent: int) -> None:
-        # ``node`` may be NULL (a phantom black leaf); ``parent`` anchors it.
-        while (
-            node != self._root(tx)
-            and (node == NULL or self._get(tx, node, _COLOR) == _BLACK)
-        ):
-            if parent == NULL:
-                break
-            if node == self._get(tx, parent, _LEFT):
-                sibling = self._get(tx, parent, _RIGHT)
-                if sibling != NULL and (
-                    self._get(tx, sibling, _COLOR) == _RED
-                ):
-                    self._set(tx, sibling, _COLOR, _BLACK)
-                    self._set(tx, parent, _COLOR, _RED)
-                    self._rotate_left(tx, parent)
-                    sibling = self._get(tx, parent, _RIGHT)
-                if sibling == NULL:
-                    node, parent = parent, self._get(tx, parent, _PARENT)
-                    continue
-                s_left = self._get(tx, sibling, _LEFT)
-                s_right = self._get(tx, sibling, _RIGHT)
-                left_black = s_left == NULL or (
-                    self._get(tx, s_left, _COLOR) == _BLACK
-                )
-                right_black = s_right == NULL or (
-                    self._get(tx, s_right, _COLOR) == _BLACK
-                )
-                if left_black and right_black:
-                    self._set(tx, sibling, _COLOR, _RED)
-                    node, parent = parent, self._get(tx, parent, _PARENT)
-                else:
-                    if right_black:
-                        if s_left != NULL:
-                            self._set(tx, s_left, _COLOR, _BLACK)
-                        self._set(tx, sibling, _COLOR, _RED)
-                        self._rotate_right(tx, sibling)
-                        sibling = self._get(tx, parent, _RIGHT)
-                    self._set(
-                        tx, sibling, _COLOR,
-                        self._get(tx, parent, _COLOR),
-                    )
-                    self._set(tx, parent, _COLOR, _BLACK)
-                    s_right = self._get(tx, sibling, _RIGHT)
-                    if s_right != NULL:
-                        self._set(tx, s_right, _COLOR, _BLACK)
-                    self._rotate_left(tx, parent)
-                    node = self._root(tx)
-                    parent = NULL
-            else:
-                sibling = self._get(tx, parent, _LEFT)
-                if sibling != NULL and (
-                    self._get(tx, sibling, _COLOR) == _RED
-                ):
-                    self._set(tx, sibling, _COLOR, _BLACK)
-                    self._set(tx, parent, _COLOR, _RED)
-                    self._rotate_right(tx, parent)
-                    sibling = self._get(tx, parent, _LEFT)
-                if sibling == NULL:
-                    node, parent = parent, self._get(tx, parent, _PARENT)
-                    continue
-                s_left = self._get(tx, sibling, _LEFT)
-                s_right = self._get(tx, sibling, _RIGHT)
-                left_black = s_left == NULL or (
-                    self._get(tx, s_left, _COLOR) == _BLACK
-                )
-                right_black = s_right == NULL or (
-                    self._get(tx, s_right, _COLOR) == _BLACK
-                )
-                if left_black and right_black:
-                    self._set(tx, sibling, _COLOR, _RED)
-                    node, parent = parent, self._get(tx, parent, _PARENT)
-                else:
-                    if left_black:
-                        if s_right != NULL:
-                            self._set(tx, s_right, _COLOR, _BLACK)
-                        self._set(tx, sibling, _COLOR, _RED)
-                        self._rotate_left(tx, sibling)
-                        sibling = self._get(tx, parent, _LEFT)
-                    self._set(
-                        tx, sibling, _COLOR,
-                        self._get(tx, parent, _COLOR),
-                    )
-                    self._set(tx, parent, _COLOR, _BLACK)
-                    s_left = self._get(tx, sibling, _LEFT)
-                    if s_left != NULL:
-                        self._set(tx, s_left, _COLOR, _BLACK)
-                    self._rotate_right(tx, parent)
-                    node = self._root(tx)
-                    parent = NULL
-        if node != NULL:
-            self._set(tx, node, _COLOR, _BLACK)
-
     # -- rotations --------------------------------------------------------------------
 
     def _rotate_left(self, tx: Transaction, node: int) -> None:
@@ -390,17 +230,3 @@ class PersistentRBTree:
         rcount, rblack = self._check_subtree(tx, right, key, high)
         assert lblack == rblack, "black heights differ"
         return lcount + rcount + 1, lblack + (1 if color == _BLACK else 0)
-
-    def keys_in_order(self) -> List[int]:
-        """All keys via in-order traversal (read-only transaction)."""
-        out: List[int] = []
-        with self.system.transaction() as tx:
-            self._inorder(tx, self._root(tx), out)
-        return out
-
-    def _inorder(self, tx: Transaction, node: int, out: List[int]) -> None:
-        if node == NULL:
-            return
-        self._inorder(tx, self._get(tx, node, _LEFT), out)
-        out.append(self._get(tx, node, _KEY))
-        self._inorder(tx, self._get(tx, node, _RIGHT), out)

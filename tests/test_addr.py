@@ -15,17 +15,14 @@ def test_line_base_and_offset():
     assert addr.cache_line_base(0) == 0
     assert addr.cache_line_base(63) == 0
     assert addr.cache_line_base(64) == 64
-    assert addr.cache_line_offset(130) == 2
+    assert 130 - addr.cache_line_base(130) == 2
 
 
 def test_word_helpers():
     assert addr.word_base(15) == 8
+    assert addr.word_base(24) == 24
     assert addr.word_index(16) == 2
-    assert addr.word_offset_in_line(72) == 1
-    assert addr.is_word_aligned(24)
-    assert not addr.is_word_aligned(25)
-    assert addr.is_line_aligned(128)
-    assert not addr.is_line_aligned(129)
+    assert addr.cache_line_index(129) == 2
 
 
 def test_iter_cache_lines_spans_boundary():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import fuzz
 from repro.check.fuzz import ddmin, fuzz_scheme, trace_violations
 from repro.check.mutant import MUTANT_SCHEME
 from repro.check.oracle import (
@@ -10,7 +11,12 @@ from repro.check.oracle import (
     run_check_matrix,
     run_trace,
 )
-from repro.check.trace import expected_state, generate_trace
+from repro.check.trace import (
+    TraceStore,
+    TraceTxn,
+    expected_state,
+    generate_trace,
+)
 
 
 # Three seeded workloads, per the acceptance criteria: all schemes must
@@ -99,6 +105,39 @@ def test_ddmin_minimizes_known_predicate():
 def test_ddmin_single_element_predicate():
     failing = lambda items: 5 in items  # noqa: E731
     assert ddmin(list(range(40)), failing) == [5]
+
+
+def test_shrink_cuts_a_surviving_transaction_down_to_one_store(monkeypatch):
+    """The per-store stage: transaction-level ddmin keeps a whole
+    transaction, so only the second stage can drop its other stores."""
+    trace = generate_trace(3, transactions=6, slots=4)
+    chosen = TraceStore(slot=2, offset=5, value=0xC0FFEE)
+    stores = (
+        TraceStore(0, 1, 11), TraceStore(1, 2, 12), chosen,
+        TraceStore(3, 3, 13), TraceStore(0, 4, 14),
+    )
+    target = TraceTxn(core=1, stores=stores)
+    trace = trace.with_txns(trace.txns[:2] + (target,) + trace.txns[2:])
+    scored = []
+
+    def violations(scheme, candidate, **kwargs):
+        scored.append(candidate)
+        held = any(chosen in txn.stores for txn in candidate.txns)
+        return ["violation"] if held else []
+
+    monkeypatch.setattr(fuzz, "trace_violations", violations)
+    shrunk = fuzz.shrink_trace("opt-redo", trace)
+    assert shrunk.txns == (TraceTxn(core=1, stores=(chosen,)),)
+    # Stage one left the five-store transaction whole; stage two scored
+    # candidates with fewer of its stores.
+    assert any(
+        candidate.txns[0].stores == stores for candidate in scored
+        if len(candidate.txns) == 1
+    )
+    assert any(
+        0 < len(candidate.txns[0].stores) < len(stores)
+        for candidate in scored if len(candidate.txns) == 1
+    )
 
 
 def test_cli_clean_run(capsys):

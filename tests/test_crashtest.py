@@ -8,6 +8,8 @@ single-threaded recovery under the same fault plan, including plans
 that tear the commit-log tail.
 """
 
+import json
+
 import pytest
 
 from repro import FaultConfig, crashtest
@@ -125,7 +127,7 @@ class TestArtifacts:
     def test_plan_round_trip(self):
         plan = FaultConfig(
             enabled=True, seed=9, power_loss_after_write=42, torn=True,
-            stuck_blocks=(1, 3),
+            read_error_rate=0.25,
         )
         assert plan_from_dict(plan_to_dict(plan)) == plan
 
@@ -182,6 +184,51 @@ class TestArtifacts:
         save_artifact(artifact, path)
         assert main(["--replay", str(path)]) == 1
         assert "REPLAY DIVERGED" in capsys.readouterr().err
+
+    # The bad-block remap fields every artifact carried until the remap
+    # model was retired, at the values such an artifact holds on disk.
+    _RETIRED = {
+        "stuck_blocks": [],
+        "spare_blocks": 4,
+        "fault_block_bytes": 2 * 1024 * 1024,
+        "remap_penalty_ns": 10000.0,
+    }
+
+    def test_artifact_written_before_the_remap_retired_still_replays(
+        self, tmp_path
+    ):
+        kwargs = dict(seed=7, transactions=30, addresses=8)
+        plan = _plan(18, torn=True)
+        case = crashtest.run_case("hoop", plan, **kwargs)
+        payload = CrashArtifact(
+            scheme="hoop", faults=plan, workload_seed=7, transactions=30,
+            addresses=8, failure=case.failure, fingerprint=case.fingerprint,
+        ).to_dict()
+        payload["faults"].update(self._RETIRED)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        loaded = load_artifact(path)
+        assert loaded.faults == plan
+        replayed = crashtest.replay_artifact(loaded)
+        assert (replayed.failure, replayed.fingerprint) == (
+            case.failure, case.fingerprint,
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("stuck_blocks", [3]),
+            ("spare_blocks", 0),
+            ("fault_block_bytes", 4096),
+            ("remap_penalty_ns", 1.0),
+        ],
+    )
+    def test_artifact_asking_for_a_retired_remap_is_refused(self, key, value):
+        payload = plan_to_dict(FaultConfig(enabled=True))
+        payload.update(self._RETIRED)
+        payload[key] = value
+        with pytest.raises(ValueError, match=key):
+            plan_from_dict(payload)
 
     def test_newer_artifact_version_is_refused(self):
         payload = CrashArtifact(

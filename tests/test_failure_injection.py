@@ -71,9 +71,10 @@ def test_crash_during_recovery_is_restartable(fail_after):
     """§III-F: recovery interrupted by another crash simply restarts."""
     system, oracle = build_faulty_system(seed=fail_after * 7)
     system.crash()
-    # Recovery restores the home region through the functional plane, so
-    # a crash *during recovery* is armed as a poke budget.
-    system.device.injector.arm_power_loss(after_pokes=fail_after)
+    # Recovery restores the home region through the functional plane and
+    # persists metadata through the timed one; a crash *during recovery*
+    # is armed as a budget over both.
+    system.device.injector.arm_recovery_fault(after_ops=fail_after)
     try:
         system.recover(threads=2)
         interrupted = False

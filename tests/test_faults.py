@@ -2,9 +2,9 @@
 
 Covers the contract the crash sweep and the robustness features rely on:
 deterministic power cuts and torn writes, transient-read retry with
-backoff in the memory port, stuck-block remapping onto spare capacity,
-and — critically — that a fault-free faulty device behaves exactly like
-the plain device (the zero-perturbation guarantee's functional half).
+backoff in the memory port, and — critically — that a fault-free faulty
+device behaves exactly like the plain device (the zero-perturbation
+guarantee's functional half).
 """
 
 import pytest
@@ -89,14 +89,6 @@ class TestPowerLoss:
         ]
         # Every word is atomic: either fully applied or still zero.
         assert all(got in (want, bytes(8)) for got, want in words)
-
-    def test_poke_budget_crashes_functional_plane(self):
-        device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_power_loss(after_pokes=2)
-        device.poke(4096, b"a")
-        device.poke(4097, b"b")
-        with pytest.raises(PowerLossError):
-            device.poke(4098, b"c")
 
 
 class TestDeadlinePowerLoss:
@@ -267,75 +259,6 @@ class TestNestedFaultArming:
         # Fired: the pending flag clears with the power loss.
         device.rearm(FaultConfig(enabled=True))
         device.write(4096, b"x" * 64, 0.0)
-
-
-class TestStuckBlocks:
-    def test_write_to_stuck_block_is_remapped(self):
-        faults = FaultConfig(
-            enabled=True, stuck_blocks=(0,), fault_block_bytes=2**20
-        )
-        device = FaultyNVMDevice(faults=faults)
-        device.write(4096, b"r" * 64, 0.0)
-        stats = device.fault_stats
-        assert stats.remapped_blocks == 1
-        assert stats.stuck_block_writes == 1
-        # The data is readable through the remap, on both planes.
-        assert device.peek(4096, 64) == b"r" * 64
-        data, _ = device.read(4096, 64, 0.0)
-        assert data == b"r" * 64
-        assert stats.remapped_accesses > 0
-
-    def test_remap_copies_prior_content(self):
-        faults = FaultConfig(enabled=True, fault_block_bytes=2**20)
-        device = FaultyNVMDevice(faults=faults)
-        # Content lands on the healthy block, *then* the block goes bad
-        # (wear-out): the remap triggered by the next write must migrate
-        # the earlier bytes to the spare.
-        device.poke(0, b"old" + bytes(61))
-        device._stuck = {0}
-        device.write(4096, b"new" + bytes(61), 0.0)
-        assert device.peek(0, 3) == b"old"
-        assert device.peek(4096, 3) == b"new"
-        assert device.fault_stats.remap_copy_bytes > 0
-
-    def test_spare_exhaustion_is_a_media_error(self):
-        faults = FaultConfig(
-            enabled=True,
-            stuck_blocks=(0, 1),
-            spare_blocks=1,
-            fault_block_bytes=2**20,
-        )
-        device = FaultyNVMDevice(faults=faults)
-        device.write(4096, b"a" * 64, 0.0)  # consumes the only spare
-        with pytest.raises(MediaError):
-            device.write(2**20 + 4096, b"b" * 64, 0.0)
-
-    def test_remap_charges_latency_penalty(self):
-        faults = FaultConfig(
-            enabled=True, stuck_blocks=(0,), fault_block_bytes=2**20,
-            remap_penalty_ns=5000.0,
-        )
-        device = FaultyNVMDevice(faults=faults)
-        result = device.write(4096, b"x" * 64, 0.0, queued=False)
-        clean = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        baseline = clean.write(4096, b"x" * 64, 0.0, queued=False)
-        assert result.completion_ns >= baseline.completion_ns + 5000.0
-
-    def test_remap_survives_power_cycle(self):
-        faults = FaultConfig(
-            enabled=True, stuck_blocks=(0,), fault_block_bytes=2**20,
-            power_loss_after_write=1,
-        )
-        device = FaultyNVMDevice(faults=faults)
-        device.write(4096, b"s" * 64, 0.0)  # triggers the remap
-        with pytest.raises(PowerLossError):
-            device.write(8192, b"t" * 64, 0.0)
-        device.restore_power()
-        # The firmware remap table is persistent: the address still
-        # translates, the content is still there.
-        assert device.peek(4096, 64) == b"s" * 64
-        device.write(4096, b"u" * 64, 0.0)
-        assert device.peek(4096, 64) == b"u" * 64
 
 
 class TestFaultReport:

@@ -33,9 +33,9 @@ class TestScales:
 class TestRunCell:
     @pytest.fixture(autouse=True)
     def _cold_memo(self):
-        experiments.clear_cache()
+        experiments._CELL_CACHE.clear()
         yield
-        experiments.clear_cache()
+        experiments._CELL_CACHE.clear()
 
     def test_cell_runs_and_caches(self):
         first = run_cell("native", "queue", "smoke", seed=3)
@@ -50,12 +50,11 @@ class TestRunCell:
 
     def test_cell_is_a_pure_function_of_its_key(self):
         """What lets the memo stand in for a run: same key, same values."""
-        first = run_cell("hoop", "vector", "smoke", use_cache=False)
-        second = run_cell("hoop", "vector", "smoke", use_cache=False)
+        first = run_cell("hoop", "vector", "smoke")
+        experiments._CELL_CACHE.clear()
+        second = run_cell("hoop", "vector", "smoke")
         assert first is not second
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
-        # use_cache=False neither reads nor fills the memo.
-        assert not experiments._CELL_CACHE
 
     def test_memo_is_lru_bounded(self, monkeypatch):
         monkeypatch.setattr(experiments, "_CELL_CACHE_MAX", 2)

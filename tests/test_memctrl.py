@@ -43,10 +43,10 @@ class TestMemoryPort:
         port.sync_write(0, b"a" * 10, 0.0)
         port.async_write(0, b"b" * 20, 0.0)
         port.read(0, 30, 0.0)
-        assert port.bytes_written == 30
+        assert (port.stats.sync_bytes, port.stats.async_bytes) == (10, 20)
         assert port.stats.read_bytes == 30
         port.reset_stats()
-        assert port.bytes_written == 0
+        assert (port.stats.sync_bytes, port.stats.async_bytes) == (0, 0)
 
 
 class TestPeriodicTrigger:

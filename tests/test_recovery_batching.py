@@ -32,14 +32,13 @@ from repro.txn.system import MemorySystem
 # -- (a) poke_batch == one poke per element ------------------------------------
 
 _NVM = NVMConfig(capacity=8 * MB)
-_FAULT_BLOCK = 2 * MB
 
-# Addresses near zero, a page edge, a fault-block edge and the device's
-# end, so negative, single-page, page-crossing and out-of-range elements
-# all occur; empty elements too.
+# Addresses near zero, a page edge, a 2 MB edge and the device's end, so
+# negative, single-page, page-crossing and out-of-range elements all
+# occur; empty elements too.
 _pokes = st.lists(
     st.tuples(
-        st.sampled_from([0, 4096, 3 * 4096, _FAULT_BLOCK, _NVM.capacity]),
+        st.sampled_from([0, 4096, 3 * 4096, 2 * MB, _NVM.capacity]),
         st.integers(-72, 8),
         st.binary(min_size=0, max_size=64),
     ).map(lambda e: (e[0] + e[1], e[2])),
@@ -53,9 +52,9 @@ _warm = st.lists(
     max_size=4,
 )
 
-# Injector states a batch can meet.  "stuck" has a stuck block not yet
-# remapped, so the batch's first write to it remaps it.
-_STATES = ["inert", "pokes", "recovery", "dead", "stuck", "remapped"]
+# Injector states a batch can meet.  "dead" lost power to a recovery
+# budget, "cut" to a timed write with no recovery budget armed.
+_STATES = ["inert", "recovery", "dead", "cut"]
 
 
 class _Consumed(list):
@@ -74,28 +73,24 @@ def _device(cls, state, warm, budget, torn):
         device = NVMDevice(_NVM)
     else:
         device = FaultyNVMDevice(
-            _NVM,
-            FaultConfig(
-                enabled=True,
-                seed=3,
-                torn=torn,
-                stuck_blocks=(0,) if state in ("stuck", "remapped") else (),
-                fault_block_bytes=_FAULT_BLOCK,
-            ),
+            _NVM, FaultConfig(enabled=True, seed=3, torn=torn)
         )
     for addr, data in warm:
         NVMDevice.poke(device, addr, data)  # content only, no fault logic
-    if state == "remapped":
-        device.poke(0, device.peek(0, 8))  # rewrite in place: remaps block 0
-    elif state == "dead":
-        device.injector.arm_power_loss(after_pokes=0)
+    if state == "dead":
+        device.injector.arm_recovery_fault(after_ops=0)
         try:
             device.poke(0, device.peek(0, 8))
         except PowerLossError:
             pass
         assert device.injector.power_lost
-    elif state == "pokes":
-        device.injector.arm_power_loss(after_pokes=budget, torn=torn)
+    elif state == "cut":
+        device.injector.arm_power_loss(after_writes=0)
+        try:
+            device.write(0, device.peek(0, 8))
+        except PowerLossError:
+            pass
+        assert device.injector.power_lost
     elif state == "recovery":
         device.injector.arm_recovery_fault(after_ops=budget, torn=torn)
     return device
@@ -117,9 +112,7 @@ def _state(device, twin):
             device.fault_stats,
             injector._rng.getstate(),
             injector.power_lost,
-            injector._poke_budget,
             injector._recovery_budget,
-            dict(device._remap),
         ]
     return out
 
@@ -158,8 +151,7 @@ def test_poke_batch_equals_per_element_pokes_in_every_injector_state(
     warm, pokes, state
 ):
     # A budget is fired at every element of the batch, and past its end.
-    armed = state in ("pokes", "recovery")
-    budgets = range(len(pokes) + 1) if armed else [None]
+    budgets = range(len(pokes) + 1) if state == "recovery" else [None]
     for torn in (False, True):
         for budget in budgets:
             with mock.patch.object(
@@ -177,14 +169,8 @@ def test_poke_batch_equals_per_element_pokes_in_every_injector_state(
             # Same error at the same element, same bytes, same counters,
             # same PRNG draws.
             assert batched == per_element
-            in_range = all(
-                addr >= 0 and addr + max(1, len(data)) <= _NVM.capacity
-                for addr, data in pokes
-            )
-            # The base-class batch runs exactly when nothing is armed and
-            # every element is visible.
-            expected = 1 if state == "inert" and in_range else 0
-            assert base_batch.call_count == expected
+            # The base-class batch runs exactly when nothing is armed.
+            assert base_batch.call_count == (1 if state == "inert" else 0)
 
 
 # -- (b) the scan memo == a memo-free scan -------------------------------------

@@ -34,17 +34,7 @@ def test_iteration_sorted():
     sl = SkipList()
     for key in (5, 1, 9, 3):
         sl.insert(key, key * 10)
-    assert list(sl.keys()) == [1, 3, 5, 9]
     assert list(sl) == [(1, 10), (3, 30), (5, 50), (9, 90)]
-
-
-def test_floor():
-    sl = SkipList()
-    for key in (10, 20, 30):
-        sl.insert(key, str(key))
-    assert sl.floor(25)[:2] == (20, "20")
-    assert sl.floor(30)[:2] == (30, "30")
-    assert sl.floor(5)[:2] == (None, None)
 
 
 def test_remove():

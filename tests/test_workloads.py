@@ -127,11 +127,10 @@ class TestNStore:
         with system.transaction() as tx:
             table.insert(tx, 1, b"a" * 32)
             assert table.read(tx, 1) == b"a" * 32
-            table.update(tx, 1, b"b" * 32)
+            table.update_slice(tx, 1, 0, b"b" * 32)
             table.update_u64(tx, 1, 8, 777)
             assert table.read_u64(tx, 1, 8) == 777
-        assert len(table) == 1
-        assert table.contains(1)
+            assert table.read(tx, 1)[:8] == b"b" * 8
 
     def test_duplicate_insert_rejected(self):
         system = MemorySystem(SystemConfig.small(), scheme="native")
@@ -147,17 +146,6 @@ class TestNStore:
         with system.transaction() as tx:
             with pytest.raises(KeyError):
                 table.read(tx, 9)
-
-    def test_index_crash_and_rebuild(self):
-        system = MemorySystem(SystemConfig.small(), scheme="native")
-        table = Table(system, "t", 32)
-        with system.transaction() as tx:
-            table.insert(tx, 1, b"a" * 32)
-        snapshot = table.snapshot_index()
-        table.crash()
-        assert not table.contains(1)
-        table.rebuild_index(snapshot)
-        assert table.contains(1)
 
     def test_slice_bounds_checked(self):
         system = MemorySystem(SystemConfig.small(), scheme="native")
