@@ -1,8 +1,8 @@
 """Every crash case's verdict and recovery report, pinned by digest.
 
-For each scheme below, an exhaustive forked sweep (``python -m
-repro.crashtest --schemes hoop,hoopmc,redo,logregion --sample 0
---transactions 60 --seed 11``) records every case's ``CaseResult`` and
+For every sweep scheme, an exhaustive forked sweep (``python -m
+repro.crashtest --schemes all --sample 0 --transactions 60 --seed 11``)
+records every case's ``CaseResult`` and
 the ``RecoveryReport`` / ``RecoveryOutcome`` its ``MemorySystem.recover``
 returned, ``elapsed_ns`` included (it is computed from counted bytes,
 not timed).  ``tests/data/recovery_golden.json`` holds the SHA-256 of
@@ -29,6 +29,7 @@ from repro.txn.system import MemorySystem
 
 GOLDEN = Path(__file__).parent / "data" / "recovery_golden.json"
 SWEEP = {"seed": 11, "transactions": 60, "sample": 0}
+SCHEMES = sorted(crashtest.SWEEP_SCHEMES.values())
 
 
 def recovery_records(scheme: str) -> list:
@@ -69,14 +70,12 @@ def test_recovery_reports_match_golden(scheme):
 
 
 def test_golden_covers_the_recovery_schemes():
-    assert sorted(_GOLDEN["schemes"]) == sorted(
-        ["hoop", "hoop-mc", "opt-redo", "logregion"]
-    )
+    assert sorted(_GOLDEN["schemes"]) == SCHEMES
 
 
 if __name__ == "__main__":
     schemes = {}
-    for name in ("hoop", "hoop-mc", "opt-redo", "logregion"):
+    for name in SCHEMES:
         records = recovery_records(name)
         schemes[name] = {"cases": len(records), "sha256": digest(records)}
     print(json.dumps({"sweep": SWEEP, "schemes": schemes}, indent=2))
