@@ -18,26 +18,31 @@ references become reclaimable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.core.oop_region import OOPRegion
-from repro.core.slices import AddressSlice, AddressSliceEntry, SliceCodec
+from repro.core.slices import AddressSliceEntry, SliceCodec
 from repro.telemetry.hub import NULL_TELEMETRY
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Page:
-    """A volatile view of one on-NVM address slice."""
+    """A volatile view of one on-NVM address slice.
 
-    __snapshot_state__ = "__all__"
+    Immutable: an append or a retire replaces the page in
+    ``CommitLog._pages``, so snapshot forks share every page.
+    """
+
+    __snapshot_state__ = "__atom__"
 
     slice_index: int
-    content: AddressSlice = field(default_factory=AddressSlice)
+    entries: Tuple[AddressSliceEntry, ...]
+    sequence: int  # commit-log page number, for recovery ordering
 
     @property
     def live_entries(self) -> int:
-        return sum(1 for e in self.content.entries if not e.retired)
+        return sum(1 for e in self.entries if not e.retired)
 
 
 class CommittedTx(NamedTuple):
@@ -109,22 +114,12 @@ class CommitLog:
 
     __snapshot_state__ = "__all__"
 
-    def __snapshot_fixup__(self, memo: dict) -> None:
-        """Re-key the dirty set from old page ids to cloned page ids.
-
-        ``_dirty`` holds ``id(page)`` of live :class:`_Page` objects; a
-        snapshot clone gets new objects with new ids.  Every dirty page
-        is reachable via ``_pages``, so the memo covers it.
-        """
-        self._dirty = {
-            id(memo[page_id]) for page_id in self._dirty if page_id in memo
-        }
-
     def __init__(self, region: OOPRegion, codec: SliceCodec) -> None:
         self.region = region
         self.codec = codec
         self._pages: List[_Page] = []
-        self._dirty: set = set()
+        # Slice indexes of pages with entries not yet written out.
+        self._dirty: Set[int] = set()
         self._next_sequence = 0
         self.commits = 0
         self.segments = 0
@@ -149,10 +144,15 @@ class CommitLog:
         them.
         """
         page = self._current_page(now_ns)
-        page.content.entries.append(
-            AddressSliceEntry(
-                tx_id=tx_id, tail_slice=tail_slice, committed=committed
-            )
+        page = self._pages[-1] = _Page(
+            page.slice_index,
+            page.entries
+            + (
+                AddressSliceEntry(
+                    tx_id=tx_id, tail_slice=tail_slice, committed=committed
+                ),
+            ),
+            page.sequence,
         )
         self.segments += 1
         if committed:
@@ -166,35 +166,31 @@ class CommitLog:
             )
         if not committed:
             return self._flush_page(page, now_ns, sync=True)
-        if len(page.content.entries) >= self.codec.entries_per_addr_slice:
+        if len(page.entries) >= self.codec.entries_per_addr_slice:
             return self._flush_page(page, now_ns, sync=False)
-        self._dirty.add(id(page))
+        self._dirty.add(page.slice_index)
         return now_ns
 
     def _flush_page(self, page: "_Page", now_ns: float, *, sync: bool) -> float:
-        raw = self.codec.encode_addr(page.content)
-        self._dirty.discard(id(page))
+        raw = self.codec.encode_addr(page)
+        self._dirty.discard(page.slice_index)
         return self.region.write_slice(page.slice_index, raw, now_ns, sync=sync)
 
     def flush_dirty(self, now_ns: float, *, sync: bool = True) -> float:
         """Persist every page with unwritten entries (pre-retire barrier)."""
         completion = now_ns
         for page in self._pages:
-            if id(page) in self._dirty:
+            if page.slice_index in self._dirty:
                 completion = self._flush_page(page, now_ns, sync=sync)
         return completion
 
     def _current_page(self, now_ns: float) -> _Page:
         if self._pages and (
-            len(self._pages[-1].content.entries)
-            < self.codec.entries_per_addr_slice
+            len(self._pages[-1].entries) < self.codec.entries_per_addr_slice
         ):
             return self._pages[-1]
         slice_index = self.region.allocate_slice(now_ns, stream="addr")
-        page = _Page(
-            slice_index,
-            AddressSlice(entries=[], sequence=self._next_sequence),
-        )
+        page = _Page(slice_index, (), self._next_sequence)
         self._next_sequence += 1
         self._pages.append(page)
         return page
@@ -205,7 +201,7 @@ class CommitLog:
         """The volatile pages' committed, open and known transactions."""
         analysis = LogAnalysis()
         for page in self._pages:
-            analysis.fold(page.content.entries)
+            analysis.fold(page.entries)
         return analysis
 
     def retire(self, tx_ids: Iterable[int], now_ns: float) -> float:
@@ -216,21 +212,25 @@ class CommitLog:
         leave recovery chasing chains into reused slices.
         """
         ids = set(tx_ids)
-        # tx -> pages holding its entries, in page then entry order (the
-        # order entries were appended in); built per call rather than
-        # kept, so a snapshot clone has no per-transaction list to copy.
-        tx_pages: Dict[int, List[_Page]] = {}
-        for page in self._pages:
-            for entry in page.content.entries:
+        pages = self._pages
+        # tx -> positions of the pages holding its entries, in page then
+        # entry order (the order entries were appended in); built per
+        # call rather than kept, so a snapshot clone has no
+        # per-transaction list to copy.
+        tx_pages: Dict[int, List[int]] = {}
+        for position, page in enumerate(pages):
+            for entry in page.entries:
                 if entry.tx_id in ids:
-                    tx_pages.setdefault(entry.tx_id, []).append(page)
-        dirty: List[_Page] = []
+                    tx_pages.setdefault(entry.tx_id, []).append(position)
+        dirty: List[int] = []
         for tx_id in ids:
-            for page in tx_pages.get(tx_id, ()):
+            for position in tx_pages.get(tx_id, ()):
+                page = pages[position]
+                entries = list(page.entries)
                 changed = False
-                for i, entry in enumerate(page.content.entries):
+                for i, entry in enumerate(entries):
                     if entry.tx_id == tx_id and not entry.retired:
-                        page.content.entries[i] = AddressSliceEntry(
+                        entries[i] = AddressSliceEntry(
                             tx_id=entry.tx_id,
                             tail_slice=entry.tail_slice,
                             committed=entry.committed,
@@ -238,11 +238,15 @@ class CommitLog:
                         )
                         self.retired += 1
                         changed = True
-                if changed and page not in dirty:
-                    dirty.append(page)
+                if changed:
+                    pages[position] = _Page(
+                        page.slice_index, tuple(entries), page.sequence
+                    )
+                    if position not in dirty:
+                        dirty.append(position)
         completion = now_ns
-        for page in dirty:
-            completion = self._flush_page(page, now_ns, sync=True)
+        for position in dirty:
+            completion = self._flush_page(pages[position], now_ns, sync=True)
         return completion
 
     # -- page reclamation -----------------------------------------------------------
@@ -252,13 +256,14 @@ class CommitLog:
         return [
             p.slice_index
             for p in self._pages[:-1]  # never reclaim the open tail page
-            if p.content.entries and p.live_entries == 0
+            if p.entries and p.live_entries == 0
         ]
 
     def drop_pages(self, slice_indexes: Iterable[int]) -> None:
         """Forget fully-retired pages (their blocks are being reclaimed)."""
         doomed = set(slice_indexes)
         self._pages = [p for p in self._pages if p.slice_index not in doomed]
+        self._dirty -= doomed
 
     @property
     def live_count(self) -> int:
@@ -271,13 +276,19 @@ class CommitLog:
         self._pages = []
         self._dirty = set()
 
-    def rebuild(self, pages: List[Tuple[int, AddressSlice]]) -> None:
-        """Restore the volatile view from decoded on-NVM pages (recovery)."""
-        ordered = sorted(pages, key=lambda p: p[1].sequence)
-        self._pages = [_Page(idx, content) for idx, content in ordered]
+    def rebuild(
+        self, pages: List[Tuple[int, Tuple[AddressSliceEntry, ...], int]]
+    ) -> None:
+        """Restore the volatile view from decoded on-NVM pages (recovery).
+
+        ``pages`` are ``(slice_index, entries, sequence)`` triples.
+        """
+        self._pages = sorted(
+            (_Page(*page) for page in pages), key=lambda p: p.sequence
+        )
         self._dirty = set()
         if self._pages:
-            self._next_sequence = self._pages[-1].content.sequence + 1
+            self._next_sequence = self._pages[-1].sequence + 1
 
     def clear(self) -> None:
         """Reset after recovery wiped the OOP region."""
@@ -287,5 +298,5 @@ class CommitLog:
 
 # -- snapshot declarations ----------------------------------------------------
 # CommittedTx is an immutable record built on demand; _Page and CommitLog
-# declare theirs in the class body (CommitLog also needs a fixup).
+# declare theirs in the class body.
 CommittedTx.__snapshot_state__ = "__atom__"

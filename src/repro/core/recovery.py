@@ -40,7 +40,6 @@ from repro.core.slices import (
     KIND_DATA,
     SLICE_BYTES,
     STATE_LAST,
-    AddressSlice,
     DataSlice,
     SliceCodec,
 )
@@ -267,7 +266,7 @@ class RecoveryManager:
                 pages += self._scan_block(reader, block, "addr")
         pages.sort(key=_SEQUENCE)  # log order (stable, as rebuild sorts)
         self.commit_log.rebuild(
-            [(i, AddressSlice(list(entries), seq)) for i, _, entries, seq in pages]
+            [(i, entries, seq) for i, _, entries, seq in pages]
         )
         analysis = self._analyse(pages)
         logged = analysis.logged()

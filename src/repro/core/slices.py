@@ -360,7 +360,11 @@ class SliceCodec:
     # -- address slices -----------------------------------------------------------
 
     def encode_addr(self, a: AddressSlice) -> bytes:
-        """Encode a commit-log page into 128 bytes."""
+        """Encode a commit-log page into 128 bytes.
+
+        Takes anything with ``entries`` and ``sequence``: an
+        :class:`AddressSlice` or the commit log's own immutable page.
+        """
         if len(a.entries) > self.entries_per_addr_slice:
             raise ValueError(
                 f"address slice holds at most {self.entries_per_addr_slice}"
@@ -395,7 +399,7 @@ class SliceCodec:
 
         The memo holds ``(tuple(entries), sequence)``; every call builds
         a fresh ``AddressSlice`` with its own ``entries`` list from it,
-        because ``CommitLog.retire`` rewrites entries in place.
+        so no caller can alter what the memo answers.
         """
         entries, sequence = _memoized(
             self._addr_cache, raw, self._decode_addr_uncached

@@ -288,8 +288,9 @@ def forward_cursor(build: Build, seed: int) -> ForwardCursor:
 def build_crashed(
     build: Build, cursor: ForwardCursor, faults: FaultConfig
 ) -> Tuple[MemorySystem, RunOutcome]:
-    """Front half of a case: a fork of ``cursor`` run into the cut.
+    """Front half of a case: ``cursor``'s fork at the cut.
 
+    The boundary must be the next one announced to ``cursor.expect``.
     Returns the system before ``crash()`` plus the outcome, exactly as
     running ``build(faults)``'s workload on its fresh machine produces
     them — which is what runs when the boundary precedes the cursor's
@@ -351,9 +352,10 @@ def sweep_cases(
 ) -> Iterator[Tuple[FaultConfig, CaseResult]]:
     """The one boundary loop: each boundary's fault plan and verdict.
 
-    ``boundaries`` must ascend; each case is a fork of ``cursor`` run
-    into the cut, then crashed, recovered and verified.
+    ``boundaries`` must ascend; each case is the fork ``cursor`` took
+    inside its cut write, then crashed, recovered and verified.
     """
+    cursor.expect(boundaries)
     for boundary in boundaries:
         faults = boundary_faults(
             seed, boundary, _torn_for(boundary, torn_mode)
@@ -377,14 +379,12 @@ def sweep_scheme(
     """Sweep one scheme across crash boundaries; returns all cases.
 
     The sweep does its forward work once: the seeded workload is
-    recorded, a probe counts the timed writes before each transaction,
-    and one live fault-free machine
-    (:class:`~repro.snapshot.replay.ForwardCursor`) advances through
-    the boundaries in ascending order, forked between transactions for
-    each case — a case pays for one fork, the rest of the transaction
-    the cut lands in, and its own recovery.  Every case equals
-    :func:`run_case` under its own fault plan, the cold replay of its
-    artifact.
+    recorded, a probe counts its timed writes, and one live fault-free
+    machine (:class:`~repro.snapshot.replay.ForwardCursor`) advances
+    through the boundaries in ascending order, forked inside each cut
+    write — a case pays for one fork, the one write that cuts it, and
+    its own recovery.  Every case equals :func:`run_case` under its own
+    fault plan, the cold replay of its artifact.
     """
     build = partial(
         build_workload, scheme, seed=seed, transactions=transactions,

@@ -410,6 +410,7 @@ def nested_sweep_scheme(
     try:
         # -- phase 1: crash during recovery ---------------------------------
         forward_boundaries = choose_boundaries(total, forward_sample, seed)
+        cursor.expect(forward_boundaries)
         for boundary in forward_boundaries:
             torn = _torn_for(boundary, torn_mode)
             system, outcome = build_crashed(

@@ -14,7 +14,11 @@ all mutable fault state:
   injected, since recovery interleaves home-region pokes with timed
   metadata writes (log headers, slot rewrites, region clears);
 * the seeded PRNG behind **torn-write** word selection and **transient
-  read** faults.
+  read** faults, created at its first draw;
+* the crash sweep's **fork hook**: a function the device calls when its
+  timed-write count reaches ``fork_at``, before the injector's verdict
+  on that write (:class:`~repro.snapshot.replay.ForwardCursor` forks the
+  machine there).
 
 Timing/energy honesty: a faulted read attempt still charges its channel
 occupancy and energy (the bits moved, they were just wrong); the fatal
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.common.config import FaultConfig, NVMConfig, SystemConfig
 from repro.common.errors import PowerLossError, TransientReadError
@@ -59,17 +63,32 @@ class FaultStats:
 
 
 class FaultInjector:
-    """All mutable fault state for one :class:`FaultyNVMDevice`."""
+    """All mutable fault state for one :class:`FaultyNVMDevice`.
+
+    The PRNG is seeded from ``config.seed`` at its first draw, so an
+    injector that never tears a write or faults a read never builds one
+    (a sweep fork clones nothing that its ``rearm`` would throw away);
+    the draw sequence is the one an eagerly seeded PRNG gives.
+    """
 
     # Snapshots deep-clone everything: the armed power-loss budgets and
     # the PRNG stream are plain attributes, so a snapshot captured
-    # mid-fault replays the same remaining-writes countdown.
+    # mid-fault replays the same remaining-writes countdown.  The fork
+    # hook is a plain function, which the engine shares rather than
+    # clones.
     __snapshot_state__ = "__all__"
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
         self.stats = FaultStats()
-        self._rng = random.Random(config.seed)
+        self._rng: Optional[random.Random] = None
+        # The fork hook: called as ``fork_hook(addr, data, now_ns,
+        # queued)`` by the device's next timed write issued with exactly
+        # ``fork_at`` writes done.  It must be a plain function, not a
+        # bound method: the snapshot engine shares functions but re-binds
+        # a method to a clone of its receiver.
+        self.fork_at: Optional[int] = None
+        self.fork_hook: Optional[Callable[..., None]] = None
         self._write_budget: Optional[int] = config.power_loss_after_write
         # The *nested* fault budget: one counter over both mutation
         # planes (timed writes AND pokes) in program order.  Recovery
@@ -197,9 +216,15 @@ class FaultInjector:
         self.stats.power_cuts += 1
         return _WRITE_FATAL
 
+    def _draws(self) -> random.Random:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.config.seed)
+        return rng
+
     def read_faults(self) -> bool:
         rate = self.config.read_error_rate
-        return rate > 0.0 and self._rng.random() < rate
+        return rate > 0.0 and self._draws().random() < rate
 
     def torn_words_kept(self, num_words: int) -> set:
         """Word indices of the fatal write that reach the media.
@@ -211,7 +236,8 @@ class FaultInjector:
         if not self._torn or num_words == 0:
             return set()
         self.stats.torn_writes += 1
-        return {i for i in range(num_words) if self._rng.random() < 0.5}
+        draw = self._draws().random
+        return {i for i in range(num_words) if draw() < 0.5}
 
 
 class FaultyNVMDevice(NVMDevice):
@@ -304,7 +330,10 @@ class FaultyNVMDevice(NVMDevice):
         size = len(data)
         if addr < 0 or addr + size > self._capacity:
             self._check(addr, size)
-        verdict = self.injector.on_timed_write(now_ns)
+        injector = self.injector
+        if injector.fork_at == self.stats.writes:
+            injector.fork_hook(addr, data, now_ns, queued)
+        verdict = injector.on_timed_write(now_ns)
         if verdict == _WRITE_OK:
             return NVMDevice.write(self, addr, data, now_ns, queued=queued)
         if verdict == _WRITE_DEAD:
@@ -324,24 +353,26 @@ class FaultyNVMDevice(NVMDevice):
     ) -> None:
         """Queue a burst of writes; exactly equal to one ``write`` each.
 
-        While no write budget, deadline or recovery budget is armed,
-        every element's ``on_timed_write()`` would return OK without
-        touching a counter (power is only ever lost through one of those
-        three, so it is on), and the base-class batch leaves exactly the
-        state per-element ``write(..., queued=True)`` calls would.  An
-        element outside the device sends the whole batch down the
-        per-element path, which raises at that element with the channel
-        charged for every earlier one.
+        While no write budget, deadline, recovery budget or fork hook is
+        armed, every element's ``on_timed_write()`` would return OK
+        without touching a counter (power is only ever lost through one
+        of the first three, so it is on), and the base-class batch
+        leaves exactly the state per-element ``write(..., queued=True)``
+        calls would.  An element outside the device sends the whole
+        batch down the per-element path, which raises at that element
+        with the channel charged for every earlier one.
 
         With anything armed the batch decomposes into one ``write`` per
-        element, so each crosses the power-loss budget on its own and a
-        GC migration burst is cut at the same write it always was.
+        element, so each crosses the power-loss budget on its own, a GC
+        migration burst is cut at the same write it always was, and the
+        fork hook sees the write count of every element.
         """
         injector = self.injector
         if (
             injector._write_budget is None
             and injector._deadline_ns is None
             and injector._recovery_budget is None
+            and injector.fork_at is None
         ):
             capacity = self._capacity
             for addr, data in writes:
@@ -374,11 +405,14 @@ class FaultyNVMDevice(NVMDevice):
         """Install a fresh fault plan on a restored snapshot.
 
         The crash sweep forks a machine running with an *unarmed*
-        injector and then arms the residual write budget for one
-        boundary on the fork.  A fresh :class:`FaultInjector` (fresh PRNG seeded
-        from ``faults.seed``) makes the replay bit-identical to a cold
-        run with that config, because the cold injector's PRNG is
-        untouched until the cut.
+        injector inside the write its boundary cuts, then rearms the
+        fork with a zero write budget and re-issues that write (or, for
+        a boundary past the workload's last write, arms the residual
+        budget on the finished machine).  A fresh :class:`FaultInjector`
+        — no fork hook, a PRNG seeded from ``faults.seed`` at its first
+        draw — makes the cut bit-identical to a cold run with that
+        config, because the cold injector's PRNG is untouched until the
+        cut.
 
         Tripwire: replacing the injector while a nested fault (recovery
         budget) is armed but has not fired would silently disarm it —

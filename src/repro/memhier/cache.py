@@ -8,7 +8,7 @@ tracks presence, recency, and the per-line flag bits: ``dirty`` and the
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import Dict
 
@@ -41,11 +41,13 @@ class CacheLevel:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._ways = config.ways
-        # Every set bucket is preallocated so probes index straight into
-        # the dict — no .get()/None branch on the hottest lookups.
-        self._sets: Dict[int, "OrderedDict[int, LineFlags]"] = {
-            index: OrderedDict() for index in range(config.num_sets)
-        }
+        # Set index -> LRU bucket.  Probes index straight into the dict
+        # (no .get()/None branch on the hottest lookups), and the first
+        # one for a set creates its bucket, so a snapshot clone copies
+        # only the sets a line ever mapped to.
+        self._sets: Dict[int, "OrderedDict[int, LineFlags]"] = defaultdict(
+            OrderedDict
+        )
         # CacheConfig guarantees power-of-two line size and set count,
         # so the set index is ``(line_addr >> _shift) & _set_mask``.
         self._shift = config.line_size.bit_length() - 1
@@ -72,8 +74,7 @@ class CacheLevel:
 
     def clear(self) -> None:
         """Drop every line (power failure); the counters stay."""
-        for bucket in self._sets.values():
-            bucket.clear()
+        self._sets.clear()
 
     def reset_stats(self) -> None:
         """Zero the counters; residency and recency stay."""
@@ -86,21 +87,23 @@ class CacheLevel:
     def __snapshot_clone__(self, memo: dict, clone) -> "CacheLevel":
         """Hand-rolled clone for :mod:`repro.snapshot`.
 
-        The tag store is hundreds of small OrderedDict buckets whose
-        values in L1/L2 are all the shared ``_TAG`` marker, so a C-level
-        copy per bucket (shares values, keeps LRU order) is the whole
-        clone — several times cheaper than generic engine dispatch per
-        bucket.  The LLC's buckets hold real LineFlags records; the
-        hierarchy, which owns them, re-points those at its own clones
+        The tag store is up to hundreds of small OrderedDict buckets
+        (one per set a line has mapped to) whose values in L1/L2 are all
+        the shared ``_TAG`` marker, so a C-level copy per bucket (shares
+        values, keeps LRU order) is the whole clone — several times
+        cheaper than generic engine dispatch per bucket.  The LLC's
+        buckets hold real LineFlags records; the hierarchy, which owns
+        them, re-points those at its own clones
         (:meth:`CacheHierarchy.__snapshot_clone__`).
         """
         cls = self.__class__
         out = cls.__new__(cls)
         memo[id(self)] = out
         out.__dict__.update(self.__dict__)
-        out._sets = {
-            index: bucket.copy() for index, bucket in self._sets.items()
-        }
+        out._sets = defaultdict(
+            OrderedDict,
+            ((index, bucket.copy()) for index, bucket in self._sets.items()),
+        )
         return out
 
 

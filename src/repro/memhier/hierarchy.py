@@ -127,11 +127,14 @@ class CacheHierarchy:
     def _back_invalidate(self, line_addr: int) -> None:
         # Inclusive LLC: drop the line from all 2*num_cores private tag
         # stores.  Runs per LLC eviction, so the buckets are reached
-        # directly.
+        # directly — with .get(), which creates no bucket for a set no
+        # line of that level ever mapped to.
         for level in self._private_levels:
-            level._sets[(line_addr >> level._shift) & level._set_mask].pop(
-                line_addr, None
+            bucket = level._sets.get(
+                (line_addr >> level._shift) & level._set_mask
             )
+            if bucket is not None:
+                bucket.pop(line_addr, None)
 
     def _evict_line(
         self,
@@ -197,11 +200,9 @@ class CacheHierarchy:
                     raise AddressError(
                         f"fill handler returned {len(data)} bytes for a line"
                     )
-                flags = LineFlags()
                 if len(bucket) >= llc._ways:
                     victim_addr, victim_flags = bucket.popitem(last=False)
                     llc.evictions += 1
-                    bucket[line_addr] = flags
                     self._evict_line(
                         victim_addr,
                         victim_flags.dirty,
@@ -209,8 +210,12 @@ class CacheHierarchy:
                         victim_flags.tx_id,
                         now_ns,
                     )
-                else:
-                    bucket[line_addr] = flags
+                # The line enters the tag store only after the victim's
+                # write-back: a snapshot taken inside that write (the
+                # crash sweep forks there) sees no line whose flags are
+                # not yet in ``_flags``, so it shares no record.
+                flags = LineFlags()
+                bucket[line_addr] = flags
                 self._data[line_addr] = bytearray(data)
                 self._flags[line_addr] = flags
                 outcome = AccessOutcome(

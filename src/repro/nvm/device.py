@@ -16,7 +16,7 @@ is what lets crash-recovery tests trust the device content as ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.config import NVMConfig
 from repro.common.errors import AddressError
@@ -162,19 +162,39 @@ class NVMDevice:
             cursor += chunk
             consumed += chunk
 
-    def poke_batch(self, pokes: Iterable[Tuple[int, bytes]]) -> None:
+    def poke_batch(self, pokes: Sequence[Tuple[int, bytes]]) -> None:
         """Many pokes in order; exactly equal to one ``poke`` each.
 
-        Recovery writes home one word or line per poke.  Each element
-        runs ``poke``'s single-page body here, keeping the last page it
-        wrote (already private to this device) for the next element; a
-        page-crossing, empty or out-of-range element takes the full
-        ``poke``, which raises at that element with every earlier one
-        applied.
+        Recovery writes home one word or line per poke, often the same
+        line many times over.  When every element has one power-of-two
+        size of at most a page, is aligned to it and lies in the device,
+        any two elements either coincide or are disjoint, so only the
+        last value per address is applied: the final bytes are the same.
+        Each applied element runs ``poke``'s single-page body here,
+        keeping the last page it wrote (already private to this device)
+        for the next element; in any other batch a page-crossing, empty
+        or out-of-range element takes the full ``poke``, which raises at
+        that element with every earlier one applied.
         """
         pages = self._pages
         cow_shared = self._cow_shared
         capacity = self._capacity
+        if pokes:
+            size = len(pokes[0][1])
+            if 0 < size <= _PAGE and not size & (size - 1):
+                misaligned = size - 1
+                latest: Dict[int, bytes] = {}
+                for addr, data in pokes:
+                    if (
+                        len(data) != size
+                        or addr & misaligned
+                        or addr < 0
+                        or addr + size > capacity
+                    ):
+                        break
+                    latest[addr] = data
+                else:
+                    pokes = latest.items()
         last_base = -1
         page = None
         for addr, data in pokes:

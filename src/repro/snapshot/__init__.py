@@ -4,9 +4,9 @@ The crash-point sweep and the differential oracle replay long, mostly
 identical workload prefixes once per crash boundary.  A snapshot freezes
 the *entire* simulator state — sparse NVM pages, cache hierarchy, scheme
 and controller structures, transaction system, fault injector, RNG
-streams — so a boundary replay can start from a fork of the one machine
-that already ran the prefix and execute only the transaction the cut
-lands in.  The hard contract (enforced by the round-trip tests) is that
+streams — so a crash case can start from a fork of the one machine that
+already ran the prefix, taken inside the very write its boundary cuts.
+The hard contract (enforced by the round-trip tests) is that
 restore-then-run is **bit-identical** to a cold rerun: same content
 fingerprint, same stats, same sanitizer verdicts.
 
@@ -48,14 +48,14 @@ because every class declares its snapshot behaviour up front:
 ``__snapshot_fixup__(self, memo)``
     Post-pass hook on the *clone*, called after the whole graph is
     copied, with the ``id(old) -> new`` memo — for state keyed by object
-    identity (the sanitizer's per-port ids, the commit log's dirty-page
-    id set).
+    identity (the sanitizer's per-port ids).
 
 A single memo dict spans the whole clone, so aliasing invariants
 (`device._wear_writes is device.wear._writes`, bound-method handlers,
 shared LineFlags between LLC buckets and the flag index) survive by
 construction.  Bound methods are re-bound to the cloned ``__self__``;
-``random.Random`` streams are forked via ``getstate``/``setstate``.
+``random.Random`` streams are forked via ``getstate``/``setstate`` into
+an unseeded instance.
 
 Classes the engine has never been told about are still cloned (deep,
 attribute by attribute) but recorded in :func:`unregistered_classes`;
@@ -362,7 +362,9 @@ def _clone_deque(obj, memo, fixups):
 
 
 def _clone_random(obj, memo, fixups):
-    out = random.Random()
+    # ``Random()`` would seed itself from the OS only to be overwritten.
+    cls = obj.__class__
+    out = cls.__new__(cls)
     out.setstate(obj.getstate())
     memo[id(obj)] = out
     return out

@@ -3,7 +3,8 @@
 A workload is data: a list of :data:`TxnRecord` bound to heap addresses
 once, and :func:`run_txns` is the one loop that executes it until done
 or power loss — on a fresh machine (artifact ``--replay``), on the
-cursor's live machine, on its forks, and in the fuzzer's prefix cache.
+cursor's probe and its live machine, and in the fuzzer's prefix cache.
+A fork never executes a transaction.
 
 Two consumers turn :mod:`repro.snapshot` clones into incremental
 replay:
@@ -12,7 +13,7 @@ replay:
   and the oracle's crash-convergence phase in :mod:`repro.check.oracle`)
   share one :class:`ForwardCursor`: a single live, fault-free machine
   that runs the recorded workload forward exactly once and is *forked*
-  at every crash boundary, so no case re-executes the prefix another
+  inside every cut write, so no case re-executes the prefix another
   case already paid for;
 * the fuzzer's delta-debugging shrinker (:mod:`repro.check.fuzz`)
   replays hundreds of near-identical transaction lists; a
@@ -22,20 +23,21 @@ replay:
 
 Crash boundaries are expressed in the device's cumulative *timed-write*
 count: boundary ``b`` means the ``b``-th successful write is the last
-one.  A fork can only be taken between transactions, so the cursor
-stops the live machine before the latest transaction ``t`` that starts
-at or below the boundary (``writes_before[t] <= b``) and arms the fork
-with the residual budget ``b - writes_before[t]`` — zero residual means
-the very next write dies, the boundary-equals-a-transaction's-starting-
-count case.
+one, so write ``b + 1`` is the power-cut instant.  The cursor is told
+its ascending boundaries up front and forks the live machine *inside*
+that write: the device calls the cursor's hook when its write count
+reaches the next boundary, before the fault injector's verdict, and the
+hook clones the machine there.  :meth:`ForwardCursor.crash_at` then
+rearms the fork with a zero write budget and re-issues the write, which
+tears and raises exactly as it does in a cold run.  No transaction is
+ever re-run on a fork.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import replace as _dc_replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
@@ -61,6 +63,16 @@ def run_txns(
     """
     oracle: Dict[int, bytes] = {}
     staged: Dict[int, bytes] = {}
+    return oracle, staged, _run_into(system, txns, oracle, staged)
+
+
+def _run_into(
+    system: Any,
+    txns: Iterable[TxnRecord],
+    oracle: Dict[int, bytes],
+    staged: Dict[int, bytes],
+) -> bool:
+    """:func:`run_txns`'s loop over caller-owned dicts; True on power loss."""
     try:
         for core, stores in txns:
             with system.transaction(core) as tx:
@@ -68,10 +80,16 @@ def run_txns(
                     tx.store(addr, value)
                     staged[addr] = value
             oracle.update(staged)
-            staged = {}
+            staged.clear()
     except PowerLossError:
-        return oracle, staged, True
-    return oracle, staged, False
+        return True
+    return False
+
+
+# A fork the live machine's hook took, waiting for its ``crash_at``: the
+# boundary, the clone, the cut write's ``(addr, data, now_ns, queued)``,
+# and copies of the committed oracle and the open transaction's stores.
+_Fork = Tuple[int, Any, Tuple[int, bytes, float, bool], Dict, Dict]
 
 
 class ForwardCursor:
@@ -80,10 +98,10 @@ class ForwardCursor:
     ``system`` must sit *before* ``txns[0]`` (built, heap allocated, no
     fault armed) on a fault-injecting device.  Construction forks it and
     runs the whole list on the fork — the probe — recording only
-    ``writes_before[t]``, the timed-write count before transaction
-    ``t``, and ``total_writes``.  :meth:`crash_at` then advances the
-    live machine monotonically; boundaries must be asked for in
-    ascending order.
+    ``total_writes``.  :meth:`expect` announces the ascending boundaries
+    :meth:`crash_at` will be asked for, in that order; the live machine
+    then runs forward only as far as the next boundary needs, and its
+    device's fork hook clones it inside each cut write.
     """
 
     def __init__(self, system: Any, txns: List[TxnRecord]) -> None:
@@ -91,26 +109,47 @@ class ForwardCursor:
         self._txns = txns
         self._next = 0  # the transaction the live machine runs next
         self._oracle: Dict[int, bytes] = {}  # committed word -> value
-        self._last_boundary = 0
+        self._staged: Dict[int, bytes] = {}  # the open transaction's stores
+        self._last_boundary = 0  # the last one crash_at was given
+        self._last_announced = 0  # the last one expect was given
+        # Writes issued before txns[0]: no boundary below can be forked.
+        self._first = system.device.stats.writes
+        self._expected: Deque[int] = deque()  # announced, not yet forked
+        self._forks: Deque[_Fork] = deque()  # forked, not yet asked for
         probe = Snapshot(system).restore()
-        stats = probe.device.stats
-        self.writes_before: List[int] = []
-        for txn in txns:
-            self.writes_before.append(stats.writes)
-            run_txns(probe, (txn,))
-        self.total_writes: int = stats.writes
+        run_txns(probe, txns)
+        self.total_writes: int = probe.device.stats.writes
+
+    def expect(self, boundaries: Iterable[int]) -> None:
+        """Announce the next boundaries :meth:`crash_at` will be given.
+
+        They must ascend from the last one announced (repeats allowed:
+        each gets its own fork).  Boundaries below the first
+        transaction's starting count are skipped — :meth:`crash_at`
+        answers them with ``None``.
+        """
+        for boundary in boundaries:
+            if boundary < self._last_announced:
+                raise ValueError(
+                    "crash boundaries must ascend: "
+                    f"{boundary} < {self._last_announced}"
+                )
+            self._last_announced = boundary
+            if boundary >= self._first:
+                self._expected.append(boundary)
 
     def crash_at(
         self, faults: FaultConfig
     ) -> Optional[Tuple[Any, Dict[int, bytes], Dict[int, bytes], bool]]:
-        """Fork the machine and run it into ``faults``' power cut.
+        """The machine at ``faults``' power cut, from a fork of the live one.
 
-        Returns ``(system, oracle, staged, power_lost)`` exactly as
-        :func:`run_txns` under ``faults`` on a fresh machine leaves them
-        before ``crash()``.  ``None`` when the boundary lies below the
-        first transaction's starting count (possible only if system
-        construction itself issued timed writes); callers fall back to
-        a fresh machine.
+        ``faults.power_loss_after_write`` must be the next announced
+        boundary.  Returns ``(system, oracle, staged, power_lost)``
+        exactly as :func:`run_txns` under ``faults`` on a fresh machine
+        leaves them before ``crash()``.  ``None`` when the boundary lies
+        below the first transaction's starting count (possible only if
+        system construction itself issued timed writes); callers fall
+        back to a fresh machine.
         """
         boundary = faults.power_loss_after_write
         if boundary < self._last_boundary:
@@ -119,25 +158,77 @@ class ForwardCursor:
                 f"{boundary} < {self._last_boundary}"
             )
         self._last_boundary = boundary
-        start = bisect_right(self.writes_before, boundary) - 1
-        if start < 0:
+        if boundary < self._first:
             return None
-        live = self._system
-        committed, _, _ = run_txns(live, self._txns[self._next : start])
-        self._oracle.update(committed)
-        self._next = start  # never moves back: boundaries ascend
-        fork = Snapshot(live).restore()
-        # A fresh injector armed with the residual budget: its PRNG
-        # matches the cold one bit-for-bit because nothing consumes it
-        # before the cut.
-        fork.device.rearm(
-            _dc_replace(
-                faults,
-                power_loss_after_write=boundary - self.writes_before[start],
+        if not self._forks:
+            self._advance()
+        if self._forks:
+            at, fork, cut, oracle, staged = self._forks.popleft()
+        else:
+            at = self._expected.popleft() if self._expected else None
+            cut = None
+        if at != boundary:
+            raise ValueError(
+                f"crash boundary {boundary} was not announced next "
+                f"(expected {at})"
             )
-        )
-        oracle, staged, power_lost = run_txns(fork, self._txns[start:])
-        return fork, {**self._oracle, **oracle}, staged, power_lost
+        if cut is None:
+            # Past the last write: the finished machine, with the budget
+            # the rest of the boundary leaves armed and never reached.
+            assert boundary >= self.total_writes, "a boundary was skipped"
+            fork = Snapshot(self._system).restore()
+            fork.device.rearm(
+                _dc_replace(
+                    faults, power_loss_after_write=boundary - self.total_writes
+                )
+            )
+            return fork, dict(self._oracle), {}, False
+        fork.device.rearm(_dc_replace(faults, power_loss_after_write=0))
+        addr, data, now_ns, queued = cut
+        try:
+            fork.device.write(addr, data, now_ns, queued=queued)
+        except PowerLossError:
+            return fork, oracle, staged, True
+        raise AssertionError("the re-issued cut write did not lose power")
+
+    def _advance(self) -> None:
+        """Run the live machine until the next boundary is forked.
+
+        Whole transactions at a time, so one transaction may fork
+        several boundaries; stops early once it has any.
+        """
+        expected = self._expected
+        if not expected or self._next >= len(self._txns):
+            return
+        live = self._system
+        injector = live.device.injector
+        forks = self._forks
+        oracle, staged = self._oracle, self._staged
+
+        # A plain function, not a bound method: the injector holds it,
+        # and a clone of the machine must not drag the cursor, its
+        # pending forks and their clones along with it.
+        def fork_here(addr, data, now_ns, queued):
+            writes = injector.fork_at
+            fork = Snapshot(live).restore()
+            cut = (addr, bytes(data), now_ns, queued)
+            while expected and expected[0] == writes:
+                expected.popleft()
+                forks.append((writes, fork, cut, dict(oracle), dict(staged)))
+                if expected and expected[0] == writes:
+                    fork = Snapshot(live).restore()
+            injector.fork_at = expected[0] if expected else None
+
+        injector.fork_at = expected[0]
+        injector.fork_hook = fork_here
+        try:
+            while not forks and self._next < len(self._txns):
+                index = self._next
+                self._next += 1
+                _run_into(live, self._txns[index : index + 1], oracle, staged)
+        finally:
+            injector.fork_at = None
+            injector.fork_hook = None
 
 
 class TraceReplayCache:

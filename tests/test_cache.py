@@ -20,7 +20,7 @@ def tiny_cache(ways=2, sets=2):
 
 
 def fill(cache, line):
-    cache._sets[line // 64 % len(cache._sets)][line] = _TAG
+    cache._sets[line // 64 % cache.config.num_sets][line] = _TAG
 
 
 class TinyHierarchy:

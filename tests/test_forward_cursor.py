@@ -6,11 +6,12 @@ things keep that honest, each checked here against a reference kept in
 this file:
 
 (a) every cursor case equals the cold ``run_case`` of the same fault
-    plan — for every sweep scheme, including the zero-residual boundary
-    that equals a transaction's starting write count;
+    plan — for every sweep scheme, including a boundary that equals a
+    transaction's starting write count — and no fork re-runs a
+    transaction;
 (b) a fork clones only what can still change: the per-transaction
-    bookkeeping of committed transactions is shared, so restore cost
-    grows with commit-log pages, not with transactions;
+    bookkeeping of committed transactions and the immutable commit-log
+    pages are shared, so restore cost grows with neither;
 (c) the two structures that made that possible answer as before —
     ``CommitLog.retire`` against the deleted ``_tx_pages`` index,
     ``BlockRefs`` against a plain dict-of-sets model.
@@ -32,11 +33,12 @@ from repro.common.units import MB
 from repro.core.block_refs import BlockRefs
 from repro.core.commit_log import CommitLog
 from repro.core.oop_region import OOPRegion
-from repro.core.slices import AddressSlice, AddressSliceEntry, SliceCodec
+from repro.core.slices import SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.snapshot import Snapshot, clone_state
 from repro.snapshot.replay import ForwardCursor, run_txns
+from repro.txn.system import MemorySystem
 
 ALL_SCHEMES = sorted(crashtest.SWEEP_SCHEMES.values())
 
@@ -57,6 +59,18 @@ def _machine(scheme, transactions, seed=7, addresses=12):
 
 def _no_fallback(faults):
     raise AssertionError("cursor fell back to cold")
+
+
+def _tx_starts(scheme, **kwargs):
+    """Timed writes before each transaction of the workload, run cold."""
+    system, txns = crashtest.build_workload(
+        scheme, FaultConfig(enabled=True, seed=kwargs["seed"]), **kwargs
+    )
+    starts = []
+    for txn in txns:
+        starts.append(system.device.stats.writes)
+        run_txns(system, (txn,))
+    return starts
 
 
 def _plan(seed, boundary, torn):
@@ -89,13 +103,16 @@ class TestCursorMatchesCold:
         )
         total = cursor.total_writes
         assert total == _machine(scheme, **kwargs).device.stats.writes
-        # A boundary equal to a transaction's starting count forks with
-        # zero residual: the very next write dies.
-        starts = sorted({w for w in cursor.writes_before if w >= 1})
+        # A boundary equal to a transaction's starting count forks inside
+        # that transaction's first write.
+        starts = sorted({w for w in _tx_starts(scheme, **kwargs) if w >= 1})
         assume(starts)
         boundaries = data.draw(st.sets(st.integers(1, total), max_size=5))
         boundaries |= {1, total, data.draw(st.sampled_from(starts))}
-        for boundary in sorted(boundaries):
+        # Past the last write too: the finished machine, no power loss.
+        boundaries = sorted(boundaries | {total + 3})
+        cursor.expect(boundaries)
+        for boundary in boundaries:
             faults = _plan(
                 seed, boundary, crashtest._torn_for(boundary, torn_mode)
             )
@@ -114,10 +131,16 @@ class TestCursorMatchesCold:
             ),
             3,
         )
-        assert cursor.crash_at(_plan(3, 9, False)) is not None
-        assert cursor.crash_at(_plan(3, 9, True)) is not None  # equal is fine
+        cursor.expect([9, 9])  # equal is fine: one fork each
+        with pytest.raises(ValueError, match="ascend"):
+            cursor.expect([8])
+        clean = cursor.crash_at(_plan(3, 9, False))
+        torn = cursor.crash_at(_plan(3, 9, True))
+        assert clean[0] is not torn[0]
         with pytest.raises(ValueError, match="ascend"):
             cursor.crash_at(_plan(3, 8, False))
+        with pytest.raises(ValueError, match="not announced"):
+            cursor.crash_at(_plan(3, 10, False))
 
     def test_boundary_below_first_transaction_falls_back_to_cold(self):
         kwargs = dict(seed=3, transactions=6, addresses=4)
@@ -132,7 +155,7 @@ class TestCursorMatchesCold:
         cursor = ForwardCursor(
             system, [(0, [(addr, b"\x02" * 8)]), (1, [(addr + 8, b"\x03" * 8)])]
         )
-        assert cursor.writes_before[0] == 2
+        cursor.expect([1, 2])
         faults = _plan(3, 1, True)
         assert cursor.crash_at(faults) is None
         got, outcome = crashtest.build_crashed(
@@ -144,6 +167,38 @@ class TestCursorMatchesCold:
         assert dataclasses.astuple(case) == dataclasses.astuple(want)
         # The cursor still serves the boundaries it can reach.
         assert cursor.crash_at(_plan(3, 2, False)) is not None
+
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_forks_run_no_transaction_and_carry_no_hook(self, scheme):
+        kwargs = dict(seed=5, transactions=10, addresses=6)
+        cursor = crashtest.forward_cursor(
+            partial(crashtest.build_workload, scheme, **kwargs), 5
+        )
+        boundaries = list(range(1, cursor.total_writes + 2))
+        cursor.expect(boundaries)
+        real_begin = MemorySystem._begin
+        begun = []
+
+        def begin(self, tx):
+            begun.append(self)
+            return real_begin(self, tx)
+
+        with mock.patch.object(MemorySystem, "_begin", begin):
+            forks = []
+            for boundary in boundaries:
+                fork, _, _, power_lost = cursor.crash_at(
+                    _plan(5, boundary, boundary % 2 == 1)
+                )
+                assert power_lost == (boundary < cursor.total_writes)
+                injector = fork.device.injector
+                assert injector.fork_at is None and injector.fork_hook is None
+                forks.append(fork)
+        # Only the live machine ran transactions, each exactly once.
+        assert begun and all(system is cursor._system for system in begun)
+        assert len(begun) == kwargs["transactions"]
+        live = cursor._system.device.injector
+        assert live.fork_at is None and live.fork_hook is None
 
 
 # -- (b) what a fork copies -----------------------------------------------------
@@ -173,7 +228,7 @@ def _commit_logs(system):
 
 
 @pytest.mark.parametrize("scheme", ["hoop", "hoop-mc"])
-def test_fork_cost_grows_with_log_pages_not_transactions(scheme):
+def test_fork_cost_grows_with_neither_log_pages_nor_transactions(scheme):
     n = 114
     small, large = _machine(scheme, n), _machine(scheme, 2 * n)
     for system, committed in ((small, n), (large, 2 * n)):
@@ -187,18 +242,23 @@ def test_fork_cost_grows_with_log_pages_not_transactions(scheme):
     )
     assert extra_pages > 0
     cloned_small, cloned_large = _objects_cloned(small), _objects_cloned(large)
-    # One _Page, one AddressSlice and one entries list per extra page;
-    # nothing per transaction.
-    assert 0 < cloned_large - cloned_small <= 3 * extra_pages
+    # Commit-log pages are immutable and shared, so a fork clones the
+    # same objects however many pages (or transactions) there are.
+    assert 0 < cloned_large <= cloned_small
     if scheme == "hoop":
-        assert cloned_large <= 200  # 611 with a set and a list per tx
+        # 611 with a set and a list per tx; +3 per page with mutable pages.
+        assert cloned_large <= 120
 
 
 # -- (c) retire() against the deleted tx -> pages index ---------------------------
 
 
 class _IndexedCommitLog(CommitLog):
-    """The implementation this repo deleted: ``_tx_pages`` kept in step."""
+    """The implementation this repo deleted: ``_tx_pages`` kept in step.
+
+    Pages are immutable, so the index names them by slice index and a
+    retire replaces each page it changes.
+    """
 
     def __init__(self, region, codec):
         super().__init__(region, codec)
@@ -206,41 +266,54 @@ class _IndexedCommitLog(CommitLog):
 
     def append_entry(self, tx_id, tail_slice, committed, now_ns):
         done = super().append_entry(tx_id, tail_slice, committed, now_ns)
-        self._tx_pages.setdefault(tx_id, []).append(self._pages[-1])
+        self._tx_pages.setdefault(tx_id, []).append(self._pages[-1].slice_index)
         return done
+
+    def _position(self, slice_index):
+        for position, page in enumerate(self._pages):
+            if page.slice_index == slice_index:
+                return position
+        raise KeyError(slice_index)
 
     def retire(self, tx_ids, now_ns):
         ids = set(tx_ids)
         dirty = []
         for tx_id in ids:
-            for page in self._tx_pages.get(tx_id, []):
-                changed = False
-                for i, entry in enumerate(page.content.entries):
-                    if entry.tx_id == tx_id and not entry.retired:
-                        page.content.entries[i] = AddressSliceEntry(
-                            tx_id=entry.tx_id,
-                            tail_slice=entry.tail_slice,
-                            committed=entry.committed,
-                            retired=True,
-                        )
-                        self.retired += 1
-                        changed = True
-                if changed and page not in dirty:
-                    dirty.append(page)
+            for slice_index in self._tx_pages.get(tx_id, []):
+                position = self._position(slice_index)
+                page = self._pages[position]
+                entries = [
+                    dataclasses.replace(entry, retired=True)
+                    if entry.tx_id == tx_id and not entry.retired
+                    else entry
+                    for entry in page.entries
+                ]
+                changed = sum(
+                    a is not b for a, b in zip(entries, page.entries)
+                )
+                self.retired += changed
+                if changed:
+                    self._pages[position] = dataclasses.replace(
+                        page, entries=tuple(entries)
+                    )
+                    if slice_index not in dirty:
+                        dirty.append(slice_index)
         completion = now_ns
-        for page in dirty:
-            completion = self._flush_page(page, now_ns, sync=True)
+        for slice_index in dirty:
+            completion = self._flush_page(
+                self._pages[self._position(slice_index)], now_ns, sync=True
+            )
         return completion
 
     def drop_pages(self, slice_indexes):
         doomed = set(slice_indexes)
         dropped = [p for p in self._pages if p.slice_index in doomed]
-        self._pages = [p for p in self._pages if p.slice_index not in doomed]
+        super().drop_pages(doomed)
         for page in dropped:
-            for entry in page.content.entries:
+            for entry in page.entries:
                 pages = self._tx_pages.get(entry.tx_id)
                 if pages is not None:
-                    pages[:] = [p for p in pages if p is not page]
+                    pages[:] = [p for p in pages if p != page.slice_index]
                     if not pages:
                         del self._tx_pages[entry.tx_id]
 
@@ -248,8 +321,10 @@ class _IndexedCommitLog(CommitLog):
         super().rebuild(pages)
         self._tx_pages = {}
         for page in self._pages:
-            for entry in page.content.entries:
-                self._tx_pages.setdefault(entry.tx_id, []).append(page)
+            for entry in page.entries:
+                self._tx_pages.setdefault(entry.tx_id, []).append(
+                    page.slice_index
+                )
 
 
 def _log_rig(cls):
@@ -304,13 +379,7 @@ def _run_log_ops(log, ops):
         else:  # crash, then recover the pages that were durable
             log.flush_dirty(now)
             pages = [
-                (
-                    p.slice_index,
-                    AddressSlice(
-                        entries=list(p.content.entries),
-                        sequence=p.content.sequence,
-                    ),
-                )
+                (p.slice_index, p.entries, p.sequence)
                 for p in reversed(log._pages)
             ]
             log.crash()

@@ -402,7 +402,8 @@ class Model:
 
     def state(self):
         def level(m):
-            return (m.hits, m.misses, m.evictions, m.sets)
+            sets = {index: lru for index, lru in enumerate(m.sets) if lru}
+            return (m.hits, m.misses, m.evictions, sets)
 
         return {
             "l1": [level(m) for m in self.l1],
@@ -439,7 +440,12 @@ def system_state(system):
     h = system.hierarchy
 
     def level(cache):
-        sets = [list(bucket) for bucket in cache._sets.values()]
+        # Buckets exist once a line maps to them: compare the non-empty.
+        sets = {
+            index: list(bucket)
+            for index, bucket in cache._sets.items()
+            if bucket
+        }
         return (cache.hits, cache.misses, cache.evictions, sets)
 
     return {

@@ -208,7 +208,7 @@ class TestCommitLog:
         _, region, codec, _, _, log = rig
         log.append_entry(1, 10, committed=True, now_ns=0.0)
         log.flush_dirty(0.0)
-        pages = [(p.slice_index, p.content) for p in log._pages]
+        pages = [(p.slice_index, p.entries, p.sequence) for p in log._pages]
         log.crash()
         assert log.analyse().logged() == []
         log.rebuild(pages)

@@ -182,6 +182,7 @@ def test_memoised_recovery_equals_an_empty_memo(scheme, data):
         ).map(sorted),
         label="boundaries",
     )
+    cursor.expect(boundaries)
     for boundary in boundaries:
         torn = data.draw(st.booleans(), label="torn")
         threads = data.draw(st.integers(1, 3), label="threads")

@@ -147,7 +147,7 @@ def _controller_with_image(blocks, watermark):
 
 def _reference_analysis(log):
     """The commit log's logged, open and known transactions, pass by pass."""
-    entries = [entry for page in log._pages for entry in page.content.entries]
+    entries = [entry for page in log._pages for entry in page.entries]
     segments = {}
     committed_ids = []
     for entry in entries:
@@ -197,7 +197,7 @@ def _reference_scan(controller):
                 entries, sequence = codec._decode_addr_uncached(raw)
             except CorruptionError:
                 continue
-            pages.append((slice_index, AddressSlice(list(entries), sequence)))
+            pages.append((slice_index, entries, sequence))
     log.rebuild(pages)
     logged, open_segments, known = _reference_analysis(log)
     watermark = int.from_bytes(device.peek(RETIRE_WATERMARK_ADDR, 8), "little")
@@ -227,8 +227,7 @@ def _reference_scan(controller):
             tails = open_segments.get(ds.tx_id, []) + [slice_index]
             unlogged.append(CommittedTx(ds.tx_id, tuple(tails)))
             finalized.add(ds.tx_id)
-    log_pages = [(page.slice_index, page.content) for page in log._pages]
-    return log_pages, logged, unlogged, scanned
+    return list(log._pages), logged, unlogged, scanned
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,7 +241,7 @@ def test_scan_equals_the_per_slice_reference(blocks, watermark):
 
     scan = controller.recovery.scan()
     log = controller.commit_log
-    assert [(p.slice_index, p.content) for p in log._pages] == pages
+    assert log._pages == pages
     assert scan.logged == logged
     assert scan.unlogged == unlogged
     assert scan.bytes_scanned == scanned

@@ -6,8 +6,9 @@ NVM content fingerprint, same device counters, same sanitizer verdicts.
 These tests pin that gate for every registry scheme, exercise the
 fault-injector countdown (a snapshot captured mid-fault must replay the
 same remaining-writes budget, torn-word RNG included), cover the
-boundary-equals-a-transaction's-starting-write-count edge (zero
-residual budget), and check that the forked crash sweep, the nested
+boundary-equals-a-transaction's-starting-write-count edge (a fork
+inside a transaction's first write), and check that the forked crash
+sweep, the nested
 sweep, the oracle's crash phase, and the fuzzer's prefix-replay cache
 all match their cold counterparts — the artifact replay each forked
 verdict must reproduce (``tests/test_forward_cursor.py`` holds the
@@ -15,7 +16,7 @@ cursor's own properties).
 """
 
 import dataclasses
-from functools import partial
+import random
 from unittest import mock
 
 import pytest
@@ -33,6 +34,7 @@ from repro.faults.injector import FaultyNVMDevice
 from repro.faults.plan import CrashArtifact
 from repro.schemes import ALL_SCHEME_NAMES
 from repro.snapshot import capture, clone_state
+from repro.snapshot.replay import run_txns
 
 
 def _apply(system, addrs, txns):
@@ -106,6 +108,16 @@ class TestCaptureRestoreProperty:
             capture(system)
         assert snapshot.unregistered_classes() == frozenset()
 
+    def test_a_cloned_prng_draws_what_its_source_draws(self):
+        source = random.Random(17)
+        source.random()
+        source.gauss(0.0, 1.0)  # leaves a cached second normal variate
+        twin = clone_state(source)
+        assert [twin.random() for _ in range(1000)] == [
+            source.random() for _ in range(1000)
+        ]
+        assert twin.gauss(0.0, 1.0) == source.gauss(0.0, 1.0)
+
     def test_enum_members_are_shared_without_an_engine_call(self):
         states = [BlockState.UNUSED, BlockState.FULL] * 50
         clone_state(states)  # first encounter: the class joins the atoms
@@ -169,9 +181,9 @@ class TestMidFaultCountdown:
         assert not twin.injector.power_lost
 
     def test_rearm_zero_residual_kills_next_write(self):
-        # The boundary-equals-a-transaction's-starting-count case: the
-        # sweep forks the machine and rearms with residual 0 — the very
-        # next timed write must be the fatal one.
+        # How the sweep cuts a fork taken inside a write: it rearms the
+        # fork with a zero budget and re-issues that write, which must
+        # be the fatal one.
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True, seed=5))
         for index in range(5):
             device.write(64 * index, b"\x01" * 64)
@@ -244,18 +256,18 @@ class TestIncrementalSweepEquivalence:
     def test_some_boundary_equals_a_tx_start_count(self):
         # The exhaustive sweep above includes every write boundary, so
         # proving some boundary coincides with a transaction's starting
-        # write count shows the zero-residual edge (fork, then the very
-        # next write dies) was exercised end to end.
-        cursor = crashtest.forward_cursor(
-            partial(crashtest.build_workload, "hoop", **self.KWARGS),
-            self.KWARGS["seed"],
+        # write count shows a fork inside a transaction's very first
+        # write was exercised end to end.
+        system, txns = crashtest.build_workload(
+            "hoop", FaultConfig(enabled=True, seed=11), **self.KWARGS
         )
-        assert len(cursor.writes_before) == self.KWARGS["transactions"]
-        exact = [
-            writes
-            for writes in cursor.writes_before
-            if 1 <= writes <= cursor.total_writes
-        ]
+        starts = []
+        for txn in txns:
+            starts.append(system.device.stats.writes)
+            run_txns(system, (txn,))
+        total = system.device.stats.writes
+        assert len(starts) == self.KWARGS["transactions"]
+        exact = [writes for writes in starts if 1 <= writes <= total]
         assert exact, "no boundary equals a transaction's starting count"
 
     def test_oracle_matrix_matches_cold(self):
