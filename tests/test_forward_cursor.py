@@ -119,6 +119,7 @@ class TestCursorMatchesCold:
             system, outcome = crashtest.build_crashed(
                 _no_fallback, cursor, faults
             )
+            system.crash()
             got = crashtest._finish_case(system, faults, outcome, 2)
             want = crashtest.run_case(scheme, faults, **kwargs)
             assert dataclasses.astuple(got) == dataclasses.astuple(want)
@@ -162,6 +163,7 @@ class TestCursorMatchesCold:
             partial(crashtest.build_workload, "hoop", **kwargs), cursor, faults
         )
         assert got is not system
+        got.crash()
         case = crashtest._finish_case(got, faults, outcome, 2)
         want = crashtest.run_case("hoop", faults, **kwargs)
         assert dataclasses.astuple(case) == dataclasses.astuple(want)

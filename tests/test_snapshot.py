@@ -231,8 +231,8 @@ class TestIncrementalSweepEquivalence:
 
     @pytest.mark.parametrize("scheme", ["hoop", "hoop-mc", "osp"])
     def test_nested_cases_replay_from_their_artifacts(self, scheme):
-        # Every phase's artifact — the gc boundary travels in a note —
-        # must survive the JSON form and replay cold to the same case.
+        # Every phase's artifact must survive the JSON form and replay
+        # cold, through the one replay entry point, to the same case.
         kwargs = dict(
             seed=11,
             transactions=24,
@@ -251,7 +251,7 @@ class TestIncrementalSweepEquivalence:
             artifact = CrashArtifact.from_dict(
                 nested.nested_case_artifact(scheme, case, **kwargs).to_dict()
             )
-            assert nested.replay_nested_artifact(artifact) == case
+            assert crashtest.replay_artifact(artifact) == case
 
     def test_some_boundary_equals_a_tx_start_count(self):
         # The exhaustive sweep above includes every write boundary, so
@@ -297,6 +297,7 @@ class TestIncrementalSweepEquivalence:
                 outcome = crashtest.RunOutcome(
                     cold.oracle, cold.staged, cold.power_lost
                 )
+                system.crash()
                 got = crashtest._finish_case(system, faults, outcome, 2)
                 assert got == case
 
