@@ -11,7 +11,6 @@ from repro.common.addr import (
     WORD_BYTES,
     cache_line_base,
     cache_line_index,
-    iter_cache_lines,
     iter_words,
     word_base,
     word_index,
@@ -44,8 +43,6 @@ from repro.common.units import (
     SEC,
     TB,
     US,
-    cycles_to_ns,
-    ns_to_cycles,
 )
 
 __all__ = [
@@ -53,7 +50,6 @@ __all__ = [
     "WORD_BYTES",
     "cache_line_base",
     "cache_line_index",
-    "iter_cache_lines",
     "iter_words",
     "word_base",
     "word_index",
@@ -80,6 +76,4 @@ __all__ = [
     "SEC",
     "MHZ",
     "GHZ",
-    "cycles_to_ns",
-    "ns_to_cycles",
 ]

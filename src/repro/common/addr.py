@@ -46,16 +46,6 @@ def check_range(addr: int, size: int) -> None:
         raise AddressError(f"non-positive access size {size}")
 
 
-def iter_cache_lines(addr: int, size: int) -> Iterator[int]:
-    """Yield the base address of every cache line touched by the access."""
-    check_range(addr, size)
-    line = cache_line_base(addr)
-    end = addr + size
-    while line < end:
-        yield line
-        line += CACHE_LINE_BYTES
-
-
 def iter_words(addr: int, size: int) -> Iterator[int]:
     """Yield the base address of every 8-byte word touched by the access."""
     check_range(addr, size)
@@ -80,19 +70,3 @@ def split_by_cache_line(addr: int, size: int) -> Iterator[Tuple[int, int, int]]:
         piece_end = min(end, line + CACHE_LINE_BYTES)
         yield line, cursor, piece_end - cursor
         cursor = piece_end
-
-
-def count_cache_lines(addr: int, size: int) -> int:
-    """Number of distinct cache lines touched by the access."""
-    check_range(addr, size)
-    first = cache_line_index(addr)
-    last = cache_line_index(addr + size - 1)
-    return last - first + 1
-
-
-def count_words(addr: int, size: int) -> int:
-    """Number of distinct 8-byte words touched by the access."""
-    check_range(addr, size)
-    first = word_index(addr)
-    last = word_index(addr + size - 1)
-    return last - first + 1

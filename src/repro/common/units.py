@@ -26,20 +26,6 @@ MHZ = 1_000_000.0
 GHZ = 1_000_000_000.0
 
 
-def cycles_to_ns(cycles: float, freq_hz: float) -> float:
-    """Convert a cycle count at ``freq_hz`` into nanoseconds."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return cycles * (SEC / freq_hz)
-
-
-def ns_to_cycles(ns: float, freq_hz: float) -> float:
-    """Convert nanoseconds into cycles at ``freq_hz``."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return ns * (freq_hz / SEC)
-
-
 def bytes_per_ns_from_gbps(gb_per_s: float) -> float:
     """Convert a GB/s bandwidth figure into bytes per nanosecond.
 
@@ -49,24 +35,3 @@ def bytes_per_ns_from_gbps(gb_per_s: float) -> float:
     if gb_per_s <= 0:
         raise ValueError(f"bandwidth must be positive, got {gb_per_s}")
     return gb_per_s * GB / SEC
-
-
-def format_bytes(n: int) -> str:
-    """Human-readable byte count (e.g. ``2.0 MB``) for reports."""
-    value = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if value < 1024.0 or unit == "TB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_time_ns(ns: float) -> str:
-    """Human-readable time (e.g. ``47.0 ms``) for reports."""
-    if ns < US:
-        return f"{ns:.1f} ns"
-    if ns < MS:
-        return f"{ns / US:.1f} us"
-    if ns < SEC:
-        return f"{ns / MS:.1f} ms"
-    return f"{ns / SEC:.2f} s"

@@ -18,8 +18,6 @@ Components map one-to-one onto the paper's Section III:
   everything together behind the scheme interface.
 """
 
-from typing import List
-
 from repro.core.controller import HoopController, HoopScheme
 from repro.core.slices import AddressSlice, AddressSliceEntry, DataSlice, SliceCodec
 
@@ -30,26 +28,5 @@ __all__ = [
     "AddressSlice",
     "AddressSliceEntry",
     "SliceCodec",
-    "hoop_controllers",
 ]
 
-
-def hoop_controllers(system_or_scheme) -> List[HoopController]:
-    """The HOOP controllers behind a system or scheme, in track order.
-
-    Accepts a :class:`~repro.txn.system.MemorySystem` or a bare scheme;
-    returns ``[controller]`` for single-controller HOOP, every controller
-    for the multi-controller scheme, and ``[]`` for the baselines — the
-    one shared answer to "does this thing have HOOP machinery?" (the
-    inspect tools and telemetry track naming both key off it).
-    """
-    scheme = getattr(system_or_scheme, "scheme", system_or_scheme)
-    if isinstance(scheme, HoopScheme):
-        return [scheme.controller]
-    # Imported lazily: multi_controller imports the scheme base, and this
-    # package initializer must stay cycle-free.
-    from repro.core.multi_controller import MultiControllerHoopScheme
-
-    if isinstance(scheme, MultiControllerHoopScheme):
-        return list(scheme.controllers)
-    return []

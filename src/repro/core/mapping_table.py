@@ -208,24 +208,6 @@ class MappingTable:
             del self._lines[line]
         return True
 
-    def remove_words(self, word_addrs: Iterable[int]) -> int:
-        """Unconditional removal (recovery cleanup); returns count removed."""
-        removed = 0
-        for word_addr in word_addrs:
-            line = cache_line_base(word_addr)
-            words = self._lines.get(line)
-            if words and word_addr in words:
-                if line in self._condensed:
-                    self._condensed.discard(line)
-                    self._entries += 7
-                del words[word_addr]
-                self._entries -= 1
-                self.stats.removes += 1
-                removed += 1
-                if not words:
-                    del self._lines[line]
-        return removed
-
     # -- occupancy ------------------------------------------------------------
 
     @property
@@ -247,11 +229,6 @@ class MappingTable:
 
     def crash(self) -> None:
         """SRAM content is lost on power failure."""
-        self._lines.clear()
-        self._condensed.clear()
-        self._entries = 0
-
-    def clear(self) -> None:
         self._lines.clear()
         self._condensed.clear()
         self._entries = 0

@@ -41,6 +41,7 @@ class WearTracker:
             remaining -= chunk
 
     def writes_for_block(self, block: int) -> int:
+        """Bytes written so far to wear block ``block``."""
         return self._writes.get(block, 0)
 
     @property
@@ -61,12 +62,8 @@ class WearTracker:
             return 1.0
         return max(counts) / mean
 
-    def hottest(self, n: int = 5):
-        """The ``n`` most-written blocks as ``(block, bytes)`` pairs."""
-        ranked = sorted(self._writes.items(), key=lambda kv: -kv[1])
-        return ranked[:n]
-
     def reset(self) -> None:
+        """Forget every count (a new measurement window)."""
         self._writes.clear()
 
 

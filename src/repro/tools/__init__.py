@@ -1,15 +1,1 @@
-"""Operator tooling: live-system introspection and state dumps."""
-
-from repro.tools.inspect import (
-    describe_system,
-    dump_commit_log,
-    dump_mapping_table,
-    dump_region,
-)
-
-__all__ = [
-    "describe_system",
-    "dump_region",
-    "dump_commit_log",
-    "dump_mapping_table",
-]
+"""Operator tooling: profiling and the documentation checks."""

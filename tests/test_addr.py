@@ -25,11 +25,6 @@ def test_word_helpers():
     assert addr.cache_line_index(129) == 2
 
 
-def test_iter_cache_lines_spans_boundary():
-    lines = list(addr.iter_cache_lines(60, 8))
-    assert lines == [0, 64]
-
-
 def test_iter_words_partial():
     words = list(addr.iter_words(6, 4))
     assert words == [0, 8]
@@ -48,20 +43,13 @@ def test_split_by_cache_line_covers_exactly():
         cursor += piece_size
 
 
-def test_counts():
-    assert addr.count_cache_lines(0, 64) == 1
-    assert addr.count_cache_lines(63, 2) == 2
-    assert addr.count_words(0, 8) == 1
-    assert addr.count_words(7, 2) == 2
-
-
 def test_invalid_ranges_rejected():
     with pytest.raises(AddressError):
-        list(addr.iter_cache_lines(-1, 4))
+        list(addr.split_by_cache_line(-1, 4))
     with pytest.raises(AddressError):
         list(addr.iter_words(0, 0))
     with pytest.raises(AddressError):
-        addr.count_cache_lines(10, -5)
+        list(addr.split_by_cache_line(10, -5))
 
 
 @given(addresses, sizes)
@@ -71,16 +59,6 @@ def test_split_pieces_never_cross_lines(start, size):
     for line, piece_addr, piece_size in pieces:
         assert line <= piece_addr
         assert piece_addr + piece_size <= line + addr.CACHE_LINE_BYTES
-
-
-@given(addresses, sizes)
-def test_count_matches_iteration(start, size):
-    assert addr.count_cache_lines(start, size) == len(
-        list(addr.iter_cache_lines(start, size))
-    )
-    assert addr.count_words(start, size) == len(
-        list(addr.iter_words(start, size))
-    )
 
 
 @given(addresses)

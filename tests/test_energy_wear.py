@@ -71,12 +71,6 @@ class TestWearTracker:
         wear.record_write(100, 10)
         assert wear.spread() > 1.5
 
-    def test_hottest_ranking(self):
-        wear = WearTracker(block_bytes=100)
-        wear.record_write(0, 10)
-        wear.record_write(500, 90)
-        assert wear.hottest(1) == [(5, 90)]
-
     def test_negative_or_zero_ignored(self):
         wear = WearTracker()
         wear.record_write(0, 0)

@@ -51,7 +51,8 @@ class TestMappingCondensing:
         table = MappingTable(64, condense=True)
         for i in range(8):
             table.record(0x1000 + i * 8, loc())
-        table.remove_words([0x1000 + i * 8 for i in range(8)])
+        for i in range(8):
+            assert table.remove_migrated(0x1000 + i * 8, 5, 0)
         assert table.entries == 0
 
     def test_remove_if_stale_on_condensed_line(self):

@@ -101,13 +101,6 @@ class TestMappingTable:
             assert table.entries == 1
             assert table.stats.removes == 0
 
-    def test_remove_words(self):
-        table = MappingTable(16)
-        table.record(0x1000, loc())
-        table.record(0x1008, loc())
-        assert table.remove_words([0x1000, 0x1008, 0x9999]) == 2
-        assert table.entries == 0
-
     def test_overflow_counted_not_fatal(self):
         table = MappingTable(2)
         for i in range(4):
@@ -120,7 +113,9 @@ class TestMappingTable:
         table = MappingTable(16)
         table.record(0x0, loc(slot=1))
         table.record(0x8, loc(slot=2))
-        table.remove_words([0x0, 0x8])
+        assert table.remove_migrated(0x0, 0, 1)
+        assert table.remove_migrated(0x8, 0, 2)
+        assert table.entries == 0
         assert table.stats.peak_entries == 2
 
     def test_crash_clears(self):

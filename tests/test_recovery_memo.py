@@ -27,7 +27,8 @@ from repro import crashtest
 from repro.common.config import GCConfig, SystemConfig
 from repro.common.errors import CorruptionError
 from repro.common.units import MB
-from repro.core import hoop_controllers
+from repro.core.controller import HoopScheme
+from repro.core.multi_controller import MultiControllerHoopScheme
 from repro.core.oop_region import _decode_header, _encode_header
 from repro.core.recovery import RecoveryManager
 from repro.core.slices import SLICE_BYTES
@@ -67,9 +68,17 @@ def _build(scheme, faults, *, seed):
     return system, txns
 
 
+def _controllers(system):
+    """The HOOP controllers behind ``system`` (none for a baseline)."""
+    scheme = system.scheme
+    if isinstance(scheme, MultiControllerHoopScheme):
+        return scheme.controllers
+    return [scheme.controller] if isinstance(scheme, HoopScheme) else []
+
+
 def _forget(system):
     """Recover ``system`` through empty memos from here on."""
-    for controller in hoop_controllers(system):
+    for controller in _controllers(system):
         controller.recovery = RecoveryManager(
             controller.config, controller.region, controller.codec,
             controller.commit_log, controller.port,
@@ -109,7 +118,7 @@ def _flip(system, addr, xor):
 
 def _hoop_target(system, kind, pick):
     """A slot in one controller's memoised prefix, or ``None``."""
-    controllers = hoop_controllers(system)
+    controllers = _controllers(system)
     controller = controllers[pick % len(controllers)]
     memo = controller.recovery._memo
     if kind == "chain":
@@ -132,7 +141,7 @@ def _hoop_target(system, kind, pick):
 
 def _bump_generation(system, pick):
     """Re-head a block the kept fold walked one generation on, if any."""
-    controllers = hoop_controllers(system)
+    controllers = _controllers(system)
     controller = controllers[pick % len(controllers)]
     fold = controller.recovery._memo.fold
     blocks = sorted(fold.walked) if fold else []

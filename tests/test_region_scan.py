@@ -23,10 +23,10 @@ from repro import MemorySystem, SystemConfig
 from repro.common.config import FaultConfig
 from repro.common.errors import CorruptionError, PowerLossError
 from repro.common.units import MB
-from repro.core import hoop_controllers
 from repro.core.commit_log import CommitLog, CommittedTx
-from repro.core.controller import HoopController
+from repro.core.controller import HoopController, HoopScheme
 from repro.core.gc import RETIRE_WATERMARK_ADDR
+from repro.core.multi_controller import MultiControllerHoopScheme
 from repro.core.oop_region import BlockState, _encode_header
 from repro.core.recovery import BlockReader
 from repro.core.slices import (
@@ -482,6 +482,14 @@ def test_walk_through_the_scan_equals_the_per_slice_walk(
         _walks_agree(controller, scan, tx)
 
 
+def _controllers(system):
+    """The HOOP controllers behind ``system`` (none for a baseline)."""
+    scheme = system.scheme
+    if isinstance(scheme, MultiControllerHoopScheme):
+        return scheme.controllers
+    return [scheme.controller] if isinstance(scheme, HoopScheme) else []
+
+
 def _crashed(scheme, boundary, torn):
     """A machine cut at its ``boundary``-th write (if it gets that far).
 
@@ -502,7 +510,7 @@ def _crashed(scheme, boundary, torn):
                     addr = rng.choice(addrs) + 8 * rng.randrange(8)
                     tx.store(addr, rng.getrandbits(64).to_bytes(8, "little"))
             if index % 20 == 19:
-                for controller in hoop_controllers(system):
+                for controller in _controllers(system):
                     controller.gc.run(system.now_ns, on_demand=True)
     except PowerLossError:
         assert system.device.injector.power_lost
@@ -517,7 +525,7 @@ def test_walk_on_crashed_images_equals_the_per_slice_walk(scheme, torn):
     for boundary in (total // 5, total // 2, total * 4 // 5, total * 9 // 10):
         system = _crashed(scheme, boundary, torn)
         system.crash()
-        for controller in hoop_controllers(system):
+        for controller in _controllers(system):
             scan = controller.recovery.scan()
             region = controller.region
             shapes["stale"] += sum(

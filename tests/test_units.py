@@ -1,4 +1,4 @@
-"""Unit conversions and formatting."""
+"""Unit constants and conversions."""
 
 import pytest
 
@@ -18,37 +18,8 @@ def test_time_constants_scale():
     assert units.SEC == 1000 * units.MS
 
 
-def test_cycles_to_ns_round_trip():
-    freq = 2.5 * units.GHZ
-    assert units.cycles_to_ns(2.5e9, freq) == pytest.approx(1e9)
-    assert units.ns_to_cycles(units.cycles_to_ns(1234, freq), freq) == (
-        pytest.approx(1234)
-    )
-
-
-def test_cycles_to_ns_rejects_bad_frequency():
-    with pytest.raises(ValueError):
-        units.cycles_to_ns(10, 0)
-    with pytest.raises(ValueError):
-        units.ns_to_cycles(10, -1)
-
-
 def test_bandwidth_conversion():
     one = units.bytes_per_ns_from_gbps(1.0)
     assert one == pytest.approx(1.073741824)
     with pytest.raises(ValueError):
         units.bytes_per_ns_from_gbps(0)
-
-
-def test_format_bytes():
-    assert units.format_bytes(512) == "512 B"
-    assert units.format_bytes(2048) == "2.0 KB"
-    assert units.format_bytes(3 * units.MB) == "3.0 MB"
-    assert units.format_bytes(5 * units.TB) == "5.0 TB"
-
-
-def test_format_time():
-    assert units.format_time_ns(12.0) == "12.0 ns"
-    assert units.format_time_ns(1500.0) == "1.5 us"
-    assert units.format_time_ns(47 * units.MS) == "47.0 ms"
-    assert units.format_time_ns(2 * units.SEC) == "2.00 s"
