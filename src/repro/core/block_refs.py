@@ -69,8 +69,6 @@ class BlockRefs:
         self._tx_blocks.clear()
         self._open_txs.clear()
 
-    clear = crash
-
 
 # -- snapshot declarations ----------------------------------------------------
 BlockRefs.__snapshot_state__ = "__all__"

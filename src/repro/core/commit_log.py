@@ -272,9 +272,14 @@ class CommitLog:
     # -- crash lifecycle -----------------------------------------------------
 
     def crash(self) -> None:
-        """Volatile page cache vanishes (NVM copies remain)."""
+        """Volatile page cache vanishes (NVM copies remain).
+
+        Also the reset after recovery wiped the OOP region: the page
+        numbering restarts with the empty log.
+        """
         self._pages = []
         self._dirty = set()
+        self._next_sequence = 0
 
     def rebuild(
         self, pages: List[Tuple[int, Tuple[AddressSliceEntry, ...], int]]
@@ -290,11 +295,6 @@ class CommitLog:
         if self._pages:
             self._next_sequence = self._pages[-1].sequence + 1
 
-    def clear(self) -> None:
-        """Reset after recovery wiped the OOP region."""
-        self._pages = []
-        self._dirty = set()
-        self._next_sequence = 0
 
 # -- snapshot declarations ----------------------------------------------------
 # CommittedTx is an immutable record built on demand; _Page and CommitLog

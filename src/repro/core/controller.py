@@ -358,9 +358,9 @@ class HoopController:
         report = self.recovery.recover(
             threads=threads, bandwidth_gb_per_s=bandwidth_gb_per_s
         )
-        self.mapping.clear()
-        self.eviction_buffer.clear()
-        self.refs.clear()
+        self.mapping.crash()
+        self.eviction_buffer.crash()
+        self.refs.crash()
         return report
 
 

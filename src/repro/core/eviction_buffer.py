@@ -80,9 +80,6 @@ class EvictionBuffer:
         """SRAM content is lost on power failure."""
         self._lines.clear()
 
-    def clear(self) -> None:
-        self._lines.clear()
-
 
 # -- snapshot declarations ----------------------------------------------------
 EvictionBufferStats.__snapshot_state__ = "__atoms__"

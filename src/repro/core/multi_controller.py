@@ -285,9 +285,9 @@ class MultiControllerHoopScheme(PersistenceScheme):
                 only_tx_ids=agreed,
                 clear_region=False,
             )
-            controller.mapping.clear()
-            controller.eviction_buffer.clear()
-            controller.refs.clear()
+            controller.mapping.crash()
+            controller.eviction_buffer.crash()
+            controller.refs.crash()
             merged.words_recovered += report.words_recovered
             merged.bytes_scanned += report.bytes_scanned
             merged.bytes_written += report.bytes_written
@@ -304,7 +304,7 @@ class MultiControllerHoopScheme(PersistenceScheme):
         # Cleanup barrier: only after every controller's redo landed.
         for controller in self.controllers:
             controller.region.clear(0.0)
-            controller.commit_log.clear()
+            controller.commit_log.crash()
         merged.committed_transactions = len(agreed)
         return merged
 

@@ -454,7 +454,7 @@ class RecoveryManager:
         # Step 6: volatile structures and the OOP region are cleared.
         if clear_region:
             region.clear(0.0)
-            self.commit_log.clear()
+            self.commit_log.crash()
 
         self._apply_time_model(report, merge_ops)
         return report
