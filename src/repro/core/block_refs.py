@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, List, Set
 
+from repro.snapshot import reset_volatile
+
 _NO_BLOCKS: FrozenSet[int] = frozenset()
 
 
@@ -64,10 +66,9 @@ class BlockRefs:
     def open_transactions(self) -> List[int]:
         return sorted(self._open_txs)
 
-    def crash(self) -> None:
-        self._block_txs.clear()
-        self._tx_blocks.clear()
-        self._open_txs.clear()
+    # SRAM: a power cut keeps none of it (see repro.snapshot).
+    __durable__ = ()
+    crash = reset_volatile
 
 
 # -- snapshot declarations ----------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.core.oop_region import OOPRegion
 from repro.core.slices import AddressSliceEntry, SliceCodec
+from repro.snapshot import reset_volatile
 from repro.telemetry.hub import NULL_TELEMETRY
 
 
@@ -271,15 +272,11 @@ class CommitLog:
 
     # -- crash lifecycle -----------------------------------------------------
 
-    def crash(self) -> None:
-        """Volatile page cache vanishes (NVM copies remain).
-
-        Also the reset after recovery wiped the OOP region: the page
-        numbering restarts with the empty log.
-        """
-        self._pages = []
-        self._dirty = set()
-        self._next_sequence = 0
+    # A power cut loses the page cache, dirty set and numbering (NVM copies
+    # remain); crash() is also the reset after recovery wiped the region.
+    __durable__ = (
+        "region", "codec", "commits", "segments", "retired", "telemetry", "track")
+    crash = reset_volatile
 
     def rebuild(
         self, pages: List[Tuple[int, Tuple[AddressSliceEntry, ...], int]]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
+from repro.snapshot import reset_volatile
 from repro.telemetry.hub import NULL_TELEMETRY
 
 
@@ -76,9 +77,9 @@ class EvictionBuffer:
     def occupancy(self) -> int:
         return len(self._lines)
 
-    def crash(self) -> None:
-        """SRAM content is lost on power failure."""
-        self._lines.clear()
+    # SRAM content is lost on power failure; the counters stay.
+    __durable__ = ("capacity_lines", "stats", "telemetry", "track")
+    crash = reset_volatile
 
 
 # -- snapshot declarations ----------------------------------------------------

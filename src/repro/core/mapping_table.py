@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
+from repro.snapshot import reset_volatile
 
 _LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 
@@ -168,6 +169,7 @@ class MappingTable:
         return None
 
     def lookup_word(self, word_addr: int) -> Optional[OOPLocation]:
+        """The word's OOP-region location (None: no entry for it)."""
         words = self._lines.get(cache_line_base(word_addr))
         if words is None:
             return None
@@ -227,11 +229,9 @@ class MappingTable:
 
     # -- crash lifecycle -----------------------------------------------------------
 
-    def crash(self) -> None:
-        """SRAM content is lost on power failure."""
-        self._lines.clear()
-        self._condensed.clear()
-        self._entries = 0
+    # SRAM content is lost on power failure; the counters stay.
+    __durable__ = ("capacity_entries", "condense", "stats")
+    crash = reset_volatile
 
 
 # -- snapshot declarations ----------------------------------------------------

@@ -228,6 +228,10 @@ class MultiControllerHoopScheme(PersistenceScheme):
             now_ns = max(now_ns, controller.quiesce(now_ns))
         return now_ns
 
+    # The two-phase participant sets are volatile.
+    __durable__ = PersistenceScheme.DURABLE + (
+        "controllers", "two_phase_commits")
+
     def crash(self) -> None:
         self._participants.clear()
         for controller in self.controllers:

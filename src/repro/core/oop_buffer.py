@@ -21,6 +21,7 @@ asserted rather than assumed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
@@ -39,6 +40,7 @@ from repro.core.slices import (
     SliceCodec,
 )
 from repro.check.sanitizer import NULL_CHECKER
+from repro.snapshot import reset_volatile
 from repro.telemetry.hub import NULL_TELEMETRY
 
 
@@ -80,7 +82,8 @@ class OOPDataBuffer:
         self.codec = codec
         self.mapping = mapping
         self._on_slice_written = on_slice_written
-        self._cores = [_CoreEntry() for _ in range(config.num_cores)]
+        # core -> its entry, made on the core's first use.
+        self._cores: Dict[int, _CoreEntry] = defaultdict(_CoreEntry)
         # Every word a core has buffered maps to this one entry.
         self._markers = tuple(
             OOPLocation(True, core, 0) for core in range(config.num_cores)
@@ -195,9 +198,11 @@ class OOPDataBuffer:
         return self._cores[core].pending.get(word_addr)
 
     def open_tx(self, core: int) -> Optional[int]:
+        """The transaction ``core`` has open in the buffer, if any."""
         return self._cores[core].tx_id
 
     def pending_count(self, core: int) -> int:
+        """Words ``core``'s open transaction holds in the buffer."""
         return len(self._cores[core].pending)
 
     # -- packing -------------------------------------------------------------
@@ -261,9 +266,12 @@ class OOPDataBuffer:
 
     # -- crash lifecycle ------------------------------------------------------
 
-    def crash(self) -> None:
-        """All buffered (uncommitted) words are lost with power."""
-        self._cores = [_CoreEntry() for _ in range(self.config.num_cores)]
+    # All buffered (uncommitted) words are lost with power.
+    __durable__ = (
+        "config", "region", "codec", "mapping", "_on_slice_written",
+        "_markers", "capacity_words", "_words_per_slice", "stats",
+        "_total_slices", "telemetry", "track", "check", "check_commit_on_last")
+    crash = reset_volatile
 
 
 # -- snapshot declarations ----------------------------------------------------

@@ -324,6 +324,12 @@ class OOPRegion:
 
     # -- lifecycle -------------------------------------------------------------
 
+    # A power cut loses the open block and cursor of each stream.
+    __durable__ = (
+        "config", "port", "base", "block_bytes", "num_blocks",
+        "slots_per_block", "_state", "_free", "_block_stream", "_generation",
+        "_touched", "_busy_blocks", "stats")
+
     def crash(self) -> None:
         """Drop volatile allocator state (content stays on NVM)."""
         self._active = {"data": None, "addr": None}

@@ -295,10 +295,10 @@ def build_crashed(
     """Front half of a case: ``cursor``'s fork at the cut.
 
     The boundary must be the next one announced to ``cursor.expect``.
-    Returns the system before ``crash()`` plus the outcome, exactly as
-    running ``build(faults)``'s workload on its fresh machine produces
-    them — which is what runs when the boundary precedes the cursor's
-    first transaction.
+    Returns the system to ``crash()`` plus the outcome: once crashed,
+    exactly what running ``build(faults)``'s workload on its fresh
+    machine produces — which is what runs when the boundary precedes
+    the cursor's first transaction.
     """
     forked = cursor.crash_at(faults)
     if forked is None:

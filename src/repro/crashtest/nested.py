@@ -64,7 +64,7 @@ from repro.crashtest import (
     report_failure,
 )
 from repro.faults.plan import CrashArtifact
-from repro.snapshot import capture
+from repro.snapshot import capture, crash_image
 from repro.txn.system import MemorySystem
 
 # A recovery that needs more attempts than this never converges under a
@@ -294,11 +294,12 @@ def run_nested_case(
     The start point is the machine before ``crash()``: cut by
     ``faults`` inside the workload (``recovery``), or the completed
     workload, whose GC pass ``faults`` then cuts or bursts (``gc``,
-    ``gc-media``).  The sweep restores it from a snapshot, the artifact
-    replay builds it cold; both end here.  The machine is crashed, the
-    nested fault (if any) armed, recovery re-run through nested cuts
-    until it converges, then checked for atomic durability against the
-    outcome's oracle and for idempotence.
+    ``gc-media``).  The sweep restores it from a snapshot (a recovery
+    case from a crash image, which ``crash()`` leaves as it is), the
+    artifact replay builds it cold; both end here.  The machine is
+    crashed, the nested fault (if any) armed, recovery re-run through
+    nested cuts until it converges, then checked for atomic durability
+    against the outcome's oracle and for idempotence.
     """
     cut_failure = None
     if phase == "gc":
@@ -416,7 +417,7 @@ def nested_sweep_scheme(
 
     def _settle(phase, start, outcome, boundary=None, torn=False,
                 nested_boundary=None, nested_torn=False) -> None:
-        """One case: its journaled verdict, or computed from ``start``."""
+        """One case: its journaled verdict, or computed from ``start()``."""
         nonlocal remaining
         key = case_key(phase, boundary, nested_boundary, torn, nested_torn)
         case = state.lookup(scheme, key) if state is not None else None
@@ -428,7 +429,7 @@ def nested_sweep_scheme(
                     raise SweepBudgetExhausted()
                 remaining -= 1
             case = run_nested_case(
-                start.restore(),
+                start(),
                 outcome,
                 phase,
                 phase_faults(phase, seed, boundary, torn),
@@ -466,10 +467,11 @@ def nested_sweep_scheme(
             system, outcome = build_crashed(
                 build, cursor, boundary_faults(seed, boundary, torn)
             )
-            cut = capture(system)
             system.crash()
+            # Each case of this boundary starts from a crash image.
+            cut = partial(crash_image, system)
             # Probe: ops one clean recovery performs from this state.
-            ops = probe_recovery_ops(system, threads=recovery_threads)
+            ops = probe_recovery_ops(cut(), threads=recovery_threads)
             result.recovery_ops_probed = max(result.recovery_ops_probed, ops)
             nested_boundaries: List[Optional[int]]
             if ops > 0:
@@ -509,12 +511,12 @@ def nested_sweep_scheme(
                 gc_writes, gc_sample, seed ^ 0x6C
             ):
                 _settle(
-                    "gc", quiesced, outcome, boundary,
+                    "gc", quiesced.restore, outcome, boundary,
                     _torn_for(boundary, torn_mode),
                 )
 
         # -- phase 3: media-error burst during GC ---------------------------
-        _settle("gc-media", quiesced, outcome)
+        _settle("gc-media", quiesced.restore, outcome)
     except SweepBudgetExhausted:
         result.exhausted = True
 

@@ -42,15 +42,9 @@ class PeriodicTrigger:
         self.missed_periods += missed - 1
         return missed
 
-    def reschedule(self, period_ns: float, now_ns: float) -> None:
-        """Change the cadence (used by GC-period sweeps, Fig. 10)."""
-        if period_ns <= 0:
-            raise ValueError("period must be positive")
-        self.period_ns = period_ns
-        self._next_fire_ns = now_ns + period_ns
-
     @property
     def next_fire_ns(self) -> float:
+        """The simulated instant of the next due period."""
         return self._next_fire_ns
 
 

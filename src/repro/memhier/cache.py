@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.config import CacheConfig
+from repro.snapshot import reset_volatile
 
 
 @dataclass(slots=True)
@@ -72,9 +73,10 @@ class CacheLevel:
         total = self.hits + self.misses
         return self.misses / total if total else 0.0
 
-    def clear(self) -> None:
-        """Drop every line (power failure); the counters stay."""
-        self._sets.clear()
+    # Power failure drops every line (``clear``); the counters stay.
+    __durable__ = (
+        "config", "_ways", "_shift", "_set_mask", "hits", "misses", "evictions")
+    clear = reset_volatile
 
     def reset_stats(self) -> None:
         """Zero the counters; residency and recency stay."""
@@ -82,33 +84,8 @@ class CacheLevel:
         self.misses = 0
         self.evictions = 0
 
-    # -- snapshots -------------------------------------------------------------
-
-    def __snapshot_clone__(self, memo: dict, clone) -> "CacheLevel":
-        """Hand-rolled clone for :mod:`repro.snapshot`.
-
-        The tag store is up to hundreds of small OrderedDict buckets
-        (one per set a line has mapped to) whose values in L1/L2 are all
-        the shared ``_TAG`` marker, so a C-level copy per bucket (shares
-        values, keeps LRU order) is the whole clone — several times
-        cheaper than generic engine dispatch per bucket.  The LLC's
-        buckets hold real LineFlags records; the hierarchy, which owns
-        them, re-points those at its own clones
-        (:meth:`CacheHierarchy.__snapshot_clone__`).
-        """
-        cls = self.__class__
-        out = cls.__new__(cls)
-        memo[id(self)] = out
-        out.__dict__.update(self.__dict__)
-        out._sets = defaultdict(
-            OrderedDict,
-            ((index, bucket.copy()) for index, bucket in self._sets.items()),
-        )
-        return out
-
 
 # -- snapshot declarations ----------------------------------------------------
-# LineFlags fields are scalars.  CacheLevel clones through
-# __snapshot_clone__ above.
+# LineFlags fields are scalars.
 LineFlags.__snapshot_state__ = "__atoms__"
 CacheLevel.__snapshot_state__ = "__all__"

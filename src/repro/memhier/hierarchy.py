@@ -38,6 +38,7 @@ from repro.common.addr import CACHE_LINE_BYTES
 from repro.common.config import SystemConfig
 from repro.common.errors import AddressError
 from repro.memhier.cache import _TAG, CacheLevel, LineFlags
+from repro.snapshot import reset_volatile
 
 # fill_handler(line_addr, now_ns) -> (line_bytes, extra_latency_ns)
 FillHandler = Callable[[int, float], Tuple[bytes, float]]
@@ -96,11 +97,6 @@ class CacheHierarchy:
         self._private_levels = self._l1 + self._l2
         self._llc = CacheLevel(config.llc)
         self._data: Dict[int, bytearray] = {}
-        # Line buffers shared copy-on-write with snapshots: a member is
-        # a line whose bytearray is aliased by at least one snapshot and
-        # must be copied before the next in-place store.  Empty except
-        # between a snapshot capture and the first store to the line.
-        self._data_cow: set = set()
         # Flags mirror: same keys as _data, pointing at the LineFlags
         # objects stored in the LLC tag array.  Lets a store reach a
         # line's flags by one dict probe instead of a set-associative
@@ -210,10 +206,6 @@ class CacheHierarchy:
                         victim_flags.tx_id,
                         now_ns,
                     )
-                # The line enters the tag store only after the victim's
-                # write-back: a snapshot taken inside that write (the
-                # crash sweep forks there) sees no line whose flags are
-                # not yet in ``_flags``, so it shares no record.
                 flags = LineFlags()
                 bucket[line_addr] = flags
                 self._data[line_addr] = bytearray(data)
@@ -254,15 +246,16 @@ class CacheHierarchy:
         data = bytes(self._data[line][offset : offset + size])
         return data, outcome
 
+    # Power failure: every line vanishes; the levels and counters stay.
+    __durable__ = (
+        "config", "_fill", "_evict", "_l1", "_l2", "_private_levels", "_llc",
+        "_l1_latency", "_l2_latency", "_llc_latency", "_num_cores", "_out_l1",
+        "_out_l2", "_out_llc", "stats")
+
     def crash(self) -> None:
         """Power failure: every volatile line vanishes."""
-        self._data.clear()
-        self._data_cow.clear()
-        self._flags.clear()
-        self._llc.clear()
-        for level in self._l1:
-            level.clear()
-        for level in self._l2:
+        reset_volatile(self)
+        for level in (*self._private_levels, self._llc):
             level.clear()
 
     @property
@@ -278,51 +271,6 @@ class CacheHierarchy:
             level.reset_stats()
         for level in self._l2:
             level.reset_stats()
-
-    # -- snapshots -------------------------------------------------------------
-
-    def __snapshot_clone__(self, memo: dict, clone) -> "CacheHierarchy":
-        """Clone with copy-on-write line buffers and re-aliased flags.
-
-        Every other attribute goes through the engine, but ``_data`` —
-        one 64-byte bytearray per resident LLC line, the bulk of the
-        hierarchy's mutable bytes — is shared: both sides mark every
-        line in their ``_data_cow`` set and the store path
-        (``MemorySystem._store``) copies a buffer on the first in-place
-        write.  Rebinding sites (LLC fill, eviction pops) never mutate a
-        shared buffer, so they need no guard.
-
-        ``_flags`` and the LLC buckets alias one ``LineFlags`` per
-        resident line (a store sets ``dirty`` through the first, an
-        eviction reads it through the second).  The level's own clone is
-        a pure bucket copy that still points at *this* side's records,
-        so each line gets one fresh record here, installed in both.
-        """
-        cls = self.__class__
-        out = cls.__new__(cls)
-        memo[id(self)] = out
-        nd = out.__dict__
-        for key, value in self.__dict__.items():
-            if key == "_data":
-                shared = dict(value)
-                memo[id(value)] = shared
-                nd[key] = shared
-            elif key in ("_data_cow", "_flags"):
-                continue  # rebuilt per side, below
-            else:
-                nd[key] = clone(value)
-        self._data_cow.update(self._data.keys())
-        out._data_cow = set(self._data.keys())
-        llc = out._llc
-        sets, shift, mask = llc._sets, llc._shift, llc._set_mask
-        out._flags = fresh = {}
-        memo[id(self._flags)] = fresh
-        for line, flags in self._flags.items():
-            twin = LineFlags(flags.dirty, flags.persistent, flags.tx_id)
-            fresh[line] = twin
-            # Assigning to a present key keeps the bucket's LRU order.
-            sets[(line >> shift) & mask][line] = twin
-        return out
 
 
 # -- snapshot declarations ----------------------------------------------------

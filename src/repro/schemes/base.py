@@ -183,6 +183,9 @@ class PersistenceScheme(abc.ABC):
         """
         return now_ns
 
+    # A scheme's ``__durable__`` (see repro.snapshot) starts from these.
+    DURABLE = ("config", "device", "port", "stats", "_next_tx_id", "telemetry", "check")
+
     def crash(self) -> None:
         """Power failure: discard all scheme-volatile state."""
 

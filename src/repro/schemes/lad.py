@@ -176,6 +176,10 @@ class LADScheme(PersistenceScheme):
 
     # -- crash & recovery -----------------------------------------------------------
 
+    # Uncommitted queues are volatile; committed ones drain on the battery.
+    __durable__ = PersistenceScheme.DURABLE + ("queue_overflows",)
+    __persist_domain__ = ("_draining",)
+
     def crash(self) -> None:
         # Persist-domain semantics: committed transactions whose drain was
         # still in flight complete on the controller's backup energy — a

@@ -33,6 +33,7 @@ from repro.common.errors import CapacityError, CorruptionError
 from repro.memctrl.port import MemoryPort
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
+from repro.snapshot import reset_volatile
 
 _MAGIC = 0xA7
 # Entry kinds.
@@ -574,10 +575,10 @@ class LogRegionScheme(PersistenceScheme):
 
     # -- crash & recovery -----------------------------------------------------------
 
-    def crash(self) -> None:
-        self._overlay.clear()
-        self._home_pending.clear()
-        self._open.clear()
+    # The overlay, the pending home writes and the open transactions are SRAM.
+    __durable__ = PersistenceScheme.DURABLE + (
+        "log", "_checkpoint", "checkpoints", "overlay_hits")
+    crash = reset_volatile
 
     def recover(self, *, threads: int = 1, bandwidth_gb_per_s=None):
         outcome = RecoveryOutcome(scheme=self.name)

@@ -40,6 +40,7 @@ from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
 from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
 from repro.schemes.skiplist import SkipList
+from repro.snapshot import reset_volatile
 
 # DRAM access cost per skip-list hop: the index is a pointer chase through
 # DRAM-resident nodes (upper levels are effectively cache-resident).
@@ -249,13 +250,14 @@ class LSMScheme(PersistenceScheme):
 
     # -- crash & recovery -----------------------------------------------------------
 
+    # The DRAM index, the open transactions and the commit record are volatile.
+    __durable__ = PersistenceScheme.DURABLE + (
+        "log", "index", "_commit_seq", "_gc_trigger", "gc_passes",
+        "words_migrated", "words_scanned")
+
     def crash(self) -> None:
+        reset_volatile(self)
         self.index.clear()
-        self._open_words.clear()
-        self._open_extents.clear()
-        self._first_offset.clear()
-        self._committed_words.clear()
-        self._commit_order.clear()
 
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None

@@ -43,6 +43,7 @@ from repro.common.errors import CapacityError
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
 from repro.schemes.logregion import KIND_COMMIT, AppendLog
+from repro.snapshot import reset_volatile
 
 # Cost of invalidating stale translations on the other cores after a
 # commit's remap ("frequent TLB shootdowns on multicore machines").
@@ -85,7 +86,6 @@ class OSPScheme(PersistenceScheme):
         # line addr -> (shadow addr, flip); flip False = home is current.
         self._pairs: Dict[int, Tuple[int, bool]] = {}
         self._meta_slot: Dict[int, int] = {}
-        self._slots_dirty: List[int] = []
         # Open transactions' updated lines: tx -> {line: data}.
         self._tx_lines: Dict[int, Dict[int, bytes]] = {}
         self._flip_counts: Dict[int, int] = {}
@@ -265,11 +265,11 @@ class OSPScheme(PersistenceScheme):
 
     # -- crash & recovery -----------------------------------------------------------
 
-    def crash(self) -> None:
-        self._tx_lines.clear()
-        self._pairs.clear()
-        self._meta_slot.clear()
-        self._flip_counts.clear()
+    # Line pairs, metadata slots, flip counts and open write sets are SRAM.
+    __durable__ = PersistenceScheme.DURABLE + (
+        "fliplog", "_meta_base", "_pool_base", "_pool_limit", "_pool_cursor",
+        "commit_flushes", "tlb_shootdowns", "consolidations")
+    crash = reset_volatile
 
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None

@@ -39,6 +39,7 @@ from repro.schemes.logregion import (
     AppendLog,
     replay_committed,
 )
+from repro.snapshot import reset_volatile
 
 # Each logged line occupies two cache lines on NVM (data + metadata).
 _LOG_ENTRY_BYTES = 2 * CACHE_LINE_BYTES
@@ -194,9 +195,10 @@ class OptRedoScheme(PersistenceScheme):
 
     # -- crash & recovery -----------------------------------------------------------
 
-    def crash(self) -> None:
-        self._shadow.clear()
-        self._write_sets.clear()
+    # The shadow and the open write sets are SRAM.
+    __durable__ = PersistenceScheme.DURABLE + (
+        "log", "_checkpoint", "checkpoints", "shadow_hits")
+    crash = reset_volatile
 
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None

@@ -144,6 +144,9 @@ class SkipList(Generic[V]):
             yield node.key, node.value
             node = node.forward[0]
 
+    # ``clear`` (LSM's power cut) keeps the hop count and the PRNG.
+    __durable__ = ("_state", "hops")
+
     def clear(self) -> None:
         self._head = _Node(-1, None, _MAX_LEVEL)
         self._level = 1

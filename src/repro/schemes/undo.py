@@ -31,6 +31,7 @@ from repro.common.config import SystemConfig
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
 from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
+from repro.snapshot import reset_volatile
 
 _LOG_ENTRY_BYTES = 2 * CACHE_LINE_BYTES
 _LOG_PRESSURE = 0.85
@@ -184,10 +185,9 @@ class OptUndoScheme(PersistenceScheme):
 
     # -- crash & recovery -----------------------------------------------------------
 
-    def crash(self) -> None:
-        self._logged_lines.clear()
-        self._tx_lines.clear()
-        self._first_offset.clear()
+    # The open transactions' logged lines and log offsets are SRAM.
+    __durable__ = PersistenceScheme.DURABLE + ("log",)
+    crash = reset_volatile
 
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None

@@ -55,7 +55,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common import rng as rng_util
 from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError, ReproError
-from repro.snapshot import clone_state
+# ``clone_state`` is re-exported, not used here: the benchmark's tracer
+# resolves ``repro.serve.replica.clone_state`` by name.
+from repro.snapshot import clone_state, crash_image  # noqa: F401
 from repro.telemetry.hub import Telemetry
 from repro.txn.system import MemorySystem
 
@@ -354,16 +356,15 @@ class Replica:
     def durable_projection(self):
         """What this replica would serve after a crash, non-destructively.
 
-        Clones the whole machine (copy-on-write snapshot engine), then
-        crashes and recovers the *clone*.  The live machine is
-        untouched: clocks, caches, and fault state all stay exactly as
-        they were, preserving bit-identical replays.  Returns the
-        projected clone for peeking.
+        Recovers a crash image of the machine (what survives its power
+        loss, copy-on-write).  The live machine is untouched: clocks,
+        caches, and fault state all stay exactly as they were,
+        preserving bit-identical replays.  Returns the recovered image
+        for peeking.
         """
-        clone = clone_state(self.system)
-        clone.crash()
-        clone.recover(threads=self.recovery_threads)
-        return clone
+        image = crash_image(self.system)
+        image.recover(threads=self.recovery_threads)
+        return image
 
     def fingerprint(self) -> str:
         """Durable keyspace fingerprint of this replica's projection."""

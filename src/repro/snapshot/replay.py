@@ -27,10 +27,11 @@ one, so write ``b + 1`` is the power-cut instant.  The cursor is told
 its ascending boundaries up front and forks the live machine *inside*
 that write: the device calls the cursor's hook when its write count
 reaches the next boundary, before the fault injector's verdict, and the
-hook clones the machine there.  :meth:`ForwardCursor.crash_at` then
-rearms the fork with a zero write budget and re-issues the write, which
-tears and raises exactly as it does in a cold run.  No transaction is
-ever re-run on a fork.
+hook copies what survives power loss there
+(:func:`~repro.snapshot.power_cut`).  :meth:`ForwardCursor.crash_at`
+rearms that image with a zero write budget and re-issues the write,
+which tears and raises exactly as it does in a cold run.  No
+transaction is ever re-run on a fork.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
-from repro.snapshot import Snapshot, clone_state
+from repro.snapshot import Snapshot, clone_state, power_cut
 
 # One recorded workload transaction: issuing core plus its ordered
 # (addr, value) stores, duplicates preserved — everything a replay needs
@@ -101,7 +102,7 @@ class ForwardCursor:
     ``total_writes``.  :meth:`expect` announces the ascending boundaries
     :meth:`crash_at` will be asked for, in that order; the live machine
     then runs forward only as far as the next boundary needs, and its
-    device's fork hook clones it inside each cut write.
+    device's fork hook takes a power-cut image inside each cut write.
     """
 
     def __init__(self, system: Any, txns: List[TxnRecord]) -> None:
@@ -144,12 +145,12 @@ class ForwardCursor:
         """The machine at ``faults``' power cut, from a fork of the live one.
 
         ``faults.power_loss_after_write`` must be the next announced
-        boundary.  Returns ``(system, oracle, staged, power_lost)``
-        exactly as :func:`run_txns` under ``faults`` on a fresh machine
-        leaves them before ``crash()``.  ``None`` when the boundary lies
-        below the first transaction's starting count (possible only if
-        system construction itself issued timed writes); callers fall
-        back to a fresh machine.
+        boundary.  Returns ``(system, oracle, staged, power_lost)``,
+        which once ``system`` is crashed equal what :func:`run_txns`
+        under ``faults`` on a fresh machine leaves before ``crash()``.
+        ``None`` when the boundary lies below the first transaction's
+        starting count (possible only if system construction itself
+        issued timed writes); callers fall back to a fresh machine.
         """
         boundary = faults.power_loss_after_write
         if boundary < self._last_boundary:
@@ -176,7 +177,7 @@ class ForwardCursor:
             # Past the last write: the finished machine, with the budget
             # the rest of the boundary leaves armed and never reached.
             assert boundary >= self.total_writes, "a boundary was skipped"
-            fork = Snapshot(self._system).restore()
+            fork = power_cut(self._system)
             fork.device.rearm(
                 _dc_replace(
                     faults, power_loss_after_write=boundary - self.total_writes
@@ -210,13 +211,13 @@ class ForwardCursor:
         # pending forks and their clones along with it.
         def fork_here(addr, data, now_ns, queued):
             writes = injector.fork_at
-            fork = Snapshot(live).restore()
+            fork = power_cut(live)
             cut = (addr, bytes(data), now_ns, queued)
             while expected and expected[0] == writes:
                 expected.popleft()
                 forks.append((writes, fork, cut, dict(oracle), dict(staged)))
                 if expected and expected[0] == writes:
-                    fork = Snapshot(live).restore()
+                    fork = power_cut(live)
             injector.fork_at = expected[0] if expected else None
 
         injector.fork_at = expected[0]

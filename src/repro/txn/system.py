@@ -333,13 +333,7 @@ class MemorySystem:
             else:
                 l1.misses += 1
                 latency = h._miss_resident(core, line_addr, now).latency_ns
-            cow = h._data_cow
-            if cow and line_addr in cow:
-                # Buffer aliased by a snapshot: copy before writing.
-                line = h._data[line_addr] = bytearray(h._data[line_addr])
-                cow.discard(line_addr)
-            else:
-                line = h._data[line_addr]
+            line = h._data[line_addr]
             offset = piece_addr - line_addr
             start = piece_addr - addr
             piece = data[start : start + piece_size]

@@ -5,18 +5,17 @@ the object's class says that is safe (``repro.snapshot``): an immutable
 value, a ``__shared__`` memo, or an ``__atom__`` record.  The crash
 sweep now forks its live machine *inside* a timed write, so the check
 runs for every registry scheme both between transactions and at a
-mid-write fork point (the device's fork hook).  The clone's memo maps
-each source object to its twin; an object reachable from both graphs
-must be one of:
+mid-write fork point (the device's fork hook).  An object reachable
+from both graphs must be one of:
 
 * a base atom (numbers, strings, bytes, functions, classes, enums);
 * an instance of a ``__shared__`` class (its contents are not walked);
 * a tuple, or an ``__atom__`` instance that is frozen (a frozen
   dataclass or a tuple) — walked, so a mutable field still shows;
-* a copy-on-write buffer both sides registered as shared (NVM pages,
-  cache-line data), or the cache's tag-only marker ``_TAG``.
+* an NVM page both sides registered as shared copy-on-write.
 
 ``unregistered_classes()`` must stay empty along the way.
+``tests/test_crash_image.py`` runs the same check on crash images.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro import FaultConfig, snapshot
 from repro.check.oracle import build_system
 from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import generate_trace
-from repro.memhier.cache import _TAG
-from repro.memhier.hierarchy import CacheHierarchy
 from repro.nvm.device import NVMDevice
 from repro.schemes import ALL_SCHEME_NAMES
 
@@ -88,34 +85,21 @@ def _frozen(cls) -> bool:
     return dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
 
 
-def _cow_buffers(source: dict, memo: dict) -> set:
-    """Ids of buffers shared copy-on-write, checked registered on both sides."""
-    allowed = set()
-    for obj in source.values():
-        twin = memo.get(id(obj))
-        if isinstance(obj, NVMDevice):
-            buffers, registered = "_pages", "_cow_shared"
-        elif isinstance(obj, CacheHierarchy):
-            buffers, registered = "_data", "_data_cow"
-        else:
-            continue
-        for key, buf in getattr(obj, buffers).items():
-            if getattr(twin, buffers).get(key) is buf:
-                assert key in getattr(obj, registered), (type(obj), key)
-                assert key in getattr(twin, registered), (type(obj), key)
-                allowed.add(id(buf))
-    return allowed
+def _cow_registered(graph: dict) -> set:
+    """Ids of the pages an NVM device in ``graph`` shares copy-on-write."""
+    return {
+        id(page)
+        for obj in graph.values()
+        if isinstance(obj, NVMDevice)
+        for base, page in obj._pages.items()
+        if base in obj._cow_shared
+    }
 
 
-def shared_mutables(root) -> list:
-    """Clone ``root`` and list what both graphs reach that may change."""
-    memo: dict = {}
-    fixups: list = []
-    clone = snapshot._clone(root, memo, fixups)
-    for obj in fixups:
-        obj.__snapshot_fixup__(memo)
-    source, forked = _reachable(root), _reachable(clone)
-    allowed = _cow_buffers(source, memo) | {id(_TAG)}
+def shared_between(root, other) -> list:
+    """What both graphs reach that may change (class names)."""
+    source, forked = _reachable(root), _reachable(other)
+    allowed = _cow_registered(source) & _cow_registered(forked)
     bad = []
     for key in source.keys() & forked.keys():
         obj = source[key]
@@ -128,10 +112,16 @@ def shared_mutables(root) -> list:
     return sorted(set(bad))
 
 
-def _machine(scheme):
+def shared_mutables(root) -> list:
+    """Clone ``root`` and list what both graphs reach that may change."""
+    return shared_between(root, snapshot.clone_state(root))
+
+
+def _machine(scheme, checker=True):
     faults = FaultConfig(enabled=True, seed=3)
     system = build_system(
-        scheme, faults=faults, checker=PersistOrderSanitizer()
+        scheme, faults=faults,
+        checker=PersistOrderSanitizer() if checker else None,
     )
     trace = generate_trace(9, transactions=16, slots=6)
     addrs = [system.allocate(64) for _ in range(trace.slots)]

@@ -40,6 +40,8 @@ from repro.snapshot import Snapshot, clone_state
 from repro.snapshot.replay import ForwardCursor, run_txns
 from repro.txn.system import MemorySystem
 
+from tests.test_fork_isolation import _reachable
+
 ALL_SCHEMES = sorted(crashtest.SWEEP_SCHEMES.values())
 
 
@@ -206,20 +208,11 @@ class TestCursorMatchesCold:
 # -- (b) what a fork copies -----------------------------------------------------
 
 
-def _objects_cloned(system) -> int:
-    """Distinct non-atom objects the engine visits during one restore."""
-    visited = 0
-    real = snapshot._clone
-
-    def spy(obj, memo, fixups):
-        nonlocal visited
-        if obj.__class__ not in snapshot._ATOMS and id(obj) not in memo:
-            visited += 1
-        return real(obj, memo, fixups)
-
-    with mock.patch.object(snapshot, "_clone", spy):
-        Snapshot(system).restore()
-    return visited
+def _objects_copied(system) -> int:
+    """Distinct objects a fork (a power-cut image) holds that ``system``
+    does not share with it."""
+    live = _reachable(system)
+    return sum(key not in live for key in _reachable(snapshot.power_cut(system)))
 
 
 def _commit_logs(system):
@@ -243,13 +236,13 @@ def test_fork_cost_grows_with_neither_log_pages_nor_transactions(scheme):
         len(log._pages) for log in _commit_logs(small)
     )
     assert extra_pages > 0
-    cloned_small, cloned_large = _objects_cloned(small), _objects_cloned(large)
-    # Commit-log pages are immutable and shared, so a fork clones the
+    copied_small, copied_large = _objects_copied(small), _objects_copied(large)
+    # Commit-log pages are immutable and shared, so a fork copies the
     # same objects however many pages (or transactions) there are.
-    assert 0 < cloned_large <= cloned_small
+    assert 0 < copied_large <= copied_small
     if scheme == "hoop":
         # 611 with a set and a list per tx; +3 per page with mutable pages.
-        assert cloned_large <= 120
+        assert copied_large <= 120
 
 
 # -- (c) retire() against the deleted tx -> pages index ---------------------------

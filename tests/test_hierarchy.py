@@ -519,10 +519,6 @@ def layered_hierarchy_store(h, core, addr, data, now_ns, *, persistent, tx_id):
     else:
         outcome = h._miss_resident(core, line, now_ns)
     offset = addr - line
-    cow = h._data_cow
-    if cow and line in cow:
-        h._data[line] = bytearray(h._data[line])
-        cow.discard(line)
     h._data[line][offset : offset + len(data)] = data
     flags = h._flags[line]
     flags.dirty = True

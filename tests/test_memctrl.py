@@ -80,31 +80,6 @@ class TestPeriodicTrigger:
         assert trigger.missed_periods == 2
         assert trigger.fire_count == 4
 
-    def test_reschedule(self):
-        trigger = PeriodicTrigger(100.0)
-        trigger.reschedule(10.0, 500.0)
-        assert not trigger.due(505.0)
-        assert trigger.due(510.0)
-
-    def test_reschedule_mid_period_restarts_cadence(self):
-        # Half a period has elapsed; rescheduling must restart the full
-        # new period from *now*, not inherit the old deadline.
-        trigger = PeriodicTrigger(100.0)
-        assert trigger.fire(50.0) == 0
-        trigger.reschedule(200.0, 50.0)
-        assert not trigger.due(100.0)  # old deadline no longer applies
-        assert not trigger.due(249.0)
-        assert trigger.due(250.0)
-        assert trigger.fire(250.0) == 1
-        assert trigger.fire_count == 1
-        assert trigger.missed_periods == 0
-
-    def test_reschedule_to_shorter_period_can_fire_earlier(self):
-        trigger = PeriodicTrigger(1000.0)
-        trigger.reschedule(10.0, 0.0)
-        assert trigger.fire(10.0) == 1
-        assert trigger.next_fire_ns == 20.0
-
     def test_start_offset(self):
         trigger = PeriodicTrigger(100.0, start_ns=1000.0)
         assert not trigger.due(1099.0)
@@ -123,6 +98,3 @@ class TestPeriodicTrigger:
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
             PeriodicTrigger(0)
-        trigger = PeriodicTrigger(10.0)
-        with pytest.raises(ValueError):
-            trigger.reschedule(-5.0, 0.0)

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -16,10 +17,12 @@ from repro.serve.oracle import AckOracle
 from repro.serve.replica import (
     BACKUP,
     LEASED,
+    Replica,
     ReplicationGroup,
     StaleEpochError,
     keyspace_fingerprint,
 )
+from repro.snapshot import clone_state
 from repro.telemetry.hub import Telemetry
 from repro.txn.system import MemorySystem
 
@@ -1033,3 +1036,70 @@ class TestKeyspaceFingerprint:
             primary.durable_projection(), primary.slot_addrs, 64
         )
         assert before == after
+
+
+# -- the projection is a crash image ---------------------------------------------
+
+
+def _live_state(system):
+    """What a projection must leave as it was: clocks, caches, faults."""
+    h = system.hierarchy
+    injector = system.device.injector
+    return (
+        list(system.clocks),
+        {line: bytes(data) for line, data in h._data.items()},
+        {line: (f.dirty, f.persistent, f.tx_id) for line, f in h._flags.items()},
+        [
+            {index: list(bucket) for index, bucket in level._sets.items()}
+            for level in (*h._private_levels, h._llc)
+        ],
+        dict(vars(injector.stats)),
+        {k: v for k, v in vars(injector).items() if k not in ("stats", "config")},
+        system.device.content_fingerprint(),
+        system.device.stats.writes,
+    )
+
+
+def test_projection_image_equals_clone_crash_recover(monkeypatch):
+    """Every projection of the replicated failover run, taken through the
+    crash image, matches clone -> crash -> recover of the same machine."""
+    image_projection = Replica.durable_projection
+    where = []
+
+    def checked(replica):
+        caller = sys._getframe(1)
+        while caller and not caller.f_code.co_filename.endswith("shard.py"):
+            caller = caller.f_back
+        where.append(caller.f_code.co_name if caller else "?")
+        before = _live_state(replica.system)
+        reference = clone_state(replica.system)
+        reference.crash()
+        reference.recover(threads=replica.recovery_threads)
+        projection = image_projection(replica)
+        assert _live_state(replica.system) == before
+        assert keyspace_fingerprint(
+            projection, replica.slot_addrs, replica.value_bytes
+        ) == keyspace_fingerprint(
+            reference, replica.slot_addrs, replica.value_bytes
+        )
+        assert (
+            projection.device.content_fingerprint()
+            == reference.device.content_fingerprint()
+        )
+        return projection
+
+    monkeypatch.setattr(Replica, "durable_projection", checked)
+    # The serve-replicated benchmark's shape: four write-heavy hoop
+    # shards with one backup each, shard 1's primary torn-killed at 1.2 ms.
+    report = run_serve(
+        ServeConfig(
+            shards=4, scheme="hoop", replicas=1, read_fraction=0.1,
+            rate_per_s=1.6e6, duration_ms=3.0, lease_us=500.0,
+            queue_depth=256, kill_shard=1, kill_primary_at_ms=1.2,
+            torn_kill=True, verify_final=True, seed=7,
+        )
+    )
+    assert report.oracle_failures == []
+    assert report.divergence_checks >= 2
+    assert "final_verify" in where
+    assert {"_complete_promotion", "_try_go_live"} & set(where)

@@ -251,7 +251,9 @@ def _marker_state(device, mapping, buffer, refs):
                 entry.last_slice,
                 entry.segments,
             )
-            for entry in buffer._cores
+            for entry in map(
+                buffer._cores.__getitem__, range(buffer.config.num_cores)
+            )
         ],
         buffer.stats,
         dict(refs._block_txs),
