@@ -13,6 +13,7 @@ import argparse
 from repro import MemorySystem, SystemConfig
 from repro.stats.report import format_table
 from repro.trace import RecordingSystem, replay
+from repro.trace.trace import LOAD
 from repro.workloads import WorkloadDriver, make_workload
 
 SCHEMES = ("native", "hoop", "opt-redo", "opt-undo", "osp", "lsm", "lad")
@@ -36,9 +37,10 @@ def main() -> None:
         workload, args.transactions, setup=False, warmup=0, quiesce=False
     )
     trace = recorder.trace
+    loads = sum(1 for op in trace if op.kind == LOAD)
     print(
         f"recorded {trace.transactions} transactions:"
-        f" {trace.stores} stores, {trace.loads} loads"
+        f" {trace.stores} stores, {loads} loads"
         f" ({len(trace.dumps()) // 1024} KB as text)\n"
     )
 

@@ -22,57 +22,16 @@ from typing import Callable, List, Optional, TypeVar
 from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer, Violation
 from repro.check.trace import Trace, TraceTxn, generate_trace
-from repro.snapshot.replay import TraceReplayCache, run_txns
 
 T = TypeVar("T")
 
 
-def make_replay_cache(scheme: str, slots: int) -> TraceReplayCache:
-    """A :class:`TraceReplayCache` for sanitizer-instrumented replays.
-
-    ddmin probes hundreds of txn-list variants that share long prefixes;
-    the cache snapshots each replayed prefix (system + sanitizer state)
-    so a variant re-executes only its divergent suffix.  The sanitizer
-    rides inside the snapshot, so its violation list always reflects
-    exactly the transactions of the variant being scored.
-    """
-
-    def build():
-        sanitizer = PersistOrderSanitizer()
-        system = build_system(scheme, checker=sanitizer)
-        addrs = [system.allocate(64) for _ in range(slots)]
-        return {"system": system, "addrs": addrs}
-
-    def apply(state, txn: TraceTxn) -> None:
-        run_txns(state["system"], [txn.record(state["addrs"])])
-
-    return TraceReplayCache(build, apply)
-
-
-def trace_violations(
-    scheme: str,
-    trace: Trace,
-    *,
-    cache: Optional[TraceReplayCache] = None,
-    record: bool = True,
-) -> List[Violation]:
-    """Replay ``trace`` on ``scheme`` under a fresh sanitizer.
-
-    With a ``cache`` the replay restores the longest already-seen
-    transaction prefix instead of starting cold; without one it runs on
-    a fresh system — the reference the cached replay is tested against.
-    The violations are identical either way because the trace is pure
-    data and the sanitizer state is part of each snapshot.
-    ``record=False`` skips caching the prefixes this replay creates
-    (for one-off scoring of traces no later replay will share).
-    """
-    if cache is None:
-        sanitizer = PersistOrderSanitizer()
-        system = build_system(scheme, checker=sanitizer)
-        run_trace(system, trace)
-        return sanitizer.violations
-    state = cache.replay(trace.txns, record=record)
-    return list(state["system"].check.violations)
+def trace_violations(scheme: str, trace: Trace) -> List[Violation]:
+    """Replay ``trace`` cold on ``scheme`` under a fresh sanitizer."""
+    sanitizer = PersistOrderSanitizer()
+    system = build_system(scheme, checker=sanitizer)
+    run_trace(system, trace)
+    return sanitizer.violations
 
 
 def ddmin(items: List[T], failing: Callable[[List[T]], bool]) -> List[T]:
@@ -100,20 +59,11 @@ def ddmin(items: List[T], failing: Callable[[List[T]], bool]) -> List[T]:
     return items
 
 
-def shrink_trace(
-    scheme: str,
-    trace: Trace,
-    *,
-    cache: Optional[TraceReplayCache] = None,
-) -> Trace:
+def shrink_trace(scheme: str, trace: Trace) -> Trace:
     """Delta-debug ``trace`` down to a minimal still-violating trace."""
-    if cache is None:
-        cache = make_replay_cache(scheme, trace.slots)
 
     def failing_txns(txns: List[TraceTxn]) -> bool:
-        return bool(
-            trace_violations(scheme, trace.with_txns(txns), cache=cache)
-        )
+        return bool(trace_violations(scheme, trace.with_txns(txns)))
 
     txns = ddmin(list(trace.txns), failing_txns)
     # Second stage: shrink each surviving transaction's store list.
@@ -125,11 +75,7 @@ def shrink_trace(
         def failing_stores(stores, index=index, txn=txn):
             candidate = list(txns)
             candidate[index] = TraceTxn(txn.core, tuple(stores))
-            return bool(
-                trace_violations(
-                    scheme, trace.with_txns(candidate), cache=cache
-                )
-            )
+            return bool(trace_violations(scheme, trace.with_txns(candidate)))
 
         stores = ddmin(list(txn.stores), failing_stores)
         txns[index] = TraceTxn(txn.core, tuple(stores))
@@ -178,10 +124,6 @@ def fuzz_scheme(
     progress=None,
 ) -> FuzzResult:
     """Fuzz ``scheme``; on the first violation, shrink and stop."""
-    # One replay cache for the whole campaign: every iteration's trace
-    # shares the empty-prefix snapshot (no per-iteration system build),
-    # and the shrink phase reuses prefixes across ddmin variants.
-    cache = make_replay_cache(scheme, slots)
     for i in range(iterations):
         trace = generate_trace(
             seed + i,
@@ -189,21 +131,19 @@ def fuzz_scheme(
             slots=slots,
             cores=cores,
         )
-        violations = trace_violations(
-            scheme, trace, cache=cache, record=False
-        )
+        violations = trace_violations(scheme, trace)
         if progress:
             progress(
                 f"fuzz[{scheme}] iter {i + 1}:"
                 f" {len(violations)} violation(s)"
             )
         if violations:
-            shrunk = shrink_trace(scheme, trace, cache=cache)
+            shrunk = shrink_trace(scheme, trace)
             return FuzzResult(
                 scheme=scheme,
                 found=True,
                 iterations=i + 1,
                 trace=shrunk,
-                violations=trace_violations(scheme, shrunk, cache=cache),
+                violations=trace_violations(scheme, shrunk),
             )
     return FuzzResult(scheme=scheme, found=False, iterations=iterations)

@@ -34,27 +34,21 @@ from repro.check.trace import (
     generate_trace,
 )
 from repro.common.config import FaultConfig, SystemConfig
-from repro.crashtest import choose_boundaries, forward_cursor, sweep_cases
+from repro.crashtest import (
+    RunOutcome,
+    choose_boundaries,
+    forward_cursor,
+    sweep_cases,
+)
 from repro.faults import make_device
+from repro.schemes import ALL_SCHEME_NAMES, PERSISTENT_SCHEME_NAMES
 from repro.snapshot.replay import TxnRecord, run_txns
 from repro.txn.system import MemorySystem
 
 # Every registered scheme plus the ideal baseline; crash-recovery
 # convergence runs on REAL_SCHEMES only (native promises nothing).
-ORACLE_SCHEMES: Tuple[str, ...] = (
-    "native",
-    "hoop",
-    "hoop-mc",
-    "opt-redo",
-    "opt-undo",
-    "osp",
-    "lsm",
-    "lad",
-    "logregion",
-)
-REAL_SCHEMES: Tuple[str, ...] = tuple(
-    s for s in ORACLE_SCHEMES if s != "native"
-)
+ORACLE_SCHEMES = ALL_SCHEME_NAMES
+REAL_SCHEMES = PERSISTENT_SCHEME_NAMES
 
 
 def build_system(
@@ -82,16 +76,6 @@ def build_system(
     return MemorySystem(config, scheme, checker=checker)
 
 
-@dataclass
-class TraceOutcome:
-    """One trace replay on one system."""
-
-    slot_addrs: List[int]
-    oracle: Dict[int, bytes]  # committed word -> value
-    staged: Dict[int, bytes]  # in-flight words at power loss (may be {})
-    power_lost: bool
-
-
 def bind_trace(
     system: MemorySystem, trace: Trace
 ) -> Tuple[List[int], List[TxnRecord]]:
@@ -100,10 +84,12 @@ def bind_trace(
     return slot_addrs, trace.records(slot_addrs)
 
 
-def run_trace(system: MemorySystem, trace: Trace) -> TraceOutcome:
-    """Replay ``trace`` until done or power loss (crashtest-compatible)."""
+def run_trace(
+    system: MemorySystem, trace: Trace
+) -> Tuple[List[int], RunOutcome]:
+    """Replay ``trace`` until done or power loss; slots and outcome."""
     slot_addrs, txns = bind_trace(system, trace)
-    return TraceOutcome(slot_addrs, *run_txns(system, txns))
+    return slot_addrs, RunOutcome(*run_txns(system, txns))
 
 
 @dataclass
@@ -159,12 +145,12 @@ def check_scheme(
     # 1 + 2: instrumented fault-free run, then read-back convergence.
     sanitizer = PersistOrderSanitizer()
     system = build_system(scheme, checker=sanitizer)
-    outcome = run_trace(system, trace)
+    slot_addrs, outcome = run_trace(system, trace)
     assert not outcome.power_lost
     report.discipline = sanitizer.discipline
     report.transactions_checked = sanitizer.transactions_checked
     report.violations = [v.render() for v in sanitizer.violations]
-    expected = expected_state(trace, outcome.slot_addrs)
+    expected = expected_state(trace, slot_addrs)
     for addr in sorted(expected):
         got = system.load(addr, 8)
         report.readback[addr] = got

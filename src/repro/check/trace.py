@@ -136,7 +136,7 @@ def expected_state(
 
 
 # -- snapshot declarations ----------------------------------------------------
-# Traces are frozen records: replay caches share them by reference.
+# Traces are frozen records: a clone shares them by reference.
 TraceStore.__snapshot_state__ = "__shared__"
 TraceTxn.__snapshot_state__ = "__shared__"
 Trace.__snapshot_state__ = "__shared__"

@@ -35,6 +35,10 @@ _SCHEME_MODULES = {
 }
 
 ALL_SCHEME_NAMES = tuple(_SCHEME_MODULES)
+# Every scheme that promises durability, in registry order: all but
+# ``native``.  The oracle's crash checks, the fuzzer's ``--schemes all``
+# and the serving layer take exactly these.
+PERSISTENT_SCHEME_NAMES = tuple(n for n in ALL_SCHEME_NAMES if n != "native")
 
 
 def scheme_class(name: str):
@@ -59,6 +63,7 @@ __all__ = [
     "PersistenceScheme",
     "SchemeTraits",
     "ALL_SCHEME_NAMES",
+    "PERSISTENT_SCHEME_NAMES",
     "scheme_class",
     "make_scheme",
 ]

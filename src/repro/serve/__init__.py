@@ -8,8 +8,8 @@ storage service needs:
 * :mod:`~repro.serve.router` — consistent-hash request routing;
 * :mod:`~repro.serve.client` — open-loop Poisson load generation with
   deterministic per-client RNG streams;
-* :mod:`~repro.serve.admission` — bounded queues, backpressure, typed
-  retryable rejections;
+* :mod:`~repro.serve.admission` — bounded queues, backpressure,
+  rejections counted by kind;
 * :mod:`~repro.serve.batcher` — size-or-deadline batching of same-shard
   requests into single failure-atomic transactions;
 * :mod:`~repro.serve.oracle` — the acked-write durability oracle
@@ -38,23 +38,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
+from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.serve.cluster import ServeCluster
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import Log2Histogram
 
-# Schemes the serving layer accepts: every persistence scheme, but not
-# ``native`` — a serving ack is a durability promise, and native makes
-# none (the final crash+recover sweep would always report loss).
-SERVABLE_SCHEMES = (
-    "hoop",
-    "hoop-mc",
-    "opt-redo",
-    "opt-undo",
-    "osp",
-    "lsm",
-    "lad",
-    "logregion",
-)
+# A serving ack is a durability promise and ``native`` makes none (the
+# final crash+recover sweep would always report loss).
+SERVABLE_SCHEMES = PERSISTENT_SCHEME_NAMES
 
 
 @dataclass(frozen=True)

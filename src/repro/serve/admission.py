@@ -1,22 +1,17 @@
-"""Admission control: one shard's bounded queue with typed backpressure.
+"""Admission control: one shard's bounded queue and its rejection kinds.
 
 An open-loop arrival stream will, at any offered rate above a shard's
 service capacity — or whenever a shard is down recovering — grow an
 unbounded backlog unless something says no.  The admission controller
 is that something: each shard gets a bounded FIFO, and a request that
-cannot be queued is rejected with a *typed, retryable* error carrying a
-``retry_after_ns`` hint, so a well-behaved client can back off instead
-of hammering:
+cannot be queued is rejected with one of three kinds, counted per kind:
 
-* :class:`QueueFullRejection` — the shard is up but its queue is at
-  capacity (the shard is the bottleneck; retry after roughly one batch
-  service time);
-* :class:`ShardRecoveringRejection` — the shard is mid-recovery and
-  its queue is full of traffic already waiting for it; the hint is the
-  recovery ETA;
-* :class:`FailoverRejection` — the shard's replication group is
-  between a primary kill and the backup's promotion; the hint is the
-  promotion ETA (the deposed primary's lease expiry).
+* ``"queue_full"`` — the shard is up but its queue is at capacity (the
+  shard is the bottleneck);
+* ``"shard_recovering"`` — the shard is mid-recovery and its queue is
+  full of traffic already waiting for it;
+* ``"failing_over"`` — the shard's replication group is between a
+  primary kill and the backup's promotion.
 
 A recovering shard's queue keeps *accepting* requests while it has
 room: bounded queueing-through-failover is what turns a shard kill
@@ -28,46 +23,9 @@ batch commits after recovery.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict
+from typing import Deque, Dict, Optional
 
-from repro.common.errors import ReproError
 from repro.serve.client import Request
-
-
-class RetryableRejection(ReproError):
-    """Base of all admission rejections: safe to retry after the hint."""
-
-    kind = "retryable"
-
-    def __init__(self, message: str, *, shard: int, retry_after_ns: float):
-        super().__init__(message)
-        self.shard = shard
-        self.retry_after_ns = retry_after_ns
-
-
-class QueueFullRejection(RetryableRejection):
-    """The shard's bounded queue is at capacity (backpressure)."""
-
-    kind = "queue_full"
-
-
-class ShardRecoveringRejection(RetryableRejection):
-    """The shard is recovering from a crash and its queue is full."""
-
-    kind = "shard_recovering"
-
-
-class FailoverRejection(RetryableRejection):
-    """The shard's replication group is mid-failover and its queue is full.
-
-    Distinct from :class:`ShardRecoveringRejection` because the hint is
-    different in kind: a promotion completes at the deposed primary's
-    lease expiry (microseconds, deterministic), not at a recovery
-    horizon — clients should retry soon, against the same shard, and
-    will land on the newly promoted primary.
-    """
-
-    kind = "failing_over"
 
 
 class AdmissionController:
@@ -85,34 +43,28 @@ class AdmissionController:
         request: Request,
         *,
         recovering: bool,
-        retry_after_ns: float,
         failing_over: bool = False,
-    ) -> None:
-        """Queue ``request`` or raise a typed rejection.
+    ) -> Optional[str]:
+        """Queue ``request`` and return ``None``, or return why not.
 
-        ``recovering`` / ``failing_over`` select the rejection type
-        when the queue is full (``failing_over`` wins when both are
-        set — a promotion in flight is the more specific state);
-        ``retry_after_ns`` is the hint stamped on the rejection (batch
-        service time for a healthy shard, recovery ETA for a
-        recovering one, promotion ETA mid-failover).
+        When the queue is full the request is dropped and the rejection
+        kind returned and counted: ``"failing_over"`` when set (a
+        promotion in flight is the more specific state), else
+        ``"shard_recovering"`` when ``recovering``, else
+        ``"queue_full"``.
         """
         queue = self.queue
         if len(queue) >= self.queue_depth:
             if failing_over:
-                cls, reason = FailoverRejection, "failing over"
+                kind = "failing_over"
             elif recovering:
-                cls, reason = ShardRecoveringRejection, "recovering"
+                kind = "shard_recovering"
             else:
-                cls, reason = QueueFullRejection, "full"
-            self.rejections[cls.kind] = self.rejections.get(cls.kind, 0) + 1
-            raise cls(
-                f"shard {request.shard} queue {reason} "
-                f"({len(queue)}/{self.queue_depth})",
-                shard=request.shard,
-                retry_after_ns=retry_after_ns,
-            )
+                kind = "queue_full"
+            self.rejections[kind] = self.rejections.get(kind, 0) + 1
+            return kind
         queue.append(request)
+        return None
 
     def requeue_front(self, requests) -> int:
         """Put a failed batch back at the head, oldest first.
@@ -130,7 +82,6 @@ class AdmissionController:
         for request in reversed(list(requests)):
             if len(queue) >= self.queue_depth:
                 break
-            request.retries += 1
             queue.appendleft(request)
             fitted += 1
         return fitted

@@ -50,7 +50,6 @@ class Request:
     arrival_ns: float
     # Stamped by the cluster as the request progresses.
     shard: int = -1
-    retries: int = 0
     completion_ns: float = field(default=0.0)
 
     @property

@@ -18,8 +18,8 @@ relies on:
   slice rather than a full reshuffle.
 
 Routing never changes when a shard dies: the keys a shard owns are only
-durable *on that shard*, so its traffic queues (or sheds with a typed
-retryable rejection) until recovery brings it back — see
+durable *on that shard*, so its traffic queues (or is rejected as
+``"shard_recovering"``) until recovery brings it back — see
 :mod:`repro.serve.admission`.
 """
 

@@ -54,7 +54,7 @@ import math
 from typing import Dict, List, Set
 
 from repro.common.errors import PowerLossError
-from repro.serve.admission import AdmissionController, RetryableRejection
+from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchScheduler
 from repro.serve.client import OP_GET, Request
 from repro.serve.oracle import AckOracle
@@ -212,29 +212,17 @@ class ShardExecutor:
     def _admit(self, request: Request) -> None:
         group = self.group
         self.offered += 1
-        failing_over = group.state == GROUP_FAILING_OVER
-        recovering = group.state == GROUP_RECOVERING
-        if failing_over:
-            retry_after = max(group.promote_at_ns - self.now_ns, 0.0)
-        elif recovering:
-            retry_after = max(
-                group.primary.recover_at_ns - self.now_ns, 0.0
-            )
-        else:
-            retry_after = self.batcher.batch_wait_ns
-        try:
-            self.admission.admit(
-                request,
-                recovering=recovering,
-                retry_after_ns=retry_after,
-                failing_over=failing_over,
-            )
-        except RetryableRejection as rejection:
+        rejected = self.admission.admit(
+            request,
+            recovering=group.state == GROUP_RECOVERING,
+            failing_over=group.state == GROUP_FAILING_OVER,
+        )
+        if rejected is not None:
             self.telemetry.emit(
                 self.now_ns,
                 "serve_reject",
                 "serve",
-                {"shard": request.shard, "kind": rejection.kind},
+                {"shard": request.shard, "kind": rejected},
             )
             return
         self.admitted += 1

@@ -35,10 +35,6 @@ because every class declares its snapshot behaviour up front:
     Every attribute is an immutable scalar (stats records, triggers);
     copy the attribute dict in one C-level call.
 
-``__snapshot_state__ = ("attr", ...)``
-    Deep-clone exactly the named attributes; share the rest by
-    reference.
-
 ``__snapshot_clone__(self, memo, clone)``
     Full custom control (the NVM device uses it for copy-on-write page
     sharing).  Must insert its result into ``memo`` before recursing.
@@ -106,10 +102,9 @@ _MISSING = object()
 _SHARE = 0
 _ALL = 1
 _ATTR_ATOMS = 2
-_PARTIAL = 3
-_FALLBACK = 4
-_CUSTOM = 5
-_NAMEDTUPLE = 6
+_FALLBACK = 3
+_CUSTOM = 4
+_NAMEDTUPLE = 5
 
 # repro classes cloned without a declaration (should stay empty).
 _UNREGISTERED: set = set()
@@ -128,11 +123,10 @@ def reset_unregistered() -> None:
 class _Plan:
     """Cached per-class clone strategy."""
 
-    __slots__ = ("mode", "deep", "slots", "has_fixup")
+    __slots__ = ("mode", "slots", "has_fixup")
 
-    def __init__(self, mode: int, deep, slots, has_fixup: bool) -> None:
+    def __init__(self, mode: int, slots, has_fixup: bool) -> None:
         self.mode = mode
-        self.deep = deep
         self.slots = slots
         self.has_fixup = has_fixup
 
@@ -157,27 +151,28 @@ def _build_plan(cls: type) -> _Plan:
     has_fixup = hasattr(cls, "__snapshot_fixup__")
     slots = _collect_slots(cls)
     if getattr(cls, "__snapshot_clone__", None) is not None:
-        mode, deep = _CUSTOM, None
+        mode = _CUSTOM
     elif spec in ("__atom__", "__shared__") or issubclass(cls, enum.Enum):
         # Joins the atom set: future instances never reach the engine.
         # (An enum's members are singletons, so sharing them is exact.)
         _ATOMS.add(cls)
-        mode, deep = _SHARE, None
+        mode = _SHARE
     elif issubclass(cls, tuple):
-        mode, deep = _NAMEDTUPLE, None
+        mode = _NAMEDTUPLE
     elif spec is _MISSING:
         mode = _FALLBACK
-        deep = None
         module = getattr(cls, "__module__", "")
         if module.startswith("repro"):
             _UNREGISTERED.add(cls)
     elif spec == "__all__":
-        mode, deep = _ALL, None
+        mode = _ALL
     elif spec == "__atoms__":
-        mode, deep = _ATTR_ATOMS, None
+        mode = _ATTR_ATOMS
     else:
-        mode, deep = _PARTIAL, frozenset(spec)
-    plan = _Plan(mode, deep, slots, has_fixup)
+        raise ValueError(
+            f"{cls.__qualname__}: unknown __snapshot_state__ {spec!r}"
+        )
+    plan = _Plan(mode, slots, has_fixup)
     _PLANS[cls] = plan
     return plan
 
@@ -232,22 +227,6 @@ def _clone_object(obj: Any, memo: dict, fixups: list, cls: type, key: int):
             value = getattr(obj, name, _MISSING)
             if value is not _MISSING:
                 setattr(out, name, value)
-    elif mode == _PARTIAL:
-        deep = plan.deep
-        if d is not None:
-            nd = out.__dict__
-            for k, v in d.items():
-                if k in deep and v.__class__ not in _ATOMS:
-                    nd[k] = _clone(v, memo, fixups)
-                else:
-                    nd[k] = v
-        for name in plan.slots:
-            value = getattr(obj, name, _MISSING)
-            if value is _MISSING:
-                continue
-            if name in deep and value.__class__ not in _ATOMS:
-                value = _clone(value, memo, fixups)
-            setattr(out, name, value)
     else:  # _ALL and _FALLBACK clone everything
         if d is not None:
             nd = out.__dict__

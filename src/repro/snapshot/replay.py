@@ -2,24 +2,16 @@
 
 A workload is data: a list of :data:`TxnRecord` bound to heap addresses
 once, and :func:`run_txns` is the one loop that executes it until done
-or power loss — on a fresh machine (artifact ``--replay``), on the
-cursor's probe and its live machine, and in the fuzzer's prefix cache.
-A fork never executes a transaction.
+or power loss — on a fresh machine (artifact ``--replay``, the
+fuzzer's trace replays), and on the cursor's probe and its live
+machine.  A fork never executes a transaction.
 
-Two consumers turn :mod:`repro.snapshot` clones into incremental
-replay:
-
-* the **crash-point sweeps** (:mod:`repro.crashtest`, its nested sweep,
-  and the oracle's crash-convergence phase in :mod:`repro.check.oracle`)
-  share one :class:`ForwardCursor`: a single live, fault-free machine
-  that runs the recorded workload forward exactly once and is *forked*
-  inside every cut write, so no case re-executes the prefix another
-  case already paid for;
-* the fuzzer's delta-debugging shrinker (:mod:`repro.check.fuzz`)
-  replays hundreds of near-identical transaction lists; a
-  :class:`TraceReplayCache` memoizes a snapshot per replayed prefix so
-  each ddmin candidate only executes the transactions after its longest
-  already-seen prefix.
+The crash-point sweeps (:mod:`repro.crashtest`, its nested sweep, and
+the oracle's crash-convergence phase in :mod:`repro.check.oracle`)
+share one :class:`ForwardCursor`: a single live, fault-free machine
+that runs the recorded workload forward exactly once and is *forked*
+inside every cut write, so no case re-executes the prefix another case
+already paid for.
 
 Crash boundaries are expressed in the device's cumulative *timed-write*
 count: boundary ``b`` means the ``b``-th successful write is the last
@@ -36,13 +28,13 @@ transaction is ever re-run on a fork.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import replace as _dc_replace
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
-from repro.snapshot import Snapshot, clone_state, power_cut
+from repro.snapshot import Snapshot, power_cut
 
 # One recorded workload transaction: issuing core plus its ordered
 # (addr, value) stores, duplicates preserved — everything a replay needs
@@ -230,83 +222,3 @@ class ForwardCursor:
         finally:
             injector.fork_at = None
             injector.fork_hook = None
-
-
-class TraceReplayCache:
-    """Snapshot-per-prefix cache for repeated transaction-list replays.
-
-    Built for ddmin: every shrink candidate is some sublist of the
-    original transactions, and candidates tried consecutively share long
-    prefixes.  ``replay(txns)`` restores the snapshot of the longest
-    cached prefix of ``txns``, applies only the remaining transactions
-    (capturing each new prefix along the way), and returns the resulting
-    state object.
-
-    ``build()`` creates a fresh state (any snapshot-clonable object —
-    the fuzzer uses a dict holding the system and its slot addresses);
-    ``apply(state, txn)`` executes one transaction against it.  Keys are
-    tuples of the transaction objects themselves, which must be hashable
-    (the frozen :class:`~repro.check.trace.TraceTxn` records are).
-
-    The cache is LRU-bounded at ``limit`` snapshots; the empty prefix is
-    pinned so a fresh system never has to be rebuilt.
-    """
-
-    def __init__(
-        self,
-        build: Callable[[], Any],
-        apply: Callable[[Any, Any], None],
-        *,
-        limit: int = 256,
-    ) -> None:
-        if limit < 1:
-            raise ValueError("cache needs room for at least one snapshot")
-        self._build = build
-        self._apply = apply
-        self._limit = limit
-        self._snapshots: "OrderedDict[Tuple, Snapshot]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.replayed_txns = 0
-
-    def _put(self, key: Tuple, snapshot: Snapshot) -> None:
-        self._snapshots[key] = snapshot
-        self._snapshots.move_to_end(key)
-        while len(self._snapshots) > self._limit:
-            for candidate in self._snapshots:
-                if candidate != ():  # keep the base system pinned
-                    del self._snapshots[candidate]
-                    break
-            else:
-                break
-
-    def replay(self, txns, *, record: bool = True) -> Any:
-        """State after executing ``txns``, reusing the longest prefix.
-
-        ``record=False`` still restores from the best cached prefix but
-        does not snapshot the new prefixes it executes — the right mode
-        for one-off scoring runs (e.g. fresh fuzz iterations) whose
-        prefixes no later replay will share; capturing a snapshot per
-        transaction would cost more than it saves there.
-        """
-        txns = tuple(txns)
-        state = None
-        start = 0
-        for length in range(len(txns), -1, -1):
-            snapshot = self._snapshots.get(txns[:length])
-            if snapshot is not None:
-                self._snapshots.move_to_end(txns[:length])
-                state = snapshot.restore()
-                start = length
-                self.hits += 1
-                break
-        if state is None:
-            self.misses += 1
-            state = self._build()
-            self._put((), Snapshot(clone_state(state)))
-        for index in range(start, len(txns)):
-            self._apply(state, txns[index])
-            self.replayed_txns += 1
-            if record:
-                self._put(txns[: index + 1], Snapshot(clone_state(state)))
-        return state

@@ -1,7 +1,7 @@
-"""Markdown link checker for the repo's documentation.
+"""Markdown link and code-reference checker for the repo's documentation.
 
-Validates every ``[text](target)`` link in README.md, EXPERIMENTS.md and
-``docs/*.md``:
+Validates every ``[text](target)`` link in README.md, EXPERIMENTS.md,
+DESIGN.md, ``docs/*.md`` and the verify skill:
 
 * **relative paths** must exist on disk (anchors checked too when the
   target is a markdown file);
@@ -9,7 +9,12 @@ Validates every ``[text](target)`` link in README.md, EXPERIMENTS.md and
   same file, using GitHub's slug rules (lowercase, spaces to dashes,
   punctuation stripped);
 * **external URLs** are *not* fetched — CI must not depend on the
-  network — but must at least parse as http(s).
+  network — but must at least parse as http(s);
+* **code references** — a backticked ``dir/file.py`` outside fenced
+  blocks, with ``{a,b}`` alternatives expanded and an optional
+  ``:name`` or ``::name`` — must name a file under the document's
+  directory, the repo root, ``src/`` or ``src/repro/``, and every
+  dotted part of ``name`` must be a def, class or assigned name in it.
 
 Usage::
 
@@ -19,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import pathlib
 import re
 import sys
@@ -26,13 +32,24 @@ from typing import List
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
-DOC_GLOBS = ("README.md", "EXPERIMENTS.md", "docs/*.md")
+DOC_GLOBS = (
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    "docs/*.md",
+    ".claude/skills/verify/SKILL.md",
+)
 
 # [text](target) — skips images' leading ! naturally (same syntax), and
 # ignores fenced code blocks via pre-stripping.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+# `dir/file.py`, `dir/{a,b}.py`, `dir/file.py:name`, `file.py::Test::case`
+_CODE_REF_RE = re.compile(
+    r"`([\w.{},-]*/[\w./{},-]*\.py)(?:::?([\w.:\[\]-]+))?`"
+)
+_BRACES_RE = re.compile(r"\{([^{}]*)\}")
 
 
 def github_slug(heading: str) -> str:
@@ -55,6 +72,55 @@ def doc_files() -> List[pathlib.Path]:
     for pattern in DOC_GLOBS:
         files.extend(sorted(REPO_ROOT.glob(pattern)))
     return [f for f in files if f.is_file()]
+
+
+def expand_braces(path: str) -> List[str]:
+    """``a/{b,c}.py`` -> ``["a/b.py", "a/c.py"]`` (nested and repeated)."""
+    match = _BRACES_RE.search(path)
+    if match is None:
+        return [path]
+    head, tail = path[: match.start()], path[match.end() :]
+    return [
+        expanded
+        for alternative in match.group(1).split(",")
+        for expanded in expand_braces(head + alternative + tail)
+    ]
+
+
+def defined_names(source: str) -> set:
+    """Every def, class and assigned name anywhere in a Python file."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def check_code_refs(path: pathlib.Path, text: str) -> List[str]:
+    """Stale ``dir/file.py[:name]`` references in one document's text."""
+    relative = path.relative_to(REPO_ROOT)
+    src = REPO_ROOT / "src"
+    roots = (path.parent, REPO_ROOT, src, src / "repro")
+    problems = []
+    for spec, name in _CODE_REF_RE.findall(text):
+        for ref in expand_braces(spec):
+            found = next(
+                (root / ref for root in roots if (root / ref).is_file()), None
+            )
+            if found is None:
+                problems.append(f"{relative}: no file {ref}")
+                continue
+            parts = [p for p in re.split(r"[.:]", name.split("[")[0]) if p]
+            missing = sorted(set(parts) - defined_names(found.read_text()))
+            if missing:
+                problems.append(
+                    f"{relative}: {ref} defines no {', '.join(missing)}"
+                )
+    return problems
 
 
 def check_file(path: pathlib.Path) -> List[str]:
@@ -82,14 +148,14 @@ def check_file(path: pathlib.Path) -> List[str]:
                 problems.append(
                     f"{relative}: missing anchor #{anchor} in {file_part}"
                 )
-    return problems
+    return problems + check_code_refs(path, text)
 
 
 def main(argv=None) -> int:
     """CLI body; returns the process exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.linkcheck",
-        description="Offline markdown link checker for repo docs.",
+        description="Offline link and code-reference checker for repo docs.",
     )
     parser.parse_args(argv)
     files = doc_files()

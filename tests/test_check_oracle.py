@@ -31,9 +31,9 @@ def test_all_schemes_converge(seed):
     readbacks = {}
     for scheme in ORACLE_SCHEMES:
         system = build_system(scheme)
-        outcome = run_trace(system, trace)
+        slot_addrs, outcome = run_trace(system, trace)
         assert not outcome.power_lost
-        expected = expected_state(trace, outcome.slot_addrs)
+        expected = expected_state(trace, slot_addrs)
         readbacks[scheme] = {
             addr: system.load(addr, 8) for addr in expected
         }

@@ -16,8 +16,8 @@ from repro.check.trace import expected_state, generate_trace
 def _sanitized_run(scheme, trace):
     sanitizer = PersistOrderSanitizer()
     system = build_system(scheme, checker=sanitizer)
-    outcome = run_trace(system, trace)
-    return sanitizer, system, outcome
+    slot_addrs, _ = run_trace(system, trace)
+    return sanitizer, system, slot_addrs
 
 
 @pytest.mark.parametrize("scheme", REAL_SCHEMES)
@@ -104,7 +104,7 @@ def test_scheme_traits_use_known_disciplines():
 def test_readback_matches_model_under_sanitizer():
     trace = generate_trace(5, transactions=20, slots=6, cores=4)
     for scheme in ("hoop", "opt-redo"):
-        sanitizer, system, outcome = _sanitized_run(scheme, trace)
-        expected = expected_state(trace, outcome.slot_addrs)
+        sanitizer, system, slot_addrs = _sanitized_run(scheme, trace)
+        expected = expected_state(trace, slot_addrs)
         for addr, value in expected.items():
             assert system.load(addr, 8) == value

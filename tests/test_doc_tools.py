@@ -1,4 +1,4 @@
-"""Doc tooling: docstring ratchet and markdown link checker."""
+"""Doc tooling: docstring ratchet and markdown link/code-reference checker."""
 
 import json
 
@@ -8,7 +8,14 @@ from repro.tools.doccheck import (
     check_against_baseline,
     scan_tree,
 )
-from repro.tools.linkcheck import anchors_of, check_file, doc_files, github_slug
+from repro.tools.linkcheck import (
+    REPO_ROOT,
+    anchors_of,
+    check_file,
+    doc_files,
+    expand_braces,
+    github_slug,
+)
 
 
 def test_ratchet_holds_against_committed_baseline():
@@ -66,3 +73,62 @@ def test_linkcheck_detects_broken_path(tmp_path, monkeypatch):
     assert any("broken path" in p for p in problems)
     assert any("missing anchor #nope" in p for p in problems)
     assert not any("#t" in p for p in problems)
+
+
+def test_linkcheck_covers_design_and_verify_skill():
+    covered = {path.relative_to(REPO_ROOT).as_posix() for path in doc_files()}
+    assert {"DESIGN.md", ".claude/skills/verify/SKILL.md"} <= covered
+
+
+def test_expand_braces():
+    assert expand_braces("a/b.py") == ["a/b.py"]
+    assert expand_braces("a/{b,c}.py") == ["a/b.py", "a/c.py"]
+    assert expand_braces("{x,y}/{b,c}.py") == [
+        "x/b.py", "x/c.py", "y/b.py", "y/c.py"
+    ]
+
+
+def _code_ref_repo(tmp_path, monkeypatch):
+    import repro.tools.linkcheck as lc
+
+    pkg = tmp_path / "src" / "repro" / "harness"
+    pkg.mkdir(parents=True)
+    (pkg / "experiments.py").write_text(
+        "LIMIT = 3\n\n\nclass Scale:\n    def smoke(self):\n"
+        "        pass\n\n\ndef run_figure7a():\n    pass\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("def test_y():\n    pass\n")
+    monkeypatch.setattr(lc, "REPO_ROOT", tmp_path)
+    return lc
+
+
+def test_linkcheck_accepts_live_code_refs(tmp_path, monkeypatch):
+    lc = _code_ref_repo(tmp_path, monkeypatch)
+    doc = tmp_path / "x.md"
+    doc.write_text(
+        "`harness/experiments.py:run_figure7a`, "
+        "`repro/harness/{experiments}.py`, "
+        "`src/repro/harness/experiments.py:Scale.smoke`, "
+        "`harness/experiments.py:LIMIT`, "
+        "`tests/test_x.py::test_y[hoop]`\n"
+    )
+    assert lc.check_file(doc) == []
+
+
+def test_linkcheck_detects_stale_code_refs(tmp_path, monkeypatch):
+    lc = _code_ref_repo(tmp_path, monkeypatch)
+    doc = tmp_path / "x.md"
+    doc.write_text(
+        "`harness/tables.py` and `harness/experiments.py:run_throughput`"
+        " and `repro/harness/{experiments,channel}.py`"
+        " and `tests/test_x.py::test_gone`\n"
+        "```\n`harness/ignored_in_fences.py`\n```\n"
+    )
+    problems = lc.check_file(doc)
+    assert problems == [
+        "x.md: no file harness/tables.py",
+        "x.md: harness/experiments.py defines no run_throughput",
+        "x.md: no file repro/harness/channel.py",
+        "x.md: tests/test_x.py defines no test_gone",
+    ]

@@ -19,13 +19,7 @@ from repro.serve import (
     run_serve,
 )
 from repro.serve.__main__ import main as serve_main
-from repro.serve.admission import (
-    AdmissionController,
-    FailoverRejection,
-    QueueFullRejection,
-    RetryableRejection,
-    ShardRecoveringRejection,
-)
+from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchScheduler
 from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
 from repro.serve.cluster import ServeCluster
@@ -102,47 +96,48 @@ class TestAdmission:
 
     def test_bounded_queue_and_typed_rejections(self):
         ctl = AdmissionController(queue_depth=2)
-        ctl.admit(self._request(0, 0), recovering=False, retry_after_ns=5.0)
-        ctl.admit(self._request(0, 1), recovering=False, retry_after_ns=5.0)
-        with pytest.raises(QueueFullRejection) as info:
-            ctl.admit(self._request(0, 2), recovering=False,
-                      retry_after_ns=7.0)
-        assert isinstance(info.value, RetryableRejection)
-        assert info.value.retry_after_ns == 7.0
-        assert info.value.shard == 0
-        with pytest.raises(ShardRecoveringRejection):
-            ctl.admit(self._request(0, 3), recovering=True,
-                      retry_after_ns=9.0)
+        assert ctl.admit(self._request(0, 0), recovering=False) is None
+        assert ctl.admit(self._request(0, 1), recovering=False) is None
+        assert ctl.admit(self._request(0, 2), recovering=False) == "queue_full"
+        assert (
+            ctl.admit(self._request(0, 3), recovering=True)
+            == "shard_recovering"
+        )
         assert ctl.rejections == {"queue_full": 1, "shard_recovering": 1}
+        assert [r.seq for r in ctl.queue] == [0, 1]
         assert ctl.depth() == 2
 
     def test_failing_over_rejection_is_typed_and_wins(self):
         ctl = AdmissionController(queue_depth=1)
-        ctl.admit(self._request(0, 0), recovering=False, retry_after_ns=1.0)
-        with pytest.raises(FailoverRejection) as info:
-            ctl.admit(self._request(0, 1), recovering=True,
-                      retry_after_ns=4.0, failing_over=True)
-        assert isinstance(info.value, RetryableRejection)
-        assert info.value.retry_after_ns == 4.0
+        assert ctl.admit(self._request(0, 0), recovering=False) is None
+        kind = ctl.admit(
+            self._request(0, 1), recovering=True, failing_over=True
+        )
+        assert kind == "failing_over"
         assert ctl.rejections == {"failing_over": 1}
+        assert ctl.depth() == 1
 
     def test_recovering_shard_still_queues_when_room(self):
         ctl = AdmissionController(queue_depth=4)
-        ctl.admit(self._request(0), recovering=True, retry_after_ns=1.0)
-        assert ctl.depth() == 1
+        assert ctl.admit(self._request(0), recovering=True) is None
+        assert (
+            ctl.admit(self._request(0, 1), recovering=True, failing_over=True)
+            is None
+        )
+        assert ctl.rejections == {}
+        assert ctl.depth() == 2
 
     def test_requeue_front_restores_fifo_order(self):
         ctl = AdmissionController(queue_depth=8)
         batch = [self._request(0, i) for i in range(3)]
-        ctl.admit(self._request(0, 9), recovering=False, retry_after_ns=0.0)
+        ctl.admit(self._request(0, 9), recovering=False)
         fitted = ctl.requeue_front(batch)
         assert fitted == 3
         assert [r.seq for r in ctl.queue] == [0, 1, 2, 9]
-        assert all(r.retries == 1 for r in batch)
 
     def test_requeue_front_never_overflows(self):
         ctl = AdmissionController(queue_depth=2)
-        ctl.admit(self._request(0, 9), recovering=False, retry_after_ns=0.0)
+        ctl.admit(self._request(0, 9), recovering=False)
         fitted = ctl.requeue_front([self._request(0, i) for i in range(3)])
         assert fitted == 1
         assert ctl.depth() == 2

@@ -8,10 +8,9 @@ fault-injector countdown (a snapshot captured mid-fault must replay the
 same remaining-writes budget, torn-word RNG included), cover the
 boundary-equals-a-transaction's-starting-write-count edge (a fork
 inside a transaction's first write), and check that the forked crash
-sweep, the nested
-sweep, the oracle's crash phase, and the fuzzer's prefix-replay cache
-all match their cold counterparts — the artifact replay each forked
-verdict must reproduce (``tests/test_forward_cursor.py`` holds the
+sweep, the nested sweep and the oracle's crash phase all match their
+cold counterparts — the artifact replay each forked verdict must
+reproduce (``tests/test_forward_cursor.py`` holds the
 cursor's own properties).
 """
 
@@ -22,7 +21,7 @@ from unittest import mock
 import pytest
 
 from repro import FaultConfig, crashtest, snapshot
-from repro.check import fuzz, oracle
+from repro.check import oracle
 from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import generate_trace
@@ -293,40 +292,7 @@ class TestIncrementalSweepEquivalence:
             for case in forked:
                 faults = crashtest.boundary_faults(7, case.boundary, case.torn)
                 system = build_system(scheme, faults=faults)
-                cold = run_trace(system, trace)
-                outcome = crashtest.RunOutcome(
-                    cold.oracle, cold.staged, cold.power_lost
-                )
+                _, outcome = run_trace(system, trace)
                 system.crash()
                 got = crashtest._finish_case(system, faults, outcome, 2)
                 assert got == case
-
-
-class TestTraceReplayCache:
-    """The fuzzer's prefix cache returns the cold path's verdicts."""
-
-    def test_cached_violations_match_cold(self):
-        trace = generate_trace(9, transactions=8, slots=5)
-        for scheme in ("hoop", "mutant-redo"):
-            cold = fuzz.trace_violations(scheme, trace)
-            cache = fuzz.make_replay_cache(scheme, trace.slots)
-            cached = fuzz.trace_violations(scheme, trace, cache=cache)
-            unrecorded = fuzz.trace_violations(
-                scheme, trace, cache=cache, record=False
-            )
-            assert cached == cold
-            assert unrecorded == cold
-
-    def test_prefix_reuse_skips_replayed_transactions(self):
-        trace = generate_trace(9, transactions=8, slots=5)
-        cache = fuzz.make_replay_cache("hoop", trace.slots)
-        cache.replay(trace.txns)
-        replayed = cache.replayed_txns
-        assert replayed == len(trace.txns)
-        # Identical replay: full prefix hit, nothing re-executed.
-        cache.replay(trace.txns)
-        assert cache.replayed_txns == replayed
-        # Dropping txn 4 (a ddmin candidate) shares the 4-txn prefix
-        # and only executes the 3 transactions after the cut.
-        cache.replay(trace.txns[:4] + trace.txns[5:])
-        assert cache.replayed_txns == replayed + 3
