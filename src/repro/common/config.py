@@ -10,8 +10,9 @@ the OOP region).  Every experiment in :mod:`repro.harness` starts from
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.common.units import GB, GHZ, KB, MB, MS, NS
@@ -97,6 +98,39 @@ class NVMConfig:
             raise ConfigError("row buffer size must be positive")
 
 
+# What a cut's ``at`` counts once it is armed (see :class:`Cut`).
+WRITES = "writes"  # timed writes that land; the next one is fatal
+OPS = "ops"  # timed writes and pokes, in program order; likewise
+AT_NS = "ns"  # the first timed write issued at or after this instant
+TRIGGERS = (WRITES, OPS, AT_NS)
+
+
+@dataclass(frozen=True)
+class Cut:
+    """One power cut: its trigger, whether the fatal write tears, its target.
+
+    A torn cut persists a seeded subset of the fatal write's 8-byte
+    words, an untorn one none of it.  ``target`` is ``None`` for a crash
+    case's one machine, or ``(shard, role)`` in a serving cluster, the
+    role ``"primary"`` or ``"backup"``.
+    """
+
+    trigger: str
+    at: Union[int, float]
+    torn: bool = False
+    target: Optional[Tuple[int, str]] = None
+
+    def __post_init__(self) -> None:
+        if self.trigger not in TRIGGERS:
+            raise ValueError(f"cut trigger {self.trigger!r} not in {TRIGGERS}")
+        if not math.isfinite(self.at) or self.at < 0:
+            raise ValueError(f"cut at {self.at} is not finite and >= 0")
+
+
+# A run's cuts in firing order, each armed at the reboot after the last.
+FaultSchedule = Tuple[Cut, ...]
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Deterministic fault-injection plan for the NVM device.
@@ -106,36 +140,27 @@ class FaultConfig:
     simulation.  With ``enabled=True`` the device is wrapped by
     :class:`repro.faults.FaultyNVMDevice`, which models:
 
-    * **power loss** after ``power_loss_after_write`` successful timed
-      writes (the next write is the fatal one);
-    * **torn writes** — when ``torn`` is set, the fatal write is applied
-      only partially, at 8-byte word granularity, the subset chosen by
-      the seeded PRNG;
+    * **power loss** at each cut of ``schedule``, torn or clean;
     * **transient media read errors** — each timed read independently
       fails with ``read_error_rate`` probability; the memory port
       retries with exponential backoff in simulated time, bounded by
       ``max_read_retries``.
 
-    Nested faults (a crash during recovery) and deadline cuts are armed
-    on the live injector, not here.  The dataclass is a pure value
-    object (bools, ints, floats), so ``dataclasses.asdict`` of it *is*
-    the serializable fault plan the crash-sweep artifacts store and
-    replay.
+    The dataclass is a pure value object, so ``dataclasses.asdict`` of
+    it *is* the serializable fault plan the crash-sweep artifacts store
+    and replay.
     """
 
     enabled: bool = False
     seed: int = 0
-    power_loss_after_write: Optional[int] = None
-    torn: bool = False
+    schedule: FaultSchedule = ()
     read_error_rate: float = 0.0
     max_read_retries: int = 3
     retry_backoff_ns: float = 200.0
 
     def __post_init__(self) -> None:
-        if self.power_loss_after_write is not None and (
-            self.power_loss_after_write < 0
-        ):
-            raise ConfigError("power_loss_after_write must be >= 0")
+        if not all(isinstance(cut, Cut) for cut in self.schedule):
+            raise ConfigError("a fault schedule is a tuple of Cut values")
         if not 0.0 <= self.read_error_rate < 1.0:
             raise ConfigError("read_error_rate must be in [0, 1)")
         if self.max_read_retries < 0:
@@ -309,6 +334,7 @@ for _cls in (
     CacheConfig,
     EnergyConfig,
     NVMConfig,
+    Cut,
     FaultConfig,
     GCConfig,
     HoopConfig,

@@ -41,8 +41,8 @@ class RecoveryError(ReproError):
 class PowerLossError(ReproError):
     """Injected power failure: the access (and all later ones) was lost.
 
-    Raised by :class:`repro.faults.FaultyNVMDevice` when an armed
-    power-loss budget expires.  The machine must go through
+    Raised by :class:`repro.faults.FaultyNVMDevice` when an armed cut
+    (:class:`repro.common.config.Cut`) fires.  The machine must go through
     ``crash()``/``recover()`` before the device accepts writes again.
     """
 

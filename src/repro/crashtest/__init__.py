@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.common.config import FaultConfig, SystemConfig
-from repro.faults.plan import CrashArtifact, save_artifact
+from repro.common.config import WRITES, Cut, FaultConfig, SystemConfig
+from repro.faults.plan import CrashArtifact, phase_coordinates, save_artifact
 # ``capture`` is re-exported, not used here: the benchmark's tracer
 # resolves ``repro.crashtest.capture`` by name.
 from repro.snapshot import capture  # noqa: F401
@@ -228,9 +228,10 @@ def _finish_case(
     committed = getattr(
         report, "committed_transactions", len(outcome.oracle)
     )
+    cuts = faults.schedule
     return CaseResult(
-        boundary=faults.power_loss_after_write,
-        torn=faults.torn,
+        boundary=cuts[0].at if cuts else None,
+        torn=bool(cuts) and cuts[0].torn,
         failure=failure,
         fingerprint=system.device.content_fingerprint(),
         committed=committed,
@@ -340,8 +341,7 @@ def boundary_faults(seed: int, boundary: int, torn: bool) -> FaultConfig:
     return FaultConfig(
         enabled=True,
         seed=seed ^ (boundary << 8),
-        power_loss_after_write=boundary,
-        torn=torn,
+        schedule=(Cut(WRITES, boundary, torn),),
     )
 
 
@@ -429,25 +429,23 @@ def report_failure(
     artifact: CrashArtifact, artifact_dir: Optional[str], progress
 ) -> None:
     """Print a failing case and save it as a replayable artifact."""
-    faults = artifact.faults
-    boundary = faults.power_loss_after_write
+    boundary, after_ops, torn, _ = phase_coordinates(
+        artifact.phase, artifact.faults.schedule
+    )
     if artifact.phase == "forward":
         where = f"@write {boundary}"
         name = f"crash_{artifact.scheme}_w{boundary}"
-        name += "_torn" if faults.torn else ""
+        name += "_torn" if torn else ""
     else:
-        where = (
-            f"[{artifact.phase}] fwd={boundary}"
-            f" nested={artifact.nested_after_ops}"
-        )
+        where = f"[{artifact.phase}] fwd={boundary} nested={after_ops}"
         name = (
             f"nested_{artifact.scheme}_{artifact.phase}_f{boundary}"
-            f"_n{artifact.nested_after_ops}"
+            f"_n{after_ops}"
         )
     if progress:
         progress(
             f"  FAIL {artifact.scheme} {where}"
-            f"{' torn' if faults.torn else ''}: {artifact.failure}"
+            f"{' torn' if torn else ''}: {artifact.failure}"
         )
     if artifact_dir:
         path = save_artifact(artifact, f"{artifact_dir}/{name}.json")
@@ -490,8 +488,6 @@ def replay_artifact(artifact: CrashArtifact):
         outcome,
         artifact.phase,
         artifact.faults,
-        nested_boundary=artifact.nested_after_ops,
-        nested_torn=artifact.nested_torn,
         threads=artifact.recovery_threads,
         idempotence_k=artifact.idempotence_k,
     )

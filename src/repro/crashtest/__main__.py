@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 from repro import crashtest
 from repro.crashtest import nested
-from repro.faults.plan import load_artifact
+from repro.faults.plan import load_artifact, phase_coordinates
 from repro.tools.profiling import add_profile_argument, profile_to
 
 
@@ -42,18 +42,19 @@ def _replay(path: str) -> int:
     """
     artifact = load_artifact(path)
     case = crashtest.replay_artifact(artifact)
+    boundary, after_ops, torn, _ = phase_coordinates(
+        artifact.phase, artifact.faults.schedule
+    )
     if artifact.phase == "forward":
         header = (
             f"[crashtest] replay {path}: scheme={artifact.scheme}"
-            f" boundary={artifact.faults.power_loss_after_write}"
-            f" torn={artifact.faults.torn}"
+            f" boundary={boundary} torn={torn}"
         )
     else:
         header = (
             f"[crashtest] nested replay {path}:"
             f" scheme={artifact.scheme} phase={artifact.phase}"
-            f" fwd={artifact.faults.power_loss_after_write}"
-            f" nested={artifact.nested_after_ops}"
+            f" fwd={boundary} nested={after_ops}"
         )
     same = case.failure == artifact.failure and (
         not artifact.fingerprint

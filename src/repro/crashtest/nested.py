@@ -9,10 +9,11 @@ require of their redo passes.  This module sweeps exactly that:
 
 * **recovery phase** — for sampled forward boundaries, cut the run
   (a fork of the forward sweep's cursor), snapshot the cut machine
-  (``repro.snapshot``), probe how many mutation ops (home-region pokes *and* timed metadata writes — log
-  headers, slot rewrites, region clears) one recovery pass performs,
-  then re-crash recovery at sampled op boundaries (clean or torn) and
-  re-run it until it converges;
+  (``repro.snapshot``), probe how many mutation ops (home-region pokes
+  *and* timed metadata writes — log headers, slot rewrites, region
+  clears) one recovery pass performs, then re-crash recovery at
+  sampled op boundaries (clean or torn) and re-run it until it
+  converges;
 * **gc phase** — run the workload to completion, snapshot, then cut the
   power at sampled write boundaries inside the GC/coalescing pass
   (``quiesce``), recover, and verify no home-region or OOP copy of a
@@ -25,10 +26,11 @@ oracle: after the first converged recovery, ``k`` further
 crash+recover cycles must leave the durable NVM image bit-identical
 (compared by :meth:`~repro.nvm.device.NVMDevice.content_fingerprint`).
 
-One function, :func:`run_nested_case`, computes every case from a
-machine at its phase's start point: the sweep restores that machine
-from a snapshot, ``--replay`` (:func:`repro.crashtest.replay_artifact`)
-builds it cold from the case's artifact.
+A case is a start point (its phase) and a fault schedule.  One
+function, :func:`run_nested_case`, rearms a machine at the start point
+with the case's plan and computes the verdict: the sweep restores that
+machine from a snapshot, ``--replay``
+(:func:`repro.crashtest.replay_artifact`) builds it cold.
 
 Sweep state is resumable: verdicts are journaled to a JSON state file
 after every case, and ``--resume`` skips cases already decided — the
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional
 
-from repro.common.config import FaultConfig
+from repro.common.config import OPS, Cut, FaultConfig, FaultSchedule
 from repro.common.errors import MediaError, PowerLossError
 from repro.crashtest import (
     RunOutcome,
@@ -63,37 +65,34 @@ from repro.crashtest import (
     forward_cursor,
     report_failure,
 )
-from repro.faults.plan import CrashArtifact
-from repro.snapshot import capture, crash_image
+from repro.faults.plan import (
+    CrashArtifact,
+    phase_coordinates,
+    phase_schedule,
+)
+from repro.snapshot import capture, crash_image, power_cut
 from repro.txn.system import MemorySystem
 
 # A recovery that needs more attempts than this never converges under a
-# single armed nested fault (one interrupted attempt + one clean rerun
-# is the expected shape; the slack absorbs Nth-fault extensions).
+# single recovery-op cut (one interrupted attempt + one clean rerun is
+# the expected shape; the slack absorbs schedules with more cuts).
 MAX_RECOVERY_ATTEMPTS = 5
 
-# Probe budget: large enough that no recovery pass exhausts it.
+# The probe's recovery-op count: more than any recovery pass performs.
 _PROBE_OPS = 1 << 30
 
 # Media-burst parameters for the gc-media phase.
 _MEDIA_RATE = 0.2
 _MEDIA_RETRIES = 8
 
-STATE_VERSION = 1
+# Version 2 journals each case's cuts instead of its coordinates.
+STATE_VERSION = 2
 
 
-def case_key(
-    phase: str,
-    forward_boundary: Optional[int],
-    nested_boundary: Optional[int],
-    torn: bool,
-    nested_torn: bool,
-) -> str:
-    """A nested case's journal key, from its coordinates alone."""
-    return (
-        f"{phase}:{forward_boundary}:{nested_boundary}"
-        f":{int(torn)}:{int(nested_torn)}"
-    )
+def case_key(phase: str, cuts: FaultSchedule) -> str:
+    """A nested case's journal key, in the numbers the sweep prints."""
+    boundary, after_ops, torn, ops_torn = phase_coordinates(phase, cuts)
+    return f"{phase}:{boundary}:{after_ops}:{int(torn)}:{int(ops_torn)}"
 
 
 @dataclass
@@ -101,20 +100,14 @@ class NestedCaseResult:
     """One verified nested-fault case."""
 
     phase: str  # "recovery", "gc", or "gc-media"
-    forward_boundary: Optional[int]  # timed-write boundary of cut #1
-    nested_boundary: Optional[int]  # recovery-op budget of cut #2
-    torn: bool  # cut #1 torn?
-    nested_torn: bool  # cut #2 torn?
+    cuts: FaultSchedule  # the case's fault schedule, in firing order
     attempts: int  # recovery attempts until convergence
     failure: Optional[str]
     fingerprint: str
 
     def key(self) -> str:
         """Stable identity of this case inside one sweep's parameters."""
-        return case_key(
-            self.phase, self.forward_boundary, self.nested_boundary,
-            self.torn, self.nested_torn,
-        )
+        return case_key(self.phase, self.cuts)
 
     def to_dict(self) -> dict:
         """JSON-safe dict for the sweep-state journal."""
@@ -124,7 +117,9 @@ class NestedCaseResult:
     def from_dict(cls, payload: dict) -> "NestedCaseResult":
         """Rebuild from :meth:`to_dict` output; unknown keys ignored."""
         known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        fields = {k: v for k, v in payload.items() if k in known}
+        fields["cuts"] = tuple(Cut(**cut) for cut in fields["cuts"])
+        return cls(**fields)
 
 
 @dataclass
@@ -243,39 +238,30 @@ def check_idempotence(
 def probe_recovery_ops(system: MemorySystem, *, threads: int = 2) -> int:
     """How many mutation ops one full recovery of this crashed system does.
 
-    Arms an effectively-infinite recovery budget (so both mutation
-    planes are counted without firing) and runs recovery to completion;
-    the consumed count is the nested sweep's boundary population.
+    Arms a recovery-op cut too far away to fire (so both mutation
+    planes are counted) and runs recovery to completion; the count is
+    the nested sweep's boundary population.
     """
-    system.device.injector.arm_recovery_fault(after_ops=_PROBE_OPS)
+    system.device.injector.arm_power_loss_at(Cut(OPS, _PROBE_OPS))
     system.recover(threads=threads)
     ops = system.device.injector.stats.recovery_ops
     system.device.injector.restore_power()
     return ops
 
 
-def phase_faults(
-    phase: str, seed: int, boundary: Optional[int], torn: bool
-) -> FaultConfig:
-    """The fault plan a nested case arms at its phase's start point.
-
-    ``recovery`` cuts the workload at forward write ``boundary``; ``gc``
-    cuts the GC pass at its ``boundary``-th write, counted from the
-    completed workload; ``gc-media`` rearms a transient-read burst.
-    """
+def phase_faults(phase: str, seed: int, cuts: FaultSchedule) -> FaultConfig:
+    """A nested case's plan: its cuts, or a read burst (``gc-media``)."""
     if phase == "recovery":
-        return boundary_faults(seed, boundary, torn)
-    if phase == "gc":
+        forward = boundary_faults(seed, cuts[0].at, cuts[0].torn)
+        return dataclasses.replace(forward, schedule=cuts)
+    if phase == "gc-media":
         return FaultConfig(
-            enabled=True, seed=seed, power_loss_after_write=boundary,
-            torn=torn,
+            enabled=True,
+            seed=seed,
+            read_error_rate=_MEDIA_RATE,
+            max_read_retries=_MEDIA_RETRIES,
         )
-    return FaultConfig(
-        enabled=True,
-        seed=seed,
-        read_error_rate=_MEDIA_RATE,
-        max_read_retries=_MEDIA_RETRIES,
-    )
+    return FaultConfig(enabled=True, seed=seed, schedule=cuts)
 
 
 def run_nested_case(
@@ -284,30 +270,24 @@ def run_nested_case(
     phase: str,
     faults: FaultConfig,
     *,
-    nested_boundary: Optional[int] = None,
-    nested_torn: bool = False,
     threads: int = 2,
     idempotence_k: int = 2,
 ) -> NestedCaseResult:
     """One nested case, from a machine at its phase's start point.
 
-    The start point is the machine before ``crash()``: cut by
-    ``faults`` inside the workload (``recovery``), or the completed
+    The start point is the machine before ``crash()``: cut inside the
+    workload by ``faults``' first cut (``recovery``), or the completed
     workload, whose GC pass ``faults`` then cuts or bursts (``gc``,
     ``gc-media``).  The sweep restores it from a snapshot (a recovery
-    case from a crash image, which ``crash()`` leaves as it is), the
-    artifact replay builds it cold; both end here.  The machine is
-    crashed, the nested fault (if any) armed, recovery re-run through
-    nested cuts until it converges, then checked for atomic durability
-    against the outcome's oracle and for idempotence.
+    case from a power-cut image), the artifact replay builds it cold;
+    both end here.  The machine is rearmed with ``faults``, its GC pass
+    run unless recovery is the phase, crashed, and recovery re-run
+    through the schedule's later cuts until it converges, then checked
+    for atomic durability against the outcome's oracle and for
+    idempotence.
     """
     cut_failure = None
-    if phase == "gc":
-        system.device.injector.arm_power_loss(
-            after_writes=faults.power_loss_after_write - 1, torn=faults.torn
-        )
-    elif phase == "gc-media":
-        system.device.rearm(faults)
+    system.device.rearm(faults)
     if phase != "recovery":
         try:
             system.scheme.quiesce(system.now_ns)
@@ -316,10 +296,6 @@ def run_nested_case(
         except MediaError as exc:
             cut_failure = f"media burst not absorbed by retries: {exc}"
     system.crash()
-    if nested_boundary is not None:
-        system.device.injector.arm_recovery_fault(
-            after_ops=nested_boundary, torn=nested_torn
-        )
     for attempts in range(1, MAX_RECOVERY_ATTEMPTS + 1):
         try:
             failure = _finish_case(system, faults, outcome, threads).failure
@@ -338,10 +314,7 @@ def run_nested_case(
         )
     return NestedCaseResult(
         phase=phase,
-        forward_boundary=faults.power_loss_after_write,
-        nested_boundary=nested_boundary,
-        torn=faults.torn,
-        nested_torn=nested_torn,
+        cuts=faults.schedule,
         attempts=attempts,
         failure=failure or cut_failure,
         fingerprint=fingerprint,
@@ -415,11 +388,10 @@ def nested_sweep_scheme(
         recovery_threads=recovery_threads, idempotence_k=idempotence_k,
     )
 
-    def _settle(phase, start, outcome, boundary=None, torn=False,
-                nested_boundary=None, nested_torn=False) -> None:
+    def _settle(phase, start, outcome, cuts=()) -> None:
         """One case: its journaled verdict, or computed from ``start()``."""
         nonlocal remaining
-        key = case_key(phase, boundary, nested_boundary, torn, nested_torn)
+        key = case_key(phase, cuts)
         case = state.lookup(scheme, key) if state is not None else None
         if case is not None:
             result.skipped += 1
@@ -432,9 +404,7 @@ def nested_sweep_scheme(
                 start(),
                 outcome,
                 phase,
-                phase_faults(phase, seed, boundary, torn),
-                nested_boundary=nested_boundary,
-                nested_torn=nested_torn,
+                phase_faults(phase, seed, cuts),
                 threads=recovery_threads,
                 idempotence_k=idempotence_k,
             )
@@ -467,16 +437,17 @@ def nested_sweep_scheme(
             system, outcome = build_crashed(
                 build, cursor, boundary_faults(seed, boundary, torn)
             )
-            system.crash()
-            # Each case of this boundary starts from a crash image.
-            cut = partial(crash_image, system)
+            # Each case of this boundary starts from a power-cut image.
+            cut = partial(power_cut, system)
             # Probe: ops one clean recovery performs from this state.
-            ops = probe_recovery_ops(cut(), threads=recovery_threads)
+            ops = probe_recovery_ops(
+                crash_image(system), threads=recovery_threads
+            )
             result.recovery_ops_probed = max(result.recovery_ops_probed, ops)
             nested_boundaries: List[Optional[int]]
             if ops > 0:
-                # choose_boundaries samples 1..ops; budget j-1 makes the
-                # j-th recovery op the cut instant.
+                # choose_boundaries samples 1..ops; a cut at j-1 makes
+                # the j-th recovery op the cut instant.
                 nested_boundaries = [
                     j - 1
                     for j in choose_boundaries(
@@ -488,12 +459,11 @@ def nested_sweep_scheme(
                 # cut, but convergence + idempotence still get checked.
                 nested_boundaries = [None]
             for after_ops in nested_boundaries:
-                _settle(
-                    "recovery", cut, outcome, boundary, torn,
-                    nested_boundary=after_ops,
-                    nested_torn=after_ops is not None
+                _settle("recovery", cut, outcome, phase_schedule(
+                    "recovery", boundary, torn, after_ops,
+                    after_ops is not None
                     and _torn_for(after_ops + 1, torn_mode),
-                )
+                ))
 
         # -- phase 2: crash during GC / coalescing --------------------------
         system, outcome = build_crashed_cold(
@@ -510,10 +480,9 @@ def nested_sweep_scheme(
             for boundary in choose_boundaries(
                 gc_writes, gc_sample, seed ^ 0x6C
             ):
-                _settle(
-                    "gc", quiesced.restore, outcome, boundary,
-                    _torn_for(boundary, torn_mode),
-                )
+                _settle("gc", quiesced.restore, outcome, phase_schedule(
+                    "gc", boundary, _torn_for(boundary, torn_mode)
+                ))
 
         # -- phase 3: media-error burst during GC ---------------------------
         _settle("gc-media", quiesced.restore, outcome)
@@ -536,9 +505,7 @@ def nested_case_artifact(
     """Fault-plan artifact for one nested case (``--replay`` input)."""
     return CrashArtifact(
         scheme=scheme,
-        faults=phase_faults(
-            case.phase, seed, case.forward_boundary, case.torn
-        ),
+        faults=phase_faults(case.phase, seed, case.cuts),
         workload_seed=seed,
         transactions=transactions,
         addresses=addresses,
@@ -546,7 +513,5 @@ def nested_case_artifact(
         failure=case.failure,
         fingerprint=case.fingerprint,
         phase=case.phase,
-        nested_after_ops=case.nested_boundary,
-        nested_torn=case.nested_torn,
         idempotence_k=idempotence_k,
     )

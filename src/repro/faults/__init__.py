@@ -9,10 +9,11 @@ between the plain :class:`~repro.nvm.device.NVMDevice` (faults disabled
 :class:`FaultyNVMDevice`, which layers three seeded fault models over the
 same byte/timing planes:
 
-* power loss (:class:`PowerLossError`) after the Nth timed write, at a
-  simulated-time deadline, or — for a crash *during recovery* — after
-  the Nth mutation of either plane;
-* torn writes at 8-byte word granularity inside the fatal write;
+* power loss (:class:`PowerLossError`) at each cut of the plan's fault
+  schedule (:class:`~repro.common.config.Cut`): after the Nth timed
+  write, at a simulated instant, or — for a crash *during recovery* —
+  after the Nth mutation of either plane;
+* torn writes at 8-byte word granularity inside a cut's fatal write;
 * transient media read errors, retried with bounded exponential
   backoff in *simulated* time by :class:`~repro.memctrl.port.MemoryPort`.
 

@@ -8,11 +8,11 @@ nothing.  The subclass intercepts the mutating and timed entry points
 class's) and routes each through the :class:`FaultInjector`, which owns
 all mutable fault state:
 
-* an armed **power-loss budget** over timed writes or a simulated-time
-  deadline, plus a unified **recovery budget** counting both mutation
-  planes in program order — how a *nested* crash during recovery is
-  injected, since recovery interleaves home-region pokes with timed
-  metadata writes (log headers, slot rewrites, region clears);
+* the **fault schedule** and the one :class:`~repro.common.config.Cut`
+  armed from it at a time — over timed writes, over both mutation
+  planes (how a crash *during recovery* is injected: recovery
+  interleaves home-region pokes with timed metadata writes), or at a
+  simulated instant;
 * the seeded PRNG behind **torn-write** word selection and **transient
   read** faults, created at its first draw;
 * the crash sweep's **fork hook**: a function the device calls when its
@@ -31,17 +31,20 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.common.config import FaultConfig, NVMConfig, SystemConfig
+from repro.common.config import (
+    AT_NS,
+    OPS,
+    WRITES,
+    Cut,
+    FaultConfig,
+    NVMConfig,
+    SystemConfig,
+)
 from repro.common.errors import PowerLossError, TransientReadError
 from repro.nvm.device import AccessResult, NVMDevice
 from repro.telemetry.hub import NULL_TELEMETRY
 
 _WORD = 8
-
-# Verdicts of FaultInjector.on_timed_write().
-_WRITE_OK = 0
-_WRITE_FATAL = 1  # this write is the power-cut instant
-_WRITE_DEAD = 2  # power already lost
 
 
 @dataclass
@@ -56,8 +59,8 @@ class FaultStats:
     torn_words_applied: int = 0
     torn_words_dropped: int = 0
     transient_read_faults: int = 0
-    # Mutation ops (timed writes + pokes) that crossed an armed recovery
-    # budget — the nested-fault sweep's boundary population for
+    # Mutation ops (timed writes + pokes) that landed under an armed
+    # recovery-op cut — the nested-fault sweep's boundary population for
     # crash-during-recovery injection.
     recovery_ops: int = 0
 
@@ -65,13 +68,17 @@ class FaultStats:
 class FaultInjector:
     """All mutable fault state for one :class:`FaultyNVMDevice`.
 
+    One cut is in force at a time: ``_armed`` holds it from arming to
+    the next reboot, and is ``None`` exactly when power is on and
+    nothing is armed — the device's fast paths test only that.
+
     The PRNG is seeded from ``config.seed`` at its first draw, so an
     injector that never tears a write or faults a read never builds one
-    (a sweep fork clones nothing that its ``rearm`` would throw away);
-    the draw sequence is the one an eagerly seeded PRNG gives.
+    (a sweep fork clones none); the draw sequence is the one an eagerly
+    seeded PRNG gives.
     """
 
-    # Snapshots deep-clone everything: the armed power-loss budgets and
+    # Snapshots deep-clone everything: the armed cut's countdown and
     # the PRNG stream are plain attributes, so a snapshot captured
     # mid-fault replays the same remaining-writes countdown.  The fork
     # hook is a plain function, which the engine shares rather than
@@ -89,89 +96,42 @@ class FaultInjector:
         # a method to a clone of its receiver.
         self.fork_at: Optional[int] = None
         self.fork_hook: Optional[Callable[..., None]] = None
-        self._write_budget: Optional[int] = config.power_loss_after_write
-        # The *nested* fault budget: one counter over both mutation
-        # planes (timed writes AND pokes) in program order.  Recovery
-        # paths interleave pokes (home-region restore) with timed writes
-        # (log-header persists, slot rewrites, region clears), so a
-        # crash-during-recovery boundary must count both.
-        self._recovery_budget: Optional[int] = None
-        # Deadline-based power loss (simulated time): the first timed
-        # write at or after this instant is the fatal one.  How the
-        # serving layer kills a shard "at t ms into the run" without
-        # having to predict its write count.
-        self._deadline_ns: Optional[float] = None
-        self._torn = config.torn
+        self._next = 0  # index of the schedule's next cut to arm
+        self._armed: Optional[Cut] = None
+        self._left = 0  # writes or ops the armed cut still lets land
         self._power_lost = False
+        self.arm_next_cut()
 
     # -- arming ------------------------------------------------------------------
 
-    def arm_power_loss(
-        self,
-        *,
-        after_writes: Optional[int] = None,
-        torn: Optional[bool] = None,
-    ) -> None:
-        """(Re-)arm a power-loss budget of ``after_writes`` timed writes.
+    def arm_power_loss_at(self, cut: Cut) -> None:
+        """Arm ``cut`` now, replacing any armed cut; a reboot disarms it.
 
-        Recovery itself is crashed with :meth:`arm_recovery_fault`,
-        which counts its home-region pokes too.
+        How the serving layer kills a shard at a simulated instant, and
+        how a probe counts one recovery's mutation ops.
         """
-        if after_writes is not None:
-            self._write_budget = after_writes
-        if torn is not None:
-            self._torn = torn
+        self._armed = cut
+        self._left = cut.at
 
-    def arm_power_loss_at(
-        self, deadline_ns: float, *, torn: Optional[bool] = None
-    ) -> None:
-        """Arm a wall-of-simulated-time power cut.
+    def arm_next_cut(self) -> None:
+        """Arm the schedule's next cut, if power is on and none is armed.
 
-        The first *timed* write whose issue instant is at or after
-        ``deadline_ns`` becomes the fatal write (untimed pokes carry no
-        timestamp and never trip the deadline).  Used by
-        :mod:`repro.serve` to kill one shard mid-traffic at a chosen
-        point of the run; cleared by :meth:`restore_power` like every
-        other budget, so recovery writes on restored power survive.
+        Called at construction, by :meth:`FaultyNVMDevice.rearm`, and
+        last in every reboot, after the persist domain drained.
         """
-        if deadline_ns < 0:
-            raise ValueError("power-loss deadline must be >= 0")
-        self._deadline_ns = deadline_ns
-        if torn is not None:
-            self._torn = torn
-
-    def arm_recovery_fault(
-        self, *, after_ops: int, torn: Optional[bool] = None
-    ) -> None:
-        """Arm the nested fault: die after ``after_ops`` more mutations.
-
-        The budget counts timed writes and pokes together, in program
-        order, because recovery mixes both planes (``after_ops=0`` means
-        the very next mutation is the power-cut instant).  Arm it on the
-        *crashed* system, before calling ``recover()`` — forward
-        execution would consume it just the same.
-        """
-        if after_ops < 0:
-            raise ValueError("recovery fault budget must be >= 0")
-        self._recovery_budget = after_ops
-        if torn is not None:
-            self._torn = torn
-
-    @property
-    def pending_nested_fault(self) -> bool:
-        """True when an armed recovery budget has not fired yet."""
-        return not self._power_lost and self._recovery_budget is not None
+        schedule = self.config.schedule
+        if self._armed is None and self._next < len(schedule):
+            self._next += 1
+            self.arm_power_loss_at(schedule[self._next - 1])
 
     def restore_power(self) -> None:
-        """Reboot: budgets disarm, the machine accepts writes again.
+        """Reboot: power returns and the cut in force, fired or not, ends.
 
         The PRNG stream survives: determinism requires it to continue
         rather than restart.
         """
         self._power_lost = False
-        self._write_budget = None
-        self._recovery_budget = None
-        self._deadline_ns = None
+        self._armed = None
 
     @property
     def power_lost(self) -> bool:
@@ -179,42 +139,30 @@ class FaultInjector:
 
     # -- per-access decisions -----------------------------------------------------
 
-    def on_timed_write(self, now_ns: float = 0.0) -> int:
+    def fatal(self, now_ns: Optional[float] = None) -> bool:
+        """Is this mutation the instant of the cut in force?
+
+        ``now_ns`` is a timed write's issue instant, ``None`` a poke's:
+        pokes carry no timestamp and count only toward an ``OPS`` cut.
+        Raises :class:`PowerLossError` when power is already out.
+        """
+        cut = self._armed
         if self._power_lost:
             self.stats.writes_lost += 1
-            return _WRITE_DEAD
-        if self._recovery_budget is not None:
-            return self._on_recovery_op()
-        if self._deadline_ns is not None and now_ns >= self._deadline_ns:
-            self._power_lost = True
-            self.stats.power_cuts += 1
-            return _WRITE_FATAL
-        if self._write_budget is None:
-            return _WRITE_OK
-        if self._write_budget > 0:
-            self._write_budget -= 1
-            return _WRITE_OK
+            raise PowerLossError("access after power loss")
+        if cut.trigger == AT_NS:
+            if now_ns is None or now_ns < cut.at:
+                return False
+        elif cut.trigger == WRITES and now_ns is None:
+            return False
+        elif self._left > 0:
+            self._left -= 1
+            if cut.trigger == OPS:
+                self.stats.recovery_ops += 1
+            return False
         self._power_lost = True
         self.stats.power_cuts += 1
-        return _WRITE_FATAL
-
-    def on_poke(self) -> int:
-        if self._power_lost:
-            self.stats.writes_lost += 1
-            return _WRITE_DEAD
-        if self._recovery_budget is not None:
-            return self._on_recovery_op()
-        return _WRITE_OK
-
-    def _on_recovery_op(self) -> int:
-        """One mutation crossed the armed recovery budget (either plane)."""
-        if self._recovery_budget > 0:
-            self._recovery_budget -= 1
-            self.stats.recovery_ops += 1
-            return _WRITE_OK
-        self._power_lost = True
-        self.stats.power_cuts += 1
-        return _WRITE_FATAL
+        return True
 
     def _draws(self) -> random.Random:
         rng = self._rng
@@ -230,10 +178,11 @@ class FaultInjector:
         """Word indices of the fatal write that reach the media.
 
         Real NVM persists 8-byte words atomically but in arbitrary
-        order, so any subset of the write may survive; ``torn=False``
-        models the cleaner all-or-nothing boundary (no word survives).
+        order, so any subset of the write may survive; a cut without
+        ``torn`` models the cleaner all-or-nothing boundary (no word
+        survives).
         """
-        if not self._torn or num_words == 0:
+        if not self._armed.torn or num_words == 0:
             return set()
         self.stats.torn_writes += 1
         draw = self._draws().random
@@ -247,7 +196,7 @@ class FaultyNVMDevice(NVMDevice):
     base class's own (the overrides delegate).  ``write_batch`` and
     ``poke_batch`` do so only while nothing is armed; otherwise they
     decompose into per-element calls so every element crosses the
-    power-loss budget individually — a GC migration burst or a
+    armed cut individually — a GC migration burst or a
     recovery's home writes can be cut mid-burst, which is exactly the
     crash window §III-E's argument has to survive.
     """
@@ -271,33 +220,26 @@ class FaultyNVMDevice(NVMDevice):
 
     def poke(self, addr: int, data: bytes) -> None:
         injector = self.injector
-        if injector._recovery_budget is None and not injector._power_lost:
-            # on_poke() would return OK without touching a counter.
-            NVMDevice.poke(self, addr, data)
-            return
-        self._check(addr, max(1, len(data)))
-        verdict = injector.on_poke()
-        if verdict == _WRITE_DEAD:
-            raise PowerLossError("poke after power loss")
-        if verdict == _WRITE_FATAL:
-            self._apply_torn(addr, data)
-            raise PowerLossError("power lost during poke")
+        if injector._armed is not None:
+            self._check(addr, max(1, len(data)))
+            if injector.fatal():
+                self._apply_torn(addr, data)
+                raise PowerLossError("power lost during poke")
         NVMDevice.poke(self, addr, data)
 
     def poke_batch(self, pokes: Sequence[Tuple[int, bytes]]) -> None:
         """Poke many elements in order; exactly equal to one ``poke`` each.
 
-        While no recovery budget is armed and power is on, every element
-        would take ``poke``'s healthy path, so the base-class batch
-        leaves the same state (it raises at an out-of-range element with
-        every earlier one applied, as the per-element pokes would).
+        While no cut is armed and power is on, every element would take
+        ``poke``'s healthy path, so the base-class batch leaves the same
+        state (it raises at an out-of-range element with every earlier
+        one applied, as the per-element pokes would).
 
-        With anything armed the batch makes one ``poke`` per element, so
-        a nested fault crosses the recovery budget, draws its torn words
-        and raises at the same element it always did.
+        With a cut in force the batch makes one ``poke`` per element, so
+        a recovery-op cut counts each, draws its torn words and raises
+        at the same element it always did.
         """
-        injector = self.injector
-        if injector._recovery_budget is None and not injector._power_lost:
+        if self.injector._armed is None:
             NVMDevice.poke_batch(self, pokes)
             return
         for addr, data in pokes:
@@ -333,47 +275,38 @@ class FaultyNVMDevice(NVMDevice):
         injector = self.injector
         if injector.fork_at == self.stats.writes:
             injector.fork_hook(addr, data, now_ns, queued)
-        verdict = injector.on_timed_write(now_ns)
-        if verdict == _WRITE_OK:
-            return NVMDevice.write(self, addr, data, now_ns, queued=queued)
-        if verdict == _WRITE_DEAD:
-            raise PowerLossError("write after power loss")
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                now_ns,
-                "power_cut",
-                "faults",
-                {"addr": addr, "torn": self.injector._torn},
-            )
-        self._apply_torn(addr, data)
-        raise PowerLossError(f"power lost during write at {addr:#x}")
+        if injector._armed is not None and injector.fatal(now_ns):
+            if self.telemetry.enabled:
+                self.telemetry.emit(
+                    now_ns,
+                    "power_cut",
+                    "faults",
+                    {"addr": addr, "torn": injector._armed.torn},
+                )
+            self._apply_torn(addr, data)
+            raise PowerLossError(f"power lost during write at {addr:#x}")
+        return NVMDevice.write(self, addr, data, now_ns, queued=queued)
 
     def write_batch(
         self, writes: Sequence[Tuple[int, bytes]], now_ns: float = 0.0
     ) -> None:
         """Queue a burst of writes; exactly equal to one ``write`` each.
 
-        While no write budget, deadline, recovery budget or fork hook is
-        armed, every element's ``on_timed_write()`` would return OK
-        without touching a counter (power is only ever lost through one
-        of the first three, so it is on), and the base-class batch
+        While no cut or fork hook is armed and power is on, no element
+        can be fatal or touch a fault counter, and the base-class batch
         leaves exactly the state per-element ``write(..., queued=True)``
-        calls would.  An element outside the device sends the whole
-        batch down the per-element path, which raises at that element
-        with the channel charged for every earlier one.
+        calls would.  An element
+        outside the device sends the whole batch down the per-element
+        path, which raises at that element with the channel charged for
+        every earlier one.
 
         With anything armed the batch decomposes into one ``write`` per
-        element, so each crosses the power-loss budget on its own, a GC
+        element, so each crosses the armed cut on its own, a GC
         migration burst is cut at the same write it always was, and the
         fork hook sees the write count of every element.
         """
         injector = self.injector
-        if (
-            injector._write_budget is None
-            and injector._deadline_ns is None
-            and injector._recovery_budget is None
-            and injector.fork_at is None
-        ):
+        if injector._armed is None and injector.fork_at is None:
             capacity = self._capacity
             for addr, data in writes:
                 if addr < 0 or addr + len(data) > capacity:
@@ -401,33 +334,25 @@ class FaultyNVMDevice(NVMDevice):
     def restore_power(self) -> None:
         self.injector.restore_power()
 
+    def arm_next_cut(self) -> None:
+        self.injector.arm_next_cut()
+
     def rearm(self, faults: FaultConfig) -> None:
-        """Install a fresh fault plan on a restored snapshot.
+        """Follow the fault plan ``faults`` from here on.
 
-        The crash sweep forks a machine running with an *unarmed*
-        injector inside the write its boundary cuts, then rearms the
-        fork with a zero write budget and re-issues that write (or, for
-        a boundary past the workload's last write, arms the residual
-        budget on the finished machine).  A fresh :class:`FaultInjector`
-        — no fork hook, a PRNG seeded from ``faults.seed`` at its first
-        draw — makes the cut bit-identical to a cold run with that
-        config, because the cold injector's PRNG is untouched until the
-        cut.
-
-        Tripwire: replacing the injector while a nested fault (recovery
-        budget) is armed but has not fired would silently disarm it —
-        the sweep would then count a vacuous pass.  That holds
-        regardless of the residual budget in ``faults`` (zero residual
-        budgets are legal and arm the very next write).
+        How a crash case installs its plan on a fork or a snapshot: the
+        cuts already armed stay consumed (a machine whose first cut
+        fired goes on to the new schedule's second), a cut in force —
+        pending or fired — stays in force until a reboot, a PRNG already
+        drawn continues, and one never drawn (a fork of a fault-free
+        machine) seeds from ``faults`` as a cold run's would.  With
+        power on and nothing armed, the next cut arms now.  The fork
+        hook is the forward machine's, and a rearmed copy drops it.
         """
-        if self.injector.pending_nested_fault:
-            raise AssertionError(
-                "rearm would silently disarm a pending nested fault "
-                "(recovery budget armed but unfired); let it fire "
-                "or restore_power() first"
-            )
-        self.faults = faults
-        self.injector = FaultInjector(faults)
+        injector = self.injector
+        self.faults = injector.config = faults
+        injector.fork_at = injector.fork_hook = None
+        injector.arm_next_cut()
 
     @property
     def fault_stats(self) -> FaultStats:

@@ -15,22 +15,55 @@ import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.common.config import FaultConfig
+from repro.common.config import OPS, WRITES, Cut, FaultConfig, FaultSchedule
 from repro.common.units import MB
 
-# Version 2 added the nested-fault fields (phase / nested_after_ops /
-# nested_torn / idempotence_k); version-1 artifacts still load, with the
-# nested stage absent (a plain forward-crash case).  Version 3 moved a
-# gc case's boundary from a free-text note into its plan's
-# ``power_loss_after_write``; a version-2 gc artifact is converted on
-# load.
-ARTIFACT_VERSION = 3
+# Version 4 keeps every cut of a case in its plan's ``schedule``;
+# versions 1-3 named them by plan and artifact fields (version 2 a gc
+# cut by a note) and convert on load.
+ARTIFACT_VERSION = 4
 
 # The sweep phase that produced a case: the forward sweep, or one of the
 # nested sweep's three.
 PHASES = ("forward", "recovery", "gc", "gc-media")
+
+
+def phase_schedule(
+    phase: str,
+    boundary: Optional[int] = None,
+    torn: bool = False,
+    after_ops: Optional[int] = None,
+    ops_torn: bool = False,
+) -> FaultSchedule:
+    """A crash case's cuts, from the numbers its sweep prints.
+
+    ``boundary`` is its timed-write cut, ``after_ops`` its recovery-op
+    cut (``None``: none).  A gc ``boundary`` names the GC pass's fatal
+    write, one past the writes its cut lets land, where any other
+    phase's counts them: the one conversion between the two meanings.
+    """
+    cuts = []
+    if boundary is not None:
+        cuts.append(Cut(WRITES, boundary - (phase == "gc"), torn))
+    if after_ops is not None:
+        cuts.append(Cut(OPS, after_ops, ops_torn))
+    return tuple(cuts)
+
+
+def phase_coordinates(
+    phase: str, schedule: FaultSchedule
+) -> Tuple[Optional[int], Optional[int], bool, bool]:
+    """``(boundary, after_ops, torn, ops_torn)``: inverts phase_schedule."""
+    by_trigger = {cut.trigger: cut for cut in schedule}
+    writes, ops = by_trigger.get(WRITES), by_trigger.get(OPS)
+    return (
+        writes and writes.at + (phase == "gc"),
+        ops and ops.at,
+        bool(writes and writes.torn),
+        bool(ops and ops.torn),
+    )
 
 
 def plan_to_dict(plan: FaultConfig) -> dict:
@@ -63,7 +96,28 @@ def plan_from_dict(payload: dict) -> FaultConfig:
     unknown = set(kwargs) - known
     if unknown:
         raise ValueError(f"unknown fault-plan fields: {sorted(unknown)}")
+    kwargs["schedule"] = tuple(
+        Cut(**{**cut, "target": cut.get("target") and tuple(cut["target"])})
+        for cut in kwargs.get("schedule", ())
+    )
     return FaultConfig(**kwargs)
+
+
+def _convert_v3(payload: dict) -> None:
+    """Rewrite a version 1-3 artifact payload's cut fields in place."""
+    plan = payload["faults"] = dict(payload["faults"])
+    boundary = plan.pop("power_loss_after_write", None)
+    for note in payload.get("notes", []):  # a version-2 gc boundary
+        if note.startswith("gc write boundary "):
+            boundary = int(note.rsplit(" ", 1)[1])
+    cuts = phase_schedule(
+        payload.get("phase", "forward"),
+        boundary,
+        plan.pop("torn", False),
+        payload.pop("nested_after_ops", None),
+        payload.pop("nested_torn", False),
+    )
+    plan["schedule"] = [dataclasses.asdict(cut) for cut in cuts]
 
 
 @dataclass
@@ -80,16 +134,12 @@ class CrashArtifact:
     # message.  Replay checks it reproduces the same outcome.
     failure: Optional[str] = None
     fingerprint: str = ""
-    # Nested-fault stage: which sweep phase produced the case
-    # ("forward", "recovery", "gc", or "gc-media"), the recovery-op
-    # boundary of the second cut (None = no nested fault), whether that
-    # cut was torn, and how many extra crash+recover cycles the
-    # idempotence oracle ran.  ``faults`` is the plan armed at the
-    # phase's start point: a gc case's ``power_loss_after_write`` counts
-    # the GC pass's writes from the completed workload.
+    # Which sweep phase produced the case ("forward", "recovery", "gc",
+    # or "gc-media") — the start point ``faults.schedule`` cuts from —
+    # and how many extra crash+recover cycles the idempotence oracle
+    # ran.  A gc case's first cut counts the GC pass's writes from the
+    # completed workload.
     phase: str = "forward"
-    nested_after_ops: Optional[int] = None
-    nested_torn: bool = False
     idempotence_k: int = 0
     version: int = ARTIFACT_VERSION
 
@@ -101,23 +151,17 @@ class CrashArtifact:
     @classmethod
     def from_dict(cls, payload: dict) -> "CrashArtifact":
         payload = dict(payload)
-        version = payload.get("version", ARTIFACT_VERSION)
-        if version > ARTIFACT_VERSION:
+        payload.setdefault("version", ARTIFACT_VERSION)
+        if payload["version"] > ARTIFACT_VERSION:
             raise ValueError(
-                f"artifact version {version} is newer than supported "
-                f"{ARTIFACT_VERSION}"
+                f"artifact version {payload['version']} is newer than "
+                f"supported {ARTIFACT_VERSION}"
             )
         if payload.get("phase", "forward") not in PHASES:
             raise ValueError(f"unknown artifact phase {payload['phase']!r}")
+        if payload["version"] < 4:
+            _convert_v3(payload)
         payload["faults"] = plan_from_dict(payload["faults"])
-        if version < 3 and payload.get("phase") == "gc":
-            # Version 2 kept the gc boundary in a note only.
-            for note in payload.get("notes", []):
-                if note.startswith("gc write boundary "):
-                    payload["faults"] = dataclasses.replace(
-                        payload["faults"],
-                        power_loss_after_write=int(note.rsplit(" ", 1)[1]),
-                    )
         payload["version"] = ARTIFACT_VERSION
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})

@@ -401,9 +401,12 @@ class NVMDevice:
         """Reboot hook after a (simulated) power failure.
 
         The plain device has no power-failure state; the fault-injecting
-        subclass disarms its power-loss budgets here.  Called by
+        subclass powers back on and disarms its cut here.  Called by
         :meth:`repro.txn.system.MemorySystem.crash`.
         """
+
+    def arm_next_cut(self) -> None:
+        """End-of-reboot hook: the fault-injecting subclass arms a cut."""
 
     def content_fingerprint(self) -> str:
         """SHA-256 over all non-zero content (order- and layout-stable).

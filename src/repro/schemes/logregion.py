@@ -12,8 +12,8 @@ provides:
   reusable — exactly how hardware log buffers behave;
 * a persistent header recording the logical start offset, advanced by
   truncation (checkpointing);
-* per-lap magic salting, so a crash scan can never mistake an entry from
-  a previous trip around the buffer for a live one;
+* per-lap salting of each entry's magic byte and CRC, so a crash scan
+  can never mistake an entry from an earlier lap for a live one;
 * an explicit :class:`~repro.common.errors.CapacityError` when live data
   would overrun the buffer (a baseline outran its checkpointer).
 
@@ -152,7 +152,9 @@ class AppendLog:
         body = _ENTRY_HEADER.pack(
             magic, kind, stride_units, tx_id, addr, len(payload), 0
         )
-        crc = zlib.crc32(body[:-4] + payload) & 0xFFFFFFFF
+        # The full lap: the magic's 4-bit salt repeats every 16 laps.
+        lap = logical // self._data_bytes
+        crc = zlib.crc32(body[:-4] + payload, lap) & 0xFFFFFFFF
         body = _ENTRY_HEADER.pack(
             magic, kind, stride_units, tx_id, addr, len(payload), crc
         )
@@ -312,7 +314,8 @@ class AppendLog:
                 continue
             raw = _fetch(phys, header_size)
             magic, kind, stride_units, tx_id, addr, size, crc = unpack(raw)
-            if magic != _MAGIC ^ ((cursor // data_bytes) & 0x0F):
+            lap = cursor // data_bytes
+            if magic != _MAGIC ^ (lap & 0x0F):
                 break
             if stride_units == 0:
                 break
@@ -327,7 +330,7 @@ class AppendLog:
             # The crc occupies the header's last 4 bytes, so the
             # zero-crc header _pack() checksummed is just raw[:-4] —
             # no per-entry repack needed.
-            if crc != crc32(raw[:-4] + payload) & 0xFFFFFFFF:
+            if crc != crc32(raw[:-4] + payload, lap) & 0xFFFFFFFF:
                 break
             seen.append(span)
             if kind != KIND_WRAP:

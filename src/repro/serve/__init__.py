@@ -27,9 +27,10 @@ storage service needs:
 
 Run it: ``python -m repro.serve --shards 4 --kill-shard 1``, or with
 replication: ``python -m repro.serve --replicas 1
---kill-primary-at-ms 6``.  Everything is simulated time — a run is a
-pure function of its :class:`ServeConfig`, bit-identical across
-replays.
+--kill-primary-at-ms 6``; the kill flags only populate a fault
+schedule (:func:`~repro.serve.shard.kill_schedule`).  Everything is
+simulated time — a run is a pure function of its :class:`ServeConfig`,
+bit-identical across replays.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigError
 from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.serve.cluster import ServeCluster
+from repro.serve.shard import kill_schedule
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import Log2Histogram
 
@@ -136,6 +138,10 @@ class ServeConfig:
                 "kill_at_ms names an instant but no shard to kill "
                 "(--kill-shard)"
             )
+        try:
+            kill_schedule(self)
+        except ValueError:
+            raise ConfigError("a kill instant must be finite, >= 0") from None
 
     def replace(self, **overrides) -> "ServeConfig":
         """A copy with the given fields replaced (re-validated)."""

@@ -20,7 +20,7 @@ advances every shard executor to the horizon.  Shards share nothing and
 each shard's internal event order is a total order independent of epoch
 boundaries, so the outcome does not depend on where the epochs fall.
 
-Failover semantics (armed deadline power cuts, crash/recover/verify,
+Failover semantics (power cuts at simulated instants, crash/recover/verify,
 lease-expiry promotion, rejoin catch-up, divergence fingerprints) are
 unchanged from PR 8 and live in :class:`~repro.serve.shard.ShardExecutor`;
 the legacy ``UP``/``RECOVERING`` names remain part of the telemetry

@@ -53,6 +53,7 @@ import heapq
 import math
 from typing import Dict, List, Set
 
+from repro.common.config import AT_NS, Cut, FaultSchedule
 from repro.common.errors import PowerLossError
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchScheduler
@@ -76,6 +77,39 @@ from repro.txn.system import MemorySystem
 # the same instant; the constants are the heap tie-break.
 _ARRIVAL = 0
 _WAKE = 1
+
+# A serving cut's target role: the lease holder when it arms, or replica 1.
+PRIMARY_ROLE = "primary"
+BACKUP_ROLE = "backup"
+
+
+def kill_schedule(cfg) -> FaultSchedule:
+    """A serving run's power cuts, from its :class:`ServeConfig` kill fields.
+
+    All hit one shard (``kill_shard``, else 0) at simulated instants.
+    The first primary cut is ``kill_primary_at_ms`` — else, with
+    ``kill_shard`` set, ``kill_at_ms`` or 40 % of the run — and
+    ``double_kill_at_ms`` the second.  Nothing after this reads a kill
+    field; a negative or non-finite instant raises ``ValueError``.
+    """
+    shard = cfg.kill_shard if cfg.kill_shard is not None else 0
+    primary_ms = cfg.kill_primary_at_ms
+    if primary_ms is None and cfg.kill_shard is not None:
+        primary_ms = (
+            cfg.kill_at_ms
+            if cfg.kill_at_ms is not None
+            else cfg.duration_ms * 0.4
+        )
+    kills = (
+        (PRIMARY_ROLE, primary_ms),
+        (BACKUP_ROLE, cfg.kill_backup_at_ms),
+        (PRIMARY_ROLE, cfg.double_kill_at_ms),
+    )
+    return tuple(
+        Cut(AT_NS, at_ms * 1e6, cfg.torn_kill, (shard, role))
+        for role, at_ms in kills
+        if at_ms is not None
+    )
 
 
 class ShardExecutor:
@@ -114,7 +148,11 @@ class ShardExecutor:
         self._seq = 0
         # Instants that have a wake pending in ``_events`` (see _push).
         self._wake_instants: Set[float] = set()
-        self._double_kill_armed = False
+        # This shard's cuts not armed yet, in schedule order.
+        self._cuts: List[Cut] = [
+            cut for cut in kill_schedule(cfg)
+            if cut.target[0] == self.shard_id
+        ]
         prefix = f"shard{self.shard_id}/"
         self._queue_depth_metric = prefix + "queue_depth"
         self._admitted_metric = prefix + "admitted"
@@ -175,37 +213,23 @@ class ShardExecutor:
             self._pump()
 
     def arm_kills(self) -> None:
-        """Arm this shard's configured deadline power cuts (if targeted).
+        """Arm this shard's first primary cut and its backup cut.
 
-        ``--kill-shard`` (legacy, R-agnostic) and
-        ``--kill-primary-at-ms`` both target a group's primary;
-        ``--kill-backup-at-ms`` targets replica 1 of the same group.
-        The double-kill deadline is armed later, on the *promoted*
-        primary, at promotion time.
+        The primary cut on the group's primary, the backup cut on
+        replica 1.  A second primary cut waits for the first promotion,
+        which arms it on the successor.
         """
-        cfg = self.cfg
-        target = cfg.kill_shard if cfg.kill_shard is not None else 0
-        if self.shard_id != target:
-            return
-        kill_at_ms = None
-        if cfg.kill_shard is not None:
-            kill_at_ms = (
-                cfg.kill_at_ms
-                if cfg.kill_at_ms is not None
-                else cfg.duration_ms * 0.4
-            )
-        if cfg.kill_primary_at_ms is not None:
-            kill_at_ms = cfg.kill_primary_at_ms
-        if kill_at_ms is not None:
-            primary = self.group.primary
-            primary.system.device.injector.arm_power_loss_at(
-                kill_at_ms * 1e6, torn=cfg.torn_kill
-            )
-        if cfg.kill_backup_at_ms is not None:
-            backup = self.group.replicas[1]
-            backup.system.device.injector.arm_power_loss_at(
-                cfg.kill_backup_at_ms * 1e6, torn=cfg.torn_kill
-            )
+        self._arm_next(PRIMARY_ROLE, self.group.primary_index)
+        self._arm_next(BACKUP_ROLE, 1)
+
+    def _arm_next(self, role: str, index: int) -> None:
+        """Arm the shard's next ``role`` cut, if any, on replica ``index``."""
+        for cut in self._cuts:
+            if cut.target[1] == role:
+                self._cuts.remove(cut)
+                replica = self.group.replicas[index]
+                replica.system.device.injector.arm_power_loss_at(cut)
+                return
 
     # -- admission ------------------------------------------------------------
 
@@ -423,11 +447,12 @@ class ShardExecutor:
 
         If every backup died during the failover window the group falls
         back to waiting for its dead primary (RECOVERING).  A power cut
-        *during* promotion (an armed deadline on the successor) demotes
+        *during* promotion (an armed cut on the successor) demotes
         that successor to the dead set and retries immediately with the
         next candidate.  After a successful promotion the divergence
         oracle compares every live replica's durable keyspace, and the
-        optional double-kill deadline is armed on the new primary.
+        shard's next primary cut (a double kill) is armed on the new
+        primary.
         """
         old_primary = group.primary
         successor = group.choose_successor()
@@ -476,14 +501,7 @@ class ShardExecutor:
             self.oracle_failures.append(
                 f"shard {group.shard_id} promoted {failure}"
             )
-        if (
-            self.cfg.double_kill_at_ms is not None
-            and not self._double_kill_armed
-        ):
-            self._double_kill_armed = True
-            successor.system.device.injector.arm_power_loss_at(
-                self.cfg.double_kill_at_ms * 1e6, torn=self.cfg.torn_kill
-            )
+        self._arm_next(PRIMARY_ROLE, successor.index)
         self._push(max(self.now_ns, old_primary.recover_at_ns), _WAKE)
         self._push(successor.clock_ns, _WAKE)
 

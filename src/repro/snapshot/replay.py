@@ -14,14 +14,14 @@ inside every cut write, so no case re-executes the prefix another case
 already paid for.
 
 Crash boundaries are expressed in the device's cumulative *timed-write*
-count: boundary ``b`` means the ``b``-th successful write is the last
-one, so write ``b + 1`` is the power-cut instant.  The cursor is told
-its ascending boundaries up front and forks the live machine *inside*
-that write: the device calls the cursor's hook when its write count
-reaches the next boundary, before the fault injector's verdict, and the
-hook copies what survives power loss there
-(:func:`~repro.snapshot.power_cut`).  :meth:`ForwardCursor.crash_at`
-rearms that image with a zero write budget and re-issues the write,
+count (a case's first cut): boundary ``b`` means the ``b``-th
+successful write is the last one, so write ``b + 1`` is the power-cut
+instant.  The cursor is told its ascending boundaries up front and
+forks the live machine *inside* that write: the device calls the
+cursor's hook when its write count reaches the next boundary, before
+the fault injector's verdict, and the hook copies what survives power
+loss there (:func:`~repro.snapshot.power_cut`).  :meth:`ForwardCursor.crash_at`
+rearms that image with a zero write count and re-issues the write,
 which tears and raises exactly as it does in a cold run.  No
 transaction is ever re-run on a fork.
 """
@@ -85,6 +85,14 @@ def _run_into(
 _Fork = Tuple[int, Any, Tuple[int, bytes, float, bool], Dict, Dict]
 
 
+def _residual(faults: FaultConfig, writes: int) -> FaultConfig:
+    """``faults`` with its first cut letting only ``writes`` more land."""
+    first, *rest = faults.schedule
+    return _dc_replace(
+        faults, schedule=(_dc_replace(first, at=writes), *rest)
+    )
+
+
 class ForwardCursor:
     """One fault-free machine run forward once, forked at each boundary.
 
@@ -136,15 +144,16 @@ class ForwardCursor:
     ) -> Optional[Tuple[Any, Dict[int, bytes], Dict[int, bytes], bool]]:
         """The machine at ``faults``' power cut, from a fork of the live one.
 
-        ``faults.power_loss_after_write`` must be the next announced
-        boundary.  Returns ``(system, oracle, staged, power_lost)``,
-        which once ``system`` is crashed equal what :func:`run_txns`
-        under ``faults`` on a fresh machine leaves before ``crash()``.
+        The ``at`` of ``faults``' first cut must be the next announced
+        boundary; the fork keeps the rest of the schedule.  Returns
+        ``(system, oracle, staged, power_lost)``, which once ``system``
+        is crashed equal what :func:`run_txns` under ``faults`` on a
+        fresh machine leaves before ``crash()``.
         ``None`` when the boundary lies below the first transaction's
         starting count (possible only if system construction itself
         issued timed writes); callers fall back to a fresh machine.
         """
-        boundary = faults.power_loss_after_write
+        boundary = faults.schedule[0].at
         if boundary < self._last_boundary:
             raise ValueError(
                 "crash boundaries must ascend: "
@@ -166,17 +175,13 @@ class ForwardCursor:
                 f"(expected {at})"
             )
         if cut is None:
-            # Past the last write: the finished machine, with the budget
+            # Past the last write: the finished machine, with the cut
             # the rest of the boundary leaves armed and never reached.
             assert boundary >= self.total_writes, "a boundary was skipped"
             fork = power_cut(self._system)
-            fork.device.rearm(
-                _dc_replace(
-                    faults, power_loss_after_write=boundary - self.total_writes
-                )
-            )
+            fork.device.rearm(_residual(faults, boundary - self.total_writes))
             return fork, dict(self._oracle), {}, False
-        fork.device.rearm(_dc_replace(faults, power_loss_after_write=0))
+        fork.device.rearm(_residual(faults, 0))
         addr, data, now_ns, queued = cut
         try:
             fork.device.write(addr, data, now_ns, queued=queued)

@@ -196,13 +196,15 @@ class MemorySystem:
         because schemes with a battery-backed persist domain (LAD) finish
         draining committed transactions there — physically that drain
         happens during the outage on backup energy, but applying it at
-        reboot is content-identical and keeps the injector simple.
+        reboot is content-identical and keeps the injector simple.  The
+        fault schedule's next cut arms last, so it never counts the drain.
         """
         if self._tel_on:
             self.telemetry.emit(self.now_ns, "crash", "sim")
         self.hierarchy.crash()
         self.device.restore_power()
         self.scheme.crash()
+        self.device.arm_next_cut()
 
     def recover(
         self,

@@ -13,11 +13,13 @@ import json
 import pytest
 
 from repro import FaultConfig, crashtest
+from repro.common.config import AT_NS, OPS, WRITES, Cut
 from repro.crashtest import nested
 from repro.crashtest.__main__ import main
 from repro.faults.plan import (
     CrashArtifact,
     load_artifact,
+    phase_schedule,
     plan_from_dict,
     plan_to_dict,
     save_artifact,
@@ -29,8 +31,7 @@ def _plan(boundary, *, seed=7, torn=False):
     return FaultConfig(
         enabled=True,
         seed=seed ^ (boundary << 8),
-        power_loss_after_write=boundary,
-        torn=torn,
+        schedule=(Cut(WRITES, boundary, torn),),
     )
 
 
@@ -126,8 +127,12 @@ class TestParallelRecovery:
 class TestArtifacts:
     def test_plan_round_trip(self):
         plan = FaultConfig(
-            enabled=True, seed=9, power_loss_after_write=42, torn=True,
-            read_error_rate=0.25,
+            enabled=True, seed=9, read_error_rate=0.25,
+            schedule=(
+                Cut(WRITES, 42, torn=True),
+                Cut(OPS, 3),
+                Cut(AT_NS, 1e6, target=(1, "backup")),
+            ),
         )
         assert plan_from_dict(plan_to_dict(plan)) == plan
 
@@ -175,10 +180,10 @@ class TestArtifacts:
             boundary, after_ops = {
                 "recovery": (9, 2), "gc": (2, None), "gc-media": (None, None),
             }[phase]
-            case = nested.NestedCaseResult(
-                phase, boundary, after_ops, phase != "gc-media", False, 0,
-                None, "",
+            cuts = phase_schedule(
+                phase, boundary, phase != "gc-media", after_ops
             )
+            case = nested.NestedCaseResult(phase, cuts, 0, None, "")
             artifact = nested.nested_case_artifact("hoop", case, **kwargs)
         path = save_artifact(artifact, tmp_path / "case.json")
         assert main(["--replay", str(path)]) == 0
@@ -224,11 +229,69 @@ class TestArtifacts:
         }
         path = tmp_path / "v2_gc.json"
         path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        assert load_artifact(path).faults.power_loss_after_write == 2
+        # The note's boundary names the GC pass's fatal write.
+        assert load_artifact(path).faults.schedule == (
+            Cut(WRITES, 1, torn=True),
+        )
         assert main(["--replay", str(path)]) == 0
         assert "replay reproduced the recorded outcome" in (
             capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize(
+        "phase, seed, boundary, after_ops, cuts, fingerprint",
+        [
+            (
+                "forward", 2311, 9, None, (Cut(WRITES, 9, torn=True),),
+                "71ddb210fd84ca0ec883809b0cfd2be1"
+                "45fd7f583a7867a51d87377fc33ee069",
+            ),
+            (
+                "recovery", 2311, 9, 2,
+                (Cut(WRITES, 9, torn=True), Cut(OPS, 2, torn=True)),
+                "71ddb210fd84ca0ec883809b0cfd2be1"
+                "45fd7f583a7867a51d87377fc33ee069",
+            ),
+            (
+                "gc", 7, 2, None, (Cut(WRITES, 1, torn=True),),
+                "76c0f24f13e476140ed6e6ae5d0d4e1f"
+                "ce1daec82d81cde40b364dc4692168a8",
+            ),
+        ],
+    )
+    def test_version_3_artifact_loads_to_its_cuts_and_replays(
+        self, phase, seed, boundary, after_ops, cuts, fingerprint
+    ):
+        # As version 3 wrote each phase's case, with the verdict that
+        # code recorded for it: the cuts as plan and artifact fields.
+        payload = {
+            "addresses": 6,
+            "failure": None,
+            "faults": {
+                "enabled": True,
+                "max_read_retries": 3,
+                "power_loss_after_write": boundary,
+                "read_error_rate": 0.0,
+                "retry_backoff_ns": 200.0,
+                "seed": seed,
+                "torn": True,
+            },
+            "fingerprint": fingerprint,
+            "idempotence_k": 0 if phase == "forward" else 2,
+            "nested_after_ops": after_ops,
+            "nested_torn": after_ops is not None,
+            "phase": phase,
+            "recovery_threads": 2,
+            "scheme": "hoop",
+            "transactions": 12,
+            "version": 3,
+            "workload_seed": 7,
+        }
+        artifact = CrashArtifact.from_dict(payload)
+        assert artifact.version == 4
+        assert artifact.faults.schedule == cuts
+        replayed = crashtest.replay_artifact(artifact)
+        assert (replayed.failure, replayed.fingerprint) == (None, fingerprint)
 
     # The bad-block remap fields every artifact carried until the remap
     # model was retired, at the values such an artifact holds on disk.

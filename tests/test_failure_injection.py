@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro import FaultConfig, MemorySystem, SystemConfig
+from repro.common.config import OPS, WRITES, Cut
 from repro.common.errors import PowerLossError
 from repro.core.slices import SLICE_BYTES
 
@@ -55,7 +56,7 @@ def verify(system, oracle):
 def test_crash_during_gc_is_safe(fail_after):
     """Power fails after N device writes inside a GC pass."""
     system, oracle = build_faulty_system(seed=fail_after)
-    system.device.injector.arm_power_loss(after_writes=fail_after)
+    system.device.injector.arm_power_loss_at(Cut(WRITES, fail_after))
     try:
         system.scheme.controller.gc.run(system.now_ns, on_demand=True)
     except PowerLossError:
@@ -73,8 +74,8 @@ def test_crash_during_recovery_is_restartable(fail_after):
     system.crash()
     # Recovery restores the home region through the functional plane and
     # persists metadata through the timed one; a crash *during recovery*
-    # is armed as a budget over both.
-    system.device.injector.arm_recovery_fault(after_ops=fail_after)
+    # is a cut that counts both.
+    system.device.injector.arm_power_loss_at(Cut(OPS, fail_after))
     try:
         system.recover(threads=2)
         interrupted = False

@@ -10,6 +10,7 @@ guarantee's functional half).
 import pytest
 
 from repro import FaultConfig, SystemConfig
+from repro.common.config import AT_NS, OPS, WRITES, Cut
 from repro.common.errors import MediaError, PowerLossError
 from repro.faults import FaultyNVMDevice, ReadRetryExhaustedError, make_device
 from repro.memctrl.port import MemoryPort
@@ -43,7 +44,7 @@ def test_faultfree_faulty_device_matches_plain_content():
 class TestPowerLoss:
     def test_budget_counts_timed_writes(self):
         device = FaultyNVMDevice(
-            faults=FaultConfig(enabled=True, power_loss_after_write=3)
+            faults=FaultConfig(enabled=True, schedule=(Cut(WRITES, 3),))
         )
         for i in range(3):
             device.write(4096 + 64 * i, b"x" * 64, 0.0)
@@ -61,7 +62,7 @@ class TestPowerLoss:
     def test_clean_cut_drops_fatal_write_entirely(self):
         device = FaultyNVMDevice(
             faults=FaultConfig(
-                enabled=True, power_loss_after_write=1, torn=False
+                enabled=True, schedule=(Cut(WRITES, 1, torn=False),)
             )
         )
         device.write(4096, b"a" * 64, 0.0)
@@ -74,7 +75,7 @@ class TestPowerLoss:
             device = FaultyNVMDevice(
                 faults=FaultConfig(
                     enabled=True, seed=seed,
-                    power_loss_after_write=0, torn=True,
+                    schedule=(Cut(WRITES, 0, torn=True),),
                 )
             )
             with pytest.raises(PowerLossError):
@@ -92,11 +93,11 @@ class TestPowerLoss:
 
 
 class TestDeadlinePowerLoss:
-    """arm_power_loss_at: a wall of simulated time instead of a budget."""
+    """An AT_NS cut: a wall of simulated time instead of a write count."""
 
     def test_first_write_at_or_past_deadline_is_fatal(self):
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_power_loss_at(1000.0)
+        device.injector.arm_power_loss_at(Cut(AT_NS, 1000.0))
         device.write(4096, b"a" * 64, 500.0)       # before the wall: fine
         with pytest.raises(PowerLossError):
             device.write(4160, b"b" * 64, 1000.0)  # at the wall: fatal
@@ -109,15 +110,17 @@ class TestDeadlinePowerLoss:
         assert device.peek(4096, 1) == b"d"
 
     def test_negative_deadline_rejected(self):
-        device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Cut(AT_NS, bad)
         with pytest.raises(ValueError):
-            device.injector.arm_power_loss_at(-1.0)
+            Cut(WRITES, -1)
 
     def test_torn_flag_passes_through(self):
         device = FaultyNVMDevice(
             faults=FaultConfig(enabled=True, seed=9)
         )
-        device.injector.arm_power_loss_at(100.0, torn=True)
+        device.injector.arm_power_loss_at(Cut(AT_NS, 100.0, torn=True))
         with pytest.raises(PowerLossError):
             device.write(4096, b"x" * 64, 150.0)
         # Torn cut: some seeded word subset of the dying write landed.
@@ -213,7 +216,7 @@ class TestRetryExhaustion:
 class TestNestedFaultArming:
     def test_recovery_budget_counts_both_mutation_planes(self):
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_recovery_fault(after_ops=3)
+        device.injector.arm_power_loss_at(Cut(OPS, 3))
         device.write(4096, b"a" * 64, 0.0)  # op 1: timed write
         device.poke(8192, b"b")  # op 2: functional poke
         device.write(4160, b"c" * 64, 0.0)  # op 3: timed write
@@ -229,36 +232,81 @@ class TestNestedFaultArming:
 
     def test_zero_budget_cuts_the_next_op(self):
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_recovery_fault(after_ops=0)
+        device.injector.arm_power_loss_at(Cut(OPS, 0))
         with pytest.raises(PowerLossError):
             device.poke(4096, b"x")
 
     def test_rearm_cannot_silently_disarm_pending_nested_fault(self):
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_recovery_fault(after_ops=5)
-        with pytest.raises(AssertionError):
-            device.rearm(FaultConfig(enabled=True))
-        # Explicitly disarming first makes rearm legal again.
+        device.injector.arm_power_loss_at(Cut(OPS, 5))
+        # A new plan leaves the armed cut in force: five ops land, the
+        # sixth is the cut instant.
+        device.rearm(FaultConfig(enabled=True, schedule=(Cut(WRITES, 50),)))
+        for index in range(5):
+            device.poke(4096 + 8 * index, b"x")
+        with pytest.raises(PowerLossError):
+            device.poke(8192, b"x")
+        # Only a reboot ends it; the new plan's cut arms at the next one.
         device.restore_power()
-        device.rearm(FaultConfig(enabled=True))
-        device.write(4096, b"x" * 64, 0.0)
+        device.arm_next_cut()
+        for index in range(50):
+            device.write(4096, b"x" * 64, 0.0)
+        with pytest.raises(PowerLossError):
+            device.write(4096, b"x" * 64, 0.0)
 
     def test_rearm_tripwire_covers_zero_residual_budget(self):
-        # A zero budget is still pending (it fires on the *next* op) —
-        # the invariant must not treat it as already spent.
+        # A zero count is still pending (it fires on the *next* op) —
+        # rearm must not treat it as already spent.
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_recovery_fault(after_ops=0)
-        with pytest.raises(AssertionError):
-            device.rearm(FaultConfig(enabled=True))
+        device.injector.arm_power_loss_at(Cut(OPS, 0))
+        device.rearm(FaultConfig(enabled=True))
+        with pytest.raises(PowerLossError):
+            device.poke(4096, b"x")
 
     def test_rearm_legal_after_nested_fault_fired(self):
         device = FaultyNVMDevice(faults=FaultConfig(enabled=True))
-        device.injector.arm_recovery_fault(after_ops=0)
+        device.injector.arm_power_loss_at(Cut(OPS, 0))
         with pytest.raises(PowerLossError):
             device.poke(4096, b"x")
-        # Fired: the pending flag clears with the power loss.
+        # Fired: the reboot ends it, and the machine runs the new plan.
         device.rearm(FaultConfig(enabled=True))
+        device.restore_power()
+        device.arm_next_cut()
         device.write(4096, b"x" * 64, 0.0)
+
+    def test_schedule_arms_each_cut_at_the_reboot_after_the_last(self):
+        from repro import MemorySystem
+
+        config = SystemConfig.small().replace(
+            faults=FaultConfig(
+                enabled=True,
+                seed=2,
+                schedule=(Cut(WRITES, 3), Cut(OPS, 1), Cut(WRITES, 2)),
+            )
+        )
+        system = MemorySystem(config, scheme="opt-redo")
+        addr = system.allocate(64)
+        with pytest.raises(PowerLossError):
+            for i in range(100):
+                with system.transaction() as tx:
+                    tx.store(addr, i.to_bytes(8, "little"))
+        assert system.device.fault_stats.power_cuts == 1
+        system.crash()  # arms the recovery-op cut
+        with pytest.raises(PowerLossError):
+            system.recover()
+        assert system.device.fault_stats.recovery_ops == 1
+        system.crash()  # arms the last write cut
+        system.recover()
+        with pytest.raises(PowerLossError):
+            for i in range(100):
+                with system.transaction() as tx:
+                    tx.store(addr, i.to_bytes(8, "little"))
+        assert system.device.fault_stats.power_cuts == 3
+        system.crash()  # the schedule is spent
+        system.recover()
+        with system.transaction() as tx:
+            tx.store(addr, b"survives")
+        assert not system.device.injector.power_lost
 
 
 class TestFaultReport:
@@ -296,7 +344,9 @@ class TestEndToEnd:
         from repro import MemorySystem
 
         config = SystemConfig.small().replace(
-            faults=FaultConfig(enabled=True, seed=2, power_loss_after_write=40)
+            faults=FaultConfig(
+                enabled=True, seed=2, schedule=(Cut(WRITES, 40),)
+            )
         )
         system = MemorySystem(config, scheme="hoop")
         addr = system.allocate(64)

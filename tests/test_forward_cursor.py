@@ -28,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import FaultConfig, crashtest, snapshot
-from repro.common.config import SystemConfig
+from repro.common.config import WRITES, Cut, SystemConfig
 from repro.common.units import MB
 from repro.core.block_refs import BlockRefs
 from repro.core.commit_log import CommitLog
@@ -79,8 +79,7 @@ def _plan(seed, boundary, torn):
     return FaultConfig(
         enabled=True,
         seed=seed ^ (boundary << 8),
-        power_loss_after_write=boundary,
-        torn=torn,
+        schedule=(Cut(WRITES, boundary, torn),),
     )
 
 

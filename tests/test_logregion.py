@@ -118,6 +118,26 @@ def test_scan_does_not_resurrect_stale_laps():
     assert [e.tx_id for e in entries] == [99]
 
 
+def test_scan_does_not_resurrect_an_entry_sixteen_laps_back():
+    # Every recovery resets the log to a fresh lap at physical offset 0,
+    # and the magic byte's lap salt is four bits: lap 16 salts like lap
+    # 0.  Lap 0's committed transaction sits past the one entry each
+    # later lap writes at offset 0, so a scan of lap 16 that trusts the
+    # magic and an unsalted CRC replays it over newer home data.
+    log = make_log(capacity=1 * KB)
+    log.append(KIND_COMMIT, 1, 0, b"", 0.0, sync=True)
+    log.append(KIND_DATA, 2, 0x100, b"OLD-DATA", 0.0, sync=False)
+    log.append(KIND_COMMIT, 2, 0, b"", 0.0, sync=True)
+    for lap in range(1, 17):
+        log.truncate(0.0)
+        log.reset()
+        offset, _ = log.append(KIND_COMMIT, 100 + lap, 0, b"", 0.0, sync=True)
+        assert log._physical(offset) == log._data_base
+    fresh = AppendLog(log.port, log.base, log.capacity)
+    entries = [(e.kind, e.tx_id) for e in fresh.rebuild_and_scan()]
+    assert entries == [(KIND_COMMIT, 116)]
+
+
 def test_torn_tail_detected():
     log = make_log()
     log.append(KIND_DATA, 1, 0, b"good", 0.0, sync=False)

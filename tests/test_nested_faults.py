@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.config import FaultConfig
+from repro.common.config import OPS, WRITES, Cut, FaultConfig
 from repro.common.errors import PowerLossError
 from repro.crashtest import (
     SWEEP_SCHEMES,
@@ -50,7 +50,7 @@ _ADDRS = 8
 
 
 _FAULTS = FaultConfig(
-    enabled=True, seed=11, power_loss_after_write=15, torn=True
+    enabled=True, seed=11, schedule=(Cut(WRITES, 15, torn=True),)
 )
 
 
@@ -65,8 +65,7 @@ def _crashed(scheme: str, boundary: int = 15, *, torn: bool = True):
     system, outcome = _cut(
         scheme,
         FaultConfig(
-            enabled=True, seed=11, power_loss_after_write=boundary,
-            torn=torn,
+            enabled=True, seed=11, schedule=(Cut(WRITES, boundary, torn),)
         ),
     )
     system.crash()
@@ -104,7 +103,7 @@ class TestRecoveryIdempotence:
 class TestNestedCut:
     def test_armed_recovery_fault_fires_during_recovery(self):
         system, _ = _crashed("hoop")
-        system.device.injector.arm_recovery_fault(after_ops=2)
+        system.device.injector.arm_power_loss_at(Cut(OPS, 2))
         with pytest.raises(PowerLossError):
             system.recover(threads=2)
         assert system.recovery_interruptions == 1
@@ -116,14 +115,20 @@ class TestNestedCut:
         probe, _ = _crashed(scheme)
         ops = probe_recovery_ops(probe, threads=2)
         for after_ops in range(ops):
-            system, outcome = _cut(scheme)
+            faults = FaultConfig(
+                enabled=True,
+                seed=11,
+                schedule=(
+                    *_FAULTS.schedule,
+                    Cut(OPS, after_ops, torn=bool(after_ops % 2)),
+                ),
+            )
+            system, outcome = _cut(scheme, faults)
             case = run_nested_case(
                 system,
                 outcome,
                 "recovery",
-                _FAULTS,
-                nested_boundary=after_ops,
-                nested_torn=bool(after_ops % 2),
+                faults,
                 threads=2,
                 idempotence_k=1,
             )
@@ -133,18 +138,22 @@ class TestNestedCut:
 
     def test_nth_fault_rearms_after_each_firing(self):
         """A third (and fourth) cut, then the case still converges."""
-        system, outcome = _crashed("hoop")
-        system.device.injector.arm_recovery_fault(after_ops=3)
+        faults = FaultConfig(
+            enabled=True,
+            seed=11,
+            schedule=(*_FAULTS.schedule, *[Cut(OPS, 3)] * 3),
+        )
+        system, outcome = _cut("hoop", faults)
         attempts = 0
         for _ in range(3):  # fault #2, #3, #4
+            # The reboot arms the schedule's next cut.
+            system.crash()
             attempts += 1
             with pytest.raises(PowerLossError):
                 system.recover(threads=2)
-            system.crash()
-            system.device.injector.arm_recovery_fault(after_ops=3)
-        # The case's own crash() disarms the last, unfired budget.
+        # The schedule is spent: the case's own recovery converges.
         case = run_nested_case(
-            system, outcome, "recovery", _FAULTS, threads=2, idempotence_k=0
+            system, outcome, "recovery", faults, threads=2, idempotence_k=0
         )
         assert (case.attempts, case.failure) == (1, None)
         assert system.recovery_attempts == attempts + 1

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import crashtest
-from repro.common.config import FaultConfig, NVMConfig, SystemConfig
+from repro.common.config import (
+    OPS,
+    WRITES,
+    Cut,
+    FaultConfig,
+    NVMConfig,
+    SystemConfig,
+)
 from repro.common.errors import AddressError, CapacityError, PowerLossError
 from repro.common.units import KB, MB
 from repro.core.recovery import RecoveryManager
@@ -72,27 +79,25 @@ def _device(cls, state, warm, budget, torn):
     if cls is NVMDevice:
         device = NVMDevice(_NVM)
     else:
-        device = FaultyNVMDevice(
-            _NVM, FaultConfig(enabled=True, seed=3, torn=torn)
-        )
+        device = FaultyNVMDevice(_NVM, FaultConfig(enabled=True, seed=3))
     for addr, data in warm:
         NVMDevice.poke(device, addr, data)  # content only, no fault logic
     if state == "dead":
-        device.injector.arm_recovery_fault(after_ops=0)
+        device.injector.arm_power_loss_at(Cut(OPS, 0, torn))
         try:
             device.poke(0, device.peek(0, 8))
         except PowerLossError:
             pass
         assert device.injector.power_lost
     elif state == "cut":
-        device.injector.arm_power_loss(after_writes=0)
+        device.injector.arm_power_loss_at(Cut(WRITES, 0, torn))
         try:
             device.write(0, device.peek(0, 8))
         except PowerLossError:
             pass
         assert device.injector.power_lost
     elif state == "recovery":
-        device.injector.arm_recovery_fault(after_ops=budget, torn=torn)
+        device.injector.arm_power_loss_at(Cut(OPS, budget, torn))
     return device
 
 
@@ -113,7 +118,8 @@ def _state(device, twin):
             # The PRNG's next draws (it is seeded at its first draw).
             [injector._draws().random() for _ in range(4)],
             injector.power_lost,
-            injector._recovery_budget,
+            injector._armed,
+            injector._left,
         ]
     return out
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MemorySystem, SystemConfig
-from repro.common.config import FaultConfig
+from repro.common.config import WRITES, Cut, FaultConfig
 from repro.common.errors import CorruptionError, PowerLossError
 from repro.common.units import MB
 from repro.core.commit_log import CommitLog, CommittedTx
@@ -497,9 +497,8 @@ def _crashed(scheme, boundary, torn):
     pass every twenty transactions reclaims blocks, so later slices land
     in blocks whose older slots are of a stale generation.
     """
-    faults = FaultConfig(
-        enabled=True, seed=7, power_loss_after_write=boundary, torn=torn
-    )
+    cuts = () if boundary is None else (Cut(WRITES, boundary, torn),)
+    faults = FaultConfig(enabled=True, seed=7, schedule=cuts)
     system = MemorySystem(SystemConfig.small().replace(faults=faults), scheme)
     rng = random.Random(21)
     addrs = [system.allocate(64) for _ in range(24)]

@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from repro.common.config import WRITES, Cut
 from repro.common.errors import ConfigError, PowerLossError
 from repro.serve import SERVABLE_SCHEMES, ServeConfig, run_serve
 from repro.serve import cluster as cluster_module
@@ -432,8 +433,8 @@ class TestReplicationGroup:
         primary, backup = group.replicas
         addrs = [primary.addr_of(key) for key in range(4)]
         group.commit_and_ship([(addr, b"\x01" * 64) for addr in addrs])
-        backup.system.device.injector.arm_power_loss(
-            after_writes=after_writes, torn=torn
+        backup.system.device.injector.arm_power_loss_at(
+            Cut(WRITES, after_writes, torn)
         )
         outcome = group.commit_and_ship(
             [(addr, b"\x02" * 64) for addr in addrs]
@@ -462,8 +463,8 @@ class TestReplicationGroup:
 
         def cut_primary_mid_batch():
             primary = group.primary
-            primary.system.device.injector.arm_power_loss(
-                after_writes=1, torn=True
+            primary.system.device.injector.arm_power_loss_at(
+                Cut(WRITES, 1, torn=True)
             )
             with pytest.raises(PowerLossError):
                 group.commit_and_ship(
@@ -509,8 +510,8 @@ def cut_primary_at_every_boundary(scheme, torn):
         driver = Driver(group)
         driver.drive(6)
         deposed = group.primary
-        deposed.system.device.injector.arm_power_loss(
-            after_writes=boundary, torn=torn
+        deposed.system.device.injector.arm_power_loss_at(
+            Cut(WRITES, boundary, torn)
         )
         try:
             group.commit_and_ship(
@@ -547,8 +548,8 @@ class TestRejoinPaths:
             primary, backup = group.replicas
             addrs = [primary.addr_of(key) for key in range(4)]
             group.commit_and_ship([(addr, b"\x01" * 64) for addr in addrs])
-            backup.system.device.injector.arm_power_loss(
-                after_writes=boundary, torn=torn
+            backup.system.device.injector.arm_power_loss_at(
+                Cut(WRITES, boundary, torn)
             )
             outcome = group.commit_and_ship(
                 [(addr, b"\x02" * 64) for addr in addrs]
@@ -631,8 +632,8 @@ class TestRejoinPaths:
             )
             driver.drive(12)
             before = header_of(victim)
-            victim.system.device.injector.arm_power_loss(
-                after_writes=boundary, torn=bool(boundary % 2)
+            victim.system.device.injector.arm_power_loss_at(
+                Cut(WRITES, boundary, bool(boundary % 2))
             )
             try:
                 assert rejoin(group, victim) == mode
@@ -714,8 +715,8 @@ class TestRejoinPaths:
                 if kind == "rejoin_begin" and self.cluster is not None:
                     group = self.cluster.groups[payload["shard"]]
                     rejoiner = group.replicas[payload["replica"]]
-                    rejoiner.system.device.injector.arm_power_loss(
-                        after_writes=10, torn=True
+                    rejoiner.system.device.injector.arm_power_loss_at(
+                        Cut(WRITES, 10, torn=True)
                     )
                     self.cluster = None
 

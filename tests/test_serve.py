@@ -259,6 +259,10 @@ class TestConfig:
             {"rate_per_s": 0.0},
             {"duration_ms": 0.0},
             {"kill_at_ms": 0.5},  # an instant, but no kill_shard
+            # Kill instants a cut cannot fire at.
+            {"kill_shard": 0, "kill_at_ms": -1.0},
+            {"kill_backup_at_ms": -0.5, "replicas": 1},
+            {"kill_primary_at_ms": float("nan"), "replicas": 1},
         ],
         ids=lambda overrides: next(iter(overrides)),
     )
@@ -281,6 +285,9 @@ class TestCommandLine:
             ["--kill-shard", "5", "--shards", "2"],
             ["--kill-backup-at-ms", "1"],
             ["--kill-at-ms", "0.5"],
+            ["--kill-shard", "0", "--kill-at-ms", "-1"],
+            ["--replicas", "1", "--kill-backup-at-ms", "-0.5"],
+            ["--replicas", "1", "--kill-primary-at-ms", "nan"],
         ],
         ids=" ".join,
     )
@@ -466,7 +473,7 @@ class TestRunBatchSurface:
             assert system.load(addr, 8) == data
 
     def test_run_batch_annotates_power_loss_with_issued_prefix(self):
-        from repro.common.config import FaultConfig, SystemConfig
+        from repro.common.config import WRITES, Cut, FaultConfig, SystemConfig
         from repro.common.errors import PowerLossError
         from repro.txn.system import MemorySystem
 
@@ -480,7 +487,7 @@ class TestRunBatchSurface:
         system = MemorySystem(config, scheme="opt-undo")
         base = system.allocate(64 * 32)
         stores = [(base + 64 * i, bytes([i + 1]) * 8) for i in range(32)]
-        system.device.injector.arm_power_loss(after_writes=4)
+        system.device.injector.arm_power_loss_at(Cut(WRITES, 4))
         with pytest.raises(PowerLossError) as info:
             system.run_batch(stores)
         issued = info.value.issued_stores

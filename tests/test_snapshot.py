@@ -25,7 +25,7 @@ from repro.check import oracle
 from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import generate_trace
-from repro.common.config import SystemConfig
+from repro.common.config import WRITES, Cut, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.core.oop_region import BlockState
 from repro.crashtest import nested
@@ -139,8 +139,7 @@ class TestMidFaultCountdown:
             faults=FaultConfig(
                 enabled=True,
                 seed=seed,
-                power_loss_after_write=budget,
-                torn=torn,
+                schedule=(Cut(WRITES, budget, torn),),
             )
         )
 
@@ -188,9 +187,7 @@ class TestMidFaultCountdown:
             device.write(64 * index, b"\x01" * 64)
         twin = clone_state(device)
         twin.rearm(
-            dataclasses.replace(
-                device.faults, power_loss_after_write=0
-            )
+            dataclasses.replace(device.faults, schedule=(Cut(WRITES, 0),))
         )
         with pytest.raises(PowerLossError):
             twin.write(0, b"\x02" * 64)

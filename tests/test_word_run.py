@@ -19,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import FaultConfig, NVMConfig, SystemConfig
+from repro.common.config import (
+    AT_NS,
+    OPS,
+    WRITES,
+    Cut,
+    FaultConfig,
+    NVMConfig,
+    SystemConfig,
+)
 from repro.common.errors import (
     AddressError,
     CorruptionError,
@@ -414,7 +422,8 @@ def _device_state(device: FaultyNVMDevice):
         channel.stats,
         device.fault_stats,
         device.injector.power_lost,
-        device.injector._write_budget,
+        device.injector._armed,
+        device.injector._left,
     )
 
 
@@ -423,7 +432,7 @@ def _run_both(arm, warm, batch, now_ns):
     outcomes = []
     for batched in (True, False):
         device = FaultyNVMDevice(
-            _NVM, FaultConfig(enabled=True, seed=3, torn=True),
+            _NVM, FaultConfig(enabled=True, seed=3),
             wear_block_bytes=_WEAR_BLOCK,
         )
         for addr, data in warm:
@@ -477,22 +486,18 @@ def test_write_batch_on_an_inert_injector_equals_per_element_writes(
     batch=_batch,
     now_ns=st.sampled_from([0.0, 10.0, 250.5]),
     cut=st.one_of(
-        st.integers(0, 10).map(lambda k: ("writes", k)),
-        st.sampled_from([5.0, 10.0, 100.0, 1e6]).map(lambda t: ("at", t)),
-        st.integers(0, 10).map(lambda k: ("recovery", k)),
+        st.integers(0, 10).map(lambda k: Cut(WRITES, k, torn=True)),
+        st.sampled_from([5.0, 10.0, 100.0, 1e6]).map(
+            lambda t: Cut(AT_NS, t, torn=True)
+        ),
+        st.integers(0, 10).map(lambda k: Cut(OPS, k, torn=True)),
     ),
 )
 def test_an_armed_power_cut_lands_on_the_same_element(
     warm, batch, now_ns, cut
 ):
     def arm(injector):
-        kind, value = cut
-        if kind == "writes":
-            injector.arm_power_loss(after_writes=value)
-        elif kind == "at":
-            injector.arm_power_loss_at(value)
-        else:
-            injector.arm_recovery_fault(after_ops=value)
+        injector.arm_power_loss_at(cut)
 
     with mock.patch.object(
         NVMDevice, "write_batch", autospec=True,
