@@ -1,4 +1,4 @@
-"""Ablation benches for HOOP's design choices (DESIGN.md §4).
+"""Ablation benches for HOOP's design choices (DESIGN.md §3).
 
 The paper motivates three mechanisms: word-granularity **data packing**
 (Fig. 3), GC **data coalescing** (Table IV), and the §III-I extensions.

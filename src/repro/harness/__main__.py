@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.harness [--scale smoke|default|paper] [--only FIG ...]
                             [--out DIR] [--profile PATH]
-                            [--telemetry DIR] [--faults] [--check]
+                            [--telemetry DIR] [--faults]
 
 Writes each figure's text rendering to ``<out>/<figure>.txt`` and prints
 them to stdout, each followed by a ``[<figure> took N s]`` line.
@@ -75,12 +75,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run the fault-tolerance report (faulty device)",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="also run the correctness checkers (persist-ordering"
-        " sanitizer + differential oracle) on a smoke trace",
-    )
     args = parser.parse_args(argv)
     with profile_to(args.profile):
         return _run(args)
@@ -89,12 +83,10 @@ def main(argv=None) -> int:
 def _emit(out_dir: pathlib.Path, name: str, produce):
     """Run one report, print it with its wall time, write ``<name>.txt``."""
     start = time.perf_counter()
-    report = produce()
-    text = report.render()
+    text = produce().render()
     print(text)
     print(f"[{name} took {time.perf_counter() - start:.1f}s]\n")
     (out_dir / f"{name}.txt").write_text(text + "\n")
-    return report
 
 
 def _run(args) -> int:
@@ -122,15 +114,6 @@ def _run(args) -> int:
                 args.scale, out_dir=args.telemetry
             ),
         )
-
-    if args.check:
-        from repro.check.oracle import run_check_matrix
-
-        result = _emit(
-            out_dir, "check", lambda: run_check_matrix(crash_sample=6)
-        )
-        if not result.ok:
-            return 1
     return 0
 
 

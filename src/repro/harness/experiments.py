@@ -1,6 +1,6 @@
 """Experiment runners: one function per figure/table of the evaluation.
 
-The mapping to the paper (also indexed in DESIGN.md §3):
+The mapping to the paper (also indexed in EXPERIMENTS.md):
 
 =============  ====================================================
 Table I        qualitative scheme traits
@@ -202,7 +202,7 @@ def cell_key(
     )
 
 
-def _build(
+def build_cell(
     preset: Scale,
     scheme: str,
     workload: str,
@@ -211,13 +211,14 @@ def _build(
     *,
     threads: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
-    **workload_kwargs: int,
+    **workload_kwargs: object,
 ) -> Tuple[MemorySystem, object, WorkloadDriver]:
     """Config → system → workload → driver, the one way a cell is set up.
 
-    ``config`` defaults to the scale's own, ``threads`` to the scale's;
-    ``workload_kwargs`` (``item_bytes`` included) override the scale's
-    dataset sizes.  The caller runs the driver and reads the stats.
+    ``config`` defaults to the scale's own, ``threads`` to the scale's,
+    capped at the config's core count; ``workload_kwargs``
+    (``item_bytes`` included) override the scale's dataset sizes.  The
+    caller runs the driver and reads the stats.
     """
     system = MemorySystem(
         config or preset.system_config(), scheme=scheme, telemetry=telemetry
@@ -225,9 +226,8 @@ def _build(
     kwargs = preset.kwargs_for(workload)
     kwargs.update(workload_kwargs)
     wl = make_workload(workload, system, seed=seed, **kwargs)
-    driver = WorkloadDriver(
-        system, threads=threads or preset.threads, seed=seed
-    )
+    threads = min(threads or preset.threads, system.config.num_cores)
+    driver = WorkloadDriver(system, threads=threads, seed=seed)
     return system, wl, driver
 
 
@@ -254,7 +254,7 @@ def run_cell(
     if key in _CELL_CACHE:
         _CELL_CACHE.move_to_end(key)
         return _CELL_CACHE[key]
-    system, wl, driver = _build(
+    system, wl, driver = build_cell(
         preset, scheme, workload, seed, config,
         item_bytes=item_bytes, **(extra_kwargs or {}),
     )
@@ -483,7 +483,7 @@ def run_table4(scale: str = "default", seed: int = 7) -> FigureData:
                 mapping_table_bytes=64 * MB,
             )
             config = config.replace(hoop=hoop)
-            system, wl, driver = _build(preset, "hoop", workload, seed, config)
+            system, wl, driver = build_cell(preset, "hoop", workload, seed, config)
             gc = system.scheme.controller.gc
             # Drain the load phase so the window holds only measured txns.
             wl.setup(core=0)
@@ -551,7 +551,7 @@ def run_figure10(scale: str = "default", seed: int = 7) -> FigureData:
                 oop_region_fraction=fraction,
             )
             config = config.replace(hoop=hoop_cfg)
-            system, wl, driver = _build(preset, "hoop", workload, seed, config)
+            system, wl, driver = build_cell(preset, "hoop", workload, seed, config)
             result = driver.run(
                 wl, transactions, warmup=preset.warmup, quiesce=False
             )
@@ -586,7 +586,7 @@ def run_figure11(scale: str = "default", seed: int = 7) -> FigureData:
         config.hoop, gc=GCConfig(period_ns=1e15)
     )
     config = config.replace(hoop=hoop_cfg)
-    system, wl, driver = _build(preset, "hoop", "ycsb", seed, config)
+    system, wl, driver = build_cell(preset, "hoop", "ycsb", seed, config)
     driver.run(wl, populate_txs, warmup=0, quiesce=False)
 
     fig = FigureData(
@@ -687,7 +687,7 @@ def run_figure13(scale: str = "default", seed: int = 7) -> FigureData:
             config.hoop, mapping_table_bytes=size
         )
         config = config.replace(hoop=hoop_cfg)
-        system, wl, driver = _build(
+        system, wl, driver = build_cell(
             preset, "hoop", "ycsb", seed, config, item_bytes=1024
         )
         result = driver.run(
@@ -727,7 +727,7 @@ def run_thread_scaling(scale: str = "default", seed: int = 7) -> FigureData:
     for threads in thread_counts:
         row = [threads]
         for scheme in schemes:
-            _, wl, driver = _build(
+            _, wl, driver = build_cell(
                 preset, scheme, "hashmap", seed, threads=threads
             )
             result = driver.run(
@@ -773,7 +773,7 @@ def run_region_fraction_sweep(
             gc=GCConfig(period_ns=1e15),
         )
         config = config.replace(hoop=hoop_cfg)
-        system, wl, driver = _build(preset, "hoop", "hashmap", seed, config)
+        system, wl, driver = build_cell(preset, "hoop", "hashmap", seed, config)
         result = driver.run(
             wl, transactions, warmup=preset.warmup, quiesce=False
         )
@@ -915,7 +915,7 @@ def run_telemetry_matrix(
     for scheme in ("native",) + PERSISTENCE_SCHEMES:
         for workload in MATRIX_WORKLOADS:
             telemetry = Telemetry()
-            _, wl, driver = _build(
+            _, wl, driver = build_cell(
                 preset, scheme, workload, seed, telemetry=telemetry
             )
             driver.run(wl, preset.transactions, warmup=preset.warmup)
@@ -969,7 +969,7 @@ def run_fault_reports(scale: str = "default", seed: int = 7) -> FigureData:
                 enabled=True, read_error_rate=5e-4, seed=seed
             )
         )
-        system, wl, driver = _build(preset, scheme, "hashmap", seed, config)
+        system, wl, driver = build_cell(preset, scheme, "hashmap", seed, config)
         driver.run(wl, preset.transactions, warmup=preset.warmup)
         for counter, value in fault_tolerance_figure(system).rows:
             fig.add_row(scheme, counter, value)

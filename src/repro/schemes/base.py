@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 from repro.check.sanitizer import NULL_CHECKER
 from repro.common.config import SystemConfig
+from repro.common.units import bytes_per_ns_from_gbps
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.telemetry.hub import NULL_TELEMETRY
@@ -192,6 +193,12 @@ class PersistenceScheme(abc.ABC):
     def recover(self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None):
         """Restore a consistent home region; returns a scheme report."""
         return None
+
+    def recovery_bytes_per_ns(self, bandwidth_gb_per_s: Optional[float]) -> float:
+        """The channel rate recovery is charged at: the override, else the NVM's."""
+        return bytes_per_ns_from_gbps(
+            bandwidth_gb_per_s or self.config.nvm.bandwidth_gb_per_s
+        )
 
     # -- accounting ------------------------------------------------------------------
 

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
 from repro.common.config import SystemConfig
-from repro.common.errors import CapacityError
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
 

@@ -365,16 +365,18 @@ class AppendLog:
         self._persist_header(now_ns)
 
 
-def replay_committed(log: AppendLog, device, outcome: RecoveryOutcome) -> None:
-    """Redo recovery over a crashed log: the body opt-redo and logregion share.
+def replay_committed(scheme, bandwidth_gb_per_s) -> RecoveryOutcome:
+    """Redo recovery over ``scheme.log``: opt-redo's and logregion's ``recover``.
 
     Writes home the data entries of every transaction whose commit
     record the scan found, in commit order, as one ``poke_batch``;
-    counts the rest as rolled back, fills ``outcome``'s byte and
-    transaction counts (``elapsed_ns`` is the caller's) and resets the
-    log.  The fold of the entries resumes from the scan memo's
-    ``replayed`` when the entries it folded are a prefix of this scan's.
+    counts the rest as rolled back and resets the log.  The modelled
+    time charges the bytes scanned and written at the channel rate plus
+    one write latency per committed transaction.  The fold of the
+    entries resumes from the scan memo's ``replayed`` when the entries
+    it folded are a prefix of this scan's.
     """
+    log, outcome = scheme.log, RecoveryOutcome(scheme=scheme.name)
     entries = tuple(log.rebuild_and_scan())
     done = log._scan_memo.replayed
     if entries[: len(done.entries)] != done.entries:
@@ -392,12 +394,19 @@ def replay_committed(log: AppendLog, device, outcome: RecoveryOutcome) -> None:
     pokes: List[Tuple[int, bytes]] = []
     for tx_id in committed:
         pokes.extend(pending.pop(tx_id, ()))
-    device.poke_batch(pokes)
+    scheme.device.poke_batch(pokes)
     outcome.bytes_scanned += scanned
     outcome.bytes_written += sum(len(payload) for _, payload in pokes)
     outcome.committed_transactions += len(committed)
     outcome.rolled_back_transactions = len(pending)
     log.reset()
+    bytes_per_ns = scheme.recovery_bytes_per_ns(bandwidth_gb_per_s)
+    outcome.elapsed_ns = (
+        outcome.bytes_scanned / bytes_per_ns
+        + outcome.bytes_written / bytes_per_ns
+        + outcome.committed_transactions * scheme.config.nvm.write_latency_ns
+    )
+    return outcome
 
 
 # -- the log-region scheme ---------------------------------------------------------
@@ -584,17 +593,7 @@ class LogRegionScheme(PersistenceScheme):
     crash = reset_volatile
 
     def recover(self, *, threads: int = 1, bandwidth_gb_per_s=None):
-        outcome = RecoveryOutcome(scheme=self.name)
-        replay_committed(self.log, self.device, outcome)
-        nvm = self.config.nvm
-        bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
-        bytes_per_ns = bandwidth * (1024**3) / 1e9
-        outcome.elapsed_ns = (
-            outcome.bytes_scanned / max(bytes_per_ns, 1e-9)
-            + outcome.bytes_written / max(bytes_per_ns, 1e-9)
-            + outcome.committed_transactions * nvm.write_latency_ns
-        )
-        return outcome
+        return replay_committed(self, bandwidth_gb_per_s)
 
 # -- snapshot declarations ----------------------------------------------------
 LogEntry.__snapshot_state__ = "__atom__"

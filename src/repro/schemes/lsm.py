@@ -26,7 +26,7 @@ checks coverage and the synchronous commit on every transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.addr import (
     CACHE_LINE_BYTES,
@@ -38,7 +38,7 @@ from repro.common.config import SystemConfig
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
+from repro.schemes.logregion import KIND_COMMIT, AppendLog
 from repro.schemes.skiplist import SkipList
 from repro.snapshot import reset_volatile
 
@@ -283,12 +283,9 @@ class LSMScheme(PersistenceScheme):
                     i += 8
             outcome.committed_transactions += 1
         self.log.reset()
-        nvm = self.config.nvm
-        bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
-        bytes_per_ns = bandwidth * (1024**3) / 1e9
         outcome.elapsed_ns = (
             outcome.bytes_scanned + outcome.bytes_written
-        ) / max(bytes_per_ns, 1e-9)
+        ) / self.recovery_bytes_per_ns(bandwidth_gb_per_s)
         return outcome
 
 # -- snapshot declarations ----------------------------------------------------

@@ -315,12 +315,9 @@ class OSPScheme(PersistenceScheme):
         for addr in self._pairs:
             self._write_slot(addr, 0.0)
         self.fliplog.reset()
-        nvm = self.config.nvm
-        bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
-        bytes_per_ns = bandwidth * (1024**3) / 1e9
         outcome.elapsed_ns = (
             outcome.bytes_scanned + 2 * outcome.bytes_written
-        ) / max(bytes_per_ns, 1e-9)
+        ) / self.recovery_bytes_per_ns(bandwidth_gb_per_s)
         return outcome
 
 # -- snapshot declarations ----------------------------------------------------

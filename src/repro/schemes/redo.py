@@ -203,17 +203,7 @@ class OptRedoScheme(PersistenceScheme):
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None
     ) -> RecoveryOutcome:
-        outcome = RecoveryOutcome(scheme=self.name)
-        replay_committed(self.log, self.device, outcome)
-        nvm = self.config.nvm
-        bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
-        bytes_per_ns = bandwidth * (1024**3) / 1e9
-        outcome.elapsed_ns = (
-            outcome.bytes_scanned / max(bytes_per_ns, 1e-9)
-            + outcome.bytes_written / max(bytes_per_ns, 1e-9)
-            + outcome.committed_transactions * nvm.write_latency_ns
-        )
-        return outcome
+        return replay_committed(self, bandwidth_gb_per_s)
 
 # -- snapshot declarations ----------------------------------------------------
 OptRedoScheme.__snapshot_state__ = "__all__"

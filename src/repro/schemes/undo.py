@@ -211,12 +211,10 @@ class OptUndoScheme(PersistenceScheme):
                 outcome.bytes_written += len(entry.payload)
             outcome.rolled_back_transactions += 1
         self.log.reset()
-        nvm = self.config.nvm
-        bandwidth = bandwidth_gb_per_s or nvm.bandwidth_gb_per_s
-        bytes_per_ns = bandwidth * (1024**3) / 1e9
+        bytes_per_ns = self.recovery_bytes_per_ns(bandwidth_gb_per_s)
         outcome.elapsed_ns = (
-            outcome.bytes_scanned / max(bytes_per_ns, 1e-9)
-            + outcome.bytes_written / max(bytes_per_ns, 1e-9)
+            outcome.bytes_scanned / bytes_per_ns
+            + outcome.bytes_written / bytes_per_ns
         )
         return outcome
 

@@ -38,8 +38,7 @@ class Request:
     serving run (one per arrival, plus queue/batch/ack traversals):
     dropping the per-instance ``__dict__`` cuts a request from ~216 to
     ~168 traced bytes (two allocations to one) and measurably trims
-    allocator time at high offered rates (numbers in
-    ``docs/internals.md``).
+    allocator time at high offered rates.
     """
 
     key: int

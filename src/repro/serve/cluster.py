@@ -21,29 +21,18 @@ each shard's internal event order is a total order independent of epoch
 boundaries, so the outcome does not depend on where the epochs fall.
 
 Failover semantics (power cuts at simulated instants, crash/recover/verify,
-lease-expiry promotion, rejoin catch-up, divergence fingerprints) are
-unchanged from PR 8 and live in :class:`~repro.serve.shard.ShardExecutor`;
-the legacy ``UP``/``RECOVERING`` names remain part of the telemetry
-and report vocabulary.
+lease-expiry promotion, rejoin catch-up, divergence fingerprints) live
+in :class:`~repro.serve.shard.ShardExecutor`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.serve.replica import (
-    GROUP_RECOVERING,
-    GROUP_UP,
-    ReplicationGroup,
-)
+from repro.serve.replica import ReplicationGroup
 from repro.serve.router import ConsistentHashRouter
 from repro.serve.shard import ShardExecutor
 from repro.telemetry.hub import Telemetry
-
-# Legacy shard lifecycle names (PR 7); group states superseded them but
-# the strings are part of the telemetry/report vocabulary.
-UP = GROUP_UP
-RECOVERING = GROUP_RECOVERING
 
 
 class ServeCluster:

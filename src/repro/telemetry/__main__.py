@@ -26,6 +26,7 @@ import sys
 from repro.telemetry.export import (
     compare_files,
     load_trace,
+    render_summary,
     summarize_file,
     validate_perfetto,
     write_jsonl,
@@ -43,24 +44,17 @@ WORKLOAD_ALIASES = {
 
 
 def record(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import get_scale
-    from repro.txn.system import MemorySystem
-    from repro.workloads.driver import WorkloadDriver, make_workload
+    from repro.harness.experiments import build_cell, get_scale
 
     preset = get_scale(args.scale)
     name, overrides = WORKLOAD_ALIASES.get(
         args.workload, (args.workload, {})
     )
     telemetry = Telemetry(max_events=args.max_events)
-    config = preset.system_config()
-    system = MemorySystem(config, scheme=args.scheme, telemetry=telemetry)
-    kwargs = dict(preset.kwargs_for(name))
-    kwargs.update(overrides)
-    workload = make_workload(name, system, seed=args.seed, **kwargs)
-    threads = min(
-        args.threads or preset.threads, config.num_cores
+    _, workload, driver = build_cell(
+        preset, args.scheme, name, args.seed,
+        threads=args.threads, telemetry=telemetry, **overrides,
     )
-    driver = WorkloadDriver(system, threads=threads, seed=args.seed)
     transactions = args.transactions or preset.transactions
     result = driver.run(workload, transactions, warmup=preset.warmup)
 
@@ -73,8 +67,6 @@ def record(args: argparse.Namespace) -> int:
     if args.jsonl:
         lines = write_jsonl(telemetry, args.jsonl)
         print(f"{args.jsonl}: {lines} JSONL event records")
-    from repro.telemetry.export import render_summary
-
     print(render_summary(telemetry.summary()))
     print("open the .json at https://ui.perfetto.dev")
     return 0

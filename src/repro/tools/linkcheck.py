@@ -14,7 +14,10 @@ DESIGN.md, ``docs/*.md`` and the verify skill:
   blocks, with ``{a,b}`` alternatives expanded and an optional
   ``:name`` or ``::name`` — must name a file under the document's
   directory, the repo root, ``src/`` or ``src/repro/``, and every
-  dotted part of ``name`` must be a def, class or assigned name in it.
+  dotted part of ``name`` must be a def, class or assigned name in it;
+* **CLI flags** — every ``--flag`` a document passes to ``python -m
+  repro.<cli>``, in inline code or a fenced block and across
+  backslash continuations, must appear in that CLI's ``--help``.
 
 Usage::
 
@@ -25,8 +28,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
+import os
 import pathlib
 import re
+import subprocess
 import sys
 from typing import List
 
@@ -50,6 +56,10 @@ _CODE_REF_RE = re.compile(
     r"`([\w.{},-]*/[\w./{},-]*\.py)(?:::?([\w.:\[\]-]+))?`"
 )
 _BRACES_RE = re.compile(r"\{([^{}]*)\}")
+_INLINE_RE = re.compile(r"`([^`]+)`")
+# `python -m repro.<cli>` and its arguments, up to the end of the command.
+_CLI_RE = re.compile(r"python3? +-m +(repro(?:\.\w+)+)([^`\n;|&)#]*)")
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def github_slug(heading: str) -> str:
@@ -123,11 +133,48 @@ def check_code_refs(path: pathlib.Path, text: str) -> List[str]:
     return problems
 
 
+@functools.lru_cache(maxsize=None)
+def cli_flags(module: str) -> frozenset:
+    """The ``--flags`` ``python -m <module> --help`` prints (empty: none)."""
+    src = pathlib.Path(__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-m", module, "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    if result.returncode != 0:
+        return frozenset()
+    return frozenset(_FLAG_RE.findall(result.stdout))
+
+
+def check_cli_flags(path: pathlib.Path, text: str) -> List[str]:
+    """Flags a document passes to ``python -m repro.<cli>`` that it lacks."""
+    relative = path.relative_to(REPO_ROOT)
+    text = text.replace("\\\n", " ")
+    commands = _FENCE_RE.findall(text) + [
+        span.replace("\n", " ")
+        for span in _INLINE_RE.findall(_FENCE_RE.sub("", text))
+    ]
+    problems = []
+    for command in commands:
+        for module, args in _CLI_RE.findall(command):
+            known = cli_flags(module)
+            if not known:
+                problems.append(f"{relative}: python -m {module} has no --help")
+                continue
+            for flag in sorted(set(_FLAG_RE.findall(args)) - known):
+                problems.append(f"{relative}: python -m {module} has no {flag}")
+    return problems
+
+
 def check_file(path: pathlib.Path) -> List[str]:
     """Broken-link descriptions for one markdown file."""
-    text = _FENCE_RE.sub("", path.read_text())
+    raw = path.read_text()
+    text = _FENCE_RE.sub("", raw)
     problems = []
-    own_anchors = anchors_of(path.read_text())
+    own_anchors = anchors_of(raw)
     for target in _LINK_RE.findall(text):
         relative = path.relative_to(REPO_ROOT)
         if target.startswith(("http://", "https://")):
@@ -148,7 +195,7 @@ def check_file(path: pathlib.Path) -> List[str]:
                 problems.append(
                     f"{relative}: missing anchor #{anchor} in {file_part}"
                 )
-    return problems + check_code_refs(path, text)
+    return problems + check_code_refs(path, text) + check_cli_flags(path, raw)
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,6 @@ from repro.common.errors import (
 )
 from repro.faults import make_device
 from repro.memhier.hierarchy import CacheHierarchy
-from repro.nvm.device import NVMDevice
 from repro.schemes import make_scheme
 from repro.schemes.base import PersistenceScheme
 from repro.telemetry.hub import NULL_TELEMETRY

@@ -14,7 +14,6 @@ value.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from repro.common import rng as rng_util
 from repro.txn.system import MemorySystem

@@ -8,7 +8,6 @@ the Zipfian distribution [11]; theta defaults to YCSB's 0.99.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 

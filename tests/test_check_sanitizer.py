@@ -60,7 +60,7 @@ def test_violation_window_mentions_commit_and_store():
 
 @pytest.mark.parametrize("scheme", REAL_SCHEMES)
 def test_checker_attach_is_bit_identical(scheme):
-    """--check must not perturb results: same bytes, same clocks."""
+    """An attached sanitizer must not perturb results: same bytes, clocks."""
     trace = generate_trace(11, transactions=20, slots=6, cores=4)
     plain = build_system(scheme)
     run_trace(plain, trace)

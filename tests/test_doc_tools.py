@@ -132,3 +132,22 @@ def test_linkcheck_detects_stale_code_refs(tmp_path, monkeypatch):
         "x.md: no file repro/harness/channel.py",
         "x.md: tests/test_x.py defines no test_gone",
     ]
+
+
+def test_linkcheck_detects_unknown_cli_flags(tmp_path, monkeypatch):
+    import repro.tools.linkcheck as lc
+
+    monkeypatch.setattr(lc, "REPO_ROOT", tmp_path)
+    doc = tmp_path / "x.md"
+    doc.write_text(
+        "Run `python -m repro.harness --scale smoke\n--bogus-inline`.\n\n"
+        "```bash\nPYTHONPATH=src python -m repro.crashtest --schemes all \\\n"
+        "  --sample 0 --bogus-fenced > /dev/null  # --not-an-argument\n"
+        "python -m repro.nosuchcli --x\n```\n"
+        "`python -m repro.check` takes `--mutant`; `--elsewhere` is prose.\n"
+    )
+    assert lc.check_file(doc) == [
+        "x.md: python -m repro.crashtest has no --bogus-fenced",
+        "x.md: python -m repro.nosuchcli has no --help",
+        "x.md: python -m repro.harness has no --bogus-inline",
+    ]
