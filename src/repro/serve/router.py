@@ -65,9 +65,18 @@ class ConsistentHashRouter:
         points.sort()
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
+        # Owner of each key 0..n-1 that partition() walked: requests
+        # index it instead of hashing, the ring deciding every other key.
+        self._table: List[int] = []
 
     def shard_for(self, key: int) -> int:
         """The shard owning ``key`` (first ring point clockwise)."""
+        table = self._table
+        if 0 <= key < len(table):
+            return table[key]
+        return self._ring_owner(key)
+
+    def _ring_owner(self, key: int) -> int:
         point = stable_hash(self.seed, "key", key)
         index = bisect.bisect_right(self._points, point)
         if index == len(self._points):
@@ -80,9 +89,12 @@ class ConsistentHashRouter:
         The cluster derives each shard's slot directory from this at
         setup; because it is a pure function of ``(shards, seed)``, the
         directory can always be recomputed after a crash — it is
-        configuration, not volatile runtime state.
+        configuration, not volatile runtime state.  The owners walked
+        here become :meth:`shard_for`'s lookup table.
         """
+        table = [self._ring_owner(key) for key in range(keyspace)]
         owned = {shard: [] for shard in self.shard_ids}
-        for key in range(keyspace):
-            owned[self.shard_for(key)].append(key)
+        for key, shard in enumerate(table):
+            owned[shard].append(key)
+        self._table = table
         return owned

@@ -1,6 +1,10 @@
 """The telemetry hub: typed, simulated-time-stamped structured events.
 
-One :class:`Telemetry` instance observes one simulated machine.  Emitters
+One :class:`Telemetry` instance observes one run.  That is one
+simulated machine, except in :mod:`repro.serve`, where one hub observes
+every replica of every shard plus the serve layer: machine events,
+counters and histograms pool over all of them, and only the serve
+layer's own metrics carry a ``shard<N>/`` prefix.  Emitters
 (the scheme base, HOOP controller, GC, commit log, eviction buffer,
 memory port, fault injector) hold a reference and guard every emission
 with a single ``if telemetry.enabled:`` check.  **When telemetry is off
@@ -156,7 +160,10 @@ class Telemetry(NullTelemetry):
         return histogram
 
     def record(self, name: str, value: float) -> None:
-        self.hist(name).record(value)
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.hist(name)
+        histogram.record(value)
 
     def series(self, name: str) -> EpochSeries:
         """Get-or-create a named epoch series (same budget as commits)."""
@@ -170,7 +177,10 @@ class Telemetry(NullTelemetry):
 
     def sample(self, name: str, ts_ns: float, value: float = 1.0) -> None:
         """Fold ``value`` into the named series' epoch at ``ts_ns``."""
-        self.series(name).add(ts_ns, value)
+        series = self.named_series.get(name)
+        if series is None:
+            series = self.series(name)
+        series.add(ts_ns, value)
 
     # -- composite hooks ------------------------------------------------------
 
@@ -179,7 +189,10 @@ class Telemetry(NullTelemetry):
     ) -> None:
         """One durable commit: event + latency histogram + epoch series."""
         latency = end_ns - begin_ns
-        self.hist("commit_latency_ns").record(latency)
+        histogram = self.histograms.get("commit_latency_ns")
+        if histogram is None:
+            histogram = self.hist("commit_latency_ns")
+        histogram.record(latency)
         self.commit_series.add(end_ns)
         self.emit(
             end_ns,

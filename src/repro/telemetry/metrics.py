@@ -13,6 +13,8 @@ from typing import Dict, List, Tuple
 
 # 2^63 ns is ~292 years of simulated time; 64 buckets cover everything.
 _NUM_BUCKETS = 64
+# Values above this land in the top bucket, which is a cap (+inf too).
+_TOP_FLOOR = 2.0 ** (_NUM_BUCKETS - 2)
 
 
 class Log2Histogram:
@@ -38,13 +40,14 @@ class Log2Histogram:
     def bucket_index(value: float) -> int:
         if value <= 1.0:
             return 0
+        if value > _TOP_FLOOR:
+            return _NUM_BUCKETS - 1
         # int(ceil(log2(value))) without float-log wobble: bit_length of
-        # the integer strictly below the value.
+        # the integer strictly below the value.  NaN raises ValueError.
         iv = int(value)
         if iv == value:
             iv -= 1
-        index = iv.bit_length()
-        return index if index < _NUM_BUCKETS else _NUM_BUCKETS - 1
+        return iv.bit_length()
 
     @staticmethod
     def bucket_bounds(index: int) -> Tuple[float, float]:
@@ -55,9 +58,19 @@ class Log2Histogram:
 
     def record(self, value: float) -> None:
         """Count one sample (a negative value counts as zero)."""
-        if value < 0:
-            value = 0.0
-        self.buckets[self.bucket_index(value)] += 1
+        # bucket_index written out: this runs for every sample.
+        if value <= 1.0:
+            if value < 0:
+                value = 0.0
+            index = 0
+        elif value > _TOP_FLOOR:
+            index = _NUM_BUCKETS - 1
+        else:
+            iv = int(value)
+            if iv == value:
+                iv -= 1
+            index = iv.bit_length()
+        self.buckets[index] += 1
         self.count += 1
         self.total += value
         if value > self.max_value:
@@ -149,6 +162,11 @@ class EpochSeries:
 
     def add(self, ts_ns: float, value: float = 1.0) -> None:
         index = int(ts_ns // self.epoch_ns) if ts_ns > 0 else 0
+        values = self.values
+        if index < len(values):
+            # An existing epoch: never past max_epochs, so no coalesce.
+            values[index] += value
+            return
         while index >= self.max_epochs:
             self._coalesce()
             index = int(ts_ns // self.epoch_ns) if ts_ns > 0 else 0

@@ -293,8 +293,8 @@ class MemorySystem:
             self.telemetry.on_commit(core, tx.tx_id, tx.begin_ns, now)
         self.scheme.tick(now)
 
-    # Stores and word loads are the innermost operations of every
-    # simulation, so ``_store`` and ``_load_u64`` run the L1 probe and
+    # Stores and loads are the innermost operations of every simulation,
+    # so ``_store``, ``_load_u64`` and ``_load`` run the L1 probe and
     # the line access inline against ``CacheHierarchy``'s private state
     # and enter it only on an L1 miss.  Routing them through hierarchy
     # methods instead — the tidier module boundary — costs one frame and
@@ -389,16 +389,28 @@ class MemorySystem:
 
     def _load(self, core: int, addr: int, size: int) -> bytes:
         now = self.clocks[core]
-        if addr >= 0 and size > 0 and (addr + size - 1) & _LINE_MASK == addr & _LINE_MASK:
-            # Fast path: single-line load (the dominant case).
-            data, outcome = self.hierarchy.load(core, addr, size, now)
-            self.clocks[core] = now + (outcome.latency_ns + _OP_OVERHEAD_NS)
+        line_addr = addr & _LINE_MASK
+        if addr >= 0 and size > 0 and (addr + size - 1) & _LINE_MASK == line_addr:
+            # Single-line load (the dominant case), inline as ``_load_u64``.
+            h = self.hierarchy
+            if not 0 <= core < h._num_cores:
+                raise AddressError(f"core {core} out of range")
+            h.stats.loads += 1
+            l1 = h._l1[core]
+            bucket = l1._sets[(line_addr >> l1._shift) & l1._set_mask]
+            if line_addr in bucket:
+                l1.hits += 1
+                bucket.move_to_end(line_addr)
+                latency = h._l1_latency
+            else:
+                l1.misses += 1
+                latency = h._miss_resident(core, line_addr, now).latency_ns
+            self.clocks[core] = now + (latency + _OP_OVERHEAD_NS)
             self.scheme.stats.tx_loads += 1
             if self._tel_on:
-                self.telemetry.record(
-                    "load_latency_ns", outcome.latency_ns + _OP_OVERHEAD_NS
-                )
-            return data
+                self.telemetry.record("load_latency_ns", latency + _OP_OVERHEAD_NS)
+            offset = addr - line_addr
+            return bytes(h._data[line_addr][offset : offset + size])
         chunks = []
         start_ns = now
         for _, piece_addr, piece_size in split_by_cache_line(addr, size):

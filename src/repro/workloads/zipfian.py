@@ -8,6 +8,7 @@ the Zipfian distribution [11]; theta defaults to YCSB's 0.99.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Optional
 
@@ -44,9 +45,12 @@ class ZipfianGenerator:
         )
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
         # Exact for small n; integral approximation keeps big populations
         # O(1) (the error is far below anything the experiments resolve).
+        # Memoized: a pure function, and every client of a serve run
+        # asks it for the same (n, theta).
         if n <= 10_000:
             return sum(1.0 / (i**theta) for i in range(1, n + 1))
         head = sum(1.0 / (i**theta) for i in range(1, 10_001))

@@ -1,5 +1,6 @@
 """The serving layer: routing, admission, batching, failover, oracle."""
 
+import bisect
 import hashlib
 import json
 from pathlib import Path
@@ -83,6 +84,41 @@ class TestRouter:
         assert seen == list(range(300))
         for shard, keys in partition.items():
             assert all(router.shard_for(k) == shard for k in keys)
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    @pytest.mark.parametrize("shards", [1, 4, 7])
+    def test_owner_table_routes_like_the_hashed_ring(self, shards, seed):
+        # Reference: the ring written out from stable_hash alone.
+        ring = sorted(
+            (stable_hash(seed, "shard", shard, replica), shard)
+            for shard in range(shards)
+            for replica in range(64)
+        )
+        points = [point for point, _ in ring]
+
+        def ring_owner(key):
+            index = bisect.bisect_right(points, stable_hash(seed, "key", key))
+            return ring[index % len(ring)][1]
+
+        keyspace = 300
+        router = ConsistentHashRouter(list(range(shards)), seed=seed)
+        assert router.partition(keyspace) == {
+            shard: [k for k in range(keyspace) if ring_owner(k) == shard]
+            for shard in range(shards)
+        }
+        keys = [*range(-3, keyspace + 40), 2**64, -(2**64)]
+        assert [router.shard_for(k) for k in keys] == [
+            ring_owner(k) for k in keys
+        ]
+
+    @pytest.mark.parametrize("shards", [1, 4, 7])
+    def test_cluster_build_hashes_each_key_once(self, shards):
+        cfg = tiny_cfg(shards=shards, keyspace=300)
+        with mock.patch(
+            "repro.serve.router.stable_hash", wraps=stable_hash
+        ) as counted:
+            cluster = ServeCluster(cfg)
+        assert counted.call_count == shards * cluster.router.vnodes + 300
 
 
 class TestAdmission:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import SystemConfig
 from repro.telemetry import (
@@ -71,6 +74,96 @@ class TestLog2Histogram:
         assert Log2Histogram.bucket_index(4.0) == 2
         lo, hi = Log2Histogram.bucket_bounds(2)
         assert (lo, hi) == (2.0, 4.0)
+
+
+# Where bucket arithmetic can slip: 0, 1, powers of two and their
+# neighbouring floats, negatives, and values at or past the 2^63 cap.
+_BUCKET_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0, 1]),
+    st.integers(0, 70).flatmap(
+        lambda e: st.sampled_from(
+            [
+                math.nextafter(2.0**e, 0.0),
+                2.0**e,
+                math.nextafter(2.0**e, math.inf),
+                2**e - 1,
+                2**e,
+                2**e + 1,
+            ]
+        )
+    ),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.integers(max_value=0),
+    st.floats(min_value=2.0**63),
+    st.integers(min_value=2**63),
+)
+
+
+class TestSinkProperties:
+    @given(_BUCKET_EDGES)
+    def test_record_lands_in_the_bucket_index_bucket(self, value):
+        hist = Log2Histogram()
+        hist.record(value)
+        index = Log2Histogram.bucket_index(value)
+        assert hist.buckets[index] == 1 and hist.count == 1
+        lo, hi = Log2Histogram.bucket_bounds(index)
+        clamped = max(value, 0.0)
+        assert clamped > lo or index == 0
+        assert clamped <= hi or index == len(hist.buckets) - 1
+
+    def test_infinity_is_capped_and_nan_rejected(self):
+        hist = Log2Histogram()
+        hist.record(math.inf)
+        assert Log2Histogram.bucket_index(math.inf) == len(hist.buckets) - 1
+        assert hist.buckets[-1] == 1 and hist.max_value == math.inf
+        with pytest.raises(ValueError):
+            hist.record(math.nan)
+        with pytest.raises(ValueError):
+            Log2Histogram.bucket_index(math.nan)
+        assert hist.count == 1
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(2, 6),
+        st.lists(
+            st.tuples(
+                st.floats(-50.0, 5_000.0, allow_nan=False),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_add_matches_the_coalescing_path(self, max_epochs, samples):
+        def add_slowly(series, ts_ns, value):
+            # EpochSeries.add without its existing-epoch shortcut.
+            index = int(ts_ns // series.epoch_ns) if ts_ns > 0 else 0
+            while index >= series.max_epochs:
+                series._coalesce()
+                index = int(ts_ns // series.epoch_ns) if ts_ns > 0 else 0
+            if index >= len(series.values):
+                series.values.extend([0.0] * (index + 1 - len(series.values)))
+            series.values[index] += value
+
+        fast = EpochSeries(epoch_ns=10.0, max_epochs=max_epochs)
+        slow = EpochSeries(epoch_ns=10.0, max_epochs=max_epochs)
+        for ts_ns, value in samples:
+            fast.add(ts_ns, value)
+            add_slowly(slow, ts_ns, value)
+            assert (fast.epoch_ns, fast.values) == (slow.epoch_ns, slow.values)
+
+    def test_reset_metrics_gives_record_and_sample_fresh_sinks(self):
+        tel = Telemetry()
+        tel.record("h", 9.0)
+        tel.sample("s", 5.0, 2.0)
+        old_hist, old_series = tel.histograms["h"], tel.named_series["s"]
+        tel.reset_metrics()
+        tel.record("h", 3.0)
+        tel.sample("s", 5.0)
+        assert tel.histograms["h"] is not old_hist
+        assert tel.named_series["s"] is not old_series
+        assert (tel.hist("h").count, tel.hist("h").total) == (1, 3.0)
+        assert tel.series("s").values == [1.0]
+        assert (old_hist.count, old_series.values) == (1, [2.0])
 
 
 class TestEpochSeries:
