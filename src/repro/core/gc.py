@@ -36,7 +36,7 @@ from repro.core.commit_log import CommitLog, CommittedTx
 from repro.core.eviction_buffer import EvictionBuffer
 from repro.core.mapping_table import MappingTable
 from repro.core.oop_region import BlockState, OOPRegion
-from repro.core.slices import SliceCodec
+from repro.core.slices import SLICE_BYTES, SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.telemetry.hub import NULL_TELEMETRY
@@ -287,9 +287,10 @@ class GarbageCollector:
                 self.region.state_of(block) == BlockState.GC
                 and self.refs.is_reclaimable(block)
             ):
+                self._forget_decodes(block)
                 self.region.reclaim(block, now_ns)
                 report.blocks_collected += 1
-        latest = max(latest, self._reclaim_addr_blocks(now_ns))
+        self._reclaim_addr_blocks(now_ns)
 
         report.completion_ns = latest
         if telemetry is not None:
@@ -351,16 +352,33 @@ class GarbageCollector:
                     cursor = (cursor - ds.prev_delta) % total
         return words, slices_read, latest
 
-    def _reclaim_addr_blocks(self, now_ns: float) -> float:
+    def _forget_decodes(self, block: int) -> None:
+        """Drop a data block's slice decodes from the codec memo.
+
+        Called just before the block is reclaimed: from then on no
+        reader (GC, the LLC-miss path, recovery's busy-block scan) asks
+        for these slices again.  The memo stays a pure cache, so this
+        only frees memory; see "The word-run write path" in
+        ``docs/internals.md``.
+        """
+        region = self.region
+        raw = region.port.device.peek(
+            region.block_base(block), region.block_bytes
+        )
+        forget = self.codec._decode_cache.pop
+        for slot in range(1, region.slots_per_block + 1):  # 0: the header
+            offset = slot * SLICE_BYTES
+            forget(raw[offset : offset + SLICE_BYTES], None)
+
+    def _reclaim_addr_blocks(self, now_ns: float) -> None:
         """Reclaim commit-log blocks whose pages are all fully retired."""
         retired_pages = self.commit_log.fully_retired_pages()
         if not retired_pages:
-            return now_ns
+            return
         by_block: Dict[int, List[int]] = {}
         for slice_index in retired_pages:
             block, _ = self.region.slice_location(slice_index)
             by_block.setdefault(block, []).append(slice_index)
-        latest = now_ns
         for block, pages in by_block.items():
             if (
                 self.region.state_of(block) == BlockState.FULL
@@ -369,7 +387,6 @@ class GarbageCollector:
                 self.commit_log.drop_pages(pages)
                 self.region.begin_gc(block, now_ns)
                 self.region.reclaim(block, now_ns)
-        return latest
 
 
 # -- snapshot declarations ----------------------------------------------------

@@ -72,8 +72,11 @@ def _checksum(payload: bytes) -> int:
 
 
 def _memo_put(cache: dict, raw: bytes, value) -> None:
-    """Store one decode in a codec memo (keyed on all 128 raw bytes)."""
-    if len(cache) >= 32768:  # bound footprint on long-lived codecs
+    """Store one decode in a codec memo (keyed on all 128 raw bytes).
+
+    Lifetime: "The word-run write path" in ``docs/internals.md``.
+    """
+    if len(cache) >= 32768:  # backstop for machines with more live slices
         cache.clear()
     cache[raw] = value
 
@@ -223,7 +226,8 @@ class SliceCodec:
         # of the raw bytes and its result is immutable, so identical
         # slices (recovery replays of the same region content, GC
         # re-walks) share one decode.  Corrupt slices cache their message
-        # as a str.
+        # as a str.  Lifetime: "The word-run write path" in
+        # docs/internals.md.
         self._decode_cache: dict = {}
         self._addr_cache: dict = {}
 

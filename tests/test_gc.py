@@ -1,11 +1,19 @@
 """Garbage collection: coalescing, commit-order prefix, reclamation."""
 
-import pytest
+import functools
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import snapshot
 from repro.common.config import SystemConfig
 from repro.common.units import MB
 from repro.core.controller import HoopController
 from repro.core.oop_region import BlockState
+from repro.core.slices import SLICE_BYTES
+from repro.harness.experiments import build_cell, get_scale
 from repro.nvm.device import NVMDevice
 
 
@@ -167,3 +175,133 @@ class TestLifecycle:
         controller.gc.run(0.0, on_demand=False)
         assert stats.passes == 2
         assert stats.on_demand_passes == 1
+
+
+# -- the codec's decode memo across reclaims ------------------------------------
+
+_SMOKE = get_scale("smoke")
+
+
+class _Disturbed:
+    """A workload that runs ``actions[i]`` after its ``i``-th transaction."""
+
+    def __init__(self, workload, actions):
+        self.workload = workload
+        self.name = workload.name
+        self.actions = actions
+        self.done = 0
+
+    def setup(self, core=0):
+        self.workload.setup(core)
+
+    def do_transaction(self, core, rng):
+        self.workload.do_transaction(core, rng)
+        action = self.actions.get(self.done)
+        if action is not None:
+            action()
+        self.done += 1
+
+
+def _smoke_hoop_run(actions_for=lambda system: {}):
+    """A smoke-scale hoop hashmap run; ``(system, RunResult)``."""
+    system, workload, driver = build_cell(_SMOKE, "hoop", "hashmap", 7)
+    workload = _Disturbed(workload, actions_for(system))
+    result = driver.run(
+        workload, _SMOKE.transactions, warmup=_SMOKE.warmup
+    )
+    return system, result
+
+
+def _outcome(system, result) -> str:
+    """Everything a memo disturbance must leave byte-identical."""
+    ctrl = system.scheme.controller
+    return repr((
+        result,
+        ctrl.gc.stats,
+        ctrl.buffer.stats,
+        ctrl.mapping.stats,
+        system.device.content_fingerprint(),
+    ))
+
+
+def _fork_collects(system, reclaimed):
+    """Fork ``system`` and let the fork run an on-demand GC pass."""
+
+    def action():
+        fork = snapshot.clone_state(system)
+        fork_ctrl = fork.scheme.controller
+        assert fork_ctrl.codec is system.scheme.controller.codec
+        report = fork_ctrl.gc.run(fork.now_ns, on_demand=True)
+        reclaimed.append(report.blocks_collected)
+
+    return action
+
+
+def test_reclaimed_blocks_leave_no_decode_in_the_memo():
+    system, _ = _smoke_hoop_run()
+    ctrl = system.scheme.controller
+    region = ctrl.region
+    memo = ctrl.codec._decode_cache
+    assert ctrl.gc.stats.passes > 1
+    assert region.stats.blocks_reclaimed > 1
+    stale = 0
+    for block in range(region.num_blocks):
+        if region.state_of(block) != BlockState.UNUSED:
+            continue
+        raw = system.device.peek(region.block_base(block), region.block_bytes)
+        for slot in range(1, region.slots_per_block + 1):
+            offset = slot * SLICE_BYTES
+            stale += raw[offset : offset + SLICE_BYTES] in memo
+    assert stale == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _undisturbed() -> str:
+    return _outcome(*_smoke_hoop_run())
+
+
+def test_a_fork_reclaiming_blocks_leaves_the_original_run_unchanged():
+    reclaimed = []
+
+    def actions_for(system):
+        fork = _fork_collects(system, reclaimed)
+        return {i: fork for i in range(5, 220, 30)}
+
+    assert _outcome(*_smoke_hoop_run(actions_for)) == _undisturbed()
+    assert sum(reclaimed) > 0
+
+
+_TX_INDEX = st.integers(0, _SMOKE.warmup + _SMOKE.transactions - 1)
+_DISTURBANCE = st.one_of(
+    st.tuples(st.just("evict"), st.sampled_from(["data", "addr"]),
+              st.floats(0.0, 1.0), st.integers(0, 2**32)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("fork")),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.dictionaries(_TX_INDEX, _DISTURBANCE, min_size=1, max_size=12))
+def test_the_decode_memo_is_a_pure_cache(schedule):
+    """Evicting, clearing or sharing the memo changes no output."""
+
+    def actions_for(system):
+        codec = system.scheme.controller.codec
+
+        def evict(which, share, seed):
+            memo = codec._decode_cache if which == "data" else codec._addr_cache
+            keys = list(memo)
+            for key in random.Random(seed).sample(keys, int(len(keys) * share)):
+                del memo[key]
+
+        actions = {}
+        for index, (kind, *args) in schedule.items():
+            if kind == "evict":
+                actions[index] = functools.partial(evict, *args)
+            elif kind == "clear":
+                actions[index] = codec._decode_cache.clear
+            else:
+                actions[index] = _fork_collects(system, [])
+        return actions
+
+    assert _outcome(*_smoke_hoop_run(actions_for)) == _undisturbed()
