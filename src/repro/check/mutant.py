@@ -24,7 +24,7 @@ the scheme registry, so it can never leak into harness figures.
 from __future__ import annotations
 
 from repro.common.addr import CACHE_LINE_BYTES
-from repro.schemes.logregion import KIND_COMMIT, KIND_DATA
+from repro.schemes.appendlog import KIND_COMMIT, KIND_DATA
 from repro.schemes.redo import _LOG_ENTRY_BYTES, _LOG_PRESSURE, OptRedoScheme
 
 MUTANT_SCHEME = "mutant-redo"

@@ -41,7 +41,7 @@ Disciplines and the rules they enable:
 ``persist-domain``    queued writes are inside a battery-backed persist
                       domain (LAD): coverage + sync commit record
 ``log-drain``         queued log writes must be explicitly drained before
-                      the commit record (Opt-Redo, logregion, LSM)
+                      the commit record (Opt-Redo, LSM)
 ``flush-fence``       every covering persist must be synchronous or
                       drained before the commit record (OSP)
 ``undo-inplace``      ``log-drain`` rules plus per-address pre-image

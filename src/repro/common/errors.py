@@ -34,10 +34,6 @@ class CorruptionError(ReproError):
     """On-NVM metadata failed validation (torn or stray write)."""
 
 
-class RecoveryError(ReproError):
-    """Crash recovery could not restore a consistent state."""
-
-
 class PowerLossError(ReproError):
     """Injected power failure: the access (and all later ones) was lost.
 

@@ -53,7 +53,6 @@ SWEEP_SCHEMES: Dict[str, str] = {
     "osp": "osp",
     "lad": "lad",
     "lsm": "lsm",
-    "logregion": "logregion",
     "hoopmc": "hoop-mc",
 }
 
@@ -61,7 +60,12 @@ _ZERO_WORD = bytes(8)
 
 
 def resolve_schemes(spec: str) -> List[str]:
-    """Expand a ``--schemes`` argument to registry names."""
+    """Expand a ``--schemes`` argument to registry names.
+
+    A token is a ``SWEEP_SCHEMES`` key or value; anything else (an
+    unknown name, or ``native``, which promises nothing to sweep) is a
+    ``ValueError`` that lists the vocabulary.
+    """
     if spec == "all":
         return list(SWEEP_SCHEMES.values())
     names = []
@@ -70,6 +74,12 @@ def resolve_schemes(spec: str) -> List[str]:
         if not token:
             continue
         registry = SWEEP_SCHEMES.get(token, token)
+        if registry not in SWEEP_SCHEMES.values():
+            raise ValueError(
+                f"unknown sweep scheme {token!r}; choose from "
+                f"{', '.join(SWEEP_SCHEMES)} (or their registry names)"
+                " or 'all'"
+            )
         names.append(registry)
     if not names:
         raise ValueError("no schemes selected")

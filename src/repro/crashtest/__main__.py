@@ -254,6 +254,10 @@ def main(argv=None) -> int:
         " unlimited); pair with --resume to continue",
     )
     args = parser.parse_args(argv)
+    try:
+        args.schemes = crashtest.resolve_schemes(args.schemes)
+    except ValueError as exc:
+        parser.error(str(exc))
     with profile_to(args.profile):
         return _run(args)
 
@@ -263,12 +267,11 @@ def _run(args) -> int:
     if args.replay:
         return _replay(args.replay)
     mode = _nested(args) if args.nested else _forward(args)
-    schemes = crashtest.resolve_schemes(args.schemes)
     any_failures = exhausted = False
     grand_cases = 0
     verdicts = {}
     started = time.time()
-    for scheme in schemes:
+    for scheme in args.schemes:
         t0 = time.time()
         result = mode.sweep(scheme)
         grand_cases += len(result.cases)
@@ -285,7 +288,8 @@ def _run(args) -> int:
         print(f"[crashtest] verdicts -> {path}")
     print(
         f"[crashtest] {mode.total}: {grand_cases} cases across "
-        f"{len(schemes)} schemes in {time.time() - started:.1f}s{mode.note}"
+        f"{len(args.schemes)} schemes in"
+        f" {time.time() - started:.1f}s{mode.note}"
     )
     if any_failures:
         print(

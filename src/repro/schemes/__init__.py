@@ -13,7 +13,6 @@ describing its Table I row.
 ``osp``               optimized cache-line shadow paging (SSP)
 ``lsm``               software log-structured NVM (LSNVMM)
 ``lad``               logless atomic durability (LAD)
-``logregion``         word-granular log region (eager redo streaming)
 ====================  ==========================================
 
 Scheme classes are imported lazily by :func:`make_scheme` so importing the
@@ -31,7 +30,6 @@ _SCHEME_MODULES = {
     "osp": ("repro.schemes.osp", "OSPScheme"),
     "lsm": ("repro.schemes.lsm", "LSMScheme"),
     "lad": ("repro.schemes.lad", "LADScheme"),
-    "logregion": ("repro.schemes.logregion", "LogRegionScheme"),
 }
 
 ALL_SCHEME_NAMES = tuple(_SCHEME_MODULES)

@@ -28,12 +28,9 @@ import struct
 import zlib
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
 from repro.common.errors import CapacityError, CorruptionError
 from repro.memctrl.port import MemoryPort
-from repro.memctrl.scheduler import PeriodicTrigger
-from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.snapshot import reset_volatile
+from repro.schemes.base import RecoveryOutcome
 
 _MAGIC = 0xA7
 # Entry kinds.
@@ -366,7 +363,7 @@ class AppendLog:
 
 
 def replay_committed(scheme, bandwidth_gb_per_s) -> RecoveryOutcome:
-    """Redo recovery over ``scheme.log``: opt-redo's and logregion's ``recover``.
+    """Redo recovery over ``scheme.log``: opt-redo's ``recover``.
 
     Writes home the data entries of every transaction whose commit
     record the scan found, in commit order, as one ``poke_batch``;
@@ -409,193 +406,6 @@ def replay_committed(scheme, bandwidth_gb_per_s) -> RecoveryOutcome:
     return outcome
 
 
-# -- the log-region scheme ---------------------------------------------------------
-
-# Extra read latency for the log-region indirection: every LLC miss
-# probes the overlay index before touching home.
-_INDEX_PROBE_NS = 15.0
-# Serving a line from the DRAM-resident overlay.
-_OVERLAY_HIT_NS = 90.0
-# Checkpoint before the log passes this fill level.
-_LOG_PRESSURE = 0.85
-
-
-class LogRegionScheme(PersistenceScheme):
-    """Word-granular log-region persistence (eager redo streaming).
-
-    The design point between Opt-Redo and LSM: like a software
-    log-region allocator, every transactional store is streamed to the
-    durable log *eagerly* at word granularity — a 32-byte entry for an
-    8-byte store, not Opt-Redo's two full cache lines — so commit only
-    has to drain the queue and persist a commit record.  The home region
-    is updated lazily by a periodic checkpoint that applies committed
-    words in place and truncates the log behind the oldest still-open
-    transaction.
-
-    Reads pay for the indirection: updated-but-not-checkpointed content
-    is served from a DRAM-resident overlay, and every miss charges an
-    index probe (Table I's "High" read latency for log-structured
-    schemes).
-
-    Recovery replays the data entries of every transaction whose commit
-    record survived the crash scan, in commit order, and discards the
-    rest — eagerly-streamed entries of uncommitted transactions are
-    garbage the scan's CRC/commit filtering ignores.
-
-    Paper analogue: a hybrid of WrAP-style hardware redo [13] and
-    LSNVMM's word-granular log [17] (no single-paper counterpart).
-    Declared durability discipline: ``log-drain`` — the eagerly queued
-    word entries must be drained before the synchronous commit record;
-    the persist-ordering sanitizer (:mod:`repro.check`) enforces that
-    fence edge per committed transaction.
-    """
-
-    name = "logregion"
-    traits = SchemeTraits(
-        approach="Logging / word-granular log region",
-        read_latency="High",
-        extra_writes_on_critical_path=True,
-        requires_flush_fence=False,
-        write_traffic="Medium",
-        durability="log-drain",
-    )
-
-    def __init__(self, config, device) -> None:
-        super().__init__(config, device)
-        self.log = AppendLog(
-            self.port, config.oop_region_base, config.oop_region_bytes
-        )
-        # Latest full content of every line touched since its last
-        # checkpoint (committed or in-flight) — the read overlay.
-        self._overlay: Dict[int, bytes] = {}
-        # Committed-but-not-checkpointed stores: addr -> bytes.
-        self._home_pending: Dict[int, bytes] = {}
-        # Open transactions: tx_id -> (first log offset, [(addr, data)]).
-        self._open: Dict[int, Tuple[int, List[Tuple[int, bytes]]]] = {}
-        self._checkpoint = PeriodicTrigger(config.hoop.gc.period_ns)
-        self.checkpoints = 0
-        self.overlay_hits = 0
-
-    # -- transactional API -------------------------------------------------------
-
-    def tx_begin(self, core: int, now_ns: float):
-        tx_id, now_ns = super().tx_begin(core, now_ns)
-        self._open[tx_id] = (-1, [])
-        return tx_id, now_ns
-
-    def on_store(
-        self,
-        core: int,
-        tx_id: int,
-        addr: int,
-        size: int,
-        line_addr: int,
-        line_data: bytes,
-        now_ns: float,
-    ) -> float:
-        self.stats.tx_stores += 1
-        if self.log.fill_fraction >= _LOG_PRESSURE:
-            now_ns = self._run_checkpoint(now_ns, blocking=True)
-        payload = line_data[addr - line_addr : addr - line_addr + size]
-        offset, _ = self.log.append(
-            KIND_DATA, tx_id, addr, payload, now_ns, sync=False
-        )
-        if self.check.active:
-            self.check.note_persist(
-                tx_id, "log", addr, size, now_ns, sync=False,
-                port=self.port,
-            )
-        first, writes = self._open[tx_id]
-        if first < 0:
-            first = offset
-        writes.append((addr, payload))
-        self._open[tx_id] = (first, writes)
-        self._overlay[line_addr] = line_data
-        return now_ns
-
-    def tx_end(self, core: int, tx_id: int, now_ns: float) -> float:
-        _, writes = self._open.pop(tx_id, (-1, []))
-        if not writes:
-            return now_ns
-        # Data entries are already streaming through the write queue;
-        # drain so they are durable before the commit record lands.
-        now_ns = self.port.drain(now_ns)
-        _, now_ns = self.log.append(
-            KIND_COMMIT, tx_id, 0, b"", now_ns, sync=True
-        )
-        if self.check.active:
-            self.check.note_persist(
-                tx_id, "commit", -1, 0, now_ns, sync=True, port=self.port
-            )
-        self._home_pending.update(writes)
-        return now_ns
-
-    # -- read path ---------------------------------------------------------------
-
-    def fill_line(self, line_addr: int, now_ns: float):
-        line_addr = cache_line_base(line_addr)
-        cached = self._overlay.get(line_addr)
-        if cached is not None:
-            self.overlay_hits += 1
-            return cached, _OVERLAY_HIT_NS
-        data, completion = self.port.read(
-            line_addr, CACHE_LINE_BYTES, now_ns
-        )
-        return data, (completion - now_ns) + _INDEX_PROBE_NS
-
-    def on_evict(
-        self,
-        line_addr: int,
-        data: bytes,
-        dirty: bool,
-        persistent: bool,
-        tx_id: int,
-        now_ns: float,
-    ) -> None:
-        if not dirty:
-            return
-        if persistent:
-            # Home must keep the pre-transaction content until the
-            # checkpoint applies committed words; the overlay already
-            # holds these bytes for re-fill.
-            return
-        self.port.async_write(line_addr, data, now_ns)
-
-    # -- checkpoint ---------------------------------------------------------------
-
-    def tick(self, now_ns: float) -> None:
-        if self._checkpoint.due(now_ns):
-            self._checkpoint.fire(now_ns)
-            self._run_checkpoint(now_ns, blocking=False)
-
-    def _run_checkpoint(self, now_ns: float, *, blocking: bool) -> float:
-        """Apply committed stores home, truncate behind open transactions."""
-        for addr, data in self._home_pending.items():
-            self.port.async_write(addr, data, now_ns)
-        if self._home_pending:
-            self.checkpoints += 1
-        self._home_pending.clear()
-        self._overlay.clear()
-        drain = self.port.drain(now_ns)
-        open_firsts = [f for f, _ in self._open.values() if f >= 0]
-        upto = min(open_firsts) if open_firsts else None
-        truncate_done = self.log.truncate(drain, upto=upto)
-        return truncate_done if blocking else now_ns
-
-    def quiesce(self, now_ns: float) -> float:
-        return self._run_checkpoint(now_ns, blocking=True)
-
-    # -- crash & recovery -----------------------------------------------------------
-
-    # The overlay, the pending home writes and the open transactions are SRAM.
-    __durable__ = PersistenceScheme.DURABLE + (
-        "log", "_checkpoint", "checkpoints", "overlay_hits")
-    crash = reset_volatile
-
-    def recover(self, *, threads: int = 1, bandwidth_gb_per_s=None):
-        return replay_committed(self, bandwidth_gb_per_s)
-
 # -- snapshot declarations ----------------------------------------------------
 LogEntry.__snapshot_state__ = "__atom__"
 AppendLog.__snapshot_state__ = "__all__"
-LogRegionScheme.__snapshot_state__ = "__all__"

@@ -70,7 +70,6 @@ class SchemeStats:
     transactions: int = 0
     tx_stores: int = 0
     tx_loads: int = 0
-    critical_path_ns: float = 0.0
     ordering_stalls: int = 0
 
 

@@ -38,7 +38,7 @@ from repro.common.config import SystemConfig
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.schemes.logregion import KIND_COMMIT, AppendLog
+from repro.schemes.appendlog import KIND_COMMIT, AppendLog
 from repro.schemes.skiplist import SkipList
 from repro.snapshot import reset_volatile
 

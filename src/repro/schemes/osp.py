@@ -42,7 +42,7 @@ from repro.common.config import SystemConfig
 from repro.common.errors import CapacityError
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.schemes.logregion import KIND_COMMIT, AppendLog
+from repro.schemes.appendlog import KIND_COMMIT, AppendLog
 from repro.snapshot import reset_volatile
 
 # Cost of invalidating stale translations on the other cores after a

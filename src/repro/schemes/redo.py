@@ -33,7 +33,7 @@ from repro.common.config import SystemConfig
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.schemes.logregion import (
+from repro.schemes.appendlog import (
     KIND_COMMIT,
     KIND_DATA,
     AppendLog,

@@ -30,7 +30,7 @@ from repro.common.addr import CACHE_LINE_BYTES, cache_line_base
 from repro.common.config import SystemConfig
 from repro.nvm.device import NVMDevice
 from repro.schemes.base import PersistenceScheme, RecoveryOutcome, SchemeTraits
-from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
+from repro.schemes.appendlog import KIND_COMMIT, KIND_DATA, AppendLog
 from repro.snapshot import reset_volatile
 
 _LOG_ENTRY_BYTES = 2 * CACHE_LINE_BYTES

@@ -736,12 +736,6 @@ class ReplicationGroup:
             r.index: r.durable_projection() for r in self.replicas if r.live
         }
 
-    def live_fingerprints(self) -> Dict[int, str]:
-        """Durable keyspace fingerprint of every live replica, by index."""
-        return {
-            r.index: r.fingerprint() for r in self.replicas if r.live
-        }
-
     def divergence_of(self, projections: Dict[int, object]) -> Optional[str]:
         """Compare already-computed projections; None when identical.
 

@@ -293,8 +293,7 @@ class RunResult:
     llc_miss_ratio: float
     extras: Dict[str, float] = field(default_factory=dict)
     # Populated only when the system runs with a live Telemetry hub: the
-    # hub's summary() dict (histograms, counters, series).  Stays None on
-    # plain runs so cached results from older code round-trip unchanged.
+    # hub's summary() dict (histograms, counters, series); None otherwise.
     telemetry: Optional[Dict] = None
 
     @property

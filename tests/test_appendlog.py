@@ -7,7 +7,7 @@ from repro.common.errors import CapacityError
 from repro.common.units import KB, MB
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
-from repro.schemes.logregion import (
+from repro.schemes.appendlog import (
     _ENTRY_HEADER,
     KIND_COMMIT,
     KIND_DATA,

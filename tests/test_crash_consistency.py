@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 
 from repro import MemorySystem, SystemConfig
 
-PERSISTENT_SCHEMES = [
-    "hoop", "opt-redo", "opt-undo", "osp", "lsm", "lad", "logregion",
-]
+PERSISTENT_SCHEMES = ["hoop", "opt-redo", "opt-undo", "osp", "lsm", "lad"]
 
 
 def run_random_workload(

@@ -355,17 +355,38 @@ class TestArtifacts:
             CrashArtifact.from_dict(payload)
 
 
+# A typo, the scheme that promises nothing, and a deleted scheme.
+_UNSWEEPABLE = ["bogus", "native", "logregion"]
+
+
 class TestSweep:
     def test_resolve_schemes(self):
         assert crashtest.resolve_schemes("hoop,undo") == [
             "hoop", "opt-undo",
         ]
         assert crashtest.resolve_schemes("hoopmc") == ["hoop-mc"]
-        assert len(crashtest.resolve_schemes("all")) == 8
+        assert len(crashtest.resolve_schemes("all")) == len(
+            crashtest.SWEEP_SCHEMES
+        )
         with pytest.raises(ValueError):
             crashtest.resolve_schemes(",")
 
-    @pytest.mark.parametrize("scheme", ["hoop", "logregion"])
+    @pytest.mark.parametrize("spec", _UNSWEEPABLE)
+    def test_resolve_schemes_refuses_what_it_cannot_sweep(self, spec):
+        with pytest.raises(ValueError, match="hoopmc"):
+            crashtest.resolve_schemes(f"hoop,{spec}")
+
+    @pytest.mark.parametrize("spec", _UNSWEEPABLE)
+    def test_cli_refuses_an_unsweepable_scheme(self, spec, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--schemes", spec, "--artifact-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"unknown sweep scheme {spec!r}" in err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scheme", ["hoop", "opt-redo"])
     def test_sampled_sweep_passes(self, scheme, tmp_path):
         result = crashtest.sweep_scheme(
             scheme,

@@ -106,7 +106,6 @@ class TestTable1:
             "osp",
             "lsm",
             "lad",
-            "logregion",
         }
 
     def test_hoop_row_matches_paper(self):

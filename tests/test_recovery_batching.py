@@ -31,7 +31,7 @@ from repro.core.slices import SliceCodec
 from repro.faults.injector import FaultyNVMDevice
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
-from repro.schemes.logregion import KIND_COMMIT, KIND_DATA, AppendLog
+from repro.schemes.appendlog import KIND_COMMIT, KIND_DATA, AppendLog
 from repro.snapshot import capture, clone_state
 from repro.snapshot.replay import run_txns
 from repro.txn.system import MemorySystem

@@ -32,7 +32,7 @@ from repro.core.multi_controller import MultiControllerHoopScheme
 from repro.core.oop_region import _decode_header, _encode_header
 from repro.core.recovery import RecoveryManager
 from repro.core.slices import SLICE_BYTES
-from repro.schemes.logregion import _ScanMemo
+from repro.schemes.appendlog import _ScanMemo
 from repro.snapshot import capture
 from repro.txn.system import MemorySystem
 
@@ -173,7 +173,6 @@ _MUTANTS = {
     "hoop": ["chain", "page", "generation"],
     "hoop-mc": ["chain", "page", "generation"],
     "opt-redo": ["entry"],
-    "logregion": ["entry"],
 }
 
 
