@@ -1,48 +1,10 @@
 """The evaluation harness: one entry point per paper figure/table.
 
-Every ``run_*`` function returns a :class:`repro.stats.report.FigureData`
-whose rows mirror the paper's plot series; the benchmarks print them and
-write them under ``results/``.  ``Scale`` presets trade fidelity for wall
-time — ``smoke`` for CI, ``default`` for local iteration, ``paper`` for
-the recorded EXPERIMENTS.md numbers.
+Every ``run_*`` function in :mod:`repro.harness.experiments` returns a
+:class:`repro.stats.report.FigureData` whose rows mirror the paper's
+plot series; ``python -m repro.harness`` writes them under ``results/``
+and checks each against its shape claims in :mod:`repro.harness.claims`.
+``Scale`` presets trade fidelity for wall time — ``smoke`` for CI,
+``default`` for local iteration, ``paper`` for the recorded
+EXPERIMENTS.md numbers.
 """
-
-from repro.harness.experiments import (
-    SCALES,
-    Scale,
-    run_cell,
-    run_figure7a,
-    run_figure7b,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_figure12,
-    run_figure13,
-    run_dataset_variants,
-    run_read_profile,
-    run_region_fraction_sweep,
-    run_thread_scaling,
-    run_table1,
-    run_table4,
-)
-
-__all__ = [
-    "Scale",
-    "SCALES",
-    "run_cell",
-    "run_figure7a",
-    "run_figure7b",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
-    "run_figure11",
-    "run_figure12",
-    "run_figure13",
-    "run_dataset_variants",
-    "run_thread_scaling",
-    "run_region_fraction_sweep",
-    "run_table1",
-    "run_table4",
-    "run_read_profile",
-]

@@ -1,16 +1,21 @@
-"""Command-line entry point: regenerate every figure and table.
+"""Command-line entry point: regenerate every figure and check its claims.
 
 Usage::
 
     python -m repro.harness [--scale smoke|default|paper] [--only FIG ...]
                             [--out DIR] [--profile PATH]
-                            [--telemetry DIR] [--faults]
+                            [--telemetry DIR]
 
 Writes each figure's text rendering to ``<out>/<figure>.txt`` and prints
 them to stdout, each followed by a ``[<figure> took N s]`` line.
 ``--only fig7a fig8`` restricts the set.  Without ``--out`` the tables
 go to ``results/`` at smoke scale (the goldens CI diffs) and to
 ``results_<scale>/`` otherwise.
+
+After writing each figure it checks that figure's shape claims
+(:mod:`repro.harness.claims`) and prints every claim that does not hold
+to stderr.  The exit status is 1 if any claim failed, decided only after
+every figure is written, so a run always leaves all of its tables.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import pathlib
 import sys
 import time
 
-from repro.harness import experiments
+from repro.harness import claims, experiments
 from repro.tools.profiling import add_profile_argument, profile_to
 
 RUNNERS = {
@@ -38,13 +43,18 @@ RUNNERS = {
     "threads": experiments.run_thread_scaling,
     "regions": experiments.run_region_fraction_sweep,
     "profile": experiments.run_read_profile,
+    "ablation_packing": experiments.run_ablation_packing,
+    "ablation_coalescing": experiments.run_ablation_coalescing,
+    "ablation_condensing": experiments.run_ablation_condensing,
+    "faults": experiments.run_fault_reports,
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Regenerate the HOOP paper's figures and tables.",
+        description="Regenerate the HOOP paper's figures and tables and"
+        " check their shape claims.",
     )
     parser.add_argument(
         "--scale",
@@ -70,23 +80,20 @@ def main(argv=None) -> int:
         help="run the telemetry matrix and write per-cell latency"
         " summaries (JSON) into DIR",
     )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="also run the fault-tolerance report (faulty device)",
-    )
     args = parser.parse_args(argv)
     with profile_to(args.profile):
         return _run(args)
 
 
 def _emit(out_dir: pathlib.Path, name: str, produce):
-    """Run one report, print it with its wall time, write ``<name>.txt``."""
+    """Run one report; print it and its wall time, write and return it."""
     start = time.perf_counter()
-    text = produce().render()
+    figure = produce()
+    text = figure.render()
     print(text)
     print(f"[{name} took {time.perf_counter() - start:.1f}s]\n")
     (out_dir / f"{name}.txt").write_text(text + "\n")
+    return figure
 
 
 def _run(args) -> int:
@@ -96,15 +103,12 @@ def _run(args) -> int:
     )
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    failed = 0
     for name in args.only or RUNNERS:
-        _emit(out_dir, name, lambda: RUNNERS[name](args.scale))
-
-    if args.faults:
-        _emit(
-            out_dir,
-            "faults",
-            lambda: experiments.run_fault_reports(args.scale),
-        )
+        figure = _emit(out_dir, name, lambda: RUNNERS[name](args.scale))
+        for claim in claims.CLAIMS[name](figure):
+            print(f"{name}: claim failed: {claim}", file=sys.stderr)
+            failed += 1
 
     if args.telemetry:
         _emit(
@@ -114,6 +118,9 @@ def _run(args) -> int:
                 args.scale, out_dir=args.telemetry
             ),
         )
+    if failed:
+        print(f"{failed} claim(s) failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,6 +14,7 @@ Fig. 11        recovery time vs threads and NVM bandwidth
 Fig. 12        YCSB throughput vs NVM read/write latency
 Fig. 13        YCSB throughput vs mapping-table size
 §IV-C profile  loads per LLC miss, parallel-read fraction, miss ratio
+Ablations A-C  packing, GC coalescing, mapping condensing switched off
 =============  ====================================================
 
 Runs are memoized per ``(scale, scheme, workload, seed, overrides)`` so
@@ -23,20 +24,14 @@ the four workload-matrix figures share one simulation per cell.
 from __future__ import annotations
 
 import dataclasses
+import json
+import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-import json
-from pathlib import Path
-
-from repro.common.config import (
-    FaultConfig,
-    GCConfig,
-    HoopConfig,
-    NVMConfig,
-    SystemConfig,
-)
+from repro.common.config import FaultConfig, GCConfig, SystemConfig
 from repro.common.units import KB, MB, MS, US
 from repro.schemes import ALL_SCHEME_NAMES, scheme_class
 from repro.stats.report import FigureData, fault_tolerance_figure
@@ -94,27 +89,11 @@ class Scale:
         return "results" if self.name == "smoke" else f"results_{self.name}"
 
 
-def _scale(
-    name: str,
-    threads: int,
-    transactions: int,
-    warmup: int,
-    gc_period_ns: float,
-    use_paper_config: bool,
-    overrides: Dict[str, Dict[str, int]],
-) -> Scale:
-    frozen = tuple(
+def _sizes(overrides: Dict[str, Dict[str, int]]):
+    """Per-workload dataset sizes, frozen for the hashable :class:`Scale`."""
+    return tuple(
         (workload, tuple(sorted(kwargs.items())))
         for workload, kwargs in sorted(overrides.items())
-    )
-    return Scale(
-        name,
-        threads,
-        transactions,
-        warmup,
-        gc_period_ns,
-        use_paper_config,
-        frozen,
     )
 
 
@@ -138,11 +117,13 @@ _DEFAULT_SIZES = {
 
 SCALES: Dict[str, Scale] = {
     # CI-fast: a couple of seconds per cell.
-    "smoke": _scale("smoke", 4, 200, 20, 0.2 * MS, False, _SMOKE_SIZES),
+    "smoke": Scale("smoke", 4, 200, 20, 0.2 * MS, False, _sizes(_SMOKE_SIZES)),
     # Local iteration: minutes for the whole matrix.
-    "default": _scale("default", 4, 800, 80, 0.5 * MS, False, _DEFAULT_SIZES),
+    "default": Scale(
+        "default", 4, 800, 80, 0.5 * MS, False, _sizes(_DEFAULT_SIZES)
+    ),
     # The recorded numbers: paper topology, 8 threads (paper §IV-A).
-    "paper": _scale("paper", 8, 2000, 200, 2 * MS, True, {}),
+    "paper": Scale("paper", 8, 2000, 200, 2 * MS, True, ()),
 }
 
 
@@ -261,17 +242,12 @@ def run_cell(
     result = driver.run(
         wl, preset.transactions, warmup=preset.warmup
     )
-    result.extras["scheme_stats_stores"] = system.scheme.stats.tx_stores
     if scheme == "hoop":
         hs = system.scheme.hoop_stats
-        gcs = system.scheme.controller.gc.stats
         result.extras.update(
             {
                 "parallel_reads": hs.parallel_reads,
-                "mapping_hits": hs.mapping_hits_on_miss,
-                "mapping_misses": hs.mapping_misses_on_miss,
-                "gc_passes": gcs.passes,
-                "gc_reduction": gcs.data_reduction_ratio,
+                "gc_passes": system.scheme.controller.gc.stats.passes,
                 "fill_reads": hs.fill_home_reads + hs.fill_slice_reads,
                 "llc_misses": system.hierarchy.stats.llc_misses,
             }
@@ -874,6 +850,87 @@ def run_read_profile(scale: str = "default", seed: int = 7) -> FigureData:
     fig.add_note(
         "Paper: 12.1% average LLC miss ratio, 1.28 NVM loads per miss,"
         " 3.4% of misses issue parallel home+OOP reads."
+    )
+    return fig
+
+
+# -- ablations of HOOP's design choices (DESIGN.md §3) --------------------------------
+
+
+def _ablation(
+    scale: str, seed: int, figure: str, title: str, variants, note: str
+) -> FigureData:
+    """HOOP on YCSB once per ``(name, hoop overrides)`` of ``variants``."""
+    config = get_scale(scale).system_config()
+    fig = FigureData(figure, title, ["Variant", "B/tx", "tx/ms"])
+    for name, overrides in variants:
+        hoop = dataclasses.replace(config.hoop, **overrides)
+        result = run_cell(
+            "hoop", "ycsb", scale, seed=seed, config=config.replace(hoop=hoop)
+        )
+        fig.add_row(name, result.bytes_per_tx, result.throughput_tx_per_ms)
+    fig.add_note(note)
+    return fig
+
+
+def run_ablation_packing(scale: str = "default", seed: int = 7) -> FigureData:
+    """Packing off: every word pays a whole 128-byte slice (Fig. 3)."""
+    return _ablation(
+        scale, seed, "Ablation A", "Data packing (YCSB bytes/tx)",
+        [("packed (8 words/slice)", {}),
+         ("unpacked (1 word/slice)", {"packing_degree": 1})],
+        "Packing is the paper's bandwidth argument: without it the"
+        " slice metadata overhead multiplies write traffic.",
+    )
+
+
+def run_ablation_coalescing(
+    scale: str = "default", seed: int = 7
+) -> FigureData:
+    """Coalescing off: GC writes every committed version home (Table IV)."""
+    period = get_scale(scale).gc_period_ns
+    return _ablation(
+        scale, seed, "Ablation B", "GC data coalescing (YCSB bytes/tx)",
+        [("coalescing on", {"gc": GCConfig(period_ns=period)}),
+         ("coalescing off",
+          {"gc": GCConfig(period_ns=period, coalesce=False)})],
+        "Coalescing is where Table IV's reduction ratios come from;"
+        " ablated, the collector redundantly writes stale versions.",
+    )
+
+
+def run_ablation_condensing(
+    scale: str = "default", seed: int = 7
+) -> FigureData:
+    """§III-I condensing: peak mapping-table occupancy, off vs on.
+
+    Full-line stores to 256 lines, periodic GC off so the table only
+    fills.  The store pattern is fixed (``random.Random(11)``), so
+    ``seed`` only keeps the runner signature.
+    """
+    config = get_scale(scale).system_config()
+    fig = FigureData(
+        "Ablation C",
+        "Mapping-entry condensing (§III-I)",
+        ["Condensing", "peak entries"],
+    )
+    for condense in (False, True):
+        hoop = dataclasses.replace(
+            config.hoop, condense_mapping=condense, gc=GCConfig(period_ns=1e15)
+        )
+        system = MemorySystem(config.replace(hoop=hoop), scheme="hoop")
+        rng = random.Random(11)
+        addrs = [system.allocate(64) for _ in range(256)]
+        for _ in range(400):
+            with system.transaction() as tx:
+                tx.store(rng.choice(addrs), b"x" * 64)
+        fig.add_row(
+            "on" if condense else "off",
+            system.scheme.controller.mapping.stats.peak_entries,
+        )
+    fig.add_note(
+        "Full-line updates whose words share one slice collapse to a"
+        " single entry — the SRAM saving the paper sketches."
     )
     return fig
 

@@ -3,7 +3,7 @@
 Every experiment runner returns a :class:`FigureData`: the figure/table
 identifier, column names, data rows, and free-form notes (normalization
 basis, scale caveats).  ``render()`` produces the aligned text block that
-the benchmarks print and EXPERIMENTS.md records.
+``python -m repro.harness`` prints and writes, and EXPERIMENTS.md records.
 """
 
 from __future__ import annotations
