@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, TypeVar
 
 from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer, Violation
-from repro.check.trace import Trace, TraceTxn, generate_trace
+from repro.trace import Trace, TraceTxn, generate_trace
 
 T = TypeVar("T")
 

@@ -1,6 +1,6 @@
 """Cross-scheme differential oracle.
 
-One seeded :class:`~repro.check.trace.Trace` replays on every scheme;
+One seeded :class:`~repro.trace.Trace` replays on every scheme;
 three properties must hold (see ``docs/checker.md``):
 
 1. **Sanitizer-clean** — the persist-ordering sanitizer attached to each
@@ -27,22 +27,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.sanitizer import PersistOrderSanitizer
-from repro.check.trace import (
-    SLOT_BYTES,
-    Trace,
-    expected_state,
-    generate_trace,
-)
 from repro.common.config import FaultConfig, SystemConfig
-from repro.crashtest import (
-    RunOutcome,
-    choose_boundaries,
-    forward_cursor,
-    sweep_cases,
-)
+from repro.crashtest import choose_boundaries, forward_cursor, sweep_cases
 from repro.faults import make_device
 from repro.schemes import ALL_SCHEME_NAMES, PERSISTENT_SCHEME_NAMES
-from repro.snapshot.replay import TxnRecord, run_txns
+from repro.trace import (
+    SLOT_BYTES,
+    RunOutcome,
+    Trace,
+    TxnRecord,
+    expected_state,
+    generate_trace,
+    run_txns,
+)
 from repro.txn.system import MemorySystem
 
 # Every registered scheme plus the ideal baseline; crash-recovery
@@ -89,7 +86,7 @@ def run_trace(
 ) -> Tuple[List[int], RunOutcome]:
     """Replay ``trace`` until done or power loss; slots and outcome."""
     slot_addrs, txns = bind_trace(system, trace)
-    return slot_addrs, RunOutcome(*run_txns(system, txns))
+    return slot_addrs, run_txns(system, txns)
 
 
 @dataclass

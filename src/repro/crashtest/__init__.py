@@ -41,7 +41,14 @@ from repro.faults.plan import CrashArtifact, phase_coordinates, save_artifact
 # ``capture`` is re-exported, not used here: the benchmark's tracer
 # resolves ``repro.crashtest.capture`` by name.
 from repro.snapshot import capture  # noqa: F401
-from repro.snapshot.replay import ForwardCursor, TxnRecord, run_txns
+from repro.snapshot.replay import ForwardCursor
+from repro.trace import (
+    SLOT_BYTES,
+    RunOutcome,
+    TxnRecord,
+    generate_trace,
+    run_txns,
+)
 from repro.txn.system import MemorySystem
 
 # The sweep's scheme vocabulary.  Keys are the CLI names (the paper's
@@ -84,15 +91,6 @@ def resolve_schemes(spec: str) -> List[str]:
     if not names:
         raise ValueError("no schemes selected")
     return names
-
-
-@dataclass
-class RunOutcome:
-    """One workload execution under one fault plan (see ``run_txns``)."""
-
-    oracle: Dict[int, bytes]  # committed word -> value
-    staged: Dict[int, bytes]  # in-flight transaction's words (may be {})
-    power_lost: bool
 
 
 # A crash workload: a fresh machine under the given fault plan, heap
@@ -138,26 +136,18 @@ def build_workload(
 ) -> Tuple[MemorySystem, List[TxnRecord]]:
     """A fresh ``scheme`` machine under ``faults`` and its seeded workload.
 
-    The one home of the workload's RNG call order (``randrange`` core,
-    ``randint`` store count, then ``choice``/``randrange`` address and
-    ``getrandbits`` value per store).  The workload RNG is private, so
-    recording every transaction before running any is byte-for-byte
-    what a run interleaving the two would execute.
+    ``addresses`` heap slots, then :func:`~repro.trace.generate_trace`'s
+    transactions over them, one core per CPU of the machine.
     """
     system = _build_system(scheme, faults)
-    rng = random.Random(seed)
-    addrs = [system.allocate(64) for _ in range(addresses)]
-    cores = system.config.num_cores
-    txns: List[TxnRecord] = []
-    for _ in range(transactions):
-        core = rng.randrange(cores)
-        stores: List[Tuple[int, bytes]] = []
-        for _ in range(rng.randint(1, 6)):
-            addr = rng.choice(addrs) + 8 * rng.randrange(8)
-            value = rng.getrandbits(64).to_bytes(8, "little")
-            stores.append((addr, value))
-        txns.append((core, stores))
-    return system, txns
+    slots = [system.allocate(SLOT_BYTES) for _ in range(addresses)]
+    trace = generate_trace(
+        seed,
+        transactions=transactions,
+        slots=addresses,
+        cores=system.config.num_cores,
+    )
+    return system, trace.records(slots)
 
 
 def verify_atomic_durability(
@@ -265,7 +255,7 @@ def build_crashed_cold(
         scheme, faults, seed=seed, transactions=transactions,
         addresses=addresses,
     )
-    return system, RunOutcome(*run_txns(system, txns))
+    return system, run_txns(system, txns)
 
 
 def run_case(
@@ -314,9 +304,8 @@ def build_crashed(
     forked = cursor.crash_at(faults)
     if forked is None:
         system, txns = build(faults)
-        return system, RunOutcome(*run_txns(system, txns))
-    system, *outcome = forked
-    return system, RunOutcome(*outcome)
+        return system, run_txns(system, txns)
+    return forked
 
 
 def choose_boundaries(

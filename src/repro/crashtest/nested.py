@@ -53,7 +53,6 @@ from typing import Dict, List, Optional
 from repro.common.config import OPS, Cut, FaultConfig, FaultSchedule
 from repro.common.errors import MediaError, PowerLossError
 from repro.crashtest import (
-    RunOutcome,
     _finish_case,
     _torn_for,
     boundary_faults,
@@ -71,6 +70,7 @@ from repro.faults.plan import (
     phase_schedule,
 )
 from repro.snapshot import capture, crash_image, power_cut
+from repro.trace import RunOutcome
 from repro.txn.system import MemorySystem
 
 # A recovery that needs more attempts than this never converges under a

@@ -147,18 +147,16 @@ def fig10(fig: FigureData) -> List[str]:
     Paper: throughput peaks at a middle period — eager GC wastes
     bandwidth on un-coalesced migrations, while very long periods fill
     the reserved region and push on-demand GC onto the critical path.
+    Only the on-demand fallback is claimed: at smoke scale the most
+    eager period already has the best throughput on hashmap, rbtree and
+    btree, so there is no hump to check.
     """
     on_demand = fig.column("on-demand GCs")
     # The longest periods run out of region space and fall back to
     # on-demand collection (the paper's >11 ms regime).
-    checks = [(on_demand[-1] >= on_demand[0],
-               f"on-demand GCs {on_demand[-1]} at the longest period"
-               f" >= {on_demand[0]} at the shortest")]
-    # The best operating point beats the most eager setting: eager GC
-    # costs coalescing (Table IV at small windows).
-    checks += [(max(s) >= s[0], f"{w} best {max(s):.1f} >= eager {s[0]:.1f}")
-               for w in fig.columns[1:-1] for s in [fig.column(w)]]
-    return _failing(checks)
+    return _failing([(on_demand[-1] >= on_demand[0],
+                      f"on-demand GCs {on_demand[-1]} at the longest period"
+                      f" >= {on_demand[0]} at the shortest")])
 
 
 def fig11(fig: FigureData) -> List[str]:

@@ -1,17 +1,14 @@
 """Incremental replay built on snapshot forks.
 
-A workload is data: a list of :data:`TxnRecord` bound to heap addresses
-once, and :func:`run_txns` is the one loop that executes it until done
-or power loss — on a fresh machine (artifact ``--replay``, the
-fuzzer's trace replays), and on the cursor's probe and its live
-machine.  A fork never executes a transaction.
-
-The crash-point sweeps (:mod:`repro.crashtest`, its nested sweep, and
-the oracle's crash-convergence phase in :mod:`repro.check.oracle`)
-share one :class:`ForwardCursor`: a single live, fault-free machine
-that runs the recorded workload forward exactly once and is *forked*
+A workload is data (:mod:`repro.trace`): a list of
+:data:`~repro.trace.TxnRecord` bound to heap addresses once, executed
+by :func:`~repro.trace.run_txns`.  The crash-point sweeps
+(:mod:`repro.crashtest`, its nested sweep, and the oracle's
+crash-convergence phase in :mod:`repro.check.oracle`) share one
+:class:`ForwardCursor`: a single live, fault-free machine that runs the
+workload forward exactly once, through that same loop, and is *forked*
 inside every cut write, so no case re-executes the prefix another case
-already paid for.
+already paid for.  A fork never executes a transaction.
 
 Crash boundaries are expressed in the device's cumulative *timed-write*
 count (a case's first cut): boundary ``b`` means the ``b``-th
@@ -22,8 +19,7 @@ cursor's hook when its write count reaches the next boundary, before
 the fault injector's verdict, and the hook copies what survives power
 loss there (:func:`~repro.snapshot.power_cut`).  :meth:`ForwardCursor.crash_at`
 rearms that image with a zero write count and re-issues the write,
-which tears and raises exactly as it does in a cold run.  No
-transaction is ever re-run on a fork.
+which tears and raises exactly as it does in a cold run.
 """
 
 from __future__ import annotations
@@ -35,48 +31,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
 from repro.snapshot import Snapshot, power_cut
-
-# One recorded workload transaction: issuing core plus its ordered
-# (addr, value) stores, duplicates preserved — everything a replay needs
-# to re-execute the transaction without consuming workload RNG.
-TxnRecord = Tuple[int, List[Tuple[int, bytes]]]
-
-
-def run_txns(
-    system: Any, txns: Iterable[TxnRecord]
-) -> Tuple[Dict[int, bytes], Dict[int, bytes], bool]:
-    """Run ``txns`` on ``system`` until done or power loss.
-
-    Returns ``(oracle, staged, power_lost)``: ``oracle`` holds the words
-    of transactions whose ``with`` block exited (commit returned),
-    duplicates collapsed last-wins; ``staged`` those of the one that was
-    open — or mid-commit, or whose post-commit GC tick died — when the
-    power failed (empty when every transaction ran).  The verifier
-    decides which side of the commit point that transaction landed on.
-    """
-    oracle: Dict[int, bytes] = {}
-    staged: Dict[int, bytes] = {}
-    return oracle, staged, _run_into(system, txns, oracle, staged)
-
-
-def _run_into(
-    system: Any,
-    txns: Iterable[TxnRecord],
-    oracle: Dict[int, bytes],
-    staged: Dict[int, bytes],
-) -> bool:
-    """:func:`run_txns`'s loop over caller-owned dicts; True on power loss."""
-    try:
-        for core, stores in txns:
-            with system.transaction(core) as tx:
-                for addr, value in stores:
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged.clear()
-    except PowerLossError:
-        return True
-    return False
+from repro.trace import RunOutcome, TxnRecord, run_into, run_txns
 
 
 # A fork the live machine's hook took, waiting for its ``crash_at``: the
@@ -141,14 +96,14 @@ class ForwardCursor:
 
     def crash_at(
         self, faults: FaultConfig
-    ) -> Optional[Tuple[Any, Dict[int, bytes], Dict[int, bytes], bool]]:
+    ) -> Optional[Tuple[Any, RunOutcome]]:
         """The machine at ``faults``' power cut, from a fork of the live one.
 
         The ``at`` of ``faults``' first cut must be the next announced
         boundary; the fork keeps the rest of the schedule.  Returns
-        ``(system, oracle, staged, power_lost)``, which once ``system``
-        is crashed equal what :func:`run_txns` under ``faults`` on a
-        fresh machine leaves before ``crash()``.
+        ``(system, outcome)``, which once ``system`` is crashed equal
+        what :func:`~repro.trace.run_txns` under ``faults`` on a fresh
+        machine leaves before ``crash()``.
         ``None`` when the boundary lies below the first transaction's
         starting count (possible only if system construction itself
         issued timed writes); callers fall back to a fresh machine.
@@ -180,13 +135,13 @@ class ForwardCursor:
             assert boundary >= self.total_writes, "a boundary was skipped"
             fork = power_cut(self._system)
             fork.device.rearm(_residual(faults, boundary - self.total_writes))
-            return fork, dict(self._oracle), {}, False
+            return fork, RunOutcome(dict(self._oracle), {}, False)
         fork.device.rearm(_residual(faults, 0))
         addr, data, now_ns, queued = cut
         try:
             fork.device.write(addr, data, now_ns, queued=queued)
         except PowerLossError:
-            return fork, oracle, staged, True
+            return fork, RunOutcome(oracle, staged, True)
         raise AssertionError("the re-issued cut write did not lose power")
 
     def _advance(self) -> None:
@@ -223,7 +178,7 @@ class ForwardCursor:
             while not forks and self._next < len(self._txns):
                 index = self._next
                 self._next += 1
-                _run_into(live, self._txns[index : index + 1], oracle, staged)
+                run_into(live, self._txns[index : index + 1], oracle, staged)
         finally:
             injector.fork_at = None
             injector.fork_hook = None

@@ -15,6 +15,7 @@ DESIGN.md, ``docs/*.md`` and the verify skill:
   ``:name`` or ``::name`` — must name a file under the document's
   directory, the repo root, ``src/`` or ``src/repro/``, and every
   dotted part of ``name`` must be a def, class or assigned name in it;
+* **source directories** — a backticked ``src/…/`` must exist;
 * **CLI flags** — every ``--flag`` a document passes to ``python -m
   repro.<cli>``, in inline code or a fenced block and across
   backslash continuations, must appear in that CLI's ``--help``.
@@ -56,6 +57,7 @@ _CODE_REF_RE = re.compile(
     r"`([\w.{},-]*/[\w./{},-]*\.py)(?:::?([\w.:\[\]-]+))?`"
 )
 _BRACES_RE = re.compile(r"\{([^{}]*)\}")
+_DIR_REF_RE = re.compile(r"`(src/[\w./-]*/)`")
 _INLINE_RE = re.compile(r"`([^`]+)`")
 # `python -m repro.<cli>` and its arguments, up to the end of the command.
 _CLI_RE = re.compile(r"python3? +-m +(repro(?:\.\w+)+)([^`\n;|&)#]*)")
@@ -111,7 +113,7 @@ def defined_names(source: str) -> set:
 
 
 def check_code_refs(path: pathlib.Path, text: str) -> List[str]:
-    """Stale ``dir/file.py[:name]`` references in one document's text."""
+    """Stale ``dir/file.py[:name]`` and ``src/…/`` references in a text."""
     relative = path.relative_to(REPO_ROOT)
     src = REPO_ROOT / "src"
     roots = (path.parent, REPO_ROOT, src, src / "repro")
@@ -130,6 +132,9 @@ def check_code_refs(path: pathlib.Path, text: str) -> List[str]:
                 problems.append(
                     f"{relative}: {ref} defines no {', '.join(missing)}"
                 )
+    for ref in _DIR_REF_RE.findall(text):
+        if not (REPO_ROOT / ref).is_dir():
+            problems.append(f"{relative}: no directory {ref}")
     return problems
 
 

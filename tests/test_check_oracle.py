@@ -11,7 +11,7 @@ from repro.check.oracle import (
     run_check_matrix,
     run_trace,
 )
-from repro.check.trace import (
+from repro.trace import (
     TraceStore,
     TraceTxn,
     expected_state,

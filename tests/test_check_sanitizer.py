@@ -10,7 +10,7 @@ from repro.check.sanitizer import (
     PersistOrderSanitizer,
     rules_for,
 )
-from repro.check.trace import expected_state, generate_trace
+from repro.trace import expected_state, generate_trace
 
 
 def _sanitized_run(scheme, trace):

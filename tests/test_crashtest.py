@@ -24,7 +24,7 @@ from repro.faults.plan import (
     plan_to_dict,
     save_artifact,
 )
-from repro.snapshot.replay import run_txns
+from repro.trace import run_txns
 
 
 def _plan(boundary, *, seed=7, torn=False):

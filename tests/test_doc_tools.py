@@ -28,7 +28,7 @@ def test_ratchet_holds_against_committed_baseline():
 def test_checker_modules_fully_documented():
     """The new subsystem enters the ratchet at a high floor."""
     reports = scan_tree()
-    for module in ("repro.check", "repro.check.sanitizer", "repro.check.trace"):
+    for module in ("repro.check", "repro.check.sanitizer", "repro.trace"):
         assert reports[module].coverage == 1.0, reports[module].missing
 
 
@@ -132,6 +132,17 @@ def test_linkcheck_detects_stale_code_refs(tmp_path, monkeypatch):
         "x.md: no file repro/harness/channel.py",
         "x.md: tests/test_x.py defines no test_gone",
     ]
+
+
+def test_linkcheck_detects_missing_src_directory(tmp_path, monkeypatch):
+    lc = _code_ref_repo(tmp_path, monkeypatch)
+    doc = tmp_path / "x.md"
+    doc.write_text(
+        "| Harness | `src/repro/harness/` |\n"
+        "| Trace replay | `src/repro/trace/` |\n"
+        "```\n`src/repro/ignored_in_fences/`\n```\n"
+    )
+    assert lc.check_file(doc) == ["x.md: no directory src/repro/trace/"]
 
 
 def test_linkcheck_detects_unknown_cli_flags(tmp_path, monkeypatch):

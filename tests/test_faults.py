@@ -338,6 +338,18 @@ class TestFaultReport:
         assert "read retries" in counters
         assert fig.notes
 
+    def test_report_counts_faults_and_retries_over_one_window(self):
+        from repro.harness.experiments import run_fault_reports
+
+        fig = run_fault_reports("smoke")
+        value = {(s, c): v for s, c, v in fig.rows}
+        for scheme in dict.fromkeys(fig.column("Scheme")):
+            # Every transient fault the device injected was either retried
+            # or failed the read at the port, within the same window.
+            assert value[scheme, "transient read faults"] == (
+                value[scheme, "read retries"] + value[scheme, "reads failed"]
+            ), scheme
+
 
 class TestEndToEnd:
     def test_system_survives_power_loss_and_recovers(self):

@@ -31,7 +31,7 @@ import pytest
 from repro import FaultConfig, snapshot
 from repro.check.oracle import build_system
 from repro.check.sanitizer import PersistOrderSanitizer
-from repro.check.trace import generate_trace
+from repro.trace import generate_trace
 from repro.nvm.device import NVMDevice
 from repro.schemes import ALL_SCHEME_NAMES
 

@@ -37,7 +37,8 @@ from repro.core.slices import SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.snapshot import Snapshot, clone_state
-from repro.snapshot.replay import ForwardCursor, run_txns
+from repro.snapshot.replay import ForwardCursor
+from repro.trace import run_txns
 from repro.txn.system import MemorySystem
 
 from tests.test_fork_isolation import _reachable
@@ -190,10 +191,10 @@ class TestCursorMatchesCold:
         with mock.patch.object(MemorySystem, "_begin", begin):
             forks = []
             for boundary in boundaries:
-                fork, _, _, power_lost = cursor.crash_at(
+                fork, outcome = cursor.crash_at(
                     _plan(5, boundary, boundary % 2 == 1)
                 )
-                assert power_lost == (boundary < cursor.total_writes)
+                assert outcome.power_lost == (boundary < cursor.total_writes)
                 injector = fork.device.injector
                 assert injector.fork_at is None and injector.fork_hook is None
                 forks.append(fork)

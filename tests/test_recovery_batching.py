@@ -33,7 +33,7 @@ from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.schemes.appendlog import KIND_COMMIT, KIND_DATA, AppendLog
 from repro.snapshot import capture, clone_state
-from repro.snapshot.replay import run_txns
+from repro.trace import run_txns
 from repro.txn.system import MemorySystem
 
 # -- (a) poke_batch == one poke per element ------------------------------------

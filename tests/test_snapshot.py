@@ -24,7 +24,7 @@ from repro import FaultConfig, crashtest, snapshot
 from repro.check import oracle
 from repro.check.oracle import build_system, run_trace
 from repro.check.sanitizer import PersistOrderSanitizer
-from repro.check.trace import generate_trace
+from repro.trace import generate_trace
 from repro.common.config import WRITES, Cut, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.core.oop_region import BlockState
@@ -33,7 +33,7 @@ from repro.faults.injector import FaultyNVMDevice
 from repro.faults.plan import CrashArtifact
 from repro.schemes import ALL_SCHEME_NAMES
 from repro.snapshot import capture, clone_state
-from repro.snapshot.replay import run_txns
+from repro.trace import run_txns
 
 
 def _apply(system, addrs, txns):

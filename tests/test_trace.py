@@ -1,81 +1,60 @@
-"""Trace capture, serialization, and cross-scheme replay."""
-
-import random
+"""A workload as data: recording, seeded traces, and cross-scheme replay."""
 
 import pytest
 
 from repro import MemorySystem, SystemConfig
-from repro.trace import RecordingSystem, Trace, TraceOp, replay
-from repro.trace.replay import ReplayError
-from repro.trace.trace import TraceFormatError
+from repro.crashtest import verify_atomic_durability
+from repro.schemes import PERSISTENT_SCHEME_NAMES
+from repro.trace import RecordingSystem, generate_trace, run_txns
 from repro.workloads import WorkloadDriver, make_workload
 
+_SMALL = {
+    "hashmap": dict(keyspace=512, buckets=128),
+    "rbtree": dict(keyspace=512),
+    "tpcc": dict(items=512, customers_per_district=16),
+}
 
-def record_hashmap(transactions=60):
+
+def record(workload, transactions, seed=17):
+    """Record ``workload`` on native; returns the system and its setup mark."""
     system = RecordingSystem(SystemConfig.small(), scheme="native")
-    system.pause_recording()  # constructor + load phase excluded
-    workload = make_workload(
-        "hashmap", system, seed=17, keyspace=512, buckets=128
-    )
-    workload.setup(core=0)
-    system.resume_recording()
-    driver = WorkloadDriver(system, threads=4, seed=17)
-    driver.run(workload, transactions, setup=False, warmup=0, quiesce=False)
-    return system
+    wl = make_workload(workload, system, seed=seed, **_SMALL[workload])
+    wl.setup(core=0)
+    mark = len(system.txns)
+    driver = WorkloadDriver(system, threads=4, seed=seed)
+    driver.run(wl, transactions, setup=False, warmup=0, quiesce=False)
+    return system, mark
+
+
+def final_words(txns):
+    """Last-write-wins value of every address the records store to."""
+    final = {}
+    for _, stores in txns:
+        final.update(stores)
+    return final
 
 
 class TestFormat:
-    def test_round_trip(self):
-        trace = Trace(
-            [
-                TraceOp("B", 0),
-                TraceOp("S", 0, addr=0x1000, data=b"\xde\xad"),
-                TraceOp("L", 0, addr=0x1000, size=2),
-                TraceOp("E", 0),
-            ]
-        )
-        assert Trace.loads(trace.dumps()).ops == trace.ops
-
-    def test_header_required(self):
-        with pytest.raises(TraceFormatError):
-            Trace.loads("B 0\n")
-
-    def test_comments_and_blank_lines_skipped(self):
-        text = "# hoop-trace v1\n\n# comment\nB 0\nE 0\n"
-        assert len(Trace.loads(text)) == 2
-
-    def test_bad_lines_rejected(self):
-        for line in ("X 0", "S 0", "L 0 zz 8", "S 0 10 nothex!"):
-            with pytest.raises(TraceFormatError):
-                TraceOp.parse(line)
-
-    def test_op_validation(self):
-        with pytest.raises(TraceFormatError):
-            TraceOp("S", 0, addr=1)  # no data
-        with pytest.raises(TraceFormatError):
-            TraceOp("L", 0, addr=1, size=0)
-
-    def test_validate_nesting(self):
-        bad = Trace([TraceOp("S", 0, addr=0, data=b"x")])
-        with pytest.raises(TraceFormatError):
-            bad.validate()
-        bad = Trace([TraceOp("B", 0), TraceOp("B", 0)])
-        with pytest.raises(TraceFormatError):
-            bad.validate()
-
     def test_summary_accessors(self):
-        system = record_hashmap(20)
-        trace = system.trace
-        assert trace.transactions == 20
-        assert trace.stores > 0
-        assert set(trace.cores()) <= {0, 1, 2, 3}
+        trace = generate_trace(5, transactions=7, slots=3, cores=2)
+        assert len(trace.txns) == 7
+        assert trace.num_events == 7 + sum(len(t.stores) for t in trace.txns)
+        assert {t.core for t in trace.txns} <= {0, 1}
+        listing = trace.render().splitlines()
+        assert listing[0] == (
+            f"trace seed=5 slots=3 txns=7 events={trace.num_events}"
+        )
+        assert len(listing) == 1 + trace.num_events
 
 
 class TestRecording:
-    def test_pause_excludes_load_phase(self):
-        system = record_hashmap(10)
-        # Setup inserts were paused out: only 10 transactions captured.
-        assert system.trace.transactions == 10
+    def test_setup_is_sliced_off(self):
+        system, mark = record("hashmap", 10)
+        assert mark > 0  # the load phase committed transactions too
+        txns = system.txns[mark:]
+        assert len(txns) == 10
+        assert all(stores for _, stores in txns)
+        assert {core for core, _ in txns} <= {0, 1, 2, 3}
 
     def test_recorded_system_behaves_normally(self):
         system = RecordingSystem(SystemConfig.small(), scheme="hoop")
@@ -85,86 +64,56 @@ class TestRecording:
         system.crash()
         system.recover()
         assert int.from_bytes(system.durable_state(addr, 8), "little") == 99
+        assert system.txns == [(0, [(addr, (99).to_bytes(8, "little"))])]
 
 
 class TestReplay:
     def test_replay_reproduces_committed_state(self):
-        recorded = record_hashmap(50)
-        trace = recorded.trace
+        recorded, mark = record("hashmap", 50)
+        txns = recorded.txns[mark:]
         target = MemorySystem(SystemConfig.small(), scheme="hoop")
-        # Pre-size the heap identically (same allocator base).
-        result = replay(trace, target)
-        assert result.transactions == 50
-        assert result.stores == trace.stores
-        # Every store in the trace is durably visible on the target after
-        # quiesce, matching the recording system's cache-level content.
-        for op in trace:
-            if op.kind == "S":
-                assert target.durable_state(op.addr, len(op.data)) == op.data \
-                    or True  # overwritten later in the trace
-        # Stronger check: final value per address matches.
-        final = {}
-        for op in trace:
-            if op.kind == "S":
-                final[op.addr] = op.data
-        for addr, data in final.items():
+        outcome = run_txns(target, txns)
+        assert not outcome.power_lost and not outcome.staged
+        assert target.committed_transactions == 50
+        target.scheme.quiesce(target.now_ns)
+        for addr, data in final_words(txns).items():
             assert target.durable_state(addr, len(data)) == data
 
     def test_same_trace_across_schemes_same_state(self):
-        recorded = record_hashmap(40)
-        trace = recorded.trace
+        recorded, mark = record("hashmap", 40)
+        txns = recorded.txns[mark:]
+        final = final_words(txns)
         images = []
-        final = {}
-        for op in trace:
-            if op.kind == "S":
-                final[op.addr] = op.data
         for scheme in ("hoop", "opt-undo", "lsm"):
             target = MemorySystem(SystemConfig.small(), scheme=scheme)
-            replay(trace, target)
+            run_txns(target, txns)
+            target.scheme.quiesce(target.now_ns)
             images.append(
                 {a: target.durable_state(a, len(d)) for a, d in final.items()}
             )
         assert images[0] == images[1] == images[2]
 
     def test_replay_metrics(self):
-        recorded = record_hashmap(30)
+        recorded, mark = record("hashmap", 30)
         target = MemorySystem(SystemConfig.small(), scheme="hoop")
-        result = replay(recorded.trace, target)
-        assert result.throughput_tx_per_ms > 0
-        assert result.bytes_written > 0
-        assert result.scheme == "hoop"
+        run_txns(target, recorded.txns[mark:])
+        assert target.committed_transactions == 30
+        assert target.mean_latency_ns > 0
+        assert target.device.stats.bytes_written > 0
 
-    def test_replay_rejects_too_many_cores(self):
-        trace = Trace([TraceOp("B", 99), TraceOp("E", 99)])
-        target = MemorySystem(SystemConfig.small(), scheme="native")
-        with pytest.raises(ReplayError):
-            replay(trace, target)
 
-    def test_replay_rejects_dangling_transactions(self):
-        trace = Trace([TraceOp("B", 0)])
-        target = MemorySystem(SystemConfig.small(), scheme="native")
-        with pytest.raises(ReplayError):
-            replay(trace, target)
+@pytest.fixture(scope="module", params=["rbtree", "tpcc"])
+def recorded_workload(request):
+    system, mark = record(request.param, 40, seed=42)
+    return system.txns[mark:]
 
-    def test_verify_loads_counts_mismatches(self):
-        trace = Trace(
-            [
-                TraceOp("B", 0),
-                TraceOp("S", 0, addr=4096, data=b"\x01" * 8),
-                TraceOp("L", 0, addr=4096, size=8),
-                TraceOp("E", 0),
-            ]
-        )
-        target = MemorySystem(SystemConfig.small(), scheme="native")
-        ok = replay(
-            trace, target, verify_loads={4096: b"\x01" * 8},
-            reset_measurement=False,
-        )
-        assert ok.load_mismatches == 0
-        bad = replay(
-            trace,
-            MemorySystem(SystemConfig.small(), scheme="native"),
-            verify_loads={4096: b"\xff" * 8},
-            reset_measurement=False,
-        )
-        assert bad.load_mismatches == 1
+
+@pytest.mark.parametrize("scheme", PERSISTENT_SCHEME_NAMES)
+def test_record_once_crash_everywhere(recorded_workload, scheme):
+    """A recorded paper workload, replayed, survives crash and recovery."""
+    system = MemorySystem(SystemConfig.small(), scheme=scheme)
+    outcome = run_txns(system, recorded_workload)
+    assert not outcome.power_lost
+    system.crash()
+    system.recover()
+    assert verify_atomic_durability(system, outcome.oracle, {}) is None
