@@ -190,11 +190,36 @@ class CommitLog:
             len(self._pages[-1].entries) < self.codec.entries_per_addr_slice
         ):
             return self._pages[-1]
+        return self._open_page((), now_ns)
+
+    def _open_page(
+        self, entries: Tuple[AddressSliceEntry, ...], now_ns: float
+    ) -> _Page:
         slice_index = self.region.allocate_slice(now_ns, stream="addr")
-        page = _Page(slice_index, (), self._next_sequence)
+        page = _Page(slice_index, entries, self._next_sequence)
         self._next_sequence += 1
         self._pages.append(page)
         return page
+
+    def record_commits(self, txs: List[CommittedTx], now_ns: float) -> float:
+        """Durably log recovered commits on fresh pages; returns completion.
+
+        Each transaction gets one committed entry for its last segment
+        tail (its earlier tails are already on durable pages).  The
+        pages are fresh, never the open one: a torn rewrite loses every
+        entry on its page, and one there may be the only durable copy
+        of a commit decision.
+        """
+        per_page = self.codec.entries_per_addr_slice
+        completion = now_ns
+        for start in range(0, len(txs), per_page):
+            entries = tuple(
+                AddressSliceEntry(tx.tx_id, tx.segment_tails[-1])
+                for tx in txs[start:start + per_page]
+            )
+            page = self._open_page(entries, now_ns)
+            completion = self._flush_page(page, now_ns, sync=True)
+        return completion
 
     # -- consumers (GC, recovery) ------------------------------------------------
 

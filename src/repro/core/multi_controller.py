@@ -51,6 +51,7 @@ from typing import List, Optional, Tuple
 from repro.common.addr import cache_line_index
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
+from repro.core.commit_log import CommittedTx
 from repro.core.controller import HoopController
 from repro.core.recovery import RecoveryReport
 from repro.nvm.device import NVMDevice
@@ -252,20 +253,28 @@ class MultiControllerHoopScheme(PersistenceScheme):
         page (which loses every entry on that page, old ones included)
         cannot un-commit transactions another controller still records.
 
-        Replay and cleanup are split by a barrier: every controller
-        redoes the agreed set (``clear_region=False``) before *any*
-        controller erases its region or commit log.  Clearing inline
-        (the single-controller default) is not nested-crash-safe here:
-        controller 0's clear destroys the only durable evidence of a
-        transaction whose commit entry reached just that controller,
-        so a power cut before controller 1 finishes replaying makes
-        the rerun drop the transaction from the agreed set — with
-        controller 0's shard already poked home, the words it owns
-        survive and the rest never arrive (a torn global commit).
-        With the barrier, a cut during redo leaves all evidence
-        intact (the rerun re-agrees), and a cut during cleanup means
-        every poke already landed (the words the rerun no longer
-        replays are durable in the home region).
+        Replay, logging and cleanup are split by barriers: every
+        controller redoes the agreed set (``clear_region=False``), then
+        every controller durably logs each agreed transaction its own
+        log lacks, and only then does *any* controller erase its region
+        or commit log.  Clearing inline (the single-controller default)
+        is not nested-crash-safe here: controller 0's clear destroys the
+        only durable evidence of a transaction whose commit entry
+        reached just that controller, so a power cut before controller 1
+        finishes replaying makes the rerun drop the transaction from the
+        agreed set — with controller 0's shard already poked home, the
+        words it owns survive and the rest never arrive (a torn global
+        commit).  The barrier alone does not close the hole at cleanup:
+        a cut that tears controller 1's first clear after controller 0
+        was erased leaves a rerun that still replays controller 1's
+        older committed transactions but no longer agrees on that one,
+        so older versions of its words are poked back.  Logging the
+        agreed set everywhere first restores the Commit phase's
+        invariant — every controller's log names every agreed
+        transaction — so a rerun re-agrees from any controller the cut
+        left intact.  The entries go on fresh pages (see
+        :meth:`~repro.core.commit_log.CommitLog.record_commits`): a torn
+        append must not lose the only copy of another decision.
         """
         # Phase 1: each controller scans its region once; its vote is the
         # set of transactions its durable commit log names.
@@ -304,6 +313,23 @@ class MultiControllerHoopScheme(PersistenceScheme):
             )
             merged.write_time_ns = max(
                 merged.write_time_ns, report.write_time_ns
+            )
+        # Phase 3: before any evidence is erased, every controller durably
+        # logs each agreed transaction its log lost, as the Commit phase
+        # would have: with its STATE_LAST find's tail when it holds one,
+        # else as a non-participant (tail 0).  A transaction its pages
+        # still know (retired) is already home.
+        for controller, scan in zip(self.controllers, scans):
+            lost = agreed.difference(tx.tx_id for tx in scan.logged)
+            if not lost:
+                continue
+            found = [tx for tx in scan.unlogged if tx.tx_id in lost]
+            lost.difference_update(tx.tx_id for tx in found)
+            if lost:
+                lost -= controller.commit_log.analyse().known
+            controller.commit_log.record_commits(
+                sorted(found + [CommittedTx(tx_id, (0,)) for tx_id in lost]),
+                0.0,
             )
         # Cleanup barrier: only after every controller's redo landed.
         for controller in self.controllers:

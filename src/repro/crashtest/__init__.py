@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.config import WRITES, Cut, FaultConfig, SystemConfig
 from repro.faults.plan import CrashArtifact, phase_coordinates, save_artifact
+from repro.schemes import PERSISTENT_SCHEME_NAMES
 # ``capture`` is re-exported, not used here: the benchmark's tracer
 # resolves ``repro.crashtest.capture`` by name.
 from repro.snapshot import capture  # noqa: F401
@@ -51,43 +52,25 @@ from repro.trace import (
 )
 from repro.txn.system import MemorySystem
 
-# The sweep's scheme vocabulary.  Keys are the CLI names (the paper's
-# shorthand); values are registry names in repro.schemes.
-SWEEP_SCHEMES: Dict[str, str] = {
-    "hoop": "hoop",
-    "undo": "opt-undo",
-    "redo": "opt-redo",
-    "osp": "osp",
-    "lad": "lad",
-    "lsm": "lsm",
-    "hoopmc": "hoop-mc",
-}
-
 _ZERO_WORD = bytes(8)
 
 
 def resolve_schemes(spec: str) -> List[str]:
     """Expand a ``--schemes`` argument to registry names.
 
-    A token is a ``SWEEP_SCHEMES`` key or value; anything else (an
+    A token is a name of ``PERSISTENT_SCHEME_NAMES``; anything else (an
     unknown name, or ``native``, which promises nothing to sweep) is a
-    ``ValueError`` that lists the vocabulary.
+    ``ValueError`` that lists them.
     """
     if spec == "all":
-        return list(SWEEP_SCHEMES.values())
-    names = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        registry = SWEEP_SCHEMES.get(token, token)
-        if registry not in SWEEP_SCHEMES.values():
+        return list(PERSISTENT_SCHEME_NAMES)
+    names = [token.strip() for token in spec.split(",") if token.strip()]
+    for name in names:
+        if name not in PERSISTENT_SCHEME_NAMES:
             raise ValueError(
-                f"unknown sweep scheme {token!r}; choose from "
-                f"{', '.join(SWEEP_SCHEMES)} (or their registry names)"
-                " or 'all'"
+                f"unknown sweep scheme {name!r}; choose from "
+                f"{', '.join(PERSISTENT_SCHEME_NAMES)} or 'all'"
             )
-        names.append(registry)
     if not names:
         raise ValueError("no schemes selected")
     return names

@@ -3,10 +3,9 @@
 Usage::
 
     python -m repro.crashtest --schemes all --sample 200 --seed 7
-    python -m repro.crashtest --schemes hoop,undo --sample 0   # exhaustive
+    python -m repro.crashtest --schemes hoop,opt-undo --sample 0  # exhaustive
     python -m repro.crashtest --replay crashtest_artifacts/crash_hoop_w12.json
     python -m repro.crashtest --nested --schemes all            # crash recovery too
-    python -m repro.crashtest --nested --resume                 # continue a sweep
     python -m repro.crashtest --profile sweep_profile.txt       # where the time goes
 
 Exit status is non-zero when any case fails (or a replay diverges from
@@ -14,9 +13,8 @@ its recorded outcome); failing cases are saved under ``--artifact-dir``
 as fault-plan JSON that ``--replay`` re-runs exactly.  ``--nested``
 switches to the nested-fault sweep (:mod:`repro.crashtest.nested`):
 crash-during-recovery, crash-during-GC, media bursts during GC, and the
-recovery-idempotence oracle, with a resumable state journal.  Both
-sweeps run through one per-scheme loop, and ``--replay`` takes an
-artifact of either.
+recovery-idempotence oracle.  Both sweeps run through one per-scheme
+loop, and ``--replay`` takes an artifact of either.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from typing import Callable, NamedTuple
 from repro import crashtest
 from repro.crashtest import nested
 from repro.faults.plan import load_artifact, phase_coordinates
+from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.tools.profiling import add_profile_argument, profile_to
 
 
@@ -77,7 +76,6 @@ class _Mode(NamedTuple):
     row: Callable  # result -> its ``--verdicts`` entry
     line: Callable  # result -> its per-scheme summary
     total: str  # the grand-total line's label
-    note: str  # appended to the grand-total line
     passed: str  # the closing line when every case passed
 
 
@@ -111,53 +109,35 @@ def _forward(args) -> _Mode:
         },
         line=line,
         total="total",
-        note="",
         passed="all cases atomically durable",
     )
 
 
 def _nested(args) -> _Mode:
     """The ``--nested`` sweep's part of the CLI loop."""
-    state_path = args.state or str(
-        pathlib.Path(args.artifact_dir) / "nested_state.json"
-    )
-    params = nested.sweep_params(
-        seed=args.seed,
-        transactions=args.transactions,
-        addresses=args.addresses,
-        forward_sample=args.forward_sample,
-        nested_sample=args.nested_sample,
-        gc_sample=args.gc_sample,
-        torn_mode=args.torn,
-        recovery_threads=args.threads,
-        idempotence_k=args.idempotence_k,
-    )
-    state = nested.SweepState.open(state_path, params, resume=args.resume)
-    remaining = args.max_cases if args.max_cases > 0 else None
-
-    def sweep(scheme):
-        nonlocal remaining
-        result = nested.nested_sweep_scheme(
-            scheme,
-            artifact_dir=args.artifact_dir,
-            state=state,
-            max_new_cases=remaining,
-            progress=print,
-            **params,
-        )
-        if remaining is not None:
-            remaining -= len(result.cases) - result.skipped
-        return result
 
     def line(result) -> str:
         return (
-            f"{result.scheme} nested: {len(result.cases)} cases"
-            f" ({result.skipped} resumed), recovery ops probed"
-            f" {result.recovery_ops_probed}, {len(result.failures)} failures"
+            f"{result.scheme} nested: {len(result.cases)} cases, recovery"
+            f" ops probed {result.recovery_ops_probed},"
+            f" {len(result.failures)} failures"
         )
 
     return _Mode(
-        sweep=sweep,
+        sweep=lambda scheme: nested.nested_sweep_scheme(
+            scheme,
+            seed=args.seed,
+            transactions=args.transactions,
+            addresses=args.addresses,
+            forward_sample=args.forward_sample,
+            nested_sample=args.nested_sample,
+            gc_sample=args.gc_sample,
+            torn_mode=args.torn,
+            recovery_threads=args.threads,
+            idempotence_k=args.idempotence_k,
+            artifact_dir=args.artifact_dir,
+            progress=print,
+        ),
         row=lambda result: {
             "total_writes": result.total_writes,
             "recovery_ops": result.recovery_ops_probed,
@@ -168,7 +148,6 @@ def _nested(args) -> _Mode:
         },
         line=line,
         total="nested total",
-        note=f" (state: {state_path})",
         passed="all nested cases atomically durable and recovery-idempotent",
     )
 
@@ -181,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--schemes", default="all",
         help="comma list of {%s} or 'all'" % ",".join(
-            crashtest.SWEEP_SCHEMES
+            PERSISTENT_SCHEME_NAMES
         ),
     )
     parser.add_argument(
@@ -239,20 +218,6 @@ def main(argv=None) -> int:
         help="[--nested] extra crash+recover cycles per case; durable"
         " state must stay bit-identical",
     )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="[--nested] skip cases already decided in the state file",
-    )
-    parser.add_argument(
-        "--state", metavar="PATH", default=None,
-        help="[--nested] sweep state journal"
-        " (default <artifact-dir>/nested_state.json)",
-    )
-    parser.add_argument(
-        "--max-cases", type=int, default=0,
-        help="[--nested] stop after this many new verdicts (0 ="
-        " unlimited); pair with --resume to continue",
-    )
     args = parser.parse_args(argv)
     try:
         args.schemes = crashtest.resolve_schemes(args.schemes)
@@ -267,7 +232,7 @@ def _run(args) -> int:
     if args.replay:
         return _replay(args.replay)
     mode = _nested(args) if args.nested else _forward(args)
-    any_failures = exhausted = False
+    any_failures = False
     grand_cases = 0
     verdicts = {}
     started = time.time()
@@ -278,9 +243,6 @@ def _run(args) -> int:
         any_failures = any_failures or bool(result.failures)
         verdicts[scheme] = mode.row(result)
         print(f"[crashtest] {mode.line(result)} ({time.time() - t0:.1f}s)")
-        exhausted = getattr(result, "exhausted", False)
-        if exhausted:
-            break
     if args.verdicts:
         path = pathlib.Path(args.verdicts)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -289,7 +251,7 @@ def _run(args) -> int:
     print(
         f"[crashtest] {mode.total}: {grand_cases} cases across "
         f"{len(args.schemes)} schemes in"
-        f" {time.time() - started:.1f}s{mode.note}"
+        f" {time.time() - started:.1f}s"
     )
     if any_failures:
         print(
@@ -297,12 +259,6 @@ def _run(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if exhausted:
-        print(
-            f"[crashtest] stopped after --max-cases={args.max_cases} new"
-            " verdicts; rerun with --resume to continue"
-        )
-        return 0
     print(f"[crashtest] {mode.passed}")
     return 0
 

@@ -32,23 +32,19 @@ with the case's plan and computes the verdict: the sweep restores that
 machine from a snapshot, ``--replay``
 (:func:`repro.crashtest.replay_artifact`) builds it cold.
 
-Sweep state is resumable: verdicts are journaled to a JSON state file
-after every case, and ``--resume`` skips cases already decided — the
-nested boundary product is much larger than the forward sweep's.
+A sweep keeps its verdicts in memory and writes only the artifacts of
+failing cases; ``--verdicts`` dumps the rest.
 
 CLI: ``python -m repro.crashtest --nested`` (see ``--forward-sample``,
-``--nested-sample``, ``--gc-sample``, ``--resume``).
+``--nested-sample``, ``--gc-sample``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import pathlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.config import OPS, Cut, FaultConfig, FaultSchedule
 from repro.common.errors import MediaError, PowerLossError
@@ -85,12 +81,9 @@ _PROBE_OPS = 1 << 30
 _MEDIA_RATE = 0.2
 _MEDIA_RETRIES = 8
 
-# Version 2 journals each case's cuts instead of its coordinates.
-STATE_VERSION = 2
-
 
 def case_key(phase: str, cuts: FaultSchedule) -> str:
-    """A nested case's journal key, in the numbers the sweep prints."""
+    """A nested case's key, in the numbers the sweep prints."""
     boundary, after_ops, torn, ops_torn = phase_coordinates(phase, cuts)
     return f"{phase}:{boundary}:{after_ops}:{int(torn)}:{int(ops_torn)}"
 
@@ -109,18 +102,6 @@ class NestedCaseResult:
         """Stable identity of this case inside one sweep's parameters."""
         return case_key(self.phase, self.cuts)
 
-    def to_dict(self) -> dict:
-        """JSON-safe dict for the sweep-state journal."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NestedCaseResult":
-        """Rebuild from :meth:`to_dict` output; unknown keys ignored."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        fields = {k: v for k, v in payload.items() if k in known}
-        fields["cuts"] = tuple(Cut(**cut) for cut in fields["cuts"])
-        return cls(**fields)
-
 
 @dataclass
 class NestedSweepResult:
@@ -130,86 +111,11 @@ class NestedSweepResult:
     total_writes: int
     recovery_ops_probed: int = 0
     cases: List[NestedCaseResult] = field(default_factory=list)
-    skipped: int = 0  # cases satisfied from resumed state
-    exhausted: bool = False  # stopped by ``max_new_cases``
 
     @property
     def failures(self) -> List[NestedCaseResult]:
         """The cases whose oracle (durability or idempotence) failed."""
         return [c for c in self.cases if c.failure]
-
-
-class SweepState:
-    """Journal of decided cases, written after every verdict.
-
-    The file is rewritten atomically (temp + rename), so a killed sweep
-    leaves a loadable journal; ``--resume`` skips every recorded case
-    whose sweep parameters match exactly and re-runs the rest.
-    """
-
-    def __init__(self, path, params: dict) -> None:
-        self.path = pathlib.Path(path) if path else None
-        self.params = params
-        self.cases: Dict[str, Dict[str, dict]] = {}
-
-    @classmethod
-    def open(cls, path, params: dict, *, resume: bool) -> "SweepState":
-        """Create (or resume) the journal at ``path``.
-
-        Resuming against a journal written with different sweep
-        parameters is an error — its verdicts answer different cases.
-        """
-        state = cls(path, params)
-        if not resume or state.path is None or not state.path.exists():
-            return state
-        payload = json.loads(state.path.read_text())
-        if payload.get("version") != STATE_VERSION:
-            raise ValueError(
-                f"state file {path} has version {payload.get('version')}, "
-                f"expected {STATE_VERSION}"
-            )
-        if payload.get("params") != params:
-            raise ValueError(
-                f"state file {path} was written by a sweep with different "
-                f"parameters; rerun without --resume (or delete it)"
-            )
-        state.cases = payload.get("cases", {})
-        return state
-
-    def lookup(self, scheme: str, key: str) -> Optional[NestedCaseResult]:
-        """A previously journaled verdict for this case, if any."""
-        payload = self.cases.get(scheme, {}).get(key)
-        if payload is None:
-            return None
-        return NestedCaseResult.from_dict(payload)
-
-    def record(self, scheme: str, case: NestedCaseResult) -> None:
-        """Journal one verdict and flush the file immediately."""
-        self.cases.setdefault(scheme, {})[case.key()] = case.to_dict()
-        self.save()
-
-    def save(self) -> None:
-        """Atomically rewrite the journal (write temp, then rename)."""
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(
-            json.dumps(
-                {
-                    "version": STATE_VERSION,
-                    "params": self.params,
-                    "cases": self.cases,
-                },
-                indent=1,
-                sort_keys=True,
-            )
-        )
-        os.replace(tmp, self.path)
-
-
-class SweepBudgetExhausted(Exception):
-    """Raised internally when ``max_new_cases`` verdicts were computed."""
 
 
 # -- the per-case machinery ---------------------------------------------------
@@ -324,32 +230,6 @@ def run_nested_case(
 # -- the sweep ----------------------------------------------------------------
 
 
-def sweep_params(
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-    forward_sample: int,
-    nested_sample: int,
-    gc_sample: int,
-    torn_mode: str,
-    recovery_threads: int,
-    idempotence_k: int,
-) -> dict:
-    """The parameter fingerprint a resumable state file is keyed by."""
-    return {
-        "seed": seed,
-        "transactions": transactions,
-        "addresses": addresses,
-        "forward_sample": forward_sample,
-        "nested_sample": nested_sample,
-        "gc_sample": gc_sample,
-        "torn_mode": torn_mode,
-        "recovery_threads": recovery_threads,
-        "idempotence_k": idempotence_k,
-    }
-
-
 def nested_sweep_scheme(
     scheme: str,
     *,
@@ -363,8 +243,6 @@ def nested_sweep_scheme(
     recovery_threads: int = 2,
     idempotence_k: int = 2,
     artifact_dir: Optional[str] = None,
-    state: Optional[SweepState] = None,
-    max_new_cases: Optional[int] = None,
     progress=None,
 ) -> NestedSweepResult:
     """Run the nested-fault sweep for one scheme.
@@ -376,46 +254,28 @@ def nested_sweep_scheme(
     Phase 3 (gc-media): drive the same GC pass under a transient-read
     burst.  Every case checks atomic durability plus ``idempotence_k``
     extra crash+recover cycles for bit-identical durable state.
-
-    ``state`` (a :class:`SweepState`) makes the sweep resumable.
-    ``max_new_cases`` (``None`` = unlimited) stops the sweep before its
-    first fresh verdict beyond that many and sets ``exhausted`` on the
-    result — the CLI's ``--max-cases`` smoke/resume hook.
     """
-    remaining = max_new_cases
     artifact_args = dict(
         seed=seed, transactions=transactions, addresses=addresses,
         recovery_threads=recovery_threads, idempotence_k=idempotence_k,
     )
 
     def _settle(phase, start, outcome, cuts=()) -> None:
-        """One case: its journaled verdict, or computed from ``start()``."""
-        nonlocal remaining
-        key = case_key(phase, cuts)
-        case = state.lookup(scheme, key) if state is not None else None
-        if case is not None:
-            result.skipped += 1
-        else:
-            if remaining is not None:
-                if remaining <= 0:
-                    raise SweepBudgetExhausted()
-                remaining -= 1
-            case = run_nested_case(
-                start(),
-                outcome,
-                phase,
-                phase_faults(phase, seed, cuts),
-                threads=recovery_threads,
-                idempotence_k=idempotence_k,
+        """One case, computed from the machine ``start()`` returns."""
+        case = run_nested_case(
+            start(),
+            outcome,
+            phase,
+            phase_faults(phase, seed, cuts),
+            threads=recovery_threads,
+            idempotence_k=idempotence_k,
+        )
+        if case.failure:
+            report_failure(
+                nested_case_artifact(scheme, case, **artifact_args),
+                artifact_dir,
+                progress,
             )
-            if state is not None:
-                state.record(scheme, case)
-            if case.failure:
-                report_failure(
-                    nested_case_artifact(scheme, case, **artifact_args),
-                    artifact_dir,
-                    progress,
-                )
         result.cases.append(case)
 
     # Phase 1's boundaries ascend, so it runs on the forward sweep's
@@ -428,66 +288,59 @@ def nested_sweep_scheme(
     total = cursor.total_writes
     result = NestedSweepResult(scheme=scheme, total_writes=total)
 
-    try:
-        # -- phase 1: crash during recovery ---------------------------------
-        forward_boundaries = choose_boundaries(total, forward_sample, seed)
-        cursor.expect(forward_boundaries)
-        for boundary in forward_boundaries:
-            torn = _torn_for(boundary, torn_mode)
-            system, outcome = build_crashed(
-                build, cursor, boundary_faults(seed, boundary, torn)
-            )
-            # Each case of this boundary starts from a power-cut image.
-            cut = partial(power_cut, system)
-            # Probe: ops one clean recovery performs from this state.
-            ops = probe_recovery_ops(
-                crash_image(system), threads=recovery_threads
-            )
-            result.recovery_ops_probed = max(result.recovery_ops_probed, ops)
-            nested_boundaries: List[Optional[int]]
-            if ops > 0:
-                # choose_boundaries samples 1..ops; a cut at j-1 makes
-                # the j-th recovery op the cut instant.
-                nested_boundaries = [
-                    j - 1
-                    for j in choose_boundaries(
-                        ops, nested_sample, seed ^ (boundary << 4)
-                    )
-                ]
-            else:
-                # Recovery performs no mutations (e.g. LAD): nothing to
-                # cut, but convergence + idempotence still get checked.
-                nested_boundaries = [None]
-            for after_ops in nested_boundaries:
-                _settle("recovery", cut, outcome, phase_schedule(
-                    "recovery", boundary, torn, after_ops,
-                    after_ops is not None
-                    and _torn_for(after_ops + 1, torn_mode),
-                ))
-
-        # -- phase 2: crash during GC / coalescing --------------------------
-        system, outcome = build_crashed_cold(
-            scheme, clean_faults(seed), seed=seed,
-            transactions=transactions, addresses=addresses,
+    # -- phase 1: crash during recovery -------------------------------------
+    forward_boundaries = choose_boundaries(total, forward_sample, seed)
+    cursor.expect(forward_boundaries)
+    for boundary in forward_boundaries:
+        torn = _torn_for(boundary, torn_mode)
+        system, outcome = build_crashed(
+            build, cursor, boundary_faults(seed, boundary, torn)
         )
-        assert not outcome.power_lost
-        base_writes = system.device.stats.writes
-        quiesced = capture(system)
-        # Probe: writes one GC pass issues from the completed workload.
-        system.scheme.quiesce(system.now_ns)
-        gc_writes = system.device.stats.writes - base_writes
-        if gc_writes > 0:
-            for boundary in choose_boundaries(
-                gc_writes, gc_sample, seed ^ 0x6C
-            ):
-                _settle("gc", quiesced.restore, outcome, phase_schedule(
-                    "gc", boundary, _torn_for(boundary, torn_mode)
-                ))
+        # Each case of this boundary starts from a power-cut image.
+        cut = partial(power_cut, system)
+        # Probe: ops one clean recovery performs from this state.
+        ops = probe_recovery_ops(crash_image(system), threads=recovery_threads)
+        result.recovery_ops_probed = max(result.recovery_ops_probed, ops)
+        nested_boundaries: List[Optional[int]]
+        if ops > 0:
+            # choose_boundaries samples 1..ops; a cut at j-1 makes
+            # the j-th recovery op the cut instant.
+            nested_boundaries = [
+                j - 1
+                for j in choose_boundaries(
+                    ops, nested_sample, seed ^ (boundary << 4)
+                )
+            ]
+        else:
+            # Recovery performs no mutations (e.g. LAD): nothing to
+            # cut, but convergence + idempotence still get checked.
+            nested_boundaries = [None]
+        for after_ops in nested_boundaries:
+            _settle("recovery", cut, outcome, phase_schedule(
+                "recovery", boundary, torn, after_ops,
+                after_ops is not None and _torn_for(after_ops + 1, torn_mode),
+            ))
 
-        # -- phase 3: media-error burst during GC ---------------------------
-        _settle("gc-media", quiesced.restore, outcome)
-    except SweepBudgetExhausted:
-        result.exhausted = True
+    # -- phase 2: crash during GC / coalescing ------------------------------
+    system, outcome = build_crashed_cold(
+        scheme, clean_faults(seed), seed=seed,
+        transactions=transactions, addresses=addresses,
+    )
+    assert not outcome.power_lost
+    base_writes = system.device.stats.writes
+    quiesced = capture(system)
+    # Probe: writes one GC pass issues from the completed workload.
+    system.scheme.quiesce(system.now_ns)
+    gc_writes = system.device.stats.writes - base_writes
+    if gc_writes > 0:
+        for boundary in choose_boundaries(gc_writes, gc_sample, seed ^ 0x6C):
+            _settle("gc", quiesced.restore, outcome, phase_schedule(
+                "gc", boundary, _torn_for(boundary, torn_mode)
+            ))
+
+    # -- phase 3: media-error burst during GC -------------------------------
+    _settle("gc-media", quiesced.restore, outcome)
+    return result
 
     return result
 

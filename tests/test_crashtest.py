@@ -24,6 +24,7 @@ from repro.faults.plan import (
     plan_to_dict,
     save_artifact,
 )
+from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.trace import run_txns
 
 
@@ -361,19 +362,18 @@ _UNSWEEPABLE = ["bogus", "native", "logregion"]
 
 class TestSweep:
     def test_resolve_schemes(self):
-        assert crashtest.resolve_schemes("hoop,undo") == [
+        assert crashtest.resolve_schemes("hoop, opt-undo") == [
             "hoop", "opt-undo",
         ]
-        assert crashtest.resolve_schemes("hoopmc") == ["hoop-mc"]
-        assert len(crashtest.resolve_schemes("all")) == len(
-            crashtest.SWEEP_SCHEMES
+        assert crashtest.resolve_schemes("all") == list(
+            PERSISTENT_SCHEME_NAMES
         )
         with pytest.raises(ValueError):
             crashtest.resolve_schemes(",")
 
     @pytest.mark.parametrize("spec", _UNSWEEPABLE)
     def test_resolve_schemes_refuses_what_it_cannot_sweep(self, spec):
-        with pytest.raises(ValueError, match="hoopmc"):
+        with pytest.raises(ValueError, match="hoop-mc"):
             crashtest.resolve_schemes(f"hoop,{spec}")
 
     @pytest.mark.parametrize("spec", _UNSWEEPABLE)

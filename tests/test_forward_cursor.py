@@ -36,6 +36,7 @@ from repro.core.oop_region import OOPRegion
 from repro.core.slices import SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
+from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.snapshot import Snapshot, clone_state
 from repro.snapshot.replay import ForwardCursor
 from repro.trace import run_txns
@@ -43,7 +44,7 @@ from repro.txn.system import MemorySystem
 
 from tests.test_fork_isolation import _reachable
 
-ALL_SCHEMES = sorted(crashtest.SWEEP_SCHEMES.values())
+ALL_SCHEMES = sorted(PERSISTENT_SCHEME_NAMES)
 
 
 def _machine(scheme, transactions, seed=7, addresses=12):

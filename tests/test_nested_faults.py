@@ -8,8 +8,8 @@ Three contracts of :mod:`repro.crashtest.nested`:
 * **Nested survival** — a power cut *during* recovery, at any mutation
   boundary, leaves a state from which the next recovery converges to an
   atomically-durable image; same for cuts inside the GC pass.
-* **Resumability** — a sweep interrupted after N verdicts and resumed
-  produces exactly the verdicts of an uninterrupted run.
+* **Clean sweeps leave nothing behind** — a sweep without failures
+  writes no file to ``--artifact-dir``.
 
 ``tests/data/nested_golden.json`` pins every sweep scheme's nested
 verdicts; print a fresh record with ``PYTHONPATH=src python
@@ -27,20 +27,24 @@ import pytest
 from repro.common.config import OPS, WRITES, Cut, FaultConfig
 from repro.common.errors import PowerLossError
 from repro.crashtest import (
-    SWEEP_SCHEMES,
+    _torn_for,
+    boundary_faults,
     build_crashed_cold,
     verify_atomic_durability,
 )
+from repro.crashtest.__main__ import main
 from repro.crashtest.nested import (
-    SweepState,
     check_idempotence,
     nested_sweep_scheme,
+    phase_faults,
     probe_recovery_ops,
     run_nested_case,
-    sweep_params,
 )
+from repro.faults.plan import phase_schedule
+from repro.schemes import PERSISTENT_SCHEME_NAMES
+from repro.snapshot import crash_image, power_cut
 
-ALL_SCHEMES = sorted(SWEEP_SCHEMES.values())
+ALL_SCHEMES = sorted(PERSISTENT_SCHEME_NAMES)
 
 # Small but non-trivial workloads: enough transactions that every
 # scheme's log/region structures are exercised, small enough to keep the
@@ -136,6 +140,39 @@ class TestNestedCut:
                 f"{scheme} nested at op {after_ops}: {case.failure}"
             )
 
+    @pytest.mark.parametrize(
+        "seed, boundary", [(7, 110), (7, 114), (7, 215), (2, 91), (2, 187)]
+    )
+    def test_hoop_mc_cleanup_cut_keeps_the_global_commit(self, seed, boundary):
+        """Every recovery op cut at five forward cuts of hoop-mc.
+
+        At seed 7 the in-flight transaction's commit entry reached
+        controller 0 only; a cut that tore controller 1's first
+        region-clear write, after controller 0's cleanup, once left a
+        rerun that re-poked older versions of its words.  At seed 2 the
+        forward cut tore controller 1's log page, so only controller 0's
+        log named the transactions that touched it alone; a cut in its
+        cleanup once dropped them from the rerun's agreed set.
+        """
+        torn = _torn_for(boundary, "alternate")
+        system, outcome = build_crashed_cold(
+            "hoop-mc", boundary_faults(seed, boundary, torn),
+            seed=seed, transactions=80, addresses=12,
+        )
+        failures = []
+        for after_ops in range(probe_recovery_ops(crash_image(system))):
+            cuts = phase_schedule(
+                "recovery", boundary, torn, after_ops,
+                _torn_for(after_ops + 1, "alternate"),
+            )
+            case = run_nested_case(
+                power_cut(system), outcome, "recovery",
+                phase_faults("recovery", seed, cuts),
+            )
+            if case.failure:
+                failures.append(f"nested={after_ops}: {case.failure}")
+        assert failures == []
+
     def test_nth_fault_rearms_after_each_firing(self):
         """A third (and fourth) cut, then the case still converges."""
         faults = FaultConfig(
@@ -177,49 +214,17 @@ class TestNestedSweep:
         phases = {c.phase for c in result.cases}
         assert phases == {"recovery", "gc", "gc-media"}
 
-    def test_resume_reproduces_cold_verdicts(self, tmp_path):
-        kwargs = dict(
-            seed=7,
-            transactions=_TXNS,
-            addresses=_ADDRS,
-            forward_sample=2,
-            nested_sample=2,
-            gc_sample=2,
-            idempotence_k=1,
-        )
-        params = sweep_params(
-            torn_mode="alternate", recovery_threads=2, **kwargs
-        )
-        cold = nested_sweep_scheme("osp", **kwargs)
-
-        # Interrupted sweep: stop after 3 fresh verdicts...
-        state_path = tmp_path / "state.json"
-        state = SweepState.open(state_path, params, resume=False)
-        partial = nested_sweep_scheme(
-            "osp", state=state, max_new_cases=3, **kwargs
-        )
-        assert len(partial.cases) == 3
-        assert partial.exhausted
-        # ...then resume from the journal on disk.
-        state = SweepState.open(state_path, params, resume=True)
-        resumed = nested_sweep_scheme("osp", state=state, **kwargs)
-        assert resumed.skipped == 3
-        assert not resumed.exhausted
-        assert [c.to_dict() for c in resumed.cases] == [
-            c.to_dict() for c in cold.cases
-        ]
-
-    def test_resume_rejects_mismatched_params(self, tmp_path):
-        params = sweep_params(
-            seed=7, transactions=10, addresses=4, forward_sample=1,
-            nested_sample=1, gc_sample=1, torn_mode="never",
-            recovery_threads=2, idempotence_k=1,
-        )
-        state = SweepState.open(tmp_path / "s.json", params, resume=False)
-        state.save()
-        other = dict(params, seed=8)
-        with pytest.raises(ValueError):
-            SweepState.open(tmp_path / "s.json", other, resume=True)
+    def test_clean_sweep_writes_no_file(self, tmp_path):
+        artifacts = tmp_path / "artifacts"
+        code = main([
+            "--nested", "--schemes", "hoop,osp", "--seed", "7",
+            "--transactions", str(_TXNS), "--addresses", str(_ADDRS),
+            "--forward-sample", "2", "--nested-sample", "2",
+            "--gc-sample", "2", "--idempotence-k", "1",
+            "--artifact-dir", str(artifacts),
+        ])
+        assert code == 0
+        assert not artifacts.exists() or not any(artifacts.iterdir())
 
 
 # -- pinned verdicts ------------------------------------------------------------

@@ -25,11 +25,12 @@ from unittest import mock
 import pytest
 
 from repro import crashtest
+from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.txn.system import MemorySystem
 
 GOLDEN = Path(__file__).parent / "data" / "recovery_golden.json"
 SWEEP = {"seed": 11, "transactions": 60, "sample": 0}
-SCHEMES = sorted(crashtest.SWEEP_SCHEMES.values())
+SCHEMES = sorted(PERSISTENT_SCHEME_NAMES)
 
 
 def recovery_records(scheme: str) -> list:

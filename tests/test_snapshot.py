@@ -31,7 +31,7 @@ from repro.core.oop_region import BlockState
 from repro.crashtest import nested
 from repro.faults.injector import FaultyNVMDevice
 from repro.faults.plan import CrashArtifact
-from repro.schemes import ALL_SCHEME_NAMES
+from repro.schemes import ALL_SCHEME_NAMES, PERSISTENT_SCHEME_NAMES
 from repro.snapshot import capture, clone_state
 from repro.trace import run_txns
 
@@ -218,7 +218,7 @@ class TestIncrementalSweepEquivalence:
         assert not result.failures
 
     @pytest.mark.parametrize(
-        "scheme", sorted(crashtest.SWEEP_SCHEMES.values())
+        "scheme", sorted(PERSISTENT_SCHEME_NAMES)
     )
     def test_sampled_sweep_matches_cold_on_every_scheme(self, scheme):
         _assert_cases_equal_run_case(
