@@ -202,6 +202,9 @@ def run_serve(
     Pass a :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
     Perfetto export of the serve track); otherwise the cluster makes
     its own, and the report carries the latency digests either way.
+    The hub observes the serving layer only: the ``shard<N>/`` sinks,
+    the ``serve.*`` counters and the serve events.  Replica machines
+    emit nothing into it.
     """
     cluster = ServeCluster(cfg, telemetry=telemetry)
     cluster.run()

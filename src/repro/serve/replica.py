@@ -130,7 +130,9 @@ class Replica:
     All mutating methods advance only this machine's core-0 clock; the
     volatile mirrors (``epoch``, ``shipped_seq``) are updated strictly
     *after* the backing transaction commits and reloaded from the
-    durable header when the machine recovers from a power cut.
+    durable header when the machine recovers from a power cut.  The
+    machine has no telemetry hub: the cluster's hub observes the serving
+    layer only, so neither it nor its crash images emit anything.
     """
 
     def __init__(
@@ -142,7 +144,6 @@ class Replica:
         keys: Sequence[int],
         value_bytes: int,
         seed: int,
-        telemetry: Telemetry,
         log_bytes: int,
         recovery_threads: int,
     ) -> None:
@@ -157,7 +158,7 @@ class Replica:
         config = SystemConfig.small().replace(
             faults=FaultConfig(enabled=True, seed=fault_seed)
         )
-        self.system = MemorySystem(config, scheme=scheme, telemetry=telemetry)
+        self.system = MemorySystem(config, scheme=scheme)
         self.shard_id = shard_id
         self.index = index
         self.value_bytes = value_bytes
@@ -429,7 +430,6 @@ class ReplicationGroup:
                 keys=keys,
                 value_bytes=value_bytes,
                 seed=seed,
-                telemetry=telemetry,
                 log_bytes=log,
                 recovery_threads=recovery_threads,
             )

@@ -1,10 +1,11 @@
 """The telemetry hub: typed, simulated-time-stamped structured events.
 
-One :class:`Telemetry` instance observes one run.  That is one
-simulated machine, except in :mod:`repro.serve`, where one hub observes
-every replica of every shard plus the serve layer: machine events,
-counters and histograms pool over all of them, and only the serve
-layer's own metrics carry a ``shard<N>/`` prefix.  Emitters
+One :class:`Telemetry` instance observes one simulated machine, or, in
+:mod:`repro.serve`, the serving layer alone: the cluster's replica
+machines (and their crash images) are built without a hub, so the
+cluster's hub holds only the ``shard<N>/`` metrics, the ``serve.*``
+counters and the serve events below.  A per-machine view attaches its
+own hub to the one machine it explains.  Emitters
 (the scheme base, HOOP controller, GC, commit log, eviction buffer,
 memory port, fault injector) hold a reference and guard every emission
 with a single ``if telemetry.enabled:`` check.  **When telemetry is off
@@ -34,6 +35,19 @@ Event taxonomy (``kind`` strings, greppable in the JSONL export):
 ``power_cut``/``read_fault``
                      fault-injection instants (``faults`` track)
 ``crash``            power failure instant (global)
+``serve_reject``     admission refused a request (``serve`` track,
+                     as are all the kinds below)
+``shard_kill``       a shard's primary lost power mid-batch
+``failover_begin``   primary lost with a live backup: promotion
+                     waits for the lease (``promote_at_ns``)
+``shard_recovering`` primary lost with no backup: the shard waits
+                     for its own recovery
+``backup_kill``      a backup lost power
+``promotion``        a backup became primary at a new epoch
+``shard_recovered``  a recovered primary resumed serving
+``rejoin_begin``     a recovered replica starts catching up
+                     (``mode``: delta or image)
+``rejoin_complete``  the rejoiner is a live backup again
 ===================  ==============================================
 
 Ordering contract: events are appended in emission order.  Within one

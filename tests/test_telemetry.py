@@ -347,44 +347,89 @@ def _replicated(hub, **overrides):
     return cluster
 
 
-def test_failover_timeline_is_not_drowned_by_mapping_events():
+@pytest.fixture(scope="module")
+def failover():
+    """A replicated cluster whose shard-1 primary dies torn at 0.5 ms."""
+    return _replicated(
+        Telemetry(max_events=40_000),
+        kill_shard=1, kill_primary_at_ms=0.5, torn_kill=True,
+    )
+
+
+def test_failover_timeline_is_not_drowned_by_mapping_events(failover):
     # Per-word mapping events made this run 153 813 events long: a hub
     # this size dropped 113 813 of them, the failover marks included.
-    hub = Telemetry(max_events=40_000)
-    _replicated(hub, kill_shard=1, kill_primary_at_ms=0.5, torn_kill=True)
+    hub = failover.telemetry
     assert hub.dropped_events == 0
     kinds = [kind for _, kind, _, _ in hub.events]
+    assert not [kind for kind in kinds if kind.startswith("mapping_")]
     for mark in ("shard_kill", "promotion", "rejoin_complete"):
         assert kinds.count(mark) == 1
+
+
+MACHINE_KINDS = (
+    "oop_evict", "commit_log_append", "port_stall", "power_cut", "crash"
+)
+
+
+def test_a_serve_hub_observes_the_serving_layer_only(failover):
+    # Every replica writes the same machine tracks, so a pooled machine
+    # event could not be traced back to its replica: none reach the hub.
+    hub = failover.telemetry
+    # No commit/load/store latency or GC pause histogram, for one.
+    assert all(name.startswith("shard") for name in hub.histograms)
+    assert all(name.startswith("serve.") for name in hub.counters)
+    assert hub.commit_series.values == []
+    assert hub.write_traffic_series.values == []
+    kinds = hub.event_counts()
+    assert not [
+        kind for kind in kinds
+        if kind.startswith(("txn_", "gc_", "mapping_")) or kind in MACHINE_KINDS
+    ]
+    assert {kind: kinds[kind] for kind in (
+        "shard_kill", "promotion", "rejoin_complete"
+    )} == {"shard_kill": 1, "promotion": 1, "rejoin_complete": 1}
+    replicas = [r for g in failover.groups.values() for r in g.replicas]
+    assert not any(replica.system._tel_on for replica in replicas)
+    assert not replicas[0].durable_projection()._tel_on
 
 
 def test_mapping_events_are_per_run_and_sum_to_the_word_counters():
     from repro.core.controller import HoopScheme
 
     hub = Telemetry()
+    system = MemorySystem(SystemConfig.small(), scheme="hoop", telemetry=hub)
+    controller = system.scheme.controller
+    lines = 64
+    base = system.allocate(64 * lines)
+    rng = random.Random(7)
     with mock.patch.object(
         HoopScheme, "on_store", autospec=True, side_effect=HoopScheme.on_store
     ) as on_store:
-        # No final verify: its scratch clones replay stores into this hub
-        # but keep their own counters.
-        cluster = _replicated(hub, duration_ms=1.0, verify_final=False)
-    controllers = [
-        replica.system.scheme.controller
-        for group in cluster.groups.values()
-        for replica in group.replicas
-    ]
+        # Full-line and partial word-aligned stores, one line each, until
+        # a GC pass has migrated something home.
+        for _ in range(10_000):
+            if controller.gc.stats.words_migrated:
+                break
+            stores = []
+            for _ in range(4):
+                words = rng.choice((8, 1, 2, 3, 5))
+                addr = base + 64 * rng.randrange(lines)
+                addr += 8 * rng.randrange(9 - words)
+                stores.append((addr, rng.randbytes(8 * words)))
+            system.run_batch(stores)
+    assert controller.gc.stats.words_migrated
     inserts = [p for _, kind, _, p in hub.events if kind == "mapping_insert"]
     evicts = [p for _, kind, _, p in hub.events if kind == "mapping_evict"]
     assert len(inserts) == on_store.call_count > 0
-    assert sum(p["words"] for p in inserts) == sum(
-        c.buffer.stats.words_buffered + c.buffer.stats.words_deduped
-        for c in controllers
+    assert sum(p["words"] for p in inserts) == (
+        controller.buffer.stats.words_buffered
+        + controller.buffer.stats.words_deduped
     )
-    assert all(p["addr"] % 8 == 0 and 1 <= p["words"] <= 8 for p in inserts)
+    assert {p["words"] for p in inserts} == {1, 2, 3, 5, 8}
+    assert all(p["addr"] % 8 == 0 for p in inserts)
     assert evicts
-    assert sum(p["words"] for p in evicts) == sum(
-        c.mapping.stats.removes for c in controllers
-    )
+    assert sum(p["words"] for p in evicts) == controller.mapping.stats.removes
     assert all(p["addr"] % 64 == 0 and 1 <= p["words"] <= 8 for p in evicts)
 
 

@@ -36,7 +36,8 @@ from repro.common.errors import (
 )
 from repro.common.units import MB
 from repro.core.block_refs import BlockRefs
-from repro.core.gc import RETIRE_WATERMARK_ADDR
+from repro.core.eviction_buffer import EvictionBuffer
+from repro.core.gc import RETIRE_WATERMARK_ADDR, GarbageCollector
 from repro.core.mapping_table import MappingTable
 from repro.core.oop_buffer import OOPDataBuffer
 from repro.core.oop_region import OOPRegion
@@ -54,7 +55,6 @@ from repro.nvm.device import NVMDevice
 from repro.serve import ServeConfig
 from repro.serve.cluster import ServeCluster
 from repro.snapshot import clone_state
-from repro.telemetry.hub import Telemetry
 
 LINE = 64
 
@@ -520,6 +520,14 @@ def test_fault_free_replicated_run_call_counts():
         writes.append((addr, len(data)))
         return device_write(self, addr, data, now_ns, queued=queued)
 
+    reports = []  # every GC pass, on every machine and crash image
+    gc_run = GarbageCollector.run
+
+    def counted_run(self, now_ns, *, on_demand):
+        report = gc_run(self, now_ns, on_demand=on_demand)
+        reports.append(report)
+        return report
+
     with mock.patch.object(
         SliceCodec, "_decode_data_uncached", autospec=True,
         side_effect=SliceCodec._decode_data_uncached,
@@ -534,8 +542,10 @@ def test_fault_free_replicated_run_call_counts():
     ) as base_batch, mock.patch.object(
         MappingTable, "record", autospec=True,
         side_effect=MappingTable.record,
-    ) as record:
-        hub = Telemetry()
+    ) as record, mock.patch.object(
+        EvictionBuffer, "insert", autospec=True,
+        side_effect=EvictionBuffer.insert,
+    ) as evict, mock.patch.object(GarbageCollector, "run", counted_run):
         cluster = ServeCluster(
             # One group takes the whole 3.2 M req/s: two shards at half
             # that each no longer fill a region fast enough to need
@@ -545,7 +555,6 @@ def test_fault_free_replicated_run_call_counts():
                 duration_ms=1.0, queue_depth=256, seed=5,
                 verify_final=False,
             ),
-            telemetry=hub,
         )
         cluster.run()
     controllers = [
@@ -576,15 +585,13 @@ def test_fault_free_replicated_run_call_counts():
     # migrated line, and every batch took the base-class fast path.
     batched_words = sum(len(c.args[1]) for c in faulty_batch.call_args_list)
     assert batched_words == migrated
-    lines = sum(1 for e in hub.events if e[1] == "oop_evict")
+    lines = evict.call_count
     assert faulty_batch.call_count == base_batch.call_count == lines
 
     # ... so the only 8-byte write() left is the retire watermark, once
     # per pass that retired something; everything else write() carries
     # is a whole slice (data, commit log) or a block header.
-    retiring_passes = sum(
-        1 for e in hub.events if e[1] == "gc_end" and e[3]["txs"]
-    )
+    retiring_passes = sum(1 for r in reports if r.transactions_migrated)
     word_writes = [addr for addr, size in writes if size == 8]
     assert word_writes == [RETIRE_WATERMARK_ADDR] * retiring_passes
     port_writes = sum(
