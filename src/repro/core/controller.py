@@ -270,16 +270,16 @@ class HoopController:
             raw, slice_completion = self.region.read_slice(slice_index, now_ns)
             self.stats.fill_slice_reads += 1
             ds = self.codec.decode_data(raw)
+            addrs, payload = ds.addrs, ds.payload
             for word_addr, location in members:
                 slot = location.word_slot
-                if slot < len(ds.words) and ds.words[slot][0] == word_addr:
-                    value = ds.words[slot][1]
-                else:  # defensive: locate by address
-                    value = next(
-                        (v for a, v in ds.words if a == word_addr), None
+                # A slot not holding the word would be a stale entry;
+                # the home line's bytes stand then.
+                if slot < len(addrs) and addrs[slot] == word_addr:
+                    offset = slot * WORD_BYTES
+                    overlays.append(
+                        (word_addr, payload[offset : offset + WORD_BYTES])
                     )
-                if value is not None:
-                    overlays.append((word_addr, value))
 
         # Only when the overlays cover the whole line can the home read be
         # skipped; otherwise both reads are issued in parallel (§III-G).

@@ -36,7 +36,7 @@ from repro.core.commit_log import CommitLog, CommittedTx
 from repro.core.eviction_buffer import EvictionBuffer
 from repro.core.mapping_table import MappingTable
 from repro.core.oop_region import BlockState, OOPRegion
-from repro.core.slices import SLICE_BYTES, SliceCodec
+from repro.core.slices import SLICE_BYTES, WORD_BYTES, SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.memctrl.scheduler import PeriodicTrigger
 from repro.telemetry.hub import NULL_TELEMETRY
@@ -222,11 +222,14 @@ class GarbageCollector:
             words, slices_read, latest = self._read_tx_words(tx, now_ns)
             report.slices_read += slices_read
             report.words_scanned += len(words)
-            for addr, value, src_slice, src_slot in words:
+            for addr, payload, src_slice, src_slot in words:
                 if addr not in coalesced:
-                    coalesced[addr] = (value, src_slice, src_slot)
+                    coalesced[addr] = (payload, src_slice, src_slot)
                 elif not coalesce:
-                    self.port.async_write(addr, value, now_ns)
+                    offset = src_slot * WORD_BYTES
+                    self.port.async_write(
+                        addr, payload[offset : offset + WORD_BYTES], now_ns
+                    )
                     uncoalesced_writes += 1
             migrated_txs.append(tx.tx_id)
             report.transactions_migrated += 1
@@ -242,7 +245,9 @@ class GarbageCollector:
             word_writes = []
             removed = 0
             for addr in sorted(word_addrs):
-                value, src_slice, src_slot = coalesced[addr]
+                payload, src_slice, src_slot = coalesced[addr]
+                src = src_slot * WORD_BYTES
+                value = payload[src : src + WORD_BYTES]
                 offset = addr - line_addr
                 staged[offset : offset + 8] = value
                 word_writes.append((addr, value))
@@ -318,10 +323,13 @@ class GarbageCollector:
     ) -> Tuple[List[Tuple[int, bytes, int, int]], int, float]:
         """All words of a transaction, newest store first.
 
-        Walks each chain segment tail-to-head via prev-links; segments are
-        recorded oldest-first, so they are visited in reverse.  Within a
-        slice the packing order is oldest-first, so word slots are visited
-        in reverse too.
+        Each word is ``(addr, payload, slice, slot)``: its value is
+        ``payload[8 * slot : 8 * slot + 8]`` of the slice's payload, cut
+        only for the version that wins coalescing.  Walks each chain
+        segment tail-to-head via prev-links; segments are recorded
+        oldest-first, so they are visited in reverse.  Within a slice the
+        packing order is oldest-first, so word slots are visited in
+        reverse too.
         """
         words: List[Tuple[int, bytes, int, int]] = []
         slices_read = 0
@@ -343,9 +351,9 @@ class GarbageCollector:
                     or ds.generation != self.region.generation_of(block)
                 ):
                     break  # chain ran into reused slices; stop defensively
-                for slot in range(len(ds.words) - 1, -1, -1):
-                    addr, value = ds.words[slot]
-                    words.append((addr, value, cursor, slot))
+                addrs, payload = ds.addrs, ds.payload
+                for slot in range(len(addrs) - 1, -1, -1):
+                    words.append((addrs[slot], payload, cursor, slot))
                 if ds.prev_delta is None:
                     cursor = None
                 else:

@@ -127,14 +127,14 @@ class MappingTable:
 
     def relocate_flushed(
         self,
-        words: Sequence[Tuple[int, bytes]],
+        addrs: Sequence[int],
         slice_index: int,
         marker: OOPLocation,
     ) -> None:
         """Repoint one flushed slice's words at their slots in it.
 
-        ``words`` is the slice's ``(word_addr, value)`` pairs in slot
-        order and ``marker`` the flushing core's buffer entry.  An entry
+        ``addrs`` is the slice's word addresses in slot order and
+        ``marker`` the flushing core's buffer entry.  An entry
         moves only while it is still that marker: a store from another
         core since then carries that core's marker (or already points at
         its slice) and keeps it, while a re-store from the same core
@@ -143,7 +143,7 @@ class MappingTable:
         lines = self._lines
         condense = self.condense
         new = tuple.__new__  # skips OOPLocation.__new__'s Python frame
-        for slot, (word_addr, _value) in enumerate(words):
+        for slot, word_addr in enumerate(addrs):
             line = word_addr & _LINE_MASK
             entries = lines.get(line)
             if entries is not None and entries.get(word_addr) == marker:

@@ -214,11 +214,14 @@ class OOPDataBuffer:
         tx_id = entry.tx_id
         pending = entry.pending
         assert tx_id is not None and pending
-        # Already the DataSlice.words shape; islice avoids copying the
+        # The slice's oldest-staged words; islice avoids copying the
         # whole pending dict when it holds more than one slice's worth.
-        words = tuple(islice(pending.items(), self._words_per_slice))
+        addrs = tuple(islice(pending, self._words_per_slice))
         region = self.region
         slice_index = region.allocate_slice(now_ns, stream="data")
+        # A slot claimed: the words leave ``pending`` as the slice's one
+        # payload (DataSlice's layout, no per-word pair).
+        payload = b"".join(map(pending.pop, addrs))
         prev_delta: Optional[int] = None
         if entry.segment_open:
             assert entry.last_slice is not None
@@ -231,8 +234,8 @@ class OOPDataBuffer:
                 entry.segments.append(entry.last_slice)
                 self.stats.segment_splits += 1
         block, slot = divmod(slice_index, region.slots_per_block)
-        ds = DataSlice.of_aligned_words(
-            tx_id, words, prev_delta is None, prev_delta,
+        ds = DataSlice.packed(
+            tx_id, addrs, payload, prev_delta is None, prev_delta,
             STATE_LAST if last else STATE_OPEN, region.generation_of(block),
         )
         raw = self.codec.encode_data(ds)
@@ -246,15 +249,13 @@ class OOPDataBuffer:
             completion = port.async_write(addr, raw, now_ns)
         if self._on_slice_written is not None:
             self._on_slice_written(tx_id, block)
-        self.mapping.relocate_flushed(words, slice_index, self._markers[core])
-        for word_addr, _value in words:
-            del pending[word_addr]
+        self.mapping.relocate_flushed(addrs, slice_index, self._markers[core])
         entry.last_slice = slice_index
         entry.segment_open = True
         self.stats.slices_written += 1
         check = self.check
         if check.active:
-            for word_addr, _value in words:
+            for word_addr in addrs:
                 check.note_persist(
                     tx_id, "oop", word_addr, 8, now_ns, sync=sync, port=port
                 )

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.common.config import SystemConfig
 from repro.common.errors import CorruptionError
@@ -176,7 +178,7 @@ class _Fold(NamedTuple):
     threads: int
     committed: List[CommittedTx]
     merged: Dict[int, bytes]
-    shards: List[Dict[int, bytes]]
+    shards: List[Set[int]]  # per worker, the word addresses it folded
     per_thread_txs: List[int]
     slices_walked: int
     walked: Dict[int, Tuple[int, bytes, int]]
@@ -202,6 +204,7 @@ class _RecoveryMemo:
 
 _SEQUENCE = itemgetter(3)  # of a found page
 _TX_ID = itemgetter(0)  # CommittedTx.tx_id
+_ADDR = itemgetter(0)  # of a walked (addr, value) word
 
 
 class RecoveryManager:
@@ -418,7 +421,7 @@ class RecoveryManager:
         # that fold still holds (see _kept_fold).
         reader, region = scan.reader, self.region
         fold = self._kept_fold(reader, committed, threads)
-        shards = [dict(shard) for shard in fold.shards]
+        shards = [set(shard) for shard in fold.shards]
         merged = dict(fold.merged)
         per_thread_txs = list(fold.per_thread_txs)
         walk_tx = self.walk_tx
@@ -429,7 +432,7 @@ class RecoveryManager:
             per_thread_txs[worker] += 1
             words, scanned = walk_tx(reader, tx)
             slices_walked += scanned
-            shards[worker].update(words)
+            shards[worker].update(map(_ADDR, words))
             merged.update(words)
         if committed:  # a rerun over a cleared region keeps the last fold
             walked = {
@@ -480,7 +483,9 @@ class RecoveryManager:
                 for block, (generation, buf, end) in kept.walked.items()
             )
         ):
-            return _Fold(threads, [], {}, [{}] * threads, [0] * threads, 0, {})
+            return _Fold(
+                threads, [], {}, [set()] * threads, [0] * threads, 0, {}
+            )
         for block, (_, _, end) in kept.walked.items():
             reader.walked[block] = max(end, reader.walked.get(block, 0))
         return kept
@@ -491,9 +496,9 @@ class RecoveryManager:
         """A transaction's words in store order, and the slices read.
 
         Slices come from ``reader.decoded`` when the scan kept them, and
-        are decoded from the raw block otherwise.  A chain of one slice
-        returns that slice's ``words`` tuple as it is.  Every slot read
-        is noted in ``reader.walked``.
+        are decoded from the raw block otherwise.  The words are
+        ``(addr, value)`` pairs of each slice's ``addrs`` and
+        ``values()``.  Every slot read is noted in ``reader.walked``.
         """
         decoded = reader.decoded
         walked = reader.walked
@@ -520,9 +525,10 @@ class RecoveryManager:
                     if ds.prev_delta is None
                     else (cursor - ds.prev_delta) % total
                 )
-        if len(chain) == 1:
-            return chain[0].words, slices
-        return [word for ds in reversed(chain) for word in ds.words], slices
+        words = []
+        for ds in reversed(chain):
+            words += zip(ds.addrs, ds.values())
+        return words, slices
 
     def _decode_live(
         self, reader: BlockReader, slice_index: int

@@ -29,6 +29,7 @@ lines).
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -65,6 +66,8 @@ _STATE_SHIFT = 60
 _GENERATION_SHIFT = 64
 _CHECKSUM_SHIFT = 72
 _DATA_TAG = bytes([KIND_DATA])
+# By word count, the one-call split of a payload into its 8-byte values.
+_SPLIT_VALUES = tuple(struct.Struct("8s" * n).unpack for n in range(9))
 
 
 def _checksum(payload: bytes) -> int:
@@ -98,9 +101,21 @@ def _memoized(cache: dict, raw: bytes, decode):
     return cached
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DataSlice:
     """Decoded data memory slice: the words of one packing unit.
+
+    A slice holds its words as Fig. 5b lays them out: ``addrs``, the
+    home word addresses in slot order, and ``payload``, their 8-byte
+    values concatenated (slot ``i`` is ``payload[8 * i : 8 * i + 8]``).
+    That is three objects per slice, where a tuple of ``(addr, value)``
+    pairs costs a tuple and a ``bytes`` per word; every live slice sits
+    in the codec's decode memo, so GC, recovery and the LLC-miss path
+    read ``addrs`` and ``payload`` (or ``values()``, one split of it)
+    and never build ``words``.
+
+    ``DataSlice(tx_id, words=...)`` takes the pairs and checks each;
+    ``words`` gives them back, built on each read.
 
     ``prev_delta`` is the Fig. 5b 24-bit "Next Slice" offset field.  We
     link chains *backwards* (each slice names its predecessor, which is
@@ -112,36 +127,65 @@ class DataSlice:
     """
 
     tx_id: int
-    words: Tuple[Tuple[int, bytes], ...]  # (home word address, 8-byte value)
-    is_start: bool = False
-    prev_delta: Optional[int] = None
-    state: int = STATE_OPEN
+    addrs: Tuple[int, ...]  # home word addresses, in slot order
+    payload: bytes  # the words' values, 8 bytes per slot
+    is_start: bool
+    prev_delta: Optional[int]
+    state: int
     # Reuse generation of the block the slice was written into.  A block
     # reclaim bumps the generation, so stale slices surviving from before
     # the reclaim can never be mistaken for live ones by recovery scans.
-    generation: int = 0
+    generation: int
 
-    def __post_init__(self) -> None:
-        for addr, value in self.words:
+    def __init__(
+        self,
+        tx_id: int,
+        words: Tuple[Tuple[int, bytes], ...] = (),
+        is_start: bool = False,
+        prev_delta: Optional[int] = None,
+        state: int = STATE_OPEN,
+        generation: int = 0,
+    ) -> None:
+        for addr, value in words:
             if addr % WORD_BYTES != 0:
                 raise ValueError(f"home address {addr:#x} not word aligned")
             if len(value) != WORD_BYTES:
                 raise ValueError("each packed word must be exactly 8 bytes")
+        put = object.__setattr__
+        put(self, "tx_id", tx_id)
+        put(self, "addrs", tuple(addr for addr, _ in words))
+        put(self, "payload", b"".join(bytes(value) for _, value in words))
+        put(self, "is_start", is_start)
+        put(self, "prev_delta", prev_delta)
+        put(self, "state", state)
+        put(self, "generation", generation)
+
+    def values(self) -> Tuple[bytes, ...]:
+        """The words' 8-byte values, in slot order."""
+        return _SPLIT_VALUES[len(self.addrs)](self.payload)
+
+    @property
+    def words(self) -> Tuple[Tuple[int, bytes], ...]:
+        """``(home word address, 8-byte value)`` per slot, in slot order."""
+        return tuple(zip(self.addrs, self.values()))
 
     @classmethod
-    def of_aligned_words(
-        cls, tx_id: int, words: Tuple[Tuple[int, bytes], ...], is_start: bool,
-        prev_delta: Optional[int], state: int, generation: int,
+    def packed(
+        cls, tx_id: int, addrs: Tuple[int, ...], payload: bytes,
+        is_start: bool, prev_delta: Optional[int], state: int,
+        generation: int,
     ) -> "DataSlice":
-        """A slice whose producer holds only whole aligned 8-byte words.
+        """A slice from aligned ``addrs`` and ``8 * len(addrs)`` bytes.
 
-        The OOP data buffer's flush and the decoder: skips the frozen
-        ``__init__`` and ``__post_init__``'s per-word re-check.
+        The OOP data buffer's flush and the decoder: skips ``__init__``'s
+        per-word check, since both producers hold only whole aligned
+        words.
         """
         ds = object.__new__(cls)
         put = object.__setattr__
         put(ds, "tx_id", tx_id)
-        put(ds, "words", words)
+        put(ds, "addrs", addrs)
+        put(ds, "payload", payload)
         put(ds, "is_start", is_start)
         put(ds, "prev_delta", prev_delta)
         put(ds, "state", state)
@@ -252,22 +296,19 @@ class SliceCodec:
         has to pass its checksum.  This is the only place the memo is
         seeded from; ``decode_data`` fills it from real decodes.
         """
-        words = ds.words
-        count = len(words)
+        addrs = ds.addrs
+        count = len(addrs)
         if not 1 <= count <= self.words_per_slice:
             raise ValueError(
                 f"slice holds 1..{self.words_per_slice} words, got {count}"
             )
+        if len(ds.payload) != count * WORD_BYTES:
+            raise ValueError(f"{count} words need {count * WORD_BYTES} bytes")
         addr_bits = self.home_addr_bits
         addr_limit = 1 << addr_bits
         addr_acc = 0
         shift = 0
-        values = []
-        # ``ds`` is what decoding its own bytes returns only if it is
-        # already in decoded form (tuple of bytes values, 8-bit
-        # generation, ...); anything else is left for a real decode.
-        roundtrips = type(words) is tuple
-        for addr, value in words:
+        for addr in addrs:
             word_index = addr // WORD_BYTES
             if not 0 <= word_index < addr_limit:
                 raise ValueError(
@@ -276,9 +317,6 @@ class SliceCodec:
                 )
             addr_acc |= word_index << shift
             shift += addr_bits
-            values.append(value)
-            if type(value) is not bytes:
-                roundtrips = False
         prev_delta = ds.prev_delta
         if prev_delta is None:
             next_offset = _NO_NEXT
@@ -296,7 +334,7 @@ class SliceCodec:
             raise ValueError(f"state {state} exceeds 4 bits")
         generation = ds.generation & 0xFF
         payload = (
-            b"".join(values)
+            ds.payload
             + bytes(self._data_bytes - count * WORD_BYTES)
             + addr_acc.to_bytes(self._addr_vec_bytes, "little")
         )
@@ -319,7 +357,14 @@ class SliceCodec:
             + _DATA_TAG
         )
         assert len(raw) == SLICE_BYTES
-        if roundtrips and generation == ds.generation:
+        # ``ds`` is what decoding its own bytes returns only if it is
+        # already in decoded form (a tuple of addresses, a bytes payload,
+        # an 8-bit generation); anything else is left for a real decode.
+        if (
+            generation == ds.generation
+            and type(addrs) is tuple
+            and type(ds.payload) is bytes
+        ):
             _memo_put(self._decode_cache, raw, ds)
         return raw
 
@@ -347,14 +392,11 @@ class SliceCodec:
         word_indexes = unpack_uint_list(
             raw[data_bytes:meta_start], self.home_addr_bits, count
         )
-        words = tuple(
-            (word_indexes[i] * WORD_BYTES, raw[i * 8 : (i + 1) * 8])
-            for i in range(count)
-        )
         next_offset = meta & _NO_NEXT
-        return DataSlice.of_aligned_words(
+        return DataSlice.packed(
             meta >> _TXID_SHIFT & _TXID_MAX,
-            words,
+            tuple(index * WORD_BYTES for index in word_indexes),
+            raw[: count * WORD_BYTES],
             bool(meta >> _START_SHIFT & 1),
             None if next_offset == _NO_NEXT else next_offset,
             meta >> _STATE_SHIFT & 0xF,

@@ -19,11 +19,6 @@ CORE0 = loc(slice_index=0, in_buffer=True)
 CORE1 = loc(slice_index=1, in_buffer=True)
 
 
-def flushed(*word_addrs):
-    """A flushed slice's ``(word_addr, value)`` pairs in slot order."""
-    return [(addr, bytes(8)) for addr in word_addrs]
-
-
 class TestMappingTable:
     def test_record_and_lookup(self):
         table = MappingTable(16)
@@ -56,7 +51,7 @@ class TestMappingTable:
         table = MappingTable(16)
         table.record(0x1000, CORE0)
         table.record(0x1008, CORE0)
-        table.relocate_flushed(flushed(0x1000, 0x1008), 77, CORE0)
+        table.relocate_flushed((0x1000, 0x1008), 77, CORE0)
         assert table.lookup_word(0x1000) == loc(slice_index=77, slot=0)
         assert table.lookup_word(0x1008) == loc(slice_index=77, slot=1)
 
@@ -66,7 +61,7 @@ class TestMappingTable:
         table = MappingTable(16)
         table.record(0x1000, CORE1)
         table.record(0x1008, CORE0)
-        table.relocate_flushed(flushed(0x1000, 0x1008), 77, CORE0)
+        table.relocate_flushed((0x1000, 0x1008), 77, CORE0)
         assert table.lookup_word(0x1000) == CORE1  # newer store kept
         # ... and the slot numbering still counts the superseded word.
         assert table.lookup_word(0x1008).word_slot == 1
@@ -74,7 +69,7 @@ class TestMappingTable:
     def test_relocate_skips_words_already_flushed_or_gone(self):
         table = MappingTable(16)
         table.record(0x1000, loc(slice_index=3))  # not in the buffer
-        table.relocate_flushed(flushed(0x1000, 0x2000), 77, CORE0)
+        table.relocate_flushed((0x1000, 0x2000), 77, CORE0)
         assert table.lookup_word(0x1000).slice_index == 3
         assert table.lookup_word(0x2000) is None
         assert table.entries == 1

@@ -1,5 +1,6 @@
 """Memory-slice codecs: bit-exact round trips and corruption detection."""
 
+import gc
 import zlib
 
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitfield import BitStruct, Field
+from repro.common.config import SystemConfig
 from repro.common.errors import CorruptionError
+from repro.common.units import MB
+from repro.core.mapping_table import MappingTable
+from repro.core.oop_buffer import OOPDataBuffer
+from repro.core.oop_region import OOPRegion
 from repro.core.slices import (
     KIND_ADDR,
     KIND_DATA,
@@ -21,6 +27,8 @@ from repro.core.slices import (
     DataSlice,
     SliceCodec,
 )
+from repro.memctrl.port import MemoryPort
+from repro.nvm.device import NVMDevice
 
 
 @pytest.fixture
@@ -232,6 +240,71 @@ class TestDataSliceEncoder:
         ds = DataSlice(**{"tx_id": 1, "words": ((8, b"x" * 8),), **bad})
         with pytest.raises(ValueError):
             codec.encode_data(ds)
+
+
+# -- a decoded slice is its addresses and one payload -------------------------
+
+_LINE = bytes(range(64))
+# Twelve words staged from one core, 8 and then 4 to a slice.
+_STAGED = tuple(
+    (0x4000 + 8 * i, _LINE[i % 8 * 8 : i % 8 * 8 + 8]) for i in range(12)
+)
+
+
+def _flushed_slices():
+    """The slices ``OOPDataBuffer``'s flush seeds into the decode memo."""
+    config = SystemConfig.small(nvm_capacity=16 * MB)
+    region = OOPRegion(config, MemoryPort(NVMDevice(config.nvm)))
+    codec = SliceCodec(config.hoop.home_addr_bits, 8)
+    buffer = OOPDataBuffer(
+        config, region, codec, MappingTable(config.hoop.mapping_table_entries)
+    )
+    buffer.begin(0, tx_id=5)
+    for addr, _value in _STAGED:
+        line = addr & ~63
+        buffer.add_words(0, addr, 8, line, _LINE, 1.0)
+    buffer.tx_end(0, 2.0)
+    return list(codec._decode_cache.values())
+
+
+class TestSliceLayout:
+    """Every producer holds ``addrs`` and ``payload``, no per-word object."""
+
+    @staticmethod
+    def _check(ds, pairs):
+        assert type(ds.addrs) is tuple
+        assert all(type(addr) is int for addr in ds.addrs)
+        assert type(ds.payload) is bytes
+        assert len(ds.payload) == 8 * len(ds.addrs)
+        # Reachable from the slice: the two fields, ints, None and its
+        # class, never a pair tuple or a per-word bytes.
+        seen, stack = [], list(gc.get_referents(ds))
+        while stack:
+            obj = stack.pop()
+            if obj is None or isinstance(obj, (int, type)):
+                continue
+            assert obj is ds.addrs or obj is ds.payload, obj
+            seen.append(obj)
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) == 2
+        assert ds.words == tuple(pairs)
+
+    def test_the_flush_seeds_the_memo_with_the_layout(self):
+        seeded = _flushed_slices()
+        assert [len(ds.addrs) for ds in seeded] == [8, 4]
+        for ds, pairs in zip(seeded, (_STAGED[:8], _STAGED[8:])):
+            self._check(ds, pairs)
+
+    def test_a_real_decode_has_the_layout(self, codec):
+        raw = SliceCodec(40).encode_data(
+            DataSlice(tx_id=3, words=_STAGED[:5])
+        )
+        assert raw not in codec._decode_cache
+        self._check(codec.decode_data(raw), _STAGED[:5])
+
+    def test_the_constructor_builds_the_layout(self):
+        words = ((8, bytearray(b"abcdefgh")), (0x40, b"ABCDEFGH"))
+        self._check(DataSlice(tx_id=1, words=words), words)
 
 
 class TestAddressSlices:

@@ -147,9 +147,12 @@ _SeqLocation.__snapshot_state__ = "__atom__"
 
 
 class _SeqMapping(MappingTable):
-    def relocate_flushed(self, words, slice_index, tx_id):
-        """``words`` is ``(word_addr, seq)`` pairs in slot order."""
-        for slot, (word_addr, seq) in enumerate(words):
+    def relocate_flushed(self, addrs, slice_index, flushed):
+        """``flushed`` stands in for the core marker: ``(tx_id, seqs)``,
+        the flushing transaction and each word's store number, in
+        ``addrs``' slot order."""
+        tx_id, seqs = flushed
+        for slot, (word_addr, seq) in enumerate(zip(addrs, seqs)):
             line = word_addr & ~(LINE - 1)
             entries = self._lines.get(line)
             if entries is None:
@@ -212,9 +215,9 @@ class _SeqBuffer(OOPDataBuffer):
         completion = self.region.write_slice(slice_index, raw, now_ns, sync=sync)
         self._on_slice_written(entry.tx_id, block)
         self.mapping.relocate_flushed(
-            [(addr, seq) for addr, (_value, seq) in words],
+            tuple(addr for addr, _pending in words),
             slice_index,
-            entry.tx_id,
+            (entry.tx_id, [seq for _addr, (_value, seq) in words]),
         )
         for addr, _pending in words:
             del entry.pending[addr]
