@@ -392,6 +392,14 @@ class HoopScheme(PersistenceScheme):
         self.controller.attach_checker(checker)
         checker.bind_scheme(self.name, self.traits.durability)
 
+    def slice_codecs(self) -> tuple:
+        """The controller's codec."""
+        return (self.controller.codec,)
+
+    def detach_recovery_memos(self) -> None:
+        """Detach the controller's recovery memo."""
+        self.controller.recovery.detach_memo()
+
     def tx_begin(self, core: int, now_ns: float) -> Tuple[int, float]:
         tx_id, now_ns = super().tx_begin(core, now_ns)
         return tx_id, self.controller.tx_begin(core, tx_id, now_ns)

@@ -114,6 +114,15 @@ class MultiControllerHoopScheme(PersistenceScheme):
             controller.buffer.check_commit_on_last = False
         checker.bind_scheme(self.name, self.traits.durability)
 
+    def slice_codecs(self) -> tuple:
+        """One codec per controller, in controller order."""
+        return tuple(controller.codec for controller in self.controllers)
+
+    def detach_recovery_memos(self) -> None:
+        """Detach every controller's recovery memo."""
+        for controller in self.controllers:
+            controller.recovery.detach_memo()
+
     # -- partitioning -----------------------------------------------------------
 
     def _owner(self, addr: int) -> int:

@@ -190,7 +190,8 @@ class _RecoveryMemo:
     Each keeps the bytes it was derived from and is reused only over the
     longest prefix of them still equal in the buffers a pass peeked; the
     rest is derived as without the memo.  Snapshot forks of one machine
-    share it (``__shared__``); a freshly built manager starts empty.
+    share it (``__shared__``); a freshly built manager starts empty, and
+    so does one after :meth:`RecoveryManager.detach_memo`.
     """
 
     __snapshot_state__ = "__shared__"
@@ -228,6 +229,15 @@ class RecoveryManager:
         self.codec = codec
         self.commit_log = commit_log
         self.port = port
+        self._memo = _RecoveryMemo()
+
+    def detach_memo(self) -> None:
+        """Recover through an empty memo of this manager's own from now on.
+
+        For a copy whose recovery nobody repeats (a serving replica's
+        durable projection): what it derives is freed with it instead of
+        being kept in the memo the live machine and its forks share.
+        """
         self._memo = _RecoveryMemo()
 
     # -- the functional pass ---------------------------------------------------

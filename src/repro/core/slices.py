@@ -269,8 +269,9 @@ class SliceCodec:
         # Decode memos, one per slice kind: a decode is a pure function
         # of the raw bytes and its result is immutable, so identical
         # slices (recovery replays of the same region content, GC
-        # re-walks) share one decode.  Corrupt slices cache their message
-        # as a str.  Lifetime: "The word-run write path" in
+        # re-walks) share one decode, and so do the replicas of a
+        # replication group (``adopt_memos``).  Corrupt slices cache their
+        # message as a str.  Lifetime: "The word-run write path" in
         # docs/internals.md.
         self._decode_cache: dict = {}
         self._addr_cache: dict = {}
@@ -283,6 +284,23 @@ class SliceCodec:
         if words < 1:
             raise ValueError(f"no packing possible at {home_addr_bits} bits")
         return cls(home_addr_bits, words)
+
+    def adopt_memos(self, other: "SliceCodec") -> None:
+        """Decode through ``other``'s two memos from now on.
+
+        For machines that write byte-identical slices (the replicas of
+        one replication group): one decode serves them all.  Both memos
+        stay pure caches keyed on all 128 raw bytes, so sharing changes
+        no answer; an entry one machine's GC forgets costs the other one
+        real decode.  This codec's own entries are dropped.
+        """
+        if (other.home_addr_bits, other.words_per_slice) != (
+            self.home_addr_bits,
+            self.words_per_slice,
+        ):
+            raise ValueError("codecs of different layouts cannot share memos")
+        self._decode_cache = other._decode_cache
+        self._addr_cache = other._addr_cache
 
     # -- data slices -----------------------------------------------------------
 

@@ -84,7 +84,8 @@ class _ScanMemo:
     the same entries and reaches the same cursor without parsing them.
     ``replayed`` is :func:`replay_committed`'s fold of the entries of
     its last scan.  Snapshot forks of one machine share the memo
-    (``__shared__``); a freshly built log starts with an empty one.
+    (``__shared__``); a freshly built log starts with an empty one, and
+    so does one after :meth:`AppendLog.detach_memo`.
     """
 
     __snapshot_state__ = "__shared__"
@@ -112,6 +113,15 @@ class AppendLog:
         self._cursor = 0  # logical append offset
         self.appends = 0
         self.truncations = 0
+        self._scan_memo = _ScanMemo()
+
+    def detach_memo(self) -> None:
+        """Scan and replay through an empty memo of this log's own.
+
+        For a copy whose recovery nobody repeats (a serving replica's
+        durable projection): what it derives is freed with it instead of
+        being kept in the memo the live machine and its forks share.
+        """
         self._scan_memo = _ScanMemo()
 
     # -- geometry -----------------------------------------------------------------

@@ -116,6 +116,26 @@ class PersistenceScheme(abc.ABC):
         self.port.check = checker
         checker.bind_scheme(self.name, self.traits.durability)
 
+    # -- host caches -------------------------------------------------------------
+
+    def slice_codecs(self) -> tuple:
+        """The slice codecs this machine decodes through (HOOP's).
+
+        A replication group makes its machines share one codec memo
+        (``SliceCodec.adopt_memos``).  Default: none.
+        """
+        return ()
+
+    def detach_recovery_memos(self) -> None:
+        """Recover through empty memos of this machine's own from now on.
+
+        Forks of one machine share their recovery memos, so each crash
+        case reuses what the one before it derived; a durable projection
+        detaches them, so what its one recovery derives is freed with
+        it.  Host caches only: recovery's results do not change.
+        Default: no memo to detach.
+        """
+
     # -- transactional API -------------------------------------------------------
 
     def tx_begin(self, core: int, now_ns: float) -> Tuple[int, float]:

@@ -259,6 +259,10 @@ class LSMScheme(PersistenceScheme):
         reset_volatile(self)
         self.index.clear()
 
+    def detach_recovery_memos(self) -> None:
+        """Detach the log's scan memo."""
+        self.log.detach_memo()
+
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None
     ) -> RecoveryOutcome:

@@ -271,6 +271,10 @@ class OSPScheme(PersistenceScheme):
         "commit_flushes", "tlb_shootdowns", "consolidations")
     crash = reset_volatile
 
+    def detach_recovery_memos(self) -> None:
+        """Detach the log's scan memo."""
+        self.fliplog.detach_memo()
+
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None
     ) -> RecoveryOutcome:

@@ -189,6 +189,10 @@ class OptUndoScheme(PersistenceScheme):
     __durable__ = PersistenceScheme.DURABLE + ("log",)
     crash = reset_volatile
 
+    def detach_recovery_memos(self) -> None:
+        """Detach the log's scan memo."""
+        self.log.detach_memo()
+
     def recover(
         self, *, threads: int = 1, bandwidth_gb_per_s: Optional[float] = None
     ) -> RecoveryOutcome:

@@ -70,7 +70,8 @@ _MAGIC = 0x52504C4F47763101  # "RPLOGv1" + 0x01
 # nstores] then per store [addr, nbytes] and the value bytes.
 _ENTRY_FIXED = 3 * _WORD
 _STORE_FIXED = 2 * _WORD
-Record = Tuple[int, int, List[Tuple[int, bytes]]]  # (seq, epoch, stores)
+Stores = Tuple[Tuple[int, bytes], ...]  # one batch's frozen (addr, value)s
+Record = Tuple[int, int, Stores]  # (seq, epoch, stores)
 
 # Replica lifecycle states (the failover state machine of
 # docs/serving.md; SERVING is the steady half of LEASED).
@@ -165,9 +166,9 @@ class Replica:
         self.recovery_threads = recovery_threads
         self._slot = {key: i for i, key in enumerate(keys)}
         self.base = self.system.allocate(max(1, len(keys)) * value_bytes)
-        self.slot_addrs = [
-            self.base + i * value_bytes for i in range(len(self._slot))
-        ]
+        self.slot_addrs = range(
+            self.base, self.base + len(self._slot) * value_bytes, value_bytes
+        )
         if log_bytes:
             self.log_base: Optional[int] = self.system.allocate(_HEADER_BYTES)
             self.history_limit = log_bytes - _HEADER_BYTES
@@ -225,7 +226,7 @@ class Replica:
         self.history_bytes = 0
 
     def stage_commit(
-        self, seq: int, epoch: int, stores: Sequence[Tuple[int, bytes]]
+        self, seq: int, epoch: int, stores: Stores
     ) -> Tuple[Tuple[int, bytes], Callable[[], None]]:
         """One record's commit on this replica, primary or backup alike.
 
@@ -241,13 +242,16 @@ class Replica:
         This is the one place a record enters a replica, so it is where
         a store that is not word-aligned is rejected (``ValueError``):
         the acked-write oracle judges a torn commit word by word.
+        ``stores`` is kept by reference: the group freezes each batch
+        once (:meth:`ReplicationGroup.commit_and_ship`) and every
+        replica's history holds that one object.
         """
         size = _ENTRY_FIXED
         for addr, value in stores:
             if addr % _WORD or len(value) % _WORD:
                 raise ValueError("redo records must be word-aligned")
             size += _STORE_FIXED + len(value)
-        record = (seq, epoch, [(a, bytes(v)) for a, v in stores])
+        record = (seq, epoch, stores)
 
         def commit() -> None:
             if self.history_bytes + size > self.history_limit:
@@ -264,7 +268,7 @@ class Replica:
         self,
         seq: int,
         epoch: int,
-        stores: Sequence[Tuple[int, bytes]],
+        stores: Stores,
         start_ns: float,
     ) -> float:
         """Backup-side commit of one shipped redo record.
@@ -359,11 +363,14 @@ class Replica:
 
         Recovers a crash image of the machine (what survives its power
         loss, copy-on-write).  The live machine is untouched: clocks,
-        caches, and fault state all stay exactly as they were,
-        preserving bit-identical replays.  Returns the recovered image
-        for peeking.
+        caches, fault state and its recovery memos all stay exactly as
+        they were, preserving bit-identical replays.  The image recovers
+        through recovery memos of its own, so its fold is freed with it;
+        it still decodes through the group's codec memo.  Returns the
+        recovered image for peeking.
         """
         image = crash_image(self.system)
+        image.scheme.detach_recovery_memos()
         image.recover(threads=self.recovery_threads)
         return image
 
@@ -435,6 +442,15 @@ class ReplicationGroup:
             )
             for index in range(1 + replicas)
         ]
+        # One decode memo for the whole group: its replicas run the same
+        # batches, so they write byte-identical slices.
+        codecs = [
+            codec
+            for replica in self.replicas
+            for codec in replica.system.scheme.slice_codecs()
+        ]
+        for codec in codecs[1:]:
+            codec.adopt_memos(codecs[0])
         self.primary_index = 0
         self.state = GROUP_UP
         self.epoch = 1
@@ -496,9 +512,10 @@ class ReplicationGroup:
         header (one atomic commit); each live backup then commits the
         same stores plus its own header starting at the primary's
         commit instant (ships run in parallel across backups in
-        simulated time).  The primary's clock is advanced to the ack
-        instant — synchronous replication stalls the next batch until
-        every live backup is durable.  A backup that dies mid-ship is
+        simulated time); the stores are frozen once, into the one record
+        every replica's history keeps.  The primary's clock is advanced
+        to the ack instant — synchronous replication stalls the next
+        batch until every live backup is durable.  A backup that dies mid-ship is
         returned in ``dead_backups`` (its record all-or-nothing); a
         primary power cut propagates as
         :class:`~repro.common.errors.PowerLossError` with
@@ -513,6 +530,7 @@ class ReplicationGroup:
             self.lease_expiry_ns = tx.end_ns + self.lease_ns
             return ShipOutcome(tx, tx.end_ns, [])
         seq = self.next_seq
+        stores = tuple((addr, bytes(value)) for addr, value in stores)
         header, commit = primary.stage_commit(seq, self.epoch, stores)
         tx = system.run_batch([*stores, header], core=core)
         commit()

@@ -220,3 +220,33 @@ def test_memoised_recovery_equals_an_empty_memo(scheme, data):
         fresh_system = crashed.restore()
         _forget(fresh_system)
         assert memoised == _recover(fresh_system, threads)
+
+
+def _live_memos(system):
+    """The recovery memos ``system`` recovers through."""
+    memos = [c.recovery._memo for c in _controllers(system)]
+    log = getattr(system.scheme, "log", None)
+    return memos + ([log._scan_memo] if log is not None else [])
+
+
+@pytest.mark.parametrize("scheme", sorted(_MUTANTS))
+def test_sweep_forks_recover_through_the_live_machines_memos(scheme):
+    """A crash sweep's forks (power-cut images from the forward cursor)
+    share the live machine's recovery memos, so each case reuses what
+    the one before derived; only a serving replica's durable projection
+    detaches them (``tests/test_replica.py``)."""
+    build = partial(_build, scheme, seed=3)
+    cursor = crashtest.forward_cursor(build, 3)
+    live = _live_memos(cursor._system)
+    boundaries = [cursor.total_writes // 3, 2 * cursor.total_writes // 3]
+    cursor.expect(boundaries)
+    for boundary in boundaries:
+        faults = crashtest.boundary_faults(3, boundary, False)
+        system, _ = crashtest.build_crashed(build, cursor, faults)
+        assert list(map(id, _live_memos(system))) == list(map(id, live))
+        system.crash()
+        system.recover()
+    if scheme == "opt-redo":
+        assert live[0].entries
+    else:
+        assert all(memo.fold is not None for memo in live)

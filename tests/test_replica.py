@@ -1,5 +1,6 @@
 """Replication groups: redo shipping, promotion, rejoin, divergence."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from repro.common.config import WRITES, Cut
 from repro.common.errors import ConfigError, PowerLossError
+from repro.core.slices import SliceCodec
 from repro.serve import SERVABLE_SCHEMES, ServeConfig, run_serve
 from repro.serve import cluster as cluster_module
 from repro.serve.__main__ import build_parser
@@ -1104,3 +1106,98 @@ def test_projection_image_equals_clone_crash_recover(monkeypatch):
     assert report.divergence_checks >= 2
     assert "final_verify" in where
     assert {"_complete_promotion", "_try_go_live"} & set(where)
+
+
+# -- host caches: one decode memo per group, projections recover alone -----------
+
+
+def _codec_memos(group, name):
+    """The distinct codec memos (``_decode_cache``/``_addr_cache``) of a group."""
+    return {
+        id(getattr(codec, name))
+        for replica in group.replicas
+        for codec in replica.system.scheme.slice_codecs()
+    }
+
+
+def _served(cfg):
+    """``run_serve(cfg)``'s report as JSON, and the cluster that ran it."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(ServeCluster(*args, **kwargs))
+        return built[-1]
+
+    with mock.patch("repro.serve.ServeCluster", build):
+        report = run_serve(cfg)
+    return json.dumps(report.to_dict(), sort_keys=True), built[0]
+
+
+@pytest.mark.parametrize("scheme", ["hoop", "hoop-mc"])
+def test_one_decode_memo_per_group_changes_no_byte(scheme):
+    """The late-rejoin failover run decodes through one memo per group;
+    with a memo per machine it reports and writes exactly the same."""
+    cfg = dataclasses.replace(WRITE_HEAVY_LATE_REJOIN, scheme=scheme)
+    shared_report, shared = _served(cfg)
+    with mock.patch.object(SliceCodec, "adopt_memos", lambda self, other: None):
+        own_report, own = _served(cfg)
+    assert shared_report == own_report
+    assert json.loads(shared_report)["promotions"] == 1
+    controllers = 2 if scheme == "hoop-mc" else 1
+    for shard_id, group in shared.groups.items():
+        twin = own.groups[shard_id]
+        for name in ("_decode_cache", "_addr_cache"):
+            assert len(_codec_memos(group, name)) == 1
+            assert len(_codec_memos(twin, name)) == 2 * controllers
+        for a, b in zip(group.replicas, twin.replicas):
+            assert (
+                a.system.device.content_fingerprint()
+                == b.system.device.content_fingerprint()
+            )
+
+
+def _recovery_memos(system):
+    """Every recovery memo of ``system`` with what it holds, as objects."""
+    scheme = system.scheme
+    log = getattr(scheme, "log", None)
+    if log is not None:
+        memo = log._scan_memo
+        return [[memo, memo.start, memo.cursor, memo.raw, memo.entries,
+                 memo.replayed]]
+    controllers = getattr(scheme, "controllers", None) or [scheme.controller]
+    return [
+        [memo, memo.fold, memo.analysis, list(memo.pages), dict(memo.blocks)]
+        for memo in (c.recovery._memo for c in controllers)
+    ]
+
+
+def _same(a, b):
+    """Equal in shape, and the very same object at every leaf."""
+    if isinstance(a, (list, dict)):
+        if isinstance(a, dict):
+            if a.keys() != b.keys():
+                return False
+            a, b = list(a.values()), [b[key] for key in a]
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a is b
+
+
+@pytest.mark.parametrize("scheme", ["hoop", "hoop-mc", "opt-redo"])
+def test_projection_leaves_the_live_recovery_memos_as_it_found_them(scheme):
+    """A durable projection recovers through memos of its own: the live
+    machine's (filled by a real recovery, or still empty) keep exactly
+    what they held, so the projection's fold is freed with it."""
+    group = make_group(scheme=scheme)
+    driver = Driver(group)
+    driver.drive(30)
+    backup = group.replicas[1]
+    backup.system.crash()
+    backup.system.recover(threads=backup.recovery_threads)
+    driver.drive(30)
+    for replica in group.replicas:
+        before = _recovery_memos(replica.system)
+        projection = replica.durable_projection()
+        assert _same(_recovery_memos(replica.system), before)
+        mine = [memos[0] for memos in _recovery_memos(projection)]
+        assert not {id(memo) for memo in mine} & {id(m[0]) for m in before}
+    assert driver.failures() == []
