@@ -51,13 +51,6 @@ class Request:
     shard: int = -1
     completion_ns: float = field(default=0.0)
 
-    @property
-    def latency_ns(self) -> float:
-        """Arrival to acknowledgement (0 until acked)."""
-        if self.completion_ns <= 0.0:
-            return 0.0
-        return self.completion_ns - self.arrival_ns
-
 
 class OpenLoopClient:
     """One client: an iterator of requests with Poisson arrival times."""
@@ -118,29 +111,35 @@ class OpenLoopClient:
 
     def next_request(self) -> Optional[Request]:
         """The client's next request, or None once the run is over."""
-        self._clock_ns += self._arrival_rng.expovariate(self.rate_per_ns)
-        if self._clock_ns > self.duration_ns:
+        clock_ns = self._clock_ns + self._arrival_rng.expovariate(
+            self.rate_per_ns
+        )
+        self._clock_ns = clock_ns
+        if clock_ns > self.duration_ns:
             return None
-        is_get = (
+        seq = self._seq
+        self._seq = seq + 1
+        # Each draw comes from its own stream (ops, keys, values).
+        if (
             self.read_fraction > 0.0
             and self._op_rng.random() < self.read_fraction
+        ):
+            return Request(
+                self._keys.next_scrambled(),
+                OP_GET,
+                None,
+                self.client_id,
+                seq,
+                clock_ns,
+            )
+        return Request(
+            self._keys.next_scrambled(),
+            OP_PUT,
+            self._value_rng.randbytes(self.value_bytes),
+            self.client_id,
+            seq,
+            clock_ns,
         )
-        key = self._keys.next_scrambled()
-        value = (
-            None
-            if is_get
-            else rng_util.random_bytes(self._value_rng, self.value_bytes)
-        )
-        request = Request(
-            key=key,
-            op=OP_GET if is_get else OP_PUT,
-            value=value,
-            client=self.client_id,
-            seq=self._seq,
-            arrival_ns=self._clock_ns,
-        )
-        self._seq += 1
-        return request
 
     def __iter__(self) -> Iterator[Request]:
         """Drain the client's whole timeline (mainly for tests)."""
@@ -184,13 +183,17 @@ class ArrivalStream:
         """Pop, route, and return every arrival at or before the horizon."""
         taken: List[Request] = []
         heap = self._heap
+        shard_for = self._router.shard_for
         while heap and heap[0][0] <= horizon_ns:
-            _, client_id, request = heapq.heappop(heap)
-            request.shard = self._router.shard_for(request.key)
+            _, client_id, request = heap[0]
+            request.shard = shard_for(request.key)
             taken.append(request)
             nxt = self._clients[client_id].next_request()
-            if nxt is not None:
-                heapq.heappush(heap, (nxt.arrival_ns, client_id, nxt))
+            # The client's next request takes its place: one sift, not two.
+            if nxt is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (nxt.arrival_ns, client_id, nxt))
         return taken
 
 

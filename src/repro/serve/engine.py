@@ -10,8 +10,9 @@ executor to the horizon in shard order.
 
 The quantum only decides where a shard's event sequence is cut into
 epochs, never the sequence itself: per-shard event order is a total
-order ``(time, kind, seq)`` independent of epoch boundaries
-(:mod:`repro.serve.shard`), so any positive quantum yields the same
+order independent of epoch boundaries — arrivals in arrival order,
+merged with wakes by instant, an arrival first at a tie
+(:mod:`repro.serve.shard`) — so any positive quantum yields the same
 report (``tests/test_engine.py`` pins that).  It does decide
 ``cluster.epochs``.
 """

@@ -62,9 +62,7 @@ class AckOracle:
 
     def record_ack(self, addr: int, value: bytes) -> None:
         """One PUT's commit returned: its words are now promises."""
-        words = self._acked
-        for word_addr, word in value_words(addr, value):
-            words[word_addr] = word
+        self._acked.update(value_words(addr, value))
         self.acked_puts += 1
 
     def verify_shard(

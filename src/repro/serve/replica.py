@@ -164,10 +164,11 @@ class Replica:
         self.index = index
         self.value_bytes = value_bytes
         self.recovery_threads = recovery_threads
-        self._slot = {key: i for i, key in enumerate(keys)}
+        # Key -> index of its value slot in the home region.
+        self.slot_of = {key: i for i, key in enumerate(keys)}
         self.base = self.system.allocate(max(1, len(keys)) * value_bytes)
         self.slot_addrs = range(
-            self.base, self.base + len(self._slot) * value_bytes, value_bytes
+            self.base, self.base + len(self.slot_of) * value_bytes, value_bytes
         )
         if log_bytes:
             self.log_base: Optional[int] = self.system.allocate(_HEADER_BYTES)
@@ -191,7 +192,7 @@ class Replica:
 
     def addr_of(self, key: int) -> int:
         """Home-region address of one key's value slot."""
-        return self.base + self._slot[key] * self.value_bytes
+        return self.base + self.slot_of[key] * self.value_bytes
 
     @property
     def clock_ns(self) -> float:

@@ -6,8 +6,8 @@ policy, the acked-write oracle slice, the wake heap, and every
 failover/promotion/rejoin state machine — and exposes exactly the
 epoch-bounded stepping API the coordinator drives:
 
-* :meth:`ShardExecutor.submit` — hand over a routed arrival (pushed as
-  a heap event at its arrival instant, *not* executed yet);
+* :meth:`ShardExecutor.submit` — hand over a routed arrival (appended
+  to the shard's arrival lane, *not* executed yet);
 * :meth:`ShardExecutor.advance_to` — run every queued event up to and
   including a simulated-time horizon;
 * :meth:`ShardExecutor.next_event_ns` — the shard's next event clock,
@@ -21,13 +21,15 @@ computation whether the executors are advanced interleaved on one
 event loop or round-robin in epochs of any length
 (:mod:`repro.serve.engine`).
 
-Event ordering within a shard is total and epoch-independent: the heap
-key is ``(time_ns, kind, seq)`` with arrivals ordered before wakes at
-the same instant, and ``seq`` a per-shard monotone counter.  Arrivals
-are always submitted in the canonical global arrival order
-(:class:`~repro.serve.client.ArrivalStream`), so per-shard sequence
-numbers — and therefore every tie-break — do not depend on the epoch
-quantum.
+A shard has two event sources.  The **arrival lane** is a FIFO of
+routed requests: the coordinator submits them in the canonical global
+arrival order (:class:`~repro.serve.client.ArrivalStream`), so the lane
+is already sorted by arrival instant.  The **wake heap** is a min-heap
+of bare wake instants.  :meth:`ShardExecutor.advance_to` merges the two
+fronts, and an arrival comes before a wake at the same instant.  That
+order is total and epoch-independent: neither source nor the merge rule
+depends on when the coordinator handed a request over, so no epoch
+quantum changes it.
 
 Wakes are *level-triggered*, like the pump they drive: a wake carries
 no payload, and :meth:`ShardExecutor._pump` recomputes everything
@@ -35,23 +37,31 @@ no payload, and :meth:`ShardExecutor._pump` recomputes everything
 so a second wake at an instant that already has one pending could only
 repeat the first.  The wake heap therefore holds **at most one pending
 wake per distinct simulated instant** (exact float equality, no
-epsilon), enforced in :meth:`ShardExecutor._push` — the one place wakes
-are scheduled.  The instant is forgotten when its wake is popped, so a
-pump may re-arm the instant it is running at (a zero-duration batch, a
-power cut during promotion).  *Stale* wakes are kept — a batch deadline
-whose batch already ran full still fires, pumps, and finds nothing to
-do — because every pending instant feeds :meth:`~ShardExecutor.
-next_event_ns`, hence the coordinator's horizons and epoch count;
-*duplicates* are not, because an edge-queued timer (one heap entry per
-caller) makes a saturated shard re-queue a wake per arrival per batch,
-and the event count grows with the square of the time spent saturated.
+epsilon), enforced in :meth:`ShardExecutor._wake_at` — the one place
+wakes are scheduled.  The instant is forgotten when its wake is popped,
+so a pump may re-arm the instant it is running at (a zero-duration
+batch, a power cut during promotion).  *Stale* wakes are kept — a batch
+deadline whose batch already ran full still fires, pumps, and finds
+nothing to do — because every pending instant feeds
+:meth:`~ShardExecutor.next_event_ns`, hence the coordinator's horizons
+and epoch count; *duplicates* are not, because an edge-queued timer
+(one heap entry per caller) makes a saturated shard re-queue a wake per
+arrival per batch, and the event count grows with the square of the
+time spent saturated.
+
+Every wake pumps; an arrival is admitted and then pumps too, except in
+the one state in which the pump could only return: the group is up, no
+replica is dead or rejoining, and the primary is busy until an instant
+whose wake is already armed.  Each arrival is handled once, whatever the
+length of the busy period it lands in.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Set
+from collections import deque
+from typing import Deque, Dict, List, Set
 
 from repro.common.config import AT_NS, Cut, FaultSchedule
 from repro.common.errors import PowerLossError
@@ -71,12 +81,8 @@ from repro.serve.replica import (
 )
 from repro.txn.system import MemorySystem
 
-# Event kinds: a routed client arrival, or a shard wake-up (batch
-# deadline, busy-until, recovery completion, promotion instant, or a
-# rejoin step — the pump sorts it out).  Arrivals order before wakes at
-# the same instant; the constants are the heap tie-break.
-_ARRIVAL = 0
-_WAKE = 1
+# Replica states in which a pump has rejoin work to look at.
+_REJOIN_STATES = (DEAD, REJOINING)
 
 # A serving cut's target role: the lease holder when it arms, or replica 1.
 PRIMARY_ROLE = "primary"
@@ -144,9 +150,11 @@ class ShardExecutor:
         self.divergence_checks = 0
         self.oracle_failures: List[str] = []
         self.last_completion_ns = 0.0
-        self._events: List[tuple] = []
-        self._seq = 0
-        # Instants that have a wake pending in ``_events`` (see _push).
+        # Routed arrivals not handled yet, in arrival order (see submit).
+        self._lane: Deque[Request] = deque()
+        # Pending wake instants: a min-heap of floats, and the same
+        # instants as a set, which keeps them unique (see _wake_at).
+        self._wakes: List[float] = []
         self._wake_instants: Set[float] = set()
         # This shard's cuts not armed yet, in schedule order.
         self._cuts: List[Cut] = [
@@ -161,55 +169,84 @@ class ShardExecutor:
 
     # -- event plumbing -------------------------------------------------------
 
-    def _push(self, time_ns: float, kind: int) -> None:
-        """Schedule an event; a wake only if its instant has none pending.
+    def _wake_at(self, time_ns: float) -> None:
+        """Schedule a wake, unless its instant already has one pending.
 
         Wakes carry no payload and the pump is a function of state, so
         one pending wake per instant does everything any number would.
         """
-        if kind == _WAKE:
-            if time_ns in self._wake_instants:
-                return
+        if time_ns not in self._wake_instants:
             self._wake_instants.add(time_ns)
-        self._seq += 1
-        heapq.heappush(self._events, (time_ns, kind, self._seq, None))
+            heapq.heappush(self._wakes, time_ns)
 
     def submit(self, request: Request) -> None:
-        """Queue a routed arrival as an event at its arrival instant.
+        """Append a routed arrival to the shard's arrival lane.
 
         Submission never executes anything: the request waits in the
-        heap until an :meth:`advance_to` horizon covers it, so the
-        per-shard processing order depends only on ``(time, kind,
-        seq)`` — never on when the coordinator handed the request over.
+        lane until an :meth:`advance_to` horizon covers it.  Requests
+        come in the canonical ``(arrival_ns, client_id)`` order, so the
+        lane stays sorted and the per-shard processing order never
+        depends on when the coordinator handed a request over.
         """
-        self._seq += 1
-        heapq.heappush(
-            self._events, (request.arrival_ns, _ARRIVAL, self._seq, request)
-        )
+        self._lane.append(request)
 
     def next_event_ns(self) -> float:
         """This shard's next event clock (``inf`` when drained)."""
-        return self._events[0][0] if self._events else math.inf
+        wakes = self._wakes
+        if self._lane:
+            arrival_ns = self._lane[0].arrival_ns
+            if not wakes or arrival_ns <= wakes[0]:
+                return arrival_ns
+        return wakes[0] if wakes else math.inf
 
     def advance_to(self, horizon_ns: float) -> None:
-        """Run every event at or before ``horizon_ns``, in heap order.
+        """Run every event at or before ``horizon_ns``, in time order.
 
-        Events scheduled *during* the advance (batch wakes, promotion
-        instants…) that land within the horizon are executed in the
-        same pass — the loop drains the heap front, not a snapshot of
-        it — so an epoch boundary is never observable from inside the
-        shard.
+        Merges the arrival lane with the wake heap; at one instant the
+        arrival goes first.  Wakes scheduled *during* the advance (batch
+        deadlines, promotion instants…) that land within the horizon
+        are executed in the same pass — the loop drains both fronts,
+        not a snapshot of them — so an epoch boundary is never
+        observable from inside the shard.  An arrival skips the pump
+        when it finds the group up, every replica live, and the
+        primary busy until an armed wake: that pump could only return.
         """
-        events = self._events
-        while events and events[0][0] <= horizon_ns:
-            time_ns, kind, _, payload = heapq.heappop(events)
-            if time_ns > self.now_ns:
-                self.now_ns = time_ns
-            if kind == _ARRIVAL:
-                self._admit(payload)
+        lane = self._lane
+        wakes = self._wakes
+        instants = self._wake_instants
+        group = self.group
+        replicas = group.replicas
+        # While the group is up, only a backup can be dead or rejoining.
+        has_backups = len(replicas) > 1
+        while lane or wakes:
+            if lane and (not wakes or lane[0].arrival_ns <= wakes[0]):
+                request = lane[0]
+                if request.arrival_ns > horizon_ns:
+                    return
+                lane.popleft()
+                if request.arrival_ns > self.now_ns:
+                    self.now_ns = request.arrival_ns
+                self._admit(request)
+                busy_until = group.primary.system.clocks[0]
+                if (
+                    busy_until > self.now_ns + 1e-9
+                    and busy_until in instants
+                    and group.state == GROUP_UP
+                    and not (
+                        has_backups
+                        and any(r.state in _REJOIN_STATES for r in replicas)
+                    )
+                ):
+                    continue
             else:
+                time_ns = wakes[0]
+                if time_ns > horizon_ns:
+                    return
+                heapq.heappop(wakes)
+                if time_ns > self.now_ns:
+                    self.now_ns = time_ns
                 # Forgotten before the pump, which may re-arm this instant.
-                self._wake_instants.discard(time_ns)
+                instants.discard(time_ns)
             self._pump()
 
     def arm_kills(self) -> None:
@@ -251,7 +288,7 @@ class ShardExecutor:
             return
         self.admitted += 1
         self.telemetry.record(
-            self._queue_depth_metric, self.admission.depth()
+            self._queue_depth_metric, len(self.admission.queue)
         )
         self.telemetry.sample(self._admitted_metric, self.now_ns)
 
@@ -276,9 +313,8 @@ class ShardExecutor:
         primary = group.primary
         if primary.clock_ns > self.now_ns + 1e-9:
             # Busy until its clock: make sure that instant has a wake.
-            # Every arrival during a busy period lands here; all but
-            # the first find the instant armed and _push drops them.
-            self._push(primary.clock_ns, _WAKE)
+            # An arrival skips the pump when it is armed (advance_to).
+            self._wake_at(primary.clock_ns)
             return
         queue = self.admission.queue
         if not queue:
@@ -286,33 +322,45 @@ class ShardExecutor:
         if self.batcher.ready(queue, self.now_ns):
             self._execute_batch(group)
         else:
-            self._push(self.batcher.deadline_ns(queue), _WAKE)
+            self._wake_at(self.batcher.deadline_ns(queue))
 
     # -- batch execution ------------------------------------------------------
 
     def _execute_batch(self, group: ReplicationGroup) -> None:
-        """One batch: GET loads, then all PUTs committed and shipped."""
+        """One batch: GET loads, then all PUTs committed and shipped.
+
+        An acknowledgement stamps the request's completion instant,
+        counts it for the shard and the primary, and records one
+        latency sample.  The primary's slot map and clocks and the
+        latency sink are bound once per batch.
+        """
         primary = group.primary
         system = primary.system
+        clocks = system.clocks
+        load = system.load
+        base = primary.base
+        slot_of = primary.slot_of
+        value_bytes = primary.value_bytes
+        record = self.telemetry.record
+        latency_metric = self._latency_metric
         batch = self.batcher.take(self.admission.queue)
-        start = max(self.now_ns, primary.clock_ns)
-        system.clocks[0] = start
-        self.telemetry.record(self._batch_size_metric, len(batch))
+        clocks[0] = max(self.now_ns, clocks[0])
+        record(self._batch_size_metric, len(batch))
         puts: List[Request] = []
         try:
             for request in batch:
                 if request.op != OP_GET:
                     puts.append(request)
                     continue
-                system.load(
-                    primary.addr_of(request.key),
-                    primary.value_bytes,
-                    core=0,
-                )
-                request.completion_ns = system.clocks[0]
-                self._ack(group, request)
+                load(base + slot_of[request.key] * value_bytes, value_bytes, 0)
+                completion = request.completion_ns = clocks[0]
+                self.acked_gets += 1
+                primary.acked += 1
+                if completion > self.last_completion_ns:
+                    self.last_completion_ns = completion
+                record(latency_metric, completion - request.arrival_ns)
             stores = [
-                (primary.addr_of(request.key), request.value)
+                (base + slot_of[request.key] * value_bytes, request.value)
                 for request in puts
             ]
             outcome = group.commit_and_ship(stores, core=0)
@@ -333,28 +381,19 @@ class ShardExecutor:
             return
         if outcome.tx is not None:
             completion = outcome.ack_ns
-            for request in puts:
+            record_ack = self.oracle.record_ack
+            for request, (addr, value) in zip(puts, stores):
                 request.completion_ns = completion
-                self.oracle.record_ack(
-                    primary.addr_of(request.key), request.value
-                )
-                self._ack(group, request)
+                record_ack(addr, value)
+                record(latency_metric, completion - request.arrival_ns)
+            self.acked_puts += len(puts)
+            primary.acked += len(puts)
+            if completion > self.last_completion_ns:
+                self.last_completion_ns = completion
         for backup in outcome.dead_backups:
             self._backup_failover(group, backup)
         self.batches += 1
-        self._push(primary.clock_ns, _WAKE)
-
-    def _ack(self, group: ReplicationGroup, request: Request) -> None:
-        """Acknowledgement instant: count + per-shard latency histogram."""
-        latency = request.latency_ns
-        if request.op == OP_GET:
-            self.acked_gets += 1
-        else:
-            self.acked_puts += 1
-        group.primary.acked += 1
-        if request.completion_ns > self.last_completion_ns:
-            self.last_completion_ns = request.completion_ns
-        self.telemetry.record(self._latency_metric, latency)
+        self._wake_at(primary.clock_ns)
 
     # -- failover -------------------------------------------------------------
 
@@ -404,7 +443,7 @@ class ShardExecutor:
                     "requeued": fitted,
                 },
             )
-            self._push(group.promote_at_ns, _WAKE)
+            self._wake_at(group.promote_at_ns)
         else:
             group.state = GROUP_RECOVERING
             self.telemetry.emit(
@@ -417,7 +456,7 @@ class ShardExecutor:
                     "requeued": fitted,
                 },
             )
-            self._push(recover_at, _WAKE)
+            self._wake_at(recover_at)
 
     def _backup_failover(
         self, group: ReplicationGroup, replica: Replica
@@ -440,7 +479,7 @@ class ShardExecutor:
         recover_at = group.begin_replica_recovery(
             replica, self.now_ns, floor_ns=self.cfg.recovery_floor_ns
         )
-        self._push(recover_at, _WAKE)
+        self._wake_at(recover_at)
 
     def _complete_promotion(self, group: ReplicationGroup) -> None:
         """Lease expired: promote the freshest live backup (or hold).
@@ -458,7 +497,7 @@ class ShardExecutor:
         successor = group.choose_successor()
         if successor is None:
             group.state = GROUP_RECOVERING
-            self._push(old_primary.recover_at_ns, _WAKE)
+            self._wake_at(old_primary.recover_at_ns)
             return
         try:
             group.promote(self.now_ns)
@@ -466,7 +505,7 @@ class ShardExecutor:
             self._backup_failover(group, successor)
             group.state = GROUP_FAILING_OVER
             group.promote_at_ns = self.now_ns
-            self._push(self.now_ns, _WAKE)
+            self._wake_at(self.now_ns)
             return
         self.telemetry.count("serve.promotions")
         self.telemetry.emit(
@@ -502,8 +541,8 @@ class ShardExecutor:
                 f"shard {group.shard_id} promoted {failure}"
             )
         self._arm_next(PRIMARY_ROLE, successor.index)
-        self._push(max(self.now_ns, old_primary.recover_at_ns), _WAKE)
-        self._push(successor.clock_ns, _WAKE)
+        self._wake_at(max(self.now_ns, old_primary.recover_at_ns))
+        self._wake_at(successor.clock_ns)
 
     def _complete_recovery(self, group: ReplicationGroup) -> None:
         """Recovery horizon reached: the machine serves again (cold caches)."""
@@ -543,7 +582,7 @@ class ShardExecutor:
                         if group.state == GROUP_FAILING_OVER
                         else group.primary.recover_at_ns
                     )
-                    self._push(max(resume, replica.recover_at_ns), _WAKE)
+                    self._wake_at(max(resume, replica.recover_at_ns))
                     continue
                 replica.state = REJOINING
                 delta = group.delta_for(replica)
@@ -572,7 +611,7 @@ class ShardExecutor:
             self._backup_failover(group, replica)
             return
         if retry_at is not None:
-            self._push(retry_at, _WAKE)
+            self._wake_at(retry_at)
             return
         self.telemetry.count("serve.rejoins")
         self.telemetry.emit(

@@ -2,6 +2,7 @@
 
 import bisect
 import hashlib
+import heapq
 import json
 from pathlib import Path
 from unittest import mock
@@ -25,7 +26,7 @@ from repro.serve.batcher import BatchScheduler
 from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
 from repro.serve.cluster import ServeCluster
 from repro.serve.router import ConsistentHashRouter, stable_hash
-from repro.serve.shard import _WAKE, ShardExecutor
+from repro.serve.shard import ShardExecutor
 
 # Report hashes recorded at the parent of the level-triggered-wake change
 # (PR 12): a host-only serve change must reproduce every one of them.
@@ -432,20 +433,57 @@ class TestEndToEnd:
         assert clone.to_dict() == payload
 
 
+def overloaded_cluster():
+    """The benchmark's 16 M req/s step: one read-mostly shard, saturated."""
+    return ServeCluster(
+        ServeConfig(
+            shards=1, read_fraction=0.9, rate_per_s=16e6,
+            duration_ms=0.3, seed=7,
+        )
+    )
+
+
 class TestEventLoop:
     def test_heap_events_are_linear_in_work(self):
-        # The benchmark's overloaded step.  An edge-queued timer re-queues
-        # one wake per waiting arrival per batch: 1 238 914 pushes here.
-        cluster = ServeCluster(
-            ServeConfig(
-                shards=1, read_fraction=0.9, rate_per_s=16e6,
-                duration_ms=0.3, seed=7,
-            )
-        )
-        cluster.run()
+        # A batch arms one busy-until wake and a batch head at most one
+        # deadline.  An edge-queued timer (a heap entry per caller)
+        # pushed 1 238 914 wakes here while every arrival pumped, and
+        # 3 506 with arrivals admitted without a pump.
+        cluster = overloaded_cluster()
         executor = cluster.executors[0]
+        wakes = executor._wakes
+        heappush = heapq.heappush
+        pushed = 0
+
+        def counted(heap, item):
+            nonlocal pushed
+            if heap is wakes:
+                pushed += 1
+            heappush(heap, item)
+
+        with mock.patch.object(heapq, "heappush", counted):
+            cluster.run()
         assert cluster.rejections.get("queue_full", 0) > 0  # saturated
-        assert executor._seq <= 2 * (executor.offered + executor.batches) + 16
+        assert 0 < pushed <= 2 * executor.batches + 16
+
+    def test_a_busy_shard_admits_without_pumping(self):
+        # An arrival that finds the primary busy until an armed wake
+        # admits and returns.  A loop that pumps after every event
+        # pumps 5 226 times for these 502 batches.
+        cluster = overloaded_cluster()
+        executor = cluster.executors[0]
+        pump = ShardExecutor._pump
+        pumps = 0
+
+        def counted(shard):
+            nonlocal pumps
+            pumps += 1
+            pump(shard)
+
+        with mock.patch.object(ShardExecutor, "_pump", counted):
+            cluster.run()
+        assert cluster.rejections.get("queue_full", 0) > 0  # saturated
+        assert pumps <= executor.batches + 16
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -463,11 +501,13 @@ class TestEventLoop:
 
         def checked_advance(executor, horizon_ns):
             advance_to(executor, horizon_ns)
-            wakes = [e[0] for e in executor._events if e[1] == _WAKE]
+            wakes = executor._wakes
             assert len(wakes) == len(set(wakes))
             # The armed set mirrors the heap: a leaked instant would
             # swallow a wake the pump needs, a missing one admits a twin.
             assert executor._wake_instants == set(wakes)
+            # Every arrival submitted for this horizon was handled.
+            assert not executor._lane
             advances.append(horizon_ns)
 
         cfg = ServeConfig(
