@@ -168,7 +168,7 @@ def check_scheme(
         cursor = forward_cursor(build, seed)
         boundaries = choose_boundaries(cursor.total_writes, crash_sample, seed)
         for _, case in sweep_cases(
-            build, cursor, boundaries, seed=seed, torn_mode="alternate",
+            cursor, boundaries, seed=seed, torn_mode="alternate",
             recovery_threads=2,
         ):
             report.crash_cases += 1

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 _WORD = 8
 _WORD_MASK = ~(_WORD - 1)
@@ -236,7 +236,7 @@ class PersistOrderSanitizer(NullChecker):
         self.violations: List[Violation] = []
         self.transactions_checked = 0
         self._seq = 0
-        self._ports: Dict[int, int] = {}  # id(port) -> small stable id
+        self._ports: Dict[Any, int] = {}  # port -> small stable id
         self._drains: Dict[int, List[int]] = {}  # port id -> drain seqs
         self._begin_seq: Dict[int, int] = {}
         self._stores: Dict[int, Dict[int, int]] = {}  # tx -> word -> seq
@@ -263,11 +263,10 @@ class PersistOrderSanitizer(NullChecker):
     def _port_id(self, port) -> int:
         if port is None:
             return -1
-        key = id(port)
-        pid = self._ports.get(key)
+        pid = self._ports.get(port)
         if pid is None:
             pid = len(self._ports)
-            self._ports[key] = pid
+            self._ports[port] = pid
         return pid
 
     def on_tx_begin(self, tx_id: int, now_ns: float) -> None:
@@ -492,19 +491,3 @@ Violation.__snapshot_state__ = "__all__"
 NullChecker.__snapshot_state__ = "__shared__"
 PersistOrderSanitizer.__snapshot_state__ = "__all__"
 
-
-def _sanitizer_snapshot_fixup(self, memo: dict) -> None:
-    """Re-key ``_ports`` from old port ids to cloned port ids.
-
-    ``_ports`` maps ``id(port)`` to a small stable display id; a snapshot
-    clone has new port objects.  Ports are reachable through the scheme,
-    so the memo covers every live key; dead keys keep their entry (the
-    stable ids must not be reassigned).
-    """
-    self._ports = {
-        (id(memo[key]) if key in memo else key): pid
-        for key, pid in self._ports.items()
-    }
-
-
-PersistOrderSanitizer.__snapshot_fixup__ = _sanitizer_snapshot_fixup

@@ -94,6 +94,8 @@ class CaseResult:
 
 @dataclass
 class SweepResult:
+    """One scheme's forward sweep: its chosen boundaries and their cases."""
+
     scheme: str
     total_writes: int
     boundaries: List[int] = field(default_factory=list)
@@ -101,6 +103,7 @@ class SweepResult:
 
     @property
     def failures(self) -> List[CaseResult]:
+        """The cases whose recovery broke atomic durability."""
         return [c for c in self.cases if c.failure]
 
 
@@ -273,24 +276,6 @@ def clean_faults(seed: int) -> FaultConfig:
     return FaultConfig(enabled=True, seed=seed)
 
 
-def build_crashed(
-    build: Build, cursor: ForwardCursor, faults: FaultConfig
-) -> Tuple[MemorySystem, RunOutcome]:
-    """Front half of a case: ``cursor``'s fork at the cut.
-
-    The boundary must be the next one announced to ``cursor.expect``.
-    Returns the system to ``crash()`` plus the outcome: once crashed,
-    exactly what running ``build(faults)``'s workload on its fresh
-    machine produces — which is what runs when the boundary precedes
-    the cursor's first transaction.
-    """
-    forked = cursor.crash_at(faults)
-    if forked is None:
-        system, txns = build(faults)
-        return system, run_txns(system, txns)
-    return forked
-
-
 def choose_boundaries(
     total_writes: int, sample: int, seed: int
 ) -> List[int]:
@@ -328,7 +313,6 @@ def boundary_faults(seed: int, boundary: int, torn: bool) -> FaultConfig:
 
 
 def sweep_cases(
-    build: Build,
     cursor: ForwardCursor,
     boundaries: List[int],
     *,
@@ -346,7 +330,7 @@ def sweep_cases(
         faults = boundary_faults(
             seed, boundary, _torn_for(boundary, torn_mode)
         )
-        system, outcome = build_crashed(build, cursor, faults)
+        system, outcome = cursor.crash_at(faults)
         system.crash()
         yield faults, _finish_case(system, faults, outcome, recovery_threads)
 
@@ -385,7 +369,7 @@ def sweep_scheme(
         boundaries=choose_boundaries(total, sample, seed),
     )
     for faults, case in sweep_cases(
-        build, cursor, result.boundaries, seed=seed, torn_mode=torn_mode,
+        cursor, result.boundaries, seed=seed, torn_mode=torn_mode,
         recovery_threads=recovery_threads,
     ):
         result.cases.append(case)

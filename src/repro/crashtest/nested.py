@@ -52,7 +52,6 @@ from repro.crashtest import (
     _finish_case,
     _torn_for,
     boundary_faults,
-    build_crashed,
     build_crashed_cold,
     build_workload,
     choose_boundaries,
@@ -293,8 +292,8 @@ def nested_sweep_scheme(
     cursor.expect(forward_boundaries)
     for boundary in forward_boundaries:
         torn = _torn_for(boundary, torn_mode)
-        system, outcome = build_crashed(
-            build, cursor, boundary_faults(seed, boundary, torn)
+        system, outcome = cursor.crash_at(
+            boundary_faults(seed, boundary, torn)
         )
         # Each case of this boundary starts from a power-cut image.
         cut = partial(power_cut, system)
@@ -340,8 +339,6 @@ def nested_sweep_scheme(
 
     # -- phase 3: media-error burst during GC -------------------------------
     _settle("gc-media", quiesced.restore, outcome)
-    return result
-
     return result
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -138,10 +137,9 @@ def get_scale(scale: str) -> Scale:
 
 # -- one measured cell -------------------------------------------------------------
 
-# In-process memo, LRU-bounded.  The full smoke matrix is 49 cells; the
-# bound only matters for open-ended ablation sweeps that vary configs.
-_CELL_CACHE: "OrderedDict[tuple, RunResult]" = OrderedDict()
-_CELL_CACHE_MAX = 512
+# In-process memo, unbounded: a whole ``--scale smoke`` harness run
+# stores 69 distinct cells.
+_CELL_CACHE: Dict[tuple, RunResult] = {}
 
 
 def _freeze(value):
@@ -233,7 +231,6 @@ def run_cell(
         scheme, workload, scale, seed, item_bytes, config, extra_kwargs
     )
     if key in _CELL_CACHE:
-        _CELL_CACHE.move_to_end(key)
         return _CELL_CACHE[key]
     system, wl, driver = build_cell(
         preset, scheme, workload, seed, config,
@@ -253,8 +250,6 @@ def run_cell(
             }
         )
     _CELL_CACHE[key] = result
-    while len(_CELL_CACHE) > _CELL_CACHE_MAX:
-        _CELL_CACHE.popitem(last=False)
     return result
 
 

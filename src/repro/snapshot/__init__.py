@@ -39,14 +39,10 @@ because every class declares its snapshot behaviour up front:
     Full custom control (the NVM device uses it for copy-on-write page
     sharing).  Must insert its result into ``memo`` before recursing.
 
-``__snapshot_fixup__(self, memo)``
-    Post-pass hook on the *clone*, called after the whole graph is
-    copied, with the ``id(old) -> new`` memo — for state keyed by object
-    identity (the sanitizer's per-port ids).
-
 A single memo dict spans the whole clone, so aliasing invariants
 (`device._wear_writes is device.wear._writes`, bound-method handlers,
-shared LineFlags between LLC buckets and the flag index) survive by
+shared LineFlags between LLC buckets and the flag index, dict keys that
+are components, like the sanitizer's per-port ids) survive by
 construction.  Bound methods are re-bound to the cloned ``__self__``;
 ``random.Random`` streams are forked via ``getstate``/``setstate`` into
 an unseeded instance.
@@ -62,7 +58,6 @@ from __future__ import annotations
 import enum
 import operator
 import random
-import sys
 import types
 from collections import OrderedDict, defaultdict, deque
 from typing import Any, Dict, List
@@ -123,12 +118,11 @@ def reset_unregistered() -> None:
 class _Plan:
     """Cached per-class clone strategy."""
 
-    __slots__ = ("mode", "slots", "has_fixup")
+    __slots__ = ("mode", "slots")
 
-    def __init__(self, mode: int, slots, has_fixup: bool) -> None:
+    def __init__(self, mode: int, slots) -> None:
         self.mode = mode
         self.slots = slots
-        self.has_fixup = has_fixup
 
 
 _PLANS: Dict[type, _Plan] = {}
@@ -148,7 +142,6 @@ def _collect_slots(cls: type):
 
 def _build_plan(cls: type) -> _Plan:
     spec = getattr(cls, "__snapshot_state__", _MISSING)
-    has_fixup = hasattr(cls, "__snapshot_fixup__")
     slots = _collect_slots(cls)
     if getattr(cls, "__snapshot_clone__", None) is not None:
         mode = _CUSTOM
@@ -172,12 +165,12 @@ def _build_plan(cls: type) -> _Plan:
         raise ValueError(
             f"{cls.__qualname__}: unknown __snapshot_state__ {spec!r}"
         )
-    plan = _Plan(mode, slots, has_fixup)
+    plan = _Plan(mode, slots)
     _PLANS[cls] = plan
     return plan
 
 
-def _clone(obj: Any, memo: dict, fixups: list) -> Any:
+def _clone(obj: Any, memo: dict) -> Any:
     cls = obj.__class__
     if cls in _ATOMS:
         return obj
@@ -187,11 +180,11 @@ def _clone(obj: Any, memo: dict, fixups: list) -> Any:
         return existing
     handler = _HANDLERS.get(cls)
     if handler is not None:
-        return handler(obj, memo, fixups)
-    return _clone_object(obj, memo, fixups, cls, key)
+        return handler(obj, memo)
+    return _clone_object(obj, memo, cls, key)
 
 
-def _clone_object(obj: Any, memo: dict, fixups: list, cls: type, key: int):
+def _clone_object(obj: Any, memo: dict, cls: type, key: int):
     plan = _PLANS.get(cls)
     if plan is None:
         plan = _build_plan(cls)
@@ -200,16 +193,11 @@ def _clone_object(obj: Any, memo: dict, fixups: list, cls: type, key: int):
         memo[key] = obj
         return obj
     if mode == _CUSTOM:
-        out = obj.__snapshot_clone__(
-            memo, lambda v, m=memo, f=fixups: _clone(v, m, f)
-        )
-        if plan.has_fixup:
-            fixups.append(out)
-        return out
+        return obj.__snapshot_clone__(memo, lambda v, m=memo: _clone(v, m))
     if mode == _NAMEDTUPLE:
         # NamedTuple (plain tuples have a dedicated handler): clone the
         # items; when every item survives unchanged, share the original.
-        items = [_clone(v, memo, fixups) for v in obj]
+        items = [_clone(v, memo) for v in obj]
         if all(a is b for a, b in zip(items, obj)):
             memo[key] = obj
             return obj
@@ -231,23 +219,21 @@ def _clone_object(obj: Any, memo: dict, fixups: list, cls: type, key: int):
         if d is not None:
             nd = out.__dict__
             for k, v in d.items():
-                nd[k] = v if v.__class__ in _ATOMS else _clone(v, memo, fixups)
+                nd[k] = v if v.__class__ in _ATOMS else _clone(v, memo)
         for name in plan.slots:
             value = getattr(obj, name, _MISSING)
             if value is _MISSING:
                 continue
             if value.__class__ not in _ATOMS:
-                value = _clone(value, memo, fixups)
+                value = _clone(value, memo)
             setattr(out, name, value)
-    if plan.has_fixup:
-        fixups.append(out)
     return out
 
 
 # -- container handlers -------------------------------------------------------
 
 
-def _clone_dict(obj, memo, fixups):
+def _clone_dict(obj, memo):
     out = {}
     memo[id(obj)] = out
     if not obj:
@@ -255,32 +241,32 @@ def _clone_dict(obj, memo, fixups):
     atoms = _ATOMS
     for k, v in obj.items():
         if k.__class__ not in atoms:
-            k = _clone(k, memo, fixups)
-        out[k] = v if v.__class__ in atoms else _clone(v, memo, fixups)
+            k = _clone(k, memo)
+        out[k] = v if v.__class__ in atoms else _clone(v, memo)
     return out
 
 
-def _clone_list(obj, memo, fixups):
+def _clone_list(obj, memo):
     out: list = []
     memo[id(obj)] = out
     atoms = _ATOMS
     out.extend(
-        v if v.__class__ in atoms else _clone(v, memo, fixups) for v in obj
+        v if v.__class__ in atoms else _clone(v, memo) for v in obj
     )
     return out
 
 
-def _clone_set(obj, memo, fixups):
+def _clone_set(obj, memo):
     out: set = set()
     memo[id(obj)] = out
     atoms = _ATOMS
     out.update(
-        v if v.__class__ in atoms else _clone(v, memo, fixups) for v in obj
+        v if v.__class__ in atoms else _clone(v, memo) for v in obj
     )
     return out
 
 
-def _clone_tuple(obj, memo, fixups):
+def _clone_tuple(obj, memo):
     # Single pass: most tuples are all-atom records — share them without
     # building an item list (no memo entry either: sharing is idempotent).
     atoms = _ATOMS
@@ -291,7 +277,7 @@ def _clone_tuple(obj, memo, fixups):
         return obj
     items = list(obj[:index])
     for v in obj[index:]:
-        items.append(v if v.__class__ in atoms else _clone(v, memo, fixups))
+        items.append(v if v.__class__ in atoms else _clone(v, memo))
     if all(a is b for a, b in zip(items, obj)):
         memo[id(obj)] = obj
         return obj
@@ -300,13 +286,13 @@ def _clone_tuple(obj, memo, fixups):
     return out
 
 
-def _clone_bytearray(obj, memo, fixups):
+def _clone_bytearray(obj, memo):
     out = bytearray(obj)
     memo[id(obj)] = out
     return out
 
 
-def _clone_ordered_dict(obj, memo, fixups):
+def _clone_ordered_dict(obj, memo):
     out: OrderedDict = OrderedDict()
     memo[id(obj)] = out
     if not obj:
@@ -314,33 +300,33 @@ def _clone_ordered_dict(obj, memo, fixups):
     atoms = _ATOMS
     for k, v in obj.items():
         if k.__class__ not in atoms:
-            k = _clone(k, memo, fixups)
-        out[k] = v if v.__class__ in atoms else _clone(v, memo, fixups)
+            k = _clone(k, memo)
+        out[k] = v if v.__class__ in atoms else _clone(v, memo)
     return out
 
 
-def _clone_defaultdict(obj, memo, fixups):
+def _clone_defaultdict(obj, memo):
     out = defaultdict(obj.default_factory)
     memo[id(obj)] = out
     atoms = _ATOMS
     for k, v in obj.items():
         if k.__class__ not in atoms:
-            k = _clone(k, memo, fixups)
-        out[k] = v if v.__class__ in atoms else _clone(v, memo, fixups)
+            k = _clone(k, memo)
+        out[k] = v if v.__class__ in atoms else _clone(v, memo)
     return out
 
 
-def _clone_deque(obj, memo, fixups):
+def _clone_deque(obj, memo):
     atoms = _ATOMS
     out = deque(
-        (v if v.__class__ in atoms else _clone(v, memo, fixups) for v in obj),
+        (v if v.__class__ in atoms else _clone(v, memo) for v in obj),
         obj.maxlen,
     )
     memo[id(obj)] = out
     return out
 
 
-def _clone_random(obj, memo, fixups):
+def _clone_random(obj, memo):
     # ``Random()`` would seed itself from the OS only to be overwritten.
     cls = obj.__class__
     out = cls.__new__(cls)
@@ -349,11 +335,11 @@ def _clone_random(obj, memo, fixups):
     return out
 
 
-def _clone_method(obj, memo, fixups):
+def _clone_method(obj, memo):
     # Bound method: re-bind the function to the cloned receiver so
     # callbacks like hierarchy._fill / oop_buffer._on_slice_written keep
     # pointing inside the clone, not back into the live system.
-    out = types.MethodType(obj.__func__, _clone(obj.__self__, memo, fixups))
+    out = types.MethodType(obj.__func__, _clone(obj.__self__, memo))
     memo[id(obj)] = out
     return out
 
@@ -375,25 +361,9 @@ _HANDLERS: Dict[type, Any] = {
 def clone_state(obj: Any) -> Any:
     """Deep-clone an arbitrary simulator object graph.
 
-    One memo spans the whole clone (aliasing preserved); ``__snapshot_fixup__``
-    hooks run after the graph is complete, with the ``id(old) -> new`` memo.
+    One memo spans the whole clone, so aliasing is preserved.
     """
-    memo: dict = {}
-    fixups: list = []
-    limit = sys.getrecursionlimit()
-    bumped = limit < 20_000
-    if bumped:
-        # Deep linked structures (skip-list forward chains) recurse one
-        # engine frame per node.
-        sys.setrecursionlimit(20_000)
-    try:
-        out = _clone(obj, memo, fixups)
-        for clone in fixups:
-            clone.__snapshot_fixup__(memo)
-    finally:
-        if bumped:
-            sys.setrecursionlimit(limit)
-    return out
+    return _clone(obj, {})
 
 
 class Snapshot:
@@ -494,9 +464,8 @@ def _compile(template: Any) -> list:
         # One C-level check that fields holding atoms here hold atoms on the
         # live machine too (a one-name itemgetter returns no tuple: pad it).
         atom_get = operator.itemgetter(*atoms, *atoms[:1]) if atoms else None
-        fixup = (_PLANS.get(obj.__class__) or _build_plan(obj.__class__)).has_fixup
         plan.append((index.get(id(parent)), name, at, obj.__class__, id(obj),
-                     frozenset(vars(obj)), atom_get, fields, fixup))
+                     frozenset(vars(obj)), atom_get, fields))
     return plan
 
 
@@ -504,10 +473,10 @@ class _Mismatch(Exception):
     """The live machine's shape differs from its template's."""
 
 
-def _run_plan(plan: list, system: Any, memo: dict, fixups: list) -> Any:
+def _run_plan(plan: list, system: Any, memo: dict) -> Any:
     atoms, lives, news = _ATOMS, [], []
     # Every component first: the clones below map references onto twins.
-    for parent, name, at, cls, tmpl_id, keys, atom_get, _, fixup in plan:
+    for parent, name, at, cls, tmpl_id, keys, atom_get, _ in plan:
         live = system if parent is None else vars(lives[parent]).get(name)
         if at is not None:
             live = live.__self__ if at < 0 else live[at]
@@ -521,8 +490,6 @@ def _run_plan(plan: list, system: Any, memo: dict, fixups: list) -> Any:
         memo[id(live)] = memo[tmpl_id] = out
         lives.append(live)
         news.append(out)
-        if fixup:
-            fixups.append(out)
     for step, live, out in zip(plan, lives, news):
         d, nd = live.__dict__, out.__dict__
         for name, kind, arg in step[7]:
@@ -536,11 +503,11 @@ def _run_plan(plan: list, system: Any, memo: dict, fixups: list) -> Any:
                 copy.__dict__.update(value.__dict__)
             elif kind in ("atoms", "clone"):
                 if value.__class__ not in atoms:
-                    nd[name] = _clone(value, memo, fixups)
+                    nd[name] = _clone(value, memo)
             elif kind == "new":
                 nd[name] = arg()
             else:
-                nd[name] = arg if kind == "set" else _clone(arg, memo, fixups)
+                nd[name] = arg if kind == "set" else _clone(arg, memo)
     return news[0]
 
 
@@ -553,7 +520,8 @@ def power_cut(system: Any) -> Any:
     class and config built on first use.  The persist domain is not
     drained yet and power is as ``system`` left it: ``power_cut(m)``
     then ``crash()`` equals ``clone_state(m)`` then ``crash()``.  A
-    machine shaped unlike its template (say, with a checker) is cloned.
+    machine shaped unlike its template (say, with a checker) raises
+    ``ValueError``.
     """
     key = (system.scheme.__class__, system.config)
     template = _TEMPLATES.get(key)
@@ -565,15 +533,13 @@ def power_cut(system: Any) -> Any:
         template = MemorySystem(config, cls(config, make_device(config)))
         template.crash()
         template = _TEMPLATES[key] = (template, _compile(template))
-    memo: dict = {}
-    fixups: list = []
     try:
-        image = _run_plan(template[1], system, memo, fixups)
-    except (_Mismatch, LookupError):  # e.g. a shorter list of components
-        return clone_state(system)
-    for clone in fixups:
-        clone.__snapshot_fixup__(memo)
-    return image
+        return _run_plan(template[1], system, {})
+    except (_Mismatch, LookupError) as exc:  # e.g. a shorter component list
+        raise ValueError(
+            f"power_cut: this {key[0].__name__} machine is shaped unlike a"
+            " fresh one of its scheme and config (a checker attached?)"
+        ) from exc
 
 
 def crash_image(system: Any) -> Any:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace as _dc_replace
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Tuple
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
@@ -52,15 +52,21 @@ class ForwardCursor:
     """One fault-free machine run forward once, forked at each boundary.
 
     ``system`` must sit *before* ``txns[0]`` (built, heap allocated, no
-    fault armed) on a fault-injecting device.  Construction forks it and
-    runs the whole list on the fork — the probe — recording only
-    ``total_writes``.  :meth:`expect` announces the ascending boundaries
-    :meth:`crash_at` will be asked for, in that order; the live machine
-    then runs forward only as far as the next boundary needs, and its
-    device's fork hook takes a power-cut image inside each cut write.
+    fault armed, no timed write issued yet, else ``ValueError``) on a
+    fault-injecting device, so that every boundary lies inside the
+    workload.  Construction forks it and runs the whole list on the
+    fork — the probe — recording only ``total_writes``.  :meth:`expect`
+    announces the ascending boundaries :meth:`crash_at` will be asked
+    for, in that order; the live machine then runs forward only as far
+    as the next boundary needs, and its device's fork hook takes a
+    power-cut image inside each cut write.
     """
 
     def __init__(self, system: Any, txns: List[TxnRecord]) -> None:
+        if system.device.stats.writes:
+            raise ValueError(
+                "the cursor's machine issued timed writes before txns[0]"
+            )
         self._system = system
         self._txns = txns
         self._next = 0  # the transaction the live machine runs next
@@ -68,8 +74,6 @@ class ForwardCursor:
         self._staged: Dict[int, bytes] = {}  # the open transaction's stores
         self._last_boundary = 0  # the last one crash_at was given
         self._last_announced = 0  # the last one expect was given
-        # Writes issued before txns[0]: no boundary below can be forked.
-        self._first = system.device.stats.writes
         self._expected: Deque[int] = deque()  # announced, not yet forked
         self._forks: Deque[_Fork] = deque()  # forked, not yet asked for
         probe = Snapshot(system).restore()
@@ -80,9 +84,7 @@ class ForwardCursor:
         """Announce the next boundaries :meth:`crash_at` will be given.
 
         They must ascend from the last one announced (repeats allowed:
-        each gets its own fork).  Boundaries below the first
-        transaction's starting count are skipped — :meth:`crash_at`
-        answers them with ``None``.
+        each gets its own fork).
         """
         for boundary in boundaries:
             if boundary < self._last_announced:
@@ -91,12 +93,9 @@ class ForwardCursor:
                     f"{boundary} < {self._last_announced}"
                 )
             self._last_announced = boundary
-            if boundary >= self._first:
-                self._expected.append(boundary)
+            self._expected.append(boundary)
 
-    def crash_at(
-        self, faults: FaultConfig
-    ) -> Optional[Tuple[Any, RunOutcome]]:
+    def crash_at(self, faults: FaultConfig) -> Tuple[Any, RunOutcome]:
         """The machine at ``faults``' power cut, from a fork of the live one.
 
         The ``at`` of ``faults``' first cut must be the next announced
@@ -104,9 +103,6 @@ class ForwardCursor:
         ``(system, outcome)``, which once ``system`` is crashed equal
         what :func:`~repro.trace.run_txns` under ``faults`` on a fresh
         machine leaves before ``crash()``.
-        ``None`` when the boundary lies below the first transaction's
-        starting count (possible only if system construction itself
-        issued timed writes); callers fall back to a fresh machine.
         """
         boundary = faults.schedule[0].at
         if boundary < self._last_boundary:
@@ -115,8 +111,6 @@ class ForwardCursor:
                 f"{boundary} < {self._last_boundary}"
             )
         self._last_boundary = boundary
-        if boundary < self._first:
-            return None
         if not self._forks:
             self._advance()
         if self._forks:

@@ -10,8 +10,8 @@ The subsystem has three layers:
   :class:`Log2Histogram` (p50/p95/p99/max) and :class:`EpochSeries`
   (per-simulated-epoch throughput/traffic).
 * :mod:`repro.telemetry.export` — Chrome/Perfetto ``trace_event`` JSON
-  (open at https://ui.perfetto.dev) and greppable JSONL event logs, plus
-  the summary/compare consumers behind ``python -m repro.telemetry``.
+  (open at https://ui.perfetto.dev), plus the summary/compare consumers
+  behind ``python -m repro.telemetry``.
 
 Enable by constructing a system with a hub::
 
@@ -29,7 +29,6 @@ from repro.telemetry.export import (
     summarize_file,
     to_perfetto,
     validate_perfetto,
-    write_jsonl,
     write_perfetto,
 )
 from repro.telemetry.hub import (
@@ -49,7 +48,6 @@ __all__ = [
     "EpochSeries",
     "to_perfetto",
     "write_perfetto",
-    "write_jsonl",
     "load_trace",
     "validate_perfetto",
     "summarize_file",

@@ -4,10 +4,10 @@ Usage::
 
     # Record one workload under one scheme and export a Perfetto trace:
     python -m repro.telemetry --scheme hoop --workload ycsb_a --out t.json
-                              [--jsonl t.jsonl] [--scale smoke] [--seed N]
+                              [--scale smoke] [--seed N]
                               [--threads N] [--transactions N]
 
-    # Summarize a previously exported trace or JSONL event log:
+    # Summarize a previously exported trace:
     python -m repro.telemetry --summary t.json
 
     # Diff the latency histograms of two recorded traces:
@@ -29,7 +29,6 @@ from repro.telemetry.export import (
     render_summary,
     summarize_file,
     validate_perfetto,
-    write_jsonl,
     write_perfetto,
 )
 from repro.telemetry.hub import Telemetry
@@ -64,9 +63,6 @@ def record(args: argparse.Namespace) -> int:
         f" {result.transactions} transactions"
         f" ({args.scheme}/{args.workload}, scale={args.scale})"
     )
-    if args.jsonl:
-        lines = write_jsonl(telemetry, args.jsonl)
-        print(f"{args.jsonl}: {lines} JSONL event records")
     print(render_summary(telemetry.summary()))
     print("open the .json at https://ui.perfetto.dev")
     return 0
@@ -80,7 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--summary",
         metavar="TRACE",
-        help="summarize an exported trace (.json) or event log (.jsonl)",
+        help="summarize an exported trace (.json)",
     )
     parser.add_argument(
         "--compare",
@@ -96,9 +92,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", default=None, help="Perfetto trace_event JSON output path"
-    )
-    parser.add_argument(
-        "--jsonl", default=None, help="also write a JSONL event log here"
     )
     parser.add_argument(
         "--scale",
@@ -126,10 +119,7 @@ def main(argv=None) -> int:
     if args.summary:
         print(summarize_file(args.summary))
         # Exit nonzero on structural problems so CI can gate on this.
-        loaded = load_trace(args.summary)
-        if loaded["format"] == "perfetto" and validate_perfetto(
-            loaded["events"]
-        ):
+        if validate_perfetto(load_trace(args.summary)["events"]):
             return 1
         return 0
     if args.compare:

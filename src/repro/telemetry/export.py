@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON and greppable JSONL.
+"""Exporter: Chrome/Perfetto ``trace_event`` JSON, and its consumers.
 
 The Perfetto export renders the event timeline as one process with one
 named thread (track) per emitter — ``core0..N`` for per-core transaction
@@ -8,11 +8,9 @@ https://ui.perfetto.dev (or chrome://tracing).  Span pairing happens
 here, at export time: ``txn_begin``/``txn_commit`` and
 ``gc_start``/``gc_end`` become ``ph:"X"`` complete events; everything
 else becomes an instant.  ``ts``/``dur`` are microseconds of *simulated*
-time, per the trace_event spec.
-
-The JSONL export writes one JSON object per line — ``{"ts_ns", "kind",
-"track", ...payload}`` — for grep/jq-style forensics and for the
-``--summary`` CLI.
+time, per the trace_event spec.  The same file embeds the hub's metric
+summary under ``repro_summary``, which ``--summary`` and ``--compare``
+read back.
 """
 
 from __future__ import annotations
@@ -157,43 +155,17 @@ def write_perfetto(telemetry: Telemetry, path: Union[str, pathlib.Path]) -> dict
     return trace
 
 
-def write_jsonl(telemetry: Telemetry, path: Union[str, pathlib.Path]) -> int:
-    """Write one JSON object per event; returns the line count."""
-    lines = []
-    for ts_ns, kind, track, payload in sorted(
-        telemetry.events, key=lambda e: e[0]
-    ):
-        record = {"ts_ns": ts_ns, "kind": kind, "track": track}
-        if payload:
-            record.update(payload)
-        lines.append(json.dumps(record))
-    pathlib.Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
-
-
 # -- consumers -----------------------------------------------------------------
 
 
 def load_trace(path: Union[str, pathlib.Path]) -> dict:
-    """Load a Perfetto JSON or JSONL event log into a uniform dict.
+    """Load a Perfetto JSON export as ``{"events", "summary"}``.
 
-    Returns ``{"format", "events", "summary"}`` where ``events`` is the
-    raw event list (trace_event dicts or JSONL records).
+    ``events`` is the raw trace_event list, ``summary`` the embedded
+    ``repro_summary`` (empty when the file carries none).
     """
-    path = pathlib.Path(path)
-    text = path.read_text()
-    # Both formats start with "{": a Perfetto export is one JSON object
-    # spanning the file, a JSONL log is one object *per line* — so the
-    # reliable sniff is whether the whole file parses as a single value.
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        events = [
-            json.loads(line) for line in text.splitlines() if line.strip()
-        ]
-        return {"format": "jsonl", "events": events, "summary": {}}
+    obj = json.loads(pathlib.Path(path).read_text())
     return {
-        "format": "perfetto",
         "events": obj.get("traceEvents", []),
         "summary": obj.get("repro_summary", {}),
     }
@@ -216,43 +188,33 @@ def validate_perfetto(trace_events: List[dict]) -> List[str]:
 
 
 def summarize_file(path: Union[str, pathlib.Path]) -> str:
-    """Human-readable summary of an exported trace or event log."""
+    """Human-readable summary of an exported trace."""
     loaded = load_trace(path)
-    lines = [f"{path}: {loaded['format']} export, {len(loaded['events'])} events"]
-    if loaded["format"] == "perfetto":
-        problems = validate_perfetto(loaded["events"])
-        lines.append(
-            "structure: OK"
-            if not problems
-            else "structure: " + "; ".join(problems[:5])
-        )
-        by_name: Dict[str, int] = {}
-        tracks = set()
-        lo, hi = float("inf"), 0.0
-        for event in loaded["events"]:
-            if event.get("ph") == "M":
-                continue
-            # .get throughout: a malformed trace should still summarize
-            # (the problems are already listed above).
-            name = event.get("name", "?")
-            by_name[name] = by_name.get(name, 0) + 1
-            tracks.add(event.get("tid", "?"))
-            ts = event.get("ts", 0.0)
-            lo = min(lo, ts)
-            hi = max(hi, ts + event.get("dur", 0.0))
-        if by_name:
-            lines.append(
-                f"span: {lo:.1f}..{hi:.1f} us over {len(tracks)} tracks"
-            )
-        for name in sorted(by_name):
-            lines.append(f"  {name}: {by_name[name]}")
-    else:
-        by_kind: Dict[str, int] = {}
-        for event in loaded["events"]:
-            kind = event.get("kind", "?")
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-        for kind in sorted(by_kind):
-            lines.append(f"  {kind}: {by_kind[kind]}")
+    lines = [f"{path}: perfetto export, {len(loaded['events'])} events"]
+    problems = validate_perfetto(loaded["events"])
+    lines.append(
+        "structure: OK"
+        if not problems
+        else "structure: " + "; ".join(problems[:5])
+    )
+    by_name: Dict[str, int] = {}
+    tracks = set()
+    lo, hi = float("inf"), 0.0
+    for event in loaded["events"]:
+        if event.get("ph") == "M":
+            continue
+        # .get throughout: a malformed trace should still summarize
+        # (the problems are already listed above).
+        name = event.get("name", "?")
+        by_name[name] = by_name.get(name, 0) + 1
+        tracks.add(event.get("tid", "?"))
+        ts = event.get("ts", 0.0)
+        lo = min(lo, ts)
+        hi = max(hi, ts + event.get("dur", 0.0))
+    if by_name:
+        lines.append(f"span: {lo:.1f}..{hi:.1f} us over {len(tracks)} tracks")
+    for name in sorted(by_name):
+        lines.append(f"  {name}: {by_name[name]}")
     summary = loaded["summary"]
     if summary:
         lines.append(render_summary(summary))
@@ -291,6 +253,7 @@ def compare_summaries(a: dict, b: dict, *, names=("A", "B")) -> str:
 def compare_files(
     path_a: Union[str, pathlib.Path], path_b: Union[str, pathlib.Path]
 ) -> str:
+    """:func:`compare_summaries` of two exported traces' embedded summaries."""
     a, b = load_trace(path_a), load_trace(path_b)
     return compare_summaries(
         a["summary"],

@@ -15,7 +15,8 @@ exactly that one attribute check, and a telemetry-off simulation is
 bit-identical to one built before this package existed (telemetry only
 observes; it never advances a clock or touches device content).
 
-Event taxonomy (``kind`` strings, greppable in the JSONL export):
+Event taxonomy (``kind`` strings; each names its instant in the Perfetto
+export, except the ``txn``/``gc`` pairs that export joins into spans):
 
 ===================  ==============================================
 ``txn_begin``        transaction opened (core track)

@@ -125,11 +125,7 @@ class MemorySystem:
         whose store calls had completed when power died (the dying
         store itself excluded — its effects, if any, are torn), which
         is exactly the in-flight set a durability oracle must treat as
-        all-or-nothing.  On success the returned transaction carries
-        ``write_set`` (the full ordered store list) so callers — the
-        replication layer above all — can re-derive the batch's
-        word-granular redo records via :meth:`redo_words` without
-        shadow bookkeeping.
+        all-or-nothing.
         """
         stores = list(stores)
         tx = self.transaction(core)
@@ -140,7 +136,6 @@ class MemorySystem:
         except PowerLossError as exc:
             exc.issued_stores = stores[: tx.stores]
             raise
-        tx.write_set = stores
         return tx
 
     @staticmethod

@@ -3,14 +3,20 @@
 import pytest
 
 from repro.check.mutant import MUTANT_SCHEME
-from repro.check.oracle import REAL_SCHEMES, build_system, run_trace
+from repro.check.oracle import (
+    REAL_SCHEMES,
+    bind_trace,
+    build_system,
+    run_trace,
+)
 from repro.check.sanitizer import (
     DISCIPLINES,
     NULL_CHECKER,
     PersistOrderSanitizer,
     rules_for,
 )
-from repro.trace import expected_state, generate_trace
+from repro.snapshot import capture
+from repro.trace import expected_state, generate_trace, run_txns
 
 
 def _sanitized_run(scheme, trace):
@@ -56,6 +62,35 @@ def test_violation_window_mentions_commit_and_store():
     window = "\n".join(sanitizer.violations[0].window)
     assert "store" in window
     assert "commit" in window
+
+
+@pytest.mark.parametrize("scheme", ["opt-redo", MUTANT_SCHEME])
+def test_a_restored_sanitizer_keeps_its_port_ids(scheme):
+    """A snapshot's sanitizer maps each cloned port to the live one's id.
+
+    ``_ports`` is keyed on the port itself, so the clone's single memo
+    re-keys it onto the cloned ports: a restored run issues no new id
+    and reports, window for window, what a cold run does.
+    """
+    trace = generate_trace(3, transactions=10, slots=4, cores=4)
+    cold, _, _ = _sanitized_run(scheme, trace)
+    live = build_system(scheme, checker=PersistOrderSanitizer())
+    _, txns = bind_trace(live, trace)
+    run_txns(live, txns[:5])
+    assert live.scheme.port in live.check._ports
+    restored = capture(live).restore()
+    ports = len(live.check._ports)
+    assert restored.check._port_id(restored.scheme.port) == (
+        live.check._port_id(live.scheme.port)
+    )
+    assert len(restored.check._ports) == ports
+    run_txns(restored, txns[5:])
+    assert len(restored.check._ports) == ports == len(cold._ports)
+    assert [v.render() for v in restored.check.violations] == [
+        v.render() for v in cold.violations
+    ]
+    if scheme == MUTANT_SCHEME:
+        assert cold.violations
 
 
 @pytest.mark.parametrize("scheme", REAL_SCHEMES)

@@ -119,24 +119,11 @@ def graph_diff(a, b, limit: int = 10) -> list:
     return out
 
 
-def _fell_back(system):
-    raise AssertionError("the machine's shape has no image plan")
-
-
-def _image(system):
-    """``crash_image(system)``, failing if it fell back to a whole clone."""
-    whole, snapshot.clone_state = snapshot.clone_state, _fell_back
-    try:
-        return snapshot.crash_image(system)
-    finally:
-        snapshot.clone_state = whole
-
-
 def contract_breaks(system) -> list:
     """Where ``crash_image`` and clone-then-``crash()`` disagree."""
     reference = snapshot.clone_state(system)
     reference.crash()
-    return graph_diff(_image(system), reference)
+    return graph_diff(snapshot.crash_image(system), reference)
 
 
 def _plain_machine(scheme):
@@ -179,11 +166,11 @@ def test_inside_a_write_the_image_is_clone_then_crash(scheme):
 @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
 def test_an_image_shares_nothing_mutable(scheme):
     system, *run = _plain_machine(scheme)
-    _image(system)  # builds the template
+    snapshot.crash_image(system)  # builds the template
     template, _ = snapshot._TEMPLATES[type(system.scheme), system.config]
 
     def isolation(system):
-        image = _image(system)
+        image = snapshot.crash_image(system)
         return shared_between(system, image) + shared_between(template, image)
 
     found = _inside_writes(system, run, isolation)
@@ -191,11 +178,10 @@ def test_an_image_shares_nothing_mutable(scheme):
     assert isolation(system) == []
 
 
-def test_a_machine_of_another_shape_is_cloned_whole():
+def test_a_machine_of_another_shape_raises():
     system = build_system("hoop", checker=PersistOrderSanitizer())
-    reference = snapshot.clone_state(system)
-    reference.crash()
-    assert graph_diff(snapshot.crash_image(system), reference) == []
+    with pytest.raises(ValueError, match="shaped unlike"):
+        snapshot.crash_image(system)
 
 
 def test_an_undeclared_durable_field_breaks_the_contract(monkeypatch):
@@ -219,8 +205,8 @@ def test_a_volatile_field_crash_keeps_breaks_the_contract(monkeypatch):
 def test_the_walk_sees_a_changed_stat():
     system, *run = _plain_machine("opt-redo")
     _run(system, *run)
-    image = _image(system)
-    twin = _image(system)
+    image = snapshot.crash_image(system)
+    twin = snapshot.crash_image(system)
     assert graph_diff(image, twin) == []
     twin.scheme.stats = dataclasses.replace(
         twin.scheme.stats, transactions=twin.scheme.stats.transactions + 1

@@ -61,10 +61,6 @@ def _machine(scheme, transactions, seed=7, addresses=12):
     return system
 
 
-def _no_fallback(faults):
-    raise AssertionError("cursor fell back to cold")
-
-
 def _tx_starts(scheme, **kwargs):
     """Timed writes before each transaction of the workload, run cold."""
     system, txns = crashtest.build_workload(
@@ -119,9 +115,7 @@ class TestCursorMatchesCold:
             faults = _plan(
                 seed, boundary, crashtest._torn_for(boundary, torn_mode)
             )
-            system, outcome = crashtest.build_crashed(
-                _no_fallback, cursor, faults
-            )
+            system, outcome = cursor.crash_at(faults)
             system.crash()
             got = crashtest._finish_case(system, faults, outcome, 2)
             want = crashtest.run_case(scheme, faults, **kwargs)
@@ -146,33 +140,17 @@ class TestCursorMatchesCold:
         with pytest.raises(ValueError, match="not announced"):
             cursor.crash_at(_plan(3, 10, False))
 
-    def test_boundary_below_first_transaction_falls_back_to_cold(self):
-        kwargs = dict(seed=3, transactions=6, addresses=4)
+    def test_a_machine_that_already_wrote_is_refused(self):
         # A machine that issued timed writes before its first
-        # transaction: boundary 1 precedes anything the cursor can fork.
+        # transaction: boundary 1 would precede anything a fork can cut.
         system = crashtest._build_system(
             "hoop", FaultConfig(enabled=True, seed=3)
         )
         addr = system.allocate(64)
         for index in range(2):
             system.device.write(1 << 20 | 64 * index, b"\x01" * 64)
-        cursor = ForwardCursor(
-            system, [(0, [(addr, b"\x02" * 8)]), (1, [(addr + 8, b"\x03" * 8)])]
-        )
-        cursor.expect([1, 2])
-        faults = _plan(3, 1, True)
-        assert cursor.crash_at(faults) is None
-        got, outcome = crashtest.build_crashed(
-            partial(crashtest.build_workload, "hoop", **kwargs), cursor, faults
-        )
-        assert got is not system
-        got.crash()
-        case = crashtest._finish_case(got, faults, outcome, 2)
-        want = crashtest.run_case("hoop", faults, **kwargs)
-        assert dataclasses.astuple(case) == dataclasses.astuple(want)
-        # The cursor still serves the boundaries it can reach.
-        assert cursor.crash_at(_plan(3, 2, False)) is not None
-
+        with pytest.raises(ValueError, match="before txns"):
+            ForwardCursor(system, [(0, [(addr, b"\x02" * 8)])])
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_forks_run_no_transaction_and_carry_no_hook(self, scheme):

@@ -69,19 +69,6 @@ class TestRunCell:
         assert first is not second
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
-    def test_memo_is_lru_bounded(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_CELL_CACHE_MAX", 2)
-        oldest = run_cell("native", "queue", "smoke", seed=1)
-        run_cell("native", "queue", "smoke", seed=2)
-        # A hit refreshes seed 1, so seed 2 is now the least recently used.
-        assert run_cell("native", "queue", "smoke", seed=1) is oldest
-        run_cell("native", "queue", "smoke", seed=3)
-        assert len(experiments._CELL_CACHE) == 2
-        # Seed 2 fell out; seed 1, though older, survived.
-        assert run_cell("native", "queue", "smoke", seed=1) is oldest
-        key_2 = cell_key("native", "queue", "smoke", 2, 64, None, None)
-        assert key_2 not in experiments._CELL_CACHE
-
 
 class TestCellKey:
     def test_explicit_config_keys_by_field_values(self):

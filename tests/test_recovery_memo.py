@@ -198,7 +198,7 @@ def test_memoised_recovery_equals_an_empty_memo(scheme, data):
             st.sampled_from([None] + _MUTANTS[scheme]), label="mutant"
         )
         faults = crashtest.boundary_faults(seed, boundary, torn)
-        system, _ = crashtest.build_crashed(build, cursor, faults)
+        system, _ = cursor.crash_at(faults)
         system.crash()
         if mutant is not None:
             pick = data.draw(st.integers(0, 1 << 16), label="pick")
@@ -242,7 +242,7 @@ def test_sweep_forks_recover_through_the_live_machines_memos(scheme):
     cursor.expect(boundaries)
     for boundary in boundaries:
         faults = crashtest.boundary_faults(3, boundary, False)
-        system, _ = crashtest.build_crashed(build, cursor, faults)
+        system, _ = cursor.crash_at(faults)
         assert list(map(id, _live_memos(system))) == list(map(id, live))
         system.crash()
         system.recover()

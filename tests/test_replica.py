@@ -996,7 +996,7 @@ class TestReplicatedEndToEnd:
 
         def spy_batch(system, stores, core=0):
             tx = run_batch(system, stores, core=core)
-            committed.setdefault(id(system), []).append(len(tx.write_set))
+            committed.setdefault(id(system), []).append(len(stores))
             return tx
 
         cluster = ServeCluster(

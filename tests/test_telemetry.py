@@ -17,10 +17,8 @@ from repro.telemetry import (
     EpochSeries,
     Log2Histogram,
     Telemetry,
-    load_trace,
     to_perfetto,
     validate_perfetto,
-    write_jsonl,
     write_perfetto,
 )
 from repro.telemetry.__main__ import main as telemetry_main
@@ -291,17 +289,6 @@ class TestPerfettoExport:
         assert gc_spans
         assert all("scanned" in e["args"] for e in gc_spans)
 
-    def test_jsonl_export_greppable(self, recorded, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        count = write_jsonl(recorded, path)
-        lines = path.read_text().splitlines()
-        assert count == len(lines) == len(recorded.events)
-        first = json.loads(lines[0])
-        assert {"ts_ns", "kind", "track"} <= set(first)
-        loaded = load_trace(path)
-        assert loaded["format"] == "jsonl"
-        assert len(loaded["events"]) == count
-
 
 # -- zero overhead when disabled -------------------------------------------------
 
@@ -439,7 +426,6 @@ def test_mapping_events_are_per_run_and_sum_to_the_word_counters():
 class TestCLI:
     def test_record_and_summary(self, tmp_path, capsys):
         out = tmp_path / "t.json"
-        jsonl = tmp_path / "t.jsonl"
         rc = telemetry_main(
             [
                 "--scheme",
@@ -454,14 +440,11 @@ class TestCLI:
                 "2",
                 "--out",
                 str(out),
-                "--jsonl",
-                str(jsonl),
             ]
         )
         assert rc == 0
         trace = json.loads(out.read_text())
         assert validate_perfetto(trace["traceEvents"]) == []
-        assert jsonl.exists()
         capsys.readouterr()
         assert telemetry_main(["--summary", str(out)]) == 0
         summary_text = capsys.readouterr().out
