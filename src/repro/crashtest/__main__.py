@@ -219,6 +219,9 @@ def main(argv=None) -> int:
         " state must stay bit-identical",
     )
     args = parser.parse_args(argv)
+    for flag in ("threads", "transactions"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1")
     try:
         args.schemes = crashtest.resolve_schemes(args.schemes)
     except ValueError as exc:

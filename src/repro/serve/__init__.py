@@ -35,14 +35,13 @@ bit-identical across replays.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.schemes import PERSISTENT_SCHEME_NAMES
 from repro.serve.cluster import ServeCluster
 from repro.serve.shard import kill_schedule
-from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import Log2Histogram
 
 # A serving ack is a durability promise and ``native`` makes none (the
@@ -90,6 +89,16 @@ class ServeConfig:
             raise ConfigError("rate_per_s must be positive")
         if self.duration_ms <= 0:
             raise ConfigError("duration_ms must be positive")
+        if not 0.0 < self.zipf_theta < 1.0:
+            raise ConfigError("zipf_theta must be within (0, 1)")
+        if self.batch_size <= 0:
+            raise ConfigError("batch_size must be positive")
+        if self.batch_wait_us < 0:
+            raise ConfigError("batch_wait_us must be nonnegative")
+        if self.queue_depth <= 0:
+            raise ConfigError("queue_depth must be positive")
+        if self.recovery_threads <= 0:
+            raise ConfigError("need at least one recovery thread")
         if not 0 <= self.replicas <= 4:
             raise ConfigError(
                 "replicas must be in [0, 4] — every backup is a full "
@@ -143,10 +152,6 @@ class ServeConfig:
         except ValueError:
             raise ConfigError("a kill instant must be finite, >= 0") from None
 
-    def replace(self, **overrides) -> "ServeConfig":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **overrides)
-
 
 @dataclass
 class ServeReport:
@@ -192,21 +197,15 @@ class ServeReport:
         return asdict(self)
 
 
-def run_serve(
-    cfg: ServeConfig,
-    *,
-    telemetry: Optional[Telemetry] = None,
-) -> ServeReport:
+def run_serve(cfg: ServeConfig) -> ServeReport:
     """Build a cluster from ``cfg``, run it to completion, report.
 
-    Pass a :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
-    Perfetto export of the serve track); otherwise the cluster makes
-    its own, and the report carries the latency digests either way.
-    The hub observes the serving layer only: the ``shard<N>/`` sinks,
-    the ``serve.*`` counters and the serve events.  Replica machines
-    emit nothing into it.
+    The report is a pure function of ``cfg``.  Its latency digests come
+    from the cluster's own telemetry hub, which observes the serving
+    layer only; to keep a hub (for a Perfetto export of the serve
+    track), build :class:`~repro.serve.cluster.ServeCluster` with one.
     """
-    cluster = ServeCluster(cfg, telemetry=telemetry)
+    cluster = ServeCluster(cfg)
     cluster.run()
     hub = cluster.telemetry
     makespan = cluster.last_completion_ns
@@ -220,11 +219,12 @@ def run_serve(
     # histograms in shard order.
     latency = Log2Histogram()
     per_shard = {}
-    for shard_id, group in sorted(cluster.groups.items()):
+    for shard_id, executor in sorted(cluster.executors.items()):
+        group = executor.group
         shard_hist = hub.hist(f"shard{shard_id}/request_latency_ns")
         latency.merge(shard_hist)
         per_shard[str(shard_id)] = {
-            "acked": group.acked,
+            "acked": executor.acked_puts + executor.acked_gets,
             "kills": group.kills,
             "recoveries": group.recoveries,
             "queue_depth": cluster.queue_depth(shard_id),

@@ -141,11 +141,8 @@ class ServeCluster:
 
     @property
     def oracle_acked_puts(self) -> int:
-        """Acked words recorded by the oracle, across all shards."""
-        return sum(
-            executor.oracle.acked_puts
-            for executor in self.sorted_executors()
-        )
+        """PUTs whose words the oracle holds: every acknowledged PUT."""
+        return self.acked_puts
 
     @property
     def oracle_verifications(self) -> int:

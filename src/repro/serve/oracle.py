@@ -32,24 +32,10 @@ same redo-record export the replication layer ships
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.crashtest import verify_atomic_durability
 from repro.txn.system import MemorySystem
-
-_WORD = 8
-
-
-def value_words(addr: int, value: bytes) -> List:
-    """Split one slot write into ``(word_addr, 8-byte value)`` pairs.
-
-    Thin wrapper over the canonical redo export
-    (:meth:`repro.txn.system.MemorySystem.redo_words`) for a single
-    store — the oracle and the replication layer must decompose writes
-    identically or a shipped record could verify differently than it
-    was promised.
-    """
-    return MemorySystem.redo_words([(addr, value)])
 
 
 class AckOracle:
@@ -57,13 +43,11 @@ class AckOracle:
 
     def __init__(self) -> None:
         self._acked: Dict[int, bytes] = {}
-        self.acked_puts = 0
         self.verifications = 0
 
     def record_ack(self, addr: int, value: bytes) -> None:
         """One PUT's commit returned: its words are now promises."""
-        self._acked.update(value_words(addr, value))
-        self.acked_puts += 1
+        self._acked.update(MemorySystem.redo_words([(addr, value)]))
 
     def verify_shard(
         self,
@@ -81,12 +65,7 @@ class AckOracle:
         self.verifications += 1
         return verify_atomic_durability(system, self._acked, staged or {})
 
-    def verify_replica(
-        self,
-        projection,
-        replica_index: int,
-        staged: Optional[Dict[int, bytes]] = None,
-    ) -> Optional[str]:
+    def verify_replica(self, projection, replica_index: int) -> Optional[str]:
         """Check one replica's durable projection against the shard's acks.
 
         ``projection`` is the crash+recover clone from
@@ -97,7 +76,7 @@ class AckOracle:
         what would catch it lying).  Counts as one verification;
         failure messages are prefixed with the replica index.
         """
-        failure = self.verify_shard(projection, staged)
+        failure = self.verify_shard(projection)
         if failure:
             return f"replica {replica_index}: {failure}"
         return None

@@ -35,9 +35,9 @@ its log header, reconciles any backup that missed the final records,
 and serves.  A recovered replica rejoins from its own durable prefix:
 the records it missed are re-shipped (delta), and only one that is off
 the primary's lineage or behind its bounded history takes a full image.
-The replica lifecycle (``LEASED`` → ``PROMOTING`` → ``SERVING``-as-
-``LEASED`` → ``REJOINING``) is documented for operators in
-``docs/serving.md``.
+The replica lifecycle (``BACKUP`` → ``LEASED`` through the durable
+epoch bump; a killed replica goes ``DEAD`` → ``REJOINING`` →
+``BACKUP``) is documented for operators in ``docs/serving.md``.
 
 Determinism contract: every method advances only the clocks of the
 machines it touches, draws no randomness of its own (fault seeds are
@@ -74,10 +74,9 @@ Stores = Tuple[Tuple[int, bytes], ...]  # one batch's frozen (addr, value)s
 Record = Tuple[int, int, Stores]  # (seq, epoch, stores)
 
 # Replica lifecycle states (the failover state machine of
-# docs/serving.md; SERVING is the steady half of LEASED).
+# docs/serving.md).
 LEASED = "leased"          # primary: holds the serving lease
 BACKUP = "backup"          # live backup: receives synchronous ships
-PROMOTING = "promoting"    # chosen backup bumping the epoch durably
 REJOINING = "rejoining"    # recovered machine catching up
 DEAD = "dead"              # killed; recovery hold not yet elapsed
 
@@ -188,7 +187,6 @@ class Replica:
         self.recover_at_ns = 0.0
         self.kills = 0
         self.recoveries = 0
-        self.acked = 0
 
     def addr_of(self, key: int) -> int:
         """Home-region address of one key's value slot."""
@@ -202,7 +200,7 @@ class Replica:
     @property
     def live(self) -> bool:
         """Is this replica serving or shippable (not dead/rejoining)?"""
-        return self.state in (LEASED, BACKUP, PROMOTING)
+        return self.state in (LEASED, BACKUP)
 
     # -- log plumbing ----------------------------------------------------------
 
@@ -295,13 +293,13 @@ class Replica:
         return end_ns
 
     def apply_tail(self, start_ns: float, *, epoch: int) -> float:
-        """Durably bump this replica's epoch (promotion, solo resume).
+        """Durably stamp the header at ``epoch`` and ``shipped_seq``.
 
-        One header-only transaction.  The name outlived the tail it
-        used to replay in the same commit — a backup now commits every
-        record as it is shipped, so there is nothing left to apply —
-        because ``perf/trace.py`` wraps it by name and a change that
-        claims a gain may not edit the benchmark; the rename rides with
+        One header-only transaction: the epoch bump of a promotion or a
+        solo resume, and the restamp that closes an image catch-up.  The
+        name outlived the tail it used to replay in the same commit — a
+        backup now commits every record as it is shipped — and stays
+        because ``perf/trace.py`` wraps it by name; the rename rides with
         ROADMAP item 2.  Returns this machine's clock after the commit.
         """
         end_ns = self._run(
@@ -325,17 +323,6 @@ class Replica:
         if len(delta) != expected:
             return None
         return delta
-
-    def reset_log(self, *, epoch: int, seq: int, start_ns: float) -> float:
-        """Durably restamp the header after a full-image catch-up.
-
-        One header transaction records the caught-up horizon: new
-        epoch, ``shipped_seq = seq`` (the image already contains
-        everything up to ``seq``); the volatile history starts empty.
-        Returns the clock after the commit.
-        """
-        self._set_horizon(epoch, seq)
-        return self._run([self._header_store(epoch, seq)], start_ns)
 
     def refresh_from_durable_log(self) -> None:
         """Rebuild the volatile mirrors from the durable header after a crash.
@@ -497,11 +484,6 @@ class ReplicationGroup:
         """Total completed recoveries across every replica."""
         return sum(r.recoveries for r in self.replicas)
 
-    @property
-    def acked(self) -> int:
-        """Requests acknowledged by this group (any primary)."""
-        return sum(r.acked for r in self.replicas)
-
     # -- the replicated commit path --------------------------------------------
 
     def commit_and_ship(
@@ -589,11 +571,11 @@ class ReplicationGroup:
         """Promote the freshest live backup to primary at a new epoch.
 
         The successor bumps the epoch durably in one header-only commit
-        (:data:`PROMOTING`; it has already committed every record it
-        was shipped, so nothing is replayed), then every other live
-        backup is reconciled — records the successor holds that they
-        missed are re-shipped from its history (delta), or by a full
-        image copy if the history no longer reaches back.  The group
+        (it has already committed every record it was shipped, so
+        nothing is replayed), then every other live backup is
+        reconciled — records the successor holds that they missed are
+        re-shipped from its history (delta), or by a full image copy if
+        the history no longer reaches back.  The group
         resumes :data:`GROUP_UP` with the successor :data:`LEASED`.
         Raises if no live backup exists; the caller checks
         :meth:`choose_successor` first.
@@ -604,7 +586,6 @@ class ReplicationGroup:
                 f"group {self.shard_id}: promotion with no live backup"
             )
         self.epoch += 1
-        successor.state = PROMOTING
         successor.apply_tail(max(now_ns, successor.clock_ns), epoch=self.epoch)
         self._epoch_starts.append((self.epoch, successor.shipped_seq))
         self.primary_index = successor.index
@@ -701,9 +682,10 @@ class ReplicationGroup:
         rejoiner in chunked failure-atomic transactions (the
         fuzzy-snapshot transfer runs off the primary's critical path —
         only the rejoiner's clock advances), then durably restamps the
-        rejoiner's log at the image horizon.  Returns the rejoiner's
-        clock after the copy; :meth:`try_go_live` then closes the gap
-        for records shipped since the image was taken.
+        rejoiner's header at the image horizon: the new epoch and the
+        image's sequence, with an empty volatile history.  Returns the
+        rejoiner's clock after the copy; :meth:`try_go_live` then closes
+        the gap for records shipped since the image was taken.
         """
         image_seq = self.primary.shipped_seq
         projection = self.primary.durable_projection()
@@ -717,9 +699,8 @@ class ReplicationGroup:
                 chunk = []
         if chunk:
             replica.system.run_batch(chunk, core=0)
-        return replica.reset_log(
-            epoch=self.epoch, seq=image_seq, start_ns=replica.clock_ns
-        )
+        replica._set_horizon(self.epoch, image_seq)
+        return replica.apply_tail(replica.clock_ns, epoch=self.epoch)
 
     def try_go_live(self, replica: Replica, now_ns: float) -> Optional[float]:
         """One rejoin step: :meth:`resync`, then join the live set.

@@ -163,7 +163,6 @@ class ShardExecutor:
         ]
         prefix = f"shard{self.shard_id}/"
         self._queue_depth_metric = prefix + "queue_depth"
-        self._admitted_metric = prefix + "admitted"
         self._batch_size_metric = prefix + "batch_size"
         self._latency_metric = prefix + "request_latency_ns"
 
@@ -290,7 +289,6 @@ class ShardExecutor:
         self.telemetry.record(
             self._queue_depth_metric, len(self.admission.queue)
         )
-        self.telemetry.sample(self._admitted_metric, self.now_ns)
 
     # -- the shard pump -------------------------------------------------------
 
@@ -330,9 +328,9 @@ class ShardExecutor:
         """One batch: GET loads, then all PUTs committed and shipped.
 
         An acknowledgement stamps the request's completion instant,
-        counts it for the shard and the primary, and records one
-        latency sample.  The primary's slot map and clocks and the
-        latency sink are bound once per batch.
+        counts it for the shard, and records one latency sample.  The
+        primary's slot map and clocks and the latency sink are bound
+        once per batch.
         """
         primary = group.primary
         system = primary.system
@@ -355,7 +353,6 @@ class ShardExecutor:
                 load(base + slot_of[request.key] * value_bytes, value_bytes, 0)
                 completion = request.completion_ns = clocks[0]
                 self.acked_gets += 1
-                primary.acked += 1
                 if completion > self.last_completion_ns:
                     self.last_completion_ns = completion
                 record(latency_metric, completion - request.arrival_ns)
@@ -387,7 +384,6 @@ class ShardExecutor:
                 record_ack(addr, value)
                 record(latency_metric, completion - request.arrival_ns)
             self.acked_puts += len(puts)
-            primary.acked += len(puts)
             if completion > self.last_completion_ns:
                 self.last_completion_ns = completion
         for backup in outcome.dead_backups:
@@ -507,7 +503,6 @@ class ShardExecutor:
             group.promote_at_ns = self.now_ns
             self._wake_at(self.now_ns)
             return
-        self.telemetry.count("serve.promotions")
         self.telemetry.emit(
             self.now_ns,
             "promotion",
@@ -613,7 +608,6 @@ class ShardExecutor:
         if retry_at is not None:
             self._wake_at(retry_at)
             return
-        self.telemetry.count("serve.rejoins")
         self.telemetry.emit(
             self.now_ns,
             "rejoin_complete",

@@ -91,9 +91,6 @@ class NullTelemetry:
     def record(self, name, value) -> None:
         pass
 
-    def sample(self, name, ts_ns, value=1.0) -> None:
-        pass
-
     def add_write_traffic(self, ts_ns, nbytes) -> None:
         pass
 
@@ -121,7 +118,6 @@ class Telemetry(NullTelemetry):
         "histograms",
         "commit_series",
         "write_traffic_series",
-        "named_series",
     )
     enabled = True
 
@@ -141,9 +137,6 @@ class Telemetry(NullTelemetry):
         # (throughput and write-traffic time-series).
         self.commit_series = EpochSeries(epoch_ns, max_epochs)
         self.write_traffic_series = EpochSeries(epoch_ns, max_epochs)
-        # Caller-named epoch series (e.g. per-shard admitted-request
-        # rates from repro.serve), created on first sample().
-        self.named_series: Dict[str, EpochSeries] = {}
 
     # -- events ---------------------------------------------------------------
 
@@ -175,27 +168,11 @@ class Telemetry(NullTelemetry):
         return histogram
 
     def record(self, name: str, value: float) -> None:
+        """Fold one value into the named histogram (made on first use)."""
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.hist(name)
         histogram.record(value)
-
-    def series(self, name: str) -> EpochSeries:
-        """Get-or-create a named epoch series (same budget as commits)."""
-        series = self.named_series.get(name)
-        if series is None:
-            series = EpochSeries(
-                self.commit_series.epoch_ns, self.commit_series.max_epochs
-            )
-            self.named_series[name] = series
-        return series
-
-    def sample(self, name: str, ts_ns: float, value: float = 1.0) -> None:
-        """Fold ``value`` into the named series' epoch at ``ts_ns``."""
-        series = self.named_series.get(name)
-        if series is None:
-            series = self.series(name)
-        series.add(ts_ns, value)
 
     # -- composite hooks ------------------------------------------------------
 
@@ -217,6 +194,7 @@ class Telemetry(NullTelemetry):
         )
 
     def add_write_traffic(self, ts_ns: float, nbytes: int) -> None:
+        """Add ``nbytes`` of NVM writes to the epoch holding ``ts_ns``."""
         self.write_traffic_series.add(ts_ns, nbytes)
 
     # -- lifecycle ------------------------------------------------------------
@@ -237,11 +215,11 @@ class Telemetry(NullTelemetry):
             self.write_traffic_series.epoch_ns,
             self.write_traffic_series.max_epochs,
         )
-        self.named_series = {}
 
     # -- summaries ------------------------------------------------------------
 
     def event_counts(self) -> Dict[str, int]:
+        """How many events of each kind were recorded (drops excluded)."""
         counts: Dict[str, int] = {}
         for _, kind, _, _ in self.events:
             counts[kind] = counts.get(kind, 0) + 1
@@ -271,10 +249,6 @@ class Telemetry(NullTelemetry):
             "series": {
                 "commits": self.commit_series.summary(),
                 "write_bytes": self.write_traffic_series.summary(),
-                **{
-                    name: series.summary()
-                    for name, series in sorted(self.named_series.items())
-                },
             },
         }
 

@@ -386,6 +386,17 @@ class TestSweep:
         assert f"unknown sweep scheme {spec!r}" in err.splitlines()[-1]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--threads", "--transactions"])
+    def test_cli_refuses_a_count_below_one(self, flag, tmp_path, capsys):
+        # Exit 1 means a failing case; a bad count is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, "0", "--artifact-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{flag} must be at least 1" in err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("scheme", ["hoop", "opt-redo"])
     def test_sampled_sweep_passes(self, scheme, tmp_path):
         result = crashtest.sweep_scheme(

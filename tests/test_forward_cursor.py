@@ -37,7 +37,7 @@ from repro.core.slices import SliceCodec
 from repro.memctrl.port import MemoryPort
 from repro.nvm.device import NVMDevice
 from repro.schemes import PERSISTENT_SCHEME_NAMES
-from repro.snapshot import Snapshot, clone_state
+from repro.snapshot import clone_state
 from repro.snapshot.replay import ForwardCursor
 from repro.trace import run_txns
 from repro.txn.system import MemorySystem

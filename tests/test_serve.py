@@ -1,6 +1,7 @@
 """The serving layer: routing, admission, batching, failover, oracle."""
 
 import bisect
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -23,7 +24,7 @@ from repro.serve import (
 from repro.serve.__main__ import main as serve_main
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchScheduler
-from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
+from repro.serve.client import OP_PUT, OpenLoopClient, make_clients
 from repro.serve.cluster import ServeCluster
 from repro.serve.router import ConsistentHashRouter, stable_hash
 from repro.serve.shard import ShardExecutor
@@ -287,7 +288,7 @@ class TestConfig:
     def test_replace_revalidates(self):
         cfg = tiny_cfg()
         with pytest.raises(ConfigError):
-            cfg.replace(shards=0)
+            dataclasses.replace(cfg, shards=0)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -300,6 +301,14 @@ class TestConfig:
             {"kill_shard": 0, "kill_at_ms": -1.0},
             {"kill_backup_at_ms": -0.5, "replicas": 1},
             {"kill_primary_at_ms": float("nan"), "replicas": 1},
+            # Knobs the admission queue, batcher, key generator and
+            # recovery would otherwise refuse mid-run.
+            {"queue_depth": 0},
+            {"batch_size": 0},
+            {"batch_wait_us": -1.0},
+            {"zipf_theta": 1.0},
+            {"zipf_theta": 0.0},
+            {"recovery_threads": 0, "kill_shard": 1},
         ],
         ids=lambda overrides: next(iter(overrides)),
     )
@@ -325,6 +334,12 @@ class TestCommandLine:
             ["--kill-shard", "0", "--kill-at-ms", "-1"],
             ["--replicas", "1", "--kill-backup-at-ms", "-0.5"],
             ["--replicas", "1", "--kill-primary-at-ms", "nan"],
+            # Exit 1 is reserved for acked-write loss.
+            ["--queue-depth", "0"],
+            ["--batch-size", "0"],
+            ["--batch-wait-us", "-1"],
+            ["--zipf-theta", "1.0"],
+            ["--recovery-threads", "0", "--kill-shard", "1"],
         ],
         ids=" ".join,
     )
